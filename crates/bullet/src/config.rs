@@ -179,7 +179,14 @@ pub struct BulletConfig {
     pub bloom_bits: usize,
     /// Number of Bloom filter hash functions.
     pub bloom_hashes: u32,
-    /// Maximum keys forwarded to one receiver per service round.
+    /// Maximum keys forwarded to one receiver per service round. It also
+    /// sizes the *service window*: a round only looks at the first
+    /// `4 × peer_service_batch` keys the receiver's request wants, counting
+    /// the ones already sent, so a receiver gets at most that many keys
+    /// (256 by default) per installed request — once they have all gone out
+    /// it is served nothing more until its next `FilterRefresh`, even if it
+    /// wants later keys. Intentional and pinned by the determinism goldens;
+    /// see [`bullet_content::OfferIndex::batch`].
     pub peer_service_batch: usize,
     /// How far (in packets) the top of the requested recovery range lags the
     /// newest sequence number the node has seen. Packets younger than this

@@ -52,10 +52,11 @@ impl ChildState {
 }
 
 /// Result of routing one packet to the children.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouteOutcome {
-    /// Children the packet was actually delivered to.
-    pub sent_to: Vec<OverlayId>,
+    /// How many children the packet was actually delivered to (`try_send`
+    /// saw each of them, in send order).
+    pub sent: usize,
     /// The child that ended up owning the packet, if any.
     pub owner: Option<OverlayId>,
 }
@@ -134,7 +135,7 @@ impl DisjointSender {
                 }
                 if try_send(child.node, key) {
                     child.remember_sent(key, self.sent_cache_cap);
-                    outcome.sent_to.push(child.node);
+                    outcome.sent += 1;
                     if outcome.owner.is_none() {
                         outcome.owner = Some(child.node);
                         child.owned += 1;
@@ -167,7 +168,7 @@ impl DisjointSender {
             child.owned += 1;
             self.total_owned += 1;
             child.remember_sent(key, self.sent_cache_cap);
-            outcome.sent_to.push(child.node);
+            outcome.sent += 1;
             outcome.owner = Some(child.node);
             sent_packet = true;
         }
@@ -204,7 +205,7 @@ impl DisjointSender {
                     child.limiting_factor = (child.limiting_factor + self.lf_step).min(1.0);
                 }
                 child.remember_sent(key, self.sent_cache_cap);
-                outcome.sent_to.push(node);
+                outcome.sent += 1;
                 sent_packet = true;
             } else if sent_packet {
                 // The extra-bandwidth attempt failed: back the limiting
@@ -216,11 +217,12 @@ impl DisjointSender {
         outcome
     }
 
-    /// Equal sending factors, used before RanSub has reported descendant
-    /// counts.
-    pub fn equal_factors(&self) -> Vec<f64> {
-        let n = self.children.len().max(1);
-        vec![1.0 / n as f64; self.children.len()]
+    /// Overwrites `factors` with equal sending factors, used before RanSub
+    /// has reported descendant counts.
+    pub fn equal_factors(&self, factors: &mut Vec<f64>) {
+        let n = self.children.len();
+        factors.clear();
+        factors.resize(n, 1.0 / n.max(1) as f64);
     }
 }
 
@@ -362,6 +364,6 @@ mod tests {
         let mut sender = DisjointSender::new(&[1, 2], 250.0, true);
         let outcome = sender.route_packet(7, &[0.5, 0.5], |_, _| false);
         assert_eq!(outcome.owner, None);
-        assert!(outcome.sent_to.is_empty());
+        assert_eq!(outcome.sent, 0);
     }
 }

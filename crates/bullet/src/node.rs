@@ -20,8 +20,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bullet_content::{
-    block_digest, missing_keys_iter, BloomFilter, PermutationFamily, ReconcileRequest,
-    SummaryTicket, WorkingSet,
+    block_digest, BloomFilter, PermutationFamily, ReconcileRequest, SummaryTicket, WorkingSet,
 };
 use bullet_dynamics::ScenarioAgent;
 use bullet_netsim::{Agent, Context, FaultPlan, OverlayId, SimDuration, SimTime};
@@ -112,13 +111,14 @@ pub struct BulletNode {
     out_conns: HashMap<OverlayId, TfrcSender>,
     in_conns: HashMap<OverlayId, TfrcReceiver>,
 
-    /// Reusable peer-id buffer for the periodic timers (filter refresh, peer
-    /// service, mesh evaluation), which need the sender/receiver node list
-    /// while mutating `self`; without it every tick re-collects the list
-    /// into a fresh `Vec`.
+    /// Reusable peer-id buffer for the periodic timers (filter refresh, mesh
+    /// evaluation), which need the sender node list while mutating `self`;
+    /// without it every tick re-collects the list into a fresh `Vec`.
     scratch_peers: Vec<OverlayId>,
     /// Reusable key buffer for `serve_receivers`.
     scratch_keys: Vec<u64>,
+    /// Reusable sending-factor buffer for `route_to_children`.
+    scratch_factors: Vec<f64>,
 
     /// Cumulative data-plane metrics sampled by the experiment harness.
     pub metrics: BulletMetrics,
@@ -237,6 +237,7 @@ impl BulletNode {
             in_conns: HashMap::new(),
             scratch_peers: Vec::new(),
             scratch_keys: Vec::new(),
+            scratch_factors: Vec::new(),
             metrics: BulletMetrics::default(),
             streaming: true,
             timer_gen: 0,
@@ -327,7 +328,7 @@ impl BulletNode {
     pub fn reverify_working_set(&self) -> usize {
         self.working_set
             .iter()
-            .filter(|&seq| self.carried_digest(seq) != block_digest(seq))
+            .filter(|&seq| carried_digest(&self.tainted, seq) != block_digest(seq))
             .count()
     }
 
@@ -349,8 +350,13 @@ impl BulletNode {
         }
     }
 
+    /// Sends block `seq` to `to` under the transport header `header`.
+    /// Takes the two fields it reads, not `&self`, so that the send loops
+    /// can call it while holding the connection they borrowed from
+    /// `out_conns`.
     fn send_data_packet(
-        &mut self,
+        config: &BulletConfig,
+        tainted: &BTreeMap<u64, u64>,
         ctx: &mut Context<'_, BulletMsg>,
         to: OverlayId,
         header: bullet_transport::TfrcHeader,
@@ -359,10 +365,10 @@ impl BulletNode {
         let msg = BulletMsg::Data {
             header,
             seq,
-            digest: self.carried_digest(seq),
+            digest: carried_digest(tainted, seq),
         };
-        let size = msg.wire_bytes(self.config.packet_size);
-        if self.config.trace_interval > 0 && seq.is_multiple_of(self.config.trace_interval) {
+        let size = msg.wire_bytes(config.packet_size);
+        if config.trace_interval > 0 && seq.is_multiple_of(config.trace_interval) {
             ctx.send_data_traced(to, msg, size, seq);
         } else {
             ctx.send_data(to, msg, size);
@@ -406,6 +412,7 @@ impl BulletNode {
     fn learn_seq(&mut self, seq: u64) {
         if self.working_set.insert(seq) {
             self.ticket.insert(&self.family, seq);
+            self.peers.offers_learn(seq);
         }
     }
 
@@ -424,17 +431,6 @@ impl BulletNode {
             SummaryTicket::from_elements(&self.family, self.working_set.iter())
         };
         self.ransub.set_state(self.ticket.clone());
-    }
-
-    /// The digest a relayed copy of block `seq` travels with: the sealed
-    /// digest for genuine blocks, the stored bad digest for a block this
-    /// node accepted in tampered form (defense off) — which is how
-    /// corruption propagates through undefended overlays.
-    fn carried_digest(&self, seq: u64) -> u64 {
-        self.tainted
-            .get(&seq)
-            .copied()
-            .unwrap_or_else(|| block_digest(seq))
     }
 
     /// Whether `node` is under quarantine at `now`.
@@ -555,58 +551,54 @@ impl BulletNode {
         }
     }
 
-    /// Current per-child sending factors from RanSub descendant counts.
-    fn sending_factors(&self) -> Vec<f64> {
-        let counts: Vec<Option<u64>> = self
-            .children
-            .iter()
-            .map(|&c| self.ransub.descendants_of(c))
-            .collect();
-        if counts.iter().any(Option::is_none) {
-            return self.disjoint.equal_factors();
+    /// Writes the current per-child sending factors, from RanSub descendant
+    /// counts, into `factors` (equal shares until every child has reported).
+    fn sending_factors(&self, factors: &mut Vec<f64>) {
+        factors.clear();
+        for &child in &self.children {
+            let Some(descendants) = self.ransub.descendants_of(child) else {
+                self.disjoint.equal_factors(factors);
+                return;
+            };
+            factors.push(descendants.max(1) as f64);
         }
-        let counts: Vec<f64> = counts
-            .into_iter()
-            .map(|c| c.unwrap().max(1) as f64)
-            .collect();
-        let total: f64 = counts.iter().sum();
-        counts.into_iter().map(|c| c / total).collect()
+        let total: f64 = factors.iter().sum();
+        for factor in factors.iter_mut() {
+            *factor /= total;
+        }
     }
 
     /// Forwards one packet toward the children using the disjoint send
-    /// routine.
+    /// routine. Runs once per accepted data packet, so it works out of the
+    /// node's scratch buffer and allocates nothing.
     fn route_to_children(&mut self, ctx: &mut Context<'_, BulletMsg>, seq: u64) {
         if self.children.is_empty() {
             return;
         }
-        let factors = self.sending_factors();
+        let mut factors = std::mem::take(&mut self.scratch_factors);
+        self.sending_factors(&mut factors);
         let now = ctx.now();
-        let tfrc = self.config.tfrc;
-        let packet_size = self.config.packet_size;
+        let config = &self.config;
+        let tainted = &self.tainted;
         let out_conns = &mut self.out_conns;
-        let mut accepted: Vec<(OverlayId, bullet_transport::TfrcHeader)> = Vec::new();
         let outcome = self.disjoint.route_packet(seq, &factors, |child, _key| {
             let conn = out_conns
                 .entry(child)
-                .or_insert_with(|| TfrcSender::new(tfrc));
-            match conn.try_send(now, packet_size) {
-                Ok(header) => {
-                    accepted.push((child, header));
-                    true
-                }
-                Err(_) => false,
-            }
-        });
-        for (child, header) in accepted {
+                .or_insert_with(|| TfrcSender::new(config.tfrc));
+            let Ok(header) = conn.try_send(now, config.packet_size) else {
+                return false;
+            };
             if ctx.tracing(CAT_JOURNEY) {
                 ctx.trace(TraceData::TreePush {
                     seq,
                     to: child as u32,
                 });
             }
-            self.send_data_packet(ctx, child, header, seq);
-        }
-        self.metrics.forwarded_packets += outcome.sent_to.len() as u64;
+            Self::send_data_packet(config, tainted, ctx, child, header, seq);
+            true
+        });
+        self.scratch_factors = factors;
+        self.metrics.forwarded_packets += outcome.sent as u64;
         if outcome.owner.is_none() {
             self.metrics.orphaned_packets += 1;
         }
@@ -975,15 +967,6 @@ impl BulletNode {
         buf
     }
 
-    /// Takes the scratch buffer filled with the current receiver peer ids;
-    /// same return contract as [`Self::take_sender_peers`].
-    fn take_receiver_peers(&mut self) -> Vec<OverlayId> {
-        let mut buf = std::mem::take(&mut self.scratch_peers);
-        buf.clear();
-        buf.extend(self.peers.receivers().iter().map(|r| r.node));
-        buf
-    }
-
     /// Pushes updated Bloom filters, ranges and row assignments to every
     /// sending peer. The ~2 KB filter is built once and shared by `Arc`
     /// across the per-sender requests — only the row assignment differs —
@@ -1017,57 +1000,61 @@ impl BulletNode {
     }
 
     /// Serves missing keys to every receiving peer, as far as the transports
-    /// allow.
+    /// allow: per receiver, the next batch off its offer index (which
+    /// `learn_seq`, the housekeeping prune and this loop keep current, so a
+    /// tick does not rescan the working set), stopping at the first
+    /// transport refusal.
     fn serve_receivers(&mut self, ctx: &mut Context<'_, BulletMsg>) {
         if self.false_advertiser {
             // A false advertiser accepts peerings (occupying a sender
             // slot at each victim) but never serves a block.
             return;
         }
-        let receiver_nodes = self.take_receiver_peers();
         let mut keys = std::mem::take(&mut self.scratch_keys);
         let now = ctx.now();
         let tfrc = self.config.tfrc;
         let packet_size = self.config.packet_size;
         let batch = self.config.peer_service_batch;
-        for &node in &receiver_nodes {
+        for receiver in self.peers.receivers_mut() {
+            let node = receiver.node;
             keys.clear();
-            {
-                let Some(receiver) = self.peers.receiver_mut(node) else {
-                    continue;
-                };
-                keys.extend(
-                    missing_keys_iter(&self.working_set, &receiver.request, batch * 4)
-                        .filter(|k| !receiver.sent_since_refresh.contains(k))
-                        .take(batch),
-                );
+            keys.extend(receiver.offers(&self.working_set).batch(batch * 4, batch));
+            #[cfg(test)]
+            assert_eq!(
+                keys,
+                bullet_content::missing_keys_iter(&self.working_set, receiver.request(), batch * 4)
+                    .filter(|k| !receiver.shadow_sent.contains(k))
+                    .take(batch)
+                    .collect::<Vec<u64>>(),
+                "node {}: the offer index and the reference scan disagree on receiver {node}",
+                self.id
+            );
+            if keys.is_empty() {
+                continue;
             }
+            let conn = self
+                .out_conns
+                .entry(node)
+                .or_insert_with(|| TfrcSender::new(tfrc));
             for &key in &keys {
-                let conn = self
-                    .out_conns
-                    .entry(node)
-                    .or_insert_with(|| TfrcSender::new(tfrc));
-                match conn.try_send(now, packet_size) {
-                    Ok(header) => {
-                        if ctx.tracing(CAT_JOURNEY) {
-                            ctx.trace(TraceData::MeshServe {
-                                seq: key,
-                                to: node as u32,
-                            });
-                        }
-                        self.send_data_packet(ctx, node, header, key);
-                        self.metrics.served_packets += 1;
-                        if let Some(receiver) = self.peers.receiver_mut(node) {
-                            receiver.sent_since_refresh.insert(key);
-                            receiver.bytes_sent_window += packet_size as u64;
-                        }
-                    }
-                    Err(_) => break,
+                let Ok(header) = conn.try_send(now, packet_size) else {
+                    break;
+                };
+                if ctx.tracing(CAT_JOURNEY) {
+                    ctx.trace(TraceData::MeshServe {
+                        seq: key,
+                        to: node as u32,
+                    });
                 }
+                Self::send_data_packet(&self.config, &self.tainted, ctx, node, header, key);
+                self.metrics.served_packets += 1;
+                receiver.offers(&self.working_set).mark_sent(key);
+                #[cfg(test)]
+                receiver.shadow_sent.insert(key);
+                receiver.bytes_sent_window += packet_size as u64;
             }
         }
         self.scratch_keys = keys;
-        self.scratch_peers = receiver_nodes;
     }
 
     /// Periodic mesh improvement (§3.4): report to senders, evict wasteful
@@ -1457,8 +1444,7 @@ impl Agent for BulletNode {
             }
             BulletMsg::FilterRefresh { request } => {
                 if let Some(receiver) = self.peers.receiver_mut(from) {
-                    receiver.request = request;
-                    receiver.sent_since_refresh.clear();
+                    receiver.install(request);
                     receiver.active_this_window = true;
                 }
             }
@@ -1601,7 +1587,7 @@ impl Agent for BulletNode {
                     // owed to a mesh receiver — shedding must not break a
                     // serving promise.
                     if self.working_set.len() > overload.working_set_budget {
-                        let floor = self.peers.receivers().iter().map(|r| r.request.low).min();
+                        let floor = self.peers.receivers().iter().map(|r| r.request().low).min();
                         let owed = floor
                             .map(|f| self.working_set.iter_range(f, u64::MAX).count())
                             .unwrap_or(0);
@@ -1612,8 +1598,10 @@ impl Agent for BulletNode {
                             before.saturating_sub(self.working_set.len()) as u64;
                     }
                 }
-                self.working_set
+                let pruned_to = self
+                    .working_set
                     .prune_to_len(self.config.working_set_window);
+                self.peers.offers_prune_below(pruned_to);
                 if !self.tainted.is_empty() {
                     self.tainted = self.tainted.split_off(&self.working_set.low_watermark());
                 }
@@ -1668,6 +1656,17 @@ impl Agent for BulletNode {
             other => other,
         }
     }
+}
+
+/// The digest a relayed copy of block `seq` travels with, given the node's
+/// `tainted` blocks: the sealed digest for genuine blocks, the stored bad
+/// digest for a block this node accepted in tampered form (defense off) —
+/// which is how corruption propagates through undefended overlays.
+fn carried_digest(tainted: &BTreeMap<u64, u64>, seq: u64) -> u64 {
+    tainted
+        .get(&seq)
+        .copied()
+        .unwrap_or_else(|| block_digest(seq))
 }
 
 impl ScenarioAgent for BulletNode {
@@ -2009,6 +2008,66 @@ mod tests {
         );
     }
 
+    /// In test builds `serve_receivers` asserts, on every service tick of
+    /// every node, that the offer index hands out exactly the keys of the
+    /// reference rescan (`missing_keys_iter` minus the keys sent since the
+    /// request was installed). This drives a bandwidth-starved mesh through
+    /// everything that moves an index between two refreshes: out-of-order
+    /// recovery, both prunes (a tight overload budget and the window),
+    /// transport refusals, and a crash/rejoin that re-installs requests.
+    #[test]
+    fn every_service_tick_matches_the_reference_scan() {
+        use crate::config::OverloadConfig;
+        use bullet_dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript};
+        let n = 12;
+        let config = BulletConfig {
+            working_set_window: 600,
+            overload: Some(OverloadConfig {
+                working_set_budget: 300,
+                ..OverloadConfig::default()
+            }),
+            ..quick_config().overload()
+        };
+        let script = ScenarioScript::new()
+            .at(SimTime::from_secs(20), ScenarioAction::Crash { node: 5 })
+            .at(SimTime::from_secs(30), ScenarioAction::Join { node: 5 });
+        let mut driver = ScenarioDriver::new(&script);
+        let mut sim = build_sim(n, 500_000.0, config, 4);
+        driver.install(&mut sim);
+        driver.run_until(&mut sim, SimTime::from_secs(60));
+        let sum =
+            |f: fn(&BulletMetrics) -> u64| (0..n).map(|i| f(&sim.agent(i).metrics)).sum::<u64>();
+        assert!(sum(|m| m.served_packets) > 2_000, "the mesh barely served");
+        assert!(
+            sum(|m| m.working_set_evictions) > 0,
+            "the budget never pruned"
+        );
+        // The indexes as the run left them still hold the reference answer
+        // in full, not just inside the service window.
+        let mut checked = 0;
+        for node in 0..n {
+            sim.invoke_agent(node, |agent, _ctx| {
+                for peer in agent.receiver_peers() {
+                    let receiver = agent.peers.receiver_mut(peer).expect("listed receiver");
+                    let unsent: Vec<u64> = receiver
+                        .offers(&agent.working_set)
+                        .batch(usize::MAX, usize::MAX)
+                        .collect();
+                    let reference: Vec<u64> = bullet_content::missing_keys_iter(
+                        &agent.working_set,
+                        receiver.request(),
+                        usize::MAX,
+                    )
+                    .filter(|k| !receiver.shadow_sent.contains(k))
+                    .collect();
+                    assert_eq!(unsent, reference, "node {node}, receiver {peer}");
+                    checked += 1;
+                }
+            });
+        }
+        assert!(checked >= n, "only {checked} receiver indexes to check");
+    }
+
     #[test]
     fn crashed_senders_are_pruned_under_the_churn_profile() {
         let mut sim = build_sim(16, 1_000_000.0, quick_config().churn(), 2);
@@ -2304,7 +2363,7 @@ mod tests {
             assert_eq!(agent.metrics.corrupt_blocks_accepted, 1);
             assert_eq!(agent.corrupt_blocks_held(), 1);
             assert_eq!(
-                agent.carried_digest(5),
+                carried_digest(&agent.tainted, 5),
                 bad_digest,
                 "relays must carry the stored bad digest, not a re-sealed one"
             );
@@ -2522,7 +2581,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         sim.invoke_agent(1, |agent, ctx| {
             for seq in 0..100 {
-                agent.working_set.insert(seq);
+                agent.learn_seq(seq);
             }
             // A receiver still reconciling from sequence 10 up: everything
             // at or above 10 is owed and must survive the budget eviction.
@@ -2539,7 +2598,7 @@ mod tests {
         // Without receivers the budget applies in full.
         sim.invoke_agent(2, |agent, ctx| {
             for seq in 0..100 {
-                agent.working_set.insert(seq);
+                agent.learn_seq(seq);
             }
             agent.on_timer(ctx, agent.tag(timer::HOUSEKEEPING));
         });

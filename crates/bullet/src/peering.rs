@@ -8,7 +8,7 @@
 //! receiver that benefits least from it, freeing trial slots for better
 //! peers.
 
-use bullet_content::{ReconcileRequest, SummaryTicket};
+use bullet_content::{OfferIndex, ReconcileRequest, SummaryTicket, WorkingSet};
 use bullet_netsim::{OverlayId, SimRng};
 use bullet_ransub::Member;
 use std::collections::HashSet;
@@ -67,10 +67,16 @@ pub struct ReceiverPeer {
     /// The peer's overlay id.
     pub node: OverlayId,
     /// The reconciliation state (Bloom filter, range, striping) it installed.
-    pub request: ReconcileRequest,
-    /// Keys already forwarded since the filter was last refreshed, kept so
-    /// the same key is not re-sent while the filter is stale.
-    pub sent_since_refresh: HashSet<u64>,
+    request: ReconcileRequest,
+    /// The keys `request` is owed, with which of them were already forwarded
+    /// (so no key is re-sent while the filter is stale). `None` from the
+    /// moment a request is installed until the next service tick: this
+    /// module holds no working set to build it from.
+    offers: Option<OfferIndex>,
+    /// Test oracle: the keys forwarded since `request` was installed, kept
+    /// the way the rescanning implementation kept them.
+    #[cfg(test)]
+    pub(crate) shadow_sent: HashSet<u64>,
     /// Data bytes sent to this receiver in the current evaluation window.
     pub bytes_sent_window: u64,
     /// The receiver's total received bandwidth over its last reported window
@@ -94,13 +100,37 @@ impl ReceiverPeer {
         ReceiverPeer {
             node,
             request,
-            sent_since_refresh: HashSet::new(),
+            offers: None,
+            #[cfg(test)]
+            shadow_sent: HashSet::new(),
             bytes_sent_window: 0,
             reported_total_bytes: 0,
             active_this_window: true,
             idle_windows: 0,
             lag_windows: 0,
         }
+    }
+
+    /// The reconciliation request currently installed.
+    pub fn request(&self) -> &ReconcileRequest {
+        &self.request
+    }
+
+    /// Installs a new request (peering request or filter refresh). The offer
+    /// index of the old one goes with it, sent marks included: the new
+    /// filter already describes what arrived.
+    pub fn install(&mut self, request: ReconcileRequest) {
+        self.request = request;
+        self.offers = None;
+        #[cfg(test)]
+        self.shadow_sent.clear();
+    }
+
+    /// The offer index of the installed request, built from `have` if the
+    /// request is newer than the last call.
+    pub fn offers(&mut self, have: &WorkingSet) -> &mut OfferIndex {
+        self.offers
+            .get_or_insert_with(|| OfferIndex::build(have, &self.request))
     }
 
     /// The fraction of the receiver's total bandwidth that came from this
@@ -167,6 +197,11 @@ impl PeerManager {
     /// Current receiving peers.
     pub fn receivers(&self) -> &[ReceiverPeer] {
         &self.receivers
+    }
+
+    /// Mutable access to every receiver's state, in list order.
+    pub fn receivers_mut(&mut self) -> &mut [ReceiverPeer] {
+        &mut self.receivers
     }
 
     /// Mutable access to a receiver's state, if present.
@@ -258,8 +293,7 @@ impl PeerManager {
         if self.is_receiver(node) {
             // Refresh the stored request instead of duplicating the entry.
             if let Some(r) = self.receiver_mut(node) {
-                r.request = request;
-                r.sent_since_refresh.clear();
+                r.install(request);
             }
             return true;
         }
@@ -268,6 +302,26 @@ impl PeerManager {
         }
         self.receivers.push(ReceiverPeer::new(node, request));
         true
+    }
+
+    /// Tells every built offer index that this node now holds `seq` (it was
+    /// new to the working set).
+    pub fn offers_learn(&mut self, seq: u64) {
+        for receiver in &mut self.receivers {
+            if let Some(offers) = receiver.offers.as_mut() {
+                offers.learn(&receiver.request, seq);
+            }
+        }
+    }
+
+    /// Tells every built offer index that the working set was pruned and
+    /// `low` is its new low watermark.
+    pub fn offers_prune_below(&mut self, low: u64) {
+        for receiver in &mut self.receivers {
+            if let Some(offers) = receiver.offers.as_mut() {
+                offers.prune_below(low);
+            }
+        }
     }
 
     /// Removes `node` from whichever list it appears in (peer drop or
@@ -582,6 +636,42 @@ mod tests {
         // duplicating.
         assert!(pm.on_peering_request(2, request()));
         assert_eq!(pm.receivers().len(), 3);
+    }
+
+    #[test]
+    fn offer_indexes_follow_the_working_set_and_die_with_their_request() {
+        let mut pm = manager();
+        let mut have = WorkingSet::new();
+        (0..50).for_each(|seq| {
+            have.insert(seq);
+        });
+        pm.on_peering_request(1, request());
+        // Not built yet: working-set changes before the first service tick
+        // are picked up by the build itself.
+        have.insert(50);
+        pm.offers_learn(50);
+        let offers = pm.receiver_mut(1).unwrap().offers(&have);
+        assert_eq!(offers.unsent(), 51);
+        offers.mark_sent(0);
+        offers.mark_sent(1);
+        // Built: inserts and prunes are forwarded.
+        have.insert(51);
+        pm.offers_learn(51);
+        have.prune_below(10);
+        pm.offers_prune_below(have.low_watermark());
+        let offers = pm.receiver_mut(1).unwrap().offers(&have);
+        assert_eq!(
+            offers.batch(4, 4).collect::<Vec<u64>>(),
+            vec![10, 11, 12, 13]
+        );
+        assert_eq!(offers.unsent(), 42);
+        offers.mark_sent(10);
+        // A refresh (or repeated peering request) starts over, sent marks
+        // included.
+        pm.on_peering_request(1, request());
+        let offers = pm.receiver_mut(1).unwrap().offers(&have);
+        assert_eq!(offers.unsent(), 42);
+        assert_eq!(offers.batch(4, 1).next(), Some(10));
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl BloomFilter {
     fn positions(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
         let (h1, h2) = hash_pair(key);
         let m = self.m as u64;
-        (0..self.k as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
+        (0..self.k as u64).map(move |i| reduce(h1.wrapping_add(i.wrapping_mul(h2)), m))
     }
 
     /// Inserts a key.
@@ -75,7 +75,7 @@ impl BloomFilter {
         let (h1, h2) = hash_pair(key);
         let m = self.m as u64;
         for i in 0..self.k as u64 {
-            let pos = (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize;
+            let pos = reduce(h1.wrapping_add(i.wrapping_mul(h2)), m);
             self.bits[pos / 64] |= 1u64 << (pos % 64);
         }
         self.inserted += 1;
@@ -103,6 +103,18 @@ impl BloomFilter {
     }
 }
 
+/// Reduces a probe hash to a bit position, `h % m`. A power-of-two `m` (the
+/// default 16,384-bit filter) takes it with a mask rather than a runtime
+/// 64-bit division per probe; the position is the same either way.
+#[inline]
+fn reduce(h: u64, m: u64) -> usize {
+    (if m.is_power_of_two() {
+        h & (m - 1)
+    } else {
+        h % m
+    }) as usize
+}
+
 /// Double hashing: two independent 64-bit hashes combined as `h1 + i*h2`,
 /// the standard Kirsch–Mitzenmacher construction.
 #[inline]
@@ -122,6 +134,40 @@ fn splitmix(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The probe positions of the historical formula, `(h1 + i*h2) % m`.
+    fn modulo_positions(m: usize, k: u32, key: u64) -> Vec<usize> {
+        let (h1, h2) = hash_pair(key);
+        (0..k as u64)
+            .map(|i| (h1.wrapping_add(i.wrapping_mul(h2)) % m as u64) as usize)
+            .collect()
+    }
+
+    /// The mask (power-of-two `m`) and modulo (any other `m`) branches both
+    /// probe exactly the positions of the old all-modulo formula, so no
+    /// filter ever built or queried changes a bit.
+    #[test]
+    fn probe_positions_match_the_modulo_formula_on_both_branches() {
+        for m in [1usize, 64, 16_384, 1 << 20, 3, 100, 9_586, 16_383, 16_385] {
+            let k = 6;
+            let mut bf = BloomFilter::new(m, k);
+            let mut bits = vec![0u64; m.div_ceil(64)];
+            for key in (0..400u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i) {
+                let want = modulo_positions(m, k, key);
+                assert_eq!(
+                    bf.positions(key).collect::<Vec<_>>(),
+                    want,
+                    "m={m} key={key}"
+                );
+                bf.insert(key);
+                for pos in want {
+                    bits[pos / 64] |= 1u64 << (pos % 64);
+                }
+                assert!(bf.contains(key));
+            }
+            assert_eq!(bf.bits, bits, "m={m}: insert set different bits");
+        }
+    }
 
     #[test]
     fn no_false_negatives() {

@@ -10,7 +10,8 @@
 //! * [`BloomFilter`] — the compact set description a receiver installs at its
 //!   sending peers.
 //! * [`reconcile`] — the sender-side logic that turns a receiver's filter,
-//!   range, and `(row, stripe)` assignment into the list of keys to forward.
+//!   range, and `(row, stripe)` assignment into the list of keys to forward,
+//!   and [`OfferIndex`], the same list maintained between filter refreshes.
 //! * [`block`] — per-block integrity digests ([`BlockMeta`]) for verifying
 //!   that forwarded data carries the source's bytes.
 
@@ -24,6 +25,6 @@ pub mod working_set;
 
 pub use block::{block_digest, BlockMeta};
 pub use bloom::BloomFilter;
-pub use reconcile::{missing_keys, missing_keys_iter, ReconcileRequest};
+pub use reconcile::{missing_keys, missing_keys_iter, OfferIndex, ReconcileRequest};
 pub use summary::{PermutationFamily, SummaryTicket, DEFAULT_ENTRIES};
 pub use working_set::WorkingSet;
