@@ -12,9 +12,12 @@
 //! - **paths/sec**: fresh (cache-missing) route computations per second
 //!   over a deterministic set of distinct participant pairs.
 //!
-//! The `routing_bench {...}` JSON lines feed `BENCH_routing.json` at the
-//! repository root. All modes return identical canonical paths, which the
-//! harness re-checks here on a sample.
+//! All modes return identical canonical paths, which the harness re-checks
+//! here on a sample — the reason CI still runs this bench. The `routing_bench
+//! {...}` JSON lines are for reading by eye; the numbers of record for
+//! first-contact routing are the perf ledger's `netsim.route_cold_us`,
+//! `netsim.routers_settled` and `netsim.lazy_searches` on `mesh_paper`
+//! (`perf/README.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;

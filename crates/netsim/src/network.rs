@@ -32,6 +32,26 @@ fn landmark_lb(tables: &[Vec<u64>], a: RouterId, b: RouterId) -> u64 {
     best
 }
 
+/// The router, if there is one, whose in- and out-edges in the patched
+/// `adjacency` are exactly the `improved` edges of a mutation — what
+/// [`Network::set_router_up`]`(r, true)` produces, or a cost drop on a leaf
+/// router's only link. Any path through an improved edge then passes through
+/// that router, and any path through the router (between two distinct ends)
+/// crosses an improved edge, so the incremental repair filters routes through
+/// the router instead of through each edge. `improved` holds distinct
+/// directed links, all present in `adjacency`, so covering every edge of the
+/// router is a matter of counting.
+fn healed_router(
+    adjacency: &Adjacency,
+    improved: &[(RouterId, RouterId, u64)],
+) -> Option<RouterId> {
+    let &(a, b, _) = improved.first()?;
+    [a, b].into_iter().find(|&r| {
+        improved.iter().all(|&(u, v, _)| u == r || v == r)
+            && adjacency.neighbors(r).len() + adjacency.in_neighbors(r).len() == improved.len()
+    })
+}
+
 /// Identifier of an overlay participant (an end host running a protocol
 /// agent), as opposed to a [`RouterId`] in the physical topology.
 pub type OverlayId = usize;
@@ -1147,15 +1167,19 @@ impl Network {
     ///   The cheapest such path costs exactly `dist(s,a) + w + dist(b,d)`
     ///   on the *patched* graph, so the filter computes exact distance
     ///   tables to each improved tail and from each improved head (a few
-    ///   targeted Dijkstras, deduplicated per endpoint — a healed router's
-    ///   edges share theirs) and keeps the route only when that sum
-    ///   *strictly* exceeds `c` (a tie must invalidate — the canonical
-    ///   tie-break might prefer the new path). Any strictly better new path
+    ///   targeted Dijkstras, deduplicated per endpoint) and keeps the route
+    ///   only when that sum *strictly* exceeds `c` (a tie must invalidate —
+    ///   the canonical tie-break might prefer the new path). Any strictly
+    ///   better new path
     ///   must cross an improved edge, and a tying path that avoids them
     ///   already lost the tie-break when the cached route was computed, so
-    ///   kept routes are provably still canonical. Improvements can also
-    ///   connect previously unreachable pairs, so every memoized negative
-    ///   result is reopened.
+    ///   kept routes are provably still canonical. When the improved edges
+    ///   are *all* the edges of one router `r` (a healed router), a path
+    ///   crosses one of them iff it passes through `r`, so the cheapest such
+    ///   path costs `dist(s,r) + dist(r,d)` and two tables decide the same
+    ///   doomed set ([`healed_router`]). Improvements can also connect
+    ///   previously unreachable pairs, so every memoized negative result is
+    ///   reopened.
     fn repair_incremental(&mut self, changes: &[(DirectedLinkId, EdgeChange)]) {
         // 1. Patch the adjacency in place (clone-on-write: a shared
         //    NetworkSetup and its sibling runs keep the unmutated graph).
@@ -1200,11 +1224,18 @@ impl Network {
         }
         // 4. Improving rule: exact distance filter over the surviving
         //    routes. One reverse table per distinct improved-edge tail and
-        //    one forward table per distinct head, all on the patched graph.
+        //    one forward table per distinct head, all on the patched graph —
+        //    or, for a healed router `r`, just the two tables of the
+        //    zero-cost pseudo-edge `r → r`.
         if !improved.is_empty() && !self.route_cache.is_empty() {
+            let healed = healed_router(&self.adjacency, &improved).map(|r| [(r, r, 0)]);
+            let crossings: &[(RouterId, RouterId, u64)] = match &healed {
+                Some(through_router) => through_router,
+                None => &improved,
+            };
             let mut to_tail: FxHashMap<RouterId, Vec<u64>> = FxHashMap::default();
             let mut from_head: FxHashMap<RouterId, Vec<u64>> = FxHashMap::default();
-            for &(a, b, _) in &improved {
+            for &(a, b, _) in crossings {
                 to_tail
                     .entry(a)
                     .or_insert_with(|| self.adjacency.distances_to(a));
@@ -1220,7 +1251,7 @@ impl Network {
                     continue;
                 }
                 let cost = self.routes.cost(raw);
-                let survives = improved.iter().all(|&(a, b, w)| {
+                let survives = crossings.iter().all(|&(a, b, w)| {
                     to_tail[&a][src]
                         .saturating_add(w)
                         .saturating_add(from_head[&b][dst])
@@ -1727,6 +1758,160 @@ mod tests {
                 assert_eq!(net.path(a, b), fresh.path(a, b), "{a}->{b}");
             }
         }
+    }
+
+    /// The improving filter as it stood before the healed-router rule, kept
+    /// as the reference: a route of `cost` from `s` to `d` is doomed iff some
+    /// improved edge `(a, b, w)` has `dist(s,a) + w + dist(b,d) <= cost`,
+    /// with one distance table per distinct tail and per distinct head.
+    /// Returns the doomed pairs and the number of tables that rule computes.
+    fn per_edge_filter(
+        adjacency: &Adjacency,
+        improved: &[(RouterId, RouterId, u64)],
+        routes: &[((RouterId, RouterId), u64)],
+    ) -> (Vec<(RouterId, RouterId)>, u64) {
+        let mut to_tail: FxHashMap<RouterId, Vec<u64>> = FxHashMap::default();
+        let mut from_head: FxHashMap<RouterId, Vec<u64>> = FxHashMap::default();
+        for &(a, b, _) in improved {
+            to_tail
+                .entry(a)
+                .or_insert_with(|| adjacency.distances_to(a));
+            from_head
+                .entry(b)
+                .or_insert_with(|| adjacency.distances_from(b));
+        }
+        let mut doomed: Vec<(RouterId, RouterId)> = routes
+            .iter()
+            .filter(|&&((s, d), cost)| {
+                improved.iter().any(|&(a, b, w)| {
+                    to_tail[&a][s]
+                        .saturating_add(w)
+                        .saturating_add(from_head[&b][d])
+                        <= cost
+                })
+            })
+            .map(|&(pair, _)| pair)
+            .collect();
+        doomed.sort_unstable();
+        (doomed, (to_tail.len() + from_head.len()) as u64)
+    }
+
+    /// Healing a router filters the surviving routes through the router
+    /// itself — two distance tables — and must doom exactly the pairs the
+    /// per-edge rule dooms with its two tables per neighbour. A 3×3 grid
+    /// with the degree-4 centre healed has all three kinds of cached route:
+    /// ones the centre now beats (1→7), ones it ties (0→8) and ones it
+    /// cannot touch (0→2).
+    #[test]
+    fn healed_router_filter_matches_the_per_edge_rule() {
+        let mut spec = NetworkSpec::new(9);
+        for r in 0..9 {
+            if r % 3 != 2 {
+                spec.add_link(LinkSpec::new(r, r + 1, 10e6, SimDuration::from_millis(5)));
+            }
+            if r + 3 < 9 {
+                spec.add_link(LinkSpec::new(r, r + 3, 10e6, SimDuration::from_millis(5)));
+            }
+            spec.attach(r);
+        }
+        const CENTRE: RouterId = 4;
+        for mode in [
+            RoutingMode::EagerPerSource,
+            RoutingMode::LazyAlt { landmarks: 2 },
+        ] {
+            let mut net = Network::with_routing(&spec, mode);
+            let warm_all = |net: &mut Network| {
+                for a in 0..9 {
+                    for b in 0..9 {
+                        net.route(a, b);
+                    }
+                }
+            };
+            warm_all(&mut net);
+            net.set_router_up(CENTRE, false);
+            warm_all(&mut net);
+            let cached: Vec<((RouterId, RouterId), u64)> = net
+                .route_cache
+                .iter()
+                .map(|(&pair, &id)| (pair, net.routes.cost(id.0)))
+                .collect();
+            assert_eq!(
+                cached.len(),
+                8 * 7,
+                "{mode:?}: every pair avoiding the centre"
+            );
+            let before = net.repair_stats();
+
+            net.set_router_up(CENTRE, true);
+
+            let improved: Vec<(RouterId, RouterId, u64)> = net
+                .adjacency
+                .neighbors(CENTRE)
+                .iter()
+                .map(|&(v, _, cost)| (CENTRE, v, cost))
+                .chain(
+                    net.adjacency
+                        .in_neighbors(CENTRE)
+                        .iter()
+                        .map(|&(u, _, cost)| (u, CENTRE, cost)),
+                )
+                .collect();
+            assert_eq!(improved.len(), 8, "the centre has degree 4");
+            assert_eq!(healed_router(&net.adjacency, &improved), Some(CENTRE));
+            let (want, per_edge_tables) = per_edge_filter(&net.adjacency, &improved, &cached);
+            let mut got: Vec<(RouterId, RouterId)> = cached
+                .iter()
+                .map(|&(pair, _)| pair)
+                .filter(|pair| !net.route_cache.contains_key(pair))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "{mode:?}: doomed pairs");
+            assert!(want.contains(&(1, 7)) && want.contains(&(0, 8)), "{mode:?}");
+            assert!(!want.contains(&(0, 2)), "{mode:?}");
+
+            let after = net.repair_stats();
+            assert_eq!(
+                after.routes_invalidated - before.routes_invalidated,
+                want.len() as u64,
+                "{mode:?}"
+            );
+            assert_eq!(
+                after.routes_kept - before.routes_kept,
+                (cached.len() - want.len()) as u64,
+                "{mode:?}"
+            );
+            assert_eq!(after.filter_tables - before.filter_tables, 2, "{mode:?}");
+            assert_eq!(
+                per_edge_tables, 10,
+                "{mode:?}: centre plus four neighbours, twice"
+            );
+        }
+    }
+
+    /// A mutation that improves only *some* of a router's edges, or edges of
+    /// more than one router, is not a heal and keeps the per-edge rule.
+    #[test]
+    fn healed_router_needs_every_edge_of_one_router() {
+        let net = Network::new(&line6());
+        // Link 0 is all of leaf router 0's edges: a heal of router 0.
+        assert_eq!(
+            healed_router(&net.adjacency, &[(0, 1, 5_000), (1, 0, 5_000)]),
+            Some(0)
+        );
+        // Link 2 joins two degree-2 routers: neither is covered.
+        assert_eq!(
+            healed_router(&net.adjacency, &[(2, 3, 5_000), (3, 2, 5_000)]),
+            None
+        );
+        // Edges of two routers, even if one of them is covered.
+        assert_eq!(
+            healed_router(
+                &net.adjacency,
+                &[(0, 1, 5_000), (1, 0, 5_000), (2, 3, 5_000), (3, 2, 5_000)]
+            ),
+            None
+        );
+        assert_eq!(healed_router(&net.adjacency, &[]), None);
     }
 
     /// Loss and capacity mutations are metadata-only: zero repair work of

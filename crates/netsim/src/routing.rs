@@ -20,6 +20,41 @@
 //! reproduce it hop for hop, which is what the routing-equivalence test
 //! harness in `tests/support/routing_equiv.rs` asserts.
 //!
+//! # Reconstruction
+//!
+//! A point-to-point [`LazyRouter::query`] never resumes a search to break
+//! ties: it decides every "is `dist(s, u) == target`?" question from the
+//! labels its two frontiers already hold. What makes that exact is the
+//! **strict stop**: the bidirectional search ends only when `top_f + top_b >
+//! μ` (strictly), where `top_*` are the smallest unsettled keys and `μ` the
+//! best meeting cost. A router `x` on *any* shortest `s → t` path has
+//! `key_f(x) + key_b(x) = μ` (the potentials cancel), and a side that has
+//! not settled `x` has `key(x) ≥ top`; so were `x` settled by neither side,
+//! `μ ≥ top_f + top_b > μ`. Hence every router on every shortest path is
+//! settled, with its exact distance, by at least one side.
+//!
+//! Walking back from `t`, an in-edge `(u → v, c)` of a path node `v` is
+//! tight iff `dist(s, u) == target` with `target = dist(s, v) − c`, and a
+//! tight `u` lies on a shortest `s → t` path itself. Three cases decide it:
+//!
+//! 1. `u == s`, or `u` is forward-settled: compare the exact forward
+//!    distance (`0` for `s`) with `target`.
+//! 2. `u` is settled only by the backward side, so `dist(u, t)` is known:
+//!    tight iff `dist(u, t) + target == μ` **and** `u` is on a shortest
+//!    `s → t` path — otherwise `dist(s, u) > μ − dist(u, t)`. Membership is
+//!    the same question one hop further out: some in-edge `(w → u, cw)`
+//!    has `dist(s, w) == μ − dist(u, t) − cw`, answered by these same three
+//!    cases (a backward-settled `w` then needs `dist(w, t) == dist(u, t) +
+//!    cw` and membership of its own). Backward distances strictly grow along
+//!    the walk, so it terminates inside the backward ball; verdicts are
+//!    memoised per query.
+//! 3. `u` is settled by neither side: not tight, by the lemma.
+//!
+//! Nothing here uses cost symmetry, so plain bidirectional search on
+//! directed graphs reconstructs the same way. The batched one-to-many
+//! [`LazyRouter::paths_to_many`] is forward-only and has no second ball to
+//! consult; it keeps resuming its single search.
+//!
 //! [`Network`]: crate::network::Network
 
 use std::cmp::Reverse;
@@ -646,6 +681,18 @@ fn advance(
     }
 }
 
+/// What the labels of one router say about "is its true forward distance
+/// exactly this target?" after a strictly stopped bidirectional search.
+#[derive(Clone, Copy, Debug)]
+enum Tight {
+    Yes,
+    No,
+    /// The backward side alone settled the router, at the one distance from
+    /// the destination a tight router could have: tight iff the router is on
+    /// a shortest source → destination path at all.
+    IfOnShortestPath,
+}
+
 /// Counters describing the work a [`LazyRouter`] has done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LazyRouterStats {
@@ -653,7 +700,9 @@ pub struct LazyRouterStats {
     pub searches: u64,
     /// Batched one-to-many searches run ([`LazyRouter::paths_to_many`]).
     pub batched: u64,
-    /// Routers settled across all searches and reconstruction resumes.
+    /// Routers settled across all searches. Point-to-point reconstruction
+    /// settles nothing (it reads the two search balls); only the batched
+    /// one-to-many reconstruction resumes its search and adds to this.
     pub settled: u64,
     /// Landmark tables built at construction.
     pub landmarks: usize,
@@ -675,13 +724,13 @@ pub struct LandmarkRepair {
 /// optional ALT (landmark) lower-bound mode.
 ///
 /// A query grows a forward frontier from the source and a backward frontier
-/// from the destination until the best meeting cost `μ` is provably optimal
-/// (`top_f + top_b ≥ μ`), then reconstructs the *canonical* path (see the
-/// module docs) by walking tight in-edges back from the destination,
-/// resuming the forward search on demand where its ball has not yet proven
-/// or refuted tightness. All distances run in doubled cost units so the
-/// landmark potentials stay integral; all per-node state is epoch-stamped so
-/// a query does no O(routers) clearing.
+/// from the destination until every router on a shortest path is settled by
+/// one of them (`top_f + top_b > μ`), then reconstructs the *canonical* path
+/// by walking tight in-edges back from the destination, deciding tightness
+/// from the two balls alone (see "Reconstruction" in the module docs). All
+/// distances run in doubled cost units so the landmark potentials stay
+/// integral; all per-node state is epoch-stamped so a query does no
+/// O(routers) clearing.
 ///
 /// The ALT potentials assume symmetric edge costs (`cost(u→v) == cost(v→u)`),
 /// which holds for every topology built from a `NetworkSpec`.
@@ -699,6 +748,11 @@ pub struct LazyRouter {
     pot: PotCache,
     path_buf: Vec<DirectedLinkId>,
     rev_buf: Vec<DirectedLinkId>,
+    /// Memoised "is on a shortest s→t path" verdicts of the current query
+    /// for routers only the backward side settled (see `on_shortest_path`).
+    on_sp_stamp: Vec<u32>,
+    on_sp: Vec<bool>,
+    on_sp_stack: Vec<(RouterId, usize)>,
     searches: u64,
     settled: u64,
     // Batched one-to-many state (see `paths_to_many`). All arrays are
@@ -744,6 +798,9 @@ impl LazyRouter {
             pot: PotCache::new(n),
             path_buf: Vec::new(),
             rev_buf: Vec::new(),
+            on_sp_stamp: vec![0; n],
+            on_sp: vec![false; n],
+            on_sp_stack: Vec::new(),
             searches: 0,
             settled: 0,
             batch_pot: BatchPot::new(n),
@@ -881,9 +938,10 @@ impl LazyRouter {
 
         // Phase 1: alternate the cheaper frontier until the meeting bound
         // is proven optimal. With consistent potentials the per-node keys
-        // satisfy `true_dist(v) + p(v) ≥ top`, so once `top_f + top_b ≥ μ`
-        // no untouched node can lie on a cheaper path (the potentials
-        // cancel in the sum).
+        // satisfy `true_dist(v) + p(v) ≥ top`, so once `top_f + top_b > μ`
+        // no node both sides left unsettled can lie on a path of cost ≤ μ
+        // (the potentials cancel in the sum). The stop is strict because
+        // phase 2 needs the tying paths' routers settled too.
         let mut mu = u64::MAX;
         loop {
             let kf = self.fwd.peek_fresh(epoch);
@@ -898,7 +956,7 @@ impl LazyRouter {
             } else if kf
                 .unwrap_or(u64::MAX)
                 .saturating_add(kb.unwrap_or(u64::MAX))
-                >= mu
+                > mu
             {
                 break;
             }
@@ -932,9 +990,8 @@ impl LazyRouter {
         // Phase 2: canonical reconstruction. Walk back from the destination
         // choosing, at every node, the tight in-edge with the smallest link
         // id — exactly the reference Dijkstra's tie-break. Tightness of an
-        // in-neighbor is decided from forward distances, resuming the
-        // forward search just far enough to settle the neighbor or to prove
-        // its true distance exceeds the target.
+        // in-neighbor is read off the two balls phase 1 left behind; no
+        // search is resumed.
         let mut rev = std::mem::take(&mut self.rev_buf);
         rev.clear();
         let mut v = dst;
@@ -952,7 +1009,7 @@ impl LazyRouter {
                     continue;
                 }
                 let target = dv - step;
-                if self.forward_dist_equals(adj, u, target, &mut mu) {
+                if self.forward_dist_is(adj, src, mu, u, target) {
                     best = Some((link, u, target));
                 }
             }
@@ -968,41 +1025,97 @@ impl LazyRouter {
     }
 
     /// Whether the true forward (scaled) distance of `u` equals `target`,
-    /// resuming the forward search as needed. Sound because an unsettled
-    /// node's true key is bounded below by the frontier top, and no node on
-    /// a shortest path can be *closer* than its target (that would shorten
-    /// the path).
-    fn forward_dist_equals(
+    /// asked of an in-neighbor of a router on a shortest `src → dst` path
+    /// once phase 1 has stopped strictly (`mu` is the scaled path cost).
+    fn forward_dist_is(
         &mut self,
         adj: &Adjacency,
+        src: RouterId,
+        mu: u64,
         u: RouterId,
         target: u64,
-        mu: &mut u64,
     ) -> bool {
-        let epoch = self.epoch;
-        loop {
-            if self.fwd.settled(epoch, u) {
-                return self.fwd.dist[u] == target;
-            }
-            let Some(kf) = self.fwd.peek_fresh(epoch) else {
-                return false; // frontier exhausted: u is unreachable
-            };
-            let pu = self.pot.get(&self.landmark_dists, u);
-            if kf > add_pot(target, pu) {
-                return false; // true dist of u provably exceeds target
-            }
-            advance(
-                epoch,
-                adj,
-                Dir::Forward,
-                &mut self.fwd,
-                &self.bwd,
-                &mut self.pot,
-                &self.landmark_dists,
-                mu,
-                &mut self.settled,
-            );
+        match self.tightness(src, mu, u, target) {
+            Tight::Yes => true,
+            Tight::No => false,
+            Tight::IfOnShortestPath => self.on_shortest_path(adj, src, mu, u),
         }
+    }
+
+    /// The three-way rule of the module docs' "Reconstruction" section, as
+    /// far as `u`'s own labels decide it.
+    fn tightness(&self, src: RouterId, mu: u64, u: RouterId, target: u64) -> Tight {
+        let epoch = self.epoch;
+        if u == src || self.fwd.settled(epoch, u) {
+            // Exact forward distance (the source's label is 0 from the start).
+            if self.fwd.dist[u] == target {
+                Tight::Yes
+            } else {
+                Tight::No
+            }
+        } else if self.bwd.settled(epoch, u) && self.bwd.dist[u].checked_add(target) == Some(mu) {
+            Tight::IfOnShortestPath
+        } else {
+            // Settled by neither side, or at the wrong backward distance: a
+            // tight `u` would be on a shortest path, `μ − target` from `dst`.
+            Tight::No
+        }
+    }
+
+    /// Whether `u` — settled by the backward side only, no further than `mu`
+    /// from `dst` — lies on a shortest `src → dst` path, i.e. whether its
+    /// true forward distance is `mu − bwd.dist[u]`: some in-edge `(w → u)`
+    /// must be tight against that distance, by the same rule. A `w` that
+    /// answers [`Tight::IfOnShortestPath`] is strictly farther from `dst`,
+    /// so this is a depth-first walk over the backward ball — iterative,
+    /// because nothing smaller bounds its depth — memoised per query.
+    fn on_shortest_path(&mut self, adj: &Adjacency, src: RouterId, mu: u64, u: RouterId) -> bool {
+        let epoch = self.epoch;
+        let mut stack = std::mem::take(&mut self.on_sp_stack);
+        stack.clear();
+        if self.on_sp_stamp[u] != epoch {
+            stack.push((u, 0));
+        }
+        while let Some(&(x, resume_at)) = stack.last() {
+            let need = mu - self.bwd.dist[x];
+            let edges = adj.in_neighbors(x);
+            let mut on = false;
+            let mut descend = None;
+            let mut i = resume_at;
+            while i < edges.len() {
+                let (w, _link, cost) = edges[i];
+                let step = cost.saturating_mul(2);
+                if step <= need {
+                    match self.tightness(src, mu, w, need - step) {
+                        Tight::Yes => on = true,
+                        Tight::No => {}
+                        Tight::IfOnShortestPath if self.on_sp_stamp[w] == epoch => {
+                            on = self.on_sp[w];
+                        }
+                        Tight::IfOnShortestPath => {
+                            descend = Some(w);
+                            break;
+                        }
+                    }
+                    if on {
+                        break;
+                    }
+                }
+                i += 1;
+            }
+            if let Some(w) = descend {
+                // Look at edge `i` again once `w` has a verdict.
+                let frame = stack.len() - 1;
+                stack[frame].1 = i;
+                stack.push((w, 0));
+            } else {
+                self.on_sp_stamp[x] = epoch;
+                self.on_sp[x] = on;
+                stack.pop();
+            }
+        }
+        self.on_sp_stack = stack;
+        self.on_sp[u]
     }
 
     /// Batched one-to-many query: computes the canonical shortest path from
@@ -1247,6 +1360,26 @@ mod tests {
         assert_eq!(alt.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
     }
 
+    /// Every ordered pair of `adj` must route — cost and hop sequence — as the
+    /// reference Dijkstra does, on a lazy router with each of the given
+    /// landmark counts (0 is plain bidirectional search).
+    fn assert_all_pairs_canonical(adj: &Adjacency, landmark_counts: &[usize], label: &str) {
+        let mut routers: Vec<LazyRouter> = landmark_counts
+            .iter()
+            .map(|&landmarks| LazyRouter::new(adj, landmarks))
+            .collect();
+        for src in 0..adj.len() {
+            let sp = ShortestPaths::compute(adj, src);
+            for dst in 0..adj.len() {
+                let want = sp.path_to(dst).map(|p| (sp.cost_to(dst).unwrap(), p));
+                for (router, landmarks) in routers.iter_mut().zip(landmark_counts) {
+                    let got = router.query(adj, src, dst).map(|(c, p)| (c, p.to_vec()));
+                    assert_eq!(got, want, "{label}: {src}->{dst}, {landmarks} landmarks");
+                }
+            }
+        }
+    }
+
     /// Random symmetric graphs with tiny integer costs (maximally tie-heavy)
     /// must give identical paths from the reference and both lazy modes,
     /// for every pair.
@@ -1274,29 +1407,110 @@ mod tests {
                     add(&mut adj, a, b, 1 + rng.next_u64() % 3);
                 }
             }
-            let mut bidi = LazyRouter::new(&adj, 0);
-            let mut alt = LazyRouter::new(&adj, 3);
-            for src in 0..n {
-                let sp = ShortestPaths::compute(&adj, src);
-                for dst in 0..n {
-                    let reference = sp.path_to(dst);
-                    let lazy = bidi.query(&adj, src, dst).map(|(c, p)| (c, p.to_vec()));
-                    let guided = alt.query(&adj, src, dst).map(|(c, p)| (c, p.to_vec()));
-                    match reference {
-                        None => {
-                            assert!(lazy.is_none(), "case {case}: {src}->{dst}");
-                            assert!(guided.is_none(), "case {case}: {src}->{dst}");
-                        }
-                        Some(path) => {
-                            let (lc, lp) = lazy.expect("reachable");
-                            let (gc, gp) = guided.expect("reachable");
-                            assert_eq!(lc, sp.cost_to(dst).unwrap(), "case {case}");
-                            assert_eq!(lp, path, "case {case}: {src}->{dst} bidi");
-                            assert_eq!(gc, lc, "case {case}");
-                            assert_eq!(gp, path, "case {case}: {src}->{dst} alt");
-                        }
-                    }
+            assert_all_pairs_canonical(&adj, &[0, 3], &format!("case {case}"));
+        }
+    }
+
+    /// `(a, b, cost)`, for both directions.
+    type UndirectedEdge = (RouterId, RouterId, u64);
+
+    /// Undirected edge lists of three shapes built to defeat a
+    /// reconstruction that reads the two search balls, each with its router
+    /// count: a unit-cost torus (every pair has many shortest paths, through
+    /// routers neither side need settle to find *one*), a ring of rings with
+    /// a leaf on every router (the transit-stub shape: every query starts
+    /// and ends on a degree-one router), and a unit-cost grid whose last
+    /// router `far_source` hangs off its first column by long spokes.
+    fn tie_adversarial_shapes() -> Vec<(&'static str, usize, Vec<UndirectedEdge>)> {
+        let (w, h) = (7, 6);
+        let mut torus = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                torus.push((y * w + x, y * w + (x + 1) % w, 1));
+                torus.push((y * w + x, ((y + 1) % h) * w + x, 1));
+            }
+        }
+        let (rings, len) = (5, 6);
+        let mut ring_of_rings = Vec::new();
+        for r in 0..rings {
+            // Router `r * len` is ring `r`'s hub on the core ring.
+            ring_of_rings.push((r * len, ((r + 1) % rings) * len, 1));
+            for i in 0..len {
+                ring_of_rings.push((r * len + i, r * len + (i + 1) % len, 1));
+                ring_of_rings.push((r * len + i, rings * len + r * len + i, 1));
+            }
+        }
+        let side = 6;
+        let far_source = side * side;
+        let mut spokes = Vec::new();
+        for y in 0..side {
+            for x in 0..side {
+                if x + 1 < side {
+                    spokes.push((y * side + x, y * side + x + 1, 1));
                 }
+                if y + 1 < side {
+                    spokes.push((y * side + x, (y + 1) * side + x, 1));
+                }
+            }
+            spokes.push((far_source, y * side, 50));
+        }
+        vec![
+            ("torus", w * h, torus),
+            ("ring-of-rings", 2 * rings * len, ring_of_rings),
+            ("far-source", far_source + 1, spokes),
+        ]
+    }
+
+    /// The canonical path is rebuilt from the two search balls without
+    /// resuming a search (module docs, "Reconstruction"), so these shapes
+    /// must route hop for hop like the reference for every ordered pair:
+    /// symmetric under plain bidirectional search and ALT, and as directed
+    /// graphs with independent per-direction costs (and some one-way edges)
+    /// under plain bidirectional search, since the argument never uses
+    /// symmetry. On the far-source shape an unguided forward ball is the
+    /// source alone — everything past it is dearer than the whole grid — so
+    /// every other path router is decided by the backward-settled rule and
+    /// the on-shortest-path walk runs the length of the path. (The source
+    /// itself is never backward-only: both sides open with the same key and
+    /// the forward side takes the tie.)
+    ///
+    /// Mutants this test kills, each checked by hand against this test and
+    /// `lazy_matches_reference_on_random_tie_heavy_graphs`:
+    /// - `>=` instead of `>` at the phase-1 stop;
+    /// - dropping the `bwd.dist[u] + target == μ` guard where the path walk
+    ///   asks (a backward-settled `u` that is on a shortest path, but past
+    ///   `v`, passes for tight); inside the on-shortest-path walk the same
+    ///   guard is what makes backward distances grow, so dropping it there
+    ///   does not terminate, and relaxing `==` to `>=` changes nothing
+    ///   (`dist(s,u) ≥ target` always, by the triangle inequality);
+    /// - dropping the on-shortest-path walk (`IfOnShortestPath` ⇒ tight);
+    /// - treating "settled by neither side" as tight.
+    #[test]
+    fn reconstruction_matches_reference_on_tie_adversarial_graphs() {
+        let mut rng = SimRng::new(0x71E5);
+        for (label, n, edges) in tie_adversarial_shapes() {
+            let mut symmetric = Adjacency::new(n);
+            let mut directed = Adjacency::new(n);
+            for (i, &(a, b, cost)) in edges.iter().enumerate() {
+                symmetric.add_edge(a, b, 2 * i, cost);
+                symmetric.add_edge(b, a, 2 * i + 1, cost);
+                directed.add_edge(a, b, 2 * i, cost + rng.next_below(2));
+                if !rng.chance(0.1) {
+                    directed.add_edge(b, a, 2 * i + 1, cost + rng.next_below(2));
+                }
+            }
+            assert_all_pairs_canonical(&symmetric, &[0, 3], label);
+            assert_all_pairs_canonical(&directed, &[0], &format!("{label}/directed"));
+
+            if label == "far-source" {
+                let mut router = LazyRouter::new(&symmetric, 0);
+                let (cost, path) = router.query(&symmetric, n - 1, n - 2).unwrap();
+                let hops = path.len();
+                assert_eq!((cost, hops), (55, 6));
+                let ball =
+                    |side: &SearchSide| (0..n).filter(|&v| side.settled(router.epoch, v)).count();
+                assert_eq!(ball(&router.fwd), 1, "the forward ball is the source alone");
+                assert!(ball(&router.bwd) >= hops);
             }
         }
     }

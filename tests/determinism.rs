@@ -265,6 +265,10 @@ fn paper_scale_smoke_matches_golden_run() {
     assert_eq!(routing.trees_built, 0, "no SPT may ever be built");
     assert_eq!(routing.route_queries, 627);
     assert_eq!(routing.lazy_searches, 627);
-    assert_eq!(routing.routers_settled, 1_874_197);
+    // The one work counter in this golden, not behaviour: how far the 627
+    // searches looked, with every route they returned (and so every value
+    // above) unchanged. It fell from 1,874,197 when path reconstruction
+    // stopped resuming the forward search and read the two balls instead.
+    assert_eq!(routing.routers_settled, 177_967);
     assert_eq!(routing.landmarks, 8);
 }

@@ -295,9 +295,23 @@ fn lazy_routing_matches_reference_on_tie_heavy_grids() {
     routing_equiv::assert_all_participant_pairs_equivalent(&spec, "grid7x7");
 }
 
+/// Shapes chosen against the ball-reading path reconstruction (see
+/// `routing_equiv::tie_adversarial_specs`): all strategies, pairwise and
+/// batched, must still agree on every ordered pair.
+#[test]
+fn lazy_routing_matches_reference_on_tie_adversarial_shapes() {
+    for (label, spec) in routing_equiv::tie_adversarial_specs() {
+        routing_equiv::assert_all_participant_pairs_equivalent(&spec, label);
+    }
+}
+
 /// The paper topology class (≈20k routers): a sampled set of participant
 /// pairs must route identically under all three strategies, and the lazy
-/// strategies must never build a shortest-path tree.
+/// strategies must never build a shortest-path tree — nor, in the mode a
+/// paper-scale `Network` picks for itself, search further than the two ALT
+/// balls: reconstruction reads them and settles nothing, so a first-contact
+/// query here settles ≈ 210 routers, where resuming the forward search to
+/// break ties settled ≈ 3,600. A count, the same on every machine.
 #[test]
 fn lazy_routing_matches_reference_on_the_paper_topology_class() {
     let topo = generate(&TopologyConfig::paper_scale(16, 5));
@@ -315,6 +329,20 @@ fn lazy_routing_matches_reference_on_the_paper_topology_class() {
         }
     }
     routing_equiv::assert_sampled_pairs_equivalent(&topo.spec, &pairs, "paper");
+
+    let mut net = Network::with_routing(&topo.spec, RoutingMode::auto(topo.spec.routers));
+    for &(a, b) in &pairs {
+        net.route(a, b);
+    }
+    let work = net.routing_stats();
+    assert!(matches!(work.mode, RoutingMode::LazyAlt { .. }));
+    assert_eq!(work.lazy_searches, pairs.len() as u64);
+    assert!(
+        work.routers_settled <= 400 * work.lazy_searches,
+        "ALT settled {} routers over {} first-contact searches: reconstruction is searching again",
+        work.routers_settled,
+        work.lazy_searches
+    );
 }
 
 /// The scenario-dynamics mutation gate on seeded topology classes: after

@@ -11,7 +11,7 @@
 //! topology class goes through the same gate.
 
 use bullet_suite::netsim::{
-    Network, NetworkSpec, RepairMode, RouterId, RoutingMode, SimDuration, SimRng,
+    LinkSpec, Network, NetworkSpec, RepairMode, RouterId, RoutingMode, SimDuration, SimRng,
 };
 
 /// Number of landmarks the harness gives the ALT router. Deliberately small
@@ -146,6 +146,69 @@ pub fn assert_sampled_pairs_equivalent(spec: &NetworkSpec, pairs: &[(usize, usiz
     }
     check_strategy_invariants(&eager, &bidi, &alt, label);
     check_batched_invariants(&bidi_batched, &alt_batched, spec.participants(), label);
+}
+
+/// Three uniform-delay topologies built to defeat a lazy router that
+/// rebuilds the canonical path from its two search balls instead of resuming
+/// a search (`netsim::routing`, "Reconstruction"), each with a participant
+/// wherever a query can usefully start or end: a torus (many shortest paths
+/// per pair, through routers neither side need settle to find *one*), a
+/// ring of rings with a participant on a leaf off every ring router (the
+/// transit-stub shape), and a grid with one far participant hanging off its
+/// first column by long spokes, whose unguided forward ball is the source
+/// alone. `netsim`'s own `reconstruction_matches_reference_on_tie_adversarial_graphs`
+/// runs the same shapes at the `LazyRouter` level (and as directed graphs,
+/// which a `NetworkSpec` cannot express) and lists the mutants they kill;
+/// here they go through `Network` — route cache, arena and row fills.
+pub fn tie_adversarial_specs() -> Vec<(&'static str, NetworkSpec)> {
+    let hop = SimDuration::from_millis(1);
+    let link = |a: RouterId, b: RouterId, delay: SimDuration| LinkSpec::new(a, b, 1e6, delay);
+
+    let (w, h) = (7, 6);
+    let mut torus = NetworkSpec::new(w * h);
+    for y in 0..h {
+        for x in 0..w {
+            torus.add_link(link(y * w + x, y * w + (x + 1) % w, hop));
+            torus.add_link(link(y * w + x, ((y + 1) % h) * w + x, hop));
+            torus.attach(y * w + x);
+        }
+    }
+
+    let (rings, len) = (5, 6);
+    let mut ring_of_rings = NetworkSpec::new(2 * rings * len);
+    for r in 0..rings {
+        // Router `r * len` is ring `r`'s hub on the core ring.
+        ring_of_rings.add_link(link(r * len, ((r + 1) % rings) * len, hop));
+        for i in 0..len {
+            let leaf = rings * len + r * len + i;
+            ring_of_rings.add_link(link(r * len + i, r * len + (i + 1) % len, hop));
+            ring_of_rings.add_link(link(r * len + i, leaf, hop));
+            ring_of_rings.attach(leaf);
+        }
+    }
+
+    let side = 6;
+    let far = side * side;
+    let mut far_source = NetworkSpec::new(far + 1);
+    for y in 0..side {
+        for x in 0..side {
+            if x + 1 < side {
+                far_source.add_link(link(y * side + x, y * side + x + 1, hop));
+            }
+            if y + 1 < side {
+                far_source.add_link(link(y * side + x, (y + 1) * side + x, hop));
+            }
+            far_source.attach(y * side + x);
+        }
+        far_source.add_link(link(far, y * side, SimDuration::from_millis(50)));
+    }
+    far_source.attach(far);
+
+    vec![
+        ("torus7x6", torus),
+        ("ring-of-rings", ring_of_rings),
+        ("far-source", far_source),
+    ]
 }
 
 fn check_strategy_invariants(eager: &Network, bidi: &Network, alt: &Network, label: &str) {
