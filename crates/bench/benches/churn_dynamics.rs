@@ -1,16 +1,11 @@
-//! Scenario-dynamics benchmark: churn, flash crowd, oscillating bottleneck.
+//! Scenario-dynamics figures: churn, flash crowd, oscillating bottleneck.
 //!
-//! Runs the three scenario figures from `bullet_experiments::scenarios` at
-//! the selected `BULLET_SCALE` and prints their series plus one
-//! `churn_bench {...}` JSON line per run. Those lines feed
-//! `BENCH_churn.json` at the repository root and the nightly `BENCH_churn`
-//! artifact published by the paper-smoke workflow.
+//! Renders the three scenario figures from `bullet_experiments::scenarios`
+//! at the selected `BULLET_SCALE`.
 //!
 //! Setting `BULLET_SCENARIO` additionally runs a Bullet random-tree figure
 //! under that custom script (see the README's "Scenarios" section for the
 //! format) — a harness for one-off what-if runs.
-
-use std::time::Instant;
 
 use bullet_bench::announce;
 use bullet_dynamics::ScenarioScript;
@@ -20,27 +15,6 @@ use bullet_experiments::{
 };
 use bullet_netsim::{SimDuration, SimTime};
 use bullet_topology::{BandwidthProfile, LossProfile};
-
-fn print_bench_lines(figure: &FigureResult, scale: Scale, wall_ms: f64) {
-    for (label, summary) in &figure.summaries {
-        println!(
-            "churn_bench {{\"figure\": \"{}\", \"run\": \"{}\", \"scale\": \"{:?}\", \
-             \"participants\": {}, \"steady_useful_kbps\": {:.1}, \"steady_raw_kbps\": {:.1}, \
-             \"duplicate_fraction\": {:.4}, \"median_delivery_fraction\": {:.4}, \
-             \"control_overhead_kbps\": {:.2}, \"figure_wall_ms\": {:.0}}}",
-            figure.id,
-            label,
-            scale,
-            scale.participants(),
-            summary.steady_useful_kbps,
-            summary.steady_raw_kbps,
-            summary.duplicate_fraction,
-            summary.median_delivery_fraction,
-            summary.control_overhead_kbps,
-            wall_ms,
-        );
-    }
-}
 
 fn main() {
     let scale = announce("Scenario dynamics — churn, flash crowd, oscillating bottleneck");
@@ -53,12 +27,8 @@ fn main() {
         ("flashcrowd", scenarios::flash_crowd_figure),
         ("oscillation", scenarios::oscillating_bottleneck_figure),
     ] {
-        let start = Instant::now();
-        let figure = build(scale);
-        let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
         println!("\n== {name} ==");
-        print!("{}", report::render_figure(&figure));
-        print_bench_lines(&figure, scale, wall_ms);
+        print!("{}", report::render_figure(&build(scale)));
     }
 
     if let Some(script) = ScenarioScript::from_env() {
@@ -96,6 +66,5 @@ fn main() {
             .summaries
             .push((result.label.clone(), result.summary.clone()));
         print!("{}", report::render_figure(&figure));
-        print_bench_lines(&figure, scale, 0.0);
     }
 }

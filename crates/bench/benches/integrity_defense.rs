@@ -1,19 +1,12 @@
-//! Data-plane integrity benchmark: misbehaving-peer sweep, defense on vs
-//! off.
+//! Data-plane integrity figure: misbehaving-peer sweep, defense on vs off.
 //!
-//! Runs the `adversary` figure (0–30% of the overlay corrupting, stalling
-//! or falsely advertising mid-stream) at the selected `BULLET_SCALE` and
-//! prints its series plus one `integrity_bench {...}` JSON line per run.
-//! Those lines feed `BENCH_integrity.json` at the repository root and the
-//! nightly `BENCH_integrity` artifact published by the paper-smoke
-//! workflow.
-//!
-//! The acceptance numbers of the integrity layer live in these lines: at
-//! 20% adversaries the defense-on `clean_goodput_kbps` must be at least
-//! 2x the defense-off value, and defense-on runs must accept zero
-//! corrupted blocks (`corrupt_blocks_accepted == 0`).
-
-use std::time::Instant;
+//! Renders the `adversary` figure (0–30% of the overlay corrupting,
+//! stalling or falsely advertising mid-stream) at the selected
+//! `BULLET_SCALE`. The claim behind it — at 20% adversaries the defense
+//! accepts no corrupted block, quarantines, and holds at least twice the
+//! undefended clean goodput — is a test:
+//! `integrity_defense_doubles_clean_goodput_at_20pct_adversaries` in
+//! `tests/end_to_end.rs`.
 
 use bullet_bench::announce;
 use bullet_experiments::{report, scenarios};
@@ -21,30 +14,9 @@ use bullet_experiments::{report, scenarios};
 fn main() {
     let scale = announce("Data-plane integrity — adversary sweep, defense on vs off");
 
-    let start = Instant::now();
-    let figure = scenarios::adversary_figure(scale);
-    let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
     println!("\n== adversary ==");
-    print!("{}", report::render_figure(&figure));
-    for (label, summary) in &figure.summaries {
-        println!(
-            "integrity_bench {{\"figure\": \"{}\", \"run\": \"{}\", \"scale\": \"{:?}\", \
-             \"participants\": {}, \"steady_useful_kbps\": {:.1}, \"clean_goodput_kbps\": {:.1}, \
-             \"median_delivery_fraction\": {:.4}, \"blocks_verified\": {}, \
-             \"corrupt_blocks_rejected\": {}, \"corrupt_blocks_accepted\": {}, \
-             \"quarantines\": {}, \"figure_wall_ms\": {:.0}}}",
-            figure.id,
-            label,
-            scale,
-            scale.participants(),
-            summary.steady_useful_kbps,
-            summary.clean_goodput_kbps,
-            summary.median_delivery_fraction,
-            summary.blocks_verified,
-            summary.corrupt_blocks_rejected,
-            summary.corrupt_blocks_accepted,
-            summary.quarantines,
-            wall_ms,
-        );
-    }
+    print!(
+        "{}",
+        report::render_figure(&scenarios::adversary_figure(scale))
+    );
 }

@@ -1,29 +1,22 @@
-//! Overload-resilience benchmark: join storm + slow receivers on
+//! Overload-resilience figure: join storm + slow receivers on
 //! finite-capacity nodes, bounded vs unbounded application queues.
 //!
-//! Runs the `overload` figure (the flash crowd's 60% joiner suffix in
+//! Renders the `overload` figure (the flash crowd's 60% joiner suffix in
 //! rolling crash-and-rejoin cohorts with a tenth of the flash-crowd ramp,
 //! plus persistent slow receivers, on nodes with finite simulated ingress
-//! queues) at the selected `BULLET_SCALE` and prints its series plus one
-//! `overload_bench {...}` JSON line per run and one summary line for the
-//! scalar outcomes. Those lines feed `BENCH_overload.json` at the
-//! repository root and the nightly `BENCH_overload` artifact published
-//! by CI.
+//! queues) at the selected `BULLET_SCALE`.
 //!
-//! The acceptance numbers of the overload layer live in these lines,
-//! scored as *timely* goodput — first deliveries landing within the
-//! figure's playout deadline of their generation slot, the only bytes a
-//! live stream can use. Receive livelock does not destroy the unbounded
-//! arm's data, it makes the data late; an unbounded queue at a saturated
-//! node serves everything eventually and on time never. The bounded arm's
-//! steady-state members must hold well above the unbounded baseline
-//! through the storm (about 1.5x mean at default scale, 2x for the
-//! worst-quartile members pinned behind the saturated interior nodes),
-//! deferred joins must eventually be admitted
-//! (`joins_admitted_after_defer > 0`), and the backpressure mechanisms
-//! must actually fire (`inbox_sheds > 0`).
-
-use std::time::Instant;
+//! The figure scores *timely* goodput — first deliveries landing within
+//! the playout deadline of their generation slot, the only bytes a live
+//! stream can use. Receive livelock does not destroy the unbounded arm's
+//! data, it makes the data late; an unbounded queue at a saturated node
+//! serves everything eventually and on time never. The claim behind it —
+//! the bounded arm's ingress backlog stays within budget while the
+//! unbounded one grows past it, every backpressure mechanism fires, and the
+//! worst-quartile steady-state members hold at least twice the unbounded
+//! baseline through the storm — is a test:
+//! `bounded_queues_hold_goodput_through_a_join_storm` in
+//! `tests/end_to_end.rs`.
 
 use bullet_bench::announce;
 use bullet_experiments::{report, scenarios};
@@ -31,60 +24,9 @@ use bullet_experiments::{report, scenarios};
 fn main() {
     let scale = announce("Overload resilience — join storm, bounded vs unbounded queues");
 
-    let start = Instant::now();
-    let figure = scenarios::overload_figure(scale);
-    let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
     println!("\n== overload ==");
-    print!("{}", report::render_figure(&figure));
-    for (label, summary) in &figure.summaries {
-        println!(
-            "overload_bench {{\"figure\": \"{}\", \"run\": \"{}\", \"scale\": \"{:?}\", \
-             \"participants\": {}, \"steady_useful_kbps\": {:.1}, \
-             \"median_delivery_fraction\": {:.4}, \"inbox_sheds\": {}, \
-             \"joins_deferred\": {}, \"joins_admitted_after_defer\": {}, \
-             \"peak_inbox_depth\": {}, \"working_set_evictions\": {}, \
-             \"slow_demotions\": {}, \"ingress_sheds\": {}, \
-             \"ingress_peak_depth\": {}, \"figure_wall_ms\": {:.0}}}",
-            figure.id,
-            label,
-            scale,
-            scale.participants(),
-            summary.steady_useful_kbps,
-            summary.median_delivery_fraction,
-            summary.inbox_sheds,
-            summary.joins_deferred,
-            summary.joins_admitted_after_defer,
-            summary.peak_inbox_depth,
-            summary.working_set_evictions,
-            summary.slow_demotions,
-            summary.ingress_sheds,
-            summary.ingress_peak_depth,
-            wall_ms,
-        );
-    }
-    // The scalar outcomes the CI gate reads: steady-state member goodput
-    // per arm (pre-storm receivers minus the scripted slow ones), timely
-    // within the figure's playout deadline, as the member mean and the
-    // worst-quartile member mean.
-    let scalar = |name: &str| {
-        figure
-            .scalars
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0.0)
-    };
-    println!(
-        "overload_bench {{\"figure\": \"{}\", \"run\": \"summary\", \"scale\": \"{:?}\", \
-         \"bounded_member_goodput_kbps\": {:.1}, \"unbounded_member_goodput_kbps\": {:.1}, \
-         \"bounded_worst_quartile_kbps\": {:.1}, \"unbounded_worst_quartile_kbps\": {:.1}, \
-         \"figure_wall_ms\": {:.0}}}",
-        figure.id,
-        scale,
-        scalar("bounded_member_goodput_kbps"),
-        scalar("unbounded_member_goodput_kbps"),
-        scalar("bounded_worst_quartile_kbps"),
-        scalar("unbounded_worst_quartile_kbps"),
-        wall_ms,
+    print!(
+        "{}",
+        report::render_figure(&scenarios::overload_figure(scale))
     );
 }

@@ -1,17 +1,14 @@
 //! Parallel figure-suite benchmark: serial vs threaded wall-clock for the
 //! whole evaluation grid, plus the per-run setup-sharing win.
 //!
-//! Prints one `parallel_bench {...}` JSON line per measurement; those lines
-//! feed `BENCH_parallel.json` at the repository root and the nightly
-//! `BENCH_parallel` artifact.
-//!
 //! Two measurements:
 //!
 //! 1. **Suite wall-clock** — the full figure suite run twice through the
 //!    flattened grid: once at `BULLET_THREADS=1`-equivalent (one worker, the
 //!    reference execution) and once at the threaded width (`BULLET_THREADS`,
 //!    default all cores; `--threads` in spirit). The rendered reports are
-//!    compared byte for byte — the determinism claim is re-proven on every
+//!    compared byte for byte and the bench panics (and so exits non-zero)
+//!    if they differ — the determinism claim is re-proven on every
 //!    benchmark run, not just in the test suite. At `BULLET_SCALE=paper`
 //!    the suite measurement is skipped (a full paper-scale suite is a
 //!    multi-hour job; the nightly workflow runs the default scale) and only
@@ -57,12 +54,8 @@ fn main() {
             identical,
             "suite output differs between 1 and {threads} threads"
         );
-        println!("reports byte-identical across thread counts: {identical}");
         println!(
-            "parallel_bench {{\"measurement\": \"suite\", \"scale\": \"{scale:?}\", \
-             \"figures\": {}, \"seeds\": {seeds}, \"serial_secs\": {serial_secs:.2}, \
-             \"threads\": {threads}, \"threaded_secs\": {threaded_secs:.2}, \
-             \"speedup\": {:.2}, \"byte_identical\": {identical}}}",
+            "{} figures byte-identical across thread counts; speedup {:.2}x",
             serial.len(),
             serial_secs / threaded_secs.max(1e-9),
         );
@@ -100,16 +93,6 @@ fn main() {
         "\ntopology class ({} routers, {participants} participants): \
          once-per-class setup {class_setup_secs:.3}s; per-run network view \
          {shared_view_secs:.4}s shared vs {scratch_secs:.4}s from scratch ({:.1}x)",
-        prepared.spec().routers,
-        scratch_secs / shared_view_secs.max(1e-9),
-    );
-    println!(
-        "parallel_bench {{\"measurement\": \"setup\", \"scale\": \"{scale:?}\", \
-         \"routers\": {}, \"participants\": {participants}, \
-         \"class_setup_secs\": {class_setup_secs:.4}, \
-         \"per_run_shared_secs\": {shared_view_secs:.5}, \
-         \"per_run_scratch_secs\": {scratch_secs:.5}, \
-         \"per_run_win\": {:.2}}}",
         prepared.spec().routers,
         scratch_secs / shared_view_secs.max(1e-9),
     );

@@ -1,50 +1,16 @@
-//! Failure-recovery benchmark (§4.6): sustained crashes and partitions,
+//! Failure-recovery figures (§4.6): sustained crashes and partitions,
 //! recovery subsystem on vs off.
 //!
-//! Runs the `recovery` (sustained interior-node crashes, one per 10 s)
+//! Renders the `recovery` (sustained interior-node crashes, one per 10 s)
 //! and `partition` (repeated half-overlay partitions plus control-message
-//! loss) figures at the selected `BULLET_SCALE` and prints their series
-//! plus one `recovery_bench {...}` JSON line per run. Those lines feed
-//! `BENCH_recovery.json` at the repository root and the nightly
-//! `BENCH_recovery` artifact published by the paper-smoke workflow.
-//!
-//! The acceptance numbers of the recovery subsystem live in these lines:
-//! `median_reattach_secs` (orphans must re-attach within three RanSub
-//! epochs) and the recovery-on vs recovery-off `steady_useful_kbps` ratio
-//! under sustained churn (at least 2x).
-
-use std::time::Instant;
+//! loss) figures at the selected `BULLET_SCALE`. The claim behind them —
+//! orphans re-attach, and recovery-on holds at least twice recovery-off's
+//! steady goodput under sustained crashes — is a test:
+//! `recovery_doubles_goodput_under_sustained_crashes` in
+//! `tests/end_to_end.rs`.
 
 use bullet_bench::announce;
 use bullet_experiments::{report, scenarios, FigureResult, Scale};
-
-fn print_bench_lines(figure: &FigureResult, scale: Scale, wall_ms: f64) {
-    for (label, summary) in &figure.summaries {
-        println!(
-            "recovery_bench {{\"figure\": \"{}\", \"run\": \"{}\", \"scale\": \"{:?}\", \
-             \"participants\": {}, \"steady_useful_kbps\": {:.1}, \"steady_raw_kbps\": {:.1}, \
-             \"median_delivery_fraction\": {:.4}, \"orphan_detections\": {}, \
-             \"reattaches\": {}, \"median_reattach_secs\": {:.2}, \"mean_reattach_secs\": {:.2}, \
-             \"orphan_window_packets\": {}, \"control_retries\": {}, \
-             \"false_positive_evictions\": {}, \"figure_wall_ms\": {:.0}}}",
-            figure.id,
-            label,
-            scale,
-            scale.participants(),
-            summary.steady_useful_kbps,
-            summary.steady_raw_kbps,
-            summary.median_delivery_fraction,
-            summary.orphan_detections,
-            summary.reattaches,
-            summary.median_reattach_secs,
-            summary.mean_reattach_secs,
-            summary.orphan_window_packets,
-            summary.control_retries,
-            summary.false_positive_evictions,
-            wall_ms,
-        );
-    }
-}
 
 fn main() {
     let scale = announce("Failure recovery — sustained crashes and partitions, §4.6 on vs off");
@@ -56,11 +22,7 @@ fn main() {
         ),
         ("partition", scenarios::partition_figure),
     ] {
-        let start = Instant::now();
-        let figure = build(scale);
-        let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
         println!("\n== {name} ==");
-        print!("{}", report::render_figure(&figure));
-        print_bench_lines(&figure, scale, wall_ms);
+        print!("{}", report::render_figure(&build(scale)));
     }
 }

@@ -2,15 +2,14 @@
 //! off, counters-only (metrics hub + self-profiling), and fully tracing.
 //!
 //! Runs the bullet64-shaped star workload through `run_metered_with`
-//! three ways and prints one `telemetry_bench {...}` JSON line per mode
-//! plus a final line with the relative overheads. Those lines feed
-//! `BENCH_telemetry.json` at the repository root and the nightly
-//! `BENCH_telemetry` artifact published by the paper-smoke workflow.
-//!
-//! The acceptance number lives in the final line: `counters_overhead_pct`
-//! (hub sampling + self-profiling, no flight recorder) must stay within
-//! 10% of the telemetry-off event rate. The workload is fixed-size on
-//! purpose — overhead ratios, not absolute throughput, are the contract.
+//! three ways and prints each mode's event rate and its overhead over
+//! telemetry-off. The bench is its own gate: it panics (and so exits
+//! non-zero) unless the counters-only overhead (hub sampling +
+//! self-profiling, no flight recorder) stays within
+//! [`COUNTERS_BUDGET_PCT`] of the telemetry-off event rate. The workload is
+//! fixed-size on purpose — overhead ratios, not absolute throughput, are
+//! the contract. The ledger reports the full-trace cost on its own
+//! workloads as `telemetry.trace_overhead_pct`.
 
 use std::time::Instant;
 
@@ -25,6 +24,8 @@ const NODES: usize = 64;
 const SEED: u64 = 2003;
 const RUN_SECS: u64 = 20;
 const ITERATIONS: usize = 3;
+/// Most the counters-only mode may cost over telemetry-off, in percent.
+const COUNTERS_BUDGET_PCT: f64 = 10.0;
 
 fn build_sim() -> Sim<BulletNode> {
     let mut spec = NetworkSpec::new(NODES + 1);
@@ -111,16 +112,15 @@ fn main() {
         let (events, rate) = measure(config);
         rates[i] = rate;
         println!(
-            "telemetry_bench {{\"mode\": \"{name}\", \"sim_events\": {events}, \
-             \"events_per_sec\": {rate:.0}}}"
+            "{name:>8}: {events} events, {rate:.0} events/s, {:+.2}% over off",
+            (rates[0] / rate - 1.0) * 100.0
         );
     }
 
-    let overhead = |rate: f64| (rates[0] / rate - 1.0) * 100.0;
-    println!(
-        "telemetry_bench {{\"mode\": \"summary\", \"counters_overhead_pct\": {:.2}, \
-         \"trace_overhead_pct\": {:.2}, \"budget_counters_pct\": 10.0}}",
-        overhead(rates[1]),
-        overhead(rates[2]),
+    let counters_overhead_pct = (rates[0] / rates[1] - 1.0) * 100.0;
+    assert!(
+        counters_overhead_pct <= COUNTERS_BUDGET_PCT,
+        "counters-only telemetry costs {counters_overhead_pct:.2}% over off \
+         (budget {COUNTERS_BUDGET_PCT}%)"
     );
 }

@@ -6,9 +6,8 @@
 //! paper's evaluation: it runs the corresponding experiment from
 //! `bullet-experiments` at the scale selected by `BULLET_SCALE`
 //! (`small`/`default`/`paper`) and prints the same series and scalars the
-//! paper reports. `benches/micro_primitives.rs` is a conventional Criterion
-//! benchmark of the hot data-plane primitives (Bloom filters, summary
-//! tickets, RanSub Compact, LT coding).
+//! paper reports. Costs are not measured here: the ledger under `perf/`
+//! times the workloads of record and the hot primitives.
 
 #![warn(missing_docs)]
 

@@ -227,7 +227,7 @@ fn bandwidth_metric_on(mut net: Network, participants: usize, root: OverlayId) -
 }
 
 /// The constrained-source environment standing in for the PlanetLab
-/// deployment of §4.7 (see DESIGN.md for the substitution rationale).
+/// deployment of §4.7.
 #[derive(Clone, Debug)]
 pub struct ConstrainedSourceTopology {
     /// Simulator network spec.
@@ -282,46 +282,50 @@ pub fn constrained_source_topology(
     }
 }
 
-/// Whether `BULLET_INTEGRITY` asks the figure harness to enable the
-/// data-plane integrity layer (block verification, health scoring,
-/// quarantine) with its default parameters on every Bullet run. Accepts
-/// `1`/`true`/`on`; anything else — including unset — leaves the layer
-/// off, so historical figure output stays byte-identical.
-pub fn integrity_enabled() -> bool {
-    matches!(
-        std::env::var("BULLET_INTEGRITY").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
-/// Whether `BULLET_OVERLOAD` asks the figure harness to enable the
-/// overload-resilience layer (bounded prioritized inboxes, join admission
-/// control, working-set memory budget, slow-receiver demotion) on every
-/// Bullet run. The layer rides on the integrity profile, so enabling it
-/// also enables block verification and the §4.6 recovery subsystem.
-/// Accepts `1`/`true`/`on`; anything else — including unset — leaves the
-/// layer off, so historical figure output stays byte-identical.
-pub fn overload_enabled() -> bool {
-    matches!(
-        std::env::var("BULLET_OVERLOAD").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
 /// Whether `BULLET_PROFILE` asks metered runs to enable simulator
 /// self-profiling (event-queue depth tracking, pool occupancy, wall-clock
-/// throughput). Accepts `1`/`true`/`on`; anything else — including unset —
-/// keeps profiling off and the run loop untouched.
+/// throughput): `1`/`true`/`on` enable it, `0`/`false`/`off`, unset or
+/// empty keep profiling off and the run loop untouched.
+///
+/// # Panics
+///
+/// Panics on any other value — `BULLET_PROFILE=yes` silently running
+/// unprofiled would look like a profile with nothing in it.
 pub fn profile_enabled() -> bool {
-    matches!(
-        std::env::var("BULLET_PROFILE").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
+    parse_profile(std::env::var("BULLET_PROFILE").ok().as_deref())
+}
+
+/// The parsing half of [`profile_enabled`], split out for tests.
+fn parse_profile(value: Option<&str>) -> bool {
+    match value {
+        None | Some("") | Some("0") | Some("false") | Some("off") => false,
+        Some("1") | Some("true") | Some("on") => true,
+        Some(other) => panic!(
+            "unrecognized BULLET_PROFILE value {other:?}: expected 1, true, on, 0, false or off"
+        ),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn profile_switch_parsing() {
+        for on in ["1", "true", "on"] {
+            assert!(parse_profile(Some(on)), "{on}");
+        }
+        for off in ["", "0", "false", "off"] {
+            assert!(!parse_profile(Some(off)), "{off:?}");
+        }
+        assert!(!parse_profile(None));
+    }
+
+    #[test]
+    #[should_panic(expected = "BULLET_PROFILE")]
+    fn an_undocumented_profile_value_panics() {
+        parse_profile(Some("yes"));
+    }
 
     #[test]
     fn topology_scales_with_scale() {

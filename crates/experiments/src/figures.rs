@@ -4,8 +4,7 @@
 //! the topology and trees the paper describes, runs the systems under
 //! comparison, and returns a [`FigureResult`] containing the same curves the
 //! figure plots plus the scalar numbers quoted in the surrounding text. The
-//! bench harnesses in `crates/bench` print these results; EXPERIMENTS.md
-//! records paper-versus-measured for each.
+//! bench harnesses in `crates/bench` print these results.
 //!
 //! # The run grid
 //!
@@ -201,26 +200,10 @@ impl Params {
     }
 
     pub(crate) fn bullet_config(&self, rate_bps: f64) -> BulletConfig {
-        let config = BulletConfig {
+        BulletConfig {
             stream_rate_bps: rate_bps,
             stream_start: self.stream_start,
             ..BulletConfig::default()
-        };
-        let config = if crate::env::integrity_enabled() {
-            // `BULLET_INTEGRITY=1`: every figure's Bullet runs verify
-            // blocks, score peer health and quarantine misbehavers.
-            config.integrity()
-        } else {
-            config
-        };
-        if crate::env::overload_enabled() {
-            // `BULLET_OVERLOAD=1`: every figure's Bullet runs additionally
-            // bound their inboxes and working sets, defer joins under
-            // pressure and demote persistently slow receivers (the layer
-            // implies the integrity profile).
-            config.overload()
-        } else {
-            config
         }
     }
 

@@ -7,8 +7,7 @@
 //! [`figures`] that builds the topology and trees the paper describes, runs
 //! the systems under comparison at a configurable [`Scale`], and returns the
 //! same curves and scalar numbers the paper reports. The bench harnesses in
-//! `crates/bench` print these via [`report`]; EXPERIMENTS.md records
-//! paper-versus-measured for each.
+//! `crates/bench` print these via [`report`].
 
 #![warn(missing_docs)]
 
@@ -24,8 +23,8 @@ pub mod scenarios;
 pub mod suite;
 
 pub use env::{
-    build_topology, build_tree, constrained_source_topology, integrity_enabled, overload_enabled,
-    prepare_topology, profile_enabled, PreparedSpec, PreparedTopology, TreeKind,
+    build_topology, build_tree, constrained_source_topology, prepare_topology, profile_enabled,
+    PreparedSpec, PreparedTopology, TreeKind,
 };
 pub use figures::{quick_bullet_demo, FigureResult};
 pub use metrics::{BandwidthSeries, Cdf, RunSummary};

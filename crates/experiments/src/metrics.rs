@@ -160,9 +160,7 @@ pub struct RunSummary {
     /// Route-affecting topology mutations the run applied (epoch bumps);
     /// zero for static-topology runs.
     pub route_mutations: u64,
-    /// Interned routes invalidated by affected-region incremental repair
-    /// (zero under wholesale rebuild, where every mutation dumps all
-    /// lookup layers instead).
+    /// Interned routes invalidated by affected-region route repair.
     pub routes_invalidated: u64,
     /// ALT landmark tables repaired after improving mutations (admissibility
     /// check failures; zero when mutations only worsened links or the

@@ -7,8 +7,6 @@
 //! preserving the qualitative shape of every result. Set `BULLET_SCALE=paper`
 //! to reproduce the paper-sized runs.
 
-use bullet_netsim::RoutingMode;
-
 /// How large an experiment to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -22,14 +20,15 @@ pub enum Scale {
 
 impl Scale {
     /// Reads the scale from the `BULLET_SCALE` environment variable
-    /// (`small`, `default`, or `paper`); unknown or missing values map to
+    /// (`small`, `default`, or `paper`); unset or empty means
     /// [`Scale::Default`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value — silently falling back would attribute
+    /// numbers to the wrong scale.
     pub fn from_env() -> Scale {
-        match std::env::var("BULLET_SCALE").as_deref() {
-            Ok("small") => Scale::Small,
-            Ok("paper") | Ok("full") => Scale::Paper,
-            _ => Scale::Default,
-        }
+        parse_scale(std::env::var("BULLET_SCALE").ok().as_deref())
     }
 
     /// Number of overlay participants at this scale (the paper's headline
@@ -79,21 +78,16 @@ impl Scale {
             Scale::Paper => 5,
         }
     }
+}
 
-    /// The routing strategy appropriate for this scale's topologies. Small
-    /// and default topologies keep the eager per-source Dijkstra trees; the
-    /// paper's 20,000-router topologies use lazy landmark-guided
-    /// bidirectional search, so no figure ever precomputes 20k shortest-path
-    /// trees. `Sim::new` resolves the same choice automatically from the
-    /// router count ([`RoutingMode::auto`]); this accessor exists for
-    /// harnesses that construct networks explicitly. Paths are identical
-    /// across modes.
-    pub fn routing_mode(self) -> RoutingMode {
-        match self {
-            Scale::Small | Scale::Default => RoutingMode::EagerPerSource,
-            Scale::Paper => RoutingMode::LazyAlt {
-                landmarks: RoutingMode::DEFAULT_LANDMARKS,
-            },
+/// The parsing half of [`Scale::from_env`], split out for tests.
+fn parse_scale(value: Option<&str>) -> Scale {
+    match value {
+        None | Some("") | Some("default") => Scale::Default,
+        Some("small") => Scale::Small,
+        Some("paper") => Scale::Paper,
+        Some(other) => {
+            panic!("unrecognized BULLET_SCALE value {other:?}: expected small, default or paper")
         }
     }
 }
@@ -125,11 +119,23 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_routes_lazily() {
-        assert_eq!(Scale::Default.routing_mode(), RoutingMode::EagerPerSource);
-        assert!(matches!(
-            Scale::Paper.routing_mode(),
-            RoutingMode::LazyAlt { landmarks } if landmarks > 0
-        ));
+    fn scale_parsing() {
+        assert_eq!(parse_scale(None), Scale::Default);
+        assert_eq!(parse_scale(Some("")), Scale::Default);
+        assert_eq!(parse_scale(Some("default")), Scale::Default);
+        assert_eq!(parse_scale(Some("small")), Scale::Small);
+        assert_eq!(parse_scale(Some("paper")), Scale::Paper);
+    }
+
+    #[test]
+    #[should_panic(expected = "BULLET_SCALE")]
+    fn a_misspelt_scale_panics() {
+        parse_scale(Some("papre"));
+    }
+
+    #[test]
+    #[should_panic(expected = "BULLET_SCALE")]
+    fn the_undocumented_full_alias_is_gone() {
+        parse_scale(Some("full"));
     }
 }

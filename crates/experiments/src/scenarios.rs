@@ -605,14 +605,10 @@ pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         p.seed,
     );
     let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
-    // The off arm clears the integrity layer explicitly so the
-    // comparison stays on/off even under `BULLET_INTEGRITY=1`; both arms
-    // share the recovery profile, making integrity the only delta.
+    // Both arms share the recovery profile, making integrity the only
+    // delta.
     let defense_cfg = p.bullet_config(SCENARIO_RATE_BPS).integrity();
-    let baseline_cfg = bullet_core::BulletConfig {
-        integrity: None,
-        ..p.bullet_config(SCENARIO_RATE_BPS).recovery()
-    };
+    let baseline_cfg = p.bullet_config(SCENARIO_RATE_BPS).recovery();
     let nodes: Vec<OverlayId> = (1..p.participants).collect();
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
     let turn_at = SimTime::from_secs_f64(p.stream_start.as_secs_f64() + window * 0.2);
@@ -771,15 +767,12 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
 
     // Both arms share the integrity profile and the same finite ingress
-    // resources; the overload layer is the only delta. The off arm clears
-    // it explicitly so the comparison stays on/off even under
-    // `BULLET_OVERLOAD=1`.
+    // resources; the overload layer is the only delta.
     let knobs = overload_figure_knobs();
     let mut bounded_cfg = p.bullet_config(SCENARIO_RATE_BPS).overload();
     bounded_cfg.overload = Some(knobs);
     bounded_cfg.freshness_deadline = OVERLOAD_PLAYOUT_DEADLINE;
     let unbounded_cfg = bullet_core::BulletConfig {
-        overload: None,
         freshness_deadline: OVERLOAD_PLAYOUT_DEADLINE,
         ..p.bullet_config(SCENARIO_RATE_BPS).integrity()
     };
@@ -983,47 +976,6 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             s.ingress_sheds,
             unbounded.summary.ingress_peak_depth,
         ));
-        if std::env::var("BULLET_OVERLOAD_DEBUG").is_ok() {
-            for (b, u) in chunks[0].iter().zip(&chunks[1]) {
-                for (name, run) in [("bounded", b), ("unbounded", u)] {
-                    let mut per: Vec<f64> = members
-                        .iter()
-                        .map(|&n| member_goodput_kbps(run, &[n], storm_from, storm_to))
-                        .collect();
-                    per.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    figure.notes.push(format!(
-                        "debug per-member {name}: {}",
-                        per.iter()
-                            .map(|v| format!("{v:.0}"))
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    ));
-                }
-            }
-            for (name, run) in [("bounded", bounded), ("unbounded", unbounded)] {
-                let series: Vec<String> = (1..run.times.len())
-                    .map(|i| {
-                        let dt = (run.times[i] - run.times[i - 1]).max(1e-9);
-                        let rate: f64 = members
-                            .iter()
-                            .map(|&n| {
-                                run.per_node_fresh_bytes[i][n]
-                                    .saturating_sub(run.per_node_fresh_bytes[i - 1][n])
-                                    as f64
-                                    * 8.0
-                                    / dt
-                                    / 1_000.0
-                            })
-                            .sum::<f64>()
-                            / members.len() as f64;
-                        format!("{:.0}", rate)
-                    })
-                    .collect();
-                figure
-                    .notes
-                    .push(format!("debug member timely {name}: {}", series.join(" ")));
-            }
-        }
         if seeds > 1 {
             // Extra sweep seeds regenerate the storm under fresh RNG: show
             // the headline ratio's stability across them.

@@ -11,9 +11,7 @@ use std::sync::Arc;
 use crate::hash::FxHashMap;
 use crate::link::{DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
 use crate::rng::SimRng;
-use crate::routing::{
-    select_landmarks, Adjacency, LazyRouter, LazyRouterStats, RoutingMode, ShortestPaths,
-};
+use crate::routing::{select_landmarks, Adjacency, LazyRouter, RoutingMode, ShortestPaths};
 use crate::time::{SimDuration, SimTime};
 
 /// Best ALT lower bound on `dist(a, b)` over the landmark tables (raw cost
@@ -172,12 +170,12 @@ struct RouteArena {
     /// still current for every live route, because any mutation of a link on
     /// the route marks it stale first.
     cost: Vec<u64>,
-    /// A stale route has been superseded (or wholesale-invalidated); its
-    /// links stay readable for in-flight packets, but repair skips it.
+    /// A stale route has been superseded; its links stay readable for
+    /// in-flight packets, but repair skips it.
     stale: Vec<bool>,
-    /// Live route ids crossing each directed link. Entries are removed when
-    /// drained by a repair; stale ids left behind by a wholesale
-    /// invalidation are filtered on read via the `stale` flags.
+    /// Route ids crossing each directed link. A repair drains the bucket of
+    /// every link it changes; ids another repair already invalidated are
+    /// filtered on read via the `stale` flags.
     by_link: Vec<Vec<u32>>,
 }
 
@@ -252,16 +250,6 @@ impl RouteArena {
         ids.retain(|&raw| !self.stale[raw as usize]);
         ids
     }
-
-    /// Wholesale invalidation: every route is stale and the back-index is
-    /// emptied (a later incremental repair must not resurrect pre-rebuild
-    /// ids).
-    fn mark_all_stale(&mut self) {
-        self.stale.fill(true);
-        for bucket in &mut self.by_link {
-            bucket.clear();
-        }
-    }
 }
 
 /// Flat `participants × participants` route-memo table.
@@ -312,14 +300,6 @@ impl RouteMemo {
         };
     }
 
-    /// Forgets every memoized pair (topology mutation). One linear fill —
-    /// a few milliseconds even at the participant cap, and scenario scripts
-    /// mutate topology a handful of times per simulated run.
-    fn invalidate(&mut self) {
-        self.table.fill(Self::UNKNOWN);
-        self.unreachable.clear();
-    }
-
     /// Clears every `from × to` participant pair (the memo rows/cells of one
     /// invalidated router pair), returning how many memoized cells were
     /// dropped.
@@ -366,9 +346,9 @@ enum RouteComputer {
         buf: Vec<DirectedLinkId>,
         trees_built: u64,
     },
-    /// Lazy bidirectional (optionally landmark-guided) point-to-point
-    /// search; nothing per-source is ever materialized. Boxed: the router's
-    /// workspace is much larger than the eager variant's three fields.
+    /// Lazy bidirectional, landmark-guided point-to-point search; nothing
+    /// per-source is ever materialized. Boxed: the router's workspace is
+    /// much larger than the eager variant's three fields.
     Lazy(Box<LazyRouter>),
 }
 
@@ -394,51 +374,25 @@ pub struct RoutingStats {
     pub landmarks: usize,
 }
 
-/// How a [`Network`] reacts to a route-affecting topology mutation.
-///
-/// Both modes serve bit-identical canonical routes — the fuzz harness in
-/// `tests/support/routing_equiv.rs` cross-checks them step by step under
-/// randomized mutation sequences; they differ only in how much cached state
-/// a mutation destroys.
+/// How a [`Network`] absorbs a route-affecting topology mutation. There is
+/// one way — see [`Network::set_repair_mode`] for why the name is still
+/// here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RepairMode {
-    /// Affected-region repair (the default): only routes crossing a mutated
-    /// link are invalidated, ALT landmark tables are kept and re-validated
-    /// lazily, and lazy-router workspaces survive untouched.
+    /// Affected-region repair: only routes a mutation can change are
+    /// invalidated, ALT landmark tables are kept and re-validated, and
+    /// lazy-router workspaces survive untouched.
     #[default]
     Incremental,
-    /// The wholesale baseline: every mutation dumps all caches, rebuilds the
-    /// adjacency and retires the route computer. Kept for benchmarking
-    /// (`BENCH_incremental`) and as the fuzzer's reference.
-    Rebuild,
-}
-
-impl RepairMode {
-    /// Resolves the repair mode from the `BULLET_REPAIR` environment
-    /// variable (`incremental` or `rebuild`); defaults to
-    /// [`RepairMode::Incremental`].
-    pub fn resolve() -> RepairMode {
-        match std::env::var("BULLET_REPAIR") {
-            Ok(v) => match v.as_str() {
-                "incremental" | "" => RepairMode::Incremental,
-                "rebuild" => RepairMode::Rebuild,
-                other => panic!("BULLET_REPAIR must be incremental|rebuild, got {other:?}"),
-            },
-            Err(_) => RepairMode::Incremental,
-        }
-    }
 }
 
 /// Counters describing the route-repair work a [`Network`] has done across
 /// topology mutations. Exposed so tests can pin partial-invalidation
-/// behavior (e.g. a loss change clears nothing) and benchmarks can compare
-/// incremental repair against the rebuild baseline.
+/// behavior (e.g. a loss change clears nothing).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Route-affecting mutations applied (epoch bumps).
     pub route_mutations: u64,
-    /// Wholesale invalidations ([`RepairMode::Rebuild`] only).
-    pub full_invalidations: u64,
     /// Routes invalidated by affected-region repair.
     pub routes_invalidated: u64,
     /// Cached routes that survived an improving mutation because the exact
@@ -446,9 +400,8 @@ pub struct RepairStats {
     /// improved edge.
     pub routes_kept: u64,
     /// Exact distance tables (targeted Dijkstras on the patched graph)
-    /// computed by the improving-edge filter — the dominant incremental
-    /// repair cost, a handful per improving mutation versus a wholesale
-    /// rebuild recomputing every cached route plus all landmark tables.
+    /// computed by the improving-edge filter — the dominant repair cost, a
+    /// handful per improving mutation.
     pub filter_tables: u64,
     /// Participant-memo cells cleared by partial invalidation.
     pub memo_cells_cleared: u64,
@@ -515,10 +468,10 @@ pub struct NetworkSetup {
 }
 
 impl NetworkSetup {
-    /// Builds the shared setup for `spec`, resolving the routing mode from
+    /// Builds the shared setup for `spec`, picking the routing mode from
     /// the topology size exactly like [`Network::new`] does.
     pub fn new(spec: &NetworkSpec) -> Self {
-        Self::with_routing(spec, RoutingMode::resolve(spec.routers))
+        Self::with_routing(spec, RoutingMode::auto(spec.routers))
     }
 
     /// Builds the shared setup for `spec` with an explicit routing mode.
@@ -532,7 +485,7 @@ impl NetworkSetup {
         let adjacency = Arc::new(Network::build_adjacency(spec.routers, links));
         let landmarks = match mode {
             RoutingMode::LazyAlt { landmarks } => Arc::new(select_landmarks(&adjacency, landmarks)),
-            _ => Arc::new(Vec::new()),
+            RoutingMode::EagerPerSource => Arc::new(Vec::new()),
         };
         NetworkSetup {
             routers: spec.routers,
@@ -558,8 +511,8 @@ impl NetworkSetup {
 pub struct Network {
     links: Vec<DirectedLink>,
     /// Routing adjacency. Shared with the originating [`NetworkSetup`] (and
-    /// sibling runs) until a topology mutation replaces it with this
-    /// network's private rebuilt copy.
+    /// sibling runs) until a topology mutation patches this network's
+    /// private copy (clone-on-write).
     adjacency: Arc<Adjacency>,
     attachments: Vec<RouterId>,
     /// Route computation strategy (eager per-source trees or lazy search).
@@ -592,16 +545,6 @@ pub struct Network {
     /// lookup layers (router-pair cache, participant memo, router
     /// workspaces) only ever serve the current epoch.
     topology_epoch: u64,
-    /// Work counters of routers retired by topology rebuilds, folded into
-    /// [`Network::routing_stats`] so mutation never resets the totals.
-    retired_lazy: LazyRouterStats,
-    /// Whether a mutation invalidated the route computer; the rebuild is
-    /// deferred to the next route computation ([`Network::ensure_computer`]).
-    /// Only [`RepairMode::Rebuild`] ever sets this — incremental repair
-    /// patches the live computer in place.
-    computer_stale: bool,
-    /// How route-affecting mutations are absorbed (see [`RepairMode`]).
-    repair_mode: RepairMode,
     /// Repair work counters (see [`RepairStats`]).
     repair: RepairStats,
     /// Overlay participants attached to each router, for partial memo
@@ -612,11 +555,10 @@ pub struct Network {
 
 impl Network {
     /// Builds the live network from a spec, picking the routing mode from
-    /// the topology size (see [`RoutingMode::resolve`]; the `BULLET_ROUTING`
-    /// environment variable overrides it). All modes return identical
-    /// canonical routes.
+    /// the topology size (see [`RoutingMode::auto`]). Both modes return
+    /// identical canonical routes.
     pub fn new(spec: &NetworkSpec) -> Self {
-        Self::with_routing(spec, RoutingMode::resolve(spec.routers))
+        Self::with_routing(spec, RoutingMode::auto(spec.routers))
     }
 
     /// Builds the live network from a spec with an explicit routing mode.
@@ -667,7 +609,16 @@ impl Network {
         let adjacency = setup.adjacency.clone();
         let link_count = links.len();
         let mode = setup.mode;
-        let computer = Self::build_computer(mode, &adjacency, Some(setup.landmarks.clone()));
+        let computer = match mode {
+            RoutingMode::EagerPerSource => RouteComputer::Eager {
+                trees: FxHashMap::default(),
+                buf: Vec::new(),
+                trees_built: 0,
+            },
+            RoutingMode::LazyAlt { .. } => RouteComputer::Lazy(Box::new(
+                LazyRouter::with_landmarks(&adjacency, setup.landmarks.clone()),
+            )),
+        };
         let participants = spec.attachments.len();
         let memo =
             (participants <= Self::MEMO_MAX_PARTICIPANTS).then(|| RouteMemo::new(participants));
@@ -691,9 +642,6 @@ impl Network {
             stress_ratio_sum: 0.0,
             stress_max: 0,
             topology_epoch: 0,
-            retired_lazy: LazyRouterStats::default(),
-            computer_stale: false,
-            repair_mode: RepairMode::resolve(),
             repair: RepairStats::default(),
             router_parts,
         }
@@ -709,33 +657,6 @@ impl Network {
             }
         }
         adjacency
-    }
-
-    /// Builds a fresh route computer for `mode` over `adjacency`. When
-    /// `shared_landmarks` is given (construction over a [`NetworkSetup`])
-    /// the ALT tables are reused instead of recomputed; topology-mutation
-    /// rebuilds pass `None`, because the mutated graph needs fresh tables.
-    fn build_computer(
-        mode: RoutingMode,
-        adjacency: &Adjacency,
-        shared_landmarks: Option<Arc<Vec<Vec<u64>>>>,
-    ) -> RouteComputer {
-        match mode {
-            RoutingMode::EagerPerSource => RouteComputer::Eager {
-                trees: FxHashMap::default(),
-                buf: Vec::new(),
-                trees_built: 0,
-            },
-            RoutingMode::LazyBidirectional => RouteComputer::Lazy(Box::new(
-                LazyRouter::with_landmarks(adjacency, Arc::new(Vec::new())),
-            )),
-            RoutingMode::LazyAlt { landmarks } => {
-                RouteComputer::Lazy(Box::new(match shared_landmarks {
-                    Some(tables) => LazyRouter::with_landmarks(adjacency, tables),
-                    None => LazyRouter::new(adjacency, landmarks),
-                }))
-            }
-        }
     }
 
     /// Number of overlay participants.
@@ -801,7 +722,6 @@ impl Network {
         if let Some(&id) = self.route_cache.get(&(src, dst)) {
             return Some(id);
         }
-        self.ensure_computer();
         self.route_queries += 1;
         let adjacency = &self.adjacency;
         let (path, cost): (&[DirectedLinkId], u64) = match &mut self.computer {
@@ -865,7 +785,6 @@ impl Network {
         if self.memo.is_none() {
             return;
         }
-        self.ensure_computer();
         let src = self.attachments[from];
         let n = self.attachments.len();
         // Pass 1: serve participants already covered by the memo or the
@@ -942,8 +861,7 @@ impl Network {
     }
 
     /// Counters describing the routing work done so far. Totals accumulate
-    /// across topology mutations (a rebuild retires the live router's
-    /// counters into a base the new router adds to).
+    /// across topology mutations (the route computer outlives them).
     pub fn routing_stats(&self) -> RoutingStats {
         let (trees_built, lazy_searches, routers_settled, landmarks) = match &self.computer {
             RouteComputer::Eager { trees_built, .. } => (*trees_built, 0, 0, 0),
@@ -957,8 +875,8 @@ impl Network {
             route_queries: self.route_queries,
             batched_queries: self.batched_queries,
             trees_built,
-            lazy_searches: lazy_searches + self.retired_lazy.searches,
-            routers_settled: routers_settled + self.retired_lazy.settled,
+            lazy_searches,
+            routers_settled,
             landmarks,
         }
     }
@@ -974,17 +892,12 @@ impl Network {
         self.topology_epoch
     }
 
-    /// How this network absorbs route-affecting mutations (see
-    /// [`RepairMode`]); resolved from `BULLET_REPAIR` at construction.
-    pub fn repair_mode(&self) -> RepairMode {
-        self.repair_mode
-    }
-
-    /// Overrides the repair mode. Takes effect from the next mutation;
-    /// routes already cached are valid under either mode.
-    pub fn set_repair_mode(&mut self, mode: RepairMode) {
-        self.repair_mode = mode;
-    }
+    /// Does nothing: affected-region repair is the only way a network
+    /// absorbs a mutation. The setter and the one-variant [`RepairMode`]
+    /// exist only because the perf ledger (`perf/src/workloads.rs`, which
+    /// product PRs may not edit) still names both; the next `benchmark` PR
+    /// removes that call and then these two items.
+    pub fn set_repair_mode(&mut self, _mode: RepairMode) {}
 
     /// Route-repair work counters (see [`RepairStats`]).
     pub fn repair_stats(&self) -> RepairStats {
@@ -1101,59 +1014,23 @@ impl Network {
     }
 
     /// Applies a classified route-affecting mutation: bumps the epoch and
-    /// dispatches on the repair mode. A no-op for an empty change set (the
-    /// mutation had no graph effect).
+    /// repairs the affected region — instead of dumping every cache,
+    /// identifies exactly the routes the mutation can change and moves only
+    /// their lookup entries to the new epoch, keeping the adjacency, the
+    /// route computer and the ALT landmark tables alive. A no-op for an
+    /// empty change set (the mutation had no graph effect).
     ///
-    /// Either way the interned route arena is append-only — [`RouteId`]s
-    /// held by in-flight messages stay valid, so packets already launched
-    /// keep following the path they were routed on, exactly like packets in
-    /// the air when a real route change converges — and the next send per
+    /// The interned route arena is append-only — [`RouteId`]s held by
+    /// in-flight messages stay valid, so packets already launched keep
+    /// following the path they were routed on, exactly like packets in the
+    /// air when a real route change converges — and the next send per
     /// invalidated pair recomputes and re-interns its canonical route, so
     /// post-mutation routes are bit-identical to a freshly built network on
-    /// the mutated topology (`tests/support/routing_equiv.rs` holds that
-    /// gate for both modes).
-    fn apply_route_mutation(&mut self, changes: Vec<(DirectedLinkId, EdgeChange)>) {
-        if changes.is_empty() {
-            return;
-        }
-        self.topology_epoch += 1;
-        self.repair.route_mutations += 1;
-        match self.repair_mode {
-            RepairMode::Rebuild => self.invalidate_routes(),
-            RepairMode::Incremental => self.repair_incremental(&changes),
-        }
-    }
-
-    /// Wholesale route invalidation ([`RepairMode::Rebuild`]): every lookup
-    /// layer above the arena is moved to the new epoch — the router-pair
-    /// cache and the flat participant memo are cleared, the adjacency is
-    /// rebuilt, and the route computer is marked stale. The computer rebuild
-    /// itself (fresh landmark tables in ALT mode are several full-graph
-    /// Dijkstras at paper scale) is deferred to the next route computation
-    /// ([`Network::ensure_computer`]), so a burst of scripted mutations at
-    /// one instant, or an outage immediately healed, pays it once.
-    fn invalidate_routes(&mut self) {
-        self.repair.full_invalidations += 1;
-        // The rebuilt adjacency is private to this network: a shared
-        // NetworkSetup (and any sibling runs over it) keeps describing the
-        // unmutated topology.
-        self.adjacency = Arc::new(Self::build_adjacency(self.adjacency.len(), &self.links));
-        self.computer_stale = true;
-        self.route_cache.clear();
-        if let Some(memo) = &mut self.memo {
-            memo.invalidate();
-        }
-        self.routes.mark_all_stale();
-    }
-
-    /// Affected-region incremental repair ([`RepairMode::Incremental`]):
-    /// instead of dumping every cache, identify exactly the routes a
-    /// mutation can change and move only their lookup entries to the new
-    /// epoch, keeping the adjacency, the route computer and the ALT landmark
-    /// tables alive.
+    /// the mutated topology.
     ///
-    /// Soundness of the two invalidation rules (the fuzz harness checks the
-    /// result against a fresh rebuild at every step):
+    /// Soundness of the two invalidation rules (the fuzz harness in
+    /// `tests/support/routing_equiv.rs` checks the result against a fresh
+    /// build at every step):
     ///
     /// - **Worsening** changes (edge removed, cost raised) can only break
     ///   paths that *use* a changed edge, and cannot create a new shorter or
@@ -1180,13 +1057,18 @@ impl Network {
     ///   doomed set ([`healed_router`]). Improvements can also connect
     ///   previously unreachable pairs, so every memoized negative result is
     ///   reopened.
-    fn repair_incremental(&mut self, changes: &[(DirectedLinkId, EdgeChange)]) {
+    fn apply_route_mutation(&mut self, changes: Vec<(DirectedLinkId, EdgeChange)>) {
+        if changes.is_empty() {
+            return;
+        }
+        self.topology_epoch += 1;
+        self.repair.route_mutations += 1;
         // 1. Patch the adjacency in place (clone-on-write: a shared
         //    NetworkSetup and its sibling runs keep the unmutated graph).
         let mut improved: Vec<(RouterId, RouterId, u64)> = Vec::new();
         {
             let adjacency = Arc::make_mut(&mut self.adjacency);
-            for &(id, change) in changes {
+            for &(id, change) in &changes {
                 let link = &self.links[id];
                 match change {
                     EdgeChange::Removed => adjacency.remove_edge(link.from, link.to, id),
@@ -1216,7 +1098,7 @@ impl Network {
         }
         // 3. Worsening rule: drain the back-index of every changed link.
         let mut invalidated: Vec<u32> = Vec::new();
-        for &(id, _) in changes {
+        for &(id, _) in &changes {
             for raw in self.routes.take_routes_through(id) {
                 self.routes.mark_stale(raw);
                 invalidated.push(raw);
@@ -1296,28 +1178,6 @@ impl Network {
         //    adjacency fresh each time: nothing to do.
         if let RouteComputer::Eager { trees, .. } = &mut self.computer {
             trees.clear();
-        }
-    }
-
-    /// Rebuilds the route computer if a mutation left it stale, folding the
-    /// retiring router's work counters into the running totals.
-    fn ensure_computer(&mut self) {
-        if !self.computer_stale {
-            return;
-        }
-        self.computer_stale = false;
-        if let RouteComputer::Lazy(router) = &self.computer {
-            let s = router.stats();
-            self.retired_lazy.searches += s.searches;
-            self.retired_lazy.settled += s.settled;
-        }
-        let trees_built_so_far = match &self.computer {
-            RouteComputer::Eager { trees_built, .. } => *trees_built,
-            RouteComputer::Lazy(_) => 0,
-        };
-        self.computer = Self::build_computer(self.mode, &self.adjacency, None);
-        if let RouteComputer::Eager { trees_built, .. } = &mut self.computer {
-            *trees_built = trees_built_so_far;
         }
     }
 
@@ -1550,7 +1410,7 @@ mod tests {
     fn all_routing_modes_return_identical_routes() {
         let spec = dumbbell();
         let mut eager = Network::with_routing(&spec, RoutingMode::EagerPerSource);
-        let mut bidi = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut bidi = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         let mut alt = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 2 });
         for (a, b) in [(0, 1), (1, 0)] {
             let reference = eager.path(a, b);
@@ -1565,7 +1425,7 @@ mod tests {
 
     #[test]
     fn routing_stats_count_cache_misses_only() {
-        let mut net = Network::with_routing(&dumbbell(), RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&dumbbell(), RoutingMode::LazyAlt { landmarks: 0 });
         net.route(0, 1);
         net.route(0, 1);
         net.route(0, 1);
@@ -1573,14 +1433,14 @@ mod tests {
         assert_eq!(stats.route_queries, 1, "repeat lookups hit the cache");
         assert_eq!(stats.lazy_searches, 1);
         assert!(stats.routers_settled > 0);
-        assert_eq!(stats.mode, RoutingMode::LazyBidirectional);
+        assert_eq!(stats.mode, RoutingMode::LazyAlt { landmarks: 0 });
     }
 
     #[test]
     fn batched_row_fill_matches_point_queries() {
         for mode in [
             RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
+            RoutingMode::LazyAlt { landmarks: 0 },
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let spec = dumbbell();
@@ -1612,7 +1472,7 @@ mod tests {
         spec.add_link(LinkSpec::new(0, 1, 10e6, SimDuration::from_millis(5)));
         spec.attach(0);
         spec.attach(2);
-        let mut net = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         assert_eq!(net.route_batched(0, 1), None);
         let queries = net.routing_stats().route_queries;
         // Served from the memo: no further computation.
@@ -1653,7 +1513,7 @@ mod tests {
     fn link_down_invalidates_and_reroutes() {
         for mode in [
             RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
+            RoutingMode::LazyAlt { landmarks: 0 },
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let mut net = Network::with_routing(&diamond(), mode);
@@ -1680,13 +1540,13 @@ mod tests {
     #[test]
     fn mutated_network_routes_match_a_fresh_build() {
         let mut spec = diamond();
-        let mut net = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         net.path(0, 1);
         net.set_link_up(1, false);
         net.set_link_delay(2, SimDuration::from_millis(1));
         spec.set_link_up(1, false);
         spec.set_link_delay(2, SimDuration::from_millis(1));
-        let mut fresh = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut fresh = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         for (a, b) in [(0, 1), (1, 0)] {
             assert_eq!(net.path(a, b), fresh.path(a, b), "{a}->{b}");
         }
@@ -1712,7 +1572,6 @@ mod tests {
     #[test]
     fn incremental_repair_invalidates_only_affected_routes() {
         let mut net = Network::with_routing(&line6(), RoutingMode::LazyAlt { landmarks: 2 });
-        assert_eq!(net.repair_mode(), RepairMode::Incremental);
         let warm_all = |net: &mut Network| {
             for a in 0..4 {
                 for b in 0..4 {
@@ -1728,7 +1587,6 @@ mod tests {
         net.set_link_up(0, false);
         let stats = net.repair_stats();
         assert_eq!(stats.route_mutations, 1);
-        assert_eq!(stats.full_invalidations, 0, "no wholesale dump");
         assert_eq!(stats.routes_invalidated, 6);
         assert_eq!(stats.memo_cells_cleared, 6, "one cell per router pair");
         // The 6 unaffected pairs are still memo hits; the 6 affected pairs
@@ -1947,60 +1805,6 @@ mod tests {
         assert_eq!(net.route(0, 3), None, "lookups see the new topology");
     }
 
-    /// The rebuild baseline and incremental repair serve bit-identical
-    /// routes through a mutation sequence, in every routing mode.
-    #[test]
-    fn rebuild_and_incremental_modes_serve_identical_routes() {
-        for mode in [
-            RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
-            RoutingMode::LazyAlt { landmarks: 2 },
-        ] {
-            let mut inc = Network::with_routing(&diamond(), mode);
-            let mut reb = Network::with_routing(&diamond(), mode);
-            reb.set_repair_mode(RepairMode::Rebuild);
-            let check = |inc: &mut Network, reb: &mut Network, step: &str| {
-                for (a, b) in [(0, 1), (1, 0)] {
-                    assert_eq!(inc.path(a, b), reb.path(a, b), "{mode:?} {step}: {a}->{b}");
-                }
-                assert_eq!(
-                    inc.topology_epoch(),
-                    reb.topology_epoch(),
-                    "{mode:?} {step}"
-                );
-            };
-            check(&mut inc, &mut reb, "pristine");
-            for (step, mutate) in [
-                (
-                    "raise fast branch",
-                    (|n: &mut Network| n.set_link_delay(1, SimDuration::from_millis(30)))
-                        as fn(&mut Network),
-                ),
-                ("lower it below original", |n| {
-                    n.set_link_delay(1, SimDuration::from_millis(1))
-                }),
-                ("slow branch down", |n| n.set_link_up(2, false)),
-                ("slow branch up", |n| n.set_link_up(2, true)),
-                ("transit outage", |n| n.set_router_up(1, false)),
-                ("transit heal", |n| n.set_router_up(1, true)),
-                ("restore delay", |n| {
-                    n.set_link_delay(1, SimDuration::from_millis(2))
-                }),
-            ] {
-                mutate(&mut inc);
-                mutate(&mut reb);
-                check(&mut inc, &mut reb, step);
-            }
-            assert_eq!(inc.repair_stats().full_invalidations, 0, "{mode:?}");
-            assert!(reb.repair_stats().full_invalidations > 0, "{mode:?}");
-            assert_eq!(
-                reb.repair_stats().route_mutations,
-                reb.repair_stats().full_invalidations,
-                "{mode:?}: rebuild dumps wholesale on every mutation"
-            );
-        }
-    }
-
     #[test]
     fn capacity_and_loss_mutations_do_not_touch_routes() {
         let mut net = Network::new(&diamond());
@@ -2037,33 +1841,8 @@ mod tests {
     }
 
     #[test]
-    fn back_to_back_mutations_defer_the_router_rebuild() {
-        // An outage healed before any route query (or a burst of scripted
-        // mutations at one instant) must pay a single computer rebuild, not
-        // one per mutation — at paper scale a rebuild re-runs the landmark
-        // Dijkstras over the whole graph.
-        let mut net = Network::with_routing(&diamond(), RoutingMode::LazyAlt { landmarks: 2 });
-        let fast = net.path(0, 1).expect("path exists");
-        let before = net.routing_stats();
-        net.set_link_up(0, false);
-        net.set_link_up(0, true); // healed before any query
-        assert_eq!(net.topology_epoch(), 2);
-        assert_eq!(
-            net.path(0, 1),
-            Some(fast),
-            "healed topology routes as before"
-        );
-        let after = net.routing_stats();
-        assert_eq!(
-            after.lazy_searches,
-            before.lazy_searches + 1,
-            "exactly one fresh search after the burst; retired counters folded once"
-        );
-    }
-
-    #[test]
     fn routing_work_counters_accumulate_across_mutations() {
-        let mut net = Network::with_routing(&diamond(), RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&diamond(), RoutingMode::LazyAlt { landmarks: 0 });
         net.path(0, 1);
         let before = net.routing_stats();
         assert!(before.lazy_searches > 0);
@@ -2072,7 +1851,7 @@ mod tests {
         let after = net.routing_stats();
         assert!(
             after.lazy_searches > before.lazy_searches,
-            "retired searches must fold into the totals, got {after:?}"
+            "a mutation must not reset the totals, got {after:?}"
         );
         assert!(after.routers_settled > before.routers_settled);
     }
@@ -2085,7 +1864,7 @@ mod tests {
         // harness's setup sharing.
         for mode in [
             RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
+            RoutingMode::LazyAlt { landmarks: 0 },
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let spec = diamond();

@@ -71,19 +71,18 @@ pub enum RoutingMode {
     /// to everyone, but at paper scale (20k routers) each first contact
     /// costs a whole-graph scan and each source pins an O(routers) tree.
     EagerPerSource,
-    /// On-demand bidirectional Dijkstra per router pair: two frontiers grow
-    /// from source and destination and stop as soon as the best meeting
-    /// cost is proven optimal. Nothing is precomputed and only the routers
-    /// near the query are ever touched.
-    LazyBidirectional,
-    /// Bidirectional search guided by ALT (A*, landmarks, triangle
-    /// inequality) lower bounds. A handful of landmark distance tables are
-    /// built once (a few full Dijkstras); every query then prunes its
-    /// frontiers with the landmark potentials. Requires symmetric link
-    /// costs, which every [`NetworkSpec`](crate::network::NetworkSpec)-built
-    /// topology has.
+    /// On-demand bidirectional Dijkstra per router pair, guided by ALT (A*,
+    /// landmarks, triangle inequality) lower bounds: two frontiers grow from
+    /// source and destination and stop as soon as the best meeting cost is
+    /// proven optimal, so only the routers near the query are ever touched.
+    /// A handful of landmark distance tables are built once (a few full
+    /// Dijkstras); every query then prunes its frontiers with the landmark
+    /// potentials. Requires symmetric link costs, which every
+    /// [`NetworkSpec`](crate::network::NetworkSpec)-built topology has.
     LazyAlt {
-        /// Number of landmarks (0 degenerates to plain bidirectional).
+        /// Number of landmarks. 0 is plain bidirectional search (zero
+        /// potentials, nothing precomputed) — the reference the equivalence
+        /// tests run beside the guided search.
         landmarks: usize,
     },
 }
@@ -105,39 +104,6 @@ impl RoutingMode {
             }
         } else {
             RoutingMode::EagerPerSource
-        }
-    }
-
-    /// Resolves the mode for a topology of `routers` routers, honouring the
-    /// `BULLET_ROUTING` environment variable (`eager`, `bidir`, or `alt`)
-    /// and falling back to [`RoutingMode::auto`] when it is unset or empty.
-    /// All modes return identical canonical paths; the variable only
-    /// selects the computation strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `BULLET_ROUTING` value — silently falling
-    /// back would attribute benchmark numbers to the wrong strategy.
-    pub fn resolve(routers: usize) -> RoutingMode {
-        match std::env::var("BULLET_ROUTING").as_deref() {
-            Ok("eager") => RoutingMode::EagerPerSource,
-            Ok("bidir") | Ok("bidirectional") | Ok("lazy") => RoutingMode::LazyBidirectional,
-            Ok("alt") => RoutingMode::LazyAlt {
-                landmarks: Self::DEFAULT_LANDMARKS,
-            },
-            Ok("") | Err(_) => RoutingMode::auto(routers),
-            Ok(other) => {
-                panic!("unrecognized BULLET_ROUTING value {other:?}: expected eager, bidir, or alt")
-            }
-        }
-    }
-
-    /// Short human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RoutingMode::EagerPerSource => "eager-per-source",
-            RoutingMode::LazyBidirectional => "lazy-bidirectional",
-            RoutingMode::LazyAlt { .. } => "lazy-alt",
         }
     }
 }

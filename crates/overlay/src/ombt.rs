@@ -71,9 +71,10 @@ impl Ord for Candidate {
 /// pair costs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OracleStrategy {
-    /// One point-to-point computation per (source, destination) pair — the
-    /// pre-batching behaviour, kept as the reference baseline for the
-    /// `micro_oracles` benchmark and the equivalence goldens.
+    /// One point-to-point computation per (source, destination) pair: what
+    /// an oracle that needs each route once wants (the bandwidth-from-source
+    /// metric's `node → root` reverse routes), and the reference the
+    /// batched-vs-pairwise tree equivalence property compares against.
     Pairwise,
     /// Batched one-to-many queries: the first miss on a source's row fills
     /// the network's flat participant route table with a single forward
@@ -180,8 +181,8 @@ pub fn bottleneck_tree(
 }
 
 /// [`bottleneck_tree`] with an explicit [`OracleStrategy`]. Both strategies
-/// build bit-identical trees; `Pairwise` exists as the baseline for the
-/// `micro_oracles` benchmark and the equivalence goldens.
+/// build bit-identical trees; `Pairwise` is the reference the equivalence
+/// property compares against.
 pub fn bottleneck_tree_with(
     net: &mut Network,
     participants: usize,

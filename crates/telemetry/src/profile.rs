@@ -7,8 +7,8 @@
 //! half (run wall time, events/s, scenario-mutation wall share) is where
 //! real-clock readings are quarantined: those fields are excluded from
 //! `PartialEq` so a `RunResult` carrying a profile still compares equal
-//! across `BULLET_THREADS` settings, and they surface only in BENCH
-//! envelopes and probe output.
+//! across `BULLET_THREADS` settings, and they surface only in
+//! `trace_probe` output and the perf ledger.
 
 use std::fmt::Write as _;
 

@@ -3,11 +3,11 @@
 //! journey spans, and the simulator self-profile, each as JSONL/JSON
 //! files plus one `trace_probe {json}` summary line on stdout.
 //!
-//! This is the telemetry subsystem's end-to-end smoke: CI builds it,
-//! validates the emitted JSONL against `scripts/check_bench_schema.py
-//! --jsonl`, and asserts that at least one block journey crossed a
-//! mesh-recovery edge (the probe itself panics otherwise, so a silent
-//! regression cannot pass).
+//! This is the telemetry subsystem's end-to-end smoke: CI runs it and
+//! validates the emitted JSONL with `scripts/check_telemetry_jsonl.py`.
+//! The probe itself panics unless at least one block journey crossed a
+//! mesh-recovery edge and the self-profile saw a non-empty event queue, so
+//! a silent regression cannot pass.
 //!
 //! Run with `cargo run --release --example trace_probe [out_dir]`
 //! (default `target/trace_probe`). `BULLET_TRACE` overrides the trace
@@ -112,6 +112,10 @@ fn main() {
         mesh_journeys >= 1,
         "no block journey crossed a mesh-recovery edge — the trace missed \
          Bullet's defining behaviour (journeys={journeys})"
+    );
+    assert!(
+        profile.peak_queue_depth > 0,
+        "the self-profile never saw a queued event"
     );
 
     println!(

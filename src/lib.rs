@@ -7,8 +7,7 @@
 //! re-exports them under stable names and provides a [`prelude`] so examples
 //! and downstream users can pull in the common types with a single import.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the paper-versus-measured record of every figure.
+//! See `README.md` for a tour.
 
 #![warn(missing_docs)]
 

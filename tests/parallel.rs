@@ -11,18 +11,13 @@
 //! caught), and re-run the bullet64/churn64 golden workloads concurrently
 //! to pin them against their single-threaded fingerprints.
 
-#[path = "support/adversary64.rs"]
-mod adversary64;
-#[path = "support/bullet64.rs"]
-mod bullet64;
-#[path = "support/churn64.rs"]
-mod churn64;
-#[path = "support/faults64.rs"]
-mod faults64;
-#[path = "support/overload64.rs"]
-mod overload64;
+#[path = "support/golden.rs"]
+mod golden;
 
 use bullet_suite::experiments::{figure_suite_subset, render_suite, Scale, Sweep};
+use golden::{
+    fingerprint, fingerprint_traced, Row, ADVERSARY64, BULLET64, CHURN64, FAULTS64, OVERLOAD64,
+};
 
 /// The subset of the suite the invariance gate sweeps: a multi-run paper
 /// figure (fig09: three topologies × two protocols), the fig07 grid with
@@ -45,8 +40,8 @@ fn figure_suite_is_bit_identical_across_thread_counts() {
     for (a, b) in serial.iter().zip(&threaded) {
         assert_eq!(a, b, "figure {} differs between 1 and 8 threads", a.id);
     }
-    // The rendered reports — what the bench harnesses print and what the
-    // BENCH artifacts are built from — must match byte for byte.
+    // The rendered reports — what the bench harnesses print — must match
+    // byte for byte.
     assert_eq!(render_suite(&serial), render_suite(&threaded));
 }
 
@@ -73,24 +68,35 @@ fn multi_seed_sweep_widens_the_grid_deterministically() {
     assert_ne!(fig7_multi.series[0].kbps, fig7_multi.series[3].kbps);
 }
 
-/// The golden workloads re-run on worker threads: eight concurrent
-/// executions of the bullet64 fingerprint must all reproduce the golden
-/// values the single-threaded determinism test pins (`tests/determinism.rs`
-/// holds the authoritative constants; this cross-checks them under
-/// `BULLET_THREADS=8`-style concurrency).
-#[test]
-fn bullet64_golden_is_identical_under_concurrency() {
-    let reference = bullet64::fingerprint();
-    let concurrent: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..8).map(|_| scope.spawn(bullet64::fingerprint)).collect();
+/// Runs `work` once here and eight times at once on worker threads, and
+/// holds every concurrent result to the single-threaded one.
+fn assert_identical_under_concurrency<T: PartialEq + std::fmt::Debug + Send>(
+    work: impl Fn() -> T + Sync,
+) {
+    let reference = work();
+    let concurrent: Vec<T> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..8).map(|_| scope.spawn(&work)).collect();
         workers
             .into_iter()
             .map(|w| w.join().expect("worker panicked"))
             .collect()
     });
-    for fingerprint in concurrent {
-        assert_eq!(fingerprint, reference);
+    for result in concurrent {
+        assert_eq!(result, reference);
     }
+}
+
+/// A golden workload re-run on worker threads must reproduce its
+/// single-threaded fingerprint (`tests/determinism.rs` holds the
+/// constants; this cross-checks them under `BULLET_THREADS=8`-style
+/// concurrency).
+fn assert_golden_under_concurrency(row: &Row) {
+    assert_identical_under_concurrency(|| fingerprint(row));
+}
+
+#[test]
+fn bullet64_golden_is_identical_under_concurrency() {
+    assert_golden_under_concurrency(&BULLET64);
 }
 
 /// The telemetry gate: a fully instrumented bullet64 run (all-category
@@ -100,99 +106,36 @@ fn bullet64_golden_is_identical_under_concurrency() {
 /// (`SelfProfile::eq` ignores its wall-clock fields by design).
 #[test]
 fn bullet64_trace_is_identical_under_concurrency() {
-    let reference = bullet64::fingerprint_traced();
-    let concurrent: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..8)
-            .map(|_| scope.spawn(bullet64::fingerprint_traced))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("worker panicked"))
-            .collect()
-    });
-    for traced in concurrent {
-        assert_eq!(traced.base, reference.base);
-        assert_eq!(traced.trace_jsonl, reference.trace_jsonl);
-        assert_eq!(traced.journeys_jsonl, reference.journeys_jsonl);
-        assert_eq!(traced.profile, reference.profile);
-    }
+    assert_identical_under_concurrency(|| fingerprint_traced(&BULLET64));
 }
 
-/// Same gate for the faults64 golden: the §4.6 recovery subsystem —
-/// orphan detection off RanSub-epoch silence, the re-attach ladder,
-/// control-RPC retries — together with partition drops and per-node
-/// fault-injection draws must be byte-identical at any thread count.
-#[test]
-fn faults64_golden_is_identical_under_concurrency() {
-    let reference = faults64::fingerprint();
-    let concurrent: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..8).map(|_| scope.spawn(faults64::fingerprint)).collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("worker panicked"))
-            .collect()
-    });
-    for fingerprint in concurrent {
-        assert_eq!(fingerprint, reference);
-    }
-}
-
-/// Same gate for the adversary64 golden: the data-plane integrity layer —
-/// block verification, the adversary stall/corrupt draws and tamper hook,
-/// health scoring decay and quarantine evictions — must be byte-identical
-/// at any thread count.
-#[test]
-fn adversary64_golden_is_identical_under_concurrency() {
-    let reference = adversary64::fingerprint();
-    let concurrent: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..8)
-            .map(|_| scope.spawn(adversary64::fingerprint))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("worker panicked"))
-            .collect()
-    });
-    for fingerprint in concurrent {
-        assert_eq!(fingerprint, reference);
-    }
-}
-
-/// Same gate for the overload64 golden: the overload-resilience layer —
-/// bounded-inbox shedding, join deferral backoffs, working-set budget
-/// evictions, slow-receiver demotions, and the join-storm expansion — must
-/// be byte-identical at any thread count.
-#[test]
-fn overload64_golden_is_identical_under_concurrency() {
-    let reference = overload64::fingerprint();
-    let concurrent: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..8)
-            .map(|_| scope.spawn(overload64::fingerprint))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("worker panicked"))
-            .collect()
-    });
-    for fingerprint in concurrent {
-        assert_eq!(fingerprint, reference);
-    }
-}
-
-/// Same gate for the churn64 golden: scenario-driven runs (mid-run network
-/// mutation, epoch-invalidated rerouting, membership churn) are equally
-/// thread-context-independent.
+/// Scenario-driven runs (mid-run network mutation, epoch-invalidated
+/// rerouting, membership churn) are equally thread-context-independent.
 #[test]
 fn churn64_golden_is_identical_under_concurrency() {
-    let reference = churn64::fingerprint();
-    let concurrent: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..8).map(|_| scope.spawn(churn64::fingerprint)).collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("worker panicked"))
-            .collect()
-    });
-    for fingerprint in concurrent {
-        assert_eq!(fingerprint, reference);
-    }
+    assert_golden_under_concurrency(&CHURN64);
+}
+
+/// The §4.6 recovery subsystem — orphan detection off RanSub-epoch
+/// silence, the re-attach ladder, control-RPC retries — together with
+/// partition drops and per-node fault-injection draws.
+#[test]
+fn faults64_golden_is_identical_under_concurrency() {
+    assert_golden_under_concurrency(&FAULTS64);
+}
+
+/// The data-plane integrity layer — block verification, the adversary
+/// stall/corrupt draws and tamper hook, health scoring decay and
+/// quarantine evictions.
+#[test]
+fn adversary64_golden_is_identical_under_concurrency() {
+    assert_golden_under_concurrency(&ADVERSARY64);
+}
+
+/// The overload-resilience layer — bounded-inbox shedding, join deferral
+/// backoffs, working-set budget evictions, slow-receiver demotions, and
+/// the join-storm expansion.
+#[test]
+fn overload64_golden_is_identical_under_concurrency() {
+    assert_golden_under_concurrency(&OVERLOAD64);
 }

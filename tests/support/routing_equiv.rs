@@ -11,7 +11,7 @@
 //! topology class goes through the same gate.
 
 use bullet_suite::netsim::{
-    LinkSpec, Network, NetworkSpec, RepairMode, RouterId, RoutingMode, SimDuration, SimRng,
+    LinkSpec, Network, NetworkSpec, RouterId, RoutingMode, SimDuration, SimRng,
 };
 
 /// Number of landmarks the harness gives the ALT router. Deliberately small
@@ -22,7 +22,7 @@ pub const HARNESS_LANDMARKS: usize = 4;
 fn networks(spec: &NetworkSpec) -> (Network, Network, Network) {
     (
         Network::with_routing(spec, RoutingMode::EagerPerSource),
-        Network::with_routing(spec, RoutingMode::LazyBidirectional),
+        Network::with_routing(spec, RoutingMode::LazyAlt { landmarks: 0 }),
         Network::with_routing(
             spec,
             RoutingMode::LazyAlt {
@@ -37,7 +37,7 @@ fn networks(spec: &NetworkSpec) -> (Network, Network, Network) {
 /// `Network::route_batched`.
 fn batched_networks(spec: &NetworkSpec) -> (Network, Network) {
     (
-        Network::with_routing(spec, RoutingMode::LazyBidirectional),
+        Network::with_routing(spec, RoutingMode::LazyAlt { landmarks: 0 }),
         Network::with_routing(
             spec,
             RoutingMode::LazyAlt {
@@ -370,9 +370,8 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
 /// raises/lowers, exact-restore delay oscillations, link toggles, no-op
 /// re-asserts, correlated router outages and heals — over `spec`, and after
 /// **every** step asserts that all incrementally repaired networks (the
-/// three strategies plus both batched row-fill variants) and a
-/// wholesale-rebuild baseline serve routes bit-identical to a network
-/// freshly built on the mutated spec.
+/// three strategies plus both batched row-fill variants) serve routes
+/// bit-identical to a network freshly built on the mutated spec.
 ///
 /// After the random phase, a deterministic heal epilogue restores every
 /// downed router and link and every changed delay (plus one raise/restore
@@ -380,38 +379,17 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
 /// mutation machinery — landmark admissibility checks, the lower-bound
 /// survival filter, unreachable-pair reopening — regardless of seed.
 ///
-/// The closing asserts pin the mode accounting: the incremental networks
-/// must never have fallen back to a wholesale dump, the rebuild baseline
-/// must have dumped on every route-affecting mutation, both must agree on
-/// the epoch, and the fuzz run must actually have exercised the repair
+/// The closing asserts make sure the fuzz run actually exercised the repair
 /// machinery (route-affecting mutations and ALT admissibility checks > 0).
 pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usize, label: &str) {
     let mut rng = SimRng::new(seed);
     let (mut eager, mut bidi, mut alt) = networks(spec);
     let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
-    // The fuzzer is about the incremental mode: pin it even if the
-    // environment overrode BULLET_REPAIR.
-    for net in [
-        &mut eager,
-        &mut bidi,
-        &mut alt,
-        &mut bidi_batched,
-        &mut alt_batched,
-    ] {
-        net.set_repair_mode(RepairMode::Incremental);
-    }
-    let mut rebuild = Network::with_routing(
-        spec,
-        RoutingMode::LazyAlt {
-            landmarks: HARNESS_LANDMARKS,
-        },
-    );
-    rebuild.set_repair_mode(RepairMode::Rebuild);
     let n = spec.participants();
     // Warm every cache layer so there is real state to invalidate.
     for a in 0..n {
         for b in 0..n {
-            for net in [&mut eager, &mut bidi, &mut alt, &mut rebuild] {
+            for net in [&mut eager, &mut bidi, &mut alt] {
                 let _ = net.path(a, b);
             }
             let _ = bidi_batched.route_batched(a, b);
@@ -430,7 +408,6 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
         alt: &mut Network,
         bidi_batched: &mut Network,
         alt_batched: &mut Network,
-        rebuild: &mut Network,
         n: usize,
         step_label: &str,
     ) {
@@ -441,7 +418,6 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             &mut *alt,
             &mut *bidi_batched,
             &mut *alt_batched,
-            &mut *rebuild,
         ] {
             mutation.apply_to_network(net);
         }
@@ -457,7 +433,6 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
                 assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
                 assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
                 assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
-                assert_eq!(reference, rebuild.path(a, b), "{ctx}: rebuild baseline");
                 for (net, name) in [
                     (&mut *bidi_batched, "batched-bidi"),
                     (&mut *alt_batched, "batched-alt"),
@@ -543,7 +518,6 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             &mut alt,
             &mut bidi_batched,
             &mut alt_batched,
-            &mut rebuild,
             n,
             &format!("{label}: step {step}"),
         );
@@ -581,35 +555,10 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             &mut alt,
             &mut bidi_batched,
             &mut alt_batched,
-            &mut rebuild,
             n,
             &format!("{label}: heal step {step}"),
         );
     }
-    // Mode accounting over the whole run.
-    for (net, name) in [
-        (&eager, "eager"),
-        (&bidi, "bidi"),
-        (&alt, "alt"),
-        (&bidi_batched, "batched-bidi"),
-        (&alt_batched, "batched-alt"),
-    ] {
-        assert_eq!(
-            net.repair_stats().full_invalidations,
-            0,
-            "{label}: incremental {name} fell back to a wholesale dump"
-        );
-    }
-    let rb = rebuild.repair_stats();
-    assert_eq!(
-        rb.full_invalidations, rb.route_mutations,
-        "{label}: rebuild baseline must dump wholesale on every mutation"
-    );
-    assert_eq!(
-        rebuild.topology_epoch(),
-        alt.topology_epoch(),
-        "{label}: repair modes disagree on the epoch"
-    );
     // The run must have exercised the machinery it gates.
     let rs = alt.repair_stats();
     assert!(
