@@ -1,0 +1,64 @@
+//! Every figure of the evaluation, by plan key: `cargo bench -p bullet-bench
+//! --bench figures -- fig07 overload` runs the named plans
+//! (`bullet_experiments::SUITE_PLAN_KEYS`; `fig07` also emits Fig. 8 with its
+//! CDF table) as one flattened grid at `BULLET_SCALE` and prints their
+//! reports. No keys runs the whole suite; an unknown key panics. The claims
+//! behind the recovery, adversary and overload figures are tests in
+//! `tests/end_to_end.rs`. Setting `BULLET_SCENARIO` additionally runs a
+//! Bullet random-tree figure under that custom script (format: README,
+//! "Scenarios") — a harness for one-off what-if runs.
+
+use bullet_bench::announce;
+use bullet_dynamics::ScenarioScript;
+use bullet_experiments::{
+    bullet_run_on, figure_suite_subset, prepare_topology, render_suite, report, FigureResult,
+    RunSpec, Sweep, TreeKind, SUITE_PLAN_KEYS,
+};
+use bullet_netsim::{SimDuration, SimTime};
+use bullet_topology::{BandwidthProfile, LossProfile};
+
+fn main() {
+    // Cargo appends its own `--bench` flag to the keys.
+    let args: Vec<String> = std::env::args().filter(|a| !a.starts_with("--")).collect();
+    let mut keys: Vec<&str> = args.iter().skip(1).map(String::as_str).collect();
+    if keys.is_empty() {
+        keys = SUITE_PLAN_KEYS.to_vec();
+    }
+    let scale = announce(&format!("Figures — {}", keys.join(", ")));
+    let figures = figure_suite_subset(scale, &keys, &Sweep::from_env());
+    print!("{}", render_suite(&figures));
+
+    if let Some(script) = ScenarioScript::from_env() {
+        let seed = 99;
+        let topo = prepare_topology(
+            scale,
+            scale.participants(),
+            BandwidthProfile::Medium,
+            LossProfile::None,
+            seed,
+        );
+        let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, seed);
+        let config = bullet_core::BulletConfig {
+            stream_rate_bps: 600_000.0,
+            stream_start: SimTime::from_secs(scale.stream_start_secs()),
+            ..bullet_core::BulletConfig::default()
+        }
+        .churn();
+        let run = RunSpec {
+            label: format!("Bullet - custom scenario ({} events)", script.len()),
+            source: 0,
+            duration: SimDuration::from_secs(scale.duration_secs()),
+            sample_interval: SimDuration::from_secs(scale.sample_secs()),
+            failure: None,
+        };
+        let result = bullet_run_on(topo.network(), &tree, &config, &run, &script, seed);
+        let figure = FigureResult {
+            id: "custom".into(),
+            title: "Bullet under the BULLET_SCENARIO script".into(),
+            series: vec![result.useful],
+            summaries: vec![(result.label, result.summary)],
+            ..FigureResult::default()
+        };
+        print!("{}", report::render_figure(&figure));
+    }
+}

@@ -1,13 +1,11 @@
 //! # bullet-bench
 //!
-//! Benchmark harnesses for the Bullet reproduction.
-//!
-//! Each `benches/figNN_*.rs` target regenerates one table or figure of the
-//! paper's evaluation: it runs the corresponding experiment from
-//! `bullet-experiments` at the scale selected by `BULLET_SCALE`
-//! (`small`/`default`/`paper`) and prints the same series and scalars the
-//! paper reports. Costs are not measured here: the ledger under `perf/`
-//! times the workloads of record and the hot primitives.
+//! Four bench targets: `figures` renders any figure of the evaluation by
+//! plan key, `table1_profiles` renders and checks Table 1, and
+//! `parallel_suite` and `telemetry_overhead` assert their own wall-clock
+//! gates. Each runs at the scale selected by `BULLET_SCALE`
+//! (`small`/`default`/`paper`). Costs are not measured here: the ledger
+//! under `perf/` times the workloads of record and the hot primitives.
 
 #![warn(missing_docs)]
 

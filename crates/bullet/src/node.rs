@@ -82,6 +82,13 @@ struct ReattachState {
     old_parent: OverlayId,
 }
 
+impl ReattachState {
+    /// The candidates asked so far: any of them may have adopted the orphan.
+    fn contacted(&self) -> &[OverlayId] {
+        &self.candidates[..=self.index.min(self.candidates.len() - 1)]
+    }
+}
+
 /// One outstanding `PeeringRequest` under retry protection.
 #[derive(Clone, Debug)]
 struct PendingPeering {
@@ -191,7 +198,18 @@ pub struct BulletNode {
 impl BulletNode {
     /// Creates the node for participant `id` of `tree` with the given
     /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.integrity` is set without `config.recovery`:
+    /// quarantining a tree parent starts a re-attach, and only the recovery
+    /// layer's retry tick ever walks that ladder past its first rung. Every
+    /// other combination of the three layers is valid.
     pub fn new(id: OverlayId, tree: &Tree, config: BulletConfig) -> Self {
+        assert!(
+            config.integrity.is_none() || config.recovery.is_some(),
+            "config.integrity requires config.recovery (a quarantined parent is re-attached from)"
+        );
         let parent = tree.parent(id);
         let children = tree.children(id).to_vec();
         let mut root_path = Vec::new();
@@ -213,14 +231,8 @@ impl BulletNode {
             children.clone(),
             ticket.clone(),
         );
-        let disjoint =
-            DisjointSender::new(&children, config.packets_per_epoch(), config.disjoint_send);
-        let peers = PeerManager::new(
-            config.max_senders,
-            config.max_receivers,
-            config.duplicate_drop_threshold,
-            config.resemblance_peering,
-        );
+        let disjoint = Self::fresh_disjoint(&children, &config);
+        let peers = Self::fresh_peers(&config);
         BulletNode {
             id,
             parent,
@@ -261,6 +273,23 @@ impl BulletNode {
             deferred_once: Vec::new(),
             report_scale: 1.0,
         }
+    }
+
+    /// An empty peer manager sized by `config`: the node's mesh state at
+    /// start-up, after a graceful leave and after a rejoin.
+    fn fresh_peers(config: &BulletConfig) -> PeerManager {
+        PeerManager::new(
+            config.max_senders,
+            config.max_receivers,
+            config.duplicate_drop_threshold,
+            config.resemblance_peering,
+        )
+    }
+
+    /// A disjoint-send router over `children` with no history; rebuilt
+    /// whenever the child list changes.
+    fn fresh_disjoint(children: &[OverlayId], config: &BulletConfig) -> DisjointSender {
+        DisjointSender::new(children, config.packets_per_epoch(), config.disjoint_send)
     }
 
     /// Encodes a timer kind with the current timer generation.
@@ -334,11 +363,8 @@ impl BulletNode {
 
     /// Peers this node holds under quarantine at `now`.
     pub fn quarantined_peers(&self, now: SimTime) -> Vec<OverlayId> {
-        self.quarantined
-            .iter()
-            .filter(|&(_, &until)| now < until)
-            .map(|(&n, _)| n)
-            .collect()
+        let held = |n: &OverlayId| self.is_quarantined(*n, now);
+        self.quarantined.keys().copied().filter(held).collect()
     }
 
     fn send_msg(&self, ctx: &mut Context<'_, BulletMsg>, to: OverlayId, msg: BulletMsg) {
@@ -407,6 +433,15 @@ impl BulletNode {
         ReconcileRequest::new(self.build_filter(), low, high, stripe.max(1), row)
     }
 
+    /// Asks `to` to become a sending peer: the request claims the row after
+    /// the current senders' in a stripe one wider than theirs. The first
+    /// ask, the lost-RPC resend and the deferred retry all say the same.
+    fn send_peering_request(&self, ctx: &mut Context<'_, BulletMsg>, to: OverlayId) {
+        let senders = self.peers.senders().len() as u64;
+        let request = self.build_request(senders + 1, senders);
+        self.send_msg(ctx, to, BulletMsg::PeeringRequest { request });
+    }
+
     /// Records a freshly received (or generated) sequence number in the
     /// working set and the incremental summary ticket.
     fn learn_seq(&mut self, seq: u64) {
@@ -438,6 +473,17 @@ impl BulletNode {
         self.quarantined
             .get(&node)
             .is_some_and(|&until| now < until)
+    }
+
+    /// Whether `node` is outside this node's tree neighbourhood and in good
+    /// standing — not the node itself, its parent or a child, and not under
+    /// quarantine at `now`: the set a new mesh sender and a re-attach
+    /// candidate are both drawn from.
+    fn is_outsider(&self, node: OverlayId, now: SimTime) -> bool {
+        node != self.id
+            && Some(node) != self.parent
+            && !self.children.contains(&node)
+            && !self.is_quarantined(node, now)
     }
 
     /// Answers a join request with `PeeringDeferred` instead of silently
@@ -495,6 +541,29 @@ impl BulletNode {
         false
     }
 
+    /// Drops every trace of `node` as a mesh peer: its sender and receiver
+    /// entries and both transport connections.
+    fn forget_peer(&mut self, node: OverlayId) {
+        self.peers.remove_peer(node);
+        self.out_conns.remove(&node);
+        self.in_conns.remove(&node);
+    }
+
+    /// The peering asked of `from` needs no more retrying: it was answered,
+    /// or `from` was quarantined. An answer `for_good` (an accept or a
+    /// reject, not a deferral) also ends any deferral wait on `from`;
+    /// returns whether `from` had deferred us at least once.
+    fn peering_settled(&mut self, from: OverlayId, for_good: bool) -> bool {
+        self.peering_retries.retain(|p| p.node != from);
+        if !for_good {
+            return false;
+        }
+        let was_deferred = self.deferred_once.contains(&from);
+        self.deferred_once.retain(|&n| n != from);
+        self.deferred_retries.retain(|&n| n != from);
+        was_deferred
+    }
+
     /// Applies a misbehavior penalty to `peer`; when the decayed score
     /// crosses the threshold the peer is quarantined. No-op without the
     /// integrity layer. A peer that is the node's last live path toward
@@ -536,10 +605,8 @@ impl BulletNode {
             ctx.trace(TraceData::Quarantine { peer: peer as u32 });
         }
         let was_sender = self.peers.is_sender(peer);
-        self.peers.remove_peer(peer);
-        self.peering_retries.retain(|p| p.node != peer);
-        self.in_conns.remove(&peer);
-        self.out_conns.remove(&peer);
+        self.forget_peer(peer);
+        self.peering_settled(peer, false);
         self.send_msg(ctx, peer, BulletMsg::PeerDrop);
         if was_sender {
             // Reassign the quarantined sender's reconciliation row to
@@ -604,11 +671,19 @@ impl BulletNode {
         }
     }
 
-    /// Arms the recurring maintenance timers (peer service, filter refresh,
-    /// mesh evaluation, housekeeping) under the current timer generation,
-    /// staggered so thousands of nodes do not wake up on the same tick.
-    /// Used at start-up and again by the late-join bootstrap.
-    fn arm_periodic_timers(&mut self, ctx: &mut Context<'_, BulletMsg>) {
+    /// Arms the node's timer chains under the current timer generation: at
+    /// the source, stream generation and the RanSub epoch; everywhere, the
+    /// recurring maintenance timers (peer service, filter refresh, mesh
+    /// evaluation, housekeeping), staggered so thousands of nodes do not
+    /// wake up on the same tick; under recovery, every non-root node's
+    /// orphan detection. Used at start-up and again by the late-join
+    /// bootstrap.
+    fn arm_timers(&mut self, ctx: &mut Context<'_, BulletMsg>) {
+        if self.is_root() {
+            let start_delay = self.config.stream_start.saturating_since(ctx.now());
+            ctx.set_timer(start_delay, self.tag(timer::GENERATE));
+            ctx.set_timer(self.config.ransub_epoch, self.tag(timer::RANSUB_EPOCH));
+        }
         let jitter =
             |rng: &mut bullet_netsim::SimRng, d: SimDuration| d.mul_f64(rng.range_f64(0.5, 1.5));
         let service = jitter(ctx.rng(), self.config.peer_service_interval);
@@ -619,6 +694,13 @@ impl BulletNode {
         ctx.set_timer(eval, self.tag(timer::MESH_EVAL));
         let housekeeping = jitter(ctx.rng(), SimDuration::from_secs(1));
         ctx.set_timer(housekeeping, self.tag(timer::HOUSEKEEPING));
+        if self.config.recovery.is_some() && !self.is_root() {
+            // Orphan detection: the first check waits out a two-epoch grace
+            // — RanSub needs a full epoch to reach the leaves after start-up
+            // or a rejoin — then the handler re-arms every epoch.
+            let grace = self.config.ransub_epoch.saturating_mul(2);
+            ctx.set_timer(grace, self.tag(timer::ORPHAN));
+        }
     }
 
     /// Adopts `child` into the tree view (children list, RanSub membership,
@@ -636,11 +718,7 @@ impl BulletNode {
         }
         self.children.push(child);
         self.ransub.add_child(child);
-        self.disjoint = DisjointSender::new(
-            &self.children,
-            self.config.packets_per_epoch(),
-            self.config.disjoint_send,
-        );
+        self.disjoint = Self::fresh_disjoint(&self.children, &self.config);
         true
     }
 
@@ -660,28 +738,17 @@ impl BulletNode {
             self.last_sample.clear();
             self.last_sample.extend(members.iter().map(|m| m.node));
         }
-        let mut exclude = vec![self.id];
-        if let Some(parent) = self.parent {
-            exclude.push(parent);
-        }
-        exclude.extend_from_slice(&self.children);
-        if !self.quarantined.is_empty() {
-            let now = ctx.now();
-            exclude.extend(
-                self.quarantined
-                    .iter()
-                    .filter(|&(_, &until)| now < until)
-                    .map(|(&n, _)| n),
-            );
-        }
+        let now = ctx.now();
+        let exclude: Vec<OverlayId> = members
+            .iter()
+            .map(|m| m.node)
+            .filter(|&n| !self.is_outsider(n, now))
+            .collect();
         let candidate = self
             .peers
             .choose_candidate(&self.ticket, &members, &exclude, ctx.rng());
         if let Some(candidate) = candidate {
-            let stripe = (self.peers.senders().len() as u64 + 1).max(1);
-            let row = self.peers.senders().len() as u64;
-            let request = self.build_request(stripe, row);
-            self.send_msg(ctx, candidate, BulletMsg::PeeringRequest { request });
+            self.send_peering_request(ctx, candidate);
             if self.config.recovery.is_some() {
                 // Put the request under retry protection: a lost
                 // PeeringRequest is otherwise dead forever (the pending
@@ -707,20 +774,6 @@ impl BulletNode {
         }
         self.retry_timer_armed = true;
         ctx.set_timer(recovery.retry_base, self.tag(timer::RETRY));
-    }
-
-    /// Arms the orphan-detection tick (non-root nodes under recovery): the
-    /// first check waits out a two-epoch grace — RanSub needs a full
-    /// epoch to reach the leaves after start-up or a rejoin — then the
-    /// handler re-arms every epoch.
-    fn arm_orphan_timer(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        if self.config.recovery.is_none() || self.is_root() {
-            return;
-        }
-        ctx.set_timer(
-            self.config.ransub_epoch.saturating_mul(2),
-            self.tag(timer::ORPHAN),
-        );
     }
 
     /// One orphan-detection tick: a strike per epoch without a parent
@@ -760,12 +813,7 @@ impl BulletNode {
         let now = ctx.now();
         let mut candidates: Vec<OverlayId> = Vec::new();
         for n in pool {
-            if n != self.id
-                && n != old_parent
-                && !self.children.contains(&n)
-                && !candidates.contains(&n)
-                && !self.is_quarantined(n, now)
-            {
+            if self.is_outsider(n, now) && !candidates.contains(&n) {
                 candidates.push(n);
             }
         }
@@ -790,7 +838,8 @@ impl BulletNode {
     }
 
     /// Sends `Reattach` to the current ladder candidate and schedules the
-    /// exponential-backoff follow-up.
+    /// exponential-backoff follow-up; a ladder stepped past its last rung
+    /// ends the re-attach here, the one place that checks.
     fn reattach_send_current(&mut self, ctx: &mut Context<'_, BulletMsg>) {
         let (target, attempt) = {
             let Some(state) = self.reattach.as_mut() else {
@@ -817,37 +866,30 @@ impl BulletNode {
         self.arm_retry_timer(ctx);
     }
 
+    /// Tells `to` to prune this node from its child list, handing it no
+    /// children: what a re-attach owes the dead parent and every contacted
+    /// candidate that may have adopted the orphan.
+    fn send_empty_leave(&self, ctx: &mut Context<'_, BulletMsg>, to: OverlayId) {
+        let children = Vec::new();
+        self.send_msg(ctx, to, BulletMsg::Leave { children });
+    }
+
     /// Finishes a re-attach: `new_parent` (any ladder candidate we
     /// contacted) accepted the adoption. Every *other* contacted candidate
     /// may also have adopted us, so they and the dead parent get an empty
     /// `Leave` to prune us from their child lists.
     fn complete_reattach(&mut self, ctx: &mut Context<'_, BulletMsg>, new_parent: OverlayId) {
-        let contacted_end = match &self.reattach {
-            Some(state) => state.index.min(state.candidates.len() - 1),
-            None => return,
-        };
-        if !self.reattach.as_ref().unwrap().candidates[..=contacted_end].contains(&new_parent) {
+        let asked = |state: &ReattachState| state.contacted().contains(&new_parent);
+        if !self.reattach.as_ref().is_some_and(asked) {
             return;
         }
         let state = self.reattach.take().unwrap();
-        for &c in &state.candidates[..=contacted_end] {
+        for &c in state.contacted() {
             if c != new_parent {
-                self.send_msg(
-                    ctx,
-                    c,
-                    BulletMsg::Leave {
-                        children: Vec::new(),
-                    },
-                );
+                self.send_empty_leave(ctx, c);
             }
         }
-        self.send_msg(
-            ctx,
-            state.old_parent,
-            BulletMsg::Leave {
-                children: Vec::new(),
-            },
-        );
+        self.send_empty_leave(ctx, state.old_parent);
         self.parent = Some(new_parent);
         self.ransub.set_parent(Some(new_parent));
         // Only the immediate ancestor is known after a re-attach; the
@@ -872,15 +914,8 @@ impl BulletNode {
     /// `Leave`s.
     fn cancel_reattach(&mut self, ctx: &mut Context<'_, BulletMsg>) {
         if let Some(state) = self.reattach.take() {
-            let contacted_end = state.index.min(state.candidates.len() - 1);
-            for &c in &state.candidates[..=contacted_end] {
-                self.send_msg(
-                    ctx,
-                    c,
-                    BulletMsg::Leave {
-                        children: Vec::new(),
-                    },
-                );
+            for &c in state.contacted() {
+                self.send_empty_leave(ctx, c);
             }
         }
         self.orphan_strikes = 0;
@@ -893,24 +928,16 @@ impl BulletNode {
         let Some(recovery) = self.config.recovery else {
             return;
         };
-        let mut send_reattach = false;
         if let Some(state) = self.reattach.as_mut() {
             if state.cooldown > 0 {
                 state.cooldown -= 1;
-            } else if state.attempts >= recovery.max_retries {
-                state.index += 1;
-                state.attempts = 0;
-                if state.index >= state.candidates.len() {
-                    self.reattach = None;
-                } else {
-                    send_reattach = true;
-                }
             } else {
-                send_reattach = true;
+                if state.attempts >= recovery.max_retries {
+                    state.index += 1;
+                    state.attempts = 0;
+                }
+                self.reattach_send_current(ctx);
             }
-        }
-        if send_reattach {
-            self.reattach_send_current(ctx);
         }
         let mut resend: Vec<OverlayId> = Vec::new();
         let mut i = 0;
@@ -933,11 +960,8 @@ impl BulletNode {
             }
         }
         for node in resend {
-            let stripe = (self.peers.senders().len() as u64 + 1).max(1);
-            let row = self.peers.senders().len() as u64;
-            let request = self.build_request(stripe, row);
             self.metrics.control_retries += 1;
-            self.send_msg(ctx, node, BulletMsg::PeeringRequest { request });
+            self.send_peering_request(ctx, node);
         }
         if self.reattach.is_some() || !self.peering_retries.is_empty() {
             self.arm_retry_timer(ctx);
@@ -1282,13 +1306,7 @@ impl Agent for BulletNode {
     type Msg = BulletMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        if self.is_root() {
-            let start_delay = self.config.stream_start - ctx.now();
-            ctx.set_timer(start_delay, self.tag(timer::GENERATE));
-            ctx.set_timer(self.config.ransub_epoch, self.tag(timer::RANSUB_EPOCH));
-        }
-        self.arm_periodic_timers(ctx);
-        self.arm_orphan_timer(ctx);
+        self.arm_timers(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, BulletMsg>, from: OverlayId, msg: BulletMsg) {
@@ -1329,28 +1347,21 @@ impl Agent for BulletNode {
             if let Some(overload) = self.config.overload {
                 let pressure = (overload.inbox_budget as f64 * overload.pressure_fraction) as u64;
                 let budget = overload.inbox_budget as u64;
-                match &msg {
+                let shed = match &msg {
                     BulletMsg::PeeringRequest { .. } if self.inbox_window > pressure => {
                         self.defer_join(ctx, from);
                         return;
                     }
-                    BulletMsg::Reattach if self.inbox_window > pressure => {
-                        self.metrics.inbox_sheds += 1;
-                        return;
+                    BulletMsg::Reattach => self.inbox_window > pressure,
+                    BulletMsg::FilterRefresh { .. } | BulletMsg::ReceiverReport { .. } => {
+                        self.inbox_window > budget
                     }
-                    BulletMsg::FilterRefresh { .. } | BulletMsg::ReceiverReport { .. }
-                        if self.inbox_window > budget =>
-                    {
-                        self.metrics.inbox_sheds += 1;
-                        return;
-                    }
-                    BulletMsg::RanSub(_)
-                        if self.inbox_window > budget && Some(from) != self.parent =>
-                    {
-                        self.metrics.inbox_sheds += 1;
-                        return;
-                    }
-                    _ => {}
+                    BulletMsg::RanSub(_) => self.inbox_window > budget && Some(from) != self.parent,
+                    _ => false,
+                };
+                if shed {
+                    self.metrics.inbox_sheds += 1;
+                    return;
                 }
             }
         }
@@ -1408,13 +1419,8 @@ impl Agent for BulletNode {
                 }
             }
             BulletMsg::PeeringAccept => {
-                self.peering_retries.retain(|p| p.node != from);
-                if !self.deferred_once.is_empty() || !self.deferred_retries.is_empty() {
-                    if let Some(pos) = self.deferred_once.iter().position(|&n| n == from) {
-                        self.deferred_once.remove(pos);
-                        self.metrics.joins_admitted_after_defer += 1;
-                    }
-                    self.deferred_retries.retain(|&n| n != from);
+                if self.peering_settled(from, true) {
+                    self.metrics.joins_admitted_after_defer += 1;
                 }
                 if self.peers.on_peering_accept(from) {
                     // Rebalance the row assignments across all senders now
@@ -1423,11 +1429,7 @@ impl Agent for BulletNode {
                 }
             }
             BulletMsg::PeeringReject => {
-                self.peering_retries.retain(|p| p.node != from);
-                if !self.deferred_once.is_empty() || !self.deferred_retries.is_empty() {
-                    self.deferred_once.retain(|&n| n != from);
-                    self.deferred_retries.retain(|&n| n != from);
-                }
+                self.peering_settled(from, true);
                 self.peers.on_peering_reject(from)
             }
             BulletMsg::PeeringDeferred { retry_after } => {
@@ -1435,7 +1437,7 @@ impl Agent for BulletNode {
                 // take the request out of the lost-RPC retry machinery
                 // (an answer *did* arrive) and arm a one-shot retry at the
                 // responder's requested backoff.
-                self.peering_retries.retain(|p| p.node != from);
+                self.peering_settled(from, false);
                 if !self.deferred_once.contains(&from) {
                     self.deferred_once.push(from);
                 }
@@ -1454,11 +1456,7 @@ impl Agent for BulletNode {
                     receiver.active_this_window = true;
                 }
             }
-            BulletMsg::PeerDrop => {
-                self.peers.remove_peer(from);
-                self.out_conns.remove(&from);
-                self.in_conns.remove(&from);
-            }
+            BulletMsg::PeerDrop => self.forget_peer(from),
             BulletMsg::Leave { children } => {
                 // A child left gracefully: adopt its children (tree repair)
                 // and prune it from the RanSub view so its stale subtree is
@@ -1470,22 +1468,11 @@ impl Agent for BulletNode {
                 let events = self.ransub.remove_child(from);
                 self.handle_ransub_events(ctx, events);
                 for child in children {
-                    if child != self.id
-                        && !self.children.contains(&child)
-                        && !self.root_path.contains(&child)
-                    {
-                        self.children.push(child);
-                        self.ransub.add_child(child);
-                    }
+                    self.adopt_child(child);
                 }
-                self.disjoint = DisjointSender::new(
-                    &self.children,
-                    self.config.packets_per_epoch(),
-                    self.config.disjoint_send,
-                );
-                self.peers.remove_peer(from);
-                self.out_conns.remove(&from);
-                self.in_conns.remove(&from);
+                // `from` is gone even when it handed over nobody new.
+                self.disjoint = Self::fresh_disjoint(&self.children, &self.config);
+                self.forget_peer(from);
             }
             BulletMsg::Reparent { new_parent } => {
                 // Our parent left gracefully and handed us to its parent.
@@ -1515,21 +1502,12 @@ impl Agent for BulletNode {
             }
             BulletMsg::ReattachAccept => self.complete_reattach(ctx, from),
             BulletMsg::ReattachReject => {
-                let mut advance = false;
                 if let Some(state) = self.reattach.as_mut() {
                     if state.candidates.get(state.index) == Some(&from) {
                         state.index += 1;
                         state.attempts = 0;
-                        state.cooldown = 0;
-                        if state.index >= state.candidates.len() {
-                            self.reattach = None;
-                        } else {
-                            advance = true;
-                        }
+                        self.reattach_send_current(ctx);
                     }
-                }
-                if advance {
-                    self.reattach_send_current(ctx);
                 }
             }
         }
@@ -1630,10 +1608,7 @@ impl Agent for BulletNode {
                 if self.peers.is_sender(node) || self.is_quarantined(node, ctx.now()) {
                     return;
                 }
-                let stripe = (self.peers.senders().len() as u64 + 1).max(1);
-                let row = self.peers.senders().len() as u64;
-                let request = self.build_request(stripe, row);
-                self.send_msg(ctx, node, BulletMsg::PeeringRequest { request });
+                self.send_peering_request(ctx, node);
             }
             other => debug_assert!(false, "unknown timer tag {other}"),
         }
@@ -1675,14 +1650,7 @@ impl ScenarioAgent for BulletNode {
     /// (`Leave` up, `Reparent` down), and clear local peer state. The
     /// driver fails the node immediately after this returns.
     fn on_graceful_leave(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        let peers: Vec<OverlayId> = self
-            .peers
-            .senders()
-            .iter()
-            .map(|s| s.node)
-            .chain(self.peers.receivers().iter().map(|r| r.node))
-            .collect();
-        for node in peers {
+        for node in self.sender_peers().into_iter().chain(self.receiver_peers()) {
             self.send_msg(ctx, node, BulletMsg::PeerDrop);
         }
         if let Some(parent) = self.parent {
@@ -1704,12 +1672,7 @@ impl ScenarioAgent for BulletNode {
             }
         }
         self.children.clear();
-        self.peers = PeerManager::new(
-            self.config.max_senders,
-            self.config.max_receivers,
-            self.config.duplicate_drop_threshold,
-            self.config.resemblance_peering,
-        );
+        self.peers = Self::fresh_peers(&self.config);
         self.out_conns.clear();
         self.in_conns.clear();
         self.reattach = None;
@@ -1726,12 +1689,7 @@ impl ScenarioAgent for BulletNode {
         self.timer_gen += 1;
         self.out_conns.clear();
         self.in_conns.clear();
-        self.peers = PeerManager::new(
-            self.config.max_senders,
-            self.config.max_receivers,
-            self.config.duplicate_drop_threshold,
-            self.config.resemblance_peering,
-        );
+        self.peers = Self::fresh_peers(&self.config);
         self.rebuild_ticket();
         // Recovery state refers to the pre-crash network: reset it so the
         // orphan detector restarts from its grace period and stale retry
@@ -1756,13 +1714,7 @@ impl ScenarioAgent for BulletNode {
         self.defer_strikes.clear();
         self.deferred_retries.clear();
         self.deferred_once.clear();
-        if self.is_root() {
-            let start_delay = self.config.stream_start.saturating_since(ctx.now());
-            ctx.set_timer(start_delay, self.tag(timer::GENERATE));
-            ctx.set_timer(self.config.ransub_epoch, self.tag(timer::RANSUB_EPOCH));
-        }
-        self.arm_periodic_timers(ctx);
-        self.arm_orphan_timer(ctx);
+        self.arm_timers(ctx);
     }
 
     /// Scenario adversary switch: a `false_advertise` plan turns this

@@ -186,8 +186,11 @@ pub struct ScenarioScript {
 
 impl ScenarioScript {
     /// An empty script (the run plays out exactly as without a driver).
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        ScenarioScript {
+            events: Vec::new(),
+            initially_down: Vec::new(),
+        }
     }
 
     /// Appends an action at `at`. Events at equal times apply in insertion

@@ -17,28 +17,30 @@ use bullet_topology::{generate, BandwidthProfile, BuiltTopology, LossProfile, To
 use crate::scale::Scale;
 
 /// A network spec bundled with its shared immutable routing setup
-/// ([`NetworkSetup`]: adjacency + ALT landmark tables).
+/// ([`NetworkSetup`]: adjacency + ALT landmark tables) — generated
+/// ([`prepare_topology`]) or hand-built (Fig. 15's constrained source).
 ///
 /// This is the unit of setup sharing in the parallel harness: the expensive
 /// pieces are built **once per topology class** when the spec is prepared,
 /// and every run — on any worker thread — gets its own cheap mutable
-/// [`Network`] view over them through [`PreparedSpec::network`]. The view's
-/// link queues, route arena, caches and participant route memo are private
-/// per run; routes are bit-identical to constructing `Network::new(spec)`
-/// from scratch (gated in `bullet_netsim` and by the figure thread-
-/// invariance tests).
+/// [`Network`] view over them through [`PreparedTopology::network`]. The
+/// view's link queues, route arena, caches and participant route memo are
+/// private per run; routes are bit-identical to constructing
+/// `Network::new(spec)` from scratch (gated in `bullet_netsim` and by the
+/// figure thread-invariance tests). Cloning is two `Arc` bumps, so figure
+/// grids move clones into their run tasks.
 #[derive(Clone)]
-pub struct PreparedSpec {
+pub struct PreparedTopology {
     spec: Arc<NetworkSpec>,
     setup: Arc<NetworkSetup>,
 }
 
-impl PreparedSpec {
+impl PreparedTopology {
     /// Prepares `spec`, building the shared routing setup (the routing mode
     /// resolves from the topology size exactly like `Sim::new`).
     pub fn new(spec: NetworkSpec) -> Self {
         let setup = Arc::new(NetworkSetup::new(&spec));
-        PreparedSpec {
+        PreparedTopology {
             spec: Arc::new(spec),
             setup,
         }
@@ -58,47 +60,6 @@ impl PreparedSpec {
     pub fn network(&self) -> Network {
         Network::with_setup(&self.spec, &self.setup)
     }
-}
-
-/// A generated [`BuiltTopology`] bundled with its shared routing setup;
-/// the topology-class analogue of [`PreparedSpec`] (see there for the
-/// sharing model). Cloning is two `Arc` bumps, so figure grids move clones
-/// into their run tasks.
-#[derive(Clone)]
-pub struct PreparedTopology {
-    built: Arc<BuiltTopology>,
-    setup: Arc<NetworkSetup>,
-}
-
-impl PreparedTopology {
-    /// Prepares an already-generated topology.
-    pub fn from_built(built: BuiltTopology) -> Self {
-        let setup = Arc::new(NetworkSetup::new(&built.spec));
-        PreparedTopology {
-            built: Arc::new(built),
-            setup,
-        }
-    }
-
-    /// The generated topology.
-    pub fn built(&self) -> &BuiltTopology {
-        &self.built
-    }
-
-    /// The underlying network spec.
-    pub fn spec(&self) -> &NetworkSpec {
-        &self.built.spec
-    }
-
-    /// Number of overlay participants.
-    pub fn participants(&self) -> usize {
-        self.built.participants()
-    }
-
-    /// A fresh per-run network view over the shared setup.
-    pub fn network(&self) -> Network {
-        Network::with_setup(&self.built.spec, &self.setup)
-    }
 
     /// Builds an overlay tree like [`build_tree`], with the oracle-backed
     /// kinds (bottleneck, Overcast, good/worst) running over a shared-setup
@@ -106,7 +67,7 @@ impl PreparedTopology {
     /// skips a second landmark construction per figure. Trees are identical
     /// to [`build_tree`]'s (routes are canonical either way).
     pub fn tree(&self, kind: TreeKind, root: OverlayId, seed: u64) -> Tree {
-        build_tree_on(&self.built, || self.network(), kind, root, seed)
+        build_tree_on(self.participants(), || self.network(), kind, root, seed)
     }
 }
 
@@ -120,7 +81,7 @@ pub fn prepare_topology(
     loss: LossProfile,
     seed: u64,
 ) -> PreparedTopology {
-    PreparedTopology::from_built(build_topology(scale, participants, bandwidth, loss, seed))
+    PreparedTopology::new(build_topology(scale, participants, bandwidth, loss, seed).spec)
 }
 
 /// Builds the transit-stub topology for one experiment.
@@ -162,20 +123,25 @@ pub enum TreeKind {
 
 /// Builds the requested tree over the participants of `topo`.
 pub fn build_tree(topo: &BuiltTopology, kind: TreeKind, root: OverlayId, seed: u64) -> Tree {
-    build_tree_on(topo, || Network::new(&topo.spec), kind, root, seed)
+    build_tree_on(
+        topo.participants(),
+        || Network::new(&topo.spec),
+        kind,
+        root,
+        seed,
+    )
 }
 
 /// [`build_tree`] with an explicit network factory, so callers holding a
 /// [`PreparedTopology`] reuse its shared routing setup for the oracle-backed
 /// tree kinds.
 fn build_tree_on(
-    topo: &BuiltTopology,
+    participants: usize,
     make_network: impl Fn() -> Network,
     kind: TreeKind,
     root: OverlayId,
     seed: u64,
 ) -> Tree {
-    let participants = topo.participants();
     match kind {
         TreeKind::Random { max_children } => {
             let mut rng = SimRng::new(seed ^ 0x7EE);
@@ -443,7 +409,7 @@ mod tests {
     #[test]
     fn prepared_spec_views_match_fresh_networks() {
         let raw = constrained_source_topology(4, 6, true, 7);
-        let prepared = PreparedSpec::new(raw.spec.clone());
+        let prepared = PreparedTopology::new(raw.spec.clone());
         assert_eq!(prepared.participants(), raw.spec.participants());
         let mut fresh = Network::new(&raw.spec);
         let mut view = prepared.network();

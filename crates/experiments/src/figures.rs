@@ -1,14 +1,16 @@
 //! Per-figure experiment definitions.
 //!
-//! One function per table/figure of the paper's evaluation (§4). Each builds
-//! the topology and trees the paper describes, runs the systems under
-//! comparison, and returns a [`FigureResult`] containing the same curves the
-//! figure plots plus the scalar numbers quoted in the surrounding text. The
-//! bench harnesses in `crates/bench` print these results.
+//! One `*_plan` function per figure of the paper's evaluation (§4), named by
+//! a key in [`crate::suite::SUITE_PLAN_KEYS`] — the plan and the key are all
+//! a figure is; [`crate::suite::figure`] and the `figures` bench run it by
+//! key. Each builds the topology and trees the paper describes, runs the
+//! systems under comparison, and assembles a [`FigureResult`] containing the
+//! same curves the figure plots plus the scalar numbers quoted in the
+//! surrounding text.
 //!
 //! # The run grid
 //!
-//! Internally every figure is a **plan**: a grid of independent run tasks
+//! Every figure is a **plan**: a grid of independent run tasks
 //! (configuration × seed) plus an assembly step that turns the ordered run
 //! results into the figure. Plans execute on the scoped-thread
 //! [`RunPool`](crate::pool::RunPool) (`BULLET_THREADS`, default all cores),
@@ -28,17 +30,14 @@ use std::sync::Arc;
 use bullet_baselines::{AntiEntropyConfig, GossipConfig, StreamConfig, StreamTransport};
 use bullet_core::BulletConfig;
 use bullet_dynamics::ScenarioScript;
-use bullet_netsim::{NetworkSpec, SimDuration, SimTime};
+use bullet_netsim::{Network, SimDuration, SimTime};
 use bullet_overlay::{good_tree, random_tree, worst_tree};
-use bullet_topology::{BandwidthProfile, BuiltTopology, LossProfile};
+use bullet_topology::{BandwidthProfile, LossProfile};
 
-use crate::env::{constrained_source_topology, prepare_topology, PreparedSpec, TreeKind};
+use crate::env::{constrained_source_topology, prepare_topology, PreparedTopology, TreeKind};
 use crate::metrics::{BandwidthSeries, Cdf, RunSummary};
-use crate::pool::{seed_label, RunPool, Sweep, Task};
-use crate::protocols::{
-    antientropy_run_on, bullet_run, bullet_run_on, bullet_run_scenario_on, gossip_run_on,
-    streaming_run_on,
-};
+use crate::pool::{seed_label, Sweep, Task};
+use crate::protocols::{antientropy_run_on, bullet_run_on, gossip_run_on, streaming_run_on};
 use crate::runner::{RunResult, RunSpec};
 use crate::scale::Scale;
 
@@ -60,6 +59,9 @@ pub struct FigureResult {
     /// figure's steady-member goodput per arm) that benches and CI gates
     /// read without re-deriving per-node data. Empty for most figures.
     pub scalars: Vec<(String, f64)>,
+    /// The per-node distribution a CDF figure plots (Fig. 8); rendered as
+    /// a table after the notes. `None` for every other figure.
+    pub cdf: Option<Cdf>,
 }
 
 impl FigureResult {
@@ -121,19 +123,6 @@ impl FigurePlan {
     pub(crate) fn into_parts(self) -> (Vec<RunTask>, AssembleFn) {
         (self.tasks, self.assemble)
     }
-
-    /// Executes the grid on `pool` and assembles the figure(s).
-    pub(crate) fn run(self, pool: &RunPool) -> Vec<FigureResult> {
-        let results = pool.run(self.tasks);
-        (self.assemble)(results)
-    }
-}
-
-/// Runs a single-figure plan and unwraps its figure.
-fn run_single(plan: FigurePlan, sweep: &Sweep) -> FigureResult {
-    let mut figures = plan.run(sweep.pool());
-    debug_assert_eq!(figures.len(), 1);
-    figures.remove(0)
 }
 
 /// Splits grid results into per-configuration chunks of `seeds` runs each.
@@ -217,6 +206,9 @@ impl Params {
     }
 }
 
+/// Nothing scripted: a static-network run is a scenario run under this.
+pub(crate) const NO_SCRIPT: ScenarioScript = ScenarioScript::new();
+
 const PAPER_RATE_BPS: f64 = 600_000.0;
 const EPIDEMIC_RATE_BPS: f64 = 900_000.0;
 const PLANETLAB_RATE_BPS: f64 = 1_500_000.0;
@@ -242,11 +234,6 @@ pub fn table1_rows() -> Vec<(String, String, u32, u32)> {
 
 /// Figure 6: TFRC streaming over the offline bottleneck tree versus a random
 /// tree (medium bandwidth, 600 Kbps target).
-pub fn fig06(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(fig06_plan(scale, &sweep), &sweep)
-}
-
 pub(crate) fn fig06_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 6);
     let topo = prepare_topology(
@@ -272,7 +259,7 @@ pub(crate) fn fig06_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let stream = stream.clone();
             let run = p.run_spec(&seed_label(label, k));
             tasks.push(Box::new(move || {
-                streaming_run_on(topo.network(), &tree, &stream, &run, seed)
+                streaming_run_on(topo.network(), &tree, &stream, &run, &NO_SCRIPT, seed)
             }));
         }
     }
@@ -302,16 +289,9 @@ pub(crate) fn fig06_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 
 /// Figure 7: Bullet over a random tree — raw total, useful total, and
 /// from-parent bandwidth over time, plus the §4.2 scalars (control overhead,
-/// duplicate ratio, link stress).
-pub fn fig07(scale: Scale) -> (FigureResult, RunResult) {
-    let sweep = Sweep::from_env();
-    let (tasks, seeds) = fig07_grid(scale, &sweep);
-    let results = sweep.pool().run(tasks);
-    fig07_assemble(results, seeds)
-}
-
-/// The Fig. 7 run grid: one Bullet-over-random-tree configuration × seeds.
-fn fig07_grid(scale: Scale, sweep: &Sweep) -> (Vec<RunTask>, usize) {
+/// duplicate ratio, link stress). One Bullet-over-random-tree configuration
+/// × seeds; the plan also emits Fig. 8, a CDF over the same run.
+pub(crate) fn fig07_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 7);
     let topo = prepare_topology(
         scale,
@@ -331,63 +311,45 @@ fn fig07_grid(scale: Scale, sweep: &Sweep) -> (Vec<RunTask>, usize) {
             let tree = tree.clone();
             let config = config.clone();
             let run = p.run_spec(&seed_label("Bullet (random tree)", k));
-            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, seed)) as RunTask
+            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed))
+                as RunTask
         })
         .collect();
-    (tasks, seeds.len())
-}
 
-fn fig07_assemble(results: Vec<RunResult>, seeds: usize) -> (FigureResult, RunResult) {
-    let mut chunks = chunked(results, seeds);
-    let runs = chunks.remove(0);
-    let mut figure = FigureResult::new(
-        "fig07",
-        "Achieved bandwidth over time for Bullet over a random tree",
-    );
-    for result in &runs {
-        figure.series.push(result.raw.clone());
-        figure.series.push(result.useful.clone());
-        figure.series.push(result.from_parent.clone());
-        figure
-            .summaries
-            .push((result.label.clone(), result.summary.clone()));
-    }
-    let result = &runs[0];
-    figure.notes.push(format!(
-        "useful {:.0} Kbps, raw {:.0} Kbps, duplicates {:.1}% ({:.0}% of them parent relays), control {:.1} Kbps/node, link stress mean {:.2} max {}",
-        result.summary.steady_useful_kbps,
-        result.summary.steady_raw_kbps,
-        result.summary.duplicate_fraction * 100.0,
-        result.summary.parent_relay_duplicate_share * 100.0,
-        result.summary.control_overhead_kbps,
-        result.summary.link_stress_mean,
-        result.summary.link_stress_max,
-    ));
-    push_seed_spread_notes(&mut figure, std::slice::from_ref(&runs));
-    let mut runs = runs;
-    (figure, runs.remove(0))
-}
-
-/// The suite plan covering Figs. 7 and 8 with a single grid (Fig. 8 is a
-/// CDF over the Fig. 7 run).
-pub(crate) fn fig07and08_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
-    let (tasks, seeds) = fig07_grid(scale, sweep);
+    let seeds = seeds.len();
     FigurePlan::new(tasks, move |results| {
-        let (fig7, run) = fig07_assemble(results, seeds);
-        let (fig8, _) = fig08_from(&run);
-        vec![fig7, fig8]
+        let runs = chunked(results, seeds).remove(0);
+        let mut figure = FigureResult::new(
+            "fig07",
+            "Achieved bandwidth over time for Bullet over a random tree",
+        );
+        for result in &runs {
+            figure.series.push(result.raw.clone());
+            figure.series.push(result.useful.clone());
+            figure.series.push(result.from_parent.clone());
+            figure
+                .summaries
+                .push((result.label.clone(), result.summary.clone()));
+        }
+        let result = &runs[0];
+        figure.notes.push(format!(
+            "useful {:.0} Kbps, raw {:.0} Kbps, duplicates {:.1}% ({:.0}% of them parent relays), control {:.1} Kbps/node, link stress mean {:.2} max {}",
+            result.summary.steady_useful_kbps,
+            result.summary.steady_raw_kbps,
+            result.summary.duplicate_fraction * 100.0,
+            result.summary.parent_relay_duplicate_share * 100.0,
+            result.summary.control_overhead_kbps,
+            result.summary.link_stress_mean,
+            result.summary.link_stress_max,
+        ));
+        push_seed_spread_notes(&mut figure, std::slice::from_ref(&runs));
+        vec![figure, fig08_from(result)]
     })
 }
 
 /// Figure 8: CDF of instantaneous per-node bandwidth near the end of the
-/// Fig. 7 run.
-pub fn fig08(scale: Scale) -> (FigureResult, Cdf) {
-    let (_, run) = fig07(scale);
-    fig08_from(&run)
-}
-
-/// Figure 8 computed from an existing Fig. 7 run (avoids re-running it).
-pub fn fig08_from(run: &RunResult) -> (FigureResult, Cdf) {
+/// Fig. 7 run (computed from that run rather than re-running it).
+fn fig08_from(run: &RunResult) -> FigureResult {
     let at = run.times.last().copied().unwrap_or(0.0) * 0.9;
     let cdf = run.instantaneous_cdf(at);
     let mut figure = FigureResult::new(
@@ -401,27 +363,18 @@ pub fn fig08_from(run: &RunResult) -> (FigureResult, Cdf) {
         cdf.quantile(0.9),
         at
     ));
-    (figure, cdf)
+    figure.cdf = Some(cdf);
+    figure
 }
 
 /// Figure 9: Bullet versus the bottleneck tree across the low, medium and
 /// high bandwidth profiles of Table 1.
-pub fn fig09(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(fig09_plan(scale, &sweep), &sweep)
-}
-
 pub(crate) fn fig09_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     bandwidth_sweep_plan(scale, sweep, LossProfile::None, "fig09",
         "Achieved bandwidth for Bullet and the bottleneck tree across low/medium/high bandwidth topologies")
 }
 
 /// Figure 12: the same sweep over lossy topologies (§4.5).
-pub fn fig12(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(fig12_plan(scale, &sweep), &sweep)
-}
-
 pub(crate) fn fig12_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     bandwidth_sweep_plan(
         scale,
@@ -459,7 +412,7 @@ fn bandwidth_sweep_plan(
             let config = bullet_cfg.clone();
             let run = p.run_spec(&seed_label(&format!("Bullet - {name}"), k));
             tasks.push(Box::new(move || {
-                bullet_run_on(topo.network(), &tree, &config, &run, seed)
+                bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
             }));
         }
         for (k, &seed) in seeds.iter().enumerate() {
@@ -468,7 +421,7 @@ fn bandwidth_sweep_plan(
             let config = stream_cfg.clone();
             let run = p.run_spec(&seed_label(&format!("Bottleneck tree - {name}"), k));
             tasks.push(Box::new(move || {
-                streaming_run_on(topo.network(), &tree, &config, &run, seed)
+                streaming_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
             }));
         }
         profile_names.push(name);
@@ -504,11 +457,6 @@ fn bandwidth_sweep_plan(
 
 /// Figure 10: the non-disjoint transmission strategy (every parent tries to
 /// send everything to every child).
-pub fn fig10(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(fig10_plan(scale, &sweep), &sweep)
-}
-
 pub(crate) fn fig10_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 10);
     let topo = prepare_topology(
@@ -531,7 +479,8 @@ pub(crate) fn fig10_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let tree = tree.clone();
             let config = config.clone();
             let run = p.run_spec(&seed_label("Bullet (non-disjoint strategy)", k));
-            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, seed)) as RunTask
+            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed))
+                as RunTask
         })
         .collect();
 
@@ -562,11 +511,6 @@ pub(crate) fn fig10_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 /// Figure 11: Bullet versus push gossip and streaming with anti-entropy
 /// recovery (900 Kbps target, loss-free topology, full membership for the
 /// epidemics).
-pub fn fig11(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(fig11_plan(scale, &sweep), &sweep)
-}
-
 pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let mut p = Params::new(scale, 11);
     p.participants = scale.epidemic_participants();
@@ -599,7 +543,7 @@ pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let config = bullet_cfg.clone();
         let run = p.run_spec(&seed_label("Bullet", k));
         tasks.push(Box::new(move || {
-            bullet_run_on(topo.network(), &tree, &config, &run, seed)
+            bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
         }));
     }
     for (k, &seed) in seeds.iter().enumerate() {
@@ -607,7 +551,7 @@ pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let config = gossip_cfg.clone();
         let run = p.run_spec(&seed_label("Push gossiping", k));
         tasks.push(Box::new(move || {
-            gossip_run_on(topo.network(), 0, &config, &run, seed)
+            gossip_run_on(topo.network(), 0, &config, &run, &NO_SCRIPT, seed)
         }));
     }
     for (k, &seed) in seeds.iter().enumerate() {
@@ -616,7 +560,7 @@ pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let config = ae_cfg.clone();
         let run = p.run_spec(&seed_label("Streaming w/AE", k));
         tasks.push(Box::new(move || {
-            antientropy_run_on(topo.network(), &tree, &config, &run, seed)
+            antientropy_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
         }));
     }
 
@@ -652,16 +596,9 @@ pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 }
 
 /// Figures 13 and 14: bandwidth over time when one of the root's children
-/// (the one with the most descendants) fails mid-run, without (Fig. 13) and
-/// with (Fig. 14) RanSub epoch-timeout failure detection.
-pub fn failure_figure(scale: Scale, ransub_failure_detection: bool) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(
-        failure_figure_plan(scale, &sweep, ransub_failure_detection),
-        &sweep,
-    )
-}
-
+/// (the one with the most descendants) fails mid-run, without (Fig. 13, key
+/// `fig13`) and with (Fig. 14, key `fig14`) RanSub epoch-timeout failure
+/// detection.
 pub(crate) fn failure_figure_plan(
     scale: Scale,
     sweep: &Sweep,
@@ -711,9 +648,8 @@ pub(crate) fn failure_figure_plan(
             let config = config.clone();
             let script = script.clone();
             let run = p.run_spec(&seed_label(label, k));
-            Box::new(move || {
-                bullet_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
-            }) as RunTask
+            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &script, seed))
+                as RunTask
         })
         .collect();
 
@@ -776,24 +712,9 @@ pub(crate) fn failure_figure_plan(
     })
 }
 
-/// Figure 13 (no RanSub failure detection).
-pub fn fig13(scale: Scale) -> FigureResult {
-    failure_figure(scale, false)
-}
-
-/// Figure 14 (RanSub failure detection enabled).
-pub fn fig14(scale: Scale) -> FigureResult {
-    failure_figure(scale, true)
-}
-
 /// Figure 15: the constrained-source experiment standing in for the
 /// PlanetLab deployment — Bullet over a random tree versus streaming over
 /// hand-crafted good and worst trees at a 1.5 Mbps target.
-pub fn fig15(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(fig15_plan(scale, &sweep), &sweep)
-}
-
 pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 15);
     let (regional, remote) = match scale {
@@ -805,7 +726,7 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let source = constrained.source;
     let participants = constrained.spec.participants();
     let access_bps = constrained.access_bps.clone();
-    let net = PreparedSpec::new(constrained.spec);
+    let net = PreparedTopology::new(constrained.spec);
 
     let bullet_tree = Arc::new({
         let mut rng = bullet_netsim::SimRng::new(p.seed ^ 0x7EE);
@@ -820,7 +741,7 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let open_source = open.source;
     let open_participants = open.spec.participants();
     let open_access = open.access_bps.clone();
-    let open_net = PreparedSpec::new(open.spec);
+    let open_net = PreparedTopology::new(open.spec);
     let open_tree = Arc::new({
         let mut rng = bullet_netsim::SimRng::new(p.seed ^ 0x7EE);
         random_tree(open_participants, open_source, 10, &mut rng)
@@ -837,7 +758,7 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let config = bullet_cfg.clone();
         let run = p.run_spec(&seed_label("Bullet", k));
         tasks.push(Box::new(move || {
-            bullet_run_on(net.network(), &tree, &config, &run, seed)
+            bullet_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
         }));
     }
     for (tree, label) in [(good, "Good Tree"), (worst, "Worst Tree")] {
@@ -847,7 +768,7 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let config = stream_cfg.clone();
             let run = p.run_spec(&seed_label(label, k));
             tasks.push(Box::new(move || {
-                streaming_run_on(net.network(), &tree, &config, &run, seed)
+                streaming_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
             }));
         }
     }
@@ -857,7 +778,7 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let config = bullet_cfg.clone();
         let run = p.run_spec(&seed_label("Bullet (unconstrained source)", k));
         tasks.push(Box::new(move || {
-            bullet_run_on(net.network(), &tree, &config, &run, seed)
+            bullet_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
         }));
     }
     for (k, &seed) in seeds.iter().enumerate() {
@@ -866,7 +787,7 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let config = stream_cfg.clone();
         let run = p.run_spec(&seed_label("Good Tree (unconstrained source)", k));
         tasks.push(Box::new(move || {
-            streaming_run_on(net.network(), &tree, &config, &run, seed)
+            streaming_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
         }));
     }
 
@@ -905,11 +826,6 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 
 /// Ablations of Bullet's design choices (not a paper figure): disjoint send
 /// on/off, resemblance-guided peering vs random peering.
-pub fn ablations(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    run_single(ablations_plan(scale, &sweep), &sweep)
-}
-
 pub(crate) fn ablations_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 20);
     let topo = prepare_topology(
@@ -941,7 +857,7 @@ pub(crate) fn ablations_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let config = config.clone();
             let run = p.run_spec(&seed_label(label, k));
             tasks.push(Box::new(move || {
-                bullet_run_on(topo.network(), &tree, &config, &run, seed)
+                bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
             }));
         }
     }
@@ -985,8 +901,8 @@ pub fn quick_bullet_demo(participants: usize, seconds: u64, seed: u64) -> RunRes
         stream_start: SimTime::from_secs(5),
         ..BulletConfig::default()
     };
-    bullet_run(
-        &topo.spec,
+    bullet_run_on(
+        Network::new(&topo.spec),
         &tree,
         &config,
         &RunSpec {
@@ -996,14 +912,9 @@ pub fn quick_bullet_demo(participants: usize, seconds: u64, seed: u64) -> RunRes
             sample_interval: SimDuration::from_secs(2),
             failure: None,
         },
+        &NO_SCRIPT,
         seed,
     )
-}
-
-/// Exposes the underlying network spec of a built topology (used by
-/// examples that want to drive the simulator directly).
-pub fn spec_of(topo: &BuiltTopology) -> &NetworkSpec {
-    &topo.spec
 }
 
 #[cfg(test)]

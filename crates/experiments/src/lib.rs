@@ -3,11 +3,12 @@
 //! Scenario configuration, metric collection and per-figure experiment
 //! runners for the Bullet reproduction.
 //!
-//! Every table and figure of the paper's evaluation (§4) has a function in
-//! [`figures`] that builds the topology and trees the paper describes, runs
-//! the systems under comparison at a configurable [`Scale`], and returns the
-//! same curves and scalar numbers the paper reports. The bench harnesses in
-//! `crates/bench` print these via [`report`].
+//! Every figure of the paper's evaluation (§4) is a plan in [`figures`] or
+//! [`scenarios`] and a key in [`SUITE_PLAN_KEYS`]: [`figure`] builds the
+//! topology and trees the paper describes, runs the systems under
+//! comparison at a configurable [`Scale`], and returns the same curves and
+//! scalar numbers the paper reports. The `figures` bench in `crates/bench`
+//! prints them via [`report`].
 
 #![warn(missing_docs)]
 
@@ -24,25 +25,21 @@ pub mod suite;
 
 pub use env::{
     build_topology, build_tree, constrained_source_topology, prepare_topology, profile_enabled,
-    PreparedSpec, PreparedTopology, TreeKind,
+    PreparedTopology, TreeKind,
 };
 pub use figures::{quick_bullet_demo, FigureResult};
 pub use metrics::{BandwidthSeries, Cdf, RunSummary};
 pub use pool::{RunPool, Sweep};
 pub use protocols::{
-    antientropy_run, antientropy_run_on, bullet_run, bullet_run_on, bullet_run_scenario,
-    bullet_run_scenario_on, bullet_run_scenario_resourced_on, gossip_run, gossip_run_on,
-    streaming_run, streaming_run_on, streaming_run_scenario, streaming_run_scenario_on,
+    antientropy_run_on, bullet_run_on, bullet_run_resourced_on, gossip_run_on, streaming_run_on,
 };
 pub use runner::{
-    run_metered, run_metered_dynamic, run_metered_dynamic_with, run_metered_with, Delivery,
-    MeteredAgent, RunResult, RunSpec, RunTelemetry, TelemetryConfig,
+    run_metered, run_metered_dynamic, run_metered_dynamic_with, run_metered_with, MeteredAgent,
+    RunResult, RunSpec, RunTelemetry, TelemetryConfig,
 };
 pub use scale::Scale;
 pub use scenarios::{
-    access_link_of, adversary_figure, churn_figure, flash_crowd_figure,
-    oscillating_bottleneck_figure, overload_figure, overload_figure_knobs, partition_figure,
-    recovery_figure, sustained_crash_script, ADVERSARY_CORRUPT_CHANCE, ADVERSARY_FRACTIONS,
-    OVERLOAD_NODE_RESOURCES, OVERLOAD_SLOW_FACTOR, RECOVERY_CRASH_EVERY_SECS,
+    access_link_of, overload_figure_knobs, sustained_crash_script, ADVERSARY_CORRUPT_CHANCE,
+    ADVERSARY_FRACTIONS, OVERLOAD_NODE_RESOURCES, OVERLOAD_SLOW_FACTOR, RECOVERY_CRASH_EVERY_SECS,
 };
-pub use suite::{figure_suite, figure_suite_subset, render_suite, SUITE_PLAN_KEYS};
+pub use suite::{figure, figure_suite, figure_suite_subset, render_suite, SUITE_PLAN_KEYS};

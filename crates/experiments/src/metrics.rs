@@ -1,5 +1,7 @@
 //! Series and summary statistics for experiment results.
 
+use bullet_core::BulletMetrics;
+
 /// `numerator / denominator`, or `0.0` when the denominator is zero — the
 /// guard every summary ratio shares so a degenerate run (no packets, no
 /// duplicates) folds to zero instead of NaN.
@@ -139,10 +141,11 @@ pub struct RunSummary {
     pub link_stress_max: u64,
     /// Fraction of the generated stream the median node received.
     pub median_delivery_fraction: f64,
-    /// Total orphan detections across nodes (§4.6 recovery subsystem;
-    /// zero for baselines and recovery-off runs).
-    pub orphan_detections: u64,
-    /// Total completed orphan re-attaches across nodes.
+    /// Total completed orphan re-attaches across nodes. The one counter
+    /// mirrored out of [`RunSummary::totals`]: `perf/src/workloads.rs`
+    /// reads `summary.reattaches`, and a product PR may not edit `perf/`.
+    /// The next `benchmark` PR reads `totals.reattaches` there, then this
+    /// field goes (as with `Network::set_repair_mode`).
     pub reattaches: u64,
     /// Mean seconds from orphan detection to re-attach acceptance (zero
     /// when nothing re-attached).
@@ -150,13 +153,6 @@ pub struct RunSummary {
     /// Median across re-attached nodes of their mean detection-to-accept
     /// time, seconds (the §4.6 acceptance number).
     pub median_reattach_secs: f64,
-    /// Total useful packets that arrived from the mesh while their
-    /// receiver was orphaned — the window the mesh bridged.
-    pub orphan_window_packets: u64,
-    /// Total control RPCs re-sent after a timeout.
-    pub control_retries: u64,
-    /// Total peers evicted for silence that were later heard from again.
-    pub false_positive_evictions: u64,
     /// Route-affecting topology mutations the run applied (epoch bumps);
     /// zero for static-topology runs.
     pub route_mutations: u64,
@@ -166,16 +162,12 @@ pub struct RunSummary {
     /// check failures; zero when mutations only worsened links or the
     /// tables were already consistent).
     pub landmark_repairs: u64,
-    /// Total data packets whose carried digest was checked against the
-    /// sealed block digest (zero for baselines, which carry no digests).
-    pub blocks_verified: u64,
-    /// Total corrupted blocks rejected on receive (integrity layer on).
-    pub corrupt_blocks_rejected: u64,
-    /// Total corrupted blocks accepted into working sets (integrity layer
-    /// off — how far tampering propagates undefended).
-    pub corrupt_blocks_accepted: u64,
-    /// Total peers quarantined for misbehavior.
-    pub quarantines: u64,
+    /// Every per-node counter folded over the overlay
+    /// ([`BulletMetrics::absorb`]: sums, and the maximum of
+    /// `peak_inbox_depth`): read a layer counter as
+    /// `summary.totals.quarantines`. The baselines keep only the delivery
+    /// core, so their layer counters are zero.
+    pub totals: BulletMetrics,
     /// Steady-state goodput credited only to receivers whose working set
     /// accepted zero tampered blocks, Kbps (`steady_useful_kbps` scaled by
     /// the clean-receiver fraction — one accepted forgery poisons that
@@ -183,22 +175,6 @@ pub struct RunSummary {
     /// every working set stayed clean; the defense-on/off comparison in
     /// the adversary figure is a ratio of these.
     pub clean_goodput_kbps: f64,
-    /// Total control messages shed at bounded inboxes (overload layer on;
-    /// zero otherwise).
-    pub inbox_sheds: u64,
-    /// Total join requests answered with a deferral instead of an
-    /// immediate accept/reject (overload layer on).
-    pub joins_deferred: u64,
-    /// Total deferred joins later admitted after their backoff.
-    pub joins_admitted_after_defer: u64,
-    /// Deepest per-node inbox backlog observed within any one-second
-    /// window, across the overlay (populated whether or not the overload
-    /// layer bounds it).
-    pub peak_inbox_depth: u64,
-    /// Total working-set blocks evicted by the memory budget.
-    pub working_set_evictions: u64,
-    /// Total receivers demoted for sustained slowness.
-    pub slow_demotions: u64,
     /// Messages shed at simulated ingress queues (the netsim
     /// `NodeResources` model; zero when no resource model is installed).
     pub ingress_sheds: u64,

@@ -1,46 +1,41 @@
-//! Thin wrappers that assemble a simulator for each protocol under test and
-//! hand it to the generic metered runner.
+//! One constructor per protocol under test: each builds that protocol's
+//! agents over an already-constructed network — in the parallel harness a
+//! cheap per-run view over a shared setup (see
+//! [`crate::env::PreparedTopology`]); from scratch, `Network::new(spec)` —
+//! and hands them to the one metered runner. A static run passes an empty
+//! [`ScenarioScript`].
 
 use bullet_baselines::{
     AntiEntropyConfig, AntiEntropyNode, GossipConfig, GossipNode, StreamConfig, StreamingNode,
 };
 use bullet_core::{BulletConfig, BulletNode};
 use bullet_dynamics::ScenarioScript;
-use bullet_netsim::{Network, NetworkSpec, NodeResources, OverlayId, Sim};
+use bullet_netsim::{Network, NodeResources, OverlayId, Sim};
 use bullet_overlay::Tree;
 
-use crate::runner::{run_metered, run_metered_dynamic, RunResult, RunSpec};
+use crate::runner::{run_metered_dynamic, MeteredAgent, RunResult, RunSpec};
 
-/// Runs Bullet over `tree` on an already-constructed network — the
-/// parallel-harness entry point, where the network is a cheap per-run view
-/// over a shared setup (see [`crate::env::PreparedTopology`]).
-pub fn bullet_run_on(
+/// The body every constructor below shares: one agent per participant, the
+/// simulator, the optional per-node resource models, the metered run.
+fn run_on<A: MeteredAgent>(
     network: Network,
-    tree: &Tree,
-    config: &BulletConfig,
+    agent: impl FnMut(OverlayId) -> A,
     run: &RunSpec,
+    script: &ScenarioScript,
+    resources: &[(OverlayId, NodeResources)],
     seed: u64,
 ) -> RunResult {
-    let agents: Vec<BulletNode> = (0..network.participants())
-        .map(|i| BulletNode::new(i, tree, config.clone()))
-        .collect();
-    let sim = Sim::with_network(network, agents, seed);
-    run_metered(sim, run)
+    let agents: Vec<A> = (0..network.participants()).map(agent).collect();
+    let mut sim = Sim::with_network(network, agents, seed);
+    for &(node, model) in resources {
+        sim.set_node_resources(node, model);
+    }
+    run_metered_dynamic(sim, run, script)
 }
 
-/// Runs Bullet over `tree` on the given physical network.
-pub fn bullet_run(
-    spec: &NetworkSpec,
-    tree: &Tree,
-    config: &BulletConfig,
-    run: &RunSpec,
-    seed: u64,
-) -> RunResult {
-    bullet_run_on(Network::new(spec), tree, config, run, seed)
-}
-
-/// [`bullet_run_scenario`] on an already-constructed network.
-pub fn bullet_run_scenario_on(
+/// Runs Bullet over `tree` under `script` (churn, flash crowds, link
+/// dynamics; empty for a static run).
+pub fn bullet_run_on(
     network: Network,
     tree: &Tree,
     config: &BulletConfig,
@@ -48,20 +43,16 @@ pub fn bullet_run_scenario_on(
     script: &ScenarioScript,
     seed: u64,
 ) -> RunResult {
-    let agents: Vec<BulletNode> = (0..network.participants())
-        .map(|i| BulletNode::new(i, tree, config.clone()))
-        .collect();
-    let sim = Sim::with_network(network, agents, seed);
-    run_metered_dynamic(sim, run, script)
+    bullet_run_resourced_on(network, tree, config, run, script, &[], seed)
 }
 
-/// [`bullet_run_scenario_on`] with a deterministic per-node resource model
+/// [`bullet_run_on`] with a deterministic per-node resource model
 /// installed before the run: each `(node, model)` pair bounds that node's
 /// simulated ingress queue (see [`bullet_netsim::NodeResources`]). The
 /// overload figure gives *both* of its arms the same finite per-node
 /// capacity this way, so an unbounded application-level queue discipline
 /// has a measurable cost instead of free infinite buffering.
-pub fn bullet_run_scenario_resourced_on(
+pub fn bullet_run_resourced_on(
     network: Network,
     tree: &Tree,
     config: &BulletConfig,
@@ -70,142 +61,56 @@ pub fn bullet_run_scenario_resourced_on(
     resources: &[(OverlayId, NodeResources)],
     seed: u64,
 ) -> RunResult {
-    let agents: Vec<BulletNode> = (0..network.participants())
-        .map(|i| BulletNode::new(i, tree, config.clone()))
-        .collect();
-    let mut sim = Sim::with_network(network, agents, seed);
-    for &(node, model) in resources {
-        sim.set_node_resources(node, model);
-    }
-    run_metered_dynamic(sim, run, script)
+    let agent = |i| BulletNode::new(i, tree, config.clone());
+    run_on(network, agent, run, script, resources, seed)
 }
 
-/// Runs Bullet over `tree` under a scenario script (churn, flash crowds,
-/// link dynamics). Identical to [`bullet_run`] when the script is empty.
-pub fn bullet_run_scenario(
-    spec: &NetworkSpec,
-    tree: &Tree,
-    config: &BulletConfig,
-    run: &RunSpec,
-    script: &ScenarioScript,
-    seed: u64,
-) -> RunResult {
-    bullet_run_scenario_on(Network::new(spec), tree, config, run, script, seed)
-}
-
-/// [`streaming_run_scenario`] on an already-constructed network.
-pub fn streaming_run_scenario_on(
-    network: Network,
-    tree: &Tree,
-    config: &StreamConfig,
-    run: &RunSpec,
-    script: &ScenarioScript,
-    seed: u64,
-) -> RunResult {
-    let agents: Vec<StreamingNode> = (0..network.participants())
-        .map(|i| StreamingNode::new(i, tree, config.clone()))
-        .collect();
-    let sim = Sim::with_network(network, agents, seed);
-    run_metered_dynamic(sim, run, script)
-}
-
-/// Runs tree streaming over `tree` under a scenario script (the baselines
-/// use the default no-op lifecycle hooks; link dynamics apply in full).
-pub fn streaming_run_scenario(
-    spec: &NetworkSpec,
-    tree: &Tree,
-    config: &StreamConfig,
-    run: &RunSpec,
-    script: &ScenarioScript,
-    seed: u64,
-) -> RunResult {
-    streaming_run_scenario_on(Network::new(spec), tree, config, run, script, seed)
-}
-
-/// [`streaming_run`] on an already-constructed network.
+/// Runs tree streaming over `tree` under `script` (the baselines use the
+/// default no-op lifecycle hooks; link dynamics apply in full).
 pub fn streaming_run_on(
     network: Network,
     tree: &Tree,
     config: &StreamConfig,
     run: &RunSpec,
+    script: &ScenarioScript,
     seed: u64,
 ) -> RunResult {
-    let agents: Vec<StreamingNode> = (0..network.participants())
-        .map(|i| StreamingNode::new(i, tree, config.clone()))
-        .collect();
-    let sim = Sim::with_network(network, agents, seed);
-    run_metered(sim, run)
+    let agent = |i| StreamingNode::new(i, tree, config.clone());
+    run_on(network, agent, run, script, &[], seed)
 }
 
-/// Runs tree streaming over `tree`.
-pub fn streaming_run(
-    spec: &NetworkSpec,
-    tree: &Tree,
-    config: &StreamConfig,
-    run: &RunSpec,
-    seed: u64,
-) -> RunResult {
-    streaming_run_on(Network::new(spec), tree, config, run, seed)
-}
-
-/// [`gossip_run`] on an already-constructed network.
+/// Runs push gossip with full membership and the given source.
 pub fn gossip_run_on(
     network: Network,
     source: OverlayId,
     config: &GossipConfig,
     run: &RunSpec,
+    script: &ScenarioScript,
     seed: u64,
 ) -> RunResult {
     let n = network.participants();
-    let agents: Vec<GossipNode> = (0..n)
-        .map(|i| GossipNode::new(i, source, n, config.clone()))
-        .collect();
-    let sim = Sim::with_network(network, agents, seed);
-    run_metered(sim, run)
+    let agent = |i| GossipNode::new(i, source, n, config.clone());
+    run_on(network, agent, run, script, &[], seed)
 }
 
-/// Runs push gossip with full membership and the given source.
-pub fn gossip_run(
-    spec: &NetworkSpec,
-    source: OverlayId,
-    config: &GossipConfig,
-    run: &RunSpec,
-    seed: u64,
-) -> RunResult {
-    gossip_run_on(Network::new(spec), source, config, run, seed)
-}
-
-/// [`antientropy_run`] on an already-constructed network.
+/// Runs tree streaming with anti-entropy recovery over `tree`.
 pub fn antientropy_run_on(
     network: Network,
     tree: &Tree,
     config: &AntiEntropyConfig,
     run: &RunSpec,
+    script: &ScenarioScript,
     seed: u64,
 ) -> RunResult {
     let n = network.participants();
-    let agents: Vec<AntiEntropyNode> = (0..n)
-        .map(|i| AntiEntropyNode::new(i, tree, n, config.clone()))
-        .collect();
-    let sim = Sim::with_network(network, agents, seed);
-    run_metered(sim, run)
-}
-
-/// Runs tree streaming with anti-entropy recovery over `tree`.
-pub fn antientropy_run(
-    spec: &NetworkSpec,
-    tree: &Tree,
-    config: &AntiEntropyConfig,
-    run: &RunSpec,
-    seed: u64,
-) -> RunResult {
-    antientropy_run_on(Network::new(spec), tree, config, run, seed)
+    let agent = |i| AntiEntropyNode::new(i, tree, n, config.clone());
+    run_on(network, agent, run, script, &[], seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bullet_netsim::{LinkSpec, SimDuration, SimRng, SimTime};
+    use bullet_netsim::{LinkSpec, NetworkSpec, SimDuration, SimRng, SimTime};
     use bullet_overlay::random_tree;
 
     fn hub(n: usize, access_bps: f64) -> NetworkSpec {
@@ -238,6 +143,7 @@ mod tests {
         let mut rng = SimRng::new(1);
         let tree = random_tree(10, 0, 3, &mut rng);
         let run = quick_spec("wrapper", 30);
+        let (net, still) = (|| Network::new(&spec), ScenarioScript::new());
 
         let bullet_cfg = BulletConfig {
             stream_rate_bps: 300_000.0,
@@ -245,7 +151,7 @@ mod tests {
             ransub_epoch: SimDuration::from_secs(2),
             ..BulletConfig::default()
         };
-        let bullet = bullet_run(&spec, &tree, &bullet_cfg, &run, 1);
+        let bullet = bullet_run_on(net(), &tree, &bullet_cfg, &run, &still, 1);
         assert!(bullet.steady_state_kbps() > 100.0);
 
         let stream_cfg = StreamConfig {
@@ -253,7 +159,7 @@ mod tests {
             stream_start: SimTime::from_secs(2),
             ..StreamConfig::default()
         };
-        let streaming = streaming_run(&spec, &tree, &stream_cfg, &run, 1);
+        let streaming = streaming_run_on(net(), &tree, &stream_cfg, &run, &still, 1);
         assert!(streaming.steady_state_kbps() > 100.0);
 
         let gossip_cfg = GossipConfig {
@@ -261,7 +167,7 @@ mod tests {
             stream_start: SimTime::from_secs(2),
             ..GossipConfig::default()
         };
-        let gossip = gossip_run(&spec, 0, &gossip_cfg, &run, 1);
+        let gossip = gossip_run_on(net(), 0, &gossip_cfg, &run, &still, 1);
         assert!(gossip.summary.steady_raw_kbps > 50.0);
 
         let ae_cfg = AntiEntropyConfig {
@@ -270,7 +176,7 @@ mod tests {
             epoch: SimDuration::from_secs(5),
             ..AntiEntropyConfig::default()
         };
-        let ae = antientropy_run(&spec, &tree, &ae_cfg, &run, 1);
+        let ae = antientropy_run_on(net(), &tree, &ae_cfg, &run, &still, 1);
         assert!(ae.steady_state_kbps() > 100.0);
     }
 }

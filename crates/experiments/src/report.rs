@@ -8,7 +8,7 @@ use crate::figures::FigureResult;
 use crate::metrics::Cdf;
 
 /// Renders a figure result: title, a time-indexed table with one column per
-/// curve, the scalar summaries and the notes.
+/// curve, the scalar summaries, the notes and, for a CDF figure, its table.
 pub fn render_figure(figure: &FigureResult) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {} — {} ==\n", figure.id, figure.title));
@@ -62,6 +62,12 @@ pub fn render_figure(figure: &FigureResult) -> String {
         for note in &figure.notes {
             out.push_str(&format!("  - {note}\n"));
         }
+    }
+    if let Some(cdf) = &figure.cdf {
+        out.push_str(&render_cdf(
+            "CDF of per-node instantaneous bandwidth (Kbps)",
+            cdf,
+        ));
     }
     out
 }

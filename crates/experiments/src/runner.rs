@@ -16,135 +16,52 @@
 //! self-profile.
 
 use bullet_baselines::{AntiEntropyNode, GossipNode, StreamingNode};
-use bullet_core::BulletNode;
+use bullet_core::{BulletMetrics, BulletNode};
 use bullet_dynamics::{ScenarioAgent, ScenarioDriver, ScenarioScript};
 use bullet_netsim::telemetry::{
-    block_journeys, journeys_to_jsonl, ChannelId, MetricsHub, SelfProfile, TraceSpec,
+    block_journeys, journeys_to_jsonl, ChannelId, DeliveryCounters, MetricsHub, SelfProfile,
+    TraceSpec,
 };
-use bullet_netsim::{Agent, OverlayId, RoutingStats, Sim, SimDuration, SimTime};
+use bullet_netsim::{OverlayId, RoutingStats, Sim, SimDuration, SimTime};
 
 use crate::metrics::{
     mean_secs_from_us, median_or_zero, ratio_or_zero, BandwidthSeries, Cdf, RunSummary,
 };
 
-/// A snapshot of one node's cumulative delivery counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Delivery {
-    /// Bytes received for the first time.
-    pub useful_bytes: u64,
-    /// First-delivery bytes that also arrived within the protocol's
-    /// playout freshness deadline of their generation (timely goodput;
-    /// equals `useful_bytes` for protocols that do not track block age).
-    pub fresh_bytes: u64,
-    /// Bytes received in total (including duplicates).
-    pub raw_bytes: u64,
-    /// Bytes received from the tree parent.
-    pub from_parent_bytes: u64,
-    /// Duplicate packets received.
-    pub duplicate_packets: u64,
-    /// Duplicates that arrived from the tree parent.
-    pub duplicate_from_parent: u64,
-    /// Total data packets received.
-    pub total_packets: u64,
-    /// Distinct sequence numbers received.
-    pub useful_packets: u64,
-    /// Packets generated (source only).
-    pub packets_generated: u64,
-    /// Orphan detections (§4.6 recovery; zero for baselines).
-    pub orphan_detections: u64,
-    /// Completed orphan re-attaches.
-    pub reattaches: u64,
-    /// Cumulative microseconds between orphan detection and re-attach.
-    pub reattach_wait_us: u64,
-    /// Useful packets received from the mesh while orphaned.
-    pub orphan_window_packets: u64,
-    /// Control RPCs re-sent after a timeout.
-    pub control_retries: u64,
-    /// Silence-evicted peers later heard from again.
-    pub false_positive_evictions: u64,
-    /// Data packets whose carried digest was checked (zero for baselines).
-    pub blocks_verified: u64,
-    /// Corrupted blocks rejected on receive (integrity layer on).
-    pub corrupt_blocks_rejected: u64,
-    /// Corrupted blocks accepted into the working set (integrity layer off).
-    pub corrupt_blocks_accepted: u64,
-    /// Peers quarantined for misbehavior.
-    pub quarantines: u64,
-    /// Control messages shed at the bounded inbox (overload layer on).
-    pub inbox_sheds: u64,
-    /// Join requests answered with a deferral (overload layer on).
-    pub joins_deferred: u64,
-    /// Deferred joins later admitted after backoff.
-    pub joins_admitted_after_defer: u64,
-    /// Deepest one-second inbox backlog observed at this node.
-    pub peak_inbox_depth: u64,
-    /// Working-set blocks evicted by the memory budget.
-    pub working_set_evictions: u64,
-    /// Receivers demoted for sustained slowness.
-    pub slow_demotions: u64,
-}
+/// A protocol agent whose delivery progress the runner can observe. Every
+/// metered run goes through the scenario driver (a static run is an empty
+/// script), hence the [`ScenarioAgent`] bound.
+pub trait MeteredAgent: ScenarioAgent {
+    /// The node's cumulative delivery counters — the core every protocol
+    /// keeps, sampled once per node per interval.
+    fn delivery(&self) -> DeliveryCounters;
 
-/// A protocol agent whose delivery progress the runner can observe.
-pub trait MeteredAgent: Agent {
-    /// Returns the node's cumulative delivery counters.
-    fn delivery(&self) -> Delivery;
+    /// Everything the node counts, read once at the end of the run. The
+    /// baselines keep only the delivery core; Bullet hands out its layer
+    /// counters with it.
+    fn counters(&self) -> BulletMetrics {
+        BulletMetrics {
+            delivery: self.delivery(),
+            ..BulletMetrics::default()
+        }
+    }
 }
 
 impl MeteredAgent for BulletNode {
-    fn delivery(&self) -> Delivery {
-        let m = &self.metrics;
-        let d = &m.delivery;
-        Delivery {
-            useful_bytes: d.useful_bytes,
-            fresh_bytes: d.fresh_bytes,
-            raw_bytes: d.raw_bytes,
-            from_parent_bytes: d.from_parent_bytes,
-            duplicate_packets: d.duplicate_packets,
-            duplicate_from_parent: d.duplicate_from_parent,
-            total_packets: d.total_packets,
-            useful_packets: d.useful_packets,
-            packets_generated: d.packets_generated,
-            orphan_detections: m.orphan_detections,
-            reattaches: m.reattaches,
-            reattach_wait_us: m.reattach_wait_us,
-            orphan_window_packets: m.orphan_window_packets,
-            control_retries: m.control_retries,
-            false_positive_evictions: m.false_positive_evictions,
-            blocks_verified: m.blocks_verified,
-            corrupt_blocks_rejected: m.corrupt_blocks_rejected,
-            corrupt_blocks_accepted: m.corrupt_blocks_accepted,
-            quarantines: m.quarantines,
-            inbox_sheds: m.inbox_sheds,
-            joins_deferred: m.joins_deferred,
-            joins_admitted_after_defer: m.joins_admitted_after_defer,
-            peak_inbox_depth: m.peak_inbox_depth,
-            working_set_evictions: m.working_set_evictions,
-            slow_demotions: m.slow_demotions,
-        }
+    fn delivery(&self) -> DeliveryCounters {
+        self.metrics.delivery
+    }
+
+    fn counters(&self) -> BulletMetrics {
+        self.metrics
     }
 }
 
 macro_rules! impl_metered_for_baseline {
     ($ty:ty) => {
         impl MeteredAgent for $ty {
-            fn delivery(&self) -> Delivery {
-                let m = &self.metrics;
-                Delivery {
-                    useful_bytes: m.useful_bytes,
-                    fresh_bytes: m.fresh_bytes,
-                    raw_bytes: m.raw_bytes,
-                    from_parent_bytes: m.from_parent_bytes,
-                    duplicate_packets: m.duplicate_packets,
-                    // The shared counters now track parent duplicates for
-                    // the baselines too, but the historical harness never
-                    // surfaced them; keep reporting zero so baseline
-                    // summaries stay byte-identical.
-                    duplicate_from_parent: 0,
-                    total_packets: m.total_packets,
-                    useful_packets: m.useful_packets,
-                    packets_generated: m.packets_generated,
-                    ..Delivery::default()
-                }
+            fn delivery(&self) -> DeliveryCounters {
+                self.metrics
             }
         }
     };
@@ -293,8 +210,7 @@ pub struct RunSpec {
     pub failure: Option<(SimTime, OverlayId)>,
 }
 
-/// The sampling state of one metered run, shared between the static
-/// ([`run_metered`]) and scenario-driven ([`run_metered_dynamic`]) drivers.
+/// The sampling state of one metered run.
 struct Meter {
     n: usize,
     times: Vec<f64>,
@@ -397,48 +313,27 @@ impl Meter {
             })
         };
 
-        let mut total_dups = 0u64;
-        let mut total_parent_dups = 0u64;
-        let mut total_packets = 0u64;
+        let mut totals = BulletMetrics::default();
         let mut delivery_fractions: Vec<f64> = Vec::new();
         let generated = sim.agent(spec.source).delivery().packets_generated;
         let mut control_bytes = 0u64;
-        let mut recovery = Delivery::default();
         let mut node_reattach_secs: Vec<f64> = Vec::new();
         let mut receivers = 0u64;
         let mut poisoned_receivers = 0u64;
         for node in 0..n {
-            let d = sim.agent(node).delivery();
-            if d.reattaches > 0 {
-                node_reattach_secs.push(mean_secs_from_us(d.reattach_wait_us, d.reattaches));
+            let m = sim.agent(node).counters();
+            totals.absorb(&m);
+            if m.reattaches > 0 {
+                node_reattach_secs.push(mean_secs_from_us(m.reattach_wait_us, m.reattaches));
             }
-            total_dups += d.duplicate_packets;
-            total_parent_dups += d.duplicate_from_parent;
-            total_packets += d.total_packets;
             control_bytes += sim.traffic(node).control_bytes_in;
-            recovery.orphan_detections += d.orphan_detections;
-            recovery.reattaches += d.reattaches;
-            recovery.reattach_wait_us += d.reattach_wait_us;
-            recovery.orphan_window_packets += d.orphan_window_packets;
-            recovery.control_retries += d.control_retries;
-            recovery.false_positive_evictions += d.false_positive_evictions;
-            recovery.blocks_verified += d.blocks_verified;
-            recovery.corrupt_blocks_rejected += d.corrupt_blocks_rejected;
-            recovery.corrupt_blocks_accepted += d.corrupt_blocks_accepted;
-            recovery.quarantines += d.quarantines;
-            recovery.inbox_sheds += d.inbox_sheds;
-            recovery.joins_deferred += d.joins_deferred;
-            recovery.joins_admitted_after_defer += d.joins_admitted_after_defer;
-            recovery.peak_inbox_depth = recovery.peak_inbox_depth.max(d.peak_inbox_depth);
-            recovery.working_set_evictions += d.working_set_evictions;
-            recovery.slow_demotions += d.slow_demotions;
             if node != spec.source {
                 receivers += 1;
-                if d.corrupt_blocks_accepted > 0 {
+                if m.corrupt_blocks_accepted > 0 {
                     poisoned_receivers += 1;
                 }
                 if generated > 0 {
-                    delivery_fractions.push(d.useful_packets as f64 / generated as f64);
+                    delivery_fractions.push(m.delivery.useful_packets as f64 / generated as f64);
                 }
             }
         }
@@ -449,35 +344,22 @@ impl Meter {
         let summary = RunSummary {
             steady_useful_kbps: self.useful.steady_state_kbps(0.25),
             steady_raw_kbps: self.raw.steady_state_kbps(0.25),
-            duplicate_fraction: ratio_or_zero(total_dups as f64, total_packets as f64),
+            duplicate_fraction: totals.duplicate_fraction(),
             parent_relay_duplicate_share: ratio_or_zero(
-                total_parent_dups as f64,
-                total_dups as f64,
+                totals.delivery.duplicate_from_parent as f64,
+                totals.delivery.duplicate_packets as f64,
             ),
             control_overhead_kbps: control_bytes as f64 * 8.0 / duration_secs / 1_000.0 / n as f64,
             link_stress_mean: stress.mean,
             link_stress_max: stress.max,
             median_delivery_fraction: median_or_zero(delivery_fractions),
-            orphan_detections: recovery.orphan_detections,
-            reattaches: recovery.reattaches,
-            mean_reattach_secs: mean_secs_from_us(recovery.reattach_wait_us, recovery.reattaches),
+            reattaches: totals.reattaches,
+            mean_reattach_secs: mean_secs_from_us(totals.reattach_wait_us, totals.reattaches),
             median_reattach_secs: median_or_zero(node_reattach_secs),
-            orphan_window_packets: recovery.orphan_window_packets,
-            control_retries: recovery.control_retries,
-            false_positive_evictions: recovery.false_positive_evictions,
             route_mutations: repair.route_mutations,
             routes_invalidated: repair.routes_invalidated,
             landmark_repairs: repair.landmark_repairs,
-            blocks_verified: recovery.blocks_verified,
-            corrupt_blocks_rejected: recovery.corrupt_blocks_rejected,
-            corrupt_blocks_accepted: recovery.corrupt_blocks_accepted,
-            quarantines: recovery.quarantines,
-            inbox_sheds: recovery.inbox_sheds,
-            joins_deferred: recovery.joins_deferred,
-            joins_admitted_after_defer: recovery.joins_admitted_after_defer,
-            peak_inbox_depth: recovery.peak_inbox_depth,
-            working_set_evictions: recovery.working_set_evictions,
-            slow_demotions: recovery.slow_demotions,
+            totals,
             ingress_sheds: ingress.dropped,
             ingress_peak_depth: ingress.peak_depth as u64,
             clean_goodput_kbps: {
@@ -524,27 +406,15 @@ pub fn run_metered<A: MeteredAgent>(sim: Sim<A>, spec: &RunSpec) -> RunResult {
 }
 
 /// [`run_metered`] with explicit telemetry switches (the environment is
-/// not consulted — tests use this to avoid racy env mutation).
+/// not consulted — tests use this to avoid racy env mutation). A static
+/// run is a scenario run with an empty script: with nothing to step,
+/// `ScenarioDriver::run_sampled` is `Sim::run_sampled` line for line.
 pub fn run_metered_with<A: MeteredAgent>(
-    mut sim: Sim<A>,
+    sim: Sim<A>,
     spec: &RunSpec,
     telemetry: &TelemetryConfig,
 ) -> RunResult {
-    if let Some(trace) = &telemetry.trace {
-        sim.install_recorder(trace);
-    }
-    if telemetry.profile {
-        sim.enable_profiling();
-    }
-    if let Some((at, node)) = spec.failure {
-        sim.schedule_failure(at, node);
-    }
-    let mut meter = Meter::new(sim.agents().len(), spec);
-    let end = SimTime::ZERO + spec.duration;
-    let started = std::time::Instant::now();
-    sim.run_sampled(end, spec.sample_interval, |now, sim| meter.sample(now, sim));
-    let wall_secs = started.elapsed().as_secs_f64();
-    meter.finish(&mut sim, spec, telemetry, wall_secs, 0.0)
+    run_metered_dynamic_with(sim, spec, &ScenarioScript::new(), telemetry)
 }
 
 /// Runs the simulation under a [`ScenarioScript`], sampling exactly like
@@ -555,23 +425,22 @@ pub fn run_metered_with<A: MeteredAgent>(
 /// one-crash script reproduces the legacy failure injection event for
 /// event. Lifecycle and link events apply between event-loop steps at
 /// their scripted instants.
-pub fn run_metered_dynamic<A>(sim: Sim<A>, spec: &RunSpec, script: &ScenarioScript) -> RunResult
-where
-    A: MeteredAgent + ScenarioAgent,
-{
+pub fn run_metered_dynamic<A: MeteredAgent>(
+    sim: Sim<A>,
+    spec: &RunSpec,
+    script: &ScenarioScript,
+) -> RunResult {
     run_metered_dynamic_with(sim, spec, script, &TelemetryConfig::from_env())
 }
 
-/// [`run_metered_dynamic`] with explicit telemetry switches.
-pub fn run_metered_dynamic_with<A>(
+/// [`run_metered_dynamic`] with explicit telemetry switches — the one
+/// runner body every metered run ends in.
+pub fn run_metered_dynamic_with<A: MeteredAgent>(
     mut sim: Sim<A>,
     spec: &RunSpec,
     script: &ScenarioScript,
     telemetry: &TelemetryConfig,
-) -> RunResult
-where
-    A: MeteredAgent + ScenarioAgent,
-{
+) -> RunResult {
     if let Some(trace) = &telemetry.trace {
         sim.install_recorder(trace);
     }

@@ -7,8 +7,8 @@
 //! `bullet-dynamics` scenario engine. Each follows the same
 //! [`FigureResult`] conventions as the paper figures (including the
 //! parallel run-grid execution and `BULLET_SEEDS` sweeps; see the
-//! [`crate::figures`] module docs), so the report printers and bench
-//! harnesses consume them unchanged. Extra sweep seeds re-generate the
+//! [`crate::figures`] module docs), so the report printers and the
+//! `figures` bench consume them unchanged. Extra sweep seeds re-generate the
 //! scenario scripts under the per-seed RNG, so a multi-seed churn figure
 //! samples genuinely different churn event sequences, not just different
 //! protocol RNG draws.
@@ -23,11 +23,11 @@ use bullet_netsim::{
 use bullet_topology::{BandwidthProfile, LossProfile};
 
 use crate::env::{prepare_topology, TreeKind};
-use crate::figures::{chunked, push_seed_spread_notes, FigurePlan, FigureResult, Params, RunTask};
-use crate::pool::{seed_label, Sweep};
-use crate::protocols::{
-    bullet_run_scenario_on, bullet_run_scenario_resourced_on, streaming_run_scenario_on,
+use crate::figures::{
+    chunked, push_seed_spread_notes, FigurePlan, FigureResult, Params, RunTask, NO_SCRIPT,
 };
+use crate::pool::{seed_label, Sweep};
+use crate::protocols::{bullet_run_on, bullet_run_resourced_on, streaming_run_on};
 use crate::runner::RunResult;
 use crate::scale::Scale;
 
@@ -55,12 +55,6 @@ pub fn access_link_of(spec: &NetworkSpec, node: OverlayId) -> usize {
 /// averages a quarter of the session time. The Bullet configuration uses
 /// the churn profile (dead senders evicted after two idle evaluation
 /// windows) so reconciliation rows are restriped off crashed peers.
-pub fn churn_figure(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    let mut figures = churn_plan(scale, &sweep).run(sweep.pool());
-    figures.remove(0)
-}
-
 pub(crate) fn churn_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 31);
     let topo = prepare_topology(
@@ -81,14 +75,7 @@ pub(crate) fn churn_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let config = config.clone();
         let run = p.run_spec(&seed_label("Bullet - no churn", k));
         tasks.push(Box::new(move || {
-            bullet_run_scenario_on(
-                topo.network(),
-                &tree,
-                &config,
-                &run,
-                &ScenarioScript::new(),
-                seed,
-            )
+            bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
         }));
     }
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
@@ -115,7 +102,7 @@ pub(crate) fn churn_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let config = config.clone();
             let run = p.run_spec(&seed_label(&label, k));
             tasks.push(Box::new(move || {
-                bullet_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
+                bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
             }));
         }
         sweep_points.push((mean_session, script_lens));
@@ -153,12 +140,6 @@ pub(crate) fn churn_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 /// Flash crowd: 60% of the overlay starts the run down and joins over a
 /// short ramp mid-stream. The figure tracks the bandwidth dip while the
 /// crowd bootstraps and its recovery as the mesh absorbs the joiners.
-pub fn flash_crowd_figure(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    let mut figures = flash_crowd_plan(scale, &sweep).run(sweep.pool());
-    figures.remove(0)
-}
-
 pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 32);
     let topo = prepare_topology(
@@ -192,9 +173,8 @@ pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let tree = tree.clone();
             let config = config.clone();
             let run = p.run_spec(&seed_label("Bullet - flash crowd", k));
-            Box::new(move || {
-                bullet_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
-            }) as RunTask
+            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &script, seed))
+                as RunTask
         })
         .collect();
 
@@ -263,12 +243,6 @@ fn crowd_catch_up_secs(result: &RunResult, crowd: &[OverlayId], after_secs: f64)
 /// TFRC streaming over the *same* tree under the same oscillation: the
 /// tree loses the whole subtree during every trough, while the mesh routes
 /// recovery traffic around the throttled uplink.
-pub fn oscillating_bottleneck_figure(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    let mut figures = oscillating_bottleneck_plan(scale, &sweep).run(sweep.pool());
-    figures.remove(0)
-}
-
 pub(crate) fn oscillating_bottleneck_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 33);
     let topo = prepare_topology(
@@ -310,7 +284,7 @@ pub(crate) fn oscillating_bottleneck_plan(scale: Scale, sweep: &Sweep) -> Figure
         let script = script.clone();
         let run = p.run_spec(&seed_label("Bullet - oscillating bottleneck", k));
         tasks.push(Box::new(move || {
-            bullet_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
+            bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
         }));
     }
     for (k, &seed) in seeds.iter().enumerate() {
@@ -320,7 +294,7 @@ pub(crate) fn oscillating_bottleneck_plan(scale: Scale, sweep: &Sweep) -> Figure
         let script = script.clone();
         let run = p.run_spec(&seed_label("Tree streaming - oscillating bottleneck", k));
         tasks.push(Box::new(move || {
-            streaming_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
+            streaming_run_on(topo.network(), &tree, &config, &run, &script, seed)
         }));
     }
 
@@ -350,20 +324,7 @@ pub(crate) fn oscillating_bottleneck_plan(scale: Scale, sweep: &Sweep) -> Figure
     })
 }
 
-/// Sustained-crash recovery figure (§4.6 evaluation): one node crashes —
-/// and stays down — every 10 seconds, interior (largest-subtree) victims
-/// first so every crash orphans a subtree. Bullet with the recovery
-/// subsystem (orphan re-attach, peer liveness, control retries) is
-/// compared against the recovery-off churn profile under the *same* crash
-/// script: the delta is the goodput the §4.6 detect-and-re-attach path
-/// buys once the tree, not the mesh, is what keeps subtrees fed.
-pub fn recovery_figure(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    let mut figures = recovery_plan(scale, &sweep).run(sweep.pool());
-    figures.remove(0)
-}
-
-/// The sustained-crash script shared by the recovery figure and bench:
+/// The sustained-crash script of the recovery figure:
 /// one crash every `RECOVERY_CRASH_EVERY_SECS` from shortly after stream
 /// start until 90% of the run, biggest subtrees first.
 pub fn sustained_crash_script(
@@ -398,6 +359,16 @@ pub fn sustained_crash_script(
 /// acceptance floor: at least one node per 10 s at the default scale).
 pub const RECOVERY_CRASH_EVERY_SECS: f64 = 10.0;
 
+/// Sustained-crash recovery figure (§4.6 evaluation): one node crashes —
+/// and stays down — every 10 seconds, interior (largest-subtree) victims
+/// first so every crash orphans a subtree. Bullet with the recovery
+/// subsystem (orphan re-attach, peer liveness, control retries) is
+/// compared against the recovery-off churn profile under the *same* crash
+/// script: the delta is the goodput the §4.6 detect-and-re-attach path
+/// buys once the tree, not the mesh, is what keeps subtrees fed. The claim
+/// — orphans re-attach, and recovery-on holds at least twice recovery-off's
+/// steady goodput — is `recovery_doubles_goodput_under_sustained_crashes`
+/// in `tests/end_to_end.rs`.
 pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 34);
     let topo = prepare_topology(
@@ -432,7 +403,7 @@ pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let script = script.clone();
             let run = p.run_spec(&seed_label(label, k));
             tasks.push(Box::new(move || {
-                bullet_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
+                bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
             }));
         }
     }
@@ -458,14 +429,14 @@ pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         ));
         figure.notes.push(format!(
             "{} orphan detections, {} re-attaches, median re-attach {:.2}s / mean {:.2}s ({:.0}s epochs), {} orphan-window packets, {} control retries, {} false-positive evictions",
-            s.orphan_detections,
+            s.totals.orphan_detections,
             s.reattaches,
             s.median_reattach_secs,
             s.mean_reattach_secs,
             epoch_secs,
-            s.orphan_window_packets,
-            s.control_retries,
-            s.false_positive_evictions,
+            s.totals.orphan_window_packets,
+            s.totals.control_retries,
+            s.totals.false_positive_evictions,
         ));
         push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
@@ -477,12 +448,6 @@ pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 /// drop 20% of their control messages throughout. Recovery-on re-forms a
 /// tree inside each side and repairs it after every heal; recovery-off
 /// rides out each episode on whatever mesh state survives.
-pub fn partition_figure(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    let mut figures = partition_plan(scale, &sweep).run(sweep.pool());
-    figures.remove(0)
-}
-
 pub(crate) fn partition_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 35);
     let topo = prepare_topology(
@@ -540,7 +505,7 @@ pub(crate) fn partition_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let config = config.clone();
             let run = p.run_spec(&seed_label(label, k));
             tasks.push(Box::new(move || {
-                bullet_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
+                bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
             }));
         }
     }
@@ -567,26 +532,12 @@ pub(crate) fn partition_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             off.summary.steady_useful_kbps,
             s.reattaches,
             s.median_reattach_secs,
-            s.control_retries,
-            s.false_positive_evictions,
+            s.totals.control_retries,
+            s.totals.false_positive_evictions,
         ));
         push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
-}
-
-/// Misbehaving-peer sweep: a growing fraction of the overlay turns
-/// adversarial mid-stream — even picks corrupt every data block they relay,
-/// odd picks stall and falsely advertise phantom content — and Bullet with
-/// the integrity layer (block verification, health scoring, quarantine) is
-/// compared against the same overlay defenseless under the *same*
-/// adversary script. The headline number is the clean-goodput ratio at
-/// each fraction: without verification, tampered blocks count toward raw
-/// delivery but carry nothing usable.
-pub fn adversary_figure(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    let mut figures = adversary_plan(scale, &sweep).run(sweep.pool());
-    figures.remove(0)
 }
 
 /// Adversary fractions the sweep runs (fraction of non-source nodes).
@@ -595,6 +546,16 @@ pub const ADVERSARY_FRACTIONS: [f64; 4] = [0.0, 0.1, 0.2, 0.3];
 /// Per-relay corruption probability of the even-pick (corrupter) persona.
 pub const ADVERSARY_CORRUPT_CHANCE: f64 = 0.75;
 
+/// Misbehaving-peer sweep: a growing fraction of the overlay turns
+/// adversarial mid-stream — even picks corrupt every data block they relay,
+/// odd picks stall and falsely advertise phantom content — and Bullet with
+/// the integrity layer (block verification, health scoring, quarantine) is
+/// compared against the same overlay defenseless under the *same*
+/// adversary script. The headline number is the clean-goodput ratio at
+/// each fraction: without verification, tampered blocks count toward raw
+/// delivery but carry nothing usable. The claim at 20% adversaries is
+/// `integrity_defense_doubles_clean_goodput_at_20pct_adversaries` in
+/// `tests/end_to_end.rs`.
 pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 36);
     let topo = prepare_topology(
@@ -635,7 +596,7 @@ pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
                 let config = config.clone();
                 let run = p.run_spec(&seed_label(&label, k));
                 tasks.push(Box::new(move || {
-                    bullet_run_scenario_on(topo.network(), &tree, &config, &run, &script, seed)
+                    bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
                 }));
             }
         }
@@ -667,34 +628,15 @@ pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
                 fraction * 100.0,
                 on.clean_goodput_kbps,
                 off.clean_goodput_kbps,
-                on.corrupt_blocks_rejected,
-                on.quarantines,
-                on.corrupt_blocks_accepted,
-                off.corrupt_blocks_accepted,
+                on.totals.corrupt_blocks_rejected,
+                on.totals.quarantines,
+                on.totals.corrupt_blocks_accepted,
+                off.totals.corrupt_blocks_accepted,
             ));
         }
         push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
-}
-
-/// Overload figure: a join storm with the flash crowd's 60% joiner suffix
-/// compressed into a tenth of its ramp slams the overlay mid-stream — in
-/// repeated crash-and-rejoin waves — while roughly a tenth of the
-/// steady-state receivers understate their intake fivefold for the whole
-/// run, on nodes with finite processing capacity ([`NodeResources`]).
-/// Bullet with the overload layer (bounded prioritized inboxes,
-/// deferred-join admission control, working-set budget, slow-receiver
-/// demotion; the node's ingress is a drop-tail queue at its budget) is
-/// compared against the same overlay with unbounded queues (nothing shed,
-/// the backlog and with it every message's queueing delay growing for as
-/// long as the storm outpaces the drain) under the identical storm; the
-/// headline number is the steady-state members' goodput ratio measured
-/// through the storm.
-pub fn overload_figure(scale: Scale) -> FigureResult {
-    let sweep = Sweep::from_env();
-    let mut figures = overload_plan(scale, &sweep).run(sweep.pool());
-    figures.remove(0)
 }
 
 /// Intake-understatement factor of the overload figure's slow receivers.
@@ -755,6 +697,27 @@ pub fn overload_figure_knobs() -> OverloadConfig {
     }
 }
 
+/// Overload figure: a join storm with the flash crowd's 60% joiner suffix
+/// compressed into a tenth of its ramp slams the overlay mid-stream — in
+/// repeated crash-and-rejoin waves — while roughly a tenth of the
+/// steady-state receivers understate their intake fivefold for the whole
+/// run, on nodes with finite processing capacity ([`NodeResources`]).
+/// Bullet with the overload layer (bounded prioritized inboxes,
+/// deferred-join admission control, working-set budget, slow-receiver
+/// demotion; the node's ingress is a drop-tail queue at its budget) is
+/// compared against the same overlay with unbounded queues (nothing shed,
+/// the backlog and with it every message's queueing delay growing for as
+/// long as the storm outpaces the drain) under the identical storm; the
+/// headline number is the steady-state members' goodput ratio measured
+/// through the storm.
+///
+/// The figure scores *timely* goodput — first deliveries landing within
+/// the playout deadline of their generation slot, the only bytes a live
+/// stream can use. Receive livelock does not destroy the unbounded arm's
+/// data, it makes the data late; an unbounded queue at a saturated node
+/// serves everything eventually and on time never. The claim is
+/// `bounded_queues_hold_goodput_through_a_join_storm` in
+/// `tests/end_to_end.rs`.
 pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 37);
     let topo = prepare_topology(
@@ -888,7 +851,7 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             let resources = resources.clone();
             let run = p.run_spec(&seed_label(label, k));
             tasks.push(Box::new(move || {
-                bullet_run_scenario_resourced_on(
+                bullet_run_resourced_on(
                     topo.network(),
                     &tree,
                     &config,
@@ -964,14 +927,14 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         let s = &bounded.summary;
         figure.notes.push(format!(
             "bounded arm: {} inbox sheds (peak window depth {} vs budget {}), {} joins deferred / {} admitted after backoff, {} working-set evictions (budget {}), {} slow demotions; ingress peak backlog {} (sheds {}) vs {} unbounded (grows unshed)",
-            s.inbox_sheds,
-            s.peak_inbox_depth,
+            s.totals.inbox_sheds,
+            s.totals.peak_inbox_depth,
             knobs.inbox_budget,
-            s.joins_deferred,
-            s.joins_admitted_after_defer,
-            s.working_set_evictions,
+            s.totals.joins_deferred,
+            s.totals.joins_admitted_after_defer,
+            s.totals.working_set_evictions,
             knobs.working_set_budget,
-            s.slow_demotions,
+            s.totals.slow_demotions,
             s.ingress_peak_depth,
             s.ingress_sheds,
             unbounded.summary.ingress_peak_depth,

@@ -13,7 +13,7 @@
 //! threads).
 
 use crate::figures::{
-    ablations_plan, failure_figure_plan, fig06_plan, fig07and08_plan, fig09_plan, fig10_plan,
+    ablations_plan, failure_figure_plan, fig06_plan, fig07_plan, fig09_plan, fig10_plan,
     fig11_plan, fig12_plan, fig15_plan, FigurePlan, FigureResult,
 };
 use crate::pool::Sweep;
@@ -67,7 +67,7 @@ fn plans_for(scale: Scale, sweep: &Sweep, keys: &[&str]) -> Vec<FigurePlan> {
         .map(|&key| {
             Box::new(move || match key {
                 "fig06" => fig06_plan(scale, sweep),
-                "fig07" => fig07and08_plan(scale, sweep),
+                "fig07" => fig07_plan(scale, sweep),
                 "fig09" => fig09_plan(scale, sweep),
                 "fig10" => fig10_plan(scale, sweep),
                 "fig11" => fig11_plan(scale, sweep),
@@ -97,7 +97,8 @@ pub fn figure_suite(scale: Scale, sweep: &Sweep) -> Vec<FigureResult> {
 }
 
 /// Runs the named subset of the suite as one flattened grid (used by the
-/// thread-invariance tests and quick benches; keys per [`SUITE_PLAN_KEYS`]).
+/// thread-invariance tests and the `figures` bench; keys per
+/// [`SUITE_PLAN_KEYS`]).
 pub fn figure_suite_subset(scale: Scale, keys: &[&str], sweep: &Sweep) -> Vec<FigureResult> {
     let plans = plans_for(scale, sweep, keys);
     let mut tasks = Vec::new();
@@ -119,7 +120,15 @@ pub fn figure_suite_subset(scale: Scale, keys: &[&str], sweep: &Sweep) -> Vec<Fi
     figures
 }
 
-/// Renders a whole suite the way the per-figure benches do, one report
+/// Runs the one plan named `key` under the environment's sweep
+/// (`BULLET_THREADS`, `BULLET_SEEDS`) and returns its figure — the first
+/// one, for the `fig07` plan, which also emits `fig08`. A figure is its
+/// plan and its key: there is no second, per-figure entry point.
+pub fn figure(scale: Scale, key: &str) -> FigureResult {
+    figure_suite_subset(scale, &[key], &Sweep::from_env()).remove(0)
+}
+
+/// Renders a whole suite the way the `figures` bench does, one report
 /// after another. Byte-identical across thread counts by construction;
 /// the thread-invariance gate compares these strings directly.
 pub fn render_suite(figures: &[FigureResult]) -> String {

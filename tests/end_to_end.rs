@@ -5,11 +5,10 @@ use bullet_suite::baselines::{StreamConfig, StreamTransport, StreamingNode};
 use bullet_suite::bullet::{BulletConfig, BulletNode};
 use bullet_suite::dynamics::{ChurnConfig, ScenarioAction, ScenarioScript};
 use bullet_suite::experiments::{
-    adversary_figure, build_topology, build_tree, bullet_run, bullet_run_scenario,
-    flash_crowd_figure, overload_figure, recovery_figure, run_metered, FigureResult, RunResult,
+    build_topology, build_tree, bullet_run_on, figure, run_metered, FigureResult, RunResult,
     RunSpec, RunSummary, Scale, TreeKind, OVERLOAD_NODE_RESOURCES,
 };
-use bullet_suite::netsim::{Sim, SimDuration, SimTime};
+use bullet_suite::netsim::{Network, Sim, SimDuration, SimTime};
 use bullet_suite::overlay::Tree;
 use bullet_suite::topology::{BandwidthProfile, BuiltTopology, LossProfile};
 
@@ -160,11 +159,11 @@ fn offline_bottleneck_tree_beats_a_random_tree_for_plain_streaming() {
 /// one-crash script must reproduce the legacy `RunSpec::failure` injection
 /// **exactly** — same sampled series, same summary — because the driver
 /// pre-schedules crashes through the simulator's event queue with the same
-/// ordering the legacy path used. This replays the `failure_figure` inputs
+/// ordering the legacy path used. This replays the `failure_figure_plan` inputs
 /// at small scale down both paths and compares bit for bit.
 #[test]
 fn fig13_through_the_scenario_engine_matches_the_legacy_path() {
-    // Mirrors figures::failure_figure at Scale::Small (seed 13, medium
+    // Mirrors figures::failure_figure_plan at Scale::Small (seed 13, medium
     // bandwidth, 600 Kbps, random tree, worst-case victim at 60% of 90 s).
     let scale = Scale::Small;
     let seed = 13;
@@ -192,10 +191,24 @@ fn fig13_through_the_scenario_engine_matches_the_legacy_path() {
     };
 
     let script = ScenarioScript::single_crash(failure_time, victim);
-    let scripted = bullet_run_scenario(&topo.spec, &tree, &config, &run, &script, seed);
+    let scripted = bullet_run_on(
+        Network::new(&topo.spec),
+        &tree,
+        &config,
+        &run,
+        &script,
+        seed,
+    );
 
     run.failure = Some((failure_time, victim));
-    let legacy = bullet_run(&topo.spec, &tree, &config, &run, seed);
+    let legacy = bullet_run_on(
+        Network::new(&topo.spec),
+        &tree,
+        &config,
+        &run,
+        &ScenarioScript::new(),
+        seed,
+    );
 
     assert_eq!(
         legacy.useful.kbps, scripted.useful.kbps,
@@ -229,8 +242,8 @@ fn loss_and_bandwidth_scripts_cause_zero_route_repair() {
     };
     let run = spec("Bullet, metadata-only mutations", 60);
 
-    let baseline =
-        bullet_run_scenario(&topo.spec, &tree, &config, &run, &ScenarioScript::new(), 41);
+    let net = || Network::new(&topo.spec);
+    let baseline = bullet_run_on(net(), &tree, &config, &run, &ScenarioScript::new(), 41);
 
     // Same-value re-asserts: metadata writes with no observable effect.
     let mut noop = ScenarioScript::new();
@@ -250,7 +263,7 @@ fn loss_and_bandwidth_scripts_cause_zero_route_repair() {
             },
         );
     }
-    let reasserted = bullet_run_scenario(&topo.spec, &tree, &config, &run, &noop, 41);
+    let reasserted = bullet_run_on(net(), &tree, &config, &run, &noop, 41);
     assert_eq!(
         baseline.useful.kbps, reasserted.useful.kbps,
         "same-value loss/bandwidth writes moved the useful series"
@@ -285,7 +298,7 @@ fn loss_and_bandwidth_scripts_cause_zero_route_repair() {
                 loss: 0.05,
             },
         );
-    let perturbed = bullet_run_scenario(&topo.spec, &tree, &config, &run, &changed, 41);
+    let perturbed = bullet_run_on(net(), &tree, &config, &run, &changed, 41);
     assert_eq!(
         perturbed.summary.route_mutations, 0,
         "loss/bandwidth changes must not count as route mutations"
@@ -304,7 +317,7 @@ fn loss_and_bandwidth_scripts_cause_zero_route_repair() {
 /// and end the run having received a meaningful share of the stream.
 #[test]
 fn flash_crowd_joiners_catch_up() {
-    let figure = flash_crowd_figure(Scale::Small);
+    let figure = figure(Scale::Small, "flashcrowd");
     assert_eq!(figure.id, "flashcrowd");
     assert!(!figure.notes.is_empty());
     let steady = figure
@@ -338,8 +351,8 @@ fn bullet_survives_exponential_churn() {
         seed: 107,
     });
     assert!(!script.is_empty(), "churn script generated no events");
-    let result = bullet_run_scenario(
-        &topo.spec,
+    let result = bullet_run_on(
+        Network::new(&topo.spec),
         &tree,
         &config,
         &spec("Bullet under churn", 120),
@@ -404,7 +417,7 @@ fn scalar_of(figure: &FigureResult, name: &str) -> f64 {
 /// fails the ratio assert (247.0 vs 247.0 Kbps).
 #[test]
 fn recovery_doubles_goodput_under_sustained_crashes() {
-    let figure = recovery_figure(Scale::Small);
+    let figure = figure(Scale::Small, "recovery");
     let on = summary_of(&figure, "Bullet - recovery on");
     let off = summary_of(&figure, "Bullet - recovery off");
     assert!(on.reattaches > 0, "no orphan ever re-attached");
@@ -428,14 +441,17 @@ fn recovery_doubles_goodput_under_sustained_crashes() {
 /// (`quarantine_threshold: f64::MAX`) fails the quarantine assert.
 #[test]
 fn integrity_defense_doubles_clean_goodput_at_20pct_adversaries() {
-    let figure = adversary_figure(Scale::Small);
+    let figure = figure(Scale::Small, "adversary");
     let on = summary_of(&figure, "Bullet - defense on - 20% adversaries");
     let off = summary_of(&figure, "Bullet - defense off - 20% adversaries");
     assert_eq!(
-        on.corrupt_blocks_accepted, 0,
+        on.totals.corrupt_blocks_accepted, 0,
         "the defense let tampered blocks in"
     );
-    assert!(on.quarantines > 0, "no misbehaving peer was quarantined");
+    assert!(
+        on.totals.quarantines > 0,
+        "no misbehaving peer was quarantined"
+    );
     assert!(
         on.clean_goodput_kbps >= 2.0 * off.clean_goodput_kbps,
         "clean goodput: defense on {:.1} Kbps vs off {:.1} Kbps",
@@ -459,7 +475,7 @@ fn integrity_defense_doubles_clean_goodput_at_20pct_adversaries() {
 /// budget of 60).
 #[test]
 fn bounded_queues_hold_goodput_through_a_join_storm() {
-    let figure = overload_figure(Scale::Small);
+    let figure = figure(Scale::Small, "overload");
     let bounded = summary_of(&figure, "Bullet - bounded queues");
     let unbounded = summary_of(&figure, "Bullet - unbounded queues");
     let budget = u64::from(OVERLOAD_NODE_RESOURCES.queue_budget);
@@ -469,10 +485,16 @@ fn bounded_queues_hold_goodput_through_a_join_storm() {
         bounded.ingress_peak_depth,
         unbounded.ingress_peak_depth
     );
-    assert!(bounded.inbox_sheds > 0, "the bounded inbox never shed");
-    assert!(bounded.joins_deferred > 0, "no join was ever deferred");
     assert!(
-        bounded.joins_admitted_after_defer > 0,
+        bounded.totals.inbox_sheds > 0,
+        "the bounded inbox never shed"
+    );
+    assert!(
+        bounded.totals.joins_deferred > 0,
+        "no join was ever deferred"
+    );
+    assert!(
+        bounded.totals.joins_admitted_after_defer > 0,
         "deferred joiners were never admitted"
     );
     let (wq_on, wq_off) = (

@@ -933,6 +933,141 @@ fn overload_max_pressure_never_starves_receivers() {
     }
 }
 
+/// One 45-second run of the layer-subset fixture: a 16-node 2 Mbps hub, a
+/// degree-3 random tree, a 400 Kbps stream; the first interior non-root
+/// node crashes at 10 s and rejoins at 30 s, the second corrupts half the
+/// blocks it relays from 4 s on. The layers are set **directly on the
+/// `Option` fields**, not through the `churn ⊂ recovery ⊂ integrity ⊂
+/// overload` profile builders. Returns the simulator's event count and
+/// every node's `useful_packets`.
+fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Vec<u64>) {
+    use bullet_suite::bullet::config::{IntegrityConfig, OverloadConfig, RecoveryConfig};
+    use bullet_suite::bullet::{BulletConfig, BulletNode};
+    use bullet_suite::dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript};
+    use bullet_suite::netsim::{FaultPlan, Sim, SimTime};
+
+    const NODES: usize = 16;
+    let mut spec = NetworkSpec::new(NODES + 1);
+    for i in 0..NODES {
+        spec.add_link(LinkSpec::new(
+            NODES,
+            i,
+            2_000_000.0,
+            SimDuration::from_millis(10),
+        ));
+        spec.attach(i);
+    }
+    let tree = random_tree(NODES, 0, 3, &mut SimRng::new(19));
+    let config = BulletConfig {
+        stream_rate_bps: 400_000.0,
+        stream_start: SimTime::from_secs(2),
+        ransub_epoch: SimDuration::from_secs(2),
+        filter_refresh_interval: SimDuration::from_secs(2),
+        mesh_eval_interval: SimDuration::from_secs(4),
+        sender_idle_evals_to_drop: Some(2),
+        recovery: recovery.then(RecoveryConfig::default),
+        integrity: integrity.then(IntegrityConfig::default),
+        overload: overload.then(|| OverloadConfig {
+            inbox_budget: 12,
+            working_set_budget: 300,
+            ..OverloadConfig::default()
+        }),
+        ..BulletConfig::default()
+    };
+    let agents: Vec<BulletNode> = (0..NODES)
+        .map(|i| BulletNode::new(i, &tree, config.clone()))
+        .collect();
+    let mut sim = Sim::new(&spec, agents, 19);
+    let mut interior = (1..NODES).filter(|&n| !tree.children(n).is_empty());
+    let (crasher, corrupter) = (interior.next().unwrap(), interior.next().unwrap());
+    let script = ScenarioScript::new()
+        .at(
+            SimTime::from_secs(4),
+            ScenarioAction::Adversary {
+                node: corrupter,
+                plan: FaultPlan {
+                    corrupt_chance: 0.5,
+                    ..FaultPlan::default()
+                },
+            },
+        )
+        .at(
+            SimTime::from_secs(10),
+            ScenarioAction::Crash { node: crasher },
+        )
+        .at(
+            SimTime::from_secs(30),
+            ScenarioAction::Join { node: crasher },
+        );
+    let mut driver = ScenarioDriver::new(&script);
+    driver.install(&mut sim);
+    driver.run_until(&mut sim, SimTime::from_secs(45));
+    let useful = (0..NODES)
+        .map(|n| sim.agent(n).metrics.delivery.useful_packets)
+        .collect();
+    (sim.counters().events, useful)
+}
+
+/// The six valid layer subsets, pinned off the profile chain. The goldens
+/// only ever run `{}`, `{R}`, `{R,I}` and `{R,I,O}` as the profile builders
+/// compose them; `{O}` and `{R,O}` had never executed before this test, and
+/// `{R}` here is recovery without the churn profile having set it. Each
+/// subset runs twice for equality and is held to the event count and
+/// per-node `useful_packets` captured at the commit that added the test,
+/// before the harness and `node.rs` were touched — so a refactor that moves
+/// any of them moved behaviour. Integrity without recovery is not a valid
+/// subset: see the two `#[should_panic]` tests below.
+#[test]
+fn the_six_valid_layer_subsets_are_pinned() {
+    const GENERATED: u64 = 1_434;
+    #[rustfmt::skip]
+    let expected: [(&str, [bool; 3], u64, [u64; 16]); 6] = [
+        ("{}", [false, false, false], 135_039,
+         [0, 1326, 1430, 1432, 1278, 1155, 1318, 1009, 1431, 1279, 1416, 1433, 990, 1427, 1431, 1432]),
+        ("{R}", [true, false, false], 153_390,
+         [0, 1379, 1431, 1431, 1427, 1429, 1429, 1427, 1431, 1425, 1430, 1432, 1430, 1430, 1431, 1433]),
+        ("{R,I}", [true, true, false], 152_798,
+         [0, 1078, 1430, 1431, 1429, 1428, 1432, 1432, 1431, 1429, 1430, 1433, 1431, 1430, 1431, 1432]),
+        ("{O}", [false, false, true], 131_398,
+         [0, 1309, 1422, 1421, 1149, 1118, 1301, 1118, 1416, 1235, 1414, 1422, 1096, 1413, 1423, 1426]),
+        ("{R,O}", [true, false, true], 150_861,
+         [0, 1030, 1431, 1431, 1431, 1430, 1432, 1430, 1431, 1422, 1430, 1432, 1431, 1430, 1431, 1433]),
+        ("{R,I,O}", [true, true, true], 149_162,
+         [0, 988, 1431, 1431, 1430, 1431, 1432, 1432, 1431, 1430, 1430, 1432, 1430, 1430, 1431, 1433]),
+    ];
+    for (name, [recovery, integrity, overload], events, useful) in expected {
+        let run = layer_subset_run(recovery, integrity, overload);
+        assert_eq!(
+            run,
+            layer_subset_run(recovery, integrity, overload),
+            "{name}: two runs of the same subset differ"
+        );
+        assert_eq!(run, (events, useful.to_vec()), "{name}");
+        for (node, &held) in useful.iter().enumerate().skip(1) {
+            assert!(
+                held * 3 >= GENERATED,
+                "{name}: receiver {node} holds {held} of {GENERATED} packets"
+            );
+        }
+    }
+}
+
+/// `{I}`: a quarantined tree parent starts a re-attach that nothing retries
+/// without the recovery layer, so the combination is refused at construction.
+#[test]
+#[should_panic(expected = "config.integrity requires config.recovery")]
+fn integrity_without_recovery_is_refused() {
+    layer_subset_run(false, true, false);
+}
+
+/// `{I,O}`: likewise (at the parent of this test two receivers ended the run
+/// with 64 of 1,434 packets).
+#[test]
+#[should_panic(expected = "config.integrity requires config.recovery")]
+fn integrity_and_overload_without_recovery_is_refused() {
+    layer_subset_run(false, true, true);
+}
+
 /// Framing maps sequence numbers to (block, offset) pairs and back without
 /// loss.
 #[test]
