@@ -1141,11 +1141,13 @@ impl BulletNode {
         for node in evaluation.drop {
             self.in_conns.remove(&node);
             self.send_msg(ctx, node, BulletMsg::PeerDrop);
-            if recovery.is_some() {
-                self.note_evicted(node);
-            }
         }
         if let Some(r) = recovery {
+            // Only a silence eviction can be a liveness false positive: the
+            // §3.4 waste drops above spoke all window.
+            for node in evaluation.silent {
+                self.note_evicted(node);
+            }
             // Active receiver liveness: a receiver that neither refreshed
             // its filter nor reported for `peer_idle_windows` windows is
             // presumed dead and its slot reclaimed.
@@ -2197,6 +2199,26 @@ mod tests {
             agent.on_message(ctx, 3, BulletMsg::PeerDrop);
         });
         assert_eq!(sim.agent(1).metrics.false_positive_evictions, 1);
+        assert!(sim.agent(1).recently_evicted.is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_heavy_evictee_that_speaks_again_is_no_false_positive() {
+        let mut sim = build_sim(4, 2_000_000.0, quick_config().recovery(), 32);
+        sim.run_until(SimTime::from_secs(1));
+        sim.invoke_agent(1, |agent, ctx| {
+            // Sender 3 spent the window delivering, mostly duplicates: §3.4
+            // drops it for waste. It was never silent, so hearing from it
+            // again says nothing about the liveness detector.
+            agent.peers.force_sender(3);
+            let sender = agent.peers.sender_mut(3).unwrap();
+            sender.total_packets_window = 100;
+            sender.duplicate_packets_window = 90;
+            agent.evaluate_mesh(ctx);
+            assert!(!agent.peers.is_sender(3), "the wasteful sender stayed");
+            agent.on_message(ctx, 3, BulletMsg::PeerDrop);
+        });
+        assert_eq!(sim.agent(1).metrics.false_positive_evictions, 0);
         assert!(sim.agent(1).recently_evicted.is_empty());
     }
 

@@ -151,6 +151,10 @@ impl ReceiverPeer {
 pub struct SenderEvaluation {
     /// Senders to drop (tear down and remove).
     pub drop: Vec<OverlayId>,
+    /// The subset of `drop` evicted for *silence* (the idle rule). Only
+    /// these can be liveness false positives: a duplicate-heavy or
+    /// least-useful drop delivered packets that very window.
+    pub silent: Vec<OverlayId>,
 }
 
 /// Manages the bounded sender and receiver lists of one node.
@@ -450,6 +454,7 @@ impl PeerManager {
                     };
                     if sender.idle_windows >= grace {
                         evaluation.drop.push(sender.node);
+                        evaluation.silent.push(sender.node);
                     }
                 } else {
                     sender.idle_windows = 0;
@@ -479,6 +484,7 @@ impl PeerManager {
         }
         if let Some(shielded) = protected {
             evaluation.drop.retain(|&n| n != shielded);
+            evaluation.silent.retain(|&n| n != shielded);
         }
         for node in &evaluation.drop {
             self.senders.retain(|s| s.node != *node);
@@ -775,6 +781,32 @@ mod tests {
             );
         }
         assert!(pm.is_sender(2));
+    }
+
+    #[test]
+    fn only_idle_drops_are_silent_and_the_shield_filters_both_lists() {
+        let mut pm = manager();
+        for node in [1, 2, 3] {
+            pm.force_sender(node);
+        }
+        // Window 1: everyone delivers; node 1 mostly duplicates. It is
+        // dropped for waste, having spoken all window — not for silence.
+        for node in [1, 2, 3] {
+            pm.sender_mut(node).unwrap().total_packets_window = 100;
+        }
+        pm.sender_mut(1).unwrap().duplicate_packets_window = 90;
+        let eval = pm.evaluate_senders(Some(1));
+        assert_eq!(eval.drop, vec![1]);
+        assert!(
+            eval.silent.is_empty(),
+            "a duplicate-heavy drop is not silent"
+        );
+        // Window 2: nodes 2 and 3 both go quiet past the limit. Node 3 is
+        // shielded, so it is on neither list; node 2 is on both.
+        let eval = pm.evaluate_senders_protected(Some(1), Some(3));
+        assert_eq!(eval.drop, vec![2]);
+        assert_eq!(eval.silent, vec![2], "an idle drop is silent");
+        assert!(pm.is_sender(3));
     }
 
     #[test]
