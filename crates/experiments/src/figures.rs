@@ -37,7 +37,9 @@ use bullet_topology::{BandwidthProfile, LossProfile};
 use crate::env::{constrained_source_topology, prepare_topology, PreparedTopology, TreeKind};
 use crate::metrics::{BandwidthSeries, Cdf, RunSummary};
 use crate::pool::{seed_label, Sweep, Task};
-use crate::protocols::{antientropy_run_on, bullet_run_on, gossip_run_on, streaming_run_on};
+use crate::protocols::{
+    antientropy_run_on, bullet_run_on, gossip_run_on, streaming_run_on, NO_SCRIPT,
+};
 use crate::runner::{RunResult, RunSpec};
 use crate::scale::Scale;
 
@@ -205,9 +207,6 @@ impl Params {
         }
     }
 }
-
-/// Nothing scripted: a static-network run is a scenario run under this.
-pub(crate) const NO_SCRIPT: ScenarioScript = ScenarioScript::new();
 
 const PAPER_RATE_BPS: f64 = 600_000.0;
 const EPIDEMIC_RATE_BPS: f64 = 900_000.0;

@@ -2,8 +2,8 @@
 //! agents over an already-constructed network — in the parallel harness a
 //! cheap per-run view over a shared setup (see
 //! [`crate::env::PreparedTopology`]); from scratch, `Network::new(spec)` —
-//! and hands them to the one metered runner. A static run passes an empty
-//! [`ScenarioScript`].
+//! and hands them to the one metered runner. A static run passes
+//! [`NO_SCRIPT`].
 
 use bullet_baselines::{
     AntiEntropyConfig, AntiEntropyNode, GossipConfig, GossipNode, StreamConfig, StreamingNode,
@@ -14,6 +14,9 @@ use bullet_netsim::{Network, NodeResources, OverlayId, Sim};
 use bullet_overlay::Tree;
 
 use crate::runner::{run_metered_dynamic, MeteredAgent, RunResult, RunSpec};
+
+/// Nothing scripted: a static-network run is a scenario run under this.
+pub(crate) const NO_SCRIPT: ScenarioScript = ScenarioScript::new();
 
 /// The body every constructor below shares: one agent per participant, the
 /// simulator, the optional per-node resource models, the metered run.
@@ -143,7 +146,7 @@ mod tests {
         let mut rng = SimRng::new(1);
         let tree = random_tree(10, 0, 3, &mut rng);
         let run = quick_spec("wrapper", 30);
-        let (net, still) = (|| Network::new(&spec), ScenarioScript::new());
+        let net = || Network::new(&spec);
 
         let bullet_cfg = BulletConfig {
             stream_rate_bps: 300_000.0,
@@ -151,7 +154,7 @@ mod tests {
             ransub_epoch: SimDuration::from_secs(2),
             ..BulletConfig::default()
         };
-        let bullet = bullet_run_on(net(), &tree, &bullet_cfg, &run, &still, 1);
+        let bullet = bullet_run_on(net(), &tree, &bullet_cfg, &run, &NO_SCRIPT, 1);
         assert!(bullet.steady_state_kbps() > 100.0);
 
         let stream_cfg = StreamConfig {
@@ -159,7 +162,7 @@ mod tests {
             stream_start: SimTime::from_secs(2),
             ..StreamConfig::default()
         };
-        let streaming = streaming_run_on(net(), &tree, &stream_cfg, &run, &still, 1);
+        let streaming = streaming_run_on(net(), &tree, &stream_cfg, &run, &NO_SCRIPT, 1);
         assert!(streaming.steady_state_kbps() > 100.0);
 
         let gossip_cfg = GossipConfig {
@@ -167,7 +170,7 @@ mod tests {
             stream_start: SimTime::from_secs(2),
             ..GossipConfig::default()
         };
-        let gossip = gossip_run_on(net(), 0, &gossip_cfg, &run, &still, 1);
+        let gossip = gossip_run_on(net(), 0, &gossip_cfg, &run, &NO_SCRIPT, 1);
         assert!(gossip.summary.steady_raw_kbps > 50.0);
 
         let ae_cfg = AntiEntropyConfig {
@@ -176,7 +179,7 @@ mod tests {
             epoch: SimDuration::from_secs(5),
             ..AntiEntropyConfig::default()
         };
-        let ae = antientropy_run_on(net(), &tree, &ae_cfg, &run, &still, 1);
+        let ae = antientropy_run_on(net(), &tree, &ae_cfg, &run, &NO_SCRIPT, 1);
         assert!(ae.steady_state_kbps() > 100.0);
     }
 }

@@ -23,11 +23,9 @@ use bullet_netsim::{
 use bullet_topology::{BandwidthProfile, LossProfile};
 
 use crate::env::{prepare_topology, TreeKind};
-use crate::figures::{
-    chunked, push_seed_spread_notes, FigurePlan, FigureResult, Params, RunTask, NO_SCRIPT,
-};
+use crate::figures::{chunked, push_seed_spread_notes, FigurePlan, FigureResult, Params, RunTask};
 use crate::pool::{seed_label, Sweep};
-use crate::protocols::{bullet_run_on, bullet_run_resourced_on, streaming_run_on};
+use crate::protocols::{bullet_run_on, bullet_run_resourced_on, streaming_run_on, NO_SCRIPT};
 use crate::runner::RunResult;
 use crate::scale::Scale;
 

@@ -690,6 +690,22 @@ fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
     }
 }
 
+/// The physical network of the layer properties: `n` participants, each
+/// on its own 2 Mbps, 10 ms access link to one hub router.
+fn hub_2mbps(n: usize) -> NetworkSpec {
+    let mut spec = NetworkSpec::new(n + 1);
+    for i in 0..n {
+        spec.add_link(LinkSpec::new(
+            n,
+            i,
+            2_000_000.0,
+            SimDuration::from_millis(10),
+        ));
+        spec.attach(i);
+    }
+    spec
+}
+
 /// Builds the small adversary-property star: `n` Bullet nodes, a quarter of
 /// the non-source nodes turning adversarial at t=5s (alternating corrupter
 /// and stall/false-advertiser personas), run for 30 simulated seconds.
@@ -701,16 +717,7 @@ fn integrity_run(
     use bullet_suite::dynamics::{ScenarioDriver, ScenarioScript};
     use bullet_suite::netsim::{Sim, SimTime};
     let n = 20;
-    let mut spec = NetworkSpec::new(n + 1);
-    for i in 0..n {
-        spec.add_link(LinkSpec::new(
-            n,
-            i,
-            2_000_000.0,
-            SimDuration::from_millis(10),
-        ));
-        spec.attach(i);
-    }
+    let spec = hub_2mbps(n);
     let mut rng = SimRng::new(seed);
     let tree = random_tree(n, 0, 4, &mut rng);
     let agents: Vec<BulletNode> = (0..n)
@@ -831,16 +838,7 @@ fn overload_max_pressure_never_starves_receivers() {
 
     const NODES: usize = 24;
     for seed in [1u64, 2, 3] {
-        let mut spec = NetworkSpec::new(NODES + 1);
-        for i in 0..NODES {
-            spec.add_link(LinkSpec::new(
-                NODES,
-                i,
-                2_000_000.0,
-                SimDuration::from_millis(10),
-            ));
-            spec.attach(i);
-        }
+        let spec = hub_2mbps(NODES);
         let mut rng = SimRng::new(seed);
         let tree = random_tree(NODES, 0, 4, &mut rng);
         let mut config = BulletConfig {
@@ -933,6 +931,10 @@ fn overload_max_pressure_never_starves_receivers() {
     }
 }
 
+/// Packets the source generates in one [`layer_subset_run`], whatever the
+/// layers: 43 s of a 400 Kbps stream in 1,500-byte packets.
+const LAYER_SUBSET_GENERATED: u64 = 1_434;
+
 /// One 45-second run of the layer-subset fixture: a 16-node 2 Mbps hub, a
 /// degree-3 random tree, a 400 Kbps stream; the first interior non-root
 /// node crashes at 10 s and rejoins at 30 s, the second corrupts half the
@@ -947,16 +949,7 @@ fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Ve
     use bullet_suite::netsim::{FaultPlan, Sim, SimTime};
 
     const NODES: usize = 16;
-    let mut spec = NetworkSpec::new(NODES + 1);
-    for i in 0..NODES {
-        spec.add_link(LinkSpec::new(
-            NODES,
-            i,
-            2_000_000.0,
-            SimDuration::from_millis(10),
-        ));
-        spec.attach(i);
-    }
+    let spec = hub_2mbps(NODES);
     let tree = random_tree(NODES, 0, 3, &mut SimRng::new(19));
     let config = BulletConfig {
         stream_rate_bps: 400_000.0,
@@ -1002,6 +995,10 @@ fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Ve
     let mut driver = ScenarioDriver::new(&script);
     driver.install(&mut sim);
     driver.run_until(&mut sim, SimTime::from_secs(45));
+    assert_eq!(
+        sim.agent(0).metrics.delivery.packets_generated,
+        LAYER_SUBSET_GENERATED
+    );
     let useful = (0..NODES)
         .map(|n| sim.agent(n).metrics.delivery.useful_packets)
         .collect();
@@ -1019,7 +1016,6 @@ fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Ve
 /// subset: see the two `#[should_panic]` tests below.
 #[test]
 fn the_six_valid_layer_subsets_are_pinned() {
-    const GENERATED: u64 = 1_434;
     #[rustfmt::skip]
     let expected: [(&str, [bool; 3], u64, [u64; 16]); 6] = [
         ("{}", [false, false, false], 135_039,
@@ -1045,8 +1041,8 @@ fn the_six_valid_layer_subsets_are_pinned() {
         assert_eq!(run, (events, useful.to_vec()), "{name}");
         for (node, &held) in useful.iter().enumerate().skip(1) {
             assert!(
-                held * 3 >= GENERATED,
-                "{name}: receiver {node} holds {held} of {GENERATED} packets"
+                held * 3 >= LAYER_SUBSET_GENERATED,
+                "{name}: receiver {node} holds {held} of {LAYER_SUBSET_GENERATED} packets"
             );
         }
     }
