@@ -44,13 +44,11 @@ fn main() {
             ..bullet_core::BulletConfig::default()
         }
         .churn();
-        let run = RunSpec {
-            label: format!("Bullet - custom scenario ({} events)", script.len()),
-            source: 0,
-            duration: SimDuration::from_secs(scale.duration_secs()),
-            sample_interval: SimDuration::from_secs(scale.sample_secs()),
-            failure: None,
-        };
+        let run = RunSpec::new(
+            format!("Bullet - custom scenario ({} events)", script.len()),
+            SimDuration::from_secs(scale.duration_secs()),
+            SimDuration::from_secs(scale.sample_secs()),
+        );
         let result = bullet_run_on(topo.network(), &tree, &config, &run, &script, seed);
         let figure = FigureResult {
             id: "custom".into(),

@@ -52,13 +52,11 @@ fn build_sim() -> Sim<BulletNode> {
 }
 
 fn run_spec() -> RunSpec {
-    RunSpec {
-        label: "telemetry_overhead".into(),
-        source: 0,
-        duration: SimDuration::from_secs(RUN_SECS),
-        sample_interval: SimDuration::from_secs(2),
-        failure: None,
-    }
+    RunSpec::new(
+        "telemetry_overhead",
+        SimDuration::from_secs(RUN_SECS),
+        SimDuration::from_secs(2),
+    )
 }
 
 /// Best-of-N events/s for one telemetry configuration (the minimum wall

@@ -129,7 +129,6 @@ pub struct BulletNode {
 
     /// Cumulative data-plane metrics sampled by the experiment harness.
     pub metrics: BulletMetrics,
-    streaming: bool,
     /// Timer generation (see the `timer` module docs): bumped on rejoin so
     /// stale periodic chains die instead of doubling.
     timer_gen: u64,
@@ -251,7 +250,6 @@ impl BulletNode {
             scratch_keys: Vec::new(),
             scratch_factors: Vec::new(),
             metrics: BulletMetrics::default(),
-            streaming: true,
             timer_gen: 0,
             root_path,
             root_id,
@@ -326,11 +324,6 @@ impl BulletNode {
     /// Current receiving peers (mesh links this node serves).
     pub fn receiver_peers(&self) -> Vec<OverlayId> {
         self.peers.receivers().iter().map(|r| r.node).collect()
-    }
-
-    /// Pauses or resumes stream generation (root only; used by harnesses).
-    pub fn set_streaming(&mut self, enabled: bool) {
-        self.streaming = enabled;
     }
 
     /// The node's configuration.
@@ -1523,16 +1516,14 @@ impl Agent for BulletNode {
         }
         match tag & ((1 << timer::KIND_BITS) - 1) {
             timer::GENERATE => {
-                if self.streaming {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.metrics.delivery.packets_generated += 1;
-                    if ctx.tracing(CAT_JOURNEY) {
-                        ctx.trace(TraceData::BlockSealed { seq });
-                    }
-                    self.learn_seq(seq);
-                    self.route_to_children(ctx, seq);
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.metrics.delivery.packets_generated += 1;
+                if ctx.tracing(CAT_JOURNEY) {
+                    ctx.trace(TraceData::BlockSealed { seq });
                 }
+                self.learn_seq(seq);
+                self.route_to_children(ctx, seq);
                 ctx.set_timer(self.config.packet_interval(), self.tag(timer::GENERATE));
             }
             timer::RANSUB_EPOCH => {

@@ -181,13 +181,7 @@ impl Params {
     }
 
     pub(crate) fn run_spec(&self, label: &str) -> RunSpec {
-        RunSpec {
-            label: label.into(),
-            source: 0,
-            duration: self.duration,
-            sample_interval: self.sample,
-            failure: None,
-        }
+        RunSpec::new(label, self.duration, self.sample)
     }
 
     pub(crate) fn bullet_config(&self, rate_bps: f64) -> BulletConfig {
@@ -904,13 +898,11 @@ pub fn quick_bullet_demo(participants: usize, seconds: u64, seed: u64) -> RunRes
         Network::new(&topo.spec),
         &tree,
         &config,
-        &RunSpec {
-            label: "Bullet demo".into(),
-            source: 0,
-            duration: SimDuration::from_secs(seconds),
-            sample_interval: SimDuration::from_secs(2),
-            failure: None,
-        },
+        &RunSpec::new(
+            "Bullet demo",
+            SimDuration::from_secs(seconds),
+            SimDuration::from_secs(2),
+        ),
         &NO_SCRIPT,
         seed,
     )

@@ -2,8 +2,8 @@
 //! agents over an already-constructed network — in the parallel harness a
 //! cheap per-run view over a shared setup (see
 //! [`crate::env::PreparedTopology`]); from scratch, `Network::new(spec)` —
-//! and hands them to the one metered runner. A static run passes
-//! [`NO_SCRIPT`].
+//! and hands them to the one metered runner. A static run passes an empty
+//! [`ScenarioScript`] (`NO_SCRIPT`).
 
 use bullet_baselines::{
     AntiEntropyConfig, AntiEntropyNode, GossipConfig, GossipNode, StreamConfig, StreamingNode,
@@ -131,13 +131,11 @@ mod tests {
     }
 
     fn quick_spec(label: &str, secs: u64) -> RunSpec {
-        RunSpec {
-            label: label.into(),
-            source: 0,
-            duration: SimDuration::from_secs(secs),
-            sample_interval: SimDuration::from_secs(2),
-            failure: None,
-        }
+        RunSpec::new(
+            label,
+            SimDuration::from_secs(secs),
+            SimDuration::from_secs(2),
+        )
     }
 
     #[test]

@@ -210,6 +210,23 @@ pub struct RunSpec {
     pub failure: Option<(SimTime, OverlayId)>,
 }
 
+impl RunSpec {
+    /// A run sourced at node 0 with no failure injected.
+    pub fn new(
+        label: impl Into<String>,
+        duration: SimDuration,
+        sample_interval: SimDuration,
+    ) -> Self {
+        RunSpec {
+            label: label.into(),
+            source: 0,
+            duration,
+            sample_interval,
+            failure: None,
+        }
+    }
+}
+
 /// The sampling state of one metered run.
 struct Meter {
     n: usize,
@@ -506,13 +523,11 @@ mod tests {
     }
 
     fn streaming_spec(secs: u64) -> RunSpec {
-        RunSpec {
-            label: "streaming".into(),
-            source: 0,
-            duration: SimDuration::from_secs(secs),
-            sample_interval: SimDuration::from_secs(2),
-            failure: None,
-        }
+        RunSpec::new(
+            "streaming",
+            SimDuration::from_secs(secs),
+            SimDuration::from_secs(2),
+        )
     }
 
     fn streaming_run(n: usize, secs: u64) -> RunResult {

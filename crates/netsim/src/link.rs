@@ -181,11 +181,6 @@ impl DirectedLink {
         HopOutcome::Arrive(start + tx + self.delay)
     }
 
-    /// Current queueing delay a newly offered packet would experience.
-    pub fn current_queue_delay(&self, now: SimTime) -> SimDuration {
-        self.busy_until.max(now) - now
-    }
-
     /// Utilization proxy: bytes sent so far.
     pub fn bytes_sent(&self) -> u64 {
         self.counters.bytes_sent

@@ -142,10 +142,10 @@ pub struct StressStats {
 
 /// Handle to an interned route in a [`Network`]'s route arena.
 ///
-/// Routes are interned once per (source router, destination router) pair and
-/// live for the lifetime of the network, so a `RouteId` is a stable, `Copy`
-/// 4-byte handle the simulator can store in in-flight messages instead of an
-/// owned link vector.
+/// A route is interned when a participant pair is first routed (and again
+/// when a topology mutation invalidates it) and lives for the lifetime of
+/// the network, so a `RouteId` is a stable, `Copy` 4-byte handle the
+/// simulator can store in in-flight messages instead of an owned link vector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RouteId(u32);
 
@@ -234,13 +234,14 @@ impl RouteArena {
     }
 
     #[inline]
-    fn is_stale(&self, raw: u32) -> bool {
-        self.stale[raw as usize]
-    }
-
-    #[inline]
     fn mark_stale(&mut self, raw: u32) {
         self.stale[raw as usize] = true;
+    }
+
+    /// The live routes (slot 0, the empty route, has no router pair to
+    /// repair and is not one of them).
+    fn live(&self) -> impl Iterator<Item = u32> + '_ {
+        (1..self.spans.len() as u32).filter(|&raw| !self.stale[raw as usize])
     }
 
     /// Drains the back-index bucket of a directed link: the live routes
@@ -252,13 +253,14 @@ impl RouteArena {
     }
 }
 
-/// Flat `participants × participants` route-memo table.
+/// Flat `participants × participants` route-memo table: the one lookup in
+/// front of the [`RouteArena`].
 ///
-/// The simulator's per-send hot path used to hash a `(RouterId, RouterId)`
-/// key on every cache hit; for mid-sized overlays this table replaces that
-/// lookup with one multiply-add and a 4-byte load. It also gives the batched
-/// oracle path ([`Network::route_all_from`]) a place to record whole rows of
-/// routes at once. Entries are `RouteId` raw values with two sentinels.
+/// A hit on the simulator's per-send hot path is one multiply-add and a
+/// 4-byte load, and the batched oracle path ([`Network::route_all_from`])
+/// records whole rows of routes in it at once. The table is `n²` 4-byte
+/// entries with no cap — 4 MB at the paper's 1,000 participants. Entries are
+/// `RouteId` raw values with two sentinels.
 #[derive(Clone, Debug)]
 struct RouteMemo {
     n: usize,
@@ -337,18 +339,17 @@ impl RouteMemo {
 
 /// The route computation strategy behind [`Network::route`]. All variants
 /// return the same canonical paths (see `routing` module docs); they differ
-/// only in how much work a cache-missing query costs and what is kept
+/// only in how much work a memo-missing query costs and what is kept
 /// resident.
 enum RouteComputer {
     /// Cached full shortest-path trees, one per source router.
     Eager {
         trees: FxHashMap<RouterId, ShortestPaths>,
-        buf: Vec<DirectedLinkId>,
         trees_built: u64,
     },
     /// Lazy bidirectional, landmark-guided point-to-point search; nothing
-    /// per-source is ever materialized. Boxed: the router's workspace is
-    /// much larger than the eager variant's three fields.
+    /// per-source is kept. Boxed: the router's workspace is much larger
+    /// than the eager variant's two fields.
     Lazy(Box<LazyRouter>),
 }
 
@@ -359,12 +360,15 @@ enum RouteComputer {
 pub struct RoutingStats {
     /// The mode the network routes with.
     pub mode: RoutingMode,
-    /// Route computations (route-cache misses); cache hits are not counted.
+    /// Route computations (route-memo misses); memo hits are not counted.
     /// Pairs computed by a batched row fill count individually.
     pub route_queries: u64,
-    /// Batched one-to-many row fills run ([`Network::route_all_from`]).
+    /// Whole-graph row fills run ([`Network::route_all_from`]), in either
+    /// mode.
     pub batched_queries: u64,
-    /// Full per-source Dijkstra trees built (eager mode only).
+    /// Per-source Dijkstra trees the eager mode built and *cached*. The tree
+    /// a lazy-mode row fill runs is dropped when the row is done and is
+    /// counted by `batched_queries` alone.
     pub trees_built: u64,
     /// Lazy point-to-point searches run.
     pub lazy_searches: u64,
@@ -518,17 +522,16 @@ pub struct Network {
     /// Route computation strategy (eager per-source trees or lazy search).
     mode: RoutingMode,
     computer: RouteComputer,
-    /// Route computations performed (route-cache misses).
+    /// Route computations performed (route-memo misses).
     route_queries: u64,
     /// Interned routes; steady-state sends never allocate or copy a path.
     routes: RouteArena,
-    /// Route ids keyed by (source router, destination router).
-    route_cache: FxHashMap<(RouterId, RouterId), RouteId>,
-    /// Flat participant-pair route memo (see [`RouteMemo`]); `None` for
-    /// overlays above [`Network::MEMO_MAX_PARTICIPANTS`].
-    memo: Option<RouteMemo>,
-    /// Batched one-to-many row fills performed (see
-    /// [`Network::route_all_from`]).
+    /// Flat participant-pair route memo (see [`RouteMemo`]).
+    memo: RouteMemo,
+    /// Scratch for a path read off a [`ShortestPaths`] tree on its way into
+    /// the arena.
+    path_buf: Vec<DirectedLinkId>,
+    /// Row fills performed (see [`Network::route_all_from`]).
     batched_queries: u64,
     /// Flat per-link trace state: for each directed link, copies per trace
     /// id. Only the (small, sampled) trace dimension is hashed.
@@ -542,8 +545,8 @@ pub struct Network {
     stress_max: u64,
     /// Bumped by every route-affecting topology mutation. Epoch `e` routes
     /// in the arena stay valid for flights already in the air, but the
-    /// lookup layers (router-pair cache, participant memo, router
-    /// workspaces) only ever serve the current epoch.
+    /// participant memo and the router workspaces only ever serve the
+    /// current epoch.
     topology_epoch: u64,
     /// Repair work counters (see [`RepairStats`]).
     repair: RepairStats,
@@ -570,8 +573,8 @@ impl Network {
 
     /// Builds a live network over a shared [`NetworkSetup`], skipping the
     /// adjacency and landmark construction. This is the cheap per-run view a
-    /// parallel harness hands each worker: link queues, route arena, caches
-    /// and the participant memo are private to this network; only the
+    /// parallel harness hands each worker: link queues, route arena and the
+    /// participant memo are private to this network; only the
     /// immutable setup is shared. `spec` must be the spec the setup was
     /// built from (same routers and links) — routes are then bit-identical
     /// to [`Network::with_routing`] on that spec.
@@ -612,16 +615,12 @@ impl Network {
         let computer = match mode {
             RoutingMode::EagerPerSource => RouteComputer::Eager {
                 trees: FxHashMap::default(),
-                buf: Vec::new(),
                 trees_built: 0,
             },
             RoutingMode::LazyAlt { .. } => RouteComputer::Lazy(Box::new(
                 LazyRouter::with_landmarks(&adjacency, setup.landmarks.clone()),
             )),
         };
-        let participants = spec.attachments.len();
-        let memo =
-            (participants <= Self::MEMO_MAX_PARTICIPANTS).then(|| RouteMemo::new(participants));
         let mut router_parts: FxHashMap<RouterId, Vec<u32>> = FxHashMap::default();
         for (p, &r) in spec.attachments.iter().enumerate() {
             router_parts.entry(r).or_default().push(p as u32);
@@ -634,8 +633,8 @@ impl Network {
             computer,
             route_queries: 0,
             routes: RouteArena::new(link_count),
-            route_cache: FxHashMap::default(),
-            memo,
+            memo: RouteMemo::new(spec.attachments.len()),
+            path_buf: Vec::new(),
             batched_queries: 0,
             link_traces: vec![FxHashMap::default(); link_count],
             trace_aggs: FxHashMap::default(),
@@ -684,179 +683,115 @@ impl Network {
         &self.links
     }
 
-    /// Largest overlay for which the flat participant-pair route memo is
-    /// kept (`n²` 4-byte entries — 16 MiB at the cap; the paper's 1,000
-    /// participants cost 4 MiB). Larger overlays fall back to the router-pair
-    /// hash alone and to pairwise computation.
-    pub const MEMO_MAX_PARTICIPANTS: usize = 2_048;
-
     /// The interned route between two overlay participants.
     ///
     /// Returns [`RouteId::EMPTY`] when both participants share an attachment
     /// router, and `None` when the destination is unreachable. After the
     /// first lookup for a participant pair the route is served from the flat
-    /// route-memo table (or, above [`Network::MEMO_MAX_PARTICIPANTS`], the
-    /// router-pair hash) with no allocation or path copy — this is the
-    /// simulator's per-send hot path.
+    /// route-memo table with no allocation or path copy — this is the
+    /// simulator's per-send hot path. A miss runs one point-to-point
+    /// computation in the network's [`RoutingMode`].
     pub fn route(&mut self, from: OverlayId, to: OverlayId) -> Option<RouteId> {
-        if let Some(memo) = &self.memo {
-            let entry = memo.get(from, to);
-            if entry != RouteMemo::UNKNOWN {
-                return (entry != RouteMemo::UNREACHABLE).then_some(RouteId(entry));
-            }
+        let entry = self.memo.get(from, to);
+        if entry != RouteMemo::UNKNOWN {
+            return (entry != RouteMemo::UNREACHABLE).then_some(RouteId(entry));
         }
-        let id = self.route_between_routers(from, to);
-        if let Some(memo) = &mut self.memo {
-            memo.set(from, to, id);
-        }
+        let id = self.compute_route(from, to);
+        self.memo.set(from, to, id);
         id
     }
 
-    /// Computes (or fetches from the router-pair cache) the route between two
-    /// participants, without consulting or updating the participant memo.
-    fn route_between_routers(&mut self, from: OverlayId, to: OverlayId) -> Option<RouteId> {
+    /// Computes and interns the route between two participants, without
+    /// consulting or updating the participant memo.
+    fn compute_route(&mut self, from: OverlayId, to: OverlayId) -> Option<RouteId> {
         let (src, dst) = (self.attachments[from], self.attachments[to]);
         if src == dst {
             return Some(RouteId::EMPTY);
         }
-        if let Some(&id) = self.route_cache.get(&(src, dst)) {
-            return Some(id);
-        }
         self.route_queries += 1;
         let adjacency = &self.adjacency;
         let (path, cost): (&[DirectedLinkId], u64) = match &mut self.computer {
-            RouteComputer::Eager {
-                trees,
-                buf,
-                trees_built,
-            } => {
+            RouteComputer::Eager { trees, trees_built } => {
                 let sp = trees.entry(src).or_insert_with(|| {
                     *trees_built += 1;
                     ShortestPaths::compute(adjacency, src)
                 });
-                if !sp.path_into(dst, buf) {
+                if !sp.path_into(dst, &mut self.path_buf) {
                     return None;
                 }
                 let cost = sp.cost_to(dst).expect("path exists, so cost does");
-                (buf, cost)
+                (&self.path_buf, cost)
             }
             RouteComputer::Lazy(router) => {
                 let (cost, path) = router.query(adjacency, src, dst)?;
                 (path, cost)
             }
         };
-        let id = self.routes.intern(path, src, dst, cost);
-        self.route_cache.insert((src, dst), id);
-        Some(id)
+        Some(self.routes.intern(path, src, dst, cost))
     }
 
-    /// The interned route between two overlay participants, batch-computing
-    /// the **entire row** of routes out of `from` on a memo miss (see
+    /// The interned route between two overlay participants, computing the
+    /// **entire row** of routes out of `from` on a memo miss (see
     /// [`Network::route_all_from`]).
     ///
     /// This is the oracle-side lookup: offline tree constructions evaluate a
     /// candidate source against many destinations (and, over their run, the
     /// reverse pairs of every participant), so amortizing a whole row per
     /// miss turns their O(participants²) point searches into O(participants)
-    /// one-to-many searches. For overlays above
-    /// [`Network::MEMO_MAX_PARTICIPANTS`] it degrades to a plain
-    /// [`Network::route`]. Routes are canonical either way — bit-identical to
-    /// what the pairwise path returns.
+    /// whole-graph ones. Routes are canonical either way — bit-identical to
+    /// what [`Network::route`] returns.
     pub fn route_batched(&mut self, from: OverlayId, to: OverlayId) -> Option<RouteId> {
-        match &self.memo {
-            None => self.route(from, to),
-            Some(memo) => {
-                if memo.get(from, to) == RouteMemo::UNKNOWN {
-                    self.route_all_from(from);
-                }
-                let entry = self.memo.as_ref().expect("memo present").get(from, to);
-                debug_assert_ne!(entry, RouteMemo::UNKNOWN, "row fill covers every pair");
-                (entry != RouteMemo::UNREACHABLE).then_some(RouteId(entry))
-            }
+        if self.memo.get(from, to) == RouteMemo::UNKNOWN {
+            self.route_all_from(from);
         }
+        let entry = self.memo.get(from, to);
+        debug_assert_ne!(entry, RouteMemo::UNKNOWN, "row fill covers every pair");
+        (entry != RouteMemo::UNREACHABLE).then_some(RouteId(entry))
     }
 
-    /// Batch-computes and memoizes the routes from `from` to **every**
-    /// participant: pairs already known are kept, the rest are computed with
-    /// a single one-to-many forward search ([`LazyRouter::paths_to_many`]) in
-    /// the lazy modes, or one shortest-path tree in eager mode. A no-op for
-    /// overlays above [`Network::MEMO_MAX_PARTICIPANTS`].
+    /// Computes and memoizes the routes from `from` to **every**
+    /// participant: pairs already known are kept, the rest are read off one
+    /// reference shortest-path tree rooted at `from`'s router — the eager
+    /// mode's cached tree, or in the lazy modes a transient one, since the
+    /// targets of a row span the graph and no goal-directed search prunes
+    /// anything (`routing` module docs, "Row fills").
     pub fn route_all_from(&mut self, from: OverlayId) {
-        if self.memo.is_none() {
-            return;
-        }
         let src = self.attachments[from];
-        let n = self.attachments.len();
-        // Pass 1: serve participants already covered by the memo or the
-        // router-pair cache; collect the distinct routers still missing.
-        let mut targets: Vec<RouterId> = Vec::new();
-        let mut target_of: FxHashMap<RouterId, usize> = FxHashMap::default();
-        let mut pending: Vec<(OverlayId, usize)> = Vec::new();
-        {
-            let memo = self.memo.as_mut().expect("checked above");
-            for t in 0..n {
-                if memo.get(from, t) != RouteMemo::UNKNOWN {
-                    continue;
-                }
-                let dst = self.attachments[t];
-                if dst == src {
-                    memo.set(from, t, Some(RouteId::EMPTY));
-                    continue;
-                }
-                if let Some(&id) = self.route_cache.get(&(src, dst)) {
-                    memo.set(from, t, Some(id));
-                    continue;
-                }
-                let idx = *target_of.entry(dst).or_insert_with(|| {
-                    targets.push(dst);
-                    targets.len() - 1
-                });
-                pending.push((t, idx));
+        let mut pending: Vec<OverlayId> = Vec::new();
+        for (t, &dst) in self.attachments.iter().enumerate() {
+            if self.memo.get(from, t) != RouteMemo::UNKNOWN {
+                continue;
+            }
+            if dst == src {
+                self.memo.set(from, t, Some(RouteId::EMPTY));
+            } else {
+                pending.push(t);
             }
         }
         if pending.is_empty() {
             return;
         }
         self.batched_queries += 1;
-        self.route_queries += targets.len() as u64;
-        // Pass 2: compute the missing router pairs in one batch.
-        let mut row: Vec<Option<RouteId>> = vec![None; targets.len()];
+        self.route_queries += pending.len() as u64;
         let adjacency = &self.adjacency;
-        match &mut self.computer {
-            RouteComputer::Eager {
-                trees,
-                buf,
-                trees_built,
-            } => {
-                let sp = trees.entry(src).or_insert_with(|| {
-                    *trees_built += 1;
-                    ShortestPaths::compute(adjacency, src)
-                });
-                for (idx, &dst) in targets.iter().enumerate() {
-                    if sp.path_into(dst, buf) {
-                        let cost = sp.cost_to(dst).expect("path exists, so cost does");
-                        let id = self.routes.intern(buf, src, dst, cost);
-                        self.route_cache.insert((src, dst), id);
-                        row[idx] = Some(id);
-                    }
-                }
+        let transient;
+        let sp = match &mut self.computer {
+            RouteComputer::Eager { trees, trees_built } => trees.entry(src).or_insert_with(|| {
+                *trees_built += 1;
+                ShortestPaths::compute(adjacency, src)
+            }),
+            RouteComputer::Lazy(_) => {
+                transient = ShortestPaths::compute(adjacency, src);
+                &transient
             }
-            RouteComputer::Lazy(router) => {
-                let routes = &mut self.routes;
-                let cache = &mut self.route_cache;
-                let row = &mut row;
-                router.paths_to_many(adjacency, src, &targets, |idx, res| {
-                    if let Some((cost, links)) = res {
-                        let id = routes.intern(links, src, targets[idx], cost);
-                        cache.insert((src, targets[idx]), id);
-                        row[idx] = Some(id);
-                    }
-                });
-            }
-        }
-        let memo = self.memo.as_mut().expect("checked above");
-        for (t, idx) in pending {
-            memo.set(from, t, row[idx]);
+        };
+        for t in pending {
+            let dst = self.attachments[t];
+            let id = sp.path_into(dst, &mut self.path_buf).then(|| {
+                let cost = sp.cost_to(dst).expect("path exists, so cost does");
+                self.routes.intern(&self.path_buf, src, dst, cost)
+            });
+            self.memo.set(from, t, id);
         }
     }
 
@@ -1014,9 +949,9 @@ impl Network {
     }
 
     /// Applies a classified route-affecting mutation: bumps the epoch and
-    /// repairs the affected region — instead of dumping every cache,
+    /// repairs the affected region — instead of dumping the whole memo,
     /// identifies exactly the routes the mutation can change and moves only
-    /// their lookup entries to the new epoch, keeping the adjacency, the
+    /// their memo cells to the new epoch, keeping the adjacency, the
     /// route computer and the ALT landmark tables alive. A no-op for an
     /// empty change set (the mutation had no graph effect).
     ///
@@ -1109,7 +1044,7 @@ impl Network {
         //    one forward table per distinct head, all on the patched graph —
         //    or, for a healed router `r`, just the two tables of the
         //    zero-cost pseudo-edge `r → r`.
-        if !improved.is_empty() && !self.route_cache.is_empty() {
+        if !improved.is_empty() && self.routes.live().next().is_some() {
             let healed = healed_router(&self.adjacency, &improved).map(|r| [(r, r, 0)]);
             let crossings: &[(RouterId, RouterId, u64)] = match &healed {
                 Some(through_router) => through_router,
@@ -1127,11 +1062,8 @@ impl Network {
             }
             self.repair.filter_tables += (to_tail.len() + from_head.len()) as u64;
             let mut doomed: Vec<u32> = Vec::new();
-            for (&(src, dst), &id) in &self.route_cache {
-                let raw = id.0;
-                if self.routes.is_stale(raw) {
-                    continue;
-                }
+            for raw in self.routes.live() {
+                let (src, dst) = self.routes.ends(raw);
                 let cost = self.routes.cost(raw);
                 let survives = crossings.iter().all(|&(a, b, w)| {
                     to_tail[&a][src]
@@ -1150,26 +1082,18 @@ impl Network {
                 invalidated.push(raw);
             }
         }
-        // 5. Move the lookup layers of each invalidated pair to the new
-        //    epoch: its router-pair cache entry and its participant-memo
-        //    cells (`parts(src) × parts(dst)`).
+        // 5. Move each invalidated route's participant-memo cells
+        //    (`parts(src) × parts(dst)`) to the new epoch. Every interned
+        //    route joins two routers that have participants.
         self.repair.routes_invalidated += invalidated.len() as u64;
         for raw in invalidated {
             let (src, dst) = self.routes.ends(raw);
-            self.route_cache.remove(&(src, dst));
-            if let Some(memo) = &mut self.memo {
-                if let (Some(from), Some(to)) =
-                    (self.router_parts.get(&src), self.router_parts.get(&dst))
-                {
-                    self.repair.memo_cells_cleared += memo.clear_pairs(from, to);
-                }
-            }
+            let (from, to) = (&self.router_parts[&src], &self.router_parts[&dst]);
+            self.repair.memo_cells_cleared += self.memo.clear_pairs(from, to);
         }
         // 6. Improvements can connect pairs memoized unreachable.
         if !improved.is_empty() {
-            if let Some(memo) = &mut self.memo {
-                self.repair.unreachable_cleared += memo.clear_unreachable();
-            }
+            self.repair.unreachable_cleared += self.memo.clear_unreachable();
         }
         // 7. Eager trees span the whole graph, so any route-affecting
         //    mutation can bend them; drop the cache (the build counter
@@ -1276,14 +1200,6 @@ impl Network {
     pub fn total_bytes_sent(&self) -> u64 {
         self.links.iter().map(|l| l.counters.bytes_sent).sum()
     }
-
-    /// Total packets dropped (queue + random loss) across all links.
-    pub fn total_drops(&self) -> u64 {
-        self.links
-            .iter()
-            .map(|l| l.counters.dropped_queue + l.counters.dropped_loss)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -1335,7 +1251,7 @@ mod tests {
     }
 
     #[test]
-    fn routes_are_interned_once_per_router_pair() {
+    fn routes_are_interned_once_per_participant_pair() {
         let mut net = Network::new(&dumbbell());
         let first = net.route(0, 1).expect("route exists");
         let second = net.route(0, 1).expect("route exists");
@@ -1430,7 +1346,7 @@ mod tests {
         net.route(0, 1);
         net.route(0, 1);
         let stats = net.routing_stats();
-        assert_eq!(stats.route_queries, 1, "repeat lookups hit the cache");
+        assert_eq!(stats.route_queries, 1, "repeat lookups hit the memo");
         assert_eq!(stats.lazy_searches, 1);
         assert!(stats.routers_settled > 0);
         assert_eq!(stats.mode, RoutingMode::LazyAlt { landmarks: 0 });
@@ -1534,6 +1450,45 @@ mod tests {
             // Idempotent flips do not churn the epoch.
             net.set_link_up(0, true);
             assert_eq!(net.topology_epoch(), 2);
+        }
+    }
+
+    /// Participants that share attachment routers have a memo cell and an
+    /// interned route each, over one router pair: the cells must route alike,
+    /// and a mutation on the path must move all of them — to what a network
+    /// freshly built on the mutated spec routes.
+    #[test]
+    fn participants_sharing_a_router_route_and_repair_alike() {
+        let mut spec = diamond();
+        let (a2, b2) = (spec.attach(0), spec.attach(2));
+        for mode in [
+            RoutingMode::EagerPerSource,
+            RoutingMode::LazyAlt { landmarks: 0 },
+            RoutingMode::LazyAlt { landmarks: 2 },
+        ] {
+            let mut net = Network::with_routing(&spec, mode);
+            let mut mutated = spec.clone();
+            let check = |net: &mut Network, mutated: &NetworkSpec, want: &[DirectedLinkId]| {
+                let mut fresh = Network::with_routing(mutated, mode);
+                for (a, b) in [(0, 1), (a2, b2), (0, b2), (a2, 1)] {
+                    assert_eq!(net.path(a, b).as_deref(), Some(want), "{mode:?}: {a}->{b}");
+                    assert_eq!(net.path(a, b), fresh.path(a, b), "{mode:?}: {a}->{b}");
+                    assert_eq!(net.path(b, a), fresh.path(b, a), "{mode:?}: {b}->{a}");
+                }
+            };
+            check(&mut net, &mutated, &[0, 2]);
+            net.set_link_up(0, false);
+            mutated.set_link_up(0, false);
+            check(&mut net, &mutated, &[4, 6]);
+            net.set_link_up(0, true);
+            mutated.set_link_up(0, true);
+            check(&mut net, &mutated, &[0, 2]);
+            // Eight cells (four each way), each routed three times; both
+            // mutations invalidated all eight routes, cell by cell.
+            assert_eq!(net.routing_stats().route_queries, 24, "{mode:?}");
+            let repair = net.repair_stats();
+            assert_eq!(repair.routes_invalidated, 16, "{mode:?}");
+            assert_eq!(repair.memo_cells_cleared, 16, "{mode:?}");
         }
     }
 
@@ -1688,10 +1643,10 @@ mod tests {
             warm_all(&mut net);
             net.set_router_up(CENTRE, false);
             warm_all(&mut net);
-            let cached: Vec<((RouterId, RouterId), u64)> = net
-                .route_cache
+            let live: Vec<u32> = net.routes.live().collect();
+            let cached: Vec<((RouterId, RouterId), u64)> = live
                 .iter()
-                .map(|(&pair, &id)| (pair, net.routes.cost(id.0)))
+                .map(|&raw| (net.routes.ends(raw), net.routes.cost(raw)))
                 .collect();
             assert_eq!(
                 cached.len(),
@@ -1717,10 +1672,10 @@ mod tests {
             assert_eq!(improved.len(), 8, "the centre has degree 4");
             assert_eq!(healed_router(&net.adjacency, &improved), Some(CENTRE));
             let (want, per_edge_tables) = per_edge_filter(&net.adjacency, &improved, &cached);
-            let mut got: Vec<(RouterId, RouterId)> = cached
+            let mut got: Vec<(RouterId, RouterId)> = live
                 .iter()
-                .map(|&(pair, _)| pair)
-                .filter(|pair| !net.route_cache.contains_key(pair))
+                .filter(|&&raw| net.routes.stale[raw as usize])
+                .map(|&raw| net.routes.ends(raw))
                 .collect();
             got.sort_unstable();
             assert_eq!(got, want, "{mode:?}: doomed pairs");

@@ -51,11 +51,18 @@
 //! 3. `u` is settled by neither side: not tight, by the lemma.
 //!
 //! Nothing here uses cost symmetry, so plain bidirectional search on
-//! directed graphs reconstructs the same way. The batched one-to-many
-//! [`LazyRouter::paths_to_many`] is forward-only and has no second ball to
-//! consult; it keeps resuming its single search.
+//! directed graphs reconstructs the same way.
+//!
+//! # Row fills
+//!
+//! A whole row of routes out of one source ([`Network::route_all_from`])
+//! runs the reference search, [`ShortestPaths::compute`], in both routing
+//! modes. Its targets are every participant, scattered over the whole
+//! graph, so settling all of them settles nearly everything: no goal
+//! direction can prune a search whose goals span the graph.
 //!
 //! [`Network`]: crate::network::Network
+//! [`Network::route_all_from`]: crate::network::Network::route_all_from
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -495,99 +502,6 @@ impl PotCache {
     }
 }
 
-/// Per-batch multi-target ALT potential for [`LazyRouter::paths_to_many`].
-///
-/// For a batched one-to-many query the forward search must settle *every*
-/// target, so the useful potential is a lower bound on the distance to the
-/// **nearest** target: `p(v) = max_L min_t |d_L(v) − d_L(t)|`. Each
-/// `|d_L(v) − d_L(t)|` is the standard ALT bound (consistent under the
-/// symmetric-cost assumption); taking `min` over targets and `max` over
-/// landmarks preserves consistency, and `p(t) = 0` at every target. The
-/// inner `min` is an `O(log targets)` binary search over the per-landmark
-/// sorted target distances, memoized per node per query epoch.
-#[derive(Debug)]
-struct BatchPot {
-    stamp: Vec<u32>,
-    val: Vec<u64>,
-    epoch: u32,
-    active: bool,
-    /// Per landmark, the sorted distances from that landmark to every batch
-    /// target; empty when the landmark cannot bound this batch (some target
-    /// lies outside its component).
-    sorted: Vec<Vec<u64>>,
-}
-
-impl BatchPot {
-    fn new(n: usize) -> Self {
-        BatchPot {
-            stamp: vec![0; n],
-            val: vec![0; n],
-            epoch: 0,
-            active: false,
-            sorted: Vec::new(),
-        }
-    }
-
-    fn begin(&mut self, epoch: u32, landmarks: &[Vec<u64>], targets: &[RouterId]) {
-        self.epoch = epoch;
-        self.active = false;
-        self.sorted.resize_with(landmarks.len(), Vec::new);
-        for (l, table) in landmarks.iter().enumerate() {
-            let buf = &mut self.sorted[l];
-            buf.clear();
-            let mut usable = true;
-            for &t in targets {
-                let d = table[t];
-                if d == u64::MAX {
-                    usable = false;
-                    break;
-                }
-                buf.push(d);
-            }
-            if usable {
-                buf.sort_unstable();
-                self.active = true;
-            } else {
-                buf.clear();
-            }
-        }
-    }
-
-    /// Lower bound on the distance from `v` to the nearest batch target
-    /// (0 without landmarks or for nodes a landmark cannot see).
-    fn get(&mut self, landmarks: &[Vec<u64>], v: RouterId) -> u64 {
-        if !self.active {
-            return 0;
-        }
-        if self.stamp[v] == self.epoch {
-            return self.val[v];
-        }
-        let mut p = 0u64;
-        for (l, table) in landmarks.iter().enumerate() {
-            let ts = &self.sorted[l];
-            if ts.is_empty() {
-                continue;
-            }
-            let dv = table[v];
-            if dv == u64::MAX {
-                continue; // landmark in another component: no bound
-            }
-            let i = ts.partition_point(|&d| d < dv);
-            let mut nearest = u64::MAX;
-            if i < ts.len() {
-                nearest = ts[i] - dv;
-            }
-            if i > 0 {
-                nearest = nearest.min(dv - ts[i - 1]);
-            }
-            p = p.max(nearest);
-        }
-        self.stamp[v] = self.epoch;
-        self.val[v] = p;
-        p
-    }
-}
-
 /// Which frontier an [`advance`] step grows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Dir {
@@ -662,13 +576,10 @@ enum Tight {
 /// Counters describing the work a [`LazyRouter`] has done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LazyRouterStats {
-    /// Point-to-point searches run (route-cache misses).
+    /// Point-to-point searches run (route-memo misses).
     pub searches: u64,
-    /// Batched one-to-many searches run ([`LazyRouter::paths_to_many`]).
-    pub batched: u64,
-    /// Routers settled across all searches. Point-to-point reconstruction
-    /// settles nothing (it reads the two search balls); only the batched
-    /// one-to-many reconstruction resumes its search and adds to this.
+    /// Routers settled across all searches, by either frontier.
+    /// Reconstruction settles nothing: it reads the two search balls.
     pub settled: u64,
     /// Landmark tables built at construction.
     pub landmarks: usize,
@@ -721,16 +632,6 @@ pub struct LazyRouter {
     on_sp_stack: Vec<(RouterId, usize)>,
     searches: u64,
     settled: u64,
-    // Batched one-to-many state (see `paths_to_many`). All arrays are
-    // epoch-stamped like the search sides, so a batch query is O(1) to begin.
-    batch_pot: BatchPot,
-    /// Marks the routers that are targets of the current batch query.
-    target_stamp: Vec<u32>,
-    /// Memoized canonical predecessor per node per batch epoch, so targets
-    /// sharing a path suffix walk it once.
-    canon_stamp: Vec<u32>,
-    canon_prev: Vec<(RouterId, DirectedLinkId)>,
-    batched: u64,
 }
 
 impl LazyRouter {
@@ -769,11 +670,6 @@ impl LazyRouter {
             on_sp_stack: Vec::new(),
             searches: 0,
             settled: 0,
-            batch_pot: BatchPot::new(n),
-            target_stamp: vec![0; n],
-            canon_stamp: vec![0; n],
-            canon_prev: vec![(0, 0); n],
-            batched: 0,
         }
     }
 
@@ -781,7 +677,6 @@ impl LazyRouter {
     pub fn stats(&self) -> LazyRouterStats {
         LazyRouterStats {
             searches: self.searches,
-            batched: self.batched,
             settled: self.settled,
             landmarks: self.landmark_dists.len(),
         }
@@ -1083,176 +978,40 @@ impl LazyRouter {
         self.on_sp_stack = stack;
         self.on_sp[u]
     }
-
-    /// Batched one-to-many query: computes the canonical shortest path from
-    /// `src` to every router in `targets` with a **single** forward search,
-    /// early-terminating once every target is settled.
-    ///
-    /// The search is a plain forward Dijkstra (unscaled costs) guided, in ALT
-    /// mode, by the multi-target lower bound of [`BatchPot`] — a consistent
-    /// potential, so every popped node's distance is final and the paths are
-    /// exactly the canonical ones the pairwise [`LazyRouter::query`] and the
-    /// eager [`ShortestPaths`] return. `emit(i, result)` is called once per
-    /// target index, in order; the result is `None` for unreachable targets
-    /// and otherwise the cost plus the link sequence (borrowed from an
-    /// internal buffer, valid for the duration of the callback).
-    ///
-    /// Reconstruction walks tight in-edges back from each target (smallest
-    /// link id wins, as everywhere), resuming the forward search on demand
-    /// where the early-terminated ball has not yet proven or refuted
-    /// tightness; the canonical predecessor of each node is memoized per
-    /// query, so targets sharing a path suffix walk it once.
-    pub fn paths_to_many(
-        &mut self,
-        adj: &Adjacency,
-        src: RouterId,
-        targets: &[RouterId],
-        mut emit: impl FnMut(usize, Option<(u64, &[DirectedLinkId])>),
-    ) {
-        if targets.is_empty() {
-            return;
-        }
-        self.batched += 1;
-        self.epoch = self.epoch.checked_add(1).expect("routing epoch overflow");
-        let epoch = self.epoch;
-        self.batch_pot.begin(epoch, &self.landmark_dists, targets);
-        self.fwd.heap.clear();
-        self.fwd.improve(epoch, src, 0);
-        let ps = self.batch_pot.get(&self.landmark_dists, src);
-        self.fwd.key[src] = ps;
-        self.fwd.heap.push(Reverse((ps, src as u32)));
-
-        // Phase 1: settle until every distinct target is settled (or the
-        // frontier is exhausted, leaving the rest provably unreachable).
-        let mut remaining = 0usize;
-        for &t in targets {
-            if self.target_stamp[t] != epoch {
-                self.target_stamp[t] = epoch;
-                remaining += 1;
-            }
-        }
-        while remaining > 0 {
-            let Some(v) = self.batch_advance(adj) else {
-                break;
-            };
-            if self.target_stamp[v] == epoch {
-                remaining -= 1;
-            }
-        }
-
-        // Phase 2: canonical reconstruction per target.
-        let mut rev = std::mem::take(&mut self.rev_buf);
-        for (i, &t) in targets.iter().enumerate() {
-            if !self.fwd.settled(epoch, t) {
-                emit(i, None);
-                continue;
-            }
-            rev.clear();
-            let mut v = t;
-            while v != src {
-                let (u, link) = self.batch_canonical_prev(adj, v);
-                rev.push(link);
-                v = u;
-            }
-            self.path_buf.clear();
-            self.path_buf.extend(rev.iter().rev());
-            emit(i, Some((self.fwd.dist[t], &self.path_buf)));
-        }
-        self.rev_buf = rev;
-    }
-
-    /// Settles the next node of the batched forward search, or `None` once
-    /// the frontier is exhausted.
-    fn batch_advance(&mut self, adj: &Adjacency) -> Option<RouterId> {
-        let epoch = self.epoch;
-        loop {
-            let Reverse((key, v32)) = self.fwd.heap.pop()?;
-            let v = v32 as usize;
-            if self.fwd.stamp[v] != epoch
-                || self.fwd.settled_at[v] == epoch
-                || key != self.fwd.key[v]
-            {
-                continue; // stale entry
-            }
-            self.fwd.settled_at[v] = epoch;
-            self.settled += 1;
-            let dv = self.fwd.dist[v];
-            for &(u, _link, cost) in adj.neighbors(v) {
-                let nd = dv.saturating_add(cost);
-                if self.fwd.improve(epoch, u, nd) {
-                    let p = self.batch_pot.get(&self.landmark_dists, u);
-                    let key = nd.saturating_add(p);
-                    self.fwd.key[u] = key;
-                    self.fwd.heap.push(Reverse((key, u as u32)));
-                }
-            }
-            return Some(v);
-        }
-    }
-
-    /// The canonical predecessor (tight in-edge with the smallest link id) of
-    /// a settled node `v` in the current batch search, memoized per epoch.
-    fn batch_canonical_prev(&mut self, adj: &Adjacency, v: RouterId) -> (RouterId, DirectedLinkId) {
-        if self.canon_stamp[v] == self.epoch {
-            return self.canon_prev[v];
-        }
-        let dv = self.fwd.dist[v];
-        let mut best: Option<(DirectedLinkId, RouterId)> = None;
-        for &(u, link, cost) in adj.in_neighbors(v) {
-            if let Some((best_link, _)) = best {
-                if link >= best_link {
-                    continue; // only a smaller link id can win
-                }
-            }
-            if cost > dv {
-                continue;
-            }
-            if self.batch_dist_equals(adj, u, dv - cost) {
-                best = Some((link, u));
-            }
-        }
-        let (link, u) = best.expect("a shortest path always has a tight canonical predecessor");
-        self.canon_stamp[v] = self.epoch;
-        self.canon_prev[v] = (u, link);
-        (u, link)
-    }
-
-    /// Whether the true forward distance of `u` in the batch search equals
-    /// `target`, resuming the search as needed. Sound because the batch
-    /// potential is consistent: an unsettled node's final key (`dist + p`)
-    /// is bounded below by the current frontier top.
-    fn batch_dist_equals(&mut self, adj: &Adjacency, u: RouterId, target: u64) -> bool {
-        let epoch = self.epoch;
-        loop {
-            if self.fwd.settled(epoch, u) {
-                return self.fwd.dist[u] == target;
-            }
-            let Some(top) = self.fwd.peek_fresh(epoch) else {
-                return false; // frontier exhausted: u is unreachable
-            };
-            let pu = self.batch_pot.get(&self.landmark_dists, u);
-            if top > target.saturating_add(pu) {
-                return false; // true dist of u provably exceeds target
-            }
-            self.batch_advance(adj);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkSpec;
+    use crate::network::{Network, NetworkSpec, RouteId};
     use crate::rng::SimRng;
+    use crate::time::SimDuration;
+
+    /// `(a, b, cost)`, for both directions.
+    type UndirectedEdge = (RouterId, RouterId, u64);
+
+    /// The symmetric graph of an undirected edge list: edge `i` is directed
+    /// link `2 * i` from `a` to `b` and `2 * i + 1` back, as a
+    /// [`NetworkSpec`] numbers them.
+    fn symmetric_adjacency(n: usize, edges: &[UndirectedEdge]) -> Adjacency {
+        let mut adj = Adjacency::new(n);
+        for (i, &(a, b, cost)) in edges.iter().enumerate() {
+            adj.add_edge(a, b, 2 * i, cost);
+            adj.add_edge(b, a, 2 * i + 1, cost);
+        }
+        adj
+    }
+
+    /// The unit-cost line 0 - 1 - … - `n - 1`.
+    fn line_edges(n: usize) -> Vec<UndirectedEdge> {
+        (0..n - 1).map(|i| (i, i + 1, 1)).collect()
+    }
 
     /// Builds a line topology 0 - 1 - 2 - 3 with unit costs, where the
     /// directed link id from i to i+1 is `2*i` and the reverse is `2*i+1`.
     fn line(n: usize) -> Adjacency {
-        let mut adj = Adjacency::new(n);
-        for i in 0..n - 1 {
-            adj.add_edge(i, i + 1, 2 * i, 1);
-            adj.add_edge(i + 1, i, 2 * i + 1, 1);
-        }
-        adj
+        symmetric_adjacency(n, &line_edges(n))
     }
 
     #[test]
@@ -1346,39 +1105,35 @@ mod tests {
         }
     }
 
-    /// Random symmetric graphs with tiny integer costs (maximally tie-heavy)
-    /// must give identical paths from the reference and both lazy modes,
-    /// for every pair.
+    /// A random graph with tiny integer costs (maximally tie-heavy): a ring
+    /// keeps most of it connected, chords add ties.
+    fn random_tie_heavy_edges(rng: &mut SimRng) -> (usize, Vec<UndirectedEdge>) {
+        let n = 8 + (rng.next_u64() % 40) as usize;
+        let mut edges = Vec::new();
+        for i in 0..n {
+            edges.push((i, (i + 1) % n, 1 + rng.next_u64() % 3));
+        }
+        for _ in 0..n {
+            let a = (rng.next_u64() % n as u64) as usize;
+            let b = (rng.next_u64() % n as u64) as usize;
+            if a != b {
+                edges.push((a, b, 1 + rng.next_u64() % 3));
+            }
+        }
+        (n, edges)
+    }
+
+    /// Random tie-heavy graphs must give identical paths from the reference
+    /// and both lazy modes, for every pair.
     #[test]
     fn lazy_matches_reference_on_random_tie_heavy_graphs() {
         let mut rng = SimRng::new(0xD1785);
         for case in 0..30 {
-            let n = 8 + (rng.next_u64() % 40) as usize;
-            let mut adj = Adjacency::new(n);
-            let mut next_link = 0;
-            let mut add = |adj: &mut Adjacency, a: usize, b: usize, cost: u64| {
-                adj.add_edge(a, b, next_link, cost);
-                adj.add_edge(b, a, next_link + 1, cost);
-                next_link += 2;
-            };
-            // A ring keeps most of the graph connected, chords add ties.
-            for i in 0..n {
-                let cost = 1 + rng.next_u64() % 3;
-                add(&mut adj, i, (i + 1) % n, cost);
-            }
-            for _ in 0..n {
-                let a = (rng.next_u64() % n as u64) as usize;
-                let b = (rng.next_u64() % n as u64) as usize;
-                if a != b {
-                    add(&mut adj, a, b, 1 + rng.next_u64() % 3);
-                }
-            }
+            let (n, edges) = random_tie_heavy_edges(&mut rng);
+            let adj = symmetric_adjacency(n, &edges);
             assert_all_pairs_canonical(&adj, &[0, 3], &format!("case {case}"));
         }
     }
-
-    /// `(a, b, cost)`, for both directions.
-    type UndirectedEdge = (RouterId, RouterId, u64);
 
     /// Undirected edge lists of three shapes built to defeat a
     /// reconstruction that reads the two search balls, each with its router
@@ -1455,11 +1210,9 @@ mod tests {
     fn reconstruction_matches_reference_on_tie_adversarial_graphs() {
         let mut rng = SimRng::new(0x71E5);
         for (label, n, edges) in tie_adversarial_shapes() {
-            let mut symmetric = Adjacency::new(n);
+            let symmetric = symmetric_adjacency(n, &edges);
             let mut directed = Adjacency::new(n);
             for (i, &(a, b, cost)) in edges.iter().enumerate() {
-                symmetric.add_edge(a, b, 2 * i, cost);
-                symmetric.add_edge(b, a, 2 * i + 1, cost);
                 directed.add_edge(a, b, 2 * i, cost + rng.next_below(2));
                 if !rng.chance(0.1) {
                     directed.add_edge(b, a, 2 * i + 1, cost + rng.next_below(2));
@@ -1507,118 +1260,105 @@ mod tests {
         assert!(select_landmarks(&small, 8).len() <= 2);
     }
 
-    /// Runs `paths_to_many` and collects the per-target results as owned
-    /// vectors for comparison.
-    fn batch(
-        router: &mut LazyRouter,
-        adj: &Adjacency,
-        src: RouterId,
-        targets: &[RouterId],
-    ) -> Vec<Option<(u64, Vec<DirectedLinkId>)>> {
-        let mut out: Vec<Option<(u64, Vec<DirectedLinkId>)>> = vec![None; targets.len()];
-        router.paths_to_many(adj, src, targets, |i, res| {
-            out[i] = res.map(|(c, p)| (c, p.to_vec()));
-        });
-        out
+    /// A [`RoutingMode::LazyAlt`] network over an undirected edge list (a
+    /// cost is a delay in microseconds) with participant `r` on router `r`,
+    /// so participant pairs are router pairs and link ids are
+    /// [`symmetric_adjacency`]'s.
+    fn lazy_network(n: usize, edges: &[UndirectedEdge], landmarks: usize) -> Network {
+        let mut spec = NetworkSpec::new(n);
+        for &(a, b, cost) in edges {
+            spec.add_link(LinkSpec::new(a, b, 1e6, SimDuration::from_micros(cost)));
+        }
+        for r in 0..n {
+            spec.attach(r);
+        }
+        Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks })
     }
+
+    /// `from → to` through a row fill, as an owned link sequence.
+    fn batched_path(net: &mut Network, from: usize, to: usize) -> Option<Vec<DirectedLinkId>> {
+        let id = net.route_batched(from, to)?;
+        Some(net.route_links(id).to_vec())
+    }
+
+    // In a lazy-mode network a row fill runs the reference Dijkstra and a
+    // point query runs `LazyRouter::query`: the four tests below compare two
+    // implementations, each on a network of its own so neither is served
+    // from the other's memo.
 
     #[test]
     fn batched_paths_match_the_reference_on_a_line() {
-        let adj = line(5);
-        let sp = ShortestPaths::compute(&adj, 1);
-        let mut lazy = LazyRouter::new(&adj, 0);
-        let targets = [4, 0, 1, 3, 4]; // out of order, duplicate, src itself
-        let got = batch(&mut lazy, &adj, 1, &targets);
-        for (i, &t) in targets.iter().enumerate() {
-            let (cost, path) = got[i].clone().expect("reachable");
-            assert_eq!(Some(cost), sp.cost_to(t), "target {t}");
-            assert_eq!(Some(path), sp.path_to(t), "target {t}");
+        let mut rows = lazy_network(5, &line_edges(5), 0);
+        let mut points = lazy_network(5, &line_edges(5), 0);
+        for t in [4, 0, 1, 3, 4] {
+            // out of order, the source itself, a repeat
+            assert_eq!(batched_path(&mut rows, 1, t), points.path(1, t), "1->{t}");
         }
-        assert_eq!(lazy.stats().batched, 1);
-        assert_eq!(lazy.stats().searches, 0);
+        assert_eq!(batched_path(&mut rows, 1, 4), Some(vec![2, 4, 6]));
+        let stats = rows.routing_stats();
+        assert_eq!((stats.batched_queries, stats.lazy_searches), (1, 0));
+        assert_eq!(points.routing_stats().lazy_searches, 3);
     }
 
     #[test]
     fn batched_paths_report_unreachable_targets() {
-        let mut adj = Adjacency::new(4);
-        adj.add_edge(0, 1, 0, 1);
-        adj.add_edge(1, 0, 1, 1);
         // Routers 2 and 3 form a separate component.
-        adj.add_edge(2, 3, 2, 1);
-        adj.add_edge(3, 2, 3, 1);
+        let edges = [(0, 1, 1), (2, 3, 1)];
         for landmarks in [0, 2] {
-            let mut lazy = LazyRouter::new(&adj, landmarks);
-            let got = batch(&mut lazy, &adj, 0, &[1, 2, 3, 0]);
-            assert_eq!(got[0], Some((1, vec![0])), "landmarks {landmarks}");
-            assert_eq!(got[1], None, "landmarks {landmarks}");
-            assert_eq!(got[2], None, "landmarks {landmarks}");
-            assert_eq!(got[3], Some((0, vec![])), "landmarks {landmarks}");
+            let mut rows = lazy_network(4, &edges, landmarks);
+            let mut points = lazy_network(4, &edges, landmarks);
+            assert_eq!(batched_path(&mut rows, 0, 1), Some(vec![0]));
+            assert_eq!(batched_path(&mut rows, 0, 2), None, "landmarks {landmarks}");
+            assert_eq!(batched_path(&mut rows, 0, 3), None, "landmarks {landmarks}");
+            assert_eq!(rows.route_batched(0, 0), Some(RouteId::EMPTY));
+            for t in 0..4 {
+                assert_eq!(batched_path(&mut rows, 0, t), points.path(0, t), "0->{t}");
+            }
         }
     }
 
-    /// The batched one-to-many query must return bit-identical canonical
-    /// paths to the eager reference (and hence to the pairwise lazy modes)
-    /// on tie-heavy random graphs, with and without landmarks.
+    /// Row fills must return bit-identical canonical paths to the pairwise
+    /// lazy searches on tie-heavy random graphs, with and without landmarks.
     #[test]
     fn batched_paths_match_reference_on_random_tie_heavy_graphs() {
         let mut rng = SimRng::new(0xBA7C4);
         for case in 0..20 {
-            let n = 8 + (rng.next_u64() % 40) as usize;
-            let mut adj = Adjacency::new(n);
-            let mut next_link = 0;
-            let mut add = |adj: &mut Adjacency, a: usize, b: usize, cost: u64| {
-                adj.add_edge(a, b, next_link, cost);
-                adj.add_edge(b, a, next_link + 1, cost);
-                next_link += 2;
-            };
-            for i in 0..n {
-                add(&mut adj, i, (i + 1) % n, 1 + rng.next_u64() % 3);
-            }
-            for _ in 0..n {
-                let a = (rng.next_u64() % n as u64) as usize;
-                let b = (rng.next_u64() % n as u64) as usize;
-                if a != b {
-                    add(&mut adj, a, b, 1 + rng.next_u64() % 3);
+            let (n, edges) = random_tie_heavy_edges(&mut rng);
+            for landmarks in [0, 3] {
+                let mut rows = lazy_network(n, &edges, landmarks);
+                let mut points = lazy_network(n, &edges, landmarks);
+                for src in 0..n {
+                    for dst in 0..n {
+                        assert_eq!(
+                            batched_path(&mut rows, src, dst),
+                            points.path(src, dst),
+                            "case {case}: {src}->{dst}, {landmarks} landmarks"
+                        );
+                    }
                 }
-            }
-            let targets: Vec<RouterId> = (0..n).collect();
-            let mut plain = LazyRouter::new(&adj, 0);
-            let mut alt = LazyRouter::new(&adj, 3);
-            for src in 0..n {
-                let sp = ShortestPaths::compute(&adj, src);
-                let got_plain = batch(&mut plain, &adj, src, &targets);
-                let got_alt = batch(&mut alt, &adj, src, &targets);
-                for dst in 0..n {
-                    let reference = sp.path_to(dst).map(|p| (sp.cost_to(dst).unwrap(), p));
-                    assert_eq!(got_plain[dst], reference, "case {case}: {src}->{dst} plain");
-                    assert_eq!(got_alt[dst], reference, "case {case}: {src}->{dst} alt");
-                }
+                assert_eq!(rows.routing_stats().lazy_searches, 0);
+                assert_eq!(points.routing_stats().batched_queries, 0);
             }
         }
     }
 
-    /// Batched queries interleave safely with pairwise queries on the same
-    /// router (the epoch-stamped workspaces are shared).
+    /// Row fills interleave with point queries on one network: a fill keeps
+    /// the pairs already routed and the lazy router's workspace is none of
+    /// its business.
     #[test]
     fn batched_and_pairwise_queries_interleave() {
-        let adj = line(6);
-        let mut lazy = LazyRouter::new(&adj, 2);
-        let sp = ShortestPaths::compute(&adj, 0);
-        let (c1, p1) = lazy
-            .query(&adj, 0, 5)
-            .map(|(c, p)| (c, p.to_vec()))
-            .unwrap();
-        let got = batch(&mut lazy, &adj, 0, &[5, 2]);
-        assert_eq!(got[0], Some((c1, p1.clone())));
-        assert_eq!(got[1].as_ref().map(|(_, p)| p.clone()), sp.path_to(2));
-        let (c2, p2) = lazy
-            .query(&adj, 0, 5)
-            .map(|(c, p)| (c, p.to_vec()))
-            .unwrap();
-        assert_eq!((c2, p2), (c1, p1));
-        let stats = lazy.stats();
-        assert_eq!(stats.searches, 2);
-        assert_eq!(stats.batched, 1);
+        let mut net = lazy_network(6, &line_edges(6), 2);
+        let first = net.route(0, 5).expect("connected");
+        assert_eq!(net.route_batched(0, 2), net.route(0, 2));
+        assert_eq!(batched_path(&mut net, 0, 2), Some(vec![0, 2]));
+        assert_eq!(net.route_batched(0, 5), Some(first), "the fill kept 0->5");
+        let back = net.route(5, 0).expect("connected");
+        assert_eq!(net.route_links(back), &[9, 7, 5, 3, 1]);
+        let stats = net.routing_stats();
+        assert_eq!((stats.lazy_searches, stats.batched_queries), (2, 1));
+        // One point search, four filled pairs (0->0 crosses no link), one
+        // point search.
+        assert_eq!(stats.route_queries, 6);
     }
 
     #[test]

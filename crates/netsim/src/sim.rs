@@ -568,12 +568,6 @@ impl<A: Agent> Sim<A> {
         &self.agents[node]
     }
 
-    /// Mutable access to one agent (used by harnesses to reconfigure nodes
-    /// between phases; protocol code itself never needs this).
-    pub fn agent_mut(&mut self, node: OverlayId) -> &mut A {
-        &mut self.agents[node]
-    }
-
     /// All agents.
     pub fn agents(&self) -> &[A] {
         &self.agents

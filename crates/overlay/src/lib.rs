@@ -8,7 +8,7 @@
 //! hand-crafted good/worst trees on PlanetLab (§4.7). This crate provides the
 //! [`Tree`] representation plus all four constructions:
 //!
-//! * [`random_tree`] — degree-constrained random attachment,
+//! * [`random_tree()`] — degree-constrained random attachment,
 //! * [`bottleneck_tree`] — the greedy offline OMBT oracle,
 //! * [`overcast_tree`] — the online bandwidth-optimizing comparison tree,
 //! * [`good_tree`] / [`worst_tree`] — hand-crafted layered trees driven by a

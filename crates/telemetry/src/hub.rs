@@ -25,7 +25,7 @@ pub struct ChannelId(usize);
 pub struct SeriesPoint {
     /// Window end, in simulated seconds.
     pub t_secs: f64,
-    /// The folded window value (rate, sum, or mean depending on kind).
+    /// The folded window value (rate or mean depending on kind).
     pub value: f64,
 }
 
@@ -36,8 +36,6 @@ enum ChannelKind {
     /// Per-node cumulative counter, folded to a per-receiver rate in
     /// Kbps: `sum(deltas) * 8 / dt / 1000 / receivers`.
     CounterRate,
-    /// Per-node cumulative counter, folded to the raw summed delta.
-    CounterSum,
     /// Point-in-time observations, folded to their window mean.
     Gauge,
     /// Power-of-two bucketed distribution over the whole run (no series).
@@ -108,11 +106,6 @@ impl MetricsHub {
         self.register(name, ChannelKind::CounterRate)
     }
 
-    /// Register a per-node counter folded to its raw per-window delta sum.
-    pub fn counter_sum(&mut self, name: &str) -> ChannelId {
-        self.register(name, ChannelKind::CounterSum)
-    }
-
     /// Register a gauge folded to its per-window observation mean.
     pub fn gauge(&mut self, name: &str) -> ChannelId {
         self.register(name, ChannelKind::Gauge)
@@ -148,10 +141,7 @@ impl MetricsHub {
     pub fn observe_node(&mut self, ch: ChannelId, node: usize, cumulative: u64) {
         let exclude = self.exclude;
         let ch = &mut self.channels[ch.0];
-        debug_assert!(matches!(
-            ch.kind,
-            ChannelKind::CounterRate | ChannelKind::CounterSum
-        ));
+        debug_assert_eq!(ch.kind, ChannelKind::CounterRate);
         if Some(node) != exclude {
             ch.window_sum += (cumulative - ch.prev[node]) as f64;
         }
@@ -183,7 +173,6 @@ impl MetricsHub {
         for ch in &mut self.channels {
             let value = match ch.kind {
                 ChannelKind::CounterRate => ch.window_sum * 8.0 / dt / 1_000.0 / receivers,
-                ChannelKind::CounterSum => ch.window_sum,
                 ChannelKind::Gauge => {
                     if ch.window_count == 0 {
                         continue;

@@ -55,12 +55,6 @@ impl RateLimiter {
         self.rate_bytes_per_sec = rate_bytes_per_sec.max(0.0);
     }
 
-    /// Updates the burst allowance.
-    pub fn set_burst(&mut self, burst_bytes: f64) {
-        self.burst_bytes = burst_bytes.max(1.0);
-        self.tokens = self.tokens.min(self.burst_bytes);
-    }
-
     fn refill(&mut self, now: SimTime) {
         let elapsed = now.saturating_since(self.last_refill).as_secs_f64();
         if elapsed > 0.0 {

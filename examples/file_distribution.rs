@@ -38,13 +38,7 @@ fn main() {
     let duration = SimDuration::from_secs(240);
     let result = run_metered(
         sim,
-        &RunSpec {
-            label: "file distribution".into(),
-            source: 0,
-            duration,
-            sample_interval: SimDuration::from_secs(5),
-            failure: None,
-        },
+        &RunSpec::new("file distribution", duration, SimDuration::from_secs(5)),
     );
 
     // How many sequence numbers did the source emit? Frame them into blocks.

@@ -47,13 +47,11 @@ fn main() {
     // 4. Run for 90 simulated seconds, sampling bandwidth every 2 seconds.
     let result = run_metered(
         sim,
-        &RunSpec {
-            label: "Bullet quickstart".into(),
-            source: 0,
-            duration: SimDuration::from_secs(90),
-            sample_interval: SimDuration::from_secs(2),
-            failure: None,
-        },
+        &RunSpec::new(
+            "Bullet quickstart",
+            SimDuration::from_secs(90),
+            SimDuration::from_secs(2),
+        ),
     );
 
     println!("\naverage useful bandwidth over time (Kbps):");

@@ -87,13 +87,11 @@ fn main() {
     };
     let result = run_metered_with(
         sim,
-        &RunSpec {
-            label: "trace_probe".into(),
-            source: 0,
-            duration: SimDuration::from_secs(20),
-            sample_interval: SimDuration::from_secs(2),
-            failure: None,
-        },
+        &RunSpec::new(
+            "trace_probe",
+            SimDuration::from_secs(20),
+            SimDuration::from_secs(2),
+        ),
         &telemetry_config,
     );
 

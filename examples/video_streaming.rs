@@ -22,13 +22,11 @@ const DESCRIPTION_KBPS: f64 = 150.0;
 const DESCRIPTIONS: u32 = 4;
 
 fn spec(label: &str) -> RunSpec {
-    RunSpec {
-        label: label.into(),
-        source: 0,
-        duration: SimDuration::from_secs(150),
-        sample_interval: SimDuration::from_secs(5),
-        failure: None,
-    }
+    RunSpec::new(
+        label,
+        SimDuration::from_secs(150),
+        SimDuration::from_secs(5),
+    )
 }
 
 fn run_bullet(topology: &BuiltTopology, tree: &Tree) -> RunResult {

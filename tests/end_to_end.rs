@@ -21,13 +21,11 @@ fn small_env(profile: BandwidthProfile, seed: u64) -> (BuiltTopology, Tree) {
 }
 
 fn spec(label: &str, secs: u64) -> RunSpec {
-    RunSpec {
-        label: label.into(),
-        source: 0,
-        duration: SimDuration::from_secs(secs),
-        sample_interval: SimDuration::from_secs(3),
-        failure: None,
-    }
+    RunSpec::new(
+        label,
+        SimDuration::from_secs(secs),
+        SimDuration::from_secs(3),
+    )
 }
 
 fn run_bullet(topo: &BuiltTopology, tree: &Tree, seed: u64, secs: u64) -> RunResult {
@@ -182,13 +180,11 @@ fn fig13_through_the_scenario_engine_matches_the_legacy_path() {
         ..BulletConfig::default()
     };
     config.ransub_failure_detection = false;
-    let mut run = RunSpec {
-        label: "Bullet, worst-case failure, no RanSub recovery".into(),
-        source: 0,
-        duration: SimDuration::from_secs(90),
-        sample_interval: SimDuration::from_secs(2),
-        failure: None,
-    };
+    let mut run = RunSpec::new(
+        "Bullet, worst-case failure, no RanSub recovery",
+        SimDuration::from_secs(90),
+        SimDuration::from_secs(2),
+    );
 
     let script = ScenarioScript::single_crash(failure_time, victim);
     let scripted = bullet_run_on(

@@ -582,13 +582,16 @@ fn check_batched_invariants(bidi: &Network, alt: &Network, participants: usize, 
             s.lazy_searches, 0,
             "{label}: {name} fell back to point searches"
         );
+        assert_eq!(
+            s.routers_settled, 0,
+            "{label}: {name} entered the lazy router"
+        );
         if s.route_queries > 0 {
             assert!(s.batched_queries > 0, "{label}: {name} ran no row fills");
             assert!(
                 s.batched_queries <= participants as u64,
                 "{label}: {name} ran more row fills than participants"
             );
-            assert!(s.routers_settled > 0, "{label}: {name} settled nothing");
         }
     }
 }
