@@ -8,8 +8,20 @@
 //! which RanSub derives from descendant counts; the non-blocking transport's
 //! accept/refuse outcome provides the feedback that adapts both ownership and
 //! the limiting factors to actual available bandwidth.
-
-use std::collections::VecDeque;
+//!
+//! # No record of what was sent
+//!
+//! The sender does not remember which keys it forwarded to which child, and
+//! does not need to: a node routes each sequence number at most once in its
+//! lifetime. Three facts make that so. (1) `BulletNode::learn_seq` returns
+//! whether its working set accepted the key, and both callers — stream
+//! generation at the source and `handle_data` everywhere else — route only
+//! then; the set refuses a key it holds and any key below its low watermark.
+//! (2) The working set survives crash and rejoin (`on_join` keeps it), so a
+//! restarted node still refuses what it routed before. (3) Pruning only ever
+//! raises the watermark, so a key that left the set can never be accepted
+//! again. Within one [`DisjointSender::route_packet`] a child is offered the
+//! key a second time only after its first `try_send` was *refused*.
 
 use bullet_netsim::OverlayId;
 
@@ -23,9 +35,6 @@ pub struct ChildState {
     /// The limiting factor `lf`: the fraction of non-owned packets also
     /// forwarded to this child.
     pub limiting_factor: f64,
-    /// Recently forwarded keys, kept to avoid re-sending a key this parent
-    /// already delivered to this child (bounded FIFO).
-    sent_recent: VecDeque<u64>,
 }
 
 impl ChildState {
@@ -34,20 +43,7 @@ impl ChildState {
             node,
             owned: 0,
             limiting_factor: 1.0,
-            sent_recent: VecDeque::new(),
         }
-    }
-
-    fn remember_sent(&mut self, key: u64, cap: usize) {
-        self.sent_recent.push_back(key);
-        while self.sent_recent.len() > cap {
-            self.sent_recent.pop_front();
-        }
-    }
-
-    /// Whether this parent already forwarded `key` to the child recently.
-    pub fn already_sent(&self, key: u64) -> bool {
-        self.sent_recent.contains(&key)
     }
 }
 
@@ -72,7 +68,6 @@ pub struct DisjointSender {
     /// When `false`, every packet is offered to every child (the
     /// non-disjoint strategy of Fig. 10).
     disjoint: bool,
-    sent_cache_cap: usize,
 }
 
 impl DisjointSender {
@@ -87,7 +82,6 @@ impl DisjointSender {
             total_owned: 0,
             lf_step: 1.0 / packets_per_epoch.max(1.0),
             disjoint,
-            sent_cache_cap: 2_048,
         }
     }
 
@@ -101,12 +95,13 @@ impl DisjointSender {
         &self.children
     }
 
-    /// Routes one packet identified by `key`.
+    /// Routes one packet identified by `key`, which the caller has not
+    /// routed before (see the module docs).
     ///
     /// `sending_factors[i]` is child `i`'s sending factor `sf_i` (from RanSub
-    /// descendant counts; they should sum to 1). `try_send(child, key)`
-    /// attempts the transmission on the child's non-blocking transport and
-    /// returns whether it was accepted.
+    /// descendant counts; they should sum to 1). `try_send(child)` attempts
+    /// the transmission on the child's non-blocking transport and returns
+    /// whether it was accepted.
     pub fn route_packet<F>(
         &mut self,
         key: u64,
@@ -114,7 +109,7 @@ impl DisjointSender {
         mut try_send: F,
     ) -> RouteOutcome
     where
-        F: FnMut(OverlayId, u64) -> bool,
+        F: FnMut(OverlayId) -> bool,
     {
         let mut outcome = RouteOutcome::default();
         if self.children.is_empty() {
@@ -130,11 +125,7 @@ impl DisjointSender {
             // Non-disjoint strategy: offer the packet to every child and let
             // the transports throttle (Fig. 10).
             for child in &mut self.children {
-                if child.already_sent(key) {
-                    continue;
-                }
-                if try_send(child.node, key) {
-                    child.remember_sent(key, self.sent_cache_cap);
+                if try_send(child.node) {
                     outcome.sent += 1;
                     if outcome.owner.is_none() {
                         outcome.owner = Some(child.node);
@@ -161,13 +152,10 @@ impl DisjointSender {
         }
 
         let mut sent_packet = false;
-        if !self.children[target_idx].already_sent(key)
-            && try_send(self.children[target_idx].node, key)
-        {
+        if try_send(self.children[target_idx].node) {
             let child = &mut self.children[target_idx];
             child.owned += 1;
             self.total_owned += 1;
-            child.remember_sent(key, self.sent_cache_cap);
             outcome.sent += 1;
             outcome.owner = Some(child.node);
             sent_packet = true;
@@ -190,11 +178,8 @@ impl DisjointSender {
             if !should_send {
                 continue;
             }
-            if self.children[i].already_sent(key) {
-                continue;
-            }
             let node = self.children[i].node;
-            if try_send(node, key) {
+            if try_send(node) {
                 let was_ownership_transfer = !sent_packet;
                 let child = &mut self.children[i];
                 if was_ownership_transfer {
@@ -204,7 +189,6 @@ impl DisjointSender {
                 } else {
                     child.limiting_factor = (child.limiting_factor + self.lf_step).min(1.0);
                 }
-                child.remember_sent(key, self.sent_cache_cap);
                 outcome.sent += 1;
                 sent_packet = true;
             } else if sent_packet {
@@ -242,7 +226,7 @@ mod tests {
         let mut delivered: HashMap<OverlayId, u64> = HashMap::new();
         let mut used: HashMap<OverlayId, u64> = HashMap::new();
         for key in 0..packets {
-            sender.route_packet(key, factors, |child, _key| {
+            sender.route_packet(key, factors, |child| {
                 let cap = capacity.get(&child).copied().unwrap_or(u64::MAX);
                 let u = used.entry(child).or_insert(0);
                 if *u < cap {
@@ -341,28 +325,15 @@ mod tests {
     #[test]
     fn no_children_is_a_no_op() {
         let mut sender = DisjointSender::new(&[], 250.0, true);
-        let outcome = sender.route_packet(1, &[], |_, _| true);
+        let outcome = sender.route_packet(1, &[], |_| true);
         assert_eq!(outcome, RouteOutcome::default());
         assert!(!sender.has_children());
     }
 
     #[test]
-    fn duplicate_key_is_not_resent_to_the_same_child() {
-        let mut sender = DisjointSender::new(&[1], 250.0, true);
-        let mut sends = 0;
-        for _ in 0..3 {
-            sender.route_packet(42, &[1.0], |_, _| {
-                sends += 1;
-                true
-            });
-        }
-        assert_eq!(sends, 1, "key 42 must be forwarded to child 1 only once");
-    }
-
-    #[test]
     fn orphaned_packets_report_no_owner() {
         let mut sender = DisjointSender::new(&[1, 2], 250.0, true);
-        let outcome = sender.route_packet(7, &[0.5, 0.5], |_, _| false);
+        let outcome = sender.route_packet(7, &[0.5, 0.5], |_| false);
         assert_eq!(outcome.owner, None);
         assert_eq!(outcome.sent, 0);
     }

@@ -20,7 +20,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bullet_content::{
-    block_digest, BloomFilter, PermutationFamily, ReconcileRequest, SummaryTicket, WorkingSet,
+    block_digest, BloomFilter, LiveTicket, PermutationFamily, ReconcileRequest, SummaryTicket,
+    WorkingSet,
 };
 use bullet_dynamics::ScenarioAgent;
 use bullet_netsim::{Agent, Context, FaultPlan, OverlayId, SimDuration, SimTime};
@@ -108,7 +109,7 @@ pub struct BulletNode {
     family: PermutationFamily,
 
     working_set: WorkingSet,
-    ticket: SummaryTicket,
+    ticket: LiveTicket,
     next_seq: u64,
 
     ransub: RanSub<SummaryTicket>,
@@ -219,7 +220,7 @@ impl BulletNode {
         }
         let root_id = root_path.last().copied().unwrap_or(id);
         let family = PermutationFamily::paper_default();
-        let ticket = SummaryTicket::empty(&family);
+        let ticket = LiveTicket::empty(&family);
         let ransub = RanSub::new(
             RanSubConfig {
                 set_size: config.ransub_set_size,
@@ -228,7 +229,7 @@ impl BulletNode {
             id,
             parent,
             children.clone(),
-            ticket.clone(),
+            ticket.ticket().clone(),
         );
         let disjoint = Self::fresh_disjoint(&children, &config);
         let peers = Self::fresh_peers(&config);
@@ -410,7 +411,8 @@ impl BulletNode {
     /// The top of the requested range lags the newest sequence number:
     /// packets younger than the lag are expected from the parent (or are
     /// already in flight), so recovering them from peers would mostly
-    /// duplicate data (paper Fig. 4).
+    /// duplicate data (paper Fig. 4). Costs two reads of the working set
+    /// (its watermark and its top bitmap word), so callers need not cache it.
     fn request_range(&self) -> (u64, u64) {
         let (low, high) = self.working_set.range();
         let high = high
@@ -436,29 +438,40 @@ impl BulletNode {
     }
 
     /// Records a freshly received (or generated) sequence number in the
-    /// working set and the incremental summary ticket.
-    fn learn_seq(&mut self, seq: u64) {
-        if self.working_set.insert(seq) {
+    /// working set and the incremental summary ticket. Returns whether the
+    /// key was new — the only case in which it is forwarded down the tree,
+    /// which is why the disjoint sender keeps no record of what it sent.
+    fn learn_seq(&mut self, seq: u64) -> bool {
+        let new = self.working_set.insert(seq);
+        if new {
             self.ticket.insert(&self.family, seq);
             self.peers.offers_learn(seq);
         }
+        new
     }
 
-    /// Rebuilds the summary ticket from the pruned working set and pushes it
-    /// into RanSub.
+    /// Brings the summary ticket back to the pruned working set and pushes
+    /// it into RanSub.
     fn rebuild_ticket(&mut self) {
-        self.ticket = if self.false_advertiser {
+        if self.false_advertiser {
             // A false advertiser claims a window of phantom content just
             // past the live edge: maximally disjoint from every honest
             // ticket, so resemblance-based peering is drawn straight to
             // it.
             let (_, high) = self.working_set.range();
             let claim = (high + 1)..(high + 1 + self.config.working_set_window as u64);
-            SummaryTicket::from_elements(&self.family, claim)
+            self.ticket
+                .overwrite(SummaryTicket::from_elements(&self.family, claim));
         } else {
-            SummaryTicket::from_elements(&self.family, self.working_set.iter())
-        };
-        self.ransub.set_state(self.ticket.clone());
+            self.ticket.refresh(&self.family, &self.working_set);
+            debug_assert_eq!(
+                self.ticket.ticket(),
+                &SummaryTicket::from_elements(&self.family, self.working_set.iter()),
+                "node {}: the repaired ticket is not the sketch of the working set",
+                self.id
+            );
+        }
+        self.ransub.set_state(self.ticket.ticket().clone());
     }
 
     /// Whether `node` is under quarantine at `now`.
@@ -641,7 +654,7 @@ impl BulletNode {
         let config = &self.config;
         let tainted = &self.tainted;
         let out_conns = &mut self.out_conns;
-        let outcome = self.disjoint.route_packet(seq, &factors, |child, _key| {
+        let outcome = self.disjoint.route_packet(seq, &factors, |child| {
             let conn = out_conns
                 .entry(child)
                 .or_insert_with(|| TfrcSender::new(config.tfrc));
@@ -737,9 +750,9 @@ impl BulletNode {
             .map(|m| m.node)
             .filter(|&n| !self.is_outsider(n, now))
             .collect();
-        let candidate = self
-            .peers
-            .choose_candidate(&self.ticket, &members, &exclude, ctx.rng());
+        let candidate =
+            self.peers
+                .choose_candidate(self.ticket.ticket(), &members, &exclude, ctx.rng());
         if let Some(candidate) = candidate {
             self.send_peering_request(ctx, candidate);
             if self.config.recovery.is_some() {
@@ -1292,8 +1305,9 @@ impl BulletNode {
             // the recovery window (§4.6 evaluation metric).
             self.metrics.orphan_window_packets += 1;
         }
-        self.learn_seq(seq);
-        self.route_to_children(ctx, seq);
+        if self.learn_seq(seq) {
+            self.route_to_children(ctx, seq);
+        }
     }
 }
 
@@ -1522,8 +1536,9 @@ impl Agent for BulletNode {
                 if ctx.tracing(CAT_JOURNEY) {
                     ctx.trace(TraceData::BlockSealed { seq });
                 }
-                self.learn_seq(seq);
-                self.route_to_children(ctx, seq);
+                if self.learn_seq(seq) {
+                    self.route_to_children(ctx, seq);
+                }
                 ctx.set_timer(self.config.packet_interval(), self.tag(timer::GENERATE));
             }
             timer::RANSUB_EPOCH => {
@@ -1560,7 +1575,7 @@ impl Agent for BulletNode {
                     if self.working_set.len() > overload.working_set_budget {
                         let floor = self.peers.receivers().iter().map(|r| r.request().low).min();
                         let owed = floor
-                            .map(|f| self.working_set.iter_range(f, u64::MAX).count())
+                            .map(|f| self.working_set.count_in_range(f, u64::MAX))
                             .unwrap_or(0);
                         let target = overload.working_set_budget.max(owed);
                         let before = self.working_set.len();
@@ -1757,6 +1772,19 @@ mod tests {
             filter_refresh_interval: SimDuration::from_secs(2),
             mesh_eval_interval: SimDuration::from_secs(6),
             ..BulletConfig::default()
+        }
+    }
+
+    /// The overload profile with a working-set budget well under a short
+    /// window, so the budget prune and the window prune both run.
+    fn tight_budget_config(working_set_budget: usize) -> BulletConfig {
+        BulletConfig {
+            working_set_window: 600,
+            overload: Some(crate::config::OverloadConfig {
+                working_set_budget,
+                ..Default::default()
+            }),
+            ..quick_config().overload()
         }
     }
 
@@ -1962,22 +1990,13 @@ mod tests {
     /// transport refusals, and a crash/rejoin that re-installs requests.
     #[test]
     fn every_service_tick_matches_the_reference_scan() {
-        use crate::config::OverloadConfig;
         use bullet_dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript};
         let n = 12;
-        let config = BulletConfig {
-            working_set_window: 600,
-            overload: Some(OverloadConfig {
-                working_set_budget: 300,
-                ..OverloadConfig::default()
-            }),
-            ..quick_config().overload()
-        };
         let script = ScenarioScript::new()
             .at(SimTime::from_secs(20), ScenarioAction::Crash { node: 5 })
             .at(SimTime::from_secs(30), ScenarioAction::Join { node: 5 });
         let mut driver = ScenarioDriver::new(&script);
-        let mut sim = build_sim(n, 500_000.0, config, 4);
+        let mut sim = build_sim(n, 500_000.0, tight_budget_config(300), 4);
         driver.install(&mut sim);
         driver.run_until(&mut sim, SimTime::from_secs(60));
         let sum =
@@ -2011,6 +2030,106 @@ mod tests {
             });
         }
         assert!(checked >= n, "only {checked} receiver indexes to check");
+    }
+
+    /// A node routes each sequence number down the tree at most once in its
+    /// lifetime, which is why `DisjointSender` keeps no record of what it
+    /// sent (see the `disjoint` module docs). Traced over a starved mesh
+    /// with a tight overload budget — so recovered blocks arrive twice, and
+    /// arrive below watermarks the budget raised — and over the crash and
+    /// rejoin of an interior node, whose working set must outlive the crash:
+    ///
+    /// * no `(node, child, seq)` `TreePush` triple occurs twice, and
+    /// * every push of `seq` by a node happens at the instant of that node's
+    ///   one fresh `BlockAccept` (or `BlockSealed`) of `seq`, so a `Data`
+    ///   that was a duplicate — held already, or below the watermark — is
+    ///   never forwarded.
+    ///
+    /// Mutant this fails on: `handle_data` calling `route_to_children`
+    /// before its `if duplicate { return; }` (or `on_join` resetting
+    /// `working_set`, which makes every pre-crash block fresh again).
+    #[test]
+    fn each_block_is_pushed_down_a_tree_edge_at_most_once() {
+        use bullet_dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript};
+        use bullet_telemetry::TraceSpec;
+        use std::collections::{HashMap, HashSet};
+        let n = 12;
+        let mut sim = build_sim(n, 500_000.0, tight_budget_config(100), 4);
+        let victim = (1..n)
+            .find(|&node| !sim.agent(node).children().is_empty())
+            .expect("an interior non-root node exists");
+        sim.install_recorder(&TraceSpec {
+            mask: CAT_JOURNEY,
+            capacity: 1 << 21,
+            node: None,
+        });
+        let script = ScenarioScript::new()
+            .at(
+                SimTime::from_secs(20),
+                ScenarioAction::Crash { node: victim },
+            )
+            .at(
+                SimTime::from_secs(30),
+                ScenarioAction::Join { node: victim },
+            );
+        let mut driver = ScenarioDriver::new(&script);
+        driver.install(&mut sim);
+        driver.run_until(&mut sim, SimTime::from_secs(60));
+
+        let recorder = sim.recorder().expect("installed above");
+        assert_eq!(recorder.evicted(), 0, "the ring must hold the whole run");
+        // When each node first learned each block, and what it did after.
+        let mut learned: HashMap<(u32, u64), u64> = HashMap::new();
+        let mut pushed: HashSet<(u32, u32, u64)> = HashSet::new();
+        let (mut held_again, mut below_watermark, mut victim_pushes_after_rejoin) = (0, 0, 0);
+        for event in recorder.events() {
+            let node = event.node;
+            match event.data {
+                TraceData::BlockSealed { seq }
+                | TraceData::BlockAccept {
+                    seq,
+                    duplicate: false,
+                    ..
+                } => {
+                    let again = learned.insert((node, seq), event.t_us);
+                    assert_eq!(again, None, "node {node} learned block {seq} twice");
+                }
+                TraceData::BlockAccept { seq, .. } => {
+                    // A duplicate of a block the node never learned can only
+                    // have been refused by the watermark.
+                    if learned.contains_key(&(node, seq)) {
+                        held_again += 1;
+                    } else {
+                        below_watermark += 1;
+                    }
+                }
+                TraceData::TreePush { seq, to } => {
+                    assert!(
+                        pushed.insert((node, to, seq)),
+                        "node {node} pushed block {seq} to child {to} twice"
+                    );
+                    assert_eq!(
+                        learned.get(&(node, seq)),
+                        Some(&event.t_us),
+                        "node {node} pushed block {seq} at a time it did not learn it"
+                    );
+                    if node as usize == victim && event.t_us > 30_000_000 {
+                        victim_pushes_after_rejoin += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(pushed.len() > 5_000, "only {} tree pushes", pushed.len());
+        assert!(held_again > 100, "only {held_again} held duplicates");
+        assert!(
+            below_watermark > 0,
+            "no block arrived below a receiver's watermark"
+        );
+        assert!(
+            victim_pushes_after_rejoin > 0,
+            "the rejoined node {victim} never pushed again"
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! * [`WorkingSet`] — the sliding window of received packet sequence numbers.
 //! * [`SummaryTicket`] — a 120-byte min-wise sketch of the working set,
 //!   carried in RanSub sets; resemblance between tickets guides peer choice.
+//!   [`LiveTicket`] keeps a node's own ticket current as its window slides.
 //! * [`BloomFilter`] — the compact set description a receiver installs at its
 //!   sending peers.
 //! * [`reconcile`] — the sender-side logic that turns a receiver's filter,
@@ -26,5 +27,5 @@ pub mod working_set;
 pub use block::{block_digest, BlockMeta};
 pub use bloom::BloomFilter;
 pub use reconcile::{missing_keys, missing_keys_iter, OfferIndex, ReconcileRequest};
-pub use summary::{PermutationFamily, SummaryTicket, DEFAULT_ENTRIES};
+pub use summary::{LiveTicket, PermutationFamily, SummaryTicket, DEFAULT_ENTRIES};
 pub use working_set::WorkingSet;

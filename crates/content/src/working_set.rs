@@ -5,13 +5,41 @@
 //! summary ticket and Bloom filter, and is pruned as old packets stop being
 //! useful for reconstruction so that the Bloom filter's population stays
 //! bounded.
+//!
+//! # Representation
+//!
+//! The window is a bitmap in 64-bit chunks: word `w` of the map holds one bit
+//! for each of the sequence numbers `64·w ..= 64·w + 63`, and a word with no
+//! bit set is never stored. A stream's window is dense, so the paper's
+//! 1,500-packet window is about 24 map entries rather than 1,500: membership
+//! is one small-map lookup and a bit test, pruning drops whole words off the
+//! front and masks one, `prune_to_len` finds its cut-off by popcount from the
+//! top word, and iteration walks set bits. Far-apart keys cost one entry
+//! each, so the set stays exact for any `u64` — there is no span limit to
+//! guard and nothing to overflow.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
+
+/// Sequence numbers per bitmap word.
+const WORD: u64 = u64::BITS as u64;
+
+/// The bits of a word at or above position `seq % 64`.
+fn from_bit(seq: u64) -> u64 {
+    u64::MAX << (seq % WORD)
+}
+
+/// The bits of a word at or below position `seq % 64`.
+fn through_bit(seq: u64) -> u64 {
+    u64::MAX >> (WORD - 1 - seq % WORD)
+}
 
 /// A set of received packet sequence numbers over a sliding window.
 #[derive(Clone, Debug, Default)]
 pub struct WorkingSet {
-    seqs: BTreeSet<u64>,
+    /// `words[w]` has bit `b` set iff `64·w + b` is held. No zero words.
+    words: BTreeMap<u64, u64>,
+    /// Bits set over all of `words`.
+    len: usize,
     /// Sequence numbers below this have been pruned and are no longer
     /// represented (they may or may not have been received).
     low_watermark: u64,
@@ -31,36 +59,46 @@ impl WorkingSet {
         if seq < self.low_watermark {
             return false;
         }
-        self.seqs.insert(seq)
+        let word = self.words.entry(seq / WORD).or_insert(0);
+        let bit = 1 << (seq % WORD);
+        let new = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(new);
+        new
     }
 
     /// Whether `seq` is present in the working set.
     pub fn contains(&self, seq: u64) -> bool {
-        self.seqs.contains(&seq)
+        self.words
+            .get(&(seq / WORD))
+            .is_some_and(|word| word & (1 << (seq % WORD)) != 0)
     }
 
     /// Number of sequence numbers currently held.
     pub fn len(&self) -> usize {
-        self.seqs.len()
+        self.len
     }
 
     /// Whether the working set is empty.
     pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
+        self.len == 0
     }
 
     /// The smallest sequence number still held, if any.
     pub fn min_seq(&self) -> Option<u64> {
-        self.seqs.iter().next().copied()
+        let (&w, &word) = self.words.first_key_value()?;
+        Some(w * WORD + u64::from(word.trailing_zeros()))
     }
 
     /// The largest sequence number held, if any.
     pub fn max_seq(&self) -> Option<u64> {
-        self.seqs.iter().next_back().copied()
+        let (&w, &word) = self.words.last_key_value()?;
+        Some(w * WORD + u64::from(word.ilog2()))
     }
 
     /// The window `(low, high)` of sequence numbers this node currently cares
     /// about: `low` is the pruning watermark, `high` the largest received.
+    /// Two field reads and the map's last word; no walk of the set.
     pub fn range(&self) -> (u64, u64) {
         (
             self.low_watermark,
@@ -82,50 +120,143 @@ impl WorkingSet {
         if low <= self.low_watermark {
             return;
         }
-        self.seqs = self.seqs.split_off(&low);
         self.low_watermark = low;
+        while let Some(mut first) = self.words.first_entry() {
+            if *first.key() > low / WORD {
+                break;
+            }
+            // Words wholly below `low` lose every bit, the word `low` falls
+            // in loses the bits under it.
+            let keep = if *first.key() == low / WORD {
+                *first.get() & from_bit(low)
+            } else {
+                0
+            };
+            self.len -= (*first.get() ^ keep).count_ones() as usize;
+            if keep == 0 {
+                first.remove();
+            } else {
+                *first.get_mut() = keep;
+                break;
+            }
+        }
     }
 
     /// Keeps only the most recent `max_len` sequence numbers, pruning older
     /// ones. `max_len == 0` empties the set and raises the watermark past
     /// the newest held sequence number. Returns the new low watermark.
     pub fn prune_to_len(&mut self, max_len: usize) -> u64 {
-        if self.seqs.len() > max_len {
+        if self.len > max_len {
             let cutoff = if max_len == 0 {
                 self.max_seq()
                     .expect("set is non-empty when len > max_len")
                     .saturating_add(1)
             } else {
-                *self
-                    .seqs
-                    .iter()
-                    .rev()
-                    .nth(max_len - 1)
-                    .expect("len checked above")
+                self.nth_newest(max_len)
             };
             self.prune_below(cutoff);
         }
         self.low_watermark
     }
 
-    /// Iterates over held sequence numbers in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.seqs.iter().copied()
+    /// The `n`-th largest held sequence number (`n ≥ 1`, `n ≤ len`), found
+    /// by popcount from the top word down.
+    fn nth_newest(&self, n: usize) -> u64 {
+        let mut left = n;
+        for (&w, &word) in self.words.iter().rev() {
+            let held = word.count_ones() as usize;
+            if held < left {
+                left -= held;
+                continue;
+            }
+            // Clear the `left - 1` highest bits; the answer is the next one.
+            let mut bits = word;
+            for _ in 1..left {
+                bits ^= 1 << bits.ilog2();
+            }
+            return w * WORD + u64::from(bits.ilog2());
+        }
+        unreachable!("n ≤ len, so some word holds the n-th newest bit")
     }
 
-    /// Sequence numbers in `[low, high]`, in increasing order.
+    /// Iterates over held sequence numbers in increasing order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter_range(0, u64::MAX)
+    }
+
+    /// Sequence numbers in `[low, high]`, in increasing order (none when
+    /// `low > high`).
     pub fn iter_range(&self, low: u64, high: u64) -> impl Iterator<Item = u64> + '_ {
-        self.seqs.range(low..=high).copied()
+        SetBits {
+            words: self.words_in(low, high),
+            base: 0,
+            bits: 0,
+        }
+    }
+
+    /// How many held sequence numbers lie in `[low, high]`: a popcount per
+    /// word, not a walk of the bits.
+    pub fn count_in_range(&self, low: u64, high: u64) -> usize {
+        self.words_in(low, high)
+            .map(|(_, word)| word.count_ones() as usize)
+            .sum()
     }
 
     /// Counts missing sequence numbers in `[low, high]` (gaps in the set).
+    /// The one count a `u64` cannot hold, all 2^64 keys missing, saturates.
     pub fn missing_in_range(&self, low: u64, high: u64) -> u64 {
         if high < low {
             return 0;
         }
-        let span = high - low + 1;
-        let held = self.seqs.range(low..=high).count() as u64;
-        span - held
+        match self.count_in_range(low, high) as u64 {
+            0 => (high - low).saturating_add(1),
+            held => high - low - (held - 1),
+        }
+    }
+
+    /// The stored words overlapping `[low, high]`, each masked to the bits
+    /// inside the range, in increasing order.
+    fn words_in(&self, low: u64, high: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (first, last) = (low / WORD, high / WORD);
+        // `BTreeMap::range` panics on an inverted range; `Option` is the
+        // empty iterator that does not.
+        (low <= high)
+            .then(|| self.words.range(first..=last))
+            .into_iter()
+            .flatten()
+            .map(move |(&w, &(mut word))| {
+                if w == first {
+                    word &= from_bit(low);
+                }
+                if w == last {
+                    word &= through_bit(high);
+                }
+                (w, word)
+            })
+    }
+}
+
+/// Walks the set bits of a run of `(word index, word)` pairs, lowest first.
+struct SetBits<I> {
+    words: I,
+    /// First sequence number of the word being walked.
+    base: u64,
+    /// Its bits not yet yielded.
+    bits: u64,
+}
+
+impl<I: Iterator<Item = (u64, u64)>> Iterator for SetBits<I> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.bits == 0 {
+            let (w, word) = self.words.next()?;
+            self.base = w * WORD;
+            self.bits = word;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(self.base + u64::from(bit))
     }
 }
 

@@ -10,7 +10,10 @@
 use std::collections::BTreeSet;
 
 use bullet_suite::codec::{Framing, LtDecoder, LtEncoder, TornadoDecoder, TornadoEncoder};
-use bullet_suite::content::{BloomFilter, PermutationFamily, SummaryTicket, WorkingSet};
+use bullet_suite::content::{
+    missing_keys, BloomFilter, LiveTicket, PermutationFamily, ReconcileRequest, SummaryTicket,
+    WorkingSet,
+};
 use bullet_suite::netsim::{LinkSpec, Network, NetworkSpec, RoutingMode, SimDuration, SimRng};
 use bullet_suite::overlay::{
     bottleneck_tree_with, overcast_tree_with, random_tree, OmbtConfig, OracleStrategy,
@@ -100,6 +103,280 @@ fn working_set_pruning_invariants() {
         }
         assert!(ws.low_watermark() >= cutoff.min(ws.low_watermark().max(cutoff)));
     }
+}
+
+/// The working set as it was before it became a bitmap — one tree entry per
+/// sequence number and a watermark — kept here as the reference the bitmap
+/// must agree with.
+#[derive(Default)]
+struct WorkingSetModel {
+    seqs: BTreeSet<u64>,
+    low: u64,
+}
+
+impl WorkingSetModel {
+    fn insert(&mut self, seq: u64) -> bool {
+        seq >= self.low && self.seqs.insert(seq)
+    }
+
+    fn prune_below(&mut self, low: u64) {
+        if low > self.low {
+            self.seqs = self.seqs.split_off(&low);
+            self.low = low;
+        }
+    }
+
+    fn prune_to_len(&mut self, max_len: usize) -> u64 {
+        if self.seqs.len() > max_len {
+            let newest = *self.seqs.last().expect("non-empty");
+            let cutoff = match max_len {
+                0 => newest.saturating_add(1),
+                n => *self.seqs.iter().rev().nth(n - 1).expect("len checked"),
+            };
+            self.prune_below(cutoff);
+        }
+        self.low
+    }
+
+    fn in_range(&self, low: u64, high: u64) -> Vec<u64> {
+        if low > high {
+            return Vec::new();
+        }
+        self.seqs.range(low..=high).copied().collect()
+    }
+}
+
+/// Reference-model harness for the bitmap working set: seeded interleavings
+/// of `insert` (dense above the watermark, sparse over all of `u64`, below
+/// the watermark, `u64::MAX`), `prune_below` and `prune_to_len` (0, 1,
+/// `len`, more than `len`, anything between), with every read compared to
+/// [`WorkingSetModel`] after every step — ranges with ends on 63 / 64 / 65
+/// of a word, inverted ranges and `high = u64::MAX` included.
+///
+/// Mutant this fails on: an off-by-one mask in `prune_below`
+/// (`from_bit(low + 1)`: the block *at* the new watermark is dropped with
+/// the ones below it).
+#[test]
+fn bitmap_working_set_matches_the_set_model_under_random_interleavings() {
+    let mut rng = SimRng::new(0xB17A);
+    let (mut prunes, mut refused, mut sparse) = (0u64, 0u64, 0u64);
+    for case in 0..CASES {
+        let mut ws = WorkingSet::new();
+        let mut model = WorkingSetModel::default();
+        // The stream head: dense inserts land a little either side of it.
+        let mut head = gen_range(&mut rng, 0, 1_000);
+        for step in 0..400 {
+            let at = format!("case {case} step {step}");
+            match gen_range(&mut rng, 0, 100) {
+                0..=69 => {
+                    head += gen_range(&mut rng, 0, 3);
+                    let seq = (head + gen_range(&mut rng, 0, 40)).saturating_sub(20);
+                    assert_eq!(ws.insert(seq), model.insert(seq), "{at}: insert {seq}");
+                }
+                // Far-apart keys come late: one of them under a small
+                // `prune_to_len` lifts the watermark over the dense stream.
+                70..=73 if step >= 300 => {
+                    let seq = match gen_range(&mut rng, 0, 3) {
+                        0 => u64::MAX,
+                        1 => rng.next_u64(),
+                        _ => rng.next_u64() >> gen_range(&mut rng, 1, 40),
+                    };
+                    sparse += 1;
+                    assert_eq!(ws.insert(seq), model.insert(seq), "{at}: insert {seq}");
+                }
+                74..=79 if model.low > 0 => {
+                    let seq = gen_range(&mut rng, 0, model.low);
+                    refused += 1;
+                    assert!(!ws.insert(seq), "{at}: {seq} is below the watermark");
+                    assert!(!model.insert(seq));
+                }
+                80..=89 => {
+                    // Half the time cut exactly at a held key, so the mask
+                    // has a bit to keep at its edge.
+                    let held = model.in_range(0, u64::MAX);
+                    let low = if !held.is_empty() && gen_range(&mut rng, 0, 2) == 0 {
+                        held[gen_range(&mut rng, 0, held.len() as u64) as usize]
+                    } else {
+                        model
+                            .low
+                            .saturating_add(gen_range(&mut rng, 0, 200))
+                            .saturating_sub(50)
+                    };
+                    prunes += 1;
+                    ws.prune_below(low);
+                    model.prune_below(low);
+                }
+                90..=97 => {
+                    let len = model.seqs.len();
+                    let max_len = match gen_range(&mut rng, 0, 8) {
+                        0 if step > 350 => 0,
+                        1 => 1,
+                        2 => len,
+                        3 => len + 1 + gen_range(&mut rng, 0, 5) as usize,
+                        _ => gen_range(&mut rng, 0, len as u64 + 1) as usize,
+                    };
+                    prunes += 1;
+                    assert_eq!(
+                        ws.prune_to_len(max_len),
+                        model.prune_to_len(max_len),
+                        "{at}: prune_to_len({max_len})"
+                    );
+                }
+                _ => {}
+            }
+
+            assert_eq!(ws.len(), model.seqs.len(), "{at}: len");
+            assert_eq!(ws.is_empty(), model.seqs.is_empty(), "{at}: is_empty");
+            assert_eq!(ws.low_watermark(), model.low, "{at}: watermark");
+            assert_eq!(ws.min_seq(), model.seqs.first().copied(), "{at}: min");
+            assert_eq!(ws.max_seq(), model.seqs.last().copied(), "{at}: max");
+            let newest = model.seqs.last().copied().unwrap_or(model.low);
+            assert_eq!(ws.range(), (model.low, newest), "{at}: range");
+            assert!(ws.iter().eq(model.seqs.iter().copied()), "{at}: iter");
+
+            let anchors = [
+                0,
+                model.low,
+                model.seqs.first().copied().unwrap_or(0),
+                newest,
+                head,
+                rng.next_u64(),
+            ];
+            let mut ranges = vec![(63, 64), (0, 63), (64, 65), (65, 63), (0, u64::MAX)];
+            for a in anchors {
+                // The word `a` falls in, and its neighbours' edges.
+                let word = a / 64 * 64;
+                for (lo, hi) in [(62, 63), (63, 64), (64, 65), (0, 127), (65, 191)] {
+                    ranges.push((word.saturating_add(lo), word.saturating_add(hi)));
+                }
+                ranges.push((a, a));
+                ranges.push((a, a.saturating_add(63)));
+                ranges.push((a, a.saturating_add(64)));
+                ranges.push((a.saturating_sub(65), a));
+                ranges.push((a.saturating_add(1), a));
+                ranges.push((a, u64::MAX));
+                ranges.push((0, a));
+            }
+            for (lo, hi) in ranges {
+                let expect = model.in_range(lo, hi);
+                let got: Vec<u64> = ws.iter_range(lo, hi).collect();
+                assert_eq!(got, expect, "{at}: iter_range({lo}, {hi})");
+                assert_eq!(ws.count_in_range(lo, hi), expect.len(), "{at}: count");
+                let span = if lo > hi {
+                    0
+                } else {
+                    u128::from(hi - lo) + 1 - expect.len() as u128
+                };
+                assert_eq!(
+                    ws.missing_in_range(lo, hi),
+                    u64::try_from(span).unwrap_or(u64::MAX),
+                    "{at}: missing_in_range({lo}, {hi})"
+                );
+                for probe in [lo, hi, lo.wrapping_add(1), hi.wrapping_sub(1)] {
+                    assert_eq!(
+                        ws.contains(probe),
+                        model.seqs.contains(&probe),
+                        "{at}: contains({probe})"
+                    );
+                }
+            }
+
+            // The sender half of reconciliation reads the set through
+            // `iter_range`: stripe, row and a filter holding every third key.
+            let mut filter = BloomFilter::new(4_096, 4);
+            for &seq in model.seqs.iter().step_by(3) {
+                filter.insert(seq);
+            }
+            let stripe = gen_range(&mut rng, 1, 5);
+            let row = gen_range(&mut rng, 0, stripe);
+            let limit = gen_range(&mut rng, 1, 64) as usize;
+            let (lo, hi) = (model.low.saturating_sub(3), newest.saturating_sub(10));
+            let request = ReconcileRequest::new(filter, lo, hi.max(lo), stripe, row);
+            let expect: Vec<u64> = model
+                .in_range(request.low, request.high)
+                .into_iter()
+                .filter(|&k| k % stripe == row && !request.filter.contains(k))
+                .take(limit)
+                .collect();
+            assert_eq!(
+                missing_keys(&ws, &request, limit),
+                expect,
+                "{at}: missing_keys"
+            );
+        }
+    }
+    assert!(
+        prunes > 1_000 && refused > 200 && sparse > 200,
+        "the interleavings must exercise pruning ({prunes}), refusals ({refused}) \
+         and far-apart keys ({sparse})"
+    );
+}
+
+/// Oracle for the arg-min-repaired ticket, driven the way `BulletNode`
+/// drives it: learn a key (working set, then ticket), prune, and refresh on
+/// a slower clock than the prunes. After every refresh the live ticket is
+/// `SummaryTicket::from_elements(held)`; between refreshes it is what the
+/// rebuild-everything path had: the ticket of the last refresh with every
+/// key learned since inserted — keys pruned in the meantime included. A
+/// false advertiser's refresh overwrites the ticket with a phantom claim,
+/// and the first honest refresh afterwards is the honest sketch again.
+///
+/// Mutant this fails on: `LiveTicket::refresh` skipping the repair of a
+/// pruned arg-min (treating every `Some` arg-min as still held).
+#[test]
+fn live_ticket_matches_a_full_rebuild_under_learn_prune_and_lies() {
+    let family = PermutationFamily::paper_default();
+    let mut rng = SimRng::new(0x71C7);
+    let (mut refreshes, mut lies, mut repaired) = (0u64, 0u64, 0u64);
+    for case in 0..CASES {
+        let mut ws = WorkingSet::new();
+        let mut live = LiveTicket::empty(&family);
+        // The rebuild-everything path, kept beside it.
+        let mut reference = SummaryTicket::empty(&family);
+        let mut lying = false;
+        let mut head = gen_range(&mut rng, 0, 5_000);
+        for step in 0..600 {
+            let at = format!("case {case} step {step}");
+            match gen_range(&mut rng, 0, 100) {
+                0..=84 => {
+                    head += gen_range(&mut rng, 0, 3);
+                    let seq = (head + gen_range(&mut rng, 0, 30)).saturating_sub(15);
+                    if ws.insert(seq) {
+                        live.insert(&family, seq);
+                        reference.insert(&family, seq);
+                    }
+                }
+                85..=92 => {
+                    ws.prune_to_len(gen_range(&mut rng, 20, 120) as usize);
+                }
+                93..=97 => {
+                    refreshes += 1;
+                    if lying {
+                        lies += 1;
+                        let claim = SummaryTicket::from_elements(&family, head + 100..head + 200);
+                        live.overwrite(claim.clone());
+                        reference = claim;
+                    } else {
+                        let before = live.ticket().clone();
+                        live.refresh(&family, &ws);
+                        reference = SummaryTicket::from_elements(&family, ws.iter());
+                        repaired += u64::from(before != reference);
+                    }
+                }
+                _ => lying = !lying && case % 4 == 0,
+            }
+            assert_eq!(live.ticket(), &reference, "{at}");
+        }
+        // Whatever state the case ended in, one honest refresh is exact.
+        live.refresh(&family, &ws);
+        let honest = SummaryTicket::from_elements(&family, ws.iter());
+        assert_eq!(live.ticket(), &honest, "case {case}: final honest refresh");
+    }
+    assert!(
+        refreshes > 500 && lies > 50 && repaired > 200,
+        "the interleavings must exercise refreshes ({refreshes}), phantom claims ({lies}) \
+         and refreshes that had something to repair ({repaired})"
+    );
 }
 
 /// LT codes recover the original block from any sufficiently large set of
