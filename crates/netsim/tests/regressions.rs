@@ -1,4 +1,4 @@
-//! Regression tests for two event-queue/timer edge paths of the
+//! Regression tests for three event-queue/timer edge paths of the
 //! zero-allocation simulator rework:
 //!
 //! 1. the current-instant FIFO fast path after `run_until` rewinds the
@@ -6,7 +6,14 @@
 //!    earlier-keyed event still sitting in the heap, and vice versa), and
 //! 2. cancelling a stale `TimerId` twice after its generation-stamped slot
 //!    has been reused by a newer timer (the stale id must stay dead and the
-//!    newer timer must be unaffected).
+//!    newer timer must be unaffected), and
+//! 3. the dead-timer compaction sweep, which no golden run trips: removing
+//!    cancelled timers from the heap and re-heapifying it must be invisible
+//!    to everything the agents see.
+
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 use bullet_netsim::{
     Agent, Context, LinkSpec, NetworkSpec, OverlayId, Sim, SimDuration, SimTime, TimerId,
@@ -158,4 +165,101 @@ fn double_cancel_of_stale_id_after_slot_reuse_is_a_no_op() {
         "stale cancels must not grow the slab (got {timer_slots} slots)"
     );
     assert_eq!(sim.counters().timers_fired, 6);
+}
+
+const TAG_TICK: u64 = 0;
+const TAG_WATCHDOG: u64 = 1;
+
+/// Every delivery of a run, in dispatch order: `(time, receiver, seq)`.
+type DeliveryLog = Rc<RefCell<Vec<(SimTime, OverlayId, u64)>>>;
+
+/// Streams numbered messages to the next node and arms a watchdog on every
+/// tick. With `cancel` it cancels the watchdog of eight ticks ago, leaving
+/// the dead entries the sweep removes; without, every watchdog expires and
+/// is ignored. Arming, sending and RNG use are the same either way, so the
+/// two runs queue the same keys.
+struct Watchdogs {
+    cancel: bool,
+    pending: VecDeque<TimerId>,
+    next_seq: u64,
+    log: DeliveryLog,
+}
+
+impl Agent for Watchdogs {
+    type Msg = u64;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+        ctx.set_timer(SimDuration::from_millis(1), TAG_TICK);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: OverlayId, seq: u64) {
+        self.log.borrow_mut().push((ctx.now(), ctx.node(), seq));
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, u64>, tag: u64) {
+        if tag != TAG_TICK {
+            return;
+        }
+        // Expiries scattered over 50–950 ms, so live and dead watchdogs sit
+        // all through the heap, between the hops in flight, and the sweep
+        // leaves an array that is far from heap order.
+        let expiry = SimDuration::from_millis(50 + self.next_seq * 7_919 % 900);
+        self.pending.push_back(ctx.set_timer(expiry, TAG_WATCHDOG));
+        if self.pending.len() > 8 {
+            let oldest = self.pending.pop_front().expect("more than eight");
+            if self.cancel {
+                ctx.cancel_timer(oldest);
+            }
+        }
+        ctx.send_data((ctx.node() + 1) % 3, self.next_seq, 500);
+        self.next_seq += 1;
+        ctx.set_timer(SimDuration::from_millis(1), TAG_TICK);
+    }
+}
+
+/// Three nodes on a line of five routers, each streaming to the next for
+/// three seconds; returns the run and its delivery log.
+fn watchdog_run(cancel: bool) -> (Sim<Watchdogs>, DeliveryLog) {
+    let mut spec = NetworkSpec::new(5);
+    for router in 0..4 {
+        let delay = SimDuration::from_millis(20 + 5 * router as u64);
+        spec.add_link(LinkSpec::new(router, router + 1, 10e6, delay));
+    }
+    for router in [0, 2, 4] {
+        spec.attach(router);
+    }
+    let log = DeliveryLog::default();
+    let agents = (0..3)
+        .map(|_| Watchdogs {
+            cancel,
+            pending: VecDeque::new(),
+            next_seq: 0,
+            log: Rc::clone(&log),
+        })
+        .collect();
+    let mut sim = Sim::new(&spec, agents, 9);
+    sim.run_until(SimTime::from_secs(3));
+    (sim, log)
+}
+
+/// `maybe_compact_timers` is the only caller of `EventQueue::retain`, and
+/// the goldens never reach its threshold. A run that sweeps must deliver
+/// exactly what the same run delivers when nothing is ever cancelled and
+/// the extra expiries are ignored.
+#[test]
+fn compaction_sweeps_do_not_change_the_delivery_sequence() {
+    let (swept, swept_log) = watchdog_run(true);
+    let (plain, plain_log) = watchdog_run(false);
+    assert!(
+        swept.timer_compactions() >= 2,
+        "only {} sweeps",
+        swept.timer_compactions()
+    );
+    assert_eq!(plain.timer_compactions(), 0, "nothing cancelled");
+    assert!(
+        swept.counters().events < plain.counters().events,
+        "swept timers never dispatch"
+    );
+    assert!(swept_log.borrow().len() > 8_000, "workload too small");
+    assert_eq!(*swept_log.borrow(), *plain_log.borrow());
 }
