@@ -2,16 +2,14 @@
 //!
 //! Small helpers that turn a [`Scale`] plus the paper's per-figure settings
 //! (bandwidth profile, loss profile, participant count) into a generated
-//! topology, and the overlay trees each figure needs (random, offline
-//! bottleneck, Overcast-like, hand-crafted good/worst).
+//! topology, and the overlay trees the generated-topology figures need
+//! (random, offline bottleneck). Fig. 15's hand-crafted good/worst trees
+//! come straight from its constrained topology's access bandwidths.
 
 use std::sync::Arc;
 
 use bullet_netsim::{LinkSpec, Network, NetworkSetup, NetworkSpec, OverlayId, SimDuration, SimRng};
-use bullet_overlay::{
-    bottleneck_tree, good_tree, overcast_tree, random_tree, worst_tree, OmbtConfig, OracleStrategy,
-    OvercastConfig, ThroughputOracle, Tree,
-};
+use bullet_overlay::{bottleneck_tree, random_tree, OmbtConfig, Tree};
 use bullet_topology::{generate, BandwidthProfile, BuiltTopology, LossProfile, TopologyConfig};
 
 use crate::scale::Scale;
@@ -62,10 +60,10 @@ impl PreparedTopology {
     }
 
     /// Builds an overlay tree like [`build_tree`], with the oracle-backed
-    /// kinds (bottleneck, Overcast, good/worst) running over a shared-setup
-    /// network view instead of a from-scratch network — at paper scale that
-    /// skips a second landmark construction per figure. Trees are identical
-    /// to [`build_tree`]'s (routes are canonical either way).
+    /// bottleneck tree running over a shared-setup network view instead of
+    /// a from-scratch network — at paper scale that skips a second landmark
+    /// construction per figure. Trees are identical to [`build_tree`]'s
+    /// (routes are canonical either way).
     pub fn tree(&self, kind: TreeKind, root: OverlayId, seed: u64) -> Tree {
         build_tree_on(self.participants(), || self.network(), kind, root, seed)
     }
@@ -112,13 +110,6 @@ pub enum TreeKind {
     },
     /// The offline greedy bottleneck-bandwidth tree of §4.1.
     Bottleneck,
-    /// The Overcast-like online bandwidth-optimized tree.
-    Overcast,
-    /// Hand-crafted "good" tree: fastest nodes (per oracle bandwidth from the
-    /// source) closest to the root (§4.7).
-    Good,
-    /// Hand-crafted "worst" tree: slowest nodes closest to the root (§4.7).
-    Worst,
 }
 
 /// Builds the requested tree over the participants of `topo`.
@@ -134,7 +125,7 @@ pub fn build_tree(topo: &BuiltTopology, kind: TreeKind, root: OverlayId, seed: u
 
 /// [`build_tree`] with an explicit network factory, so callers holding a
 /// [`PreparedTopology`] reuse its shared routing setup for the oracle-backed
-/// tree kinds.
+/// bottleneck tree.
 fn build_tree_on(
     participants: usize,
     make_network: impl Fn() -> Network,
@@ -151,45 +142,7 @@ fn build_tree_on(
             let mut net = make_network();
             bottleneck_tree(&mut net, participants, root, &OmbtConfig::default())
         }
-        TreeKind::Overcast => {
-            let mut net = make_network();
-            overcast_tree(&mut net, participants, root, &OvercastConfig::default())
-        }
-        TreeKind::Good => {
-            let metric = bandwidth_metric_on(make_network(), participants, root);
-            good_tree(root, &metric, 3)
-        }
-        TreeKind::Worst => {
-            let metric = bandwidth_metric_on(make_network(), participants, root);
-            worst_tree(root, &metric, 3)
-        }
     }
-}
-
-/// Per-node available-bandwidth metric from the source, standing in for the
-/// paper's pathload measurements when hand-crafting trees.
-///
-/// The forward routes (root → everyone) are batch-computed with one
-/// one-to-many search up front; the reverse pairs stay point queries, since
-/// each `node → root` route is needed exactly once and a full row fill per
-/// node would overshoot a single-target need.
-pub fn bandwidth_metric_from_source(topo: &BuiltTopology, root: OverlayId) -> Vec<f64> {
-    bandwidth_metric_on(Network::new(&topo.spec), topo.participants(), root)
-}
-
-/// [`bandwidth_metric_from_source`] over an already-constructed network.
-fn bandwidth_metric_on(mut net: Network, participants: usize, root: OverlayId) -> Vec<f64> {
-    let mut oracle = ThroughputOracle::with_strategy(&mut net, 1_500, OracleStrategy::Pairwise);
-    oracle.prefetch_from(root);
-    (0..participants)
-        .map(|node| {
-            if node == root {
-                f64::MAX
-            } else {
-                oracle.estimate_bps(root, node).unwrap_or(0.0)
-            }
-        })
-        .collect()
 }
 
 /// The constrained-source environment standing in for the PlanetLab
@@ -322,32 +275,12 @@ mod tests {
             LossProfile::None,
             3,
         );
-        for kind in [
-            TreeKind::Random { max_children: 4 },
-            TreeKind::Bottleneck,
-            TreeKind::Overcast,
-            TreeKind::Good,
-            TreeKind::Worst,
-        ] {
+        for kind in [TreeKind::Random { max_children: 4 }, TreeKind::Bottleneck] {
             let tree = build_tree(&topo, kind, 0, 3);
             assert_eq!(tree.len(), 15, "{kind:?}");
             assert_eq!(tree.root(), 0, "{kind:?}");
             assert_eq!(tree.subtree_size(0), 15, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn good_and_worst_trees_differ() {
-        let topo = build_topology(
-            Scale::Small,
-            20,
-            BandwidthProfile::Low,
-            LossProfile::None,
-            5,
-        );
-        let good = build_tree(&topo, TreeKind::Good, 0, 5);
-        let worst = build_tree(&topo, TreeKind::Worst, 0, 5);
-        assert_ne!(good.parents(), worst.parents());
     }
 
     #[test]
@@ -381,13 +314,7 @@ mod tests {
             LossProfile::None,
             3,
         );
-        for kind in [
-            TreeKind::Random { max_children: 4 },
-            TreeKind::Bottleneck,
-            TreeKind::Overcast,
-            TreeKind::Good,
-            TreeKind::Worst,
-        ] {
+        for kind in [TreeKind::Random { max_children: 4 }, TreeKind::Bottleneck] {
             assert_eq!(
                 build_tree(&topo, kind, 0, 3).parents(),
                 prepared.tree(kind, 0, 3).parents(),
@@ -417,20 +344,5 @@ mod tests {
             assert_eq!(fresh.path(a, 0), view.path(a, 0), "{a}->0");
             assert_eq!(fresh.path(0, a), view.path(0, a), "0->{a}");
         }
-    }
-
-    #[test]
-    fn metric_ranks_the_source_highest() {
-        let topo = build_topology(
-            Scale::Small,
-            10,
-            BandwidthProfile::Medium,
-            LossProfile::None,
-            9,
-        );
-        let metric = bandwidth_metric_from_source(&topo, 0);
-        assert_eq!(metric.len(), 10);
-        assert!(metric[0] > metric[1]);
-        assert!(metric.iter().skip(1).all(|&m| m > 0.0));
     }
 }

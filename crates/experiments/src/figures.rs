@@ -10,20 +10,26 @@
 //!
 //! # The run grid
 //!
-//! Every figure is a **plan**: a grid of independent run tasks
-//! (configuration × seed) plus an assembly step that turns the ordered run
-//! results into the figure. Plans execute on the scoped-thread
-//! [`RunPool`](crate::pool::RunPool) (`BULLET_THREADS`, default all cores),
-//! and [`crate::suite::figure_suite`] flattens the plans of *every* figure
-//! into one grid so the whole evaluation saturates the machine. Because
-//! results are collected in task order and each run owns all of its mutable
-//! state (the expensive immutable setup — generated topology, bandwidth
+//! Every figure is a **plan**: the arms it compares plus an assembly step
+//! that turns their results into the figure. A plan names its arms — one
+//! closure per arm that performs a run under a given [`RunSpec`] and seed —
+//! and the grid builder (`RunGrid`) owns the rest: the sweep's seeds
+//! (`BULLET_SEEDS`; index 0 is the arm's base seed, so a one-seed sweep
+//! reproduces the historical output byte for byte), the `[seed k]` labels
+//! of the extra seeds, one run task per (arm, seed), the arm-major,
+//! seed-minor split of the results the assembly receives, and one
+//! steady-state spread note per multi-seed arm, appended after the plan's
+//! own notes on the first figure it returns.
+//!
+//! Plans execute on the scoped-thread [`RunPool`](crate::pool::RunPool)
+//! (`BULLET_THREADS`, default all cores), and
+//! [`crate::suite::figure_suite`] flattens the plans of *every* figure into
+//! one grid so the whole evaluation saturates the machine. Because results
+//! are collected in task order and each run owns all of its mutable state
+//! (the expensive immutable setup — generated topology, bandwidth
 //! assignment, ALT landmark tables — is shared read-only via `Arc`, see
 //! [`crate::env::PreparedTopology`]), figure output is bit-identical at any
-//! thread count. `BULLET_SEEDS` widens each configuration to a multi-seed
-//! sweep; seed index 0 reproduces the historical single-seed output byte
-//! for byte, extra seeds append `[seed k]` series and a per-configuration
-//! spread note.
+//! thread count.
 
 use std::sync::Arc;
 
@@ -31,7 +37,7 @@ use bullet_baselines::{AntiEntropyConfig, GossipConfig, StreamConfig, StreamTran
 use bullet_core::BulletConfig;
 use bullet_dynamics::ScenarioScript;
 use bullet_netsim::{Network, SimDuration, SimTime};
-use bullet_overlay::{good_tree, random_tree, worst_tree};
+use bullet_overlay::{good_tree, worst_tree};
 use bullet_topology::{BandwidthProfile, LossProfile};
 
 use crate::env::{constrained_source_topology, prepare_topology, PreparedTopology, TreeKind};
@@ -81,6 +87,16 @@ impl FigureResult {
             .push((result.label.clone(), result.summary.clone()));
     }
 
+    /// Adds a Bullet run's raw, useful and from-parent curves and its
+    /// summary (Figs. 7, 10, 13 and 14).
+    fn add_breakdown(&mut self, result: &RunResult) {
+        self.series.push(result.raw.clone());
+        self.series.push(result.useful.clone());
+        self.series.push(result.from_parent.clone());
+        self.summaries
+            .push((result.label.clone(), result.summary.clone()));
+    }
+
     /// The steady-state bandwidth of the series whose label contains
     /// `needle`, if any.
     pub fn steady_state_of(&self, needle: &str) -> Option<f64> {
@@ -97,25 +113,15 @@ pub(crate) type RunTask = Task<'static, RunResult>;
 /// Turns a figure plan's ordered run results into the finished figure(s).
 pub(crate) type AssembleFn = Box<dyn FnOnce(Vec<RunResult>) -> Vec<FigureResult> + Send>;
 
-/// A figure as a run grid plus its assembly step (see the module docs).
-/// Most plans assemble exactly one figure; the Fig. 7 plan also derives
-/// Fig. 8 from its run.
+/// A figure as a run grid plus its assembly step (see the module docs),
+/// built by [`RunGrid`]. Most plans assemble exactly one figure; the Fig. 7
+/// plan also derives Fig. 8 from its run.
 pub(crate) struct FigurePlan {
     tasks: Vec<RunTask>,
     assemble: AssembleFn,
 }
 
 impl FigurePlan {
-    pub(crate) fn new(
-        tasks: Vec<RunTask>,
-        assemble: impl FnOnce(Vec<RunResult>) -> Vec<FigureResult> + Send + 'static,
-    ) -> Self {
-        FigurePlan {
-            tasks,
-            assemble: Box::new(assemble),
-        }
-    }
-
     /// Number of runs in this plan's grid.
     pub(crate) fn task_count(&self) -> usize {
         self.tasks.len()
@@ -127,41 +133,74 @@ impl FigurePlan {
     }
 }
 
-/// Splits grid results into per-configuration chunks of `seeds` runs each.
-/// This is the one home of the grid-layout contract — configuration-major,
-/// seed-minor — shared by every figure and scenario assembly.
-pub(crate) fn chunked(results: Vec<RunResult>, seeds: usize) -> Vec<Vec<RunResult>> {
-    let mut chunks = Vec::new();
-    let mut iter = results.into_iter();
-    loop {
-        let chunk: Vec<RunResult> = iter.by_ref().take(seeds.max(1)).collect();
-        if chunk.is_empty() {
-            return chunks;
+/// The one builder of [`FigurePlan`]s: a plan names its arms, the grid owns
+/// the sweep (see the module docs).
+pub(crate) struct RunGrid {
+    sweep: Sweep,
+    tasks: Vec<RunTask>,
+}
+
+impl RunGrid {
+    pub(crate) fn new(sweep: &Sweep) -> Self {
+        RunGrid {
+            sweep: *sweep,
+            tasks: Vec::new(),
         }
-        chunks.push(chunk);
+    }
+
+    /// Adds the arm `label`: `run(spec, seed)` once per sweep seed, the
+    /// first being `p.seed`, under `p`'s run spec labelled `label` and then
+    /// `label [seed k]`.
+    pub(crate) fn arm(
+        &mut self,
+        p: &Params,
+        label: &str,
+        run: impl Fn(&RunSpec, u64) -> RunResult + Send + Sync + 'static,
+    ) {
+        let run = Arc::new(run);
+        for (k, seed) in self.sweep.run_seeds(p.seed).into_iter().enumerate() {
+            let (run, spec) = (run.clone(), p.run_spec(&seed_label(label, k)));
+            self.tasks.push(Box::new(move || run(&spec, seed)));
+        }
+    }
+
+    /// Finishes the plan: `assemble` receives the results arm by arm, in the
+    /// order the arms were added, each arm's runs in seed order; one spread
+    /// note per multi-seed arm follows its notes on the first figure.
+    pub(crate) fn assemble(
+        self,
+        assemble: impl FnOnce(&[Vec<RunResult>]) -> Vec<FigureResult> + Send + 'static,
+    ) -> FigurePlan {
+        let seeds = self.sweep.seeds();
+        FigurePlan {
+            tasks: self.tasks,
+            assemble: Box::new(move |results| {
+                let mut results = results.into_iter();
+                let arms: Vec<Vec<RunResult>> = (0..results.len() / seeds)
+                    .map(|_| results.by_ref().take(seeds).collect())
+                    .collect();
+                let mut figures = assemble(&arms);
+                for arm in arms.iter().filter(|arm| arm.len() > 1) {
+                    let rates: Vec<f64> = arm.iter().map(RunResult::steady_state_kbps).collect();
+                    let mean = rates.iter().sum::<f64>() / rates.len() as f64;
+                    let min = rates.iter().copied().fold(f64::INFINITY, f64::min);
+                    let max = rates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    figures[0].notes.push(format!(
+                        "{}: across {seeds} seeds, steady useful mean {mean:.0} Kbps (min {min:.0}, max {max:.0})",
+                        arm[0].label,
+                    ));
+                }
+                figures
+            }),
+        }
     }
 }
 
-/// Appends one steady-state spread note per multi-seed configuration.
-pub(crate) fn push_seed_spread_notes(figure: &mut FigureResult, chunks: &[Vec<RunResult>]) {
-    for chunk in chunks {
-        if chunk.len() < 2 {
-            continue;
-        }
-        let rates: Vec<f64> = chunk.iter().map(|r| r.steady_state_kbps()).collect();
-        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-        let min = rates.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = rates.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        figure.notes.push(format!(
-            "{}: across {} seeds, steady useful mean {mean:.0} Kbps (min {min:.0}, max {max:.0})",
-            chunk[0].label,
-            chunk.len(),
-        ));
-    }
-}
-
-/// Shared experiment parameters derived from the scale.
+/// Shared experiment parameters derived from the scale, and one arm's base
+/// seed.
+#[derive(Clone, Copy)]
 pub(crate) struct Params {
+    scale: Scale,
     pub(crate) participants: usize,
     pub(crate) duration: SimDuration,
     pub(crate) sample: SimDuration,
@@ -172,12 +211,23 @@ pub(crate) struct Params {
 impl Params {
     pub(crate) fn new(scale: Scale, seed: u64) -> Self {
         Params {
+            scale,
             participants: scale.participants(),
             duration: SimDuration::from_secs(scale.duration_secs()),
             sample: SimDuration::from_secs(scale.sample_secs()),
             stream_start: SimTime::from_secs(scale.stream_start_secs()),
             seed,
         }
+    }
+
+    /// The figure's generated topology: `participants` nodes at the scale,
+    /// drawn from the base seed.
+    pub(crate) fn topology(
+        &self,
+        profile: BandwidthProfile,
+        loss: LossProfile,
+    ) -> PreparedTopology {
+        prepare_topology(self.scale, self.participants, profile, loss, self.seed)
     }
 
     pub(crate) fn run_spec(&self, label: &str) -> RunSpec {
@@ -229,45 +279,25 @@ pub fn table1_rows() -> Vec<(String, String, u32, u32)> {
 /// tree (medium bandwidth, 600 Kbps target).
 pub(crate) fn fig06_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 6);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
     let stream = p.stream_config(PAPER_RATE_BPS);
-    let bottleneck = Arc::new(topo.tree(TreeKind::Bottleneck, 0, p.seed));
-    let random = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
-
-    let mut tasks: Vec<RunTask> = Vec::new();
-    let seeds = sweep.run_seeds(p.seed);
-    for (tree, label) in [
-        (bottleneck, "Bottleneck bandwidth tree"),
-        (random, "Random tree"),
+    let mut plan = RunGrid::new(sweep);
+    for (kind, label) in [
+        (TreeKind::Bottleneck, "Bottleneck bandwidth tree"),
+        (TreeKind::Random { max_children: 10 }, "Random tree"),
     ] {
-        for (k, &seed) in seeds.iter().enumerate() {
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let stream = stream.clone();
-            let run = p.run_spec(&seed_label(label, k));
-            tasks.push(Box::new(move || {
-                streaming_run_on(topo.network(), &tree, &stream, &run, &NO_SCRIPT, seed)
-            }));
-        }
+        let (topo, tree, stream) = (topo.clone(), topo.tree(kind, 0, p.seed), stream.clone());
+        plan.arm(&p, label, move |run, seed| {
+            streaming_run_on(topo.network(), &tree, &stream, run, &NO_SCRIPT, seed)
+        });
     }
-
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(|arms| {
         let mut figure = FigureResult::new(
             "fig06",
             "Achieved bandwidth over time for TFRC streaming over the bottleneck bandwidth tree and a random tree",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            for result in chunk {
-                figure.add_run(result);
-            }
+        for result in arms.iter().flatten() {
+            figure.add_run(result);
         }
         let bottleneck_kbps = figure.steady_state_of("Bottleneck").unwrap_or(0.0);
         let random_kbps = figure.steady_state_of("Random").unwrap_or(0.0);
@@ -275,56 +305,32 @@ pub(crate) fn fig06_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             "bottleneck tree {:.0} Kbps vs random tree {:.0} Kbps (paper: ~400 vs <100)",
             bottleneck_kbps, random_kbps
         ));
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
 
 /// Figure 7: Bullet over a random tree — raw total, useful total, and
 /// from-parent bandwidth over time, plus the §4.2 scalars (control overhead,
-/// duplicate ratio, link stress). One Bullet-over-random-tree configuration
-/// × seeds; the plan also emits Fig. 8, a CDF over the same run.
+/// duplicate ratio, link stress). One Bullet-over-random-tree arm; the plan
+/// also emits Fig. 8, a CDF over the same run.
 pub(crate) fn fig07_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 7);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let config = p.bullet_config(PAPER_RATE_BPS);
-    let seeds = sweep.run_seeds(p.seed);
-    let tasks: Vec<RunTask> = seeds
-        .iter()
-        .enumerate()
-        .map(|(k, &seed)| {
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let run = p.run_spec(&seed_label("Bullet (random tree)", k));
-            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed))
-                as RunTask
-        })
-        .collect();
-
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
-        let runs = chunked(results, seeds).remove(0);
+    let mut plan = RunGrid::new(sweep);
+    plan.arm(&p, "Bullet (random tree)", move |run, seed| {
+        bullet_run_on(topo.network(), &tree, &config, run, &NO_SCRIPT, seed)
+    });
+    plan.assemble(|arms| {
         let mut figure = FigureResult::new(
             "fig07",
             "Achieved bandwidth over time for Bullet over a random tree",
         );
-        for result in &runs {
-            figure.series.push(result.raw.clone());
-            figure.series.push(result.useful.clone());
-            figure.series.push(result.from_parent.clone());
-            figure
-                .summaries
-                .push((result.label.clone(), result.summary.clone()));
+        for result in &arms[0] {
+            figure.add_breakdown(result);
         }
-        let result = &runs[0];
+        let result = &arms[0][0];
         figure.notes.push(format!(
             "useful {:.0} Kbps, raw {:.0} Kbps, duplicates {:.1}% ({:.0}% of them parent relays), control {:.1} Kbps/node, link stress mean {:.2} max {}",
             result.summary.steady_useful_kbps,
@@ -335,7 +341,6 @@ pub(crate) fn fig07_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             result.summary.link_stress_mean,
             result.summary.link_stress_max,
         ));
-        push_seed_spread_notes(&mut figure, std::slice::from_ref(&runs));
         vec![figure, fig08_from(result)]
     })
 }
@@ -378,6 +383,15 @@ pub(crate) fn fig12_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     )
 }
 
+/// The profiles of the bandwidth sweeps, in figure order.
+const SWEPT_PROFILES: [(BandwidthProfile, &str); 3] = [
+    (BandwidthProfile::High, "High Bandwidth"),
+    (BandwidthProfile::Medium, "Medium Bandwidth"),
+    (BandwidthProfile::Low, "Low Bandwidth"),
+];
+
+/// Two arms per profile, Bullet then the bottleneck tree, each profile on
+/// its own topology and base seed.
 fn bandwidth_sweep_plan(
     scale: Scale,
     sweep: &Sweep,
@@ -385,56 +399,40 @@ fn bandwidth_sweep_plan(
     id: &str,
     title: &str,
 ) -> FigurePlan {
-    let mut tasks: Vec<RunTask> = Vec::new();
-    let mut profile_names = Vec::new();
-    for (profile, name) in [
-        (BandwidthProfile::High, "High Bandwidth"),
-        (BandwidthProfile::Medium, "Medium Bandwidth"),
-        (BandwidthProfile::Low, "Low Bandwidth"),
-    ] {
+    let mut plan = RunGrid::new(sweep);
+    for (profile, name) in SWEPT_PROFILES {
         let p = Params::new(scale, 9 + profile as u64);
-        let topo = prepare_topology(scale, p.participants, profile, loss, p.seed);
-        let random = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
-        let bottleneck = Arc::new(topo.tree(TreeKind::Bottleneck, 0, p.seed));
-        let bullet_cfg = p.bullet_config(PAPER_RATE_BPS);
-        let stream_cfg = p.stream_config(PAPER_RATE_BPS);
-        let seeds = sweep.run_seeds(p.seed);
-        for (k, &seed) in seeds.iter().enumerate() {
-            let topo = topo.clone();
-            let tree = random.clone();
-            let config = bullet_cfg.clone();
-            let run = p.run_spec(&seed_label(&format!("Bullet - {name}"), k));
-            tasks.push(Box::new(move || {
-                bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-            }));
-        }
-        for (k, &seed) in seeds.iter().enumerate() {
-            let topo = topo.clone();
-            let tree = bottleneck.clone();
-            let config = stream_cfg.clone();
-            let run = p.run_spec(&seed_label(&format!("Bottleneck tree - {name}"), k));
-            tasks.push(Box::new(move || {
-                streaming_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-            }));
-        }
-        profile_names.push(name);
+        let topo = p.topology(profile, loss);
+        let random = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
+        let (bullet_topo, config) = (topo.clone(), p.bullet_config(PAPER_RATE_BPS));
+        plan.arm(&p, &format!("Bullet - {name}"), move |run, seed| {
+            bullet_run_on(
+                bullet_topo.network(),
+                &random,
+                &config,
+                run,
+                &NO_SCRIPT,
+                seed,
+            )
+        });
+        let bottleneck = topo.tree(TreeKind::Bottleneck, 0, p.seed);
+        let stream = p.stream_config(PAPER_RATE_BPS);
+        plan.arm(
+            &p,
+            &format!("Bottleneck tree - {name}"),
+            move |run, seed| {
+                streaming_run_on(topo.network(), &bottleneck, &stream, run, &NO_SCRIPT, seed)
+            },
+        );
     }
-    let seeds = sweep.seeds();
     let (id, title) = (id.to_string(), title.to_string());
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(&id, &title);
-        let chunks = chunked(results, seeds);
-        for (i, name) in profile_names.iter().enumerate() {
-            let bullet_runs = &chunks[2 * i];
-            let tree_runs = &chunks[2 * i + 1];
-            for run in bullet_runs {
+        for (pair, (_, name)) in arms.chunks(2).zip(SWEPT_PROFILES) {
+            for run in pair.iter().flatten() {
                 figure.add_run(run);
             }
-            for run in tree_runs {
-                figure.add_run(run);
-            }
-            let bullet = &bullet_runs[0];
-            let tree = &tree_runs[0];
+            let (bullet, tree) = (&pair[0][0], &pair[1][0]);
             let ratio = bullet.steady_state_kbps() / tree.steady_state_kbps().max(1.0);
             figure.notes.push(format!(
                 "{name}: Bullet {:.0} Kbps vs bottleneck tree {:.0} Kbps (x{:.2})",
@@ -443,7 +441,6 @@ fn bandwidth_sweep_plan(
                 ratio
             ));
         }
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -452,51 +449,26 @@ fn bandwidth_sweep_plan(
 /// send everything to every child).
 pub(crate) fn fig10_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 10);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let mut config = p.bullet_config(PAPER_RATE_BPS);
     config.disjoint_send = false;
-
-    let seeds = sweep.run_seeds(p.seed);
-    let tasks: Vec<RunTask> = seeds
-        .iter()
-        .enumerate()
-        .map(|(k, &seed)| {
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let run = p.run_spec(&seed_label("Bullet (non-disjoint strategy)", k));
-            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed))
-                as RunTask
-        })
-        .collect();
-
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
-        let runs = chunked(results, seeds).remove(0);
+    let mut plan = RunGrid::new(sweep);
+    plan.arm(&p, "Bullet (non-disjoint strategy)", move |run, seed| {
+        bullet_run_on(topo.network(), &tree, &config, run, &NO_SCRIPT, seed)
+    });
+    plan.assemble(|arms| {
         let mut figure = FigureResult::new(
             "fig10",
             "Achieved bandwidth over time using non-disjoint data transmission",
         );
-        for result in &runs {
-            figure.series.push(result.raw.clone());
-            figure.series.push(result.useful.clone());
-            figure.series.push(result.from_parent.clone());
-            figure
-                .summaries
-                .push((result.label.clone(), result.summary.clone()));
+        for result in &arms[0] {
+            figure.add_breakdown(result);
         }
         figure.notes.push(format!(
             "useful {:.0} Kbps with the disjoint strategy disabled (paper: ~25% below Fig. 7)",
-            runs[0].summary.steady_useful_kbps
+            arms[0][0].summary.steady_useful_kbps
         ));
-        push_seed_spread_notes(&mut figure, std::slice::from_ref(&runs));
         vec![figure]
     })
 }
@@ -507,70 +479,50 @@ pub(crate) fn fig10_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let mut p = Params::new(scale, 11);
     p.participants = scale.epidemic_participants();
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let random = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
-    let bottleneck = Arc::new(topo.tree(TreeKind::Bottleneck, 0, p.seed));
-    let bullet_cfg = p.bullet_config(EPIDEMIC_RATE_BPS);
-    let gossip_cfg = GossipConfig {
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let mut plan = RunGrid::new(sweep);
+
+    let random = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
+    let (bullet_topo, config) = (topo.clone(), p.bullet_config(EPIDEMIC_RATE_BPS));
+    plan.arm(&p, "Bullet", move |run, seed| {
+        bullet_run_on(
+            bullet_topo.network(),
+            &random,
+            &config,
+            run,
+            &NO_SCRIPT,
+            seed,
+        )
+    });
+    let gossip_topo = topo.clone();
+    let gossip = GossipConfig {
         stream_rate_bps: EPIDEMIC_RATE_BPS,
         stream_start: p.stream_start,
         ..GossipConfig::default()
     };
-    let ae_cfg = AntiEntropyConfig {
+    plan.arm(&p, "Push gossiping", move |run, seed| {
+        gossip_run_on(gossip_topo.network(), 0, &gossip, run, &NO_SCRIPT, seed)
+    });
+    let bottleneck = topo.tree(TreeKind::Bottleneck, 0, p.seed);
+    let ae = AntiEntropyConfig {
         stream_rate_bps: EPIDEMIC_RATE_BPS,
         stream_start: p.stream_start,
         ..AntiEntropyConfig::default()
     };
+    plan.arm(&p, "Streaming w/AE", move |run, seed| {
+        antientropy_run_on(topo.network(), &bottleneck, &ae, run, &NO_SCRIPT, seed)
+    });
 
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
-    for (k, &seed) in seeds.iter().enumerate() {
-        let topo = topo.clone();
-        let tree = random.clone();
-        let config = bullet_cfg.clone();
-        let run = p.run_spec(&seed_label("Bullet", k));
-        tasks.push(Box::new(move || {
-            bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-        }));
-    }
-    for (k, &seed) in seeds.iter().enumerate() {
-        let topo = topo.clone();
-        let config = gossip_cfg.clone();
-        let run = p.run_spec(&seed_label("Push gossiping", k));
-        tasks.push(Box::new(move || {
-            gossip_run_on(topo.network(), 0, &config, &run, &NO_SCRIPT, seed)
-        }));
-    }
-    for (k, &seed) in seeds.iter().enumerate() {
-        let topo = topo.clone();
-        let tree = bottleneck.clone();
-        let config = ae_cfg.clone();
-        let run = p.run_spec(&seed_label("Streaming w/AE", k));
-        tasks.push(Box::new(move || {
-            antientropy_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-        }));
-    }
-
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(|arms| {
         let mut figure = FigureResult::new(
             "fig11",
             "Achieved bandwidth over time for Bullet and epidemic approaches",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            for result in chunk {
-                figure.series.push(result.raw.clone());
-                figure.add_run(result);
-            }
+        for result in arms.iter().flatten() {
+            figure.series.push(result.raw.clone());
+            figure.add_run(result);
         }
-        let (bullet, gossip, ae) = (&chunks[0][0], &chunks[1][0], &chunks[2][0]);
+        let (bullet, gossip, ae) = (&arms[0][0], &arms[1][0], &arms[2][0]);
         figure.notes.push(format!(
             "useful: Bullet {:.0} Kbps, push gossip {:.0} Kbps, streaming w/AE {:.0} Kbps (paper: Bullet ~60% above both)",
             bullet.steady_state_kbps(),
@@ -583,7 +535,6 @@ pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             gossip.summary.duplicate_fraction * 100.0,
             ae.summary.duplicate_fraction * 100.0
         ));
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -598,14 +549,8 @@ pub(crate) fn failure_figure_plan(
     ransub_failure_detection: bool,
 ) -> FigurePlan {
     let p = Params::new(scale, 13);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     // Fail the root child with the largest subtree, as in the paper's
     // worst-case single failure.
     let victim = tree
@@ -619,60 +564,39 @@ pub(crate) fn failure_figure_plan(
 
     let mut config = p.bullet_config(PAPER_RATE_BPS);
     config.ransub_failure_detection = ransub_failure_detection;
-    let label = if ransub_failure_detection {
-        "Bullet, worst-case failure, RanSub recovery enabled"
+    let (id, title, label) = if ransub_failure_detection {
+        (
+            "fig14",
+            "Bandwidth over time with a worst-case node failure and RanSub recovery enabled",
+            "Bullet, worst-case failure, RanSub recovery enabled",
+        )
     } else {
-        "Bullet, worst-case failure, no RanSub recovery"
+        (
+            "fig13",
+            "Bandwidth over time with a worst-case node failure and no RanSub recovery",
+            "Bullet, worst-case failure, no RanSub recovery",
+        )
     };
     // The failure is a one-event scenario script. The driver pre-schedules
     // crashes through the simulator's event queue exactly like the legacy
     // `RunSpec::failure` injection, so the figure's numbers are unchanged
     // (asserted by `fig13_through_the_scenario_engine_matches_the_legacy_path`
     // in tests/end_to_end.rs).
-    let script = Arc::new(ScenarioScript::single_crash(failure_time, victim));
+    let script = ScenarioScript::single_crash(failure_time, victim);
+    let mut plan = RunGrid::new(sweep);
+    plan.arm(&p, label, move |run, seed| {
+        bullet_run_on(topo.network(), &tree, &config, run, &script, seed)
+    });
 
-    let seeds = sweep.run_seeds(p.seed);
-    let tasks: Vec<RunTask> = seeds
-        .iter()
-        .enumerate()
-        .map(|(k, &seed)| {
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let script = script.clone();
-            let run = p.run_spec(&seed_label(label, k));
-            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &script, seed))
-                as RunTask
-        })
-        .collect();
-
-    let seeds = seeds.len();
     let stream_start_secs = p.stream_start.as_secs_f64();
-    FigurePlan::new(tasks, move |results| {
-        let runs = chunked(results, seeds).remove(0);
-        let (id, title) = if ransub_failure_detection {
-            (
-                "fig14",
-                "Bandwidth over time with a worst-case node failure and RanSub recovery enabled",
-            )
-        } else {
-            (
-                "fig13",
-                "Bandwidth over time with a worst-case node failure and no RanSub recovery",
-            )
-        };
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(id, title);
-        for result in &runs {
-            figure.series.push(result.raw.clone());
-            figure.series.push(result.useful.clone());
-            figure.series.push(result.from_parent.clone());
-            figure
-                .summaries
-                .push((result.label.clone(), result.summary.clone()));
+        for result in &arms[0] {
+            figure.add_breakdown(result);
         }
 
         // Quantify the drop: average useful bandwidth before vs after failure.
-        let result = &runs[0];
+        let result = &arms[0][0];
         let before: Vec<f64> = result
             .times
             .iter()
@@ -700,14 +624,15 @@ pub(crate) fn failure_figure_plan(
             mean(&before),
             mean(&after)
         ));
-        push_seed_spread_notes(&mut figure, std::slice::from_ref(&runs));
         vec![figure]
     })
 }
 
 /// Figure 15: the constrained-source experiment standing in for the
 /// PlanetLab deployment — Bullet over a random tree versus streaming over
-/// hand-crafted good and worst trees at a 1.5 Mbps target.
+/// hand-crafted good and worst trees at a 1.5 Mbps target — then, on a
+/// well-provisioned source, Bullet and the good tree, which should both
+/// reach (close to) the full rate.
 pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 15);
     let (regional, remote) = match scale {
@@ -715,104 +640,52 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         Scale::Default => (10, 36),
         Scale::Paper => (10, 36),
     };
-    let constrained = constrained_source_topology(regional, remote, true, p.seed);
-    let source = constrained.source;
-    let participants = constrained.spec.participants();
-    let access_bps = constrained.access_bps.clone();
-    let net = PreparedTopology::new(constrained.spec);
-
-    let bullet_tree = Arc::new({
-        let mut rng = bullet_netsim::SimRng::new(p.seed ^ 0x7EE);
-        random_tree(participants, source, 10, &mut rng)
-    });
-    let good = Arc::new(good_tree(source, &access_bps, 3));
-    let worst = Arc::new(worst_tree(source, &access_bps, 3));
-
-    // Follow-up run: a well-provisioned source; both Bullet and a good tree
-    // should reach (close to) the full 1.5 Mbps rate.
-    let open = constrained_source_topology(regional, remote, false, p.seed);
-    let open_source = open.source;
-    let open_participants = open.spec.participants();
-    let open_access = open.access_bps.clone();
-    let open_net = PreparedTopology::new(open.spec);
-    let open_tree = Arc::new({
-        let mut rng = bullet_netsim::SimRng::new(p.seed ^ 0x7EE);
-        random_tree(open_participants, open_source, 10, &mut rng)
-    });
-    let open_good = Arc::new(good_tree(open_source, &open_access, 3));
-
     let bullet_cfg = p.bullet_config(PLANETLAB_RATE_BPS);
     let stream_cfg = p.stream_config(PLANETLAB_RATE_BPS);
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
-    for (k, &seed) in seeds.iter().enumerate() {
-        let net = net.clone();
-        let tree = bullet_tree.clone();
-        let config = bullet_cfg.clone();
-        let run = p.run_spec(&seed_label("Bullet", k));
-        tasks.push(Box::new(move || {
-            bullet_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-        }));
-    }
-    for (tree, label) in [(good, "Good Tree"), (worst, "Worst Tree")] {
-        for (k, &seed) in seeds.iter().enumerate() {
-            let net = net.clone();
-            let tree = tree.clone();
-            let config = stream_cfg.clone();
-            let run = p.run_spec(&seed_label(label, k));
-            tasks.push(Box::new(move || {
-                streaming_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-            }));
+    let mut plan = RunGrid::new(sweep);
+    for (constrain, suffix) in [(true, ""), (false, " (unconstrained source)")] {
+        let env = constrained_source_topology(regional, remote, constrain, p.seed);
+        let (source, access) = (env.source, env.access_bps);
+        let net = PreparedTopology::new(env.spec);
+        let tree = net.tree(TreeKind::Random { max_children: 10 }, source, p.seed);
+        let (bullet_net, config) = (net.clone(), bullet_cfg.clone());
+        plan.arm(&p, &format!("Bullet{suffix}"), move |run, seed| {
+            bullet_run_on(bullet_net.network(), &tree, &config, run, &NO_SCRIPT, seed)
+        });
+        let mut trees = vec![("Good Tree", good_tree(source, &access, 3))];
+        if constrain {
+            trees.push(("Worst Tree", worst_tree(source, &access, 3)));
+        }
+        for (label, tree) in trees {
+            let (net, stream) = (net.clone(), stream_cfg.clone());
+            plan.arm(&p, &format!("{label}{suffix}"), move |run, seed| {
+                streaming_run_on(net.network(), &tree, &stream, run, &NO_SCRIPT, seed)
+            });
         }
     }
-    for (k, &seed) in seeds.iter().enumerate() {
-        let net = open_net.clone();
-        let tree = open_tree.clone();
-        let config = bullet_cfg.clone();
-        let run = p.run_spec(&seed_label("Bullet (unconstrained source)", k));
-        tasks.push(Box::new(move || {
-            bullet_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-        }));
-    }
-    for (k, &seed) in seeds.iter().enumerate() {
-        let net = open_net.clone();
-        let tree = open_good.clone();
-        let config = stream_cfg.clone();
-        let run = p.run_spec(&seed_label("Good Tree (unconstrained source)", k));
-        tasks.push(Box::new(move || {
-            streaming_run_on(net.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-        }));
-    }
 
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(|arms| {
         let mut figure = FigureResult::new(
             "fig15",
             "Achieved bandwidth over time for Bullet and TFRC streaming over hand-crafted trees with a constrained source",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks[0..3] {
-            for result in chunk {
-                figure.add_run(result);
-            }
+        for result in arms[0..3].iter().flatten() {
+            figure.add_run(result);
         }
         figure.notes.push(format!(
             "constrained source: Bullet {:.0} Kbps vs good tree {:.0} Kbps vs worst tree {:.0} Kbps (paper: Bullet well above both, good tree ~300 Kbps)",
-            chunks[0][0].steady_state_kbps(),
-            chunks[1][0].steady_state_kbps(),
-            chunks[2][0].steady_state_kbps()
+            arms[0][0].steady_state_kbps(),
+            arms[1][0].steady_state_kbps(),
+            arms[2][0].steady_state_kbps()
         ));
         figure.notes.push(format!(
             "unconstrained source: Bullet {:.0} Kbps vs good tree {:.0} Kbps (paper: both ~1.5 Mbps)",
-            chunks[3][0].steady_state_kbps(),
-            chunks[4][0].steady_state_kbps()
+            arms[3][0].steady_state_kbps(),
+            arms[4][0].steady_state_kbps()
         ));
-        for chunk in &chunks[3..5] {
-            for result in chunk {
-                figure.add_run(result);
-            }
+        for result in arms[3..5].iter().flatten() {
+            figure.add_run(result);
         }
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -821,60 +694,43 @@ pub(crate) fn fig15_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 /// on/off, resemblance-guided peering vs random peering.
 pub(crate) fn ablations_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 20);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
 
     let full = p.bullet_config(PAPER_RATE_BPS);
     let mut no_disjoint = full.clone();
     no_disjoint.disjoint_send = false;
     let mut random_peers = full.clone();
     random_peers.resemblance_peering = false;
-    let variants: Vec<(&'static str, BulletConfig)> = vec![
+    let mut plan = RunGrid::new(sweep);
+    for (label, config) in [
         ("Bullet (full)", full),
         ("No disjoint send", no_disjoint),
         ("Random peer choice", random_peers),
-    ];
-
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
-    for (label, config) in &variants {
-        for (k, &seed) in seeds.iter().enumerate() {
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let run = p.run_spec(&seed_label(label, k));
-            tasks.push(Box::new(move || {
-                bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-            }));
-        }
+    ] {
+        let (topo, tree) = (topo.clone(), tree.clone());
+        plan.arm(&p, label, move |run, seed| {
+            bullet_run_on(topo.network(), &tree, &config, run, &NO_SCRIPT, seed)
+        });
     }
 
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(|arms| {
         let mut figure = FigureResult::new(
             "ablations",
             "Bullet design ablations: disjoint send and resemblance-guided peering",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            let result = &chunk[0];
+        for arm in arms {
+            let result = &arm[0];
             figure.notes.push(format!(
                 "{}: useful {:.0} Kbps, duplicates {:.1}%",
                 result.label,
                 result.summary.steady_useful_kbps,
                 result.summary.duplicate_fraction * 100.0
             ));
-            for result in chunk {
+            for result in arm {
                 figure.add_run(result);
             }
         }
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -943,17 +799,18 @@ mod tests {
         assert!(figure.steady_state_of("High").is_none());
     }
 
-    #[test]
-    fn chunking_is_configuration_major() {
-        let run = |label: &str| RunResult {
-            label: label.into(),
+    /// A run that simulates nothing: it carries its spec's label and, in
+    /// `source`, the seed it was handed.
+    fn placeholder(run: &RunSpec, seed: u64) -> RunResult {
+        RunResult {
+            label: run.label.clone(),
             times: Vec::new(),
-            useful: BandwidthSeries::new(label),
-            raw: BandwidthSeries::new(label),
-            from_parent: BandwidthSeries::new(label),
+            useful: BandwidthSeries::new(&run.label),
+            raw: BandwidthSeries::new(&run.label),
+            from_parent: BandwidthSeries::new(&run.label),
             per_node_useful_bytes: Vec::new(),
             per_node_fresh_bytes: Vec::new(),
-            source: 0,
+            source: seed as usize,
             summary: RunSummary::default(),
             routing: bullet_netsim::RoutingStats {
                 mode: bullet_netsim::RoutingMode::EagerPerSource,
@@ -965,11 +822,64 @@ mod tests {
                 landmarks: 0,
             },
             telemetry: None,
-        };
-        let results = vec![run("a0"), run("a1"), run("b0"), run("b1")];
-        let chunks = chunked(results, 2);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0][1].label, "a1");
-        assert_eq!(chunks[1][0].label, "b0");
+        }
+    }
+
+    /// Runs a two-arm placeholder grid (arms `a` and `b` on base seeds 5
+    /// and 9) over `seeds` seeds; each figure note the assembly writes is
+    /// one arm's `label@seed` runs.
+    fn placeholder_grid(seeds: usize) -> Vec<FigureResult> {
+        let sweep = Sweep::new(2, seeds);
+        let mut plan = RunGrid::new(&sweep);
+        for (label, base) in [("a", 5), ("b", 9)] {
+            plan.arm(&Params::new(Scale::Small, base), label, placeholder);
+        }
+        let (tasks, assemble) = plan
+            .assemble(|arms| {
+                let mut figure = FigureResult::new("x", "grid");
+                for arm in arms {
+                    let runs: Vec<String> = arm
+                        .iter()
+                        .map(|r| format!("{}@{}", r.label, r.source))
+                        .collect();
+                    figure.notes.push(runs.join(", "));
+                }
+                vec![figure, FigureResult::new("y", "second")]
+            })
+            .into_parts();
+        assemble(sweep.pool().run(tasks))
+    }
+
+    #[test]
+    fn run_grid_hands_assembly_its_arms_seed_minor_and_adds_spread_notes() {
+        let figures = placeholder_grid(3);
+        assert_eq!(figures.len(), 2);
+        let notes = &figures[0].notes;
+        // Arm-major, seed-minor; the seed-0 label is bare and each arm's
+        // first run gets its own base seed.
+        for (note, (label, base)) in notes.iter().zip([("a", 5), ("b", 9)]) {
+            let seeds = Sweep::new(1, 3).run_seeds(base);
+            assert_eq!(seeds[0], base);
+            assert_eq!(
+                *note,
+                format!(
+                    "{label}@{base}, {label} [seed 1]@{}, {label} [seed 2]@{}",
+                    seeds[1], seeds[2]
+                )
+            );
+        }
+        // One spread note per arm, after the plan's notes, on the first
+        // figure only.
+        assert_eq!(notes.len(), 4);
+        assert!(notes[2].starts_with("a: across 3 seeds, steady useful mean"));
+        assert!(notes[3].starts_with("b: across 3 seeds, steady useful mean"));
+        assert!(figures[1].notes.is_empty());
+    }
+
+    #[test]
+    fn a_one_seed_grid_adds_no_spread_note() {
+        let figures = placeholder_grid(1);
+        assert_eq!(figures[0].notes, ["a@5", "b@9"]);
+        assert!(figures[1].notes.is_empty());
     }
 }

@@ -171,7 +171,7 @@ impl Sweep {
     /// The per-run seeds derived from a figure's base seed: seed index 0 is
     /// the base seed itself (preserving the single-seed goldens), later
     /// indices decorrelate with a splitmix-style odd multiplier.
-    pub fn run_seeds(&self, base: u64) -> Vec<u64> {
+    pub(crate) fn run_seeds(&self, base: u64) -> Vec<u64> {
         (0..self.seeds)
             .map(|k| match k {
                 0 => base,

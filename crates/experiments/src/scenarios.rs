@@ -4,16 +4,16 @@
 //! most one node failure; these figures exercise the regimes fault-
 //! resilient streaming overlays are actually judged on — continuous churn,
 //! flash crowds and time-varying bottlenecks — using the
-//! `bullet-dynamics` scenario engine. Each follows the same
-//! [`FigureResult`] conventions as the paper figures (including the
-//! parallel run-grid execution and `BULLET_SEEDS` sweeps; see the
+//! `bullet-dynamics` scenario engine. Each is a plan on the same run grid
+//! as the paper figures (arms named by the plan, seeds, labels and spread
+//! notes owned by the builder; see "The run grid" in the
 //! [`crate::figures`] module docs), so the report printers and the
-//! `figures` bench consume them unchanged. Extra sweep seeds re-generate the
-//! scenario scripts under the per-seed RNG, so a multi-seed churn figure
-//! samples genuinely different churn event sequences, not just different
-//! protocol RNG draws.
-
-use std::sync::Arc;
+//! `figures` bench consume them unchanged. An arm whose script is drawn
+//! from a seed builds it inside the arm from the seed it is handed, so
+//! extra sweep seeds sample genuinely different event sequences (churn,
+//! crowd arrivals, partitions, adversary placement, storms), not just
+//! different protocol RNG draws; a note quoting a script fact quotes the
+//! base seed's script.
 
 use bullet_core::OverloadConfig;
 use bullet_dynamics::{ChurnConfig, ScenarioAction, ScenarioScript};
@@ -22,9 +22,9 @@ use bullet_netsim::{
 };
 use bullet_topology::{BandwidthProfile, LossProfile};
 
-use crate::env::{prepare_topology, TreeKind};
-use crate::figures::{chunked, push_seed_spread_notes, FigurePlan, FigureResult, Params, RunTask};
-use crate::pool::{seed_label, Sweep};
+use crate::env::TreeKind;
+use crate::figures::{FigurePlan, FigureResult, Params, RunGrid};
+use crate::pool::Sweep;
 use crate::protocols::{bullet_run_on, bullet_run_resourced_on, streaming_run_on, NO_SCRIPT};
 use crate::runner::RunResult;
 use crate::scale::Scale;
@@ -55,82 +55,61 @@ pub fn access_link_of(spec: &NetworkSpec, node: OverlayId) -> usize {
 /// windows) so reconciliation rows are restriped off crashed peers.
 pub(crate) fn churn_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 31);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let config = p.bullet_config(SCENARIO_RATE_BPS).churn();
-    let seeds = sweep.run_seeds(p.seed);
-
-    let mut tasks: Vec<RunTask> = Vec::new();
-    for (k, &seed) in seeds.iter().enumerate() {
-        let topo = topo.clone();
-        let tree = tree.clone();
-        let config = config.clone();
-        let run = p.run_spec(&seed_label("Bullet - no churn", k));
-        tasks.push(Box::new(move || {
-            bullet_run_on(topo.network(), &tree, &config, &run, &NO_SCRIPT, seed)
-        }));
-    }
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
-    let mut sweep_points = Vec::new();
-    for divisor in [1.0, 2.0, 4.0] {
-        let mean_session = window / divisor;
-        let label = format!("Bullet - mean session {mean_session:.0}s");
-        let mut script_lens = Vec::new();
-        for (k, &seed) in seeds.iter().enumerate() {
-            // Each sweep seed regenerates the churn script under its own
-            // RNG: multi-seed figures sample different event sequences.
-            let script = Arc::new(ScenarioScript::exponential_churn(&ChurnConfig {
-                nodes: (1..p.participants).collect(),
-                start: p.stream_start,
-                end: SimTime::from_secs_f64(p.duration.as_secs_f64() * 0.95),
-                mean_session_secs: mean_session,
-                mean_downtime_secs: mean_session / 4.0,
-                graceful_fraction: 0.25,
-                seed: seed ^ 0xC0_94,
-            }));
-            script_lens.push(script.len());
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let run = p.run_spec(&seed_label(&label, k));
-            tasks.push(Box::new(move || {
-                bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
-            }));
-        }
-        sweep_points.push((mean_session, script_lens));
+    let sessions = [1.0, 2.0, 4.0].map(|divisor| window / divisor);
+    // Each sweep seed regenerates the churn script under its own RNG:
+    // multi-seed figures sample different event sequences.
+    let churn = move |mean_session: f64, seed: u64| {
+        ScenarioScript::exponential_churn(&ChurnConfig {
+            nodes: (1..p.participants).collect(),
+            start: p.stream_start,
+            end: SimTime::from_secs_f64(p.duration.as_secs_f64() * 0.95),
+            mean_session_secs: mean_session,
+            mean_downtime_secs: mean_session / 4.0,
+            graceful_fraction: 0.25,
+            seed: seed ^ 0xC0_94,
+        })
+    };
+
+    let mut plan = RunGrid::new(sweep);
+    // The churn-free baseline, then one arm per mean session time.
+    for session in [None].into_iter().chain(sessions.map(Some)) {
+        let (topo, tree, config) = (topo.clone(), tree.clone(), config.clone());
+        let label = match session {
+            None => "Bullet - no churn".to_string(),
+            Some(mean_session) => format!("Bullet - mean session {mean_session:.0}s"),
+        };
+        plan.arm(&p, &label, move |run, seed| {
+            let script = session.map_or(NO_SCRIPT, |mean_session| churn(mean_session, seed));
+            bullet_run_on(topo.network(), &tree, &config, run, &script, seed)
+        });
     }
 
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(
             "churn",
             "Achieved bandwidth under exponential session-time churn (crash/rejoin of every non-source node)",
         );
-        let chunks = chunked(results, seeds);
-        for run in &chunks[0] {
+        for run in &arms[0] {
             figure.add_run(run);
         }
-        let baseline = &chunks[0][0];
-        for ((mean_session, script_lens), chunk) in sweep_points.iter().zip(&chunks[1..]) {
-            let result = &chunk[0];
+        let baseline = &arms[0][0];
+        for (&mean_session, arm) in sessions.iter().zip(&arms[1..]) {
+            let result = &arm[0];
             figure.notes.push(format!(
                 "mean session {mean_session:.0}s ({} scripted events): useful {:.0} Kbps vs {:.0} Kbps churn-free, median delivery {:.0}%",
-                script_lens[0],
+                churn(mean_session, p.seed).len(),
                 result.summary.steady_useful_kbps,
                 baseline.summary.steady_useful_kbps,
                 result.summary.median_delivery_fraction * 100.0,
             ));
-            for run in chunk {
+            for run in arm {
                 figure.add_run(run);
             }
         }
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -140,14 +119,8 @@ pub(crate) fn churn_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 /// crowd bootstraps and its recovery as the mesh absorbs the joiners.
 pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 32);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let config = p.bullet_config(SCENARIO_RATE_BPS).churn();
 
     let crowd_start = p.participants - (p.participants * 6 / 10);
@@ -156,42 +129,26 @@ pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let join_at = SimTime::from_secs_f64(p.stream_start.as_secs_f64() + window * 0.4);
     let ramp = window * 0.1;
 
-    let seeds = sweep.run_seeds(p.seed);
-    let tasks: Vec<RunTask> = seeds
-        .iter()
-        .enumerate()
-        .map(|(k, &seed)| {
-            let script = Arc::new(ScenarioScript::flash_crowd(
-                &crowd,
-                join_at,
-                ramp,
-                seed ^ 0xF1A5,
-            ));
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let run = p.run_spec(&seed_label("Bullet - flash crowd", k));
-            Box::new(move || bullet_run_on(topo.network(), &tree, &config, &run, &script, seed))
-                as RunTask
-        })
-        .collect();
+    let mut plan = RunGrid::new(sweep);
+    let joiners = crowd.clone();
+    plan.arm(&p, "Bullet - flash crowd", move |run, seed| {
+        let script = ScenarioScript::flash_crowd(&joiners, join_at, ramp, seed ^ 0xF1A5);
+        bullet_run_on(topo.network(), &tree, &config, run, &script, seed)
+    });
 
-    let seeds = seeds.len();
     let crowd_len = crowd.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(
             "flashcrowd",
             "Achieved bandwidth while a flash crowd (60% of the overlay) joins mid-stream",
         );
-        let chunks = chunked(results, seeds);
-        let runs = &chunks[0];
         // Useful first (add_run), raw second: `steady_state_of("flash crowd")`
         // finds the first matching label, and gates must read useful bandwidth.
-        for result in runs {
+        for result in &arms[0] {
             figure.add_run(result);
             figure.series.push(result.raw.clone());
         }
-        let result = &runs[0];
+        let result = &arms[0][0];
 
         // How long after the last join until per-crowd-member delivery catches
         // up to a healthy rate.
@@ -205,7 +162,6 @@ pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
                 None => "never".into(),
             },
         ));
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -243,14 +199,8 @@ fn crowd_catch_up_secs(result: &RunResult, crowd: &[OverlayId], after_secs: f64)
 /// recovery traffic around the throttled uplink.
 pub(crate) fn oscillating_bottleneck_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 33);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let victim = tree
         .children(0)
         .iter()
@@ -262,53 +212,37 @@ pub(crate) fn oscillating_bottleneck_plan(scale: Scale, sweep: &Sweep) -> Figure
     let high_bps = topo.spec().links[link].bandwidth_bps;
     let low_bps = SCENARIO_RATE_BPS / 4.0;
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
-    let script = Arc::new(ScenarioScript::oscillating_link(
+    let script = ScenarioScript::oscillating_link(
         link,
         high_bps,
         low_bps,
         window / 8.0,
         SimTime::from_secs_f64(p.stream_start.as_secs_f64() + window * 0.2),
         SimTime::from_secs_f64(p.duration.as_secs_f64() * 0.95),
-    ));
+    );
 
-    let bullet_cfg = p.bullet_config(SCENARIO_RATE_BPS);
-    let stream_cfg = p.stream_config(SCENARIO_RATE_BPS);
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
-    for (k, &seed) in seeds.iter().enumerate() {
-        let topo = topo.clone();
-        let tree = tree.clone();
-        let config = bullet_cfg.clone();
-        let script = script.clone();
-        let run = p.run_spec(&seed_label("Bullet - oscillating bottleneck", k));
-        tasks.push(Box::new(move || {
-            bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
-        }));
-    }
-    for (k, &seed) in seeds.iter().enumerate() {
-        let topo = topo.clone();
-        let tree = tree.clone();
-        let config = stream_cfg.clone();
-        let script = script.clone();
-        let run = p.run_spec(&seed_label("Tree streaming - oscillating bottleneck", k));
-        tasks.push(Box::new(move || {
-            streaming_run_on(topo.network(), &tree, &config, &run, &script, seed)
-        }));
-    }
+    let mut plan = RunGrid::new(sweep);
+    let (net, arm_tree, arm_script) = (topo.clone(), tree.clone(), script.clone());
+    let config = p.bullet_config(SCENARIO_RATE_BPS);
+    plan.arm(&p, "Bullet - oscillating bottleneck", move |run, seed| {
+        bullet_run_on(net.network(), &arm_tree, &config, run, &arm_script, seed)
+    });
+    let stream = p.stream_config(SCENARIO_RATE_BPS);
+    plan.arm(
+        &p,
+        "Tree streaming - oscillating bottleneck",
+        move |run, seed| streaming_run_on(topo.network(), &tree, &stream, run, &script, seed),
+    );
 
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(
             "oscillation",
             "Achieved bandwidth while the worst-case root child's access link oscillates between its provisioned rate and a quarter of the stream rate",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            for run in chunk {
-                figure.add_run(run);
-            }
+        for run in arms.iter().flatten() {
+            figure.add_run(run);
         }
-        let (bullet, streaming) = (&chunks[0][0], &chunks[1][0]);
+        let (bullet, streaming) = (&arms[0][0], &arms[1][0]);
         figure.notes.push(format!(
             "node {victim} ({descendants} descendants) access link {link} square-waves {:.1} Mbps <-> {:.0} Kbps every {:.0}s: Bullet {:.0} Kbps vs tree streaming {:.0} Kbps steady useful",
             high_bps / 1e6,
@@ -317,7 +251,6 @@ pub(crate) fn oscillating_bottleneck_plan(scale: Scale, sweep: &Sweep) -> Figure
             bullet.summary.steady_useful_kbps,
             streaming.summary.steady_useful_kbps,
         ));
-        crate::figures::push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -369,14 +302,8 @@ pub const RECOVERY_CRASH_EVERY_SECS: f64 = 10.0;
 /// in `tests/end_to_end.rs`.
 pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 34);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let recovery_cfg = p.bullet_config(SCENARIO_RATE_BPS).recovery();
     let baseline_cfg = p.bullet_config(SCENARIO_RATE_BPS).churn();
     let (script, crashes) = sustained_crash_script(
@@ -385,40 +312,28 @@ pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         p.stream_start,
         p.duration.as_secs_f64(),
     );
-    let script = Arc::new(script);
     let epoch_secs = recovery_cfg.ransub_epoch.as_secs_f64();
 
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
+    let mut plan = RunGrid::new(sweep);
     for (label, config) in [
-        ("Bullet - recovery on", &recovery_cfg),
-        ("Bullet - recovery off", &baseline_cfg),
+        ("Bullet - recovery on", recovery_cfg),
+        ("Bullet - recovery off", baseline_cfg),
     ] {
-        for (k, &seed) in seeds.iter().enumerate() {
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let script = script.clone();
-            let run = p.run_spec(&seed_label(label, k));
-            tasks.push(Box::new(move || {
-                bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
-            }));
-        }
+        let (topo, tree, script) = (topo.clone(), tree.clone(), script.clone());
+        plan.arm(&p, label, move |run, seed| {
+            bullet_run_on(topo.network(), &tree, &config, run, &script, seed)
+        });
     }
 
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(
             "recovery",
             "Achieved bandwidth under sustained crashes (one interior node per 10 s, never rejoining): §4.6 recovery subsystem on vs off",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            for run in chunk {
-                figure.add_run(run);
-            }
+        for run in arms.iter().flatten() {
+            figure.add_run(run);
         }
-        let (on, off) = (&chunks[0][0], &chunks[1][0]);
+        let (on, off) = (&arms[0][0], &arms[1][0]);
         let s = &on.summary;
         let ratio = s.steady_useful_kbps / off.summary.steady_useful_kbps.max(1e-9);
         figure.notes.push(format!(
@@ -436,7 +351,6 @@ pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             s.totals.control_retries,
             s.totals.false_positive_evictions,
         ));
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -448,84 +362,68 @@ pub(crate) fn recovery_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 /// rides out each episode on whatever mesh state survives.
 pub(crate) fn partition_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 35);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let recovery_cfg = p.bullet_config(SCENARIO_RATE_BPS).recovery();
     let baseline_cfg = p.bullet_config(SCENARIO_RATE_BPS).churn();
     let epoch_secs = recovery_cfg.ransub_epoch.as_secs_f64();
 
     // The partitioned side: every other non-source node.
     let side: Vec<OverlayId> = (1..p.participants).step_by(2).collect();
+    let side_len = side.len();
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
-
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
-    let mut partition_counts = Vec::new();
-    for (label, config) in [
-        ("Bullet - recovery on", &recovery_cfg),
-        ("Bullet - recovery off", &baseline_cfg),
-    ] {
-        for (k, &seed) in seeds.iter().enumerate() {
-            // Per-seed scripts: each sweep seed samples its own partition
-            // episode sequence (like the churn figure's scripts).
-            let mut script = ScenarioScript::partition_churn(
-                &side,
-                SimTime::from_secs_f64(p.stream_start.as_secs_f64() + window * 0.2),
-                SimTime::from_secs_f64(p.duration.as_secs_f64() * 0.9),
-                window / 4.0,
-                (epoch_secs * 3.0).min(window / 6.0),
-                seed ^ 0x9A27,
-            );
-            if label.ends_with("on") {
-                partition_counts.push(script.len() / 2);
-            }
-            for node in (1..p.participants).step_by(10) {
-                script.push(
-                    p.stream_start,
-                    ScenarioAction::Fault {
-                        node,
-                        plan: FaultPlan {
-                            drop_chance: 0.2,
-                            ..FaultPlan::default()
-                        },
+    // Per-seed scripts: each sweep seed samples its own partition episode
+    // sequence (like the churn figure's scripts). Also returns the number
+    // of episodes.
+    let script = move |seed: u64| {
+        let mut script = ScenarioScript::partition_churn(
+            &side,
+            SimTime::from_secs_f64(p.stream_start.as_secs_f64() + window * 0.2),
+            SimTime::from_secs_f64(p.duration.as_secs_f64() * 0.9),
+            window / 4.0,
+            (epoch_secs * 3.0).min(window / 6.0),
+            seed ^ 0x9A27,
+        );
+        let episodes = script.len() / 2;
+        for node in (1..p.participants).step_by(10) {
+            script.push(
+                p.stream_start,
+                ScenarioAction::Fault {
+                    node,
+                    plan: FaultPlan {
+                        drop_chance: 0.2,
+                        ..FaultPlan::default()
                     },
-                );
-            }
-            let script = Arc::new(script);
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let run = p.run_spec(&seed_label(label, k));
-            tasks.push(Box::new(move || {
-                bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
-            }));
+                },
+            );
         }
+        (script, episodes)
+    };
+
+    let mut plan = RunGrid::new(sweep);
+    for (label, config) in [
+        ("Bullet - recovery on", recovery_cfg),
+        ("Bullet - recovery off", baseline_cfg),
+    ] {
+        let (topo, tree, script) = (topo.clone(), tree.clone(), script.clone());
+        plan.arm(&p, label, move |run, seed| {
+            bullet_run_on(topo.network(), &tree, &config, run, &script(seed).0, seed)
+        });
     }
 
-    let seeds = seeds.len();
-    let side_len = side.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(
             "partition",
             "Achieved bandwidth under repeated network partitions of half the overlay plus 20% control-message loss on a tenth of the nodes: §4.6 recovery subsystem on vs off",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            for run in chunk {
-                figure.add_run(run);
-            }
+        for run in arms.iter().flatten() {
+            figure.add_run(run);
         }
-        let (on, off) = (&chunks[0][0], &chunks[1][0]);
+        let (on, off) = (&arms[0][0], &arms[1][0]);
         let s = &on.summary;
         figure.notes.push(format!(
             "{side_len} nodes partition away {} times: recovery-on {:.0} Kbps vs recovery-off {:.0} Kbps steady useful; {} re-attaches (median {:.2}s), {} control retries, {} false-positive evictions",
-            partition_counts.first().copied().unwrap_or(0),
+            script(p.seed).1,
             s.steady_useful_kbps,
             off.summary.steady_useful_kbps,
             s.reattaches,
@@ -533,7 +431,6 @@ pub(crate) fn partition_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             s.totals.control_retries,
             s.totals.false_positive_evictions,
         ));
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -556,14 +453,8 @@ pub const ADVERSARY_CORRUPT_CHANCE: f64 = 0.75;
 /// `tests/end_to_end.rs`.
 pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 36);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     // Both arms share the recovery profile, making integrity the only
     // delta.
     let defense_cfg = p.bullet_config(SCENARIO_RATE_BPS).integrity();
@@ -572,50 +463,40 @@ pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
     let turn_at = SimTime::from_secs_f64(p.stream_start.as_secs_f64() + window * 0.2);
 
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
-    for (arm, config) in [("defense on", &defense_cfg), ("defense off", &baseline_cfg)] {
+    let mut plan = RunGrid::new(sweep);
+    for (defense, config) in [("defense on", defense_cfg), ("defense off", baseline_cfg)] {
         for fraction in ADVERSARY_FRACTIONS {
-            let label = format!("Bullet - {arm} - {:.0}% adversaries", fraction * 100.0);
-            for (k, &seed) in seeds.iter().enumerate() {
+            let (topo, tree, config, nodes) =
+                (topo.clone(), tree.clone(), config.clone(), nodes.clone());
+            let label = format!("Bullet - {defense} - {:.0}% adversaries", fraction * 100.0);
+            plan.arm(&p, &label, move |run, seed| {
                 // Per-seed scripts: each sweep seed samples its own
                 // adversary placement (same convention as the churn
                 // figure). Both arms at the same (fraction, seed) get the
                 // identical script.
-                let script = Arc::new(ScenarioScript::adversary_fraction(
+                let script = ScenarioScript::adversary_fraction(
                     &nodes,
                     fraction,
                     turn_at,
                     ADVERSARY_CORRUPT_CHANCE,
                     seed ^ 0xAD5A,
-                ));
-                let topo = topo.clone();
-                let tree = tree.clone();
-                let config = config.clone();
-                let run = p.run_spec(&seed_label(&label, k));
-                tasks.push(Box::new(move || {
-                    bullet_run_on(topo.network(), &tree, &config, &run, &script, seed)
-                }));
-            }
+                );
+                bullet_run_on(topo.network(), &tree, &config, run, &script, seed)
+            });
         }
     }
 
-    let seeds = seeds.len();
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(|arms| {
         let mut figure = FigureResult::new(
             "adversary",
             "Clean goodput while a growing fraction of the overlay corrupts, stalls or falsely advertises: integrity defense (verification + health scoring + quarantine) on vs off",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            for run in chunk {
-                figure.add_run(run);
-            }
+        for run in arms.iter().flatten() {
+            figure.add_run(run);
         }
-        let arms = ADVERSARY_FRACTIONS.len();
-        for (i, fraction) in ADVERSARY_FRACTIONS.iter().enumerate() {
-            let on = &chunks[i][0].summary;
-            let off = &chunks[arms + i][0].summary;
+        let (defended, exposed) = arms.split_at(ADVERSARY_FRACTIONS.len());
+        for ((fraction, on), off) in ADVERSARY_FRACTIONS.iter().zip(defended).zip(exposed) {
+            let (on, off) = (&on[0].summary, &off[0].summary);
             let ratio = if off.clean_goodput_kbps > 0.0 {
                 format!("{:.1}x", on.clean_goodput_kbps / off.clean_goodput_kbps)
             } else {
@@ -632,7 +513,6 @@ pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
                 off.totals.corrupt_blocks_accepted,
             ));
         }
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }
@@ -718,14 +598,8 @@ pub fn overload_figure_knobs() -> OverloadConfig {
 /// `tests/end_to_end.rs`.
 pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let p = Params::new(scale, 37);
-    let topo = prepare_topology(
-        scale,
-        p.participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        p.seed,
-    );
-    let tree = Arc::new(topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed));
+    let topo = p.topology(BandwidthProfile::Medium, LossProfile::None);
+    let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
 
     // Both arms share the integrity profile and the same finite ingress
     // resources; the overload layer is the only delta.
@@ -745,10 +619,17 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let storm_count = p.participants - storm_first;
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
     let ramp = window * 0.01;
+    // The acceptance ratio is measured *during the storm*: from the first
+    // cohort's arrival to the last cohort's landing. Stopping there (not
+    // at run end) keeps the post-storm calm out of the window — that calm
+    // is exactly when the unbounded arm finally drains its backlog.
+    let storm_from = p.stream_start.as_secs_f64() + window * OVERLOAD_STORM_FROM;
+    let storm_to = p.stream_start.as_secs_f64() + window * OVERLOAD_STORM_TO;
 
     // Slow receivers: every tenth steady-state member understates its
     // intake from stream start on.
     let slow: Vec<OverlayId> = (1..storm_first).step_by(10).collect();
+    let slow_len = slow.len();
     // The steady-state members the acceptance ratio is measured over: in
     // the overlay before the storm and not scripted slow (the slow ones
     // are *deliberately* degraded — that is the graceful part).
@@ -756,132 +637,114 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     // Identical processors, different queue disciplines (see
     // [`OVERLOAD_NODE_RESOURCES`]): the bounded arm's nodes shed at their
     // budget, the unbounded arm's nodes queue everything and fall behind.
-    let arm_resources = |discipline: QueueDiscipline| -> Arc<Vec<(OverlayId, NodeResources)>> {
-        Arc::new(
-            (1..p.participants)
-                .map(|n| {
-                    (
-                        n,
-                        NodeResources {
-                            discipline,
-                            ..OVERLOAD_NODE_RESOURCES
-                        },
-                    )
-                })
-                .collect(),
-        )
+    let arm_resources = |discipline: QueueDiscipline| -> Vec<(OverlayId, NodeResources)> {
+        (1..p.participants)
+            .map(|n| {
+                (
+                    n,
+                    NodeResources {
+                        discipline,
+                        ..OVERLOAD_NODE_RESOURCES
+                    },
+                )
+            })
+            .collect()
+    };
+    // Each sweep seed regenerates the storm under its own RNG.
+    let storm = move |seed: u64| {
+        let mut script = ScenarioScript::new();
+        for &node in &slow {
+            script.push(
+                p.stream_start,
+                ScenarioAction::SlowNode {
+                    node,
+                    factor: OVERLOAD_SLOW_FACTOR,
+                },
+            );
+        }
+        // Rolling cohorts: each sixth of the suffix crashes and re-storms
+        // on its own staggered cycle, so a fresh join burst lands every
+        // `period / cohorts` seconds for the whole storm span — sustained
+        // pressure, no calm gaps.
+        let cohort_len = storm_count.div_ceil(OVERLOAD_STORM_COHORTS);
+        let period = window * OVERLOAD_STORM_PERIOD;
+        let stagger = period / OVERLOAD_STORM_COHORTS as f64;
+        let mut wave = 0u64;
+        for c in 0..OVERLOAD_STORM_COHORTS {
+            let first = storm_first + c * cohort_len;
+            if first >= p.participants {
+                break;
+            }
+            let count = cohort_len.min(p.participants - first);
+            let mut at = storm_from + stagger * c as f64;
+            let mut cycle = 0u32;
+            while at + ramp <= storm_to {
+                if cycle > 0 {
+                    // The cohort crashes out a couple of seconds before it
+                    // re-storms, so every cycle is a fresh cold-state join
+                    // burst.
+                    for node in first..first + count {
+                        script.push(
+                            SimTime::from_secs_f64(at - ramp - 2.0),
+                            ScenarioAction::Crash { node },
+                        );
+                    }
+                }
+                script.push(
+                    SimTime::from_secs_f64(at),
+                    ScenarioAction::JoinStorm {
+                        first,
+                        count,
+                        ramp_secs: ramp,
+                        seed: seed ^ (0x0B57 + wave),
+                    },
+                );
+                wave += 1;
+                at += period;
+                cycle += 1;
+            }
+        }
+        script
     };
 
-    let seeds = sweep.run_seeds(p.seed);
-    let mut tasks: Vec<RunTask> = Vec::new();
+    let mut plan = RunGrid::new(sweep);
     for (label, config, discipline) in [
         (
             "Bullet - bounded queues",
-            &bounded_cfg,
+            bounded_cfg,
             QueueDiscipline::DropTail,
         ),
         (
             "Bullet - unbounded queues",
-            &unbounded_cfg,
+            unbounded_cfg,
             QueueDiscipline::Unbounded,
         ),
     ] {
+        let (topo, tree, storm) = (topo.clone(), tree.clone(), storm.clone());
         let resources = arm_resources(discipline);
-        for (k, &seed) in seeds.iter().enumerate() {
-            let mut script = ScenarioScript::new();
-            for &node in &slow {
-                script.push(
-                    p.stream_start,
-                    ScenarioAction::SlowNode {
-                        node,
-                        factor: OVERLOAD_SLOW_FACTOR,
-                    },
-                );
-            }
-            // Rolling cohorts: each sixth of the suffix crashes and
-            // re-storms on its own staggered cycle, so a fresh join
-            // burst lands every `period / cohorts` seconds for the
-            // whole storm span — sustained pressure, no calm gaps.
-            let cohort_len = storm_count.div_ceil(OVERLOAD_STORM_COHORTS);
-            let storm_open = p.stream_start.as_secs_f64() + window * OVERLOAD_STORM_FROM;
-            let storm_close = p.stream_start.as_secs_f64() + window * OVERLOAD_STORM_TO;
-            let period = window * OVERLOAD_STORM_PERIOD;
-            let stagger = period / OVERLOAD_STORM_COHORTS as f64;
-            let mut wave = 0u64;
-            for c in 0..OVERLOAD_STORM_COHORTS {
-                let first = storm_first + c * cohort_len;
-                if first >= p.participants {
-                    break;
-                }
-                let count = cohort_len.min(p.participants - first);
-                let mut at = storm_open + stagger * c as f64;
-                let mut cycle = 0u32;
-                while at + ramp <= storm_close {
-                    if cycle > 0 {
-                        // The cohort crashes out a couple of seconds
-                        // before it re-storms, so every cycle is a
-                        // fresh cold-state join burst.
-                        for node in first..first + count {
-                            script.push(
-                                SimTime::from_secs_f64(at - ramp - 2.0),
-                                ScenarioAction::Crash { node },
-                            );
-                        }
-                    }
-                    script.push(
-                        SimTime::from_secs_f64(at),
-                        ScenarioAction::JoinStorm {
-                            first,
-                            count,
-                            ramp_secs: ramp,
-                            seed: seed ^ (0x0B57 + wave),
-                        },
-                    );
-                    wave += 1;
-                    at += period;
-                    cycle += 1;
-                }
-            }
-            let script = Arc::new(script);
-            let topo = topo.clone();
-            let tree = tree.clone();
-            let config = config.clone();
-            let resources = resources.clone();
-            let run = p.run_spec(&seed_label(label, k));
-            tasks.push(Box::new(move || {
-                bullet_run_resourced_on(
-                    topo.network(),
-                    &tree,
-                    &config,
-                    &run,
-                    &script,
-                    &resources,
-                    seed,
-                )
-            }));
-        }
+        plan.arm(&p, label, move |run, seed| {
+            let script = storm(seed);
+            bullet_run_resourced_on(
+                topo.network(),
+                &tree,
+                &config,
+                run,
+                &script,
+                &resources,
+                seed,
+            )
+        });
     }
 
-    let seeds = seeds.len();
-    let slow_len = slow.len();
-    // The acceptance ratio is measured *during the storm*: from the first
-    // cohort's arrival to the last cohort's landing. Stopping there (not
-    // at run end) keeps the post-storm calm out of the window — that calm
-    // is exactly when the unbounded arm finally drains its backlog.
-    let storm_from = p.stream_start.as_secs_f64() + window * OVERLOAD_STORM_FROM;
-    let storm_to = p.stream_start.as_secs_f64() + window * OVERLOAD_STORM_TO;
-    FigurePlan::new(tasks, move |results| {
+    plan.assemble(move |arms| {
         let mut figure = FigureResult::new(
             "overload",
             "Achieved bandwidth through a 10x join storm plus persistent slow receivers on finite-capacity nodes: overload layer (bounded queues, backpressure, graceful degradation) on vs off",
         );
-        let chunks = chunked(results, seeds);
-        for chunk in &chunks {
-            for run in chunk {
-                figure.add_run(run);
-            }
+        for run in arms.iter().flatten() {
+            figure.add_run(run);
         }
-        let (bounded, unbounded) = (&chunks[0][0], &chunks[1][0]);
+        let (bounded, unbounded) = (&arms[0][0], &arms[1][0]);
         let member_on = member_goodput_kbps(bounded, &members, storm_from, storm_to);
         let member_off = member_goodput_kbps(unbounded, &members, storm_from, storm_to);
         figure
@@ -937,15 +800,17 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             s.ingress_sheds,
             unbounded.summary.ingress_peak_depth,
         ));
-        if seeds > 1 {
+        if arms[0].len() > 1 {
             // Extra sweep seeds regenerate the storm under fresh RNG: show
             // the headline ratio's stability across them.
-            let spread: Vec<String> = (0..seeds)
-                .map(|k| {
+            let spread: Vec<String> = arms[0]
+                .iter()
+                .zip(&arms[1])
+                .map(|(on, off)| {
                     format!(
                         "{:.0}/{:.0}",
-                        member_goodput_kbps(&chunks[0][k], &members, storm_from, storm_to),
-                        member_goodput_kbps(&chunks[1][k], &members, storm_from, storm_to),
+                        member_goodput_kbps(on, &members, storm_from, storm_to),
+                        member_goodput_kbps(off, &members, storm_from, storm_to),
                     )
                 })
                 .collect();
@@ -954,7 +819,6 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
                 spread.join(", ")
             ));
         }
-        push_seed_spread_notes(&mut figure, &chunks);
         vec![figure]
     })
 }

@@ -12,10 +12,11 @@
 mod golden;
 
 use bullet_suite::dynamics::ScenarioStats;
+use bullet_suite::experiments::{figure_suite_subset, Scale, Sweep, SUITE_PLAN_KEYS};
 use bullet_suite::netsim::SimCounters;
 use golden::{
-    fingerprint, fingerprint_traced, Digest, Golden, Row, ADVERSARY64, BULLET64, CHURN64, FAULTS64,
-    OVERLOAD64, PAPER_SMOKE,
+    fingerprint, fingerprint_traced, mix, Digest, Golden, Row, ADVERSARY64, BULLET64, CHURN64,
+    FAULTS64, OVERLOAD64, PAPER_SMOKE,
 };
 
 /// Two runs with the same seed must be byte-identical, including the event
@@ -256,6 +257,27 @@ fn overload_64_matches_golden_run() {
 #[test]
 fn overload_64_is_deterministic_across_runs() {
     assert_repeats(&OVERLOAD64);
+}
+
+/// Every plan of the figure suite at small scale over two seeds, folded
+/// into one digest of the figures' `Debug` bytes: each label, note, scalar,
+/// series and summary of all 18 figures (17 plan keys; `fig07` also emits
+/// `fig08`), including the `[seed 1]` series and the spread notes. Captured
+/// at the commit before the run-grid builder replaced the per-plan seed
+/// loops; it is the only check that holds the plans no other test runs
+/// (`fig10 fig11 fig13 fig14 fig15 ablations oscillation partition`).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about a minute unoptimised; CI's end-to-end-small job runs it in release"
+)]
+fn figure_suite_matches_golden_output() {
+    let figures = figure_suite_subset(Scale::Small, SUITE_PLAN_KEYS, &Sweep::new(2, 2));
+    assert_eq!(figures.len(), 18);
+    let digest = format!("{figures:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| mix(h, u64::from(b)));
+    assert_eq!(Digest(digest), Digest(0x63fc_f91f_6168_fc4f));
 }
 
 /// Because every route is canonical, route-computation order can never

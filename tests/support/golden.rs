@@ -399,7 +399,9 @@ fn overload_script(seed: u64) -> ScenarioScript {
     )
 }
 
-fn mix(h: u64, v: u64) -> u64 {
+/// One step of the digest fold, shared with `tests/determinism.rs`'s
+/// whole-suite golden.
+pub fn mix(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
