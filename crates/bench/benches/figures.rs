@@ -8,11 +8,10 @@
 //! Bullet random-tree figure under that custom script (format: README,
 //! "Scenarios") — a harness for one-off what-if runs.
 
-use bullet_bench::announce;
-use bullet_dynamics::ScenarioScript;
+use bullet_bench::{announce, Knobs};
 use bullet_experiments::{
     bullet_run_on, figure_suite_subset, prepare_topology, render_suite, report, FigureResult,
-    RunSpec, Sweep, TreeKind, SUITE_PLAN_KEYS,
+    RunSpec, TreeKind, SUITE_PLAN_KEYS,
 };
 use bullet_netsim::{SimDuration, SimTime};
 use bullet_topology::{BandwidthProfile, LossProfile};
@@ -24,11 +23,15 @@ fn main() {
     if keys.is_empty() {
         keys = SUITE_PLAN_KEYS.to_vec();
     }
-    let scale = announce(&format!("Figures — {}", keys.join(", ")));
-    let figures = figure_suite_subset(scale, &keys, &Sweep::from_env());
+    let Knobs {
+        scale,
+        sweep,
+        scenario,
+    } = announce(&format!("Figures — {}", keys.join(", ")));
+    let figures = figure_suite_subset(scale, &keys, &sweep);
     print!("{}", render_suite(&figures));
 
-    if let Some(script) = ScenarioScript::from_env() {
+    if let Some(script) = scenario {
         let seed = 99;
         let topo = prepare_topology(
             scale,

@@ -24,14 +24,14 @@
 
 use std::time::Instant;
 
-use bullet_bench::announce;
+use bullet_bench::{announce, Knobs};
 use bullet_experiments::{figure_suite, prepare_topology, render_suite, Scale, Sweep};
 use bullet_netsim::Network;
 use bullet_topology::{BandwidthProfile, LossProfile};
 
 fn main() {
-    let scale = announce("Parallel experiment harness — figure suite serial vs threaded");
-    let sweep = Sweep::from_env();
+    let Knobs { scale, sweep, .. } =
+        announce("Parallel experiment harness — figure suite serial vs threaded");
     let threads = sweep.pool().threads();
     let seeds = sweep.seeds();
 

@@ -14,8 +14,9 @@
 //!   [`ScenarioEvent`]s, built either explicitly, from the distribution
 //!   generators ([`ScenarioScript::exponential_churn`],
 //!   [`ScenarioScript::flash_crowd`], [`ScenarioScript::oscillating_link`],
-//!   [`ScenarioScript::stub_outage`]), or parsed from the text format the
-//!   `BULLET_SCENARIO` environment variable carries.
+//!   [`ScenarioScript::stub_outage`]), or parsed from text
+//!   ([`ScenarioScript::parse`]; the `figures` bench reads that text from
+//!   `BULLET_SCENARIO`).
 //! * [`ScenarioDriver`] owns a script during a run: crashes and recoveries
 //!   are pre-scheduled through the simulator's own event queue (so a
 //!   one-crash script is event-for-event identical to the legacy

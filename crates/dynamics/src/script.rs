@@ -1,8 +1,8 @@
 //! Scenario scripts: deterministic, time-sorted mid-run event lists.
 //!
 //! A script is data, not behaviour: it can be built explicitly, generated
-//! from churn/flash-crowd/oscillation distributions, or parsed from the
-//! text format carried by the `BULLET_SCENARIO` environment variable. The
+//! from churn/flash-crowd/oscillation distributions, or parsed from a text
+//! format (the one the `figures` bench reads from `BULLET_SCENARIO`). The
 //! [`crate::ScenarioDriver`] applies it to a running simulation.
 
 use bullet_netsim::{FaultPlan, OverlayId, RouterId, SimDuration, SimRng, SimTime};
@@ -430,8 +430,8 @@ impl ScenarioScript {
         script
     }
 
-    /// Parses the text scenario format used by the `BULLET_SCENARIO`
-    /// environment variable.
+    /// Parses the text scenario format (the `figures` bench reads it from
+    /// `BULLET_SCENARIO`).
     ///
     /// Events are separated by `;` or newlines. Each event is
     /// whitespace-separated fields; the first is the time in (possibly
@@ -628,29 +628,8 @@ impl ScenarioScript {
         Ok(())
     }
 
-    /// Reads and parses the `BULLET_SCENARIO` environment variable, if set
-    /// and non-empty.
-    ///
-    /// A malformed value terminates the process with the parser's
-    /// line-numbered diagnostic on stderr (exit code 2) rather than a
-    /// panic backtrace — silently ignoring it would attribute a run's
-    /// results to a scenario that never happened, and a user typo
-    /// deserves a pointer, not a stack dump.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("BULLET_SCENARIO") {
-            Ok(text) if !text.trim().is_empty() => match Self::parse(&text) {
-                Ok(script) => Some(script),
-                Err(what) => {
-                    eprintln!("invalid BULLET_SCENARIO: {what}");
-                    std::process::exit(2);
-                }
-            },
-            _ => None,
-        }
-    }
-
-    /// Serializes the script back to the `BULLET_SCENARIO` text format
-    /// accepted by [`Self::parse`]: one entry per line, `down` markers
+    /// Serializes the script back to the text format accepted by
+    /// [`Self::parse`]: one entry per line, `down` markers
     /// first, then events in insertion order. The round trip is lossless —
     /// `parse(&script.format())` reconstructs `script` exactly (times are
     /// microsecond-resolution and floats print at full precision).

@@ -201,50 +201,9 @@ pub fn constrained_source_topology(
     }
 }
 
-/// Whether `BULLET_PROFILE` asks metered runs to enable simulator
-/// self-profiling (event-queue depth tracking, pool occupancy, wall-clock
-/// throughput): `1`/`true`/`on` enable it, `0`/`false`/`off`, unset or
-/// empty keep profiling off and the run loop untouched.
-///
-/// # Panics
-///
-/// Panics on any other value — `BULLET_PROFILE=yes` silently running
-/// unprofiled would look like a profile with nothing in it.
-pub fn profile_enabled() -> bool {
-    parse_profile(std::env::var("BULLET_PROFILE").ok().as_deref())
-}
-
-/// The parsing half of [`profile_enabled`], split out for tests.
-fn parse_profile(value: Option<&str>) -> bool {
-    match value {
-        None | Some("") | Some("0") | Some("false") | Some("off") => false,
-        Some("1") | Some("true") | Some("on") => true,
-        Some(other) => panic!(
-            "unrecognized BULLET_PROFILE value {other:?}: expected 1, true, on, 0, false or off"
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profile_switch_parsing() {
-        for on in ["1", "true", "on"] {
-            assert!(parse_profile(Some(on)), "{on}");
-        }
-        for off in ["", "0", "false", "off"] {
-            assert!(!parse_profile(Some(off)), "{off:?}");
-        }
-        assert!(!parse_profile(None));
-    }
-
-    #[test]
-    #[should_panic(expected = "BULLET_PROFILE")]
-    fn an_undocumented_profile_value_panics() {
-        parse_profile(Some("yes"));
-    }
 
     #[test]
     fn topology_scales_with_scale() {

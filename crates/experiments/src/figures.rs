@@ -13,16 +13,16 @@
 //! Every figure is a **plan**: the arms it compares plus an assembly step
 //! that turns their results into the figure. A plan names its arms — one
 //! closure per arm that performs a run under a given [`RunSpec`] and seed —
-//! and the grid builder (`RunGrid`) owns the rest: the sweep's seeds
-//! (`BULLET_SEEDS`; index 0 is the arm's base seed, so a one-seed sweep
+//! and the grid builder (`RunGrid`) owns the rest: the seeds of the
+//! caller's [`Sweep`] (index 0 is the arm's base seed, so a one-seed sweep
 //! reproduces the historical output byte for byte), the `[seed k]` labels
 //! of the extra seeds, one run task per (arm, seed), the arm-major,
 //! seed-minor split of the results the assembly receives, and one
 //! steady-state spread note per multi-seed arm, appended after the plan's
 //! own notes on the first figure it returns.
 //!
-//! Plans execute on the scoped-thread [`RunPool`](crate::pool::RunPool)
-//! (`BULLET_THREADS`, default all cores), and
+//! Plans execute on the sweep's scoped-thread
+//! [`RunPool`](crate::pool::RunPool), and
 //! [`crate::suite::figure_suite`] flattens the plans of *every* figure into
 //! one grid so the whole evaluation saturates the machine. Because results
 //! are collected in task order and each run owns all of its mutable state

@@ -24,8 +24,8 @@ pub mod scenarios;
 pub mod suite;
 
 pub use env::{
-    build_topology, build_tree, constrained_source_topology, prepare_topology, profile_enabled,
-    PreparedTopology, TreeKind,
+    build_topology, build_tree, constrained_source_topology, prepare_topology, PreparedTopology,
+    TreeKind,
 };
 pub use figures::{quick_bullet_demo, FigureResult};
 pub use metrics::{BandwidthSeries, Cdf, RunSummary};
@@ -34,8 +34,8 @@ pub use protocols::{
     antientropy_run_on, bullet_run_on, bullet_run_resourced_on, gossip_run_on, streaming_run_on,
 };
 pub use runner::{
-    run_metered, run_metered_dynamic, run_metered_dynamic_with, run_metered_with, MeteredAgent,
-    RunResult, RunSpec, RunTelemetry, TelemetryConfig,
+    run_metered, run_metered_dynamic_with, run_metered_with, MeteredAgent, RunResult, RunSpec,
+    RunTelemetry, TelemetryConfig,
 };
 pub use scale::Scale;
 pub use scenarios::{

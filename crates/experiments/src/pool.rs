@@ -10,10 +10,10 @@
 //! bit-identical no matter how many threads executed the grid, or how the
 //! OS interleaved them. `tests/parallel.rs` holds that gate.
 //!
-//! Thread count comes from `BULLET_THREADS` (default: all available
-//! cores); `BULLET_SEEDS` widens every figure's grid to a multi-seed sweep
-//! (default: the single per-figure seed, which reproduces the historical
-//! single-seed output byte for byte).
+//! The caller sets the width: a [`Sweep`] names the worker count and how
+//! many seeds every figure's grid sweeps (one seed reproduces the
+//! historical single-seed output byte for byte). The bench targets build
+//! theirs from `BULLET_THREADS` and `BULLET_SEEDS` (`crates/bench`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -33,21 +33,6 @@ impl RunPool {
         RunPool {
             threads: threads.max(1),
         }
-    }
-
-    /// Reads the worker count from `BULLET_THREADS`, defaulting to the
-    /// machine's available parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-numeric or zero `BULLET_THREADS` — silently falling
-    /// back would attribute benchmark numbers to the wrong configuration.
-    pub fn from_env() -> Self {
-        Self::new(env_count("BULLET_THREADS", || {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        }))
     }
 
     /// The number of worker threads this pool runs.
@@ -103,25 +88,6 @@ impl RunPool {
     }
 }
 
-/// Reads a positive count from the environment variable `name`, calling
-/// `default` when it is unset or empty and panicking on anything that is
-/// not a positive integer (silent fallback would attribute benchmark
-/// numbers to the wrong configuration).
-fn env_count(name: &str, default: impl FnOnce() -> usize) -> usize {
-    parse_count(name, std::env::var(name).ok().as_deref(), default)
-}
-
-/// The parsing half of [`env_count`], split out for tests.
-fn parse_count(name: &str, value: Option<&str>, default: impl FnOnce() -> usize) -> usize {
-    match value {
-        None | Some("") => default(),
-        Some(text) => match text.parse::<usize>() {
-            Ok(count) if count >= 1 => count,
-            _ => panic!("unrecognized {name} value {text:?}: expected a positive count"),
-        },
-    }
-}
-
 /// Grid-widening parameters of one harness invocation: how many workers
 /// execute the run grid and how many seeds each figure configuration sweeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,18 +110,6 @@ impl Sweep {
     /// reproduces the historical figure output byte for byte.
     pub fn serial() -> Self {
         Self::new(1, 1)
-    }
-
-    /// Reads `BULLET_THREADS` and `BULLET_SEEDS` (see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-numeric or zero values, like [`RunPool::from_env`].
-    pub fn from_env() -> Self {
-        Sweep {
-            pool: RunPool::from_env(),
-            seeds: env_count("BULLET_SEEDS", || 1),
-        }
     }
 
     /// The worker pool runs execute on.
@@ -229,20 +183,6 @@ mod tests {
             })
             .collect();
         assert_eq!(pool.run(tasks), (0..8).map(|i| 6 + i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn thread_count_parsing() {
-        assert_eq!(parse_count("BULLET_THREADS", Some("4"), || 1), 4);
-        assert_eq!(parse_count("BULLET_THREADS", Some("1"), || 1), 1);
-        assert_eq!(parse_count("BULLET_THREADS", None, || 6), 6);
-        assert_eq!(parse_count("BULLET_SEEDS", Some(""), || 6), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "BULLET_THREADS")]
-    fn invalid_thread_count_panics() {
-        parse_count("BULLET_THREADS", Some("many"), || 1);
     }
 
     #[test]

@@ -13,13 +13,15 @@ use bullet_dynamics::ScenarioScript;
 use bullet_netsim::{Network, NodeResources, OverlayId, Sim};
 use bullet_overlay::Tree;
 
-use crate::runner::{run_metered_dynamic, MeteredAgent, RunResult, RunSpec};
+use crate::runner::{run_metered_dynamic_with, MeteredAgent, RunResult, RunSpec, TelemetryConfig};
 
 /// Nothing scripted: a static-network run is a scenario run under this.
 pub(crate) const NO_SCRIPT: ScenarioScript = ScenarioScript::new();
 
 /// The body every constructor below shares: one agent per participant, the
 /// simulator, the optional per-node resource models, the metered run.
+/// Telemetry stays off: profiling would write queue depths into the
+/// `RunSummary` a figure reports.
 fn run_on<A: MeteredAgent>(
     network: Network,
     agent: impl FnMut(OverlayId) -> A,
@@ -33,7 +35,7 @@ fn run_on<A: MeteredAgent>(
     for &(node, model) in resources {
         sim.set_node_resources(node, model);
     }
-    run_metered_dynamic(sim, run, script)
+    run_metered_dynamic_with(sim, run, script, &TelemetryConfig::disabled())
 }
 
 /// Runs Bullet over `tree` under `script` (churn, flash crowds, link

@@ -13,7 +13,8 @@
 //! output. When a run is configured with a [`TelemetryConfig`], the
 //! result additionally carries a [`RunTelemetry`]: the flight-recorder
 //! trace, the hub series, per-block journey spans and the simulator's
-//! self-profile.
+//! self-profile. The caller chooses the switches; [`run_metered`] and every
+//! figure run keep them off.
 
 use bullet_baselines::{AntiEntropyNode, GossipNode, StreamingNode};
 use bullet_core::{BulletMetrics, BulletNode};
@@ -89,15 +90,6 @@ impl TelemetryConfig {
         TelemetryConfig::default()
     }
 
-    /// Resolves the switches from the environment: `BULLET_TRACE` (see
-    /// [`TraceSpec::from_env`]) and `BULLET_PROFILE` (`1`/`true`/`on`).
-    pub fn from_env() -> Self {
-        TelemetryConfig {
-            trace: TraceSpec::from_env(),
-            profile: crate::env::profile_enabled(),
-        }
-    }
-
     /// Whether the run should skip telemetry collection entirely.
     pub fn is_off(&self) -> bool {
         self.trace.is_none() && !self.profile
@@ -127,7 +119,7 @@ pub struct RunTelemetry {
 ///
 /// `PartialEq` compares every sampled value bit for bit — the
 /// thread-invariance gates assert whole `RunResult`s equal across
-/// `BULLET_THREADS` settings. Telemetry participates in the comparison
+/// thread counts. Telemetry participates in the comparison
 /// (traces are deterministic); only the profile's wall-clock fields are
 /// exempt.
 #[derive(Clone, Debug, PartialEq)]
@@ -415,16 +407,13 @@ impl Meter {
 }
 
 /// Runs the simulation to completion while sampling every agent's delivery
-/// counters, producing the standard [`RunResult`]. Telemetry switches
-/// resolve from the environment (`BULLET_TRACE`, `BULLET_PROFILE`) — both
-/// unset, the historical default, collects nothing.
+/// counters, producing the standard [`RunResult`]. Telemetry is off.
 pub fn run_metered<A: MeteredAgent>(sim: Sim<A>, spec: &RunSpec) -> RunResult {
-    run_metered_with(sim, spec, &TelemetryConfig::from_env())
+    run_metered_with(sim, spec, &TelemetryConfig::disabled())
 }
 
-/// [`run_metered`] with explicit telemetry switches (the environment is
-/// not consulted — tests use this to avoid racy env mutation). A static
-/// run is a scenario run with an empty script: with nothing to step,
+/// [`run_metered`] with telemetry switches. A static run is a scenario run
+/// with an empty script: with nothing to step,
 /// `ScenarioDriver::run_sampled` is `Sim::run_sampled` line for line.
 pub fn run_metered_with<A: MeteredAgent>(
     sim: Sim<A>,
@@ -434,24 +423,15 @@ pub fn run_metered_with<A: MeteredAgent>(
     run_metered_dynamic_with(sim, spec, &ScenarioScript::new(), telemetry)
 }
 
-/// Runs the simulation under a [`ScenarioScript`], sampling exactly like
-/// [`run_metered`].
+/// Runs the simulation under a [`ScenarioScript`] with telemetry switches,
+/// sampling exactly like [`run_metered`] — the one runner body every
+/// metered run ends in.
 ///
 /// Crashes in the script pre-schedule through the simulator's event queue
 /// before anything else — the same ordering as `RunSpec::failure` — so a
 /// one-crash script reproduces the legacy failure injection event for
 /// event. Lifecycle and link events apply between event-loop steps at
 /// their scripted instants.
-pub fn run_metered_dynamic<A: MeteredAgent>(
-    sim: Sim<A>,
-    spec: &RunSpec,
-    script: &ScenarioScript,
-) -> RunResult {
-    run_metered_dynamic_with(sim, spec, script, &TelemetryConfig::from_env())
-}
-
-/// [`run_metered_dynamic`] with explicit telemetry switches — the one
-/// runner body every metered run ends in.
 pub fn run_metered_dynamic_with<A: MeteredAgent>(
     mut sim: Sim<A>,
     spec: &RunSpec,
@@ -581,15 +561,11 @@ mod tests {
             .collect();
         let sim = Sim::new(&spec, agents, 2);
         let victim = tree.children(0)[0];
-        let result = run_metered(
+        let result = run_metered_dynamic_with(
             sim,
-            &RunSpec {
-                label: "failure".into(),
-                source: 0,
-                duration: SimDuration::from_secs(30),
-                sample_interval: SimDuration::from_secs(2),
-                failure: Some((SimTime::from_secs(10), victim)),
-            },
+            &streaming_spec(30),
+            &ScenarioScript::single_crash(SimTime::from_secs(10), victim),
+            &TelemetryConfig::disabled(),
         );
         // The victim's cumulative useful bytes freeze after the failure.
         let idx_at_12 = result.times.iter().position(|&t| t >= 12.0).unwrap();

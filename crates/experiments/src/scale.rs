@@ -4,8 +4,9 @@
 //! participants and 400–500 second runs — feasible on a 50-machine cluster,
 //! slow on one laptop. Every figure harness therefore supports three scales;
 //! the default keeps a full `cargo bench` run in the minutes range while
-//! preserving the qualitative shape of every result. Set `BULLET_SCALE=paper`
-//! to reproduce the paper-sized runs.
+//! preserving the qualitative shape of every result. [`Scale::Paper`]
+//! reproduces the paper-sized runs; the bench targets select a scale with
+//! `BULLET_SCALE` (`crates/bench`).
 
 /// How large an experiment to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,18 +20,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `BULLET_SCALE` environment variable
-    /// (`small`, `default`, or `paper`); unset or empty means
-    /// [`Scale::Default`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value — silently falling back would attribute
-    /// numbers to the wrong scale.
-    pub fn from_env() -> Scale {
-        parse_scale(std::env::var("BULLET_SCALE").ok().as_deref())
-    }
-
     /// Number of overlay participants at this scale (the paper's headline
     /// experiments use 1,000).
     pub fn participants(self) -> usize {
@@ -80,18 +69,6 @@ impl Scale {
     }
 }
 
-/// The parsing half of [`Scale::from_env`], split out for tests.
-fn parse_scale(value: Option<&str>) -> Scale {
-    match value {
-        None | Some("") | Some("default") => Scale::Default,
-        Some("small") => Scale::Small,
-        Some("paper") => Scale::Paper,
-        Some(other) => {
-            panic!("unrecognized BULLET_SCALE value {other:?}: expected small, default or paper")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,26 +93,5 @@ mod tests {
         for scale in [Scale::Small, Scale::Default, Scale::Paper] {
             assert!(scale.stream_start_secs() < scale.duration_secs());
         }
-    }
-
-    #[test]
-    fn scale_parsing() {
-        assert_eq!(parse_scale(None), Scale::Default);
-        assert_eq!(parse_scale(Some("")), Scale::Default);
-        assert_eq!(parse_scale(Some("default")), Scale::Default);
-        assert_eq!(parse_scale(Some("small")), Scale::Small);
-        assert_eq!(parse_scale(Some("paper")), Scale::Paper);
-    }
-
-    #[test]
-    #[should_panic(expected = "BULLET_SCALE")]
-    fn a_misspelt_scale_panics() {
-        parse_scale(Some("papre"));
-    }
-
-    #[test]
-    #[should_panic(expected = "BULLET_SCALE")]
-    fn the_undocumented_full_alias_is_gone() {
-        parse_scale(Some("full"));
     }
 }

@@ -9,8 +9,8 @@
 //! own small grid. Results are collected in task order and each figure is
 //! assembled from its own ordered slice, so the suite's output — every
 //! [`FigureResult`] and every rendered report byte — is identical at any
-//! `BULLET_THREADS` setting (`tests/parallel.rs` gates this at 1 vs 8
-//! threads).
+//! thread count (`tests/parallel.rs` gates this at 1 vs 8 threads). The
+//! caller hands every entry point its [`Sweep`].
 
 use crate::figures::{
     ablations_plan, failure_figure_plan, fig06_plan, fig07_plan, fig09_plan, fig10_plan,
@@ -120,12 +120,11 @@ pub fn figure_suite_subset(scale: Scale, keys: &[&str], sweep: &Sweep) -> Vec<Fi
     figures
 }
 
-/// Runs the one plan named `key` under the environment's sweep
-/// (`BULLET_THREADS`, `BULLET_SEEDS`) and returns its figure — the first
-/// one, for the `fig07` plan, which also emits `fig08`. A figure is its
-/// plan and its key: there is no second, per-figure entry point.
-pub fn figure(scale: Scale, key: &str) -> FigureResult {
-    figure_suite_subset(scale, &[key], &Sweep::from_env()).remove(0)
+/// Runs the one plan named `key` under `sweep` and returns its figure —
+/// the first one, for the `fig07` plan, which also emits `fig08`. A figure
+/// is its plan and its key: there is no second, per-figure entry point.
+pub fn figure(scale: Scale, key: &str, sweep: &Sweep) -> FigureResult {
+    figure_suite_subset(scale, &[key], sweep).remove(0)
 }
 
 /// Renders a whole suite the way the `figures` bench does, one report

@@ -11,8 +11,9 @@
 //! - [`trace`]: a fixed-capacity **flight recorder** of structured sim
 //!   events (sends, deliveries, drops, timer fires, route repairs, and
 //!   protocol decisions such as re-attach ladder steps, quarantines and
-//!   reconciliation rounds), gated by the `BULLET_TRACE=<spec>` grammar
-//!   and exportable as JSONL.
+//!   reconciliation rounds), gated by a [`TraceSpec`] (the grammar the
+//!   `trace_probe` example reads from `BULLET_TRACE`) and exportable as
+//!   JSONL.
 //! - [`journey`]: **block-journey spans** derived from a recorded trace —
 //!   the per-sequence causal story (sealed → tree push hops → mesh serve →
 //!   accept) with time-to-reach-fraction percentiles per block.

@@ -364,18 +364,6 @@ impl TraceSpec {
             node,
         })
     }
-
-    /// Read `BULLET_TRACE` from the environment. Unset or empty means
-    /// tracing stays off; a malformed spec panics with the parse error
-    /// (a silently ignored typo would masquerade as "no trace output").
-    pub fn from_env() -> Option<TraceSpec> {
-        match std::env::var("BULLET_TRACE") {
-            Ok(spec) if !spec.trim().is_empty() => {
-                Some(TraceSpec::parse(&spec).unwrap_or_else(|e| panic!("BULLET_TRACE: {e}")))
-            }
-            _ => None,
-        }
-    }
 }
 
 /// The flight recorder ring. See the module docs.

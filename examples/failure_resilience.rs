@@ -9,9 +9,10 @@
 //!
 //! Run with `cargo run --release --example failure_resilience`.
 
-use bullet_suite::bullet::{BulletConfig, BulletNode};
-use bullet_suite::experiments::{run_metered, RunResult, RunSpec};
-use bullet_suite::netsim::{Sim, SimDuration, SimRng, SimTime};
+use bullet_suite::bullet::BulletConfig;
+use bullet_suite::dynamics::ScenarioScript;
+use bullet_suite::experiments::{bullet_run_on, RunResult, RunSpec};
+use bullet_suite::netsim::{Network, SimDuration, SimRng, SimTime};
 use bullet_suite::overlay::{random_tree, Tree};
 use bullet_suite::topology::{generate, BandwidthProfile, BuiltTopology, TopologyConfig};
 
@@ -25,23 +26,22 @@ fn run(topology: &BuiltTopology, tree: &Tree, victim: usize, failure_detection: 
         ransub_failure_detection: failure_detection,
         ..BulletConfig::default()
     };
-    let agents: Vec<BulletNode> = (0..topology.participants())
-        .map(|id| BulletNode::new(id, tree, config.clone()))
-        .collect();
     let label = if failure_detection {
         "RanSub recovery enabled"
     } else {
         "no RanSub recovery"
     };
-    run_metered(
-        Sim::new(&topology.spec, agents, 23),
-        &RunSpec {
-            label: label.into(),
-            source: 0,
-            duration: SimDuration::from_secs(DURATION_SECS),
-            sample_interval: SimDuration::from_secs(5),
-            failure: Some((SimTime::from_secs(FAILURE_SECS), victim)),
-        },
+    bullet_run_on(
+        Network::new(&topology.spec),
+        tree,
+        &config,
+        &RunSpec::new(
+            label,
+            SimDuration::from_secs(DURATION_SECS),
+            SimDuration::from_secs(5),
+        ),
+        &ScenarioScript::single_crash(SimTime::from_secs(FAILURE_SECS), victim),
+        23,
     )
 }
 

@@ -80,9 +80,16 @@ fn main() {
         .collect();
     let sim = Sim::new(&spec, agents, SEED);
 
+    // A malformed spec panics with the parse error: a silently ignored typo
+    // would masquerade as "no trace output".
+    let trace = match std::env::var("BULLET_TRACE") {
+        Ok(spec) if !spec.trim().is_empty() => {
+            TraceSpec::parse(&spec).unwrap_or_else(|e| panic!("BULLET_TRACE: {e}"))
+        }
+        _ => TraceSpec::parse("all,cap=1048576").expect("valid default spec"),
+    };
     let telemetry_config = TelemetryConfig {
-        trace: TraceSpec::from_env()
-            .or_else(|| Some(TraceSpec::parse("all,cap=1048576").expect("valid default spec"))),
+        trace: Some(trace),
         profile: true,
     };
     let result = run_metered_with(

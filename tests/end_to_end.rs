@@ -6,13 +6,20 @@ use bullet_suite::bullet::{BulletConfig, BulletNode};
 use bullet_suite::dynamics::{ChurnConfig, ScenarioAction, ScenarioScript};
 use bullet_suite::experiments::{
     build_topology, build_tree, bullet_run_on, figure, run_metered, FigureResult, RunResult,
-    RunSpec, RunSummary, Scale, TreeKind, OVERLOAD_NODE_RESOURCES,
+    RunSpec, RunSummary, Scale, Sweep, TreeKind, OVERLOAD_NODE_RESOURCES,
 };
 use bullet_suite::netsim::{Network, Sim, SimDuration, SimTime};
 use bullet_suite::overlay::Tree;
 use bullet_suite::topology::{BandwidthProfile, BuiltTopology, LossProfile};
 
 const STREAM_BPS: f64 = 600_000.0;
+
+/// The sweep every `figure` call below runs under: one seed, so each claim
+/// reads the figure's base run, on two workers (results do not depend on
+/// the worker count, `tests/parallel.rs`).
+fn sweep() -> Sweep {
+    Sweep::new(2, 1)
+}
 
 fn small_env(profile: BandwidthProfile, seed: u64) -> (BuiltTopology, Tree) {
     let topo = build_topology(Scale::Small, 24, profile, LossProfile::None, seed);
@@ -101,12 +108,14 @@ fn mesh_keeps_descendants_alive_through_a_failure() {
         stream_start: SimTime::from_secs(10),
         ..BulletConfig::default()
     };
-    let agents: Vec<BulletNode> = (0..topo.participants())
-        .map(|id| BulletNode::new(id, &tree, config.clone()))
-        .collect();
-    let mut run_spec = spec("failure", 150);
-    run_spec.failure = Some((SimTime::from_secs(80), victim));
-    let result = run_metered(Sim::new(&topo.spec, agents, 103), &run_spec);
+    let result = bullet_run_on(
+        Network::new(&topo.spec),
+        &tree,
+        &config,
+        &spec("failure", 150),
+        &ScenarioScript::single_crash(SimTime::from_secs(80), victim),
+        103,
+    );
 
     // Descendants of the failed node must keep making progress afterwards.
     let idx_fail = result.times.iter().position(|&t| t >= 90.0).unwrap();
@@ -313,7 +322,7 @@ fn loss_and_bandwidth_scripts_cause_zero_route_repair() {
 /// and end the run having received a meaningful share of the stream.
 #[test]
 fn flash_crowd_joiners_catch_up() {
-    let figure = figure(Scale::Small, "flashcrowd");
+    let figure = figure(Scale::Small, "flashcrowd", &sweep());
     assert_eq!(figure.id, "flashcrowd");
     assert!(!figure.notes.is_empty());
     let steady = figure
@@ -413,7 +422,7 @@ fn scalar_of(figure: &FigureResult, name: &str) -> f64 {
 /// fails the ratio assert (247.0 vs 247.0 Kbps).
 #[test]
 fn recovery_doubles_goodput_under_sustained_crashes() {
-    let figure = figure(Scale::Small, "recovery");
+    let figure = figure(Scale::Small, "recovery", &sweep());
     let on = summary_of(&figure, "Bullet - recovery on");
     let off = summary_of(&figure, "Bullet - recovery off");
     assert!(on.reattaches > 0, "no orphan ever re-attached");
@@ -437,7 +446,7 @@ fn recovery_doubles_goodput_under_sustained_crashes() {
 /// (`quarantine_threshold: f64::MAX`) fails the quarantine assert.
 #[test]
 fn integrity_defense_doubles_clean_goodput_at_20pct_adversaries() {
-    let figure = figure(Scale::Small, "adversary");
+    let figure = figure(Scale::Small, "adversary", &sweep());
     let on = summary_of(&figure, "Bullet - defense on - 20% adversaries");
     let off = summary_of(&figure, "Bullet - defense off - 20% adversaries");
     assert_eq!(
@@ -471,7 +480,7 @@ fn integrity_defense_doubles_clean_goodput_at_20pct_adversaries() {
 /// budget of 60).
 #[test]
 fn bounded_queues_hold_goodput_through_a_join_storm() {
-    let figure = figure(Scale::Small, "overload");
+    let figure = figure(Scale::Small, "overload", &sweep());
     let bounded = summary_of(&figure, "Bullet - bounded queues");
     let unbounded = summary_of(&figure, "Bullet - unbounded queues");
     let budget = u64::from(OVERLOAD_NODE_RESOURCES.queue_budget);

@@ -1359,45 +1359,67 @@ fn framing_round_trips() {
     }
 }
 
-/// Every string literal under `dir` (recursively, `.rs` files only) that is
-/// exactly a `BULLET_*` variable name.
-fn knob_literals(dir: &std::path::Path, found: &mut BTreeSet<String>) {
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, found: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("source directory is readable") {
         let path = entry.expect("directory entry is readable").path();
         if path.is_dir() {
-            knob_literals(&path, found);
+            rust_files(&path, found);
         } else if path.extension().is_some_and(|ext| ext == "rs") {
-            let text = std::fs::read_to_string(&path).expect("source file is UTF-8");
-            for rest in text.split("\"BULLET_").skip(1) {
-                let name: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_uppercase() || *c == '_')
-                    .collect();
-                if !name.is_empty() && rest[name.len()..].starts_with('"') {
-                    found.insert(format!("BULLET_{name}"));
-                }
-            }
+            found.push(path);
+        }
+    }
+}
+
+/// Every string literal in `text` that is exactly a `BULLET_*` variable name.
+fn knob_literals(text: &str, found: &mut BTreeSet<String>) {
+    for rest in text.split("\"BULLET_").skip(1) {
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_ascii_uppercase() || *c == '_')
+            .collect();
+        if !name.is_empty() && rest[name.len()..].starts_with('"') {
+            found.insert(format!("BULLET_{name}"));
         }
     }
 }
 
 /// The environment knobs are a closed, documented set: the `BULLET_*` names
 /// the code reads are exactly the rows of README's "Environment variables"
-/// table, and there are six of them. A seventh needs two callers that want
+/// table, and there are five of them. A sixth needs two callers that want
 /// different values, a row in the table, and this number changed.
+///
+/// Configuration is a value the binaries hand down: of the crates under
+/// `crates/`, only `bench` (the bench targets' one parser) reads the
+/// environment, and no type anywhere has a `from_env`.
 #[test]
 fn the_environment_knob_set_is_pinned() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut in_code = BTreeSet::new();
+    let read = |path: &std::path::Path| std::fs::read_to_string(path).expect("source is UTF-8");
+    let mut files = Vec::new();
     for dir in ["src", "examples", "crates/bench/benches"] {
-        knob_literals(&root.join(dir), &mut in_code);
+        rust_files(&root.join(dir), &mut files);
     }
+    let mut env_readers = BTreeSet::new();
     for member in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
-        let src = member
-            .expect("directory entry is readable")
-            .path()
-            .join("src");
-        knob_literals(&src, &mut in_code);
+        let member = member.expect("directory entry is readable").path();
+        let first = files.len();
+        rust_files(&member.join("src"), &mut files);
+        if files[first..].iter().any(|p| read(p).contains("env::var")) {
+            env_readers.insert(member.file_name().map(ToOwned::to_owned));
+        }
+    }
+    assert_eq!(env_readers, BTreeSet::from([Some("bench".into())]));
+
+    let mut in_code = BTreeSet::new();
+    for path in &files {
+        let text = read(path);
+        assert!(
+            !text.contains("fn from_env"),
+            "{} has a from_env",
+            path.display()
+        );
+        knob_literals(&text, &mut in_code);
     }
 
     let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md is readable");
@@ -1414,5 +1436,5 @@ fn the_environment_knob_set_is_pinned() {
         .collect();
 
     assert_eq!(in_code, documented, "code (left) vs README table (right)");
-    assert_eq!(in_code.len(), 6, "{in_code:?}");
+    assert_eq!(in_code.len(), 5, "{in_code:?}");
 }
