@@ -9,12 +9,10 @@
 //! TFRC connection allows. As in the paper, nodes are granted full group
 //! membership and the epoch is long enough (20 s) for TFRC to ramp up.
 
-use std::collections::{HashMap, HashSet};
-
 use bullet_content::{missing_keys, BloomFilter, ReconcileRequest, WorkingSet};
 use bullet_netsim::{Agent, Context, OverlayId, SimDuration, SimTime};
 use bullet_overlay::Tree;
-use bullet_transport::{TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender};
+use bullet_transport::{Connections, PeerTable, TfrcConfig, TfrcFeedback, TfrcHeader};
 
 use crate::metrics::DeliveryMetrics;
 
@@ -104,10 +102,9 @@ pub struct AntiEntropyNode {
     config: AntiEntropyConfig,
     next_seq: u64,
     working_set: WorkingSet,
-    out_conns: HashMap<OverlayId, TfrcSender>,
-    in_conns: HashMap<OverlayId, TfrcReceiver>,
+    conns: Connections,
     /// Keys already repaired toward a given peer this round (avoid repeats).
-    repaired: HashMap<OverlayId, HashSet<u64>>,
+    repaired: PeerTable<WorkingSet>,
     /// Cumulative delivery counters.
     pub metrics: DeliveryMetrics,
 }
@@ -124,9 +121,8 @@ impl AntiEntropyNode {
             config,
             next_seq: 0,
             working_set: WorkingSet::new(),
-            out_conns: HashMap::new(),
-            in_conns: HashMap::new(),
-            repaired: HashMap::new(),
+            conns: Connections::new(),
+            repaired: PeerTable::new(),
             metrics: DeliveryMetrics::default(),
         }
     }
@@ -144,13 +140,8 @@ impl AntiEntropyNode {
     fn forward_to_children(&mut self, ctx: &mut Context<'_, AntiEntropyMsg>, seq: u64) {
         let now = ctx.now();
         let packet_size = self.config.packet_size;
-        let tfrc = self.config.tfrc;
-        for &child in &self.children.clone() {
-            let conn = self
-                .out_conns
-                .entry(child)
-                .or_insert_with(|| TfrcSender::new(tfrc));
-            if let Ok(header) = conn.try_send(now, packet_size) {
+        for &child in &self.children {
+            if let Ok(header) = self.conns.send(child, self.config.tfrc, now, packet_size) {
                 ctx.send_data(child, AntiEntropyMsg::Data { header, seq }, packet_size);
             }
         }
@@ -171,27 +162,20 @@ impl AntiEntropyNode {
         from: OverlayId,
         request: &ReconcileRequest,
     ) {
-        let already = self.repaired.entry(from).or_default();
+        let already = self.repaired.get_or_insert_with(from, WorkingSet::new);
         let keys: Vec<u64> = missing_keys(&self.working_set, request, self.config.repair_batch * 2)
             .into_iter()
-            .filter(|k| !already.contains(k))
+            .filter(|&k| !already.contains(k))
             .take(self.config.repair_batch)
             .collect();
         let now = ctx.now();
         let packet_size = self.config.packet_size;
-        let tfrc = self.config.tfrc;
         for key in keys {
-            let conn = self
-                .out_conns
-                .entry(from)
-                .or_insert_with(|| TfrcSender::new(tfrc));
-            match conn.try_send(now, packet_size) {
-                Ok(header) => {
-                    ctx.send_data(from, AntiEntropyMsg::Data { header, seq: key }, packet_size);
-                    self.repaired.entry(from).or_default().insert(key);
-                }
-                Err(_) => break,
-            }
+            let Ok(header) = self.conns.send(from, self.config.tfrc, now, packet_size) else {
+                break;
+            };
+            ctx.send_data(from, AntiEntropyMsg::Data { header, seq: key }, packet_size);
+            already.insert(key);
         }
     }
 }
@@ -217,12 +201,8 @@ impl Agent for AntiEntropyNode {
     ) {
         match msg {
             AntiEntropyMsg::Data { header, seq } => {
-                let feedback = self.in_conns.entry(from).or_default().on_data(
-                    ctx.now(),
-                    header,
-                    self.config.packet_size,
-                );
-                if let Some(feedback) = feedback {
+                let size = self.config.packet_size;
+                if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
                     ctx.send_control(from, AntiEntropyMsg::Feedback(feedback), 60);
                 }
                 let duplicate =
@@ -235,11 +215,7 @@ impl Agent for AntiEntropyNode {
                     self.forward_to_children(ctx, seq);
                 }
             }
-            AntiEntropyMsg::Feedback(feedback) => {
-                if let Some(conn) = self.out_conns.get_mut(&from) {
-                    conn.on_feedback(ctx.now(), &feedback);
-                }
-            }
+            AntiEntropyMsg::Feedback(feedback) => self.conns.feedback(from, ctx.now(), &feedback),
             AntiEntropyMsg::Digest { request } => {
                 self.answer_digest(ctx, from, &request);
             }
@@ -278,10 +254,7 @@ impl Agent for AntiEntropyNode {
             TIMER_HOUSEKEEPING => {
                 self.working_set
                     .prune_to_len(self.config.working_set_window);
-                let now = ctx.now();
-                for conn in self.out_conns.values_mut() {
-                    conn.maybe_nofeedback_timeout(now);
-                }
+                self.conns.maybe_nofeedback_timeout(ctx.now());
                 ctx.set_timer(SimDuration::from_secs(1), TIMER_HOUSEKEEPING);
             }
             _ => {}

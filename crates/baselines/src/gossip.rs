@@ -7,10 +7,9 @@
 //! in the paper's conservative comparison, nodes are given full group
 //! membership and reuse the TFRC transport.
 
-use std::collections::{HashMap, HashSet};
-
+use bullet_content::WorkingSet;
 use bullet_netsim::{Agent, Context, OverlayId, SimDuration, SimTime};
-use bullet_transport::{TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender};
+use bullet_transport::{Connections, TfrcConfig, TfrcFeedback, TfrcHeader};
 
 use crate::metrics::DeliveryMetrics;
 
@@ -77,9 +76,11 @@ pub struct GossipNode {
     is_source: bool,
     config: GossipConfig,
     next_seq: u64,
-    seen: HashSet<u64>,
-    out_conns: HashMap<OverlayId, TfrcSender>,
-    in_conns: HashMap<OverlayId, TfrcReceiver>,
+    /// Every sequence number delivered or generated here; never pruned.
+    seen: WorkingSet,
+    conns: Connections,
+    /// Reusable buffer for the membership minus the peer a packet came from.
+    candidates: Vec<OverlayId>,
     /// Cumulative delivery counters.
     pub metrics: DeliveryMetrics,
 }
@@ -104,9 +105,9 @@ impl GossipNode {
             is_source: id == source,
             config,
             next_seq: 0,
-            seen: HashSet::new(),
-            out_conns: HashMap::new(),
-            in_conns: HashMap::new(),
+            seen: WorkingSet::new(),
+            conns: Connections::new(),
+            candidates: Vec::new(),
             metrics: DeliveryMetrics::default(),
         }
     }
@@ -117,21 +118,15 @@ impl GossipNode {
         seq: u64,
         exclude: Option<OverlayId>,
     ) {
-        let mut candidates = self.membership.clone();
-        if let Some(exclude) = exclude {
-            candidates.retain(|&n| n != exclude);
-        }
-        let fanout = self.config.fanout.min(candidates.len());
-        let targets = ctx.rng().sample(&candidates, fanout);
+        self.candidates.clear();
+        let others = self.membership.iter().filter(|&&n| Some(n) != exclude);
+        self.candidates.extend(others);
+        let fanout = self.config.fanout.min(self.candidates.len());
+        let targets = ctx.rng().sample(&self.candidates, fanout);
         let now = ctx.now();
         let packet_size = self.config.packet_size;
-        let tfrc = self.config.tfrc;
         for target in targets {
-            let conn = self
-                .out_conns
-                .entry(target)
-                .or_insert_with(|| TfrcSender::new(tfrc));
-            if let Ok(header) = conn.try_send(now, packet_size) {
+            if let Ok(header) = self.conns.send(target, self.config.tfrc, now, packet_size) {
                 ctx.send_data(target, GossipMsg::Data { header, seq }, packet_size);
             }
         }
@@ -151,12 +146,8 @@ impl Agent for GossipNode {
     fn on_message(&mut self, ctx: &mut Context<'_, GossipMsg>, from: OverlayId, msg: GossipMsg) {
         match msg {
             GossipMsg::Data { header, seq } => {
-                let feedback = self.in_conns.entry(from).or_default().on_data(
-                    ctx.now(),
-                    header,
-                    self.config.packet_size,
-                );
-                if let Some(feedback) = feedback {
+                let size = self.config.packet_size;
+                if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
                     ctx.send_control(from, GossipMsg::Feedback(feedback), 60);
                 }
                 let duplicate = !self.seen.insert(seq);
@@ -166,11 +157,7 @@ impl Agent for GossipNode {
                     self.push_to_random_peers(ctx, seq, Some(from));
                 }
             }
-            GossipMsg::Feedback(feedback) => {
-                if let Some(conn) = self.out_conns.get_mut(&from) {
-                    conn.on_feedback(ctx.now(), &feedback);
-                }
-            }
+            GossipMsg::Feedback(feedback) => self.conns.feedback(from, ctx.now(), &feedback),
         }
     }
 

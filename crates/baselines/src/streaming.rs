@@ -8,11 +8,10 @@
 //! comparison used against both the random tree and the offline bottleneck
 //! tree.
 
-use std::collections::{HashMap, HashSet};
-
+use bullet_content::WorkingSet;
 use bullet_netsim::{Agent, Context, OverlayId, SimDuration, SimTime};
 use bullet_overlay::Tree;
-use bullet_transport::{TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender, UdpSender};
+use bullet_transport::{Connections, PeerTable, TfrcConfig, TfrcFeedback, TfrcHeader, UdpSender};
 
 use crate::metrics::DeliveryMetrics;
 
@@ -78,11 +77,6 @@ pub enum StreamMsg {
     Feedback(TfrcFeedback),
 }
 
-enum OutConn {
-    Tfrc(TfrcSender),
-    Udp(UdpSender),
-}
-
 const TIMER_GENERATE: u64 = 1;
 
 /// One node of the streaming tree.
@@ -92,9 +86,12 @@ pub struct StreamingNode {
     children: Vec<OverlayId>,
     config: StreamConfig,
     next_seq: u64,
-    seen: HashSet<u64>,
-    out_conns: HashMap<OverlayId, OutConn>,
-    in_conns: HashMap<OverlayId, TfrcReceiver>,
+    /// Every sequence number delivered or generated here; never pruned.
+    seen: WorkingSet,
+    /// TFRC connections to the parent and the children.
+    conns: Connections,
+    /// Per-child pacers, used instead of TFRC under [`StreamTransport::Udp`].
+    udp: PeerTable<UdpSender>,
     /// Cumulative delivery counters sampled by the harness.
     pub metrics: DeliveryMetrics,
 }
@@ -108,9 +105,9 @@ impl StreamingNode {
             children: tree.children(id).to_vec(),
             config,
             next_seq: 0,
-            seen: HashSet::new(),
-            out_conns: HashMap::new(),
-            in_conns: HashMap::new(),
+            seen: WorkingSet::new(),
+            conns: Connections::new(),
+            udp: PeerTable::new(),
             metrics: DeliveryMetrics::default(),
         }
     }
@@ -128,28 +125,20 @@ impl StreamingNode {
     fn forward_to_children(&mut self, ctx: &mut Context<'_, StreamMsg>, seq: u64) {
         let now = ctx.now();
         let packet_size = self.config.packet_size;
-        let tfrc = self.config.tfrc;
-        let transport = self.config.transport;
         let per_child_rate = self.config.stream_rate_bps / 8.0;
-        for &child in &self.children.clone() {
-            let conn = self
-                .out_conns
-                .entry(child)
-                .or_insert_with(|| match transport {
-                    StreamTransport::Tfrc => OutConn::Tfrc(TfrcSender::new(tfrc)),
-                    StreamTransport::Udp => OutConn::Udp(UdpSender::new(per_child_rate)),
-                });
-            let header = match conn {
-                OutConn::Tfrc(sender) => match sender.try_send(now, packet_size) {
-                    Ok(header) => Some(Some(header)),
-                    Err(_) => None,
-                },
-                OutConn::Udp(sender) => match sender.try_send(now, packet_size) {
-                    Ok(_) => Some(None),
-                    Err(_) => None,
-                },
+        for &child in &self.children {
+            let sent = match self.config.transport {
+                StreamTransport::Tfrc => self
+                    .conns
+                    .send(child, self.config.tfrc, now, packet_size)
+                    .map(Some),
+                StreamTransport::Udp => self
+                    .udp
+                    .get_or_insert_with(child, || UdpSender::new(per_child_rate))
+                    .try_send(now, packet_size)
+                    .map(|_| None),
             };
-            if let Some(header) = header {
+            if let Ok(header) = sent {
                 ctx.send_data(child, StreamMsg::Data { header, seq }, packet_size);
             }
         }
@@ -170,12 +159,8 @@ impl Agent for StreamingNode {
         match msg {
             StreamMsg::Data { header, seq } => {
                 if let Some(header) = header {
-                    let feedback = self.in_conns.entry(from).or_default().on_data(
-                        ctx.now(),
-                        header,
-                        self.config.packet_size,
-                    );
-                    if let Some(feedback) = feedback {
+                    let size = self.config.packet_size;
+                    if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
                         ctx.send_control(from, StreamMsg::Feedback(feedback), 60);
                     }
                 }
@@ -187,11 +172,7 @@ impl Agent for StreamingNode {
                     self.forward_to_children(ctx, seq);
                 }
             }
-            StreamMsg::Feedback(feedback) => {
-                if let Some(OutConn::Tfrc(sender)) = self.out_conns.get_mut(&from) {
-                    sender.on_feedback(ctx.now(), &feedback);
-                }
-            }
+            StreamMsg::Feedback(feedback) => self.conns.feedback(from, ctx.now(), &feedback),
         }
     }
 

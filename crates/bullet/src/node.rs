@@ -17,7 +17,7 @@
 //! discrete-event simulator and the thread-based live runtime in the
 //! examples.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bullet_content::{
     block_digest, BloomFilter, LiveTicket, PermutationFamily, ReconcileRequest, SummaryTicket,
@@ -28,7 +28,7 @@ use bullet_netsim::{Agent, Context, FaultPlan, OverlayId, SimDuration, SimTime};
 use bullet_overlay::Tree;
 use bullet_ransub::{Member, RanSub, RanSubConfig, RanSubEvent, RanSubMsg};
 use bullet_telemetry::{TraceData, CAT_JOURNEY, CAT_PROTO};
-use bullet_transport::{TfrcReceiver, TfrcSender};
+use bullet_transport::Connections;
 
 use crate::config::{BulletConfig, IntegrityConfig};
 use crate::disjoint::DisjointSender;
@@ -116,8 +116,10 @@ pub struct BulletNode {
     disjoint: DisjointSender,
     peers: PeerManager,
 
-    out_conns: HashMap<OverlayId, TfrcSender>,
-    in_conns: HashMap<OverlayId, TfrcReceiver>,
+    conns: Connections,
+    /// `config.packet_interval()`, computed once: the source's generation
+    /// period and the clock every accepted block is aged by.
+    packet_interval: SimDuration,
 
     /// Reusable peer-id buffer for the periodic timers (filter refresh, mesh
     /// evaluation), which need the sender node list while mutating `self`;
@@ -233,6 +235,7 @@ impl BulletNode {
         );
         let disjoint = Self::fresh_disjoint(&children, &config);
         let peers = Self::fresh_peers(&config);
+        let packet_interval = config.packet_interval();
         BulletNode {
             id,
             parent,
@@ -245,8 +248,8 @@ impl BulletNode {
             ransub,
             disjoint,
             peers,
-            out_conns: HashMap::new(),
-            in_conns: HashMap::new(),
+            conns: Connections::new(),
+            packet_interval,
             scratch_peers: Vec::new(),
             scratch_keys: Vec::new(),
             scratch_factors: Vec::new(),
@@ -372,8 +375,7 @@ impl BulletNode {
 
     /// Sends block `seq` to `to` under the transport header `header`.
     /// Takes the two fields it reads, not `&self`, so that the send loops
-    /// can call it while holding the connection they borrowed from
-    /// `out_conns`.
+    /// can call it while holding the connection table they borrowed.
     fn send_data_packet(
         config: &BulletConfig,
         tainted: &BTreeMap<u64, u64>,
@@ -551,8 +553,7 @@ impl BulletNode {
     /// entries and both transport connections.
     fn forget_peer(&mut self, node: OverlayId) {
         self.peers.remove_peer(node);
-        self.out_conns.remove(&node);
-        self.in_conns.remove(&node);
+        self.conns.forget(node);
     }
 
     /// The peering asked of `from` needs no more retrying: it was answered,
@@ -653,12 +654,9 @@ impl BulletNode {
         let now = ctx.now();
         let config = &self.config;
         let tainted = &self.tainted;
-        let out_conns = &mut self.out_conns;
+        let conns = &mut self.conns;
         let outcome = self.disjoint.route_packet(seq, &factors, |child| {
-            let conn = out_conns
-                .entry(child)
-                .or_insert_with(|| TfrcSender::new(config.tfrc));
-            let Ok(header) = conn.try_send(now, config.packet_size) else {
+            let Ok(header) = conns.send(child, config.tfrc, now, config.packet_size) else {
                 return false;
             };
             if ctx.tracing(CAT_JOURNEY) {
@@ -901,8 +899,7 @@ impl BulletNode {
         // Only the immediate ancestor is known after a re-attach; the
         // cycle guard degrades gracefully to that prefix.
         self.root_path = vec![new_parent];
-        self.in_conns.remove(&state.old_parent);
-        self.out_conns.remove(&state.old_parent);
+        self.conns.forget(state.old_parent);
         self.metrics.reattaches += 1;
         self.metrics.reattach_wait_us += ctx.now().as_micros().saturating_sub(state.started_us);
         if ctx.tracing(CAT_PROTO) {
@@ -1062,12 +1059,8 @@ impl BulletNode {
             if keys.is_empty() {
                 continue;
             }
-            let conn = self
-                .out_conns
-                .entry(node)
-                .or_insert_with(|| TfrcSender::new(tfrc));
             for &key in &keys {
-                let Ok(header) = conn.try_send(now, packet_size) else {
+                let Ok(header) = self.conns.send(node, tfrc, now, packet_size) else {
                     break;
                 };
                 if ctx.tracing(CAT_JOURNEY) {
@@ -1145,7 +1138,7 @@ impl BulletNode {
         let evaluation = self.peers.evaluate_senders_protected(idle_limit, protected);
         let restripe = recovery.is_some() && !evaluation.drop.is_empty();
         for node in evaluation.drop {
-            self.in_conns.remove(&node);
+            self.conns.drop_receiver(node);
             self.send_msg(ctx, node, BulletMsg::PeerDrop);
         }
         if let Some(r) = recovery {
@@ -1158,7 +1151,7 @@ impl BulletNode {
             // its filter nor reported for `peer_idle_windows` windows is
             // presumed dead and its slot reclaimed.
             for node in self.peers.evaluate_receiver_liveness(r.peer_idle_windows) {
-                self.out_conns.remove(&node);
+                self.conns.drop_sender(node);
                 self.send_msg(ctx, node, BulletMsg::PeerDrop);
                 self.note_evicted(node);
             }
@@ -1172,12 +1165,12 @@ impl BulletNode {
                 overload.slow_receiver_windows,
             ) {
                 self.metrics.slow_demotions += 1;
-                self.out_conns.remove(&node);
+                self.conns.drop_sender(node);
                 self.send_msg(ctx, node, BulletMsg::PeerDrop);
             }
         }
         if let Some(node) = self.peers.evaluate_receivers() {
-            self.out_conns.remove(&node);
+            self.conns.drop_sender(node);
             self.send_msg(ctx, node, BulletMsg::PeerDrop);
         }
         if recovery.is_none() {
@@ -1220,12 +1213,8 @@ impl BulletNode {
         digest: u64,
     ) {
         // Transport-level processing: loss detection and feedback pacing.
-        let feedback = self.in_conns.entry(from).or_default().on_data(
-            ctx.now(),
-            header,
-            self.config.packet_size,
-        );
-        if let Some(feedback) = feedback {
+        let size = self.config.packet_size;
+        if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
             self.send_msg(ctx, from, BulletMsg::Feedback(feedback));
         }
 
@@ -1269,7 +1258,7 @@ impl BulletNode {
                 .config
                 .stream_start
                 .as_micros()
-                .saturating_add(seq.saturating_mul(self.config.packet_interval().as_micros()));
+                .saturating_add(seq.saturating_mul(self.packet_interval.as_micros()));
             let age_us = ctx.now().as_micros().saturating_sub(generated_us);
             if age_us > self.config.freshness_deadline.as_micros() {
                 self.metrics.delivery.record_stale(self.config.packet_size);
@@ -1380,11 +1369,7 @@ impl Agent for BulletNode {
                 seq,
                 digest,
             } => self.handle_data(ctx, from, header, seq, digest),
-            BulletMsg::Feedback(feedback) => {
-                if let Some(conn) = self.out_conns.get_mut(&from) {
-                    conn.on_feedback(ctx.now(), &feedback);
-                }
-            }
+            BulletMsg::Feedback(feedback) => self.conns.feedback(from, ctx.now(), &feedback),
             BulletMsg::RanSub(msg) => {
                 // Tree repair under churn: a Collect only ever comes from a
                 // node whose parent pointer is us. If we do not list it as
@@ -1497,8 +1482,7 @@ impl Agent for BulletNode {
                 } else if let Some(p) = new_parent {
                     self.root_path = vec![p];
                 }
-                self.in_conns.remove(&from);
-                self.out_conns.remove(&from);
+                self.conns.forget(from);
             }
             BulletMsg::Reattach => {
                 // An orphan asks for adoption (§4.6). Refuse anything that
@@ -1539,7 +1523,7 @@ impl Agent for BulletNode {
                 if self.learn_seq(seq) {
                     self.route_to_children(ctx, seq);
                 }
-                ctx.set_timer(self.config.packet_interval(), self.tag(timer::GENERATE));
+                ctx.set_timer(self.packet_interval, self.tag(timer::GENERATE));
             }
             timer::RANSUB_EPOCH => {
                 let events = self.ransub.start_epoch(ctx.rng());
@@ -1591,10 +1575,7 @@ impl Agent for BulletNode {
                 if !self.tainted.is_empty() {
                     self.tainted = self.tainted.split_off(&self.working_set.low_watermark());
                 }
-                let now = ctx.now();
-                for conn in self.out_conns.values_mut() {
-                    conn.maybe_nofeedback_timeout(now);
-                }
+                self.conns.maybe_nofeedback_timeout(ctx.now());
                 ctx.set_timer(SimDuration::from_secs(1), self.tag(timer::HOUSEKEEPING));
             }
             timer::ORPHAN => {
@@ -1681,8 +1662,7 @@ impl ScenarioAgent for BulletNode {
         }
         self.children.clear();
         self.peers = Self::fresh_peers(&self.config);
-        self.out_conns.clear();
-        self.in_conns.clear();
+        self.conns.clear();
         self.reattach = None;
         self.peering_retries.clear();
     }
@@ -1695,8 +1675,7 @@ impl ScenarioAgent for BulletNode {
     /// node still holds its packets and should advertise them.
     fn on_join(&mut self, ctx: &mut Context<'_, BulletMsg>) {
         self.timer_gen += 1;
-        self.out_conns.clear();
-        self.in_conns.clear();
+        self.conns.clear();
         self.peers = Self::fresh_peers(&self.config);
         self.rebuild_ticket();
         // Recovery state refers to the pre-crash network: reset it so the

@@ -1438,3 +1438,44 @@ fn the_environment_knob_set_is_pinned() {
     assert_eq!(in_code, documented, "code (left) vs README table (right)");
     assert_eq!(in_code.len(), 5, "{in_code:?}");
 }
+
+/// Each TFRC stanza is defined once, in `bullet_transport::Connections`: no
+/// production source outside `crates/transport/src` builds a sender or feeds
+/// a receiver itself. And no agent keeps a hashed per-peer map or a hashed
+/// delivered-set: the connection table (a sorted `PeerTable`) and
+/// `WorkingSet` replace them, so nothing on the per-packet path runs a
+/// hasher and nothing iterates in a per-process order.
+#[test]
+fn the_tfrc_stanzas_are_defined_once() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let read = |path: &std::path::Path| std::fs::read_to_string(path).expect("source is UTF-8");
+    let mut files = Vec::new();
+    for member in std::fs::read_dir(&root).expect("crates/ is readable") {
+        let member = member.expect("directory entry is readable").path();
+        if !member.ends_with("transport") {
+            rust_files(&member.join("src"), &mut files);
+        }
+    }
+    for path in &files {
+        let text = read(path);
+        let production = text.split("\n#[cfg(test)]\nmod ").next().unwrap_or("");
+        for stanza in ["TfrcSender::new", ".on_data("] {
+            assert!(
+                !production.contains(stanza),
+                "{} calls {stanza}",
+                path.display()
+            );
+        }
+    }
+    for agent in [
+        "bullet/src/node.rs",
+        "baselines/src/streaming.rs",
+        "baselines/src/gossip.rs",
+        "baselines/src/antientropy.rs",
+    ] {
+        let text = read(&root.join(agent));
+        for hashed in ["HashMap<OverlayId", "HashSet<u64>"] {
+            assert!(!text.contains(hashed), "{agent} declares a {hashed}");
+        }
+    }
+}
