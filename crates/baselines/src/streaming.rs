@@ -1,27 +1,25 @@
 //! Traditional tree streaming (paper §4.2, Fig. 6).
 //!
 //! The source streams every packet to all of its children; each interior node
-//! forwards every packet it receives to all of its own children. The
-//! transport (TFRC or application-paced UDP) throttles each child link
-//! independently, so bandwidth is monotonically non-increasing down the tree
-//! — the limitation Bullet exists to remove. This is the "streaming"
-//! comparison used against both the random tree and the offline bottleneck
-//! tree.
+//! forwards every packet it receives to all of its own children. TFRC
+//! throttles each child link independently, so bandwidth is monotonically
+//! non-increasing down the tree — the limitation Bullet exists to remove.
+//! This is the "streaming" comparison used against both the random tree and
+//! the offline bottleneck tree.
 
 use bullet_content::WorkingSet;
 use bullet_netsim::{Agent, Context, OverlayId, SimDuration, SimTime};
 use bullet_overlay::Tree;
-use bullet_transport::{Connections, PeerTable, TfrcConfig, TfrcFeedback, TfrcHeader, UdpSender};
+use bullet_transport::{Connections, TfrcConfig, TfrcFeedback, TfrcHeader};
 
 use crate::metrics::DeliveryMetrics;
 
-/// Which transport the streaming tree uses on every overlay link.
+/// Which transport the streaming tree uses on every overlay link: TFRC, as
+/// for Bullet (§2.4), is the one there is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamTransport {
-    /// TCP-friendly rate control (the paper's default).
+    /// TCP-friendly rate control.
     Tfrc,
-    /// Application-paced best-effort UDP.
-    Udp,
 }
 
 /// Configuration of the streaming application.
@@ -33,9 +31,10 @@ pub struct StreamConfig {
     pub packet_size: u32,
     /// Time at which the source starts streaming.
     pub stream_start: SimTime,
-    /// Transport used on every parent-child link.
+    /// Transport used on every parent-child link. `Tfrc` is the only value;
+    /// the field stays because the perf ledger's workloads set it.
     pub transport: StreamTransport,
-    /// TFRC parameters (ignored for UDP).
+    /// TFRC parameters.
     pub tfrc: TfrcConfig,
 }
 
@@ -66,10 +65,10 @@ impl StreamConfig {
 /// Wire messages of the streaming application.
 #[derive(Clone, Debug)]
 pub enum StreamMsg {
-    /// One data packet. The TFRC header is absent under UDP.
+    /// One data packet.
     Data {
-        /// Transport header when running over TFRC.
-        header: Option<TfrcHeader>,
+        /// TFRC transport header.
+        header: TfrcHeader,
         /// Application sequence number.
         seq: u64,
     },
@@ -90,8 +89,6 @@ pub struct StreamingNode {
     seen: WorkingSet,
     /// TFRC connections to the parent and the children.
     conns: Connections,
-    /// Per-child pacers, used instead of TFRC under [`StreamTransport::Udp`].
-    udp: PeerTable<UdpSender>,
     /// Cumulative delivery counters sampled by the harness.
     pub metrics: DeliveryMetrics,
 }
@@ -107,7 +104,6 @@ impl StreamingNode {
             next_seq: 0,
             seen: WorkingSet::new(),
             conns: Connections::new(),
-            udp: PeerTable::new(),
             metrics: DeliveryMetrics::default(),
         }
     }
@@ -125,20 +121,8 @@ impl StreamingNode {
     fn forward_to_children(&mut self, ctx: &mut Context<'_, StreamMsg>, seq: u64) {
         let now = ctx.now();
         let packet_size = self.config.packet_size;
-        let per_child_rate = self.config.stream_rate_bps / 8.0;
         for &child in &self.children {
-            let sent = match self.config.transport {
-                StreamTransport::Tfrc => self
-                    .conns
-                    .send(child, self.config.tfrc, now, packet_size)
-                    .map(Some),
-                StreamTransport::Udp => self
-                    .udp
-                    .get_or_insert_with(child, || UdpSender::new(per_child_rate))
-                    .try_send(now, packet_size)
-                    .map(|_| None),
-            };
-            if let Ok(header) = sent {
+            if let Ok(header) = self.conns.send(child, self.config.tfrc, now, packet_size) {
                 ctx.send_data(child, StreamMsg::Data { header, seq }, packet_size);
             }
         }
@@ -158,11 +142,9 @@ impl Agent for StreamingNode {
     fn on_message(&mut self, ctx: &mut Context<'_, StreamMsg>, from: OverlayId, msg: StreamMsg) {
         match msg {
             StreamMsg::Data { header, seq } => {
-                if let Some(header) = header {
-                    let size = self.config.packet_size;
-                    if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
-                        ctx.send_control(from, StreamMsg::Feedback(feedback), 60);
-                    }
+                let size = self.config.packet_size;
+                if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
+                    ctx.send_control(from, StreamMsg::Feedback(feedback), 60);
                 }
                 let duplicate = !self.seen.insert(seq);
                 let from_parent = Some(from) == self.parent;
@@ -208,14 +190,13 @@ mod tests {
         spec
     }
 
-    fn run(n: usize, access_bps: f64, transport: StreamTransport, secs: u64) -> Sim<StreamingNode> {
+    fn run(n: usize, access_bps: f64, secs: u64) -> Sim<StreamingNode> {
         let spec = hub(n, access_bps);
         let mut rng = SimRng::new(1);
         let tree = random_tree(n, 0, 3, &mut rng);
         let config = StreamConfig {
             stream_rate_bps: 400_000.0,
             stream_start: SimTime::from_secs(2),
-            transport,
             ..StreamConfig::default()
         };
         let agents = (0..n)
@@ -228,7 +209,7 @@ mod tests {
 
     #[test]
     fn ample_bandwidth_delivers_the_full_stream_over_tfrc() {
-        let sim = run(10, 4_000_000.0, StreamTransport::Tfrc, 30);
+        let sim = run(10, 4_000_000.0, 30);
         let generated = sim.agent(0).metrics.packets_generated;
         assert!(generated > 500);
         for node in 1..10 {
@@ -244,7 +225,7 @@ mod tests {
     fn constrained_interior_links_throttle_descendants() {
         // Access links at half the stream rate: children of the root get at
         // most ~half the stream, and their own children no more than that.
-        let sim = run(10, 200_000.0, StreamTransport::Tfrc, 30);
+        let sim = run(10, 200_000.0, 30);
         let generated = sim.agent(0).metrics.packets_generated;
         for node in 1..10 {
             let got = sim.agent(node).metrics.useful_packets;
@@ -256,21 +237,8 @@ mod tests {
     }
 
     #[test]
-    fn udp_transport_also_delivers() {
-        let sim = run(8, 4_000_000.0, StreamTransport::Udp, 20);
-        let generated = sim.agent(0).metrics.packets_generated;
-        for node in 1..8 {
-            let got = sim.agent(node).metrics.useful_packets;
-            assert!(
-                got as f64 > generated as f64 * 0.7,
-                "node {node}: {got}/{generated}"
-            );
-        }
-    }
-
-    #[test]
     fn no_duplicates_in_a_tree() {
-        let sim = run(10, 1_000_000.0, StreamTransport::Tfrc, 20);
+        let sim = run(10, 1_000_000.0, 20);
         for node in 0..10 {
             assert_eq!(sim.agent(node).metrics.duplicate_packets, 0);
         }

@@ -3,87 +3,98 @@
 use bullet_netsim::{SimDuration, SimTime};
 use bullet_transport::TfrcConfig;
 
-/// Failure-detection and recovery parameters (§4.6).
-///
-/// `None` in [`BulletConfig::recovery`] disables the subsystem entirely:
-/// no orphan-detection or retry timers are armed, no extra messages are
-/// sent and no extra randomness is drawn, so runs without recovery are
-/// bit-identical to the pre-recovery protocol.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RecoveryConfig {
-    /// A non-root node that sees no RanSub `Distribute` from its parent
-    /// for this many consecutive epoch lengths declares the parent dead
-    /// and re-attaches elsewhere.
-    pub orphan_epochs: u32,
-    /// Evict a mesh peer (sender or receiver) after this many consecutive
-    /// mesh-evaluation windows without any traffic or control activity
-    /// from it. Generalizes `sender_idle_evals_to_drop` to both peer
-    /// lists; an explicit `sender_idle_evals_to_drop` still takes
-    /// precedence for senders.
-    pub peer_idle_windows: u32,
-    /// Give up on a control RPC (`PeeringRequest`, `Reattach`) after this
-    /// many sends to one target.
-    pub max_retries: u32,
-    /// Delay before the first control-RPC retry; successive retries back
-    /// off exponentially (doubling per attempt).
-    pub retry_base: SimDuration,
-}
+// ---- failure detection and recovery (§4.6), on under `recovery` ----
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            orphan_epochs: 2,
-            peer_idle_windows: 2,
-            max_retries: 3,
-            retry_base: SimDuration::from_millis(500),
-        }
-    }
-}
+/// A non-root node that sees no RanSub `Distribute` from its parent for this
+/// many consecutive epoch lengths declares the parent dead and re-attaches
+/// elsewhere.
+pub const ORPHAN_EPOCHS: u32 = 2;
 
-/// Data-plane integrity and misbehaving-peer defense parameters.
-///
-/// `None` in [`BulletConfig::integrity`] disables the layer entirely: no
-/// blocks are rejected, no peer is scored or quarantined, no extra
-/// messages are sent and no extra randomness is drawn, so runs without
-/// integrity are bit-identical to the pre-integrity protocol. (Block
-/// digests are still computed and carried — verification is RNG-free and
-/// behaviourally inert when the layer is off, which is what lets
-/// defense-off runs *meter* the corruption they accept.)
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IntegrityConfig {
-    /// Misbehavior score added per corrupted block received from a peer.
-    pub corrupt_penalty: f64,
-    /// Misbehavior score added per mesh-evaluation window in which a
-    /// sending peer that owes us reconciliation rows delivered nothing
-    /// (a stall, or a false advertisement that never materialized).
-    pub stall_penalty: f64,
-    /// Multiplicative decay applied to every peer's misbehavior score at
-    /// each mesh-evaluation window, so isolated incidents are forgiven.
-    pub decay: f64,
-    /// A peer whose score reaches this threshold is quarantined: evicted
-    /// from the mesh (reconciliation rows restriped), excluded from the
-    /// RanSub candidate set and the re-attach ladder, and refused
-    /// peerings for [`IntegrityConfig::quarantine_backoff`].
-    pub quarantine_threshold: f64,
-    /// How long a quarantined peer stays excluded.
-    pub quarantine_backoff: SimDuration,
-}
+/// Evict a mesh peer (sender or receiver) after this many consecutive
+/// mesh-evaluation windows without any traffic or control activity from it.
+/// Generalizes [`BulletConfig::sender_idle_evals_to_drop`] to both peer
+/// lists; an explicit `sender_idle_evals_to_drop` still takes precedence for
+/// senders.
+pub const PEER_IDLE_WINDOWS: u32 = 2;
 
-impl Default for IntegrityConfig {
-    fn default() -> Self {
-        IntegrityConfig {
-            corrupt_penalty: 1.0,
-            stall_penalty: 0.5,
-            decay: 0.5,
-            quarantine_threshold: 2.0,
-            quarantine_backoff: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Give up on a control RPC (`PeeringRequest`, `Reattach`) after this many
+/// sends to one target.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Delay before the first control-RPC retry; successive retries back off
+/// exponentially (doubling per attempt).
+pub const RETRY_BASE: SimDuration = SimDuration::from_millis(500);
+
+// ---- data-plane integrity, on under `integrity` ----
+
+/// Misbehavior score added per corrupted block received from a peer.
+pub const CORRUPT_PENALTY: f64 = 1.0;
+
+/// Misbehavior score added per mesh-evaluation window in which a sending
+/// peer that owes us reconciliation rows delivered nothing (a stall, or a
+/// false advertisement that never materialized).
+pub const STALL_PENALTY: f64 = 0.5;
+
+/// Multiplicative decay applied to every peer's misbehavior score at each
+/// mesh-evaluation window, so isolated incidents are forgiven.
+pub const HEALTH_DECAY: f64 = 0.5;
+
+/// A peer whose score reaches this threshold is quarantined: evicted from
+/// the mesh (reconciliation rows restriped), excluded from the RanSub
+/// candidate set and the re-attach ladder, and refused peerings for
+/// [`QUARANTINE_BACKOFF`].
+pub const QUARANTINE_THRESHOLD: f64 = 2.0;
+
+/// How long a quarantined peer stays excluded.
+pub const QUARANTINE_BACKOFF: SimDuration = SimDuration::from_secs(60);
+
+// ---- overload resilience, on under `overload` ----
+
+/// Fraction of [`OverloadConfig::inbox_budget`] past which the node
+/// considers itself under pressure: peering/join traffic (the lowest
+/// priority class) is shed first, from this threshold on, while
+/// reconciliation traffic is still admitted up to the full budget.
+pub const PRESSURE_FRACTION: f64 = 0.5;
+
+/// First deferral a pressured node hands a joining peer; successive
+/// deferrals of the same peer back off exponentially (doubling per strike,
+/// capped by [`OverloadConfig::defer_max_exponent`]).
+pub const DEFER_BASE: SimDuration = SimDuration::from_millis(500);
+
+/// A mesh receiver whose reported intake stays below
+/// [`SLOW_RECEIVER_FRACTION`] of the mean across receivers for this many
+/// consecutive evaluation windows is demoted (dropped from the sender slot)
+/// before any healthy peer is touched.
+pub const SLOW_RECEIVER_WINDOWS: u32 = 3;
+
+/// The lag threshold, as a fraction of the mean reported intake.
+pub const SLOW_RECEIVER_FRACTION: f64 = 0.25;
+
+// ---- the protocol core ----
+
+/// A sending peer is dropped when more than this fraction of the packets it
+/// delivered in the last evaluation window were duplicates.
+pub const DUPLICATE_DROP_THRESHOLD: f64 = 0.5;
+
+/// Interval at which a sending peer scans for missing keys to forward to
+/// each of its receivers.
+pub const PEER_SERVICE_INTERVAL: SimDuration = SimDuration::from_millis(250);
+
+/// How far (in packets) the top of the requested recovery range lags the
+/// newest sequence number the node has seen. Packets younger than this are
+/// still expected to arrive from the parent (or are in flight), so asking
+/// peers for them mostly produces duplicates; the paper's Fig. 4 shows the
+/// requested (Low, High) range advancing behind the live edge.
+pub const RECOVERY_LAG_PACKETS: u64 = 150;
+
+/// Trace one data packet in this many for link-stress accounting.
+pub const TRACE_INTERVAL: u64 = 100;
 
 /// Overload-resilience parameters: bounded prioritized inboxes, a
 /// working-set memory budget, join admission control and slow-receiver
-/// demotion.
+/// demotion. The three fields are the values scenarios and tests set; the
+/// layer's other parameters are the [`PRESSURE_FRACTION`] …
+/// [`SLOW_RECEIVER_FRACTION`] constants.
 ///
 /// `None` in [`BulletConfig::overload`] disables the layer entirely: no
 /// message is shed, no join is deferred, no block is evicted beyond the
@@ -96,41 +107,21 @@ pub struct OverloadConfig {
     /// accepted per housekeeping window (1 s) before shedding begins.
     /// Data and transport feedback are never shed.
     pub inbox_budget: u32,
-    /// Fraction of [`OverloadConfig::inbox_budget`] past which the node
-    /// considers itself under pressure: peering/join traffic (the lowest
-    /// priority class) is shed first, from this threshold on, while
-    /// reconciliation traffic is still admitted up to the full budget.
-    pub pressure_fraction: f64,
     /// Maximum blocks retained in the working set under memory pressure;
     /// blocks still owed to mesh receivers are never evicted, so the
     /// effective floor is the oldest outstanding receiver request.
     pub working_set_budget: usize,
-    /// First deferral a pressured node hands a joining peer; successive
-    /// deferrals of the same peer back off exponentially (doubling per
-    /// strike, capped by [`OverloadConfig::defer_max_exponent`]).
-    pub defer_base: SimDuration,
-    /// Cap on the deferral doubling (`retry_after <= defer_base <<
+    /// Cap on the deferral doubling (`retry_after <= DEFER_BASE <<
     /// defer_max_exponent`), so deferred joiners are never starved.
     pub defer_max_exponent: u32,
-    /// A mesh receiver whose reported intake stays below
-    /// [`OverloadConfig::slow_receiver_fraction`] of the mean across
-    /// receivers for this many consecutive evaluation windows is demoted
-    /// (dropped from the sender slot) before any healthy peer is touched.
-    pub slow_receiver_windows: u32,
-    /// The lag threshold, as a fraction of the mean reported intake.
-    pub slow_receiver_fraction: f64,
 }
 
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
             inbox_budget: 200,
-            pressure_fraction: 0.5,
             working_set_budget: 1_500,
-            defer_base: SimDuration::from_millis(500),
             defer_max_exponent: 4,
-            slow_receiver_windows: 3,
-            slow_receiver_fraction: 0.25,
         }
     }
 }
@@ -163,14 +154,8 @@ pub struct BulletConfig {
     pub max_receivers: usize,
     /// Interval between Bloom filter refreshes pushed to sending peers.
     pub filter_refresh_interval: SimDuration,
-    /// Interval at which a sending peer scans for missing keys to forward to
-    /// each of its receivers.
-    pub peer_service_interval: SimDuration,
     /// Interval between peer-set evaluations ("every few RanSub epochs").
     pub mesh_eval_interval: SimDuration,
-    /// A sending peer is dropped when more than this fraction of the packets
-    /// it delivered in the last evaluation window were duplicates.
-    pub duplicate_drop_threshold: f64,
     /// Number of recent packets kept in the working set (the recovery
     /// horizon); older packets are pruned from the set, the summary ticket
     /// and the Bloom filter.
@@ -188,12 +173,6 @@ pub struct BulletConfig {
     /// wants later keys. Intentional and pinned by the determinism goldens;
     /// see [`bullet_content::OfferIndex::batch`].
     pub peer_service_batch: usize,
-    /// How far (in packets) the top of the requested recovery range lags the
-    /// newest sequence number the node has seen. Packets younger than this
-    /// are still expected to arrive from the parent (or are in flight), so
-    /// asking peers for them mostly produces duplicates; the paper's Fig. 4
-    /// shows the requested (Low, High) range advancing behind the live edge.
-    pub recovery_lag_packets: u64,
     /// Whether the parent picks disjoint data per child (Fig. 5). Disabling
     /// this reproduces the non-disjoint strategy of Fig. 10.
     pub disjoint_send: bool,
@@ -211,14 +190,21 @@ pub struct BulletConfig {
     /// churn scenarios enable it.
     pub sender_idle_evals_to_drop: Option<u32>,
     /// Failure-detection and recovery (§4.6): orphan re-attach, peer
-    /// liveness eviction and control-RPC retries. `None` (the default)
-    /// disables the subsystem with zero behavioural footprint.
-    pub recovery: Option<RecoveryConfig>,
+    /// liveness eviction and control-RPC retries, tuned by [`ORPHAN_EPOCHS`],
+    /// [`PEER_IDLE_WINDOWS`], [`MAX_RETRIES`] and [`RETRY_BASE`]. Off (the
+    /// default), no orphan-detection or retry timer is armed, no extra
+    /// message is sent and no extra randomness is drawn: zero behavioural
+    /// footprint.
+    pub recovery: bool,
     /// Data-plane integrity and misbehaving-peer defense: block
     /// verification on receive, decaying per-peer health scores, and
-    /// quarantine of threshold-crossing peers. `None` (the default)
-    /// disables the layer with zero behavioural footprint.
-    pub integrity: Option<IntegrityConfig>,
+    /// quarantine of threshold-crossing peers, tuned by the
+    /// [`CORRUPT_PENALTY`] … [`QUARANTINE_BACKOFF`] constants. Off (the
+    /// default), no block is rejected and no peer is scored or quarantined:
+    /// zero behavioural footprint. Block digests are still computed and
+    /// carried; verification is RNG-free and inert with the layer off, which
+    /// is what lets defense-off runs *meter* the corruption they accept.
+    pub integrity: bool,
     /// Overload resilience: bounded prioritized inboxes, working-set
     /// memory budget, join admission control and slow-receiver demotion.
     /// `None` (the default) disables the layer with zero behavioural
@@ -231,9 +217,6 @@ pub struct BulletConfig {
     /// the source cannot use it. Purely observational: no protocol
     /// decision consults it.
     pub freshness_deadline: SimDuration,
-    /// Trace one data packet in this many for link-stress accounting
-    /// (0 disables tracing).
-    pub trace_interval: u64,
     /// Transport parameters for every TFRC connection.
     pub tfrc: TfrcConfig,
 }
@@ -251,22 +234,18 @@ impl Default for BulletConfig {
             max_senders: 10,
             max_receivers: 10,
             filter_refresh_interval: SimDuration::from_secs(5),
-            peer_service_interval: SimDuration::from_millis(250),
             mesh_eval_interval: SimDuration::from_secs(15),
-            duplicate_drop_threshold: 0.5,
             working_set_window: 1_500,
             bloom_bits: 16_384,
             bloom_hashes: 6,
             peer_service_batch: 64,
-            recovery_lag_packets: 150,
             disjoint_send: true,
             resemblance_peering: true,
             sender_idle_evals_to_drop: None,
-            recovery: None,
-            integrity: None,
+            recovery: false,
+            integrity: false,
             overload: None,
             freshness_deadline: SimDuration::from_secs(10),
-            trace_interval: 100,
             tfrc: TfrcConfig {
                 packet_size,
                 ..TfrcConfig::default()
@@ -287,23 +266,23 @@ impl BulletConfig {
     }
 
     /// The configuration profile for failure-recovery scenarios: the churn
-    /// profile plus the §4.6 detect-and-re-attach subsystem with its
-    /// default knobs (2-epoch orphan detection, 2-window peer liveness,
-    /// 3 control retries on a 500 ms exponential backoff).
+    /// profile plus the §4.6 detect-and-re-attach subsystem (2-epoch orphan
+    /// detection, 2-window peer liveness, 3 control retries on a 500 ms
+    /// exponential backoff).
     pub fn recovery(self) -> Self {
         BulletConfig {
-            recovery: Some(RecoveryConfig::default()),
+            recovery: true,
             ..self.churn()
         }
     }
 
     /// The configuration profile for misbehaving-peer scenarios: the
-    /// recovery profile plus the data-plane integrity layer with its
-    /// default knobs (block verification, decaying health scores,
-    /// quarantine at score 2.0 with a 60 s backoff).
+    /// recovery profile plus the data-plane integrity layer (block
+    /// verification, decaying health scores, quarantine at score 2.0 with a
+    /// 60 s backoff).
     pub fn integrity(self) -> Self {
         BulletConfig {
-            integrity: Some(IntegrityConfig::default()),
+            integrity: true,
             ..self.recovery()
         }
     }
@@ -347,8 +326,52 @@ mod tests {
         assert_eq!(config.max_senders, 10);
         assert_eq!(config.max_receivers, 10);
         assert_eq!(config.ransub_epoch, SimDuration::from_secs(5));
-        assert!((config.duplicate_drop_threshold - 0.5).abs() < 1e-12);
         assert!(config.disjoint_send);
+    }
+
+    /// Every settable value, spelled out with no `..`: a new field fails to
+    /// compile here, so a knob cannot be added without being seen. The
+    /// values are the defaults.
+    #[test]
+    fn the_settable_values_are_these() {
+        let overload = OverloadConfig {
+            inbox_budget: 200,
+            working_set_budget: 1_500,
+            defer_max_exponent: 4,
+        };
+        assert_eq!(overload, OverloadConfig::default());
+        let config = BulletConfig {
+            stream_rate_bps: 600_000.0,
+            packet_size: 1_500,
+            stream_start: SimTime::from_secs(10),
+            ransub_epoch: SimDuration::from_secs(5),
+            ransub_set_size: 10,
+            ransub_failure_detection: true,
+            max_senders: 10,
+            max_receivers: 10,
+            filter_refresh_interval: SimDuration::from_secs(5),
+            mesh_eval_interval: SimDuration::from_secs(15),
+            working_set_window: 1_500,
+            bloom_bits: 16_384,
+            bloom_hashes: 6,
+            peer_service_batch: 64,
+            disjoint_send: true,
+            resemblance_peering: true,
+            sender_idle_evals_to_drop: None,
+            recovery: false,
+            integrity: false,
+            overload: None,
+            freshness_deadline: SimDuration::from_secs(10),
+            tfrc: BulletConfig::default().tfrc,
+        };
+        assert_eq!(
+            format!("{config:?}"),
+            format!("{:?}", BulletConfig::default())
+        );
+        let overloaded = config.overload();
+        assert_eq!(overloaded.overload, Some(overload));
+        assert!(overloaded.recovery && overloaded.integrity);
+        assert_eq!(overloaded.sender_idle_evals_to_drop, Some(2));
     }
 
     #[test]

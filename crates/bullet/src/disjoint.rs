@@ -85,11 +85,6 @@ impl DisjointSender {
         }
     }
 
-    /// Whether this node has any children to forward to.
-    pub fn has_children(&self) -> bool {
-        !self.children.is_empty()
-    }
-
     /// Read access to the per-child state (for tests and reports).
     pub fn children(&self) -> &[ChildState] {
         &self.children
@@ -327,7 +322,7 @@ mod tests {
         let mut sender = DisjointSender::new(&[], 250.0, true);
         let outcome = sender.route_packet(1, &[], |_| true);
         assert_eq!(outcome, RouteOutcome::default());
-        assert!(!sender.has_children());
+        assert!(sender.children().is_empty());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`messages`] — the wire protocol and its byte-level sizes,
 //! * [`metrics`] — the per-node counters the evaluation figures are built
 //!   from,
-//! * [`config`] — all tunables, defaulting to the paper's parameters.
+//! * [`config`] — the tunables, defaulting to the paper's parameters, and
+//!   the fixed constants of the optional layers.
 
 #![warn(missing_docs)]
 
@@ -27,7 +28,7 @@ pub mod metrics;
 pub mod node;
 pub mod peering;
 
-pub use config::{BulletConfig, IntegrityConfig, OverloadConfig, RecoveryConfig};
+pub use config::{BulletConfig, OverloadConfig};
 pub use disjoint::{ChildState, DisjointSender, RouteOutcome};
 pub use messages::BulletMsg;
 pub use metrics::BulletMetrics;

@@ -53,13 +53,14 @@ pub enum BulletMsg {
         /// Updated reconciliation state.
         request: ReconcileRequest,
     },
-    /// A receiver informs a sender of the total data bandwidth it received
-    /// over the last evaluation window (used for the sender's receiver
-    /// eviction decision).
+    /// A receiver tells a sender how much data it has received in all, sent
+    /// once per evaluation window (used for the sender's receiver eviction
+    /// and slow-receiver demotion).
     ReceiverReport {
-        /// Bytes of data the receiver obtained from *all* sources in the
-        /// window.
-        total_bytes_window: u64,
+        /// Bytes of data the receiver obtained from *all* sources since it
+        /// started, duplicates included: its cumulative `raw_bytes`, not a
+        /// per-window count.
+        cumulative_raw_bytes: u64,
     },
     /// Either endpoint tears down the peering relationship.
     PeerDrop,
@@ -184,7 +185,7 @@ mod tests {
         assert_eq!(BulletMsg::PeeringAccept.wire_bytes(1_500), HEADER_BYTES);
         assert_eq!(
             BulletMsg::ReceiverReport {
-                total_bytes_window: 1
+                cumulative_raw_bytes: 1
             }
             .wire_bytes(1_500),
             HEADER_BYTES

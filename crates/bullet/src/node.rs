@@ -30,7 +30,12 @@ use bullet_ransub::{Member, RanSub, RanSubConfig, RanSubEvent, RanSubMsg};
 use bullet_telemetry::{TraceData, CAT_JOURNEY, CAT_PROTO};
 use bullet_transport::Connections;
 
-use crate::config::{BulletConfig, IntegrityConfig};
+use crate::config::{
+    BulletConfig, CORRUPT_PENALTY, DEFER_BASE, HEALTH_DECAY, MAX_RETRIES, ORPHAN_EPOCHS,
+    PEER_IDLE_WINDOWS, PEER_SERVICE_INTERVAL, PRESSURE_FRACTION, QUARANTINE_BACKOFF,
+    QUARANTINE_THRESHOLD, RECOVERY_LAG_PACKETS, RETRY_BASE, SLOW_RECEIVER_FRACTION,
+    SLOW_RECEIVER_WINDOWS, STALL_PENALTY, TRACE_INTERVAL,
+};
 use crate::disjoint::DisjointSender;
 use crate::messages::BulletMsg;
 use crate::metrics::BulletMetrics;
@@ -209,7 +214,7 @@ impl BulletNode {
     /// other combination of the three layers is valid.
     pub fn new(id: OverlayId, tree: &Tree, config: BulletConfig) -> Self {
         assert!(
-            config.integrity.is_none() || config.recovery.is_some(),
+            !config.integrity || config.recovery,
             "config.integrity requires config.recovery (a quarantined parent is re-attached from)"
         );
         let parent = tree.parent(id);
@@ -283,7 +288,6 @@ impl BulletNode {
         PeerManager::new(
             config.max_senders,
             config.max_receivers,
-            config.duplicate_drop_threshold,
             config.resemblance_peering,
         )
     }
@@ -390,7 +394,7 @@ impl BulletNode {
             digest: carried_digest(tainted, seq),
         };
         let size = msg.wire_bytes(config.packet_size);
-        if config.trace_interval > 0 && seq.is_multiple_of(config.trace_interval) {
+        if seq.is_multiple_of(TRACE_INTERVAL) {
             ctx.send_data_traced(to, msg, size, seq);
         } else {
             ctx.send_data(to, msg, size);
@@ -417,9 +421,7 @@ impl BulletNode {
     /// (its watermark and its top bitmap word), so callers need not cache it.
     fn request_range(&self) -> (u64, u64) {
         let (low, high) = self.working_set.range();
-        let high = high
-            .saturating_sub(self.config.recovery_lag_packets)
-            .max(low);
+        let high = high.saturating_sub(RECOVERY_LAG_PACKETS).max(low);
         (low, high)
     }
 
@@ -505,7 +507,7 @@ impl BulletNode {
         let strikes = self.defer_strikes.get(&from).copied().unwrap_or(0);
         let exponent = strikes.min(overload.defer_max_exponent);
         self.defer_strikes.insert(from, strikes.saturating_add(1));
-        let retry_after = overload.defer_base.saturating_mul(1u64 << exponent);
+        let retry_after = DEFER_BASE.saturating_mul(1u64 << exponent);
         self.metrics.joins_deferred += 1;
         self.send_msg(ctx, from, BulletMsg::PeeringDeferred { retry_after });
     }
@@ -578,17 +580,17 @@ impl BulletNode {
     /// the penalty still accrues, so the shield lifts as soon as another
     /// path exists.
     fn penalize(&mut self, ctx: &mut Context<'_, BulletMsg>, peer: OverlayId, amount: f64) {
-        let Some(integrity) = self.config.integrity else {
+        if !self.config.integrity {
             return;
-        };
+        }
         self.metrics.health_penalties += 1;
         let score = self.misbehavior.entry(peer).or_insert(0.0);
         *score += amount;
-        if *score >= integrity.quarantine_threshold {
+        if *score >= QUARANTINE_THRESHOLD {
             if self.last_path_sender() == Some(peer) {
                 return;
             }
-            self.quarantine_peer(ctx, peer, integrity);
+            self.quarantine_peer(ctx, peer);
         }
     }
 
@@ -598,15 +600,10 @@ impl BulletNode {
     /// ladder until the backoff expires. A quarantined tree parent
     /// triggers an immediate re-attach — the §4.6 machinery treats it
     /// like a corpse, except the orphan will not climb back onto it.
-    fn quarantine_peer(
-        &mut self,
-        ctx: &mut Context<'_, BulletMsg>,
-        peer: OverlayId,
-        integrity: IntegrityConfig,
-    ) {
+    fn quarantine_peer(&mut self, ctx: &mut Context<'_, BulletMsg>, peer: OverlayId) {
         self.misbehavior.remove(&peer);
         self.quarantined
-            .insert(peer, ctx.now() + integrity.quarantine_backoff);
+            .insert(peer, ctx.now() + QUARANTINE_BACKOFF);
         self.metrics.quarantines += 1;
         if ctx.tracing(CAT_PROTO) {
             ctx.trace(TraceData::Quarantine { peer: peer as u32 });
@@ -690,7 +687,7 @@ impl BulletNode {
         }
         let jitter =
             |rng: &mut bullet_netsim::SimRng, d: SimDuration| d.mul_f64(rng.range_f64(0.5, 1.5));
-        let service = jitter(ctx.rng(), self.config.peer_service_interval);
+        let service = jitter(ctx.rng(), PEER_SERVICE_INTERVAL);
         ctx.set_timer(service, self.tag(timer::PEER_SERVICE));
         let refresh = jitter(ctx.rng(), self.config.filter_refresh_interval);
         ctx.set_timer(refresh, self.tag(timer::FILTER_REFRESH));
@@ -698,7 +695,7 @@ impl BulletNode {
         ctx.set_timer(eval, self.tag(timer::MESH_EVAL));
         let housekeeping = jitter(ctx.rng(), SimDuration::from_secs(1));
         ctx.set_timer(housekeeping, self.tag(timer::HOUSEKEEPING));
-        if self.config.recovery.is_some() && !self.is_root() {
+        if self.config.recovery && !self.is_root() {
             // Orphan detection: the first check waits out a two-epoch grace
             // — RanSub needs a full epoch to reach the leaves after start-up
             // or a rejoin — then the handler re-arms every epoch.
@@ -736,7 +733,7 @@ impl BulletNode {
             // The source holds the entire stream; it never needs senders.
             return;
         }
-        if self.config.recovery.is_some() {
+        if self.config.recovery {
             // Remember the sample: it is the deterministic candidate pool
             // the orphan re-attach draws from (§4.6).
             self.last_sample.clear();
@@ -753,7 +750,7 @@ impl BulletNode {
                 .choose_candidate(self.ticket.ticket(), &members, &exclude, ctx.rng());
         if let Some(candidate) = candidate {
             self.send_peering_request(ctx, candidate);
-            if self.config.recovery.is_some() {
+            if self.config.recovery {
                 // Put the request under retry protection: a lost
                 // PeeringRequest is otherwise dead forever (the pending
                 // mark blocks re-asking until the next stale sweep).
@@ -770,23 +767,17 @@ impl BulletNode {
     /// Arms the shared control-RPC retry tick if it is not already armed.
     /// No-op without the recovery subsystem.
     fn arm_retry_timer(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        let Some(recovery) = self.config.recovery else {
-            return;
-        };
-        if self.retry_timer_armed {
+        if !self.config.recovery || self.retry_timer_armed {
             return;
         }
         self.retry_timer_armed = true;
-        ctx.set_timer(recovery.retry_base, self.tag(timer::RETRY));
+        ctx.set_timer(RETRY_BASE, self.tag(timer::RETRY));
     }
 
     /// One orphan-detection tick: a strike per epoch without a parent
     /// `Distribute`; enough strikes declare the parent dead (§4.6).
     fn check_orphan(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        let Some(recovery) = self.config.recovery else {
-            return;
-        };
-        if self.is_root() || self.reattach.is_some() {
+        if !self.config.recovery || self.is_root() || self.reattach.is_some() {
             return;
         }
         if self.distributes_seen == self.distributes_at_last_check {
@@ -795,7 +786,7 @@ impl BulletNode {
             self.orphan_strikes = 0;
         }
         self.distributes_at_last_check = self.distributes_seen;
-        if self.orphan_strikes >= recovery.orphan_epochs {
+        if self.orphan_strikes >= ORPHAN_EPOCHS {
             self.orphan_strikes = 0;
             self.begin_reattach(ctx);
         }
@@ -928,14 +919,14 @@ impl BulletNode {
     /// outstanding peering requests, resending or advancing whatever ran
     /// out of backoff; re-arm while any work remains.
     fn service_retries(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        let Some(recovery) = self.config.recovery else {
+        if !self.config.recovery {
             return;
-        };
+        }
         if let Some(state) = self.reattach.as_mut() {
             if state.cooldown > 0 {
                 state.cooldown -= 1;
             } else {
-                if state.attempts >= recovery.max_retries {
+                if state.attempts >= MAX_RETRIES {
                     state.index += 1;
                     state.attempts = 0;
                 }
@@ -949,7 +940,7 @@ impl BulletNode {
             if entry.cooldown > 0 {
                 entry.cooldown -= 1;
                 i += 1;
-            } else if entry.attempts >= recovery.max_retries {
+            } else if entry.attempts >= MAX_RETRIES {
                 let node = entry.node;
                 self.peering_retries.remove(i);
                 // Give up: clear the pending mark so the next RanSub
@@ -1083,10 +1074,10 @@ impl BulletNode {
     /// Periodic mesh improvement (§3.4): report to senders, evict wasteful
     /// senders, evict the least-benefiting receiver.
     fn evaluate_mesh(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        // Report our total received bandwidth to every sender so they can
+        // Report our cumulative received bytes to every sender so they can
         // run their receiver eviction. A scripted slow node understates
         // its intake, presenting as a persistent laggard.
-        let window_bytes = if self.report_scale != 1.0 {
+        let raw_bytes = if self.report_scale != 1.0 {
             (self.metrics.delivery.raw_bytes as f64 * self.report_scale) as u64
         } else {
             self.metrics.delivery.raw_bytes
@@ -1097,16 +1088,16 @@ impl BulletNode {
                 ctx,
                 node,
                 BulletMsg::ReceiverReport {
-                    total_bytes_window: window_bytes,
+                    cumulative_raw_bytes: raw_bytes,
                 },
             );
         }
         self.scratch_peers = senders;
-        if let Some(integrity) = self.config.integrity {
+        if self.config.integrity {
             let now = ctx.now();
             self.quarantined.retain(|_, until| now < *until);
             for score in self.misbehavior.values_mut() {
-                *score *= integrity.decay;
+                *score *= HEALTH_DECAY;
             }
             self.misbehavior.retain(|_, score| *score >= 0.05);
             // Stall penalties escalate with the silent-window streak, so
@@ -1122,7 +1113,7 @@ impl BulletNode {
                     .find(|s| s.node == node)
                     .map(|s| s.idle_windows.max(1))
                     .unwrap_or(1);
-                self.penalize(ctx, node, integrity.stall_penalty * streak as f64);
+                self.penalize(ctx, node, STALL_PENALTY * streak as f64);
             }
         }
         let recovery = self.config.recovery;
@@ -1131,39 +1122,39 @@ impl BulletNode {
         let idle_limit = self
             .config
             .sender_idle_evals_to_drop
-            .or(recovery.map(|r| r.peer_idle_windows));
+            .or(recovery.then_some(PEER_IDLE_WINDOWS));
         // Liveness guard: the sender that is our last live path toward
         // the source is never evicted, whatever the rules say.
         let protected = self.last_path_sender();
-        let evaluation = self.peers.evaluate_senders_protected(idle_limit, protected);
-        let restripe = recovery.is_some() && !evaluation.drop.is_empty();
+        let evaluation = self.peers.evaluate_senders(idle_limit, protected);
+        let restripe = recovery && !evaluation.drop.is_empty();
         for node in evaluation.drop {
             self.conns.drop_receiver(node);
             self.send_msg(ctx, node, BulletMsg::PeerDrop);
         }
-        if let Some(r) = recovery {
+        if recovery {
             // Only a silence eviction can be a liveness false positive: the
             // §3.4 waste drops above spoke all window.
             for node in evaluation.silent {
                 self.note_evicted(node);
             }
             // Active receiver liveness: a receiver that neither refreshed
-            // its filter nor reported for `peer_idle_windows` windows is
+            // its filter nor reported for `PEER_IDLE_WINDOWS` windows is
             // presumed dead and its slot reclaimed.
-            for node in self.peers.evaluate_receiver_liveness(r.peer_idle_windows) {
+            for node in self.peers.evaluate_receiver_liveness(PEER_IDLE_WINDOWS) {
                 self.conns.drop_sender(node);
                 self.send_msg(ctx, node, BulletMsg::PeerDrop);
                 self.note_evicted(node);
             }
         }
-        if let Some(overload) = self.config.overload {
+        if self.config.overload.is_some() {
             // Demote persistently lagging receivers from serving slots
             // before any healthy peer is judged: a slow receiver drags the
             // sender's pacing down for everyone it serves.
-            for node in self.peers.evaluate_slow_receivers(
-                overload.slow_receiver_fraction,
-                overload.slow_receiver_windows,
-            ) {
+            for node in self
+                .peers
+                .evaluate_slow_receivers(SLOW_RECEIVER_FRACTION, SLOW_RECEIVER_WINDOWS)
+            {
                 self.metrics.slow_demotions += 1;
                 self.conns.drop_sender(node);
                 self.send_msg(ctx, node, BulletMsg::PeerDrop);
@@ -1173,7 +1164,7 @@ impl BulletNode {
             self.conns.drop_sender(node);
             self.send_msg(ctx, node, BulletMsg::PeerDrop);
         }
-        if recovery.is_none() {
+        if !recovery {
             // Without retries a pending request that got no answer is
             // stale after one window; the retry machinery otherwise owns
             // that bookkeeping (it clears the mark when it gives up).
@@ -1223,26 +1214,24 @@ impl BulletNode {
         self.metrics.blocks_verified += 1;
         let valid = digest == block_digest(seq);
         let from_parent = Some(from) == self.parent;
-        if !valid {
-            if let Some(integrity) = self.config.integrity {
-                // Reject: the block never enters the working set, is
-                // never advertised, and — because it stays missing — the
-                // next reconciliation round re-requests it from an
-                // honest peer. The forwarder pays a misbehavior penalty.
-                self.metrics.corrupt_blocks_rejected += 1;
-                self.metrics.delivery.raw_bytes += self.config.packet_size as u64;
-                self.metrics.delivery.total_packets += 1;
-                if from_parent {
-                    self.metrics.delivery.from_parent_bytes += self.config.packet_size as u64;
-                } else {
-                    self.metrics.delivery.from_peers_bytes += self.config.packet_size as u64;
-                }
-                if let Some(sender) = self.peers.sender_mut(from) {
-                    sender.total_packets_window += 1;
-                }
-                self.penalize(ctx, from, integrity.corrupt_penalty);
-                return;
+        if !valid && self.config.integrity {
+            // Reject: the block never enters the working set, is never
+            // advertised, and — because it stays missing — the next
+            // reconciliation round re-requests it from an honest peer. The
+            // forwarder pays a misbehavior penalty.
+            self.metrics.corrupt_blocks_rejected += 1;
+            self.metrics.delivery.raw_bytes += self.config.packet_size as u64;
+            self.metrics.delivery.total_packets += 1;
+            if from_parent {
+                self.metrics.delivery.from_parent_bytes += self.config.packet_size as u64;
+            } else {
+                self.metrics.delivery.from_peers_bytes += self.config.packet_size as u64;
             }
+            if let Some(sender) = self.peers.sender_mut(from) {
+                sender.total_packets_window += 1;
+            }
+            self.penalize(ctx, from, CORRUPT_PENALTY);
+            return;
         }
 
         let duplicate = self.working_set.contains(seq) || seq < self.working_set.low_watermark();
@@ -1308,7 +1297,7 @@ impl Agent for BulletNode {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, BulletMsg>, from: OverlayId, msg: BulletMsg) {
-        if self.config.recovery.is_some() {
+        if self.config.recovery {
             if let Some(pos) = self.recently_evicted.iter().position(|&n| n == from) {
                 // An evicted-for-silence peer spoke again: the liveness
                 // detector fired on a slow peer, not a dead one.
@@ -1343,7 +1332,7 @@ impl Agent for BulletNode {
             self.inbox_window += 1;
             self.metrics.peak_inbox_depth = self.metrics.peak_inbox_depth.max(self.inbox_window);
             if let Some(overload) = self.config.overload {
-                let pressure = (overload.inbox_budget as f64 * overload.pressure_fraction) as u64;
+                let pressure = (overload.inbox_budget as f64 * PRESSURE_FRACTION) as u64;
                 let budget = overload.inbox_budget as u64;
                 let shed = match &msg {
                     BulletMsg::PeeringRequest { .. } if self.inbox_window > pressure => {
@@ -1382,7 +1371,7 @@ impl Agent for BulletNode {
                 if matches!(msg, RanSubMsg::Collect { .. }) {
                     self.adopt_child(from);
                 }
-                if self.config.recovery.is_some()
+                if self.config.recovery
                     && Some(from) == self.parent
                     && matches!(msg, RanSubMsg::Distribute { .. })
                     && !self.is_quarantined(from, ctx.now())
@@ -1444,9 +1433,11 @@ impl Agent for BulletNode {
                     receiver.active_this_window = true;
                 }
             }
-            BulletMsg::ReceiverReport { total_bytes_window } => {
+            BulletMsg::ReceiverReport {
+                cumulative_raw_bytes,
+            } => {
                 if let Some(receiver) = self.peers.receiver_mut(from) {
-                    receiver.reported_total_bytes = total_bytes_window;
+                    receiver.reported_raw_bytes = cumulative_raw_bytes;
                     receiver.active_this_window = true;
                 }
             }
@@ -1532,10 +1523,7 @@ impl Agent for BulletNode {
             }
             timer::PEER_SERVICE => {
                 self.serve_receivers(ctx);
-                ctx.set_timer(
-                    self.config.peer_service_interval,
-                    self.tag(timer::PEER_SERVICE),
-                );
+                ctx.set_timer(PEER_SERVICE_INTERVAL, self.tag(timer::PEER_SERVICE));
             }
             timer::FILTER_REFRESH => {
                 self.rebuild_ticket();
@@ -2482,7 +2470,7 @@ mod tests {
         let mut sim = build_sim(4, 2_000_000.0, quick_config().integrity(), 45);
         sim.run_until(SimTime::from_secs(1));
         sim.invoke_agent(1, |agent, ctx| agent.penalize(ctx, 3, 2.0));
-        let backoff = IntegrityConfig::default().quarantine_backoff;
+        let backoff = crate::config::QUARANTINE_BACKOFF;
         let t_active = SimTime::from_secs(1) + backoff.mul_f64(0.5);
         let t_expired = SimTime::from_secs(1) + backoff.mul_f64(1.5);
         let agent = sim.agent(1);

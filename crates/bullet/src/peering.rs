@@ -11,6 +11,8 @@
 use bullet_content::{OfferIndex, ReconcileRequest, SummaryTicket, WorkingSet};
 use bullet_netsim::{OverlayId, SimRng};
 use bullet_ransub::Member;
+
+use crate::config::DUPLICATE_DROP_THRESHOLD;
 use std::collections::HashSet;
 
 /// State kept about one sending peer (a peer this node receives data from).
@@ -79,9 +81,10 @@ pub struct ReceiverPeer {
     pub(crate) shadow_sent: HashSet<u64>,
     /// Data bytes sent to this receiver in the current evaluation window.
     pub bytes_sent_window: u64,
-    /// The receiver's total received bandwidth over its last reported window
-    /// (from `ReceiverReport`), in bytes.
-    pub reported_total_bytes: u64,
+    /// The receiver's *cumulative* received bytes as of its last
+    /// `ReceiverReport` (its `raw_bytes` since start-up, duplicates
+    /// included), not a per-window figure.
+    pub reported_raw_bytes: u64,
     /// Whether any control activity (filter refresh, report, re-request)
     /// arrived from this receiver in the current evaluation window; fed to
     /// the liveness eviction of the recovery subsystem.
@@ -104,7 +107,7 @@ impl ReceiverPeer {
             #[cfg(test)]
             shadow_sent: HashSet::new(),
             bytes_sent_window: 0,
-            reported_total_bytes: 0,
+            reported_raw_bytes: 0,
             active_this_window: true,
             idle_windows: 0,
             lag_windows: 0,
@@ -133,15 +136,18 @@ impl ReceiverPeer {
             .get_or_insert_with(|| OfferIndex::build(have, &self.request))
     }
 
-    /// The fraction of the receiver's total bandwidth that came from this
-    /// node; the receiver with the smallest benefit is evicted first.
+    /// What this node sent the receiver this window, over everything the
+    /// receiver has received since it started; the receiver with the
+    /// smallest benefit is evicted first. The two sides are on different
+    /// scales (one window against a lifetime), so a long-lived receiver
+    /// reads as benefiting less than a late joiner fed the same.
     pub fn benefit(&self) -> f64 {
-        if self.reported_total_bytes == 0 {
+        if self.reported_raw_bytes == 0 {
             // No report yet: treat as fully dependent so fresh receivers are
             // not evicted before they had a chance to report.
             1.0
         } else {
-            self.bytes_sent_window as f64 / self.reported_total_bytes as f64
+            self.bytes_sent_window as f64 / self.reported_raw_bytes as f64
         }
     }
 }
@@ -165,7 +171,6 @@ pub struct PeerManager {
     /// Require at least this many packets in the window before judging a
     /// sender, so newly added peers are not evicted prematurely.
     min_packets_to_judge: u64,
-    duplicate_drop_threshold: f64,
     resemblance_peering: bool,
     senders: Vec<SenderPeer>,
     receivers: Vec<ReceiverPeer>,
@@ -175,17 +180,11 @@ pub struct PeerManager {
 
 impl PeerManager {
     /// Creates a manager with the given list bounds.
-    pub fn new(
-        max_senders: usize,
-        max_receivers: usize,
-        duplicate_drop_threshold: f64,
-        resemblance_peering: bool,
-    ) -> Self {
+    pub fn new(max_senders: usize, max_receivers: usize, resemblance_peering: bool) -> Self {
         PeerManager {
             max_senders,
             max_receivers,
             min_packets_to_judge: 20,
-            duplicate_drop_threshold,
             resemblance_peering,
             senders: Vec::new(),
             receivers: Vec::new(),
@@ -374,17 +373,19 @@ impl PeerManager {
         }
     }
 
-    /// Receivers whose reported intake has lagged below `fraction` of the
-    /// mean reported intake for `windows` consecutive evaluation windows
-    /// (overload layer: slow receivers are demoted from serving slots
-    /// before any healthy peer is touched). Non-reporting receivers are
+    /// Receivers whose reported cumulative intake has lagged below `fraction`
+    /// of the mean across reporting receivers for `windows` consecutive
+    /// evaluation windows (overload layer: slow receivers are demoted from
+    /// serving slots before any healthy peer is touched). The reports are
+    /// lifetime totals, not window rates, so a late joiner reads as slow
+    /// beside receivers that started earlier. Non-reporting receivers are
     /// sheltered — the liveness check owns silence. Demoted receivers are
     /// removed and returned; lag streaks update for everyone else.
     pub fn evaluate_slow_receivers(&mut self, fraction: f64, windows: u32) -> Vec<OverlayId> {
         let reported: Vec<u64> = self
             .receivers
             .iter()
-            .map(|r| r.reported_total_bytes)
+            .map(|r| r.reported_raw_bytes)
             .filter(|&b| b > 0)
             .collect();
         if reported.len() < 2 {
@@ -395,10 +396,10 @@ impl PeerManager {
         let threshold = mean * fraction;
         let mut drop = Vec::new();
         for receiver in &mut self.receivers {
-            if receiver.reported_total_bytes == 0 {
+            if receiver.reported_raw_bytes == 0 {
                 continue;
             }
-            if (receiver.reported_total_bytes as f64) < threshold {
+            if (receiver.reported_raw_bytes as f64) < threshold {
                 receiver.lag_windows += 1;
                 if receiver.lag_windows >= windows {
                     drop.push(receiver.node);
@@ -426,17 +427,14 @@ impl PeerManager {
     /// so a slow first reconciliation round is not mistaken for a corpse
     /// (the same sheltering `min_packets_to_judge` gives the other rules).
     /// `None` preserves the paper's static-network behaviour.
-    pub fn evaluate_senders(&mut self, idle_limit: Option<u32>) -> SenderEvaluation {
-        self.evaluate_senders_protected(idle_limit, None)
-    }
-
-    /// [`PeerManager::evaluate_senders`] with a liveness shield: `protected`
-    /// is never dropped, whatever the rules say. The overlay passes the
-    /// sender that is a node's *last live path* toward the source (sole
-    /// sender while the tree parent is dead or mid-re-attach), so overload
-    /// shedding and eviction can never fully detach a node. Window
-    /// counters still reset for everyone, the shielded sender included.
-    pub fn evaluate_senders_protected(
+    ///
+    /// `protected` is a liveness shield: it is never dropped, whatever the
+    /// rules say. The overlay passes the sender that is a node's *last live
+    /// path* toward the source (sole sender while the tree parent is dead or
+    /// mid-re-attach), so overload shedding and eviction can never fully
+    /// detach a node. Window counters still reset for everyone, the shielded
+    /// sender included.
+    pub fn evaluate_senders(
         &mut self,
         idle_limit: Option<u32>,
         protected: Option<OverlayId>,
@@ -465,7 +463,7 @@ impl PeerManager {
         // Duplicate-heavy senders are dropped regardless of list occupancy.
         for sender in &self.senders {
             if sender.total_packets_window >= self.min_packets_to_judge
-                && sender.duplicate_fraction() > self.duplicate_drop_threshold
+                && sender.duplicate_fraction() > DUPLICATE_DROP_THRESHOLD
             {
                 evaluation.drop.push(sender.node);
             }
@@ -571,7 +569,7 @@ mod tests {
     }
 
     fn manager() -> PeerManager {
-        PeerManager::new(3, 3, 0.5, true)
+        PeerManager::new(3, 3, true)
     }
 
     #[test]
@@ -691,7 +689,7 @@ mod tests {
             s.duplicate_packets_window = 80;
             s.useful_bytes_window = 10_000;
         }
-        let eval = pm.evaluate_senders(None);
+        let eval = pm.evaluate_senders(None, None);
         assert_eq!(eval.drop, vec![7]);
         assert!(pm.senders().is_empty());
     }
@@ -707,7 +705,7 @@ mod tests {
             s.useful_bytes_window = node as u64 * 1_000;
         }
         // Not full (2 of 3): nobody is dropped.
-        assert!(pm.evaluate_senders(None).drop.is_empty());
+        assert!(pm.evaluate_senders(None, None).drop.is_empty());
         pm.pending.insert(3);
         pm.on_peering_accept(3);
         for node in [1, 2, 3] {
@@ -716,7 +714,7 @@ mod tests {
             s.useful_bytes_window = node as u64 * 1_000;
         }
         // Full: the least useful sender (node 1) is dropped.
-        assert_eq!(pm.evaluate_senders(None).drop, vec![1]);
+        assert_eq!(pm.evaluate_senders(None, None).drop, vec![1]);
     }
 
     #[test]
@@ -732,16 +730,16 @@ mod tests {
         pm.sender_mut(1).unwrap().total_packets_window = 100;
         // Without a limit: the idle sender survives arbitrarily many windows.
         for _ in 0..5 {
-            assert!(pm.evaluate_senders(None).drop.is_empty());
+            assert!(pm.evaluate_senders(None, None).drop.is_empty());
         }
         // Mark sender 2 as once-alive (it delivered, then its node crashed).
         pm.sender_mut(2).unwrap().total_packets_window = 5;
-        assert!(pm.evaluate_senders(Some(2)).drop.is_empty());
+        assert!(pm.evaluate_senders(Some(2), None).drop.is_empty());
         // With a limit of 2: first idle window counts, second drops.
         pm.sender_mut(1).unwrap().total_packets_window = 100;
-        assert!(pm.evaluate_senders(Some(2)).drop.is_empty());
+        assert!(pm.evaluate_senders(Some(2), None).drop.is_empty());
         pm.sender_mut(1).unwrap().total_packets_window = 100;
-        assert_eq!(pm.evaluate_senders(Some(2)).drop, vec![2]);
+        assert_eq!(pm.evaluate_senders(Some(2), None).drop, vec![2]);
         assert!(pm.is_sender(1), "active sender untouched");
         assert!(!pm.is_sender(2));
     }
@@ -767,14 +765,11 @@ mod tests {
             s.total_packets_window = 100;
             s.useful_bytes_window = 50_000;
         }
-        assert!(pm
-            .evaluate_senders_protected(Some(1), Some(2))
-            .drop
-            .is_empty());
+        assert!(pm.evaluate_senders(Some(1), Some(2)).drop.is_empty());
         assert!(pm.is_sender(2), "shielded sender evicted");
         // Idle rule: node 2 delivered once, then goes silent past the limit.
         for _ in 0..4 {
-            let eval = pm.evaluate_senders_protected(Some(1), Some(2));
+            let eval = pm.evaluate_senders(Some(1), Some(2));
             assert!(
                 !eval.drop.contains(&2),
                 "shielded sender evicted while idle"
@@ -795,7 +790,7 @@ mod tests {
             pm.sender_mut(node).unwrap().total_packets_window = 100;
         }
         pm.sender_mut(1).unwrap().duplicate_packets_window = 90;
-        let eval = pm.evaluate_senders(Some(1));
+        let eval = pm.evaluate_senders(Some(1), None);
         assert_eq!(eval.drop, vec![1]);
         assert!(
             eval.silent.is_empty(),
@@ -803,7 +798,7 @@ mod tests {
         );
         // Window 2: nodes 2 and 3 both go quiet past the limit. Node 3 is
         // shielded, so it is on neither list; node 2 is on both.
-        let eval = pm.evaluate_senders_protected(Some(1), Some(3));
+        let eval = pm.evaluate_senders(Some(1), Some(3));
         assert_eq!(eval.drop, vec![2]);
         assert_eq!(eval.silent, vec![2], "an idle drop is silent");
         assert!(pm.is_sender(3));
@@ -818,9 +813,9 @@ mod tests {
         pm.pending.insert(4);
         pm.on_peering_accept(4);
         for _ in 0..3 {
-            assert!(pm.evaluate_senders(Some(2)).drop.is_empty());
+            assert!(pm.evaluate_senders(Some(2), None).drop.is_empty());
         }
-        assert_eq!(pm.evaluate_senders(Some(2)).drop, vec![4]);
+        assert_eq!(pm.evaluate_senders(Some(2), None).drop, vec![4]);
     }
 
     #[test]
@@ -828,13 +823,13 @@ mod tests {
         let mut pm = manager();
         pm.pending.insert(7);
         pm.on_peering_accept(7);
-        assert!(pm.evaluate_senders(Some(2)).drop.is_empty());
+        assert!(pm.evaluate_senders(Some(2), None).drop.is_empty());
         // One packet arrives: the idle streak restarts.
         pm.sender_mut(7).unwrap().total_packets_window = 1;
-        assert!(pm.evaluate_senders(Some(2)).drop.is_empty());
+        assert!(pm.evaluate_senders(Some(2), None).drop.is_empty());
         assert_eq!(pm.senders()[0].idle_windows, 0);
-        assert!(pm.evaluate_senders(Some(2)).drop.is_empty());
-        assert_eq!(pm.evaluate_senders(Some(2)).drop, vec![7]);
+        assert!(pm.evaluate_senders(Some(2), None).drop.is_empty());
+        assert_eq!(pm.evaluate_senders(Some(2), None).drop, vec![7]);
     }
 
     #[test]
@@ -845,7 +840,7 @@ mod tests {
             pm.on_peering_accept(node);
         }
         // No traffic yet: even though the list is full, nothing is dropped.
-        assert!(pm.evaluate_senders(None).drop.is_empty());
+        assert!(pm.evaluate_senders(None, None).drop.is_empty());
     }
 
     #[test]
@@ -861,7 +856,7 @@ mod tests {
         ] {
             let r = pm.receiver_mut(node as usize).unwrap();
             r.bytes_sent_window = sent;
-            r.reported_total_bytes = total;
+            r.reported_raw_bytes = total;
         }
         assert_eq!(pm.evaluate_receivers(), Some(2));
         assert_eq!(pm.receivers().len(), 2);
@@ -887,7 +882,7 @@ mod tests {
 
     #[test]
     fn random_peering_mode_still_respects_exclusions() {
-        let mut pm = PeerManager::new(3, 3, 0.5, false);
+        let mut pm = PeerManager::new(3, 3, false);
         let mut rng = SimRng::new(3);
         let own = ticket(0..10);
         let candidates = vec![
@@ -909,7 +904,7 @@ mod tests {
 
     #[test]
     fn stalled_senders_are_the_once_productive_now_silent_ones() {
-        let mut pm = PeerManager::new(5, 3, 0.5, true);
+        let mut pm = PeerManager::new(5, 3, true);
         for node in [1, 2, 3] {
             pm.pending.insert(node);
             pm.on_peering_accept(node);
@@ -920,7 +915,7 @@ mod tests {
             pm.sender_mut(node).unwrap().total_packets_window = 10;
         }
         assert!(pm.stalled_senders().is_empty(), "all productive");
-        pm.evaluate_senders(Some(4));
+        pm.evaluate_senders(Some(4), None);
         // Window 2: only node 2 delivers. Nodes 1 and 3 are stalls; a
         // brand-new trial peer (never delivered, no prior window) is
         // sheltered for its first window only.
@@ -929,7 +924,7 @@ mod tests {
         pm.set_sender_owed(4, true);
         pm.sender_mut(2).unwrap().total_packets_window = 10;
         assert_eq!(pm.stalled_senders(), vec![1, 3]);
-        pm.evaluate_senders(Some(8));
+        pm.evaluate_senders(Some(8), None);
         // Window 3: node 4 has now sat through a full silent window; a
         // never-delivering false advertiser stops being sheltered.
         pm.sender_mut(2).unwrap().total_packets_window = 10;
@@ -942,13 +937,13 @@ mod tests {
         // nothing outstanding went silent and was penalized anyway. Owed
         // tracking shelters it — only a sender sitting on an advertised-
         // but-unserved block can stall.
-        let mut pm = PeerManager::new(5, 3, 0.5, true);
+        let mut pm = PeerManager::new(5, 3, true);
         for node in [1, 2] {
             pm.pending.insert(node);
             pm.on_peering_accept(node);
             pm.sender_mut(node).unwrap().total_packets_window = 10;
         }
-        pm.evaluate_senders(Some(4));
+        pm.evaluate_senders(Some(4), None);
         // Both are silent this window, but only node 2 owes us data.
         pm.set_sender_owed(1, false);
         pm.set_sender_owed(2, true);
@@ -968,7 +963,7 @@ mod tests {
         let feed = |pm: &mut PeerManager| {
             for (node, total) in [(1u64, 100_000u64), (2, 120_000), (3, 1_000)] {
                 if let Some(r) = pm.receiver_mut(node as usize) {
-                    r.reported_total_bytes = total;
+                    r.reported_raw_bytes = total;
                 }
             }
         };
@@ -989,19 +984,19 @@ mod tests {
             pm.on_peering_request(node, request());
         }
         // Node 3 never reported: the liveness check owns silence.
-        pm.receiver_mut(1).unwrap().reported_total_bytes = 100_000;
-        pm.receiver_mut(2).unwrap().reported_total_bytes = 100;
+        pm.receiver_mut(1).unwrap().reported_raw_bytes = 100_000;
+        pm.receiver_mut(2).unwrap().reported_raw_bytes = 100;
         assert!(pm.evaluate_slow_receivers(0.25, 2).is_empty());
         // Node 2 recovers before its streak completes: streak resets.
-        pm.receiver_mut(2).unwrap().reported_total_bytes = 90_000;
+        pm.receiver_mut(2).unwrap().reported_raw_bytes = 90_000;
         assert!(pm.evaluate_slow_receivers(0.25, 2).is_empty());
-        pm.receiver_mut(2).unwrap().reported_total_bytes = 100;
+        pm.receiver_mut(2).unwrap().reported_raw_bytes = 100;
         assert!(pm.evaluate_slow_receivers(0.25, 2).is_empty());
         assert_eq!(pm.receivers().len(), 3, "nobody demoted");
         // A lone reporter has no cohort: never demoted.
         let mut lone = manager();
         lone.on_peering_request(9, request());
-        lone.receiver_mut(9).unwrap().reported_total_bytes = 1;
+        lone.receiver_mut(9).unwrap().reported_raw_bytes = 1;
         for _ in 0..5 {
             assert!(lone.evaluate_slow_receivers(0.9, 1).is_empty());
         }

@@ -10,12 +10,13 @@
 //! filled), so the digest is a keyed hash of the block's *identity* (its
 //! sequence number) standing in for a content hash: a node that holds
 //! the genuine block knows the sealed digest, a node relaying tampered
-//! data carries a digest that fails [`BlockMeta::verify`]. The mix is an
+//! data carries a digest that differs from it. The mix is an
 //! FxHash-style multiply-xor, seeded so a digest is never equal to its
 //! own sequence number and cannot be forged by accident.
 
 /// Computes the sealed digest of block `seq` — the value the source
-/// stamps into the block's [`BlockMeta`] and every verifier recomputes.
+/// stamps into every data packet carrying the block and every verifier
+/// recomputes.
 ///
 /// Deterministic, RNG-free and cheap (two rounds of an FxHash-style
 /// rotate-xor-multiply), so verification can run on every received
@@ -28,64 +29,31 @@ pub fn block_digest(seq: u64) -> u64 {
     h
 }
 
-/// A block's identity plus the digest it is travelling with.
-///
-/// Carried (conceptually) in every data packet and stored alongside the
-/// working set: [`BlockMeta::verify`] tells a receiver whether the bytes
-/// it was handed are the source's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockMeta {
-    /// The block's stream sequence number.
-    pub seq: u64,
-    /// The digest the block is travelling with. Equal to
-    /// [`block_digest`]`(seq)` for genuine data; anything else marks the
-    /// block as tampered.
-    pub digest: u64,
-}
-
-impl BlockMeta {
-    /// The genuine metadata of block `seq`, as sealed by the source.
-    pub fn sealed(seq: u64) -> Self {
-        BlockMeta {
-            seq,
-            digest: block_digest(seq),
-        }
-    }
-
-    /// Whether the carried digest matches the sealed digest of `seq`.
-    pub fn verify(&self) -> bool {
-        self.digest == block_digest(self.seq)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The source and every verifier compute the same sealed digest, on
+    /// any host: the values are pinned.
     #[test]
     fn sealed_meta_verifies() {
-        for seq in [0, 1, 2, 63, 1_000_000, u64::MAX] {
-            assert!(BlockMeta::sealed(seq).verify(), "seq {seq}");
+        for (seq, digest) in [
+            (0, 0xf123_837e_42e2_b4f1),
+            (1, 0x45d1_8e05_f373_b279),
+            (7, 0x7a07_7467_d284_16a6),
+            (1_000_000, 0xa950_6eeb_9112_e641),
+            (u64::MAX, 0xbd5f_baca_95fb_407a),
+        ] {
+            assert_eq!(block_digest(seq), digest, "seq {seq}");
         }
     }
 
+    /// A digest copied from a *different* block never verifies: no two
+    /// blocks of a long stream share one, so there is no cross-block replay.
     #[test]
     fn tampered_digests_fail_verification() {
-        for seq in 0..1_000u64 {
-            let meta = BlockMeta::sealed(seq);
-            let tampered = BlockMeta {
-                digest: meta.digest ^ 1,
-                ..meta
-            };
-            assert!(!tampered.verify(), "seq {seq}");
-            // A digest copied from a *different* block must not verify
-            // either (no cross-block replay).
-            let replayed = BlockMeta {
-                seq,
-                digest: block_digest(seq + 1),
-            };
-            assert!(!replayed.verify(), "seq {seq}");
-        }
+        let digests: std::collections::HashSet<u64> = (0..100_000u64).map(block_digest).collect();
+        assert_eq!(digests.len(), 100_000);
     }
 
     #[test]

@@ -29,24 +29,9 @@ impl BloomFilter {
         }
     }
 
-    /// Creates a filter sized for `expected_items` at the given target false
-    /// positive rate, using the standard optimal sizing formulas.
-    pub fn for_capacity(expected_items: usize, target_fp: f64) -> Self {
-        let n = expected_items.max(1) as f64;
-        let p = target_fp.clamp(1e-9, 0.5);
-        let m = (-(n * p.ln()) / (2f64.ln().powi(2))).ceil().max(64.0) as usize;
-        let k = ((m as f64 / n) * 2f64.ln()).round().clamp(1.0, 16.0) as u32;
-        BloomFilter::new(m, k)
-    }
-
     /// Number of bits in the filter.
     pub fn bits(&self) -> usize {
         self.m
-    }
-
-    /// Number of hash functions.
-    pub fn hashes(&self) -> u32 {
-        self.k
     }
 
     /// Number of elements inserted so far.
@@ -93,14 +78,6 @@ impl BloomFilter {
         self.bits.iter_mut().for_each(|w| *w = 0);
         self.inserted = 0;
     }
-
-    /// The expected false-positive probability for the current population,
-    /// `(1 - e^{-kn/m})^k`.
-    pub fn expected_fp_rate(&self) -> f64 {
-        let kn = self.k as f64 * self.inserted as f64;
-        let exponent = -kn / self.m as f64;
-        (1.0 - exponent.exp()).powi(self.k as i32)
-    }
 }
 
 /// Reduces a probe hash to a bit position, `h % m`. A power-of-two `m` (the
@@ -134,6 +111,23 @@ fn splitmix(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A filter sized for `expected_items` at the given target false
+    /// positive rate, by the standard optimal sizing formulas.
+    fn for_capacity(expected_items: usize, target_fp: f64) -> BloomFilter {
+        let n = expected_items.max(1) as f64;
+        let p = target_fp.clamp(1e-9, 0.5);
+        let m = (-(n * p.ln()) / (2f64.ln().powi(2))).ceil().max(64.0) as usize;
+        let k = ((m as f64 / n) * 2f64.ln()).round().clamp(1.0, 16.0) as u32;
+        BloomFilter::new(m, k)
+    }
+
+    /// The false-positive probability theory predicts for the filter's
+    /// current population, `(1 - e^{-kn/m})^k`.
+    fn expected_fp_rate(bf: &BloomFilter) -> f64 {
+        let kn = bf.k as f64 * bf.inserted as f64;
+        (1.0 - (-kn / bf.m as f64).exp()).powi(bf.k as i32)
+    }
 
     /// The probe positions of the historical formula, `(h1 + i*h2) % m`.
     fn modulo_positions(m: usize, k: u32, key: u64) -> Vec<usize> {
@@ -182,12 +176,12 @@ mod tests {
 
     #[test]
     fn false_positive_rate_is_near_prediction() {
-        let mut bf = BloomFilter::for_capacity(1_000, 0.01);
+        let mut bf = for_capacity(1_000, 0.01);
         for key in 0..1_000u64 {
             bf.insert(key);
         }
         let fp = (1_000u64..101_000).filter(|&k| bf.contains(k)).count() as f64 / 100_000.0;
-        let predicted = bf.expected_fp_rate();
+        let predicted = expected_fp_rate(&bf);
         assert!(fp < 0.05, "false positive rate {fp} too high");
         assert!(
             (fp - predicted).abs() < 0.02,
@@ -197,10 +191,10 @@ mod tests {
 
     #[test]
     fn sizing_formula_produces_reasonable_parameters() {
-        let bf = BloomFilter::for_capacity(1_000, 0.01);
+        let bf = for_capacity(1_000, 0.01);
         // Optimal: m ≈ 9.6 n, k ≈ 7.
         assert!((8_000..12_000).contains(&bf.bits()), "m={}", bf.bits());
-        assert!((5..=9).contains(&bf.hashes()), "k={}", bf.hashes());
+        assert!((5..=9).contains(&bf.k), "k={}", bf.k);
     }
 
     #[test]
@@ -231,7 +225,7 @@ mod tests {
             for key in batch * 200..(batch + 1) * 200 {
                 bf.insert(key);
             }
-            let fp = bf.expected_fp_rate();
+            let fp = expected_fp_rate(&bf);
             assert!(fp >= last);
             last = fp;
         }

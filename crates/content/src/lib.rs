@@ -13,8 +13,8 @@
 //! * [`reconcile`] — the sender-side logic that turns a receiver's filter,
 //!   range, and `(row, stripe)` assignment into the list of keys to forward,
 //!   and [`OfferIndex`], the same list maintained between filter refreshes.
-//! * [`block`] — per-block integrity digests ([`BlockMeta`]) for verifying
-//!   that forwarded data carries the source's bytes.
+//! * [`block`] — per-block integrity digests ([`block_digest`]) for
+//!   verifying that forwarded data carries the source's bytes.
 
 #![warn(missing_docs)]
 
@@ -24,7 +24,7 @@ pub mod reconcile;
 pub mod summary;
 pub mod working_set;
 
-pub use block::{block_digest, BlockMeta};
+pub use block::block_digest;
 pub use bloom::BloomFilter;
 pub use reconcile::{missing_keys, missing_keys_iter, OfferIndex, ReconcileRequest};
 pub use summary::{LiveTicket, PermutationFamily, SummaryTicket, DEFAULT_ENTRIES};

@@ -218,7 +218,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn filter_of(keys: &[u64]) -> BloomFilter {
-        let mut bf = BloomFilter::for_capacity(keys.len().max(16), 0.01);
+        let mut bf = BloomFilter::new(16_384, 6);
         for &k in keys {
             bf.insert(k);
         }

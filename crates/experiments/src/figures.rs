@@ -36,7 +36,7 @@ use std::sync::Arc;
 use bullet_baselines::{AntiEntropyConfig, GossipConfig, StreamConfig, StreamTransport};
 use bullet_core::BulletConfig;
 use bullet_dynamics::ScenarioScript;
-use bullet_netsim::{Network, SimDuration, SimTime};
+use bullet_netsim::{SimDuration, SimTime};
 use bullet_overlay::{good_tree, worst_tree};
 use bullet_topology::{BandwidthProfile, LossProfile};
 
@@ -735,38 +735,38 @@ pub(crate) fn ablations_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     })
 }
 
-/// Convenience used by tests and the quickstart example: a single small
-/// Bullet run over a generated topology.
-pub fn quick_bullet_demo(participants: usize, seconds: u64, seed: u64) -> RunResult {
-    let topo = crate::env::build_topology(
-        Scale::Small,
-        participants,
-        BandwidthProfile::Medium,
-        LossProfile::None,
-        seed,
-    );
-    let tree = crate::env::build_tree(&topo, TreeKind::Random { max_children: 6 }, 0, seed);
-    let config = BulletConfig {
-        stream_start: SimTime::from_secs(5),
-        ..BulletConfig::default()
-    };
-    bullet_run_on(
-        Network::new(&topo.spec),
-        &tree,
-        &config,
-        &RunSpec::new(
-            "Bullet demo",
-            SimDuration::from_secs(seconds),
-            SimDuration::from_secs(2),
-        ),
-        &NO_SCRIPT,
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bullet_netsim::Network;
+
+    /// A single small Bullet run over a generated topology.
+    fn quick_bullet_demo(participants: usize, seconds: u64, seed: u64) -> RunResult {
+        let topo = crate::env::build_topology(
+            Scale::Small,
+            participants,
+            BandwidthProfile::Medium,
+            LossProfile::None,
+            seed,
+        );
+        let tree = crate::env::build_tree(&topo, TreeKind::Random { max_children: 6 }, 0, seed);
+        let config = BulletConfig {
+            stream_start: SimTime::from_secs(5),
+            ..BulletConfig::default()
+        };
+        bullet_run_on(
+            Network::new(&topo.spec),
+            &tree,
+            &config,
+            &RunSpec::new(
+                "Bullet demo",
+                SimDuration::from_secs(seconds),
+                SimDuration::from_secs(2),
+            ),
+            &NO_SCRIPT,
+            seed,
+        )
+    }
 
     #[test]
     fn table1_has_twelve_rows_matching_the_paper() {

@@ -27,7 +27,7 @@ pub use env::{
     build_topology, build_tree, constrained_source_topology, prepare_topology, PreparedTopology,
     TreeKind,
 };
-pub use figures::{quick_bullet_demo, FigureResult};
+pub use figures::FigureResult;
 pub use metrics::{BandwidthSeries, Cdf, RunSummary};
 pub use pool::{RunPool, Sweep};
 pub use protocols::{

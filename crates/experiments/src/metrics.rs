@@ -70,11 +70,6 @@ impl BandwidthSeries {
         let tail = &self.kbps[start.min(self.kbps.len() - 1)..];
         tail.iter().sum::<f64>() / tail.len() as f64
     }
-
-    /// Peak sample value.
-    pub fn peak_kbps(&self) -> f64 {
-        self.kbps.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// An empirical CDF over per-node values (Fig. 8).
@@ -89,15 +84,6 @@ impl Cdf {
     pub fn from_samples(mut samples: Vec<f64>) -> Self {
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         Cdf { values: samples }
-    }
-
-    /// The fraction of samples at or below `x`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let count = self.values.iter().filter(|&&v| v <= x).count();
-        count as f64 / self.values.len() as f64
     }
 
     /// The `q`-quantile (q in [0, 1]).
@@ -204,7 +190,6 @@ mod tests {
         }
         let tail = s.steady_state_kbps(0.1);
         assert!(tail > 900.0, "tail mean {tail}");
-        assert_eq!(s.peak_kbps(), 990.0);
     }
 
     #[test]
@@ -215,9 +200,6 @@ mod tests {
     #[test]
     fn cdf_fractions_and_quantiles() {
         let cdf = Cdf::from_samples(vec![500.0, 100.0, 300.0, 400.0, 200.0]);
-        assert_eq!(cdf.fraction_at_or_below(250.0), 0.4);
-        assert_eq!(cdf.fraction_at_or_below(500.0), 1.0);
-        assert_eq!(cdf.fraction_at_or_below(50.0), 0.0);
         assert_eq!(cdf.quantile(0.0), 100.0);
         assert_eq!(cdf.quantile(1.0), 500.0);
         assert_eq!(cdf.quantile(0.5), 300.0);
@@ -229,7 +211,7 @@ mod tests {
     #[test]
     fn cdf_of_nothing_is_degenerate() {
         let cdf = Cdf::from_samples(Vec::new());
-        assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
+        assert_eq!(cdf.points().count(), 0);
         assert_eq!(cdf.quantile(0.5), 0.0);
     }
 

@@ -237,7 +237,7 @@ struct Meter {
 
 impl Meter {
     fn new(n: usize, spec: &RunSpec) -> Self {
-        let mut hub = MetricsHub::new(n, Some(spec.source));
+        let mut hub = MetricsHub::new(n, spec.source);
         let ch_useful = hub.counter_rate("useful_kbps");
         let ch_raw = hub.counter_rate("raw_kbps");
         let ch_parent = hub.counter_rate("from_parent_kbps");

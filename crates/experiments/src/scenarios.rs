@@ -571,7 +571,6 @@ pub fn overload_figure_knobs() -> OverloadConfig {
         inbox_budget: 10,
         working_set_budget: 450,
         defer_max_exponent: 6,
-        ..OverloadConfig::default()
     }
 }
 

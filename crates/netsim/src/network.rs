@@ -668,11 +668,6 @@ impl Network {
         self.adjacency.len()
     }
 
-    /// Router an overlay participant is attached to.
-    pub fn attachment(&self, node: OverlayId) -> RouterId {
-        self.attachments[node]
-    }
-
     /// Read-only view of a directed link.
     pub fn link(&self, id: DirectedLinkId) -> &DirectedLink {
         &self.links[id]

@@ -35,15 +35,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derives an independent child generator, e.g. one per overlay node.
-    ///
-    /// The child stream is decorrelated from the parent by mixing the salt
-    /// through an extra splitmix64 step.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let base = self.next_u64() ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
-        SimRng::new(base)
-    }
-
     /// Returns the next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -85,12 +76,6 @@ impl SimRng {
     pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         lo + self.next_below((hi - lo) as u64) as usize
-    }
-
-    /// Returns a uniform `u64` in `[lo, hi)`. Panics if the range is empty.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.next_below(hi - lo)
     }
 
     /// Returns a uniform `f64` in `[lo, hi)`.
@@ -229,14 +214,5 @@ mod tests {
         let pool: Vec<u32> = (0..5).collect();
         let s = rng.sample(&pool, 10);
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn forked_streams_are_decorrelated() {
-        let mut root = SimRng::new(99);
-        let mut a = root.fork(0);
-        let mut b = root.fork(1);
-        let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 5);
     }
 }

@@ -120,9 +120,6 @@ pub enum QueueDiscipline {
 #[derive(Clone, Copy, Debug)]
 struct ResourceState {
     model: NodeResources,
-    /// `false` after [`Sim::clear_node_resources`]: the stats stay
-    /// readable but the queue stops constraining (or delaying) anything.
-    active: bool,
     /// The node is busy retiring already-admitted work until this instant
     /// (in integer microseconds, so the depth arithmetic is exact).
     busy_until_us: u64,
@@ -337,7 +334,6 @@ enum EventKind {
     /// generation means the timer was cancelled in the meantime).
     Timer(TimerId),
     Fail(OverlayId),
-    Recover(OverlayId),
 }
 
 /// The discrete-event simulator.
@@ -416,18 +412,6 @@ impl<A: Agent> Sim<A> {
     /// declared in the spec.
     pub fn new(spec: &NetworkSpec, agents: Vec<A>, seed: u64) -> Self {
         Self::with_network(Network::new(spec), agents, seed)
-    }
-
-    /// Builds a simulator with an explicit routing mode (see
-    /// [`crate::routing::RoutingMode`]). Routes are identical across modes;
-    /// only the computation strategy differs.
-    pub fn with_routing(
-        spec: &NetworkSpec,
-        agents: Vec<A>,
-        seed: u64,
-        mode: crate::routing::RoutingMode,
-    ) -> Self {
-        Self::with_network(Network::with_routing(spec, mode), agents, seed)
     }
 
     /// Builds a simulator over an already-constructed [`Network`].
@@ -622,25 +606,14 @@ impl<A: Agent> Sim<A> {
         self.push(at, EventKind::Fail(node));
     }
 
-    /// Schedules a recovery of a previously failed node.
-    pub fn schedule_recovery(&mut self, at: SimTime, node: OverlayId) {
-        self.push(at, EventKind::Recover(node));
-    }
-
     /// Installs (or replaces) `node`'s control-plane [`FaultPlan`].
     ///
     /// Scenario drivers call this between event-loop steps; the plan takes
-    /// effect for every control message the node sends from now on.
+    /// effect for every control message the node sends from now on. An
+    /// all-zero plan (`FaultPlan::default()`) is how a plan is lifted.
     pub fn set_fault_plan(&mut self, node: OverlayId, plan: FaultPlan) {
         let n = self.agents.len();
         self.faults.get_or_insert_with(|| vec![None; n])[node] = Some(plan);
-    }
-
-    /// Removes `node`'s fault plan (its control traffic flows clean again).
-    pub fn clear_fault_plan(&mut self, node: OverlayId) {
-        if let Some(plans) = &mut self.faults {
-            plans[node] = None;
-        }
     }
 
     /// The fault plan currently installed for `node`, if any.
@@ -666,14 +639,10 @@ impl<A: Agent> Sim<A> {
         let n = self.agents.len();
         let slot = &mut self.resources.get_or_insert_with(|| vec![None; n])[node];
         match slot {
-            Some(state) => {
-                state.model = model;
-                state.active = true;
-            }
+            Some(state) => state.model = model,
             None => {
                 *slot = Some(ResourceState {
                     model,
-                    active: true,
                     busy_until_us: 0,
                     peak_depth: 0,
                     dropped: 0,
@@ -682,23 +651,11 @@ impl<A: Agent> Sim<A> {
         }
     }
 
-    /// Removes `node`'s resource model (its ingress is uncharged again).
-    /// Accumulated [`NodeOverloadStats`] are kept for post-run inspection.
-    pub fn clear_node_resources(&mut self, node: OverlayId) {
-        if let Some(states) = &mut self.resources {
-            if let Some(state) = &mut states[node] {
-                // Keep the stats visible but stop constraining: deliveries
-                // are neither shed nor charged (nor delayed) any more.
-                state.active = false;
-            }
-        }
-    }
-
     /// The resource model currently installed for `node`, if any.
     pub fn node_resources(&self, node: OverlayId) -> Option<NodeResources> {
         self.resources
             .as_ref()
-            .and_then(|states| states[node].filter(|s| s.active).map(|s| s.model))
+            .and_then(|states| states[node].map(|s| s.model))
     }
 
     /// Overload observations for `node`: peak ingress backlog and messages
@@ -917,9 +874,6 @@ impl<A: Agent> Sim<A> {
             EventKind::Fail(node) => {
                 self.failed[node] = true;
             }
-            EventKind::Recover(node) => {
-                self.failed[node] = false;
-            }
         }
     }
 
@@ -979,7 +933,7 @@ impl<A: Agent> Sim<A> {
         // is preserved, and the model draws no RNG.
         if !flight.charged {
             if let Some(states) = &mut self.resources {
-                if let Some(state) = states[node].as_mut().filter(|s| s.active) {
+                if let Some(state) = states[node].as_mut() {
                     let now_us = self.now.as_micros();
                     let service_us = ((1e6 / state.model.drain_per_sec) as u64).max(1);
                     let backlog_us = state.busy_until_us.saturating_sub(now_us);
@@ -1386,9 +1340,15 @@ mod tests {
         sim.run_until(SimTime::from_secs(10));
         sim.schedule_failure(SimTime::from_secs(10), 1); // at == now
         sim.run_until(SimTime::from_secs(5)); // rewind; failure still queued
-        sim.schedule_recovery(SimTime::from_secs(5), 1); // earlier than queued failure
+
+        // A timer armed at the rewound instant, earlier than the failure.
+        sim.invoke_agent(1, |_, ctx| {
+            ctx.set_timer(SimDuration::ZERO, 9);
+        });
         sim.run_until(SimTime::from_secs(20));
-        // Chronological order is Recover(5) then Fail(10): node stays failed.
+        // Chronological order is the timer (5 s), then Fail(10): the timer
+        // fires while the node is still up.
+        assert_eq!(sim.agent(1).timer_tags, vec![9]);
         assert!(sim.is_failed(1));
     }
 
@@ -1660,9 +1620,10 @@ mod tests {
         assert_eq!(sim.agent(0).pongs_received.len(), 1);
         // The outbound bytes were still paid for the dropped control send.
         assert_eq!(sim.traffic(0).control_bytes_out, 100);
-        // Clearing the plan restores clean control traffic.
-        sim.clear_fault_plan(0);
-        assert_eq!(sim.fault_plan(0), None);
+        // An all-zero plan, the scenario driver's way of lifting one,
+        // restores clean control traffic.
+        sim.set_fault_plan(0, FaultPlan::default());
+        assert_eq!(sim.fault_plan(0), Some(FaultPlan::default()));
         sim.invoke_agent(0, |_, ctx| ctx.send_control(1, PingMsg::Ping(2), 100));
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.counters().dropped_faulted, 1);
@@ -1814,39 +1775,6 @@ mod tests {
         assert_eq!(sim.node_overload_stats(1).dropped, 1);
         assert_eq!(sim.node_resources(1).map(|m| m.queue_budget), Some(2));
         assert_eq!(sim.node_resources(0), None);
-    }
-
-    #[test]
-    fn clearing_a_resource_model_unbounds_ingress_but_keeps_stats() {
-        let spec = two_node_spec();
-        let agents = vec![PingAgent::new(1, false, 0), PingAgent::new(0, false, 0)];
-        let mut sim = Sim::new(&spec, agents, 1);
-        sim.set_node_resources(
-            1,
-            NodeResources {
-                queue_budget: 1,
-                drain_per_sec: 1.0,
-                discipline: QueueDiscipline::DropTail,
-            },
-        );
-        for i in 0..3 {
-            sim.invoke_agent(0, move |_, ctx| ctx.send_data(1, PingMsg::Ping(i), 100));
-        }
-        sim.run_until(SimTime::from_millis(100));
-        let shed = sim.counters().dropped_overload;
-        assert!(shed > 0, "budget of 1 must shed a burst of 3");
-        sim.clear_node_resources(1);
-        for i in 0..20 {
-            sim.invoke_agent(0, move |_, ctx| ctx.send_data(1, PingMsg::Ping(i), 100));
-        }
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(
-            sim.counters().dropped_overload,
-            shed,
-            "cleared model sheds nothing more"
-        );
-        assert_eq!(sim.node_overload_stats(1).dropped, shed, "stats kept");
-        assert_eq!(sim.overload_stats().dropped, shed);
     }
 
     #[test]

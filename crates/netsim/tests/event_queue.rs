@@ -70,29 +70,29 @@ fn queue_matches_the_heap_model_under_random_interleavings() {
         let mut pair = Pair::default();
         // Pushes land at or a little after the last popped time, as the
         // simulator's do; `case % 4` tilts the mix so depths differ.
-        let mut clock = rng.range_u64(0, 1_000);
+        let mut clock = rng.next_below(1_000);
         for step in 0..600 {
             let at = format!("case {case} step {step}");
-            match rng.range_u64(0, 100) + case % 4 * 5 {
-                0..=44 => pair.push(clock + rng.range_u64(0, 50_000)),
+            match rng.next_below(100) + case % 4 * 5 {
+                0..=44 => pair.push(clock + rng.next_below(50_000)),
                 // A burst at one instant: the order is `seq` alone.
                 45..=49 => {
                     bursts += 1;
-                    let time = clock + rng.range_u64(0, 100);
-                    for _ in 0..rng.range_u64(2, 40) {
+                    let time = clock + rng.next_below(100);
+                    for _ in 0..2 + rng.next_below(38) {
                         pair.push(time);
                     }
                 }
                 // Times at both ends of the range and far apart.
-                50..=53 => pair.push(match rng.range_u64(0, 3) {
+                50..=53 => pair.push(match rng.next_below(3) {
                     0 => 0,
                     1 => u64::MAX,
-                    _ => rng.next_u64() >> rng.range_u64(0, 40),
+                    _ => rng.next_u64() >> rng.next_below(40),
                 }),
                 54..=57 => {
                     retains += 1;
                     let root = pair.queue.peek_key().map(|key| key as u64);
-                    match rng.range_u64(0, 5) {
+                    match rng.next_below(5) {
                         0 => pair.retain(|seq| Some(seq) != root),
                         1 => pair.retain(|_| false),
                         2 => pair.retain(|_| true),
@@ -128,24 +128,24 @@ fn hold_model_matches_at_the_ledgers_depths() {
     for depth in [1, 5, 21, 85, 341, 1_300] {
         let mut pair = Pair::default();
         for _ in 0..depth {
-            pair.push(rng.range_u64(0, 20_000));
+            pair.push(rng.next_below(20_000));
         }
         for step in 0..4_000 + 4 * depth {
             let at = format!("depth {depth} step {step}");
             let time = pair.pop(&at).expect("held at depth");
             // Mostly a link's worth of delay; sometimes the same instant,
             // sometimes a timer far ahead.
-            pair.push(match rng.range_u64(0, 10) {
+            pair.push(match rng.next_below(10) {
                 0 => time,
-                1 => time + rng.range_u64(0, 5_000_000),
-                _ => time + rng.range_u64(1, 20_000),
+                1 => time + rng.next_below(5_000_000),
+                _ => time + 1 + rng.next_below(19_999),
             });
             pair.check(&at);
             // A sweep in the middle of the hold, then back up to depth.
             if step == 2_000 {
                 pair.retain(|seq| seq % 4 != 1);
                 while pair.model.len() < depth {
-                    pair.push(time + rng.range_u64(0, 20_000));
+                    pair.push(time + rng.next_below(20_000));
                 }
             }
         }
@@ -179,7 +179,7 @@ fn every_tree_shape_through_depth_three_pops_sorted() {
             for &time in &times {
                 while rng.chance(0.5) {
                     doomed.push(swept.seq);
-                    swept.push(rng.range_u64(0, len * 5 + 1));
+                    swept.push(rng.next_below(len * 5 + 1));
                 }
                 swept.push(time);
             }

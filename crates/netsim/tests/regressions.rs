@@ -27,39 +27,54 @@ fn two_node_spec() -> NetworkSpec {
     spec
 }
 
-/// An inert agent used where only externally scheduled events matter.
-struct Inert;
+/// Records its timer firings. The rewind tests arm its timers from outside,
+/// between event-loop steps, the way scenario drivers act.
+#[derive(Default)]
+struct Recorder {
+    fired: Vec<(u64, SimTime)>,
+}
 
-impl Agent for Inert {
+impl Agent for Recorder {
     type Msg = ();
     fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: OverlayId, _msg: ()) {}
-    fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _tag: u64) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_, ()>, tag: u64) {
+        self.fired.push((tag, ctx.now()));
+    }
+}
+
+/// Arms timer `tag` on `node`, `after` the simulator's current instant.
+fn arm(sim: &mut Sim<Recorder>, node: OverlayId, after: SimDuration, tag: u64) {
+    sim.invoke_agent(node, move |_, ctx| {
+        ctx.set_timer(after, tag);
+    });
 }
 
 /// After `run_until` rewinds the clock, a push at the rewound instant has a
 /// *larger* sequence number but an *earlier* time than events already queued
 /// at the old instant. The FIFO fast path must reject it (its key is not
 /// larger than the FIFO back) so the heap restores global `(time, seq)`
-/// order: here, the recovery at t=5 s must dispatch before the failure
-/// queued at t=10 s, leaving the node failed.
+/// order: here, the timer at t=5 s must fire before the failure queued at
+/// t=10 s silences the node.
 #[test]
 fn clock_rewind_keeps_fifo_and_heap_in_global_key_order() {
     let spec = two_node_spec();
-    let mut sim = Sim::new(&spec, vec![Inert, Inert], 1);
+    let mut sim = Sim::new(&spec, vec![Recorder::default(), Recorder::default()], 1);
     sim.run_until(SimTime::from_secs(10));
     // Queued at the current instant: takes the FIFO fast path.
     sim.schedule_failure(SimTime::from_secs(10), 1);
     // Rewind the clock; the failure is still pending at t=10 s.
     sim.run_until(SimTime::from_secs(5));
-    // Scheduled at the rewound "now": must NOT ride the FIFO behind the
-    // t=10 s failure — chronological order is recovery first.
-    sim.schedule_recovery(SimTime::from_secs(5), 1);
+    // Armed at the rewound "now": must NOT ride the FIFO behind the
+    // t=10 s failure — chronological order is the timer first.
+    arm(&mut sim, 1, SimDuration::ZERO, 1);
     assert!(!sim.is_failed(1));
     sim.run_until(SimTime::from_secs(20));
-    assert!(
-        sim.is_failed(1),
-        "recovery(5s) must dispatch before failure(10s) despite later scheduling"
+    assert_eq!(
+        sim.agent(1).fired,
+        vec![(1, SimTime::from_secs(5))],
+        "timer(5s) must fire before failure(10s) despite later scheduling"
     );
+    assert!(sim.is_failed(1));
     assert_eq!(sim.counters().events, 2);
 }
 
@@ -69,20 +84,29 @@ fn clock_rewind_keeps_fifo_and_heap_in_global_key_order() {
 #[test]
 fn pushes_after_rewind_dispatch_before_older_later_events() {
     let spec = two_node_spec();
-    let mut sim = Sim::new(&spec, vec![Inert, Inert], 1);
+    let mut sim = Sim::new(&spec, vec![Recorder::default(), Recorder::default()], 1);
     sim.run_until(SimTime::from_secs(10));
-    sim.schedule_recovery(SimTime::from_secs(10), 0);
+    arm(&mut sim, 0, SimDuration::ZERO, 1);
     sim.run_until(SimTime::from_secs(4));
     // Two same-instant events after the rewind; chronologically they come
-    // first and must themselves stay in seq order: fail then recover.
-    sim.schedule_failure(SimTime::from_secs(4), 0);
-    sim.schedule_recovery(SimTime::from_secs(4), 0);
+    // first and must themselves stay in seq order.
+    arm(&mut sim, 0, SimDuration::ZERO, 2);
+    arm(&mut sim, 0, SimDuration::ZERO, 3);
     sim.run_until(SimTime::from_secs(4));
-    assert!(!sim.is_failed(0), "fail(4s) then recover(4s) in seq order");
-    // The t=10 s recovery is still pending.
-    sim.schedule_failure(SimTime::from_secs(9), 0);
+    let at = SimTime::from_secs;
+    assert_eq!(
+        sim.agent(0).fired,
+        vec![(2, at(4)), (3, at(4))],
+        "seq order"
+    );
+    // The t=10 s timer is still pending.
+    arm(&mut sim, 0, SimDuration::from_secs(5), 4);
     sim.run_until(SimTime::from_secs(20));
-    assert!(!sim.is_failed(0), "recover(10s) dispatches after fail(9s)");
+    assert_eq!(
+        sim.agent(0).fired,
+        vec![(2, at(4)), (3, at(4)), (4, at(9)), (1, at(10))],
+        "timer(10s) dispatches after timer(9s)"
+    );
     assert_eq!(sim.counters().events, 4);
 }
 

@@ -4,21 +4,22 @@
 //!
 //! Bullet runs over an arbitrary underlying tree; the paper evaluates it over
 //! random trees and compares it against streaming over the offline greedy
-//! bottleneck-bandwidth tree (§4.1), an Overcast-style online tree (§4.2) and
-//! hand-crafted good/worst trees on PlanetLab (§4.7). This crate provides the
-//! [`Tree`] representation plus all four constructions:
+//! bottleneck-bandwidth tree (§4.1) and hand-crafted good/worst trees on
+//! PlanetLab (§4.7). This crate provides the [`Tree`] representation plus
+//! the three constructions the figures use:
 //!
 //! * [`random_tree()`] — degree-constrained random attachment,
 //! * [`bottleneck_tree`] — the greedy offline OMBT oracle,
-//! * [`overcast_tree`] — the online bandwidth-optimizing comparison tree,
 //! * [`good_tree`] / [`worst_tree`] — hand-crafted layered trees driven by a
 //!   per-node bandwidth metric.
+//!
+//! The paper's other comparison, an Overcast-style online tree (§4.2), is
+//! not built: no figure streams over one.
 
 #![warn(missing_docs)]
 
 pub mod handcrafted;
 pub mod ombt;
-pub mod overcast;
 pub mod random_tree;
 pub mod tree;
 
@@ -26,6 +27,5 @@ pub use handcrafted::{good_tree, layered_tree, worst_tree};
 pub use ombt::{
     bottleneck_tree, bottleneck_tree_with, OmbtConfig, OracleStrategy, ThroughputOracle,
 };
-pub use overcast::{overcast_tree, overcast_tree_with, OvercastConfig};
 pub use random_tree::random_tree;
 pub use tree::{Tree, TreeError};

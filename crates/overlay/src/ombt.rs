@@ -71,10 +71,9 @@ impl Ord for Candidate {
 /// pair costs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OracleStrategy {
-    /// One point-to-point computation per (source, destination) pair: what
-    /// an oracle that needs each route once wants (the bandwidth-from-source
-    /// metric's `node → root` reverse routes), and the reference the
-    /// batched-vs-pairwise tree equivalence property compares against.
+    /// One point-to-point computation per (source, destination) pair: the
+    /// reference the batched-vs-pairwise tree equivalence property compares
+    /// against.
     Pairwise,
     /// Batched one-to-many queries: the first miss on a source's row fills
     /// the network's flat participant route table with a single forward
@@ -110,14 +109,6 @@ impl<'a> ThroughputOracle<'a> {
             flows: HashMap::new(),
             strategy,
         }
-    }
-
-    /// Batch-computes the routes from `from` to every participant up front
-    /// (one one-to-many search), regardless of strategy. Useful when the
-    /// caller knows it will evaluate `from` against many destinations but
-    /// wants single-target reverse pairs to stay point queries.
-    pub fn prefetch_from(&mut self, from: OverlayId) {
-        self.net.route_all_from(from);
     }
 
     fn route(&mut self, from: OverlayId, to: OverlayId) -> Option<bullet_netsim::RouteId> {

@@ -3,7 +3,7 @@
 //! Bullet layers its mesh on top of an arbitrary overlay tree; the tree is
 //! used for baseline streaming and for RanSub's collect/distribute phases.
 //! This module holds the tree structure itself plus the queries the rest of
-//! the system needs (children, depth, subtree sizes, ancestor tests).
+//! the system needs (children, depth, subtree sizes).
 
 use bullet_netsim::OverlayId;
 
@@ -158,33 +158,9 @@ impl Tree {
         nodes
     }
 
-    /// Whether `ancestor` lies on the path from `node` to the root
-    /// (a node is considered its own ancestor).
-    pub fn is_ancestor(&self, ancestor: OverlayId, node: OverlayId) -> bool {
-        let mut cur = Some(node);
-        while let Some(n) = cur {
-            if n == ancestor {
-                return true;
-            }
-            cur = self.parents[n];
-        }
-        false
-    }
-
     /// Maximum number of children any node has (the tree's fan-out).
     pub fn max_degree(&self) -> usize {
         self.children.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Mean depth over all non-root nodes; a proxy for how "long and skinny"
-    /// the tree is (the paper notes its offline bottleneck trees are long and
-    /// skinny while Bullet's mesh has much lower effective depth).
-    pub fn mean_depth(&self) -> f64 {
-        if self.len() <= 1 {
-            return 0.0;
-        }
-        let total: usize = (0..self.len()).map(|n| self.depth(n)).sum();
-        total as f64 / (self.len() - 1) as f64
     }
 }
 
@@ -245,10 +221,6 @@ mod tests {
         let mut sub = tree.subtree(1);
         sub.sort_unstable();
         assert_eq!(sub, vec![1, 3, 4]);
-        assert!(tree.is_ancestor(0, 4));
-        assert!(tree.is_ancestor(1, 4));
-        assert!(!tree.is_ancestor(2, 4));
-        assert!(tree.is_ancestor(4, 4));
     }
 
     #[test]
@@ -256,6 +228,5 @@ mod tests {
         let tree = chain(10);
         assert_eq!(tree.height(), 9);
         assert_eq!(tree.max_degree(), 1);
-        assert!((tree.mean_depth() - 5.0).abs() < 1e-9);
     }
 }

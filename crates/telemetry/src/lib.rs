@@ -17,9 +17,9 @@
 //! - [`journey`]: **block-journey spans** derived from a recorded trace —
 //!   the per-sequence causal story (sealed → tree push hops → mesh serve →
 //!   accept) with time-to-reach-fraction percentiles per block.
-//! - [`hub`]: the **metrics hub** — a registry of named per-node counters,
-//!   gauges and histograms sampled into windowed time series; the single
-//!   sampler behind the experiment harness's bandwidth series.
+//! - [`hub`]: the **metrics hub** — a registry of named per-node counters
+//!   sampled into windowed rate series; the single sampler behind the
+//!   experiment harness's bandwidth series.
 //! - [`profile`]: **self-profiling** — per-run event-loop throughput,
 //!   event-queue depth, flight-slab occupancy and phase wall times. Wall
 //!   clock readings are quarantined here (and excluded from equality).

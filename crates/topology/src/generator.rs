@@ -9,7 +9,7 @@
 //! placement does. The generator is parameterized so both laptop-scale and
 //! paper-scale topologies can be produced.
 
-use bullet_netsim::{LinkSpec, NetworkSpec, OverlayId, RouterId, SimDuration, SimRng};
+use bullet_netsim::{LinkSpec, NetworkSpec, RouterId, SimDuration, SimRng};
 
 use crate::bandwidth::BandwidthProfile;
 use crate::classes::{LinkClass, NodeClass};
@@ -127,14 +127,6 @@ impl TopologyConfig {
         self.loss = loss;
         self
     }
-
-    /// Total number of routers the configuration will generate (excluding
-    /// client end hosts).
-    pub fn router_count(&self) -> usize {
-        let transit = self.transit_domains * self.transit_per_domain;
-        let per_stub = self.routers_per_stub + self.leaf_routers_per_stub;
-        transit + transit * self.stubs_per_transit * per_stub
-    }
 }
 
 /// Per-class counts, useful for reports and sanity tests.
@@ -169,11 +161,6 @@ impl BuiltTopology {
     /// Number of overlay participants.
     pub fn participants(&self) -> usize {
         self.spec.participants()
-    }
-
-    /// Capacity of a participant's access link, in bits per second.
-    pub fn access_bandwidth_bps(&self, node: OverlayId) -> f64 {
-        self.spec.links[self.access_links[node]].bandwidth_bps
     }
 }
 
@@ -399,13 +386,21 @@ mod tests {
     use super::*;
     use bullet_netsim::Network;
 
+    /// The routers `config` must generate, client end hosts excluded: the
+    /// reference the generated router counts are checked against.
+    fn router_count(config: &TopologyConfig) -> usize {
+        let transit = config.transit_domains * config.transit_per_domain;
+        let per_stub = config.routers_per_stub + config.leaf_routers_per_stub;
+        transit + transit * config.stubs_per_transit * per_stub
+    }
+
     #[test]
     fn small_topology_has_expected_router_count() {
         let config = TopologyConfig::small(10, 1);
         let topo = generate(&config);
         // Routers = transit + stub; clients are extra end hosts.
-        assert_eq!(config.router_count(), 2 * 4 + 2 * 4 * 2 * 4);
-        assert_eq!(topo.spec.routers, config.router_count() + 10);
+        assert_eq!(router_count(&config), 2 * 4 + 2 * 4 * 2 * 4);
+        assert_eq!(topo.spec.routers, router_count(&config) + 10);
         assert_eq!(topo.participants(), 10);
     }
 
@@ -413,7 +408,7 @@ mod tests {
     fn every_participant_has_an_access_link() {
         let topo = generate(&TopologyConfig::small(25, 3));
         for node in 0..topo.participants() {
-            let bw = topo.access_bandwidth_bps(node);
+            let bw = topo.spec.links[topo.access_links[node]].bandwidth_bps;
             assert!(bw > 0.0);
             assert_eq!(
                 topo.link_classes[topo.access_links[node]],
@@ -503,14 +498,14 @@ mod tests {
     #[test]
     fn paper_scale_config_reaches_twenty_thousand_routers() {
         let config = TopologyConfig::paper_scale(1000, 1);
-        assert!(config.router_count() >= 20_000);
+        assert!(router_count(&config) >= 20_000);
     }
 
     #[test]
     fn paper_scale_attaches_clients_to_degree_one_leaf_stubs() {
         let config = TopologyConfig::paper_scale(50, 13);
         let topo = generate(&config);
-        assert_eq!(topo.spec.routers, config.router_count() + 50);
+        assert_eq!(topo.spec.routers, router_count(&config) + 50);
         assert!(topo.spec.routers >= 20_000);
         // Router-to-router degree of each attachment router must be exactly
         // one: clients hang off degree-one leaf stubs, as in the paper's

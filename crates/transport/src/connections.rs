@@ -219,7 +219,7 @@ mod tests {
             let mut model: BTreeMap<OverlayId, Halves> = BTreeMap::new();
             let mut now = SimTime::ZERO;
             for step in 0..500u64 {
-                now += SimDuration::from_millis(rng.range_u64(0, 50));
+                now += SimDuration::from_millis(rng.next_below(50));
                 let peer = draw_peer(&mut rng, &sparse);
                 let what = match rng.range_usize(0, 9) {
                     0 | 1 => {

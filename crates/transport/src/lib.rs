@@ -13,8 +13,7 @@
 //!   ([`loss`]),
 //! * the TFRC sender/receiver state machines ([`tfrc`]),
 //! * the per-peer connection table every agent keeps them in
-//!   ([`connections`]),
-//! * a best-effort UDP-like sender ([`udp`]), and
+//!   ([`connections`]), and
 //! * the non-blocking send primitive ([`rate::RateLimiter`]) whose
 //!   `WouldBlock` outcome drives Bullet's disjoint-send decisions (Fig. 5).
 //!
@@ -44,7 +43,6 @@ pub mod equation;
 pub mod loss;
 pub mod rate;
 pub mod tfrc;
-pub mod udp;
 
 pub use connections::{Connections, PeerTable};
 pub use equation::{tcp_throughput, tcp_throughput_bps, TcpRate};
@@ -53,4 +51,3 @@ pub use rate::{RateLimiter, SendOutcome};
 pub use tfrc::{
     TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender, FEEDBACK_PACKET_BYTES,
 };
-pub use udp::UdpSender;

@@ -158,16 +158,6 @@ impl LossDetector {
     pub fn loss_event_rate(&self) -> f64 {
         self.history.loss_event_rate(self.packets_since_event)
     }
-
-    /// Fraction of packets lost (raw, not event-based); useful for reports.
-    pub fn raw_loss_fraction(&self) -> f64 {
-        let total = self.packets_received + self.packets_lost;
-        if total == 0 {
-            0.0
-        } else {
-            self.packets_lost as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -18,13 +18,6 @@ pub enum SendOutcome {
     WouldBlock,
 }
 
-impl SendOutcome {
-    /// Returns `true` when the packet was accepted.
-    pub fn is_accepted(self) -> bool {
-        matches!(self, SendOutcome::Accepted)
-    }
-}
-
 /// A token bucket expressed in bytes.
 #[derive(Clone, Debug)]
 pub struct RateLimiter {
@@ -74,12 +67,6 @@ impl RateLimiter {
             SendOutcome::WouldBlock
         }
     }
-
-    /// Tokens currently available (after refilling to `now`).
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -91,8 +78,8 @@ mod tests {
     fn burst_is_available_immediately() {
         let mut rl = RateLimiter::new(1_000.0, 3_000.0);
         let now = SimTime::ZERO;
-        assert!(rl.try_consume(now, 1_500).is_accepted());
-        assert!(rl.try_consume(now, 1_500).is_accepted());
+        assert_eq!(rl.try_consume(now, 1_500), SendOutcome::Accepted);
+        assert_eq!(rl.try_consume(now, 1_500), SendOutcome::Accepted);
         assert_eq!(rl.try_consume(now, 1_500), SendOutcome::WouldBlock);
     }
 
@@ -100,11 +87,11 @@ mod tests {
     fn tokens_refill_at_the_configured_rate() {
         let mut rl = RateLimiter::new(1_000.0, 1_000.0);
         let mut now = SimTime::ZERO;
-        assert!(rl.try_consume(now, 1_000).is_accepted());
+        assert_eq!(rl.try_consume(now, 1_000), SendOutcome::Accepted);
         assert_eq!(rl.try_consume(now, 500), SendOutcome::WouldBlock);
         now += SimDuration::from_millis(500);
         // 500 ms at 1000 B/s = 500 bytes.
-        assert!(rl.try_consume(now, 500).is_accepted());
+        assert_eq!(rl.try_consume(now, 500), SendOutcome::Accepted);
         assert_eq!(rl.try_consume(now, 100), SendOutcome::WouldBlock);
     }
 
@@ -112,25 +99,26 @@ mod tests {
     fn tokens_cap_at_burst() {
         let mut rl = RateLimiter::new(1_000_000.0, 2_000.0);
         let later = SimTime::from_secs(100);
-        assert!((rl.available(later) - 2_000.0).abs() < 1e-9);
+        rl.refill(later);
+        assert!((rl.tokens - 2_000.0).abs() < 1e-9);
     }
 
     #[test]
     fn rate_change_takes_effect() {
         let mut rl = RateLimiter::new(0.0, 100.0);
         let mut now = SimTime::ZERO;
-        assert!(rl.try_consume(now, 100).is_accepted());
+        assert_eq!(rl.try_consume(now, 100), SendOutcome::Accepted);
         now += SimDuration::from_secs(10);
         assert_eq!(rl.try_consume(now, 100), SendOutcome::WouldBlock);
         rl.set_rate(1_000.0);
         now += SimDuration::from_secs(1);
-        assert!(rl.try_consume(now, 100).is_accepted());
+        assert_eq!(rl.try_consume(now, 100), SendOutcome::Accepted);
     }
 
     #[test]
     fn zero_rate_never_accepts_after_burst() {
         let mut rl = RateLimiter::new(0.0, 10.0);
-        assert!(rl.try_consume(SimTime::ZERO, 10).is_accepted());
+        assert_eq!(rl.try_consume(SimTime::ZERO, 10), SendOutcome::Accepted);
         assert_eq!(
             rl.try_consume(SimTime::from_secs(1_000), 1),
             SendOutcome::WouldBlock

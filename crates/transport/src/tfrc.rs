@@ -110,11 +110,6 @@ impl TfrcSender {
         }
     }
 
-    /// Creates a sender with the default configuration.
-    pub fn with_defaults() -> Self {
-        TfrcSender::new(TfrcConfig::default())
-    }
-
     /// The current allowed sending rate, in bytes per second.
     pub fn allowed_rate(&self) -> f64 {
         self.rate
@@ -295,11 +290,6 @@ impl TfrcReceiver {
     pub fn loss_event_rate(&self) -> f64 {
         self.detector.loss_event_rate()
     }
-
-    /// Raw fraction of packets lost on this connection.
-    pub fn raw_loss_fraction(&self) -> f64 {
-        self.detector.raw_loss_fraction()
-    }
 }
 
 #[cfg(test)]
@@ -309,7 +299,7 @@ mod tests {
     fn drive_lossless(rounds: usize) -> (TfrcSender, TfrcReceiver) {
         // A crude in-test loop: every 100 ms the sender sends as much as it
         // may, packets arrive 50 ms later, feedback returns 50 ms after that.
-        let mut sender = TfrcSender::with_defaults();
+        let mut sender = TfrcSender::new(TfrcConfig::default());
         let mut receiver = TfrcReceiver::new();
         let mut pending_feedback: Vec<(SimTime, TfrcFeedback)> = Vec::new();
         for round in 0..rounds {
@@ -350,7 +340,7 @@ mod tests {
 
     #[test]
     fn loss_feedback_reduces_rate_to_equation_value() {
-        let mut sender = TfrcSender::with_defaults();
+        let mut sender = TfrcSender::new(TfrcConfig::default());
         // Ramp up through slow start first: repeated no-loss feedback.
         for i in 1..=10u64 {
             sender.on_feedback(
@@ -400,7 +390,7 @@ mod tests {
 
     #[test]
     fn would_block_when_rate_exhausted() {
-        let mut sender = TfrcSender::with_defaults();
+        let mut sender = TfrcSender::new(TfrcConfig::default());
         let now = SimTime::ZERO;
         let mut accepted = 0;
         for _ in 0..100 {
@@ -415,7 +405,7 @@ mod tests {
 
     #[test]
     fn nofeedback_timeout_halves_rate() {
-        let mut sender = TfrcSender::with_defaults();
+        let mut sender = TfrcSender::new(TfrcConfig::default());
         sender.on_feedback(
             SimTime::from_millis(100),
             &TfrcFeedback {

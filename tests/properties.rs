@@ -16,8 +16,7 @@ use bullet_suite::content::{
 };
 use bullet_suite::netsim::{LinkSpec, Network, NetworkSpec, RoutingMode, SimDuration, SimRng};
 use bullet_suite::overlay::{
-    bottleneck_tree_with, overcast_tree_with, random_tree, OmbtConfig, OracleStrategy,
-    OvercastConfig, ThroughputOracle, Tree,
+    bottleneck_tree_with, random_tree, OmbtConfig, OracleStrategy, ThroughputOracle, Tree,
 };
 use bullet_suite::ransub::{compact, Member, WeightedSet};
 use bullet_suite::topology::{generate, TopologyConfig};
@@ -51,7 +50,7 @@ fn bloom_filter_has_no_false_negatives() {
     let mut rng = SimRng::new(0xB100);
     for case in 0..CASES {
         let keys = gen_set(&mut rng, 0, 1_000_000, 1, 500);
-        let mut filter = BloomFilter::for_capacity(keys.len(), 0.01);
+        let mut filter = BloomFilter::new(16_384, 6);
         for &key in &keys {
             filter.insert(key);
         }
@@ -875,7 +874,7 @@ fn throughput_oracle_rereads_mutated_link_state() {
     }
 }
 
-/// The offline tree oracles must build **bit-identical** trees whether their
+/// The offline tree oracle must build **bit-identical** trees whether its
 /// routes come from pairwise point searches or from the batched one-to-many
 /// row fills: the paths are canonical either way, and the floating-point
 /// estimate arithmetic is untouched by the strategy. This is the oracle
@@ -917,48 +916,18 @@ fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
                 pairwise.parents(),
                 "{label}: OMBT diverges under batching"
             );
-            let overcast = OvercastConfig {
-                max_children: 3,
-                ..OvercastConfig::default()
-            };
-            let batched = overcast_tree_with(
-                &mut Network::new(&topo.spec),
-                clients,
-                0,
-                &overcast,
-                OracleStrategy::Batched,
-            );
-            let pairwise = overcast_tree_with(
-                &mut Network::new(&topo.spec),
-                clients,
-                0,
-                &overcast,
-                OracleStrategy::Pairwise,
-            );
-            assert_eq!(
-                batched.parents(),
-                pairwise.parents(),
-                "{label}: Overcast diverges under batching"
-            );
-            // The per-node bandwidth metric behind the hand-crafted
-            // good/worst trees: batched row fills vs pure point queries.
-            let estimates = |strategy: OracleStrategy, prefetch: bool| -> Vec<Option<f64>> {
+            // The oracle's source-to-node estimates on a fresh network, the
+            // first round of every OMBT build: batched row fills vs pure
+            // point queries.
+            let estimates = |strategy: OracleStrategy| -> Vec<Option<f64>> {
                 let mut net = Network::new(&topo.spec);
                 let mut oracle = ThroughputOracle::with_strategy(&mut net, 1_500, strategy);
-                if prefetch {
-                    oracle.prefetch_from(0);
-                }
                 (1..clients)
                     .map(|node| oracle.estimate_bps(0, node))
                     .collect()
             };
-            let prefetched = estimates(OracleStrategy::Pairwise, true);
-            let batched = estimates(OracleStrategy::Batched, false);
-            let pairwise = estimates(OracleStrategy::Pairwise, false);
-            assert_eq!(
-                prefetched, pairwise,
-                "{label}: prefetched metric diverges from pairwise"
-            );
+            let batched = estimates(OracleStrategy::Batched);
+            let pairwise = estimates(OracleStrategy::Pairwise);
             assert_eq!(
                 batched, pairwise,
                 "{label}: batched metric diverges from pairwise"
@@ -1216,12 +1185,11 @@ const LAYER_SUBSET_GENERATED: u64 = 1_434;
 /// degree-3 random tree, a 400 Kbps stream; the first interior non-root
 /// node crashes at 10 s and rejoins at 30 s, the second corrupts half the
 /// blocks it relays from 4 s on. The layers are set **directly on the
-/// `Option` fields**, not through the `churn ⊂ recovery ⊂ integrity ⊂
+/// config fields**, not through the `churn ⊂ recovery ⊂ integrity ⊂
 /// overload` profile builders. Returns the simulator's event count and
 /// every node's `useful_packets`.
 fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Vec<u64>) {
-    use bullet_suite::bullet::config::{IntegrityConfig, OverloadConfig, RecoveryConfig};
-    use bullet_suite::bullet::{BulletConfig, BulletNode};
+    use bullet_suite::bullet::{BulletConfig, BulletNode, OverloadConfig};
     use bullet_suite::dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript};
     use bullet_suite::netsim::{FaultPlan, Sim, SimTime};
 
@@ -1235,8 +1203,8 @@ fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Ve
         filter_refresh_interval: SimDuration::from_secs(2),
         mesh_eval_interval: SimDuration::from_secs(4),
         sender_idle_evals_to_drop: Some(2),
-        recovery: recovery.then(RecoveryConfig::default),
-        integrity: integrity.then(IntegrityConfig::default),
+        recovery,
+        integrity,
         overload: overload.then(|| OverloadConfig {
             inbox_budget: 12,
             working_set_budget: 300,
@@ -1477,5 +1445,213 @@ fn the_tfrc_stanzas_are_defined_once() {
         for hashed in ["HashMap<OverlayId", "HashSet<u64>"] {
             assert!(!text.contains(hashed), "{agent} declares a {hashed}");
         }
+    }
+}
+
+/// Public functions no production code calls, each with why it stays: a
+/// reference implementation a test compares against, a read-only accessor
+/// a test observes behaviour through, or `codec` (a crate no protocol path
+/// uses yet). A caller-less helper that only its own test exercises is
+/// deleted, not listed here.
+const CALLER_LESS: [(&str, &str); 23] = [
+    (
+        "alt_lower_bound",
+        "accessor: the ALT admissibility property reads it",
+    ),
+    ("block_range", "codec"),
+    ("blocks_for", "codec"),
+    (
+        "build_tree",
+        "reference: PreparedTopology::tree must build the same trees",
+    ),
+    ("complete_blocks", "codec"),
+    (
+        "corrupt_blocks_held",
+        "accessor: the integrity properties read it",
+    ),
+    (
+        "fault_plan",
+        "accessor: the scenario driver's tests read the installed plan",
+    ),
+    (
+        "in_slow_start",
+        "accessor: the TFRC tests observe the phase",
+    ),
+    ("into_data", "codec"),
+    ("into_source", "codec"),
+    (
+        "is_partitioned",
+        "accessor: the scenario driver's tests read it",
+    ),
+    (
+        "min_seq",
+        "accessor: the working-set model harness compares it",
+    ),
+    (
+        "missing_in_range",
+        "accessor: the working-set model harness compares it",
+    ),
+    (
+        "node_overload_stats",
+        "accessor: the ingress-queue tests read per-node stats",
+    ),
+    (
+        "node_resources",
+        "accessor: the ingress-queue tests read the model",
+    ),
+    (
+        "path_to",
+        "reference: the single-source search the routing tests compare against",
+    ),
+    (
+        "propagation_delay",
+        "reference: the routing-equivalence gate compares costs",
+    ),
+    (
+        "quarantined_peers",
+        "accessor: the quarantine tests read it",
+    ),
+    ("queue_depth", "accessor: the event-loop tests bound it"),
+    (
+        "reverify_working_set",
+        "reference: recomputes every verdict the bookkeeping keeps",
+    ),
+    ("seq_of", "codec"),
+    (
+        "set_link_delay",
+        "reference: the routing-equivalence gate mutates spec and network alike",
+    ),
+    ("total_bytes_sent", "accessor: the goldens read it"),
+];
+
+/// Production text of a source file: everything above its unit-test module,
+/// without `//` lines or `use` declarations, so neither a doc comment nor a
+/// re-export counts as a call.
+fn production_text(path: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(path).expect("source is UTF-8");
+    let mut out = String::new();
+    let mut in_use = false;
+    for line in text
+        .split("\n#[cfg(test)]\nmod ")
+        .next()
+        .unwrap_or("")
+        .lines()
+    {
+        let code = line.trim();
+        let item = code.strip_prefix("pub ").unwrap_or(code);
+        if code.starts_with("//") {
+            continue;
+        }
+        if in_use || item.starts_with("use ") {
+            in_use = !code.ends_with(';');
+            continue;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Whether `name` occurs in `text` as a whole identifier.
+fn mentions(text: &str, name: &str) -> bool {
+    text.match_indices(name).any(|(at, _)| {
+        !text[..at].ends_with(is_ident) && !text[at + name.len()..].starts_with(is_ident)
+    })
+}
+
+/// Every `pub fn` in `crates/*/src` has a production caller in the
+/// workspace: `crates/*/src`, `crates/*/benches`, `examples/`, `src/` or
+/// `perf/src`. Code is cut into one piece per `fn`, and a mention inside a
+/// function that is itself caller-less does not count, so a chain of
+/// wrappers nothing calls is caught whole. The exceptions are listed in
+/// [`CALLER_LESS`] with their reasons; a listed name that gains a caller or
+/// loses its definition must leave the list.
+#[test]
+fn every_pub_fn_has_a_production_caller() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut defining, mut calling) = (Vec::new(), Vec::new());
+    for member in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let member = member.expect("directory entry is readable").path();
+        rust_files(&member.join("src"), &mut defining);
+        if member.join("benches").is_dir() {
+            rust_files(&member.join("benches"), &mut calling);
+        }
+    }
+    for dir in ["examples", "src", "perf/src"] {
+        rust_files(&root.join(dir), &mut calling);
+    }
+    calling.extend(defining.iter().cloned());
+
+    let mut defined = BTreeSet::new();
+    for path in &defining {
+        for rest in production_text(path).split("pub fn ").skip(1) {
+            defined.insert(
+                rest.split(|c| !is_ident(c))
+                    .next()
+                    .unwrap_or("")
+                    .to_string(),
+            );
+        }
+    }
+    // (owner, body) for every `fn`; text before a file's first `fn` has
+    // no owner.
+    let mut pieces: Vec<(String, String)> = Vec::new();
+    for path in &calling {
+        let text = production_text(path);
+        let mut starts: Vec<usize> = text
+            .match_indices("fn ")
+            .map(|(at, _)| at)
+            .filter(|&at| !text[..at].ends_with(is_ident))
+            .collect();
+        starts.insert(0, 0);
+        starts.push(text.len());
+        for window in starts.windows(2) {
+            let piece = &text[window[0]..window[1]];
+            let (owner, body) = match piece.strip_prefix("fn ") {
+                Some(rest) => rest.split_at(rest.find(|c| !is_ident(c)).unwrap_or(rest.len())),
+                None => ("", piece),
+            };
+            pieces.push((owner.to_string(), body.to_string()));
+        }
+    }
+    let allowed: BTreeSet<&str> = CALLER_LESS.iter().map(|&(name, _)| name).collect();
+    let caller_less = |dead: &BTreeSet<String>, name: &str| {
+        !pieces
+            .iter()
+            .any(|(owner, body)| owner != name && !dead.contains(owner) && mentions(body, name))
+    };
+    let mut dead = BTreeSet::new();
+    loop {
+        let next: BTreeSet<String> = defined
+            .iter()
+            .filter(|name| !allowed.contains(name.as_str()) && caller_less(&dead, name))
+            .cloned()
+            .collect();
+        if next == dead {
+            break;
+        }
+        dead = next;
+    }
+    assert!(
+        dead.is_empty(),
+        "pub fns with no production caller: {dead:?}"
+    );
+    assert!(
+        CALLER_LESS.len() <= 30,
+        "the exceptions list is capped at 30"
+    );
+    for (name, reason) in CALLER_LESS {
+        assert!(
+            defined.contains(name),
+            "{name} ({reason}) is no longer defined"
+        );
+        assert!(
+            caller_less(&dead, name),
+            "{name} ({reason}) has a production caller now: drop it from the list"
+        );
     }
 }

@@ -472,7 +472,7 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
                 2 => {
                     break TopoMutation::Delay(
                         rng.range_usize(0, links),
-                        SimDuration::from_micros(rng.range_u64(500, 60_000)),
+                        SimDuration::from_micros(500 + rng.next_below(59_500)),
                     )
                 }
                 // Exact-restore oscillation: landmark repair must cost zero.
