@@ -4,71 +4,39 @@
 //! tree parent (plain TFRC streaming) and periodically run anti-entropy with
 //! a few randomly chosen peers to repair whatever the tree dropped. Each
 //! round, a node sends a digest — a Bloom filter over its working set plus
-//! the sequence range it covers — to `peers_per_round` random nodes; a
+//! the sequence range it covers — to `PEERS_PER_ROUND` random nodes; a
 //! recipient answers with packets the digest shows as missing, as fast as its
 //! TFRC connection allows. As in the paper, nodes are granted full group
 //! membership and the epoch is long enough (20 s) for TFRC to ramp up.
 
 use bullet_content::{missing_keys, BloomFilter, ReconcileRequest, WorkingSet};
-use bullet_netsim::{Agent, Context, OverlayId, SimDuration, SimTime};
+use bullet_netsim::{Agent, Context, OverlayId, SimDuration};
 use bullet_overlay::Tree;
-use bullet_transport::{Connections, PeerTable, TfrcConfig, TfrcFeedback, TfrcHeader};
+use bullet_telemetry::DeliveryCounters;
+use bullet_transport::{
+    packet_interval, Connections, PeerTable, TfrcFeedback, TfrcHeader, DATA_PACKET_BYTES,
+    FEEDBACK_PACKET_BYTES, HEADER_BYTES,
+};
 
-use crate::metrics::DeliveryMetrics;
+use crate::StreamConfig;
 
-/// Configuration of the anti-entropy baseline.
-#[derive(Clone, Debug)]
-pub struct AntiEntropyConfig {
-    /// Target streaming rate at the source, in bits per second.
-    pub stream_rate_bps: f64,
-    /// Data packet size in bytes.
-    pub packet_size: u32,
-    /// Time at which the source starts streaming.
-    pub stream_start: SimTime,
-    /// Anti-entropy round period (paper: 20 s so TFRC can ramp up).
-    pub epoch: SimDuration,
-    /// Number of random peers contacted per round (paper: 5).
-    pub peers_per_round: usize,
-    /// Bloom filter size in bits for digests.
-    pub bloom_bits: usize,
-    /// Bloom filter hash count.
-    pub bloom_hashes: u32,
-    /// Number of recent packets kept for repair.
-    pub working_set_window: usize,
-    /// Maximum repair packets sent in response to one digest.
-    pub repair_batch: usize,
-    /// TFRC parameters for every connection.
-    pub tfrc: TfrcConfig,
-}
+/// Anti-entropy round period (paper: 20 s so TFRC can ramp up).
+const EPOCH: SimDuration = SimDuration::from_secs(20);
 
-impl Default for AntiEntropyConfig {
-    fn default() -> Self {
-        let packet_size = 1_500;
-        AntiEntropyConfig {
-            stream_rate_bps: 600_000.0,
-            packet_size,
-            stream_start: SimTime::from_secs(10),
-            epoch: SimDuration::from_secs(20),
-            peers_per_round: 5,
-            bloom_bits: 16_384,
-            bloom_hashes: 6,
-            working_set_window: 1_500,
-            repair_batch: 256,
-            tfrc: TfrcConfig {
-                packet_size,
-                ..TfrcConfig::default()
-            },
-        }
-    }
-}
+/// Number of random peers sent a digest per round (paper: 5).
+const PEERS_PER_ROUND: usize = 5;
 
-impl AntiEntropyConfig {
-    /// Interval between packet generations at the source.
-    pub fn packet_interval(&self) -> SimDuration {
-        let per_sec = self.stream_rate_bps / (self.packet_size as f64 * 8.0);
-        SimDuration::from_secs_f64(1.0 / per_sec.max(0.01))
-    }
-}
+/// Bloom filter size of a digest, in bits.
+const BLOOM_BITS: usize = 16_384;
+
+/// Bloom filter hash count of a digest.
+const BLOOM_HASHES: u32 = 6;
+
+/// Number of recent packets kept for repair.
+const WORKING_SET_WINDOW: usize = 1_500;
+
+/// Maximum repair packets sent in answer to one digest.
+const REPAIR_BATCH: usize = 256;
 
 /// Wire messages of the anti-entropy baseline.
 #[derive(Clone, Debug)]
@@ -99,20 +67,20 @@ pub struct AntiEntropyNode {
     parent: Option<OverlayId>,
     children: Vec<OverlayId>,
     membership: Vec<OverlayId>,
-    config: AntiEntropyConfig,
+    config: StreamConfig,
     next_seq: u64,
     working_set: WorkingSet,
     conns: Connections,
     /// Keys already repaired toward a given peer this round (avoid repeats).
     repaired: PeerTable<WorkingSet>,
     /// Cumulative delivery counters.
-    pub metrics: DeliveryMetrics,
+    pub metrics: DeliveryCounters,
 }
 
 impl AntiEntropyNode {
     /// Creates a node for participant `id` of `tree`; `participants` is the
     /// total group size (full membership is assumed, as in the paper).
-    pub fn new(id: OverlayId, tree: &Tree, participants: usize, config: AntiEntropyConfig) -> Self {
+    pub fn new(id: OverlayId, tree: &Tree, participants: usize, config: StreamConfig) -> Self {
         AntiEntropyNode {
             id,
             parent: tree.parent(id),
@@ -123,7 +91,7 @@ impl AntiEntropyNode {
             working_set: WorkingSet::new(),
             conns: Connections::new(),
             repaired: PeerTable::new(),
-            metrics: DeliveryMetrics::default(),
+            metrics: DeliveryCounters::default(),
         }
     }
 
@@ -139,16 +107,16 @@ impl AntiEntropyNode {
 
     fn forward_to_children(&mut self, ctx: &mut Context<'_, AntiEntropyMsg>, seq: u64) {
         let now = ctx.now();
-        let packet_size = self.config.packet_size;
         for &child in &self.children {
-            if let Ok(header) = self.conns.send(child, self.config.tfrc, now, packet_size) {
-                ctx.send_data(child, AntiEntropyMsg::Data { header, seq }, packet_size);
+            if let Ok(header) = self.conns.send(child, now) {
+                let data = AntiEntropyMsg::Data { header, seq };
+                ctx.send_data(child, data, DATA_PACKET_BYTES);
             }
         }
     }
 
     fn build_digest(&self) -> ReconcileRequest {
-        let mut filter = BloomFilter::new(self.config.bloom_bits, self.config.bloom_hashes);
+        let mut filter = BloomFilter::new(BLOOM_BITS, BLOOM_HASHES);
         for seq in self.working_set.iter() {
             filter.insert(seq);
         }
@@ -163,18 +131,18 @@ impl AntiEntropyNode {
         request: &ReconcileRequest,
     ) {
         let already = self.repaired.get_or_insert_with(from, WorkingSet::new);
-        let keys: Vec<u64> = missing_keys(&self.working_set, request, self.config.repair_batch * 2)
+        let keys: Vec<u64> = missing_keys(&self.working_set, request, REPAIR_BATCH * 2)
             .into_iter()
             .filter(|&k| !already.contains(k))
-            .take(self.config.repair_batch)
+            .take(REPAIR_BATCH)
             .collect();
         let now = ctx.now();
-        let packet_size = self.config.packet_size;
         for key in keys {
-            let Ok(header) = self.conns.send(from, self.config.tfrc, now, packet_size) else {
+            let Ok(header) = self.conns.send(from, now) else {
                 break;
             };
-            ctx.send_data(from, AntiEntropyMsg::Data { header, seq: key }, packet_size);
+            let data = AntiEntropyMsg::Data { header, seq: key };
+            ctx.send_data(from, data, DATA_PACKET_BYTES);
             already.insert(key);
         }
     }
@@ -188,7 +156,7 @@ impl Agent for AntiEntropyNode {
             let delay = self.config.stream_start - ctx.now();
             ctx.set_timer(delay, TIMER_GENERATE);
         }
-        let jitter = self.config.epoch.mul_f64(ctx.rng().range_f64(0.5, 1.5));
+        let jitter = EPOCH.mul_f64(ctx.rng().range_f64(0.5, 1.5));
         ctx.set_timer(jitter, TIMER_ANTI_ENTROPY);
         ctx.set_timer(SimDuration::from_secs(1), TIMER_HOUSEKEEPING);
     }
@@ -201,15 +169,15 @@ impl Agent for AntiEntropyNode {
     ) {
         match msg {
             AntiEntropyMsg::Data { header, seq } => {
-                let size = self.config.packet_size;
-                if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
-                    ctx.send_control(from, AntiEntropyMsg::Feedback(feedback), 60);
+                if let Some(feedback) = self.conns.receive(from, ctx.now(), header) {
+                    let feedback = AntiEntropyMsg::Feedback(feedback);
+                    ctx.send_control(from, feedback, FEEDBACK_PACKET_BYTES);
                 }
                 let duplicate =
                     self.working_set.contains(seq) || seq < self.working_set.low_watermark();
                 let from_parent = Some(from) == self.parent;
                 self.metrics
-                    .record_receive(self.config.packet_size, from_parent, duplicate);
+                    .record_receive(DATA_PACKET_BYTES, from_parent, duplicate);
                 if !duplicate {
                     self.working_set.insert(seq);
                     self.forward_to_children(ctx, seq);
@@ -230,15 +198,15 @@ impl Agent for AntiEntropyNode {
                 self.metrics.packets_generated += 1;
                 self.working_set.insert(seq);
                 self.forward_to_children(ctx, seq);
-                ctx.set_timer(self.config.packet_interval(), TIMER_GENERATE);
+                ctx.set_timer(packet_interval(self.config.stream_rate_bps), TIMER_GENERATE);
             }
             TIMER_ANTI_ENTROPY => {
                 let peers = {
-                    let count = self.config.peers_per_round.min(self.membership.len());
+                    let count = PEERS_PER_ROUND.min(self.membership.len());
                     ctx.rng().sample(&self.membership, count)
                 };
                 let request = self.build_digest();
-                let size = 40 + request.wire_bytes();
+                let size = HEADER_BYTES + request.wire_bytes();
                 for peer in peers {
                     ctx.send_control(
                         peer,
@@ -249,11 +217,10 @@ impl Agent for AntiEntropyNode {
                     );
                 }
                 self.repaired.clear();
-                ctx.set_timer(self.config.epoch, TIMER_ANTI_ENTROPY);
+                ctx.set_timer(EPOCH, TIMER_ANTI_ENTROPY);
             }
             TIMER_HOUSEKEEPING => {
-                self.working_set
-                    .prune_to_len(self.config.working_set_window);
+                self.working_set.prune_to_len(WORKING_SET_WINDOW);
                 self.conns.maybe_nofeedback_timeout(ctx.now());
                 ctx.set_timer(SimDuration::from_secs(1), TIMER_HOUSEKEEPING);
             }
@@ -265,7 +232,7 @@ impl Agent for AntiEntropyNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bullet_netsim::{LinkSpec, NetworkSpec, Sim, SimRng};
+    use bullet_netsim::{LinkSpec, NetworkSpec, Sim, SimRng, SimTime};
     use bullet_overlay::random_tree;
 
     fn hub(n: usize, access_bps: f64) -> NetworkSpec {
@@ -279,27 +246,33 @@ mod tests {
         spec
     }
 
-    fn run(n: usize, secs: u64) -> Sim<AntiEntropyNode> {
+    /// At least four repair rounds at every node: the first digest goes out
+    /// within 1.5 epochs (30 s), then one every epoch. What arrived since a
+    /// node's last round is still unrepaired when the run ends, so the run
+    /// is long enough for that tail to be a small share (the worst node
+    /// holds 81 % of the stream at 120 s, 73 % at 70 s).
+    const RUN_SECS: u64 = 120;
+
+    fn run(n: usize) -> Sim<AntiEntropyNode> {
         let spec = hub(n, 2_000_000.0);
         let mut rng = SimRng::new(5);
         let tree = random_tree(n, 0, 3, &mut rng);
-        let config = AntiEntropyConfig {
+        let config = StreamConfig {
             stream_rate_bps: 300_000.0,
             stream_start: SimTime::from_secs(2),
-            epoch: SimDuration::from_secs(5),
-            ..AntiEntropyConfig::default()
+            ..StreamConfig::default()
         };
         let agents = (0..n)
             .map(|i| AntiEntropyNode::new(i, &tree, n, config.clone()))
             .collect();
         let mut sim = Sim::new(&spec, agents, 5);
-        sim.run_until(SimTime::from_secs(secs));
+        sim.run_until(SimTime::from_secs(RUN_SECS));
         sim
     }
 
     #[test]
     fn repairs_losses_from_the_tree() {
-        let sim = run(12, 40);
+        let sim = run(12);
         let generated = sim.agent(0).metrics.packets_generated;
         assert!(generated > 400);
         // With 2% per-hop loss and no repair, deep nodes would miss a
@@ -316,7 +289,7 @@ mod tests {
 
     #[test]
     fn some_recovery_traffic_flows_outside_the_tree() {
-        let sim = run(12, 40);
+        let sim = run(12);
         let repaired_nodes = (1..12)
             .filter(|&n| {
                 let m = &sim.agent(n).metrics;
@@ -329,21 +302,20 @@ mod tests {
         );
     }
 
+    /// One answer sends at most [`REPAIR_BATCH`] packets, however much the
+    /// digest asks for. A fresh connection's burst binds well before that,
+    /// so the answer is exactly the burst.
     #[test]
     fn digest_answer_respects_batch_limit() {
         let mut tree_rng = SimRng::new(1);
         let tree = random_tree(2, 0, 2, &mut tree_rng);
-        let config = AntiEntropyConfig {
-            repair_batch: 10,
-            ..AntiEntropyConfig::default()
-        };
-        let mut node = AntiEntropyNode::new(0, &tree, 2, config);
-        for seq in 0..100 {
+        let mut node = AntiEntropyNode::new(0, &tree, 2, StreamConfig::default());
+        let held = 4 * REPAIR_BATCH as u64;
+        for seq in 0..held {
             node.working_set.insert(seq);
         }
-        // An empty digest from peer 1 asks for everything; only the batch
-        // limit may be sent.
-        let request = ReconcileRequest::new(BloomFilter::new(1_024, 4), 0, 99, 1, 0);
+        // An empty digest from peer 1 asks for everything held.
+        let request = ReconcileRequest::new(BloomFilter::new(1_024, 4), 0, held - 1, 1, 0);
         let mut rng = SimRng::new(2);
         let mut actions = Vec::new();
         let mut timers = bullet_netsim::TimerAlloc::new();
@@ -359,10 +331,11 @@ mod tests {
             .iter()
             .filter(|a| matches!(a, bullet_netsim::Action::Send { .. }))
             .count();
-        assert!(data_sends <= 10, "sent {data_sends} repairs");
-        assert!(
-            data_sends >= 4,
-            "transport should allow at least the burst, sent {data_sends}"
+        assert!(data_sends <= REPAIR_BATCH, "sent {data_sends} repairs");
+        assert_eq!(
+            data_sends,
+            bullet_transport::tfrc::BURST_PACKETS as usize,
+            "a fresh connection sends its burst"
         );
     }
 }

@@ -8,50 +8,18 @@
 //! membership and reuse the TFRC transport.
 
 use bullet_content::WorkingSet;
-use bullet_netsim::{Agent, Context, OverlayId, SimDuration, SimTime};
-use bullet_transport::{Connections, TfrcConfig, TfrcFeedback, TfrcHeader};
+use bullet_netsim::{Agent, Context, OverlayId};
+use bullet_telemetry::DeliveryCounters;
+use bullet_transport::{
+    packet_interval, Connections, TfrcFeedback, TfrcHeader, DATA_PACKET_BYTES,
+    FEEDBACK_PACKET_BYTES,
+};
 
-use crate::metrics::DeliveryMetrics;
+use crate::StreamConfig;
 
-/// Configuration of the push-gossip baseline.
-#[derive(Clone, Debug)]
-pub struct GossipConfig {
-    /// Target streaming rate at the source, in bits per second.
-    pub stream_rate_bps: f64,
-    /// Data packet size in bytes.
-    pub packet_size: u32,
-    /// Time at which the source starts streaming.
-    pub stream_start: SimTime,
-    /// Number of peers each packet is forwarded to (the paper found 5 to be
-    /// the best-performing, lowest-overhead setting).
-    pub fanout: usize,
-    /// TFRC parameters for every connection.
-    pub tfrc: TfrcConfig,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        let packet_size = 1_500;
-        GossipConfig {
-            stream_rate_bps: 600_000.0,
-            packet_size,
-            stream_start: SimTime::from_secs(10),
-            fanout: 5,
-            tfrc: TfrcConfig {
-                packet_size,
-                ..TfrcConfig::default()
-            },
-        }
-    }
-}
-
-impl GossipConfig {
-    /// Interval between packet generations at the source.
-    pub fn packet_interval(&self) -> SimDuration {
-        let per_sec = self.stream_rate_bps / (self.packet_size as f64 * 8.0);
-        SimDuration::from_secs_f64(1.0 / per_sec.max(0.01))
-    }
-}
+/// Number of peers each packet is forwarded to (the paper found 5 to be the
+/// best-performing, lowest-overhead setting).
+const FANOUT: usize = 5;
 
 /// Wire messages of the gossip baseline.
 #[derive(Clone, Debug)]
@@ -74,7 +42,7 @@ pub struct GossipNode {
     id: OverlayId,
     membership: Vec<OverlayId>,
     is_source: bool,
-    config: GossipConfig,
+    config: StreamConfig,
     next_seq: u64,
     /// Every sequence number delivered or generated here; never pruned.
     seen: WorkingSet,
@@ -82,7 +50,7 @@ pub struct GossipNode {
     /// Reusable buffer for the membership minus the peer a packet came from.
     candidates: Vec<OverlayId>,
     /// Cumulative delivery counters.
-    pub metrics: DeliveryMetrics,
+    pub metrics: DeliveryCounters,
 }
 
 impl GossipNode {
@@ -97,7 +65,7 @@ impl GossipNode {
         id: OverlayId,
         source: OverlayId,
         participants: usize,
-        config: GossipConfig,
+        config: StreamConfig,
     ) -> Self {
         GossipNode {
             id,
@@ -108,7 +76,7 @@ impl GossipNode {
             seen: WorkingSet::new(),
             conns: Connections::new(),
             candidates: Vec::new(),
-            metrics: DeliveryMetrics::default(),
+            metrics: DeliveryCounters::default(),
         }
     }
 
@@ -121,13 +89,12 @@ impl GossipNode {
         self.candidates.clear();
         let others = self.membership.iter().filter(|&&n| Some(n) != exclude);
         self.candidates.extend(others);
-        let fanout = self.config.fanout.min(self.candidates.len());
+        let fanout = FANOUT.min(self.candidates.len());
         let targets = ctx.rng().sample(&self.candidates, fanout);
         let now = ctx.now();
-        let packet_size = self.config.packet_size;
         for target in targets {
-            if let Ok(header) = self.conns.send(target, self.config.tfrc, now, packet_size) {
-                ctx.send_data(target, GossipMsg::Data { header, seq }, packet_size);
+            if let Ok(header) = self.conns.send(target, now) {
+                ctx.send_data(target, GossipMsg::Data { header, seq }, DATA_PACKET_BYTES);
             }
         }
     }
@@ -146,13 +113,12 @@ impl Agent for GossipNode {
     fn on_message(&mut self, ctx: &mut Context<'_, GossipMsg>, from: OverlayId, msg: GossipMsg) {
         match msg {
             GossipMsg::Data { header, seq } => {
-                let size = self.config.packet_size;
-                if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
-                    ctx.send_control(from, GossipMsg::Feedback(feedback), 60);
+                if let Some(feedback) = self.conns.receive(from, ctx.now(), header) {
+                    ctx.send_control(from, GossipMsg::Feedback(feedback), FEEDBACK_PACKET_BYTES);
                 }
                 let duplicate = !self.seen.insert(seq);
                 self.metrics
-                    .record_receive(self.config.packet_size, false, duplicate);
+                    .record_receive(DATA_PACKET_BYTES, false, duplicate);
                 if !duplicate {
                     self.push_to_random_peers(ctx, seq, Some(from));
                 }
@@ -168,15 +134,19 @@ impl Agent for GossipNode {
             self.metrics.packets_generated += 1;
             self.seen.insert(seq);
             self.push_to_random_peers(ctx, seq, None);
-            ctx.set_timer(self.config.packet_interval(), TIMER_GENERATE);
+            ctx.set_timer(packet_interval(self.config.stream_rate_bps), TIMER_GENERATE);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use bullet_netsim::{LinkSpec, NetworkSpec, Sim};
+    use bullet_netsim::{
+        Action, LinkSpec, MsgClass, NetworkSpec, Sim, SimDuration, SimRng, SimTime, TimerAlloc,
+    };
 
     fn hub(n: usize, access_bps: f64) -> NetworkSpec {
         let mut spec = NetworkSpec::new(n + 1);
@@ -194,10 +164,10 @@ mod tests {
 
     fn run(n: usize, access_bps: f64, secs: u64) -> Sim<GossipNode> {
         let spec = hub(n, access_bps);
-        let config = GossipConfig {
+        let config = StreamConfig {
             stream_rate_bps: 300_000.0,
             stream_start: SimTime::from_secs(2),
-            ..GossipConfig::default()
+            ..StreamConfig::default()
         };
         let agents = (0..n)
             .map(|i| GossipNode::new(i, 0, n, config.clone()))
@@ -205,6 +175,32 @@ mod tests {
         let mut sim = Sim::new(&spec, agents, 3);
         sim.run_until(SimTime::from_secs(secs));
         sim
+    }
+
+    /// The peers `node` sends data to when packet `seq` arrives from `from`
+    /// at `now`.
+    fn forwards(node: &mut GossipNode, now: SimTime, from: OverlayId, seq: u64) -> Vec<OverlayId> {
+        let mut rng = SimRng::new(seq);
+        let mut actions = Vec::new();
+        let mut timers = TimerAlloc::new();
+        let mut ctx = Context::new(now, node.id, &mut rng, &mut actions, &mut timers);
+        let header = TfrcHeader {
+            seq,
+            timestamp: now,
+            rtt_estimate: SimDuration::from_millis(100),
+        };
+        node.on_message(&mut ctx, from, GossipMsg::Data { header, seq });
+        actions
+            .iter()
+            .filter_map(|action| match action {
+                Action::Send {
+                    to,
+                    class: MsgClass::Data,
+                    ..
+                } => Some(*to),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -233,12 +229,28 @@ mod tests {
         );
     }
 
+    /// Each fresh packet goes to exactly [`FANOUT`] distinct peers, never
+    /// back to the peer it came from nor to the node itself, and a duplicate
+    /// goes nowhere. A node that may pick its sender does so for 5 packets
+    /// in 19, so forty packets miss it with odds of about 5 in a million.
     #[test]
     fn fanout_bounds_forwarding() {
-        let config = GossipConfig::default();
-        assert_eq!(config.fanout, 5);
-        let node = GossipNode::new(1, 0, 20, config);
-        assert_eq!(node.membership.len(), 19);
-        assert!(!node.membership.contains(&1));
+        let mut node = GossipNode::new(1, 0, 20, StreamConfig::default());
+        for seq in 0..40 {
+            // A second apart: every connection has refilled its burst, so
+            // the transport refuses no send.
+            let now = SimTime::from_secs(1 + seq);
+            let from = [0, 2, 7, 19][seq as usize % 4];
+            let targets = forwards(&mut node, now, from, seq);
+            let distinct: BTreeSet<OverlayId> = targets.iter().copied().collect();
+            assert_eq!(targets.len(), FANOUT, "seq {seq}: {targets:?}");
+            assert_eq!(distinct.len(), FANOUT, "seq {seq}: {targets:?}");
+            assert!(
+                !distinct.contains(&from) && !distinct.contains(&1),
+                "seq {seq}: {targets:?}"
+            );
+            let again = forwards(&mut node, now, 5, seq);
+            assert!(again.is_empty(), "seq {seq}: a duplicate went to {again:?}");
+        }
     }
 }

@@ -2,27 +2,28 @@
 //!
 //! The comparison systems the paper evaluates Bullet against:
 //!
-//! * [`streaming`] — traditional tree streaming over TFRC or UDP (Fig. 6,
-//!   and the tree half of Figs. 9 and 12),
+//! * [`streaming`] — traditional tree streaming over TFRC (Fig. 6, and the
+//!   tree half of Figs. 9 and 12),
 //! * [`gossip`] — push-gossip epidemic dissemination (Fig. 11),
 //! * [`antientropy`] — tree streaming plus pbcast-style anti-entropy
 //!   recovery (Fig. 11).
 //!
-//! All three reuse the same transports, content-description primitives and
-//! simulator as Bullet itself, so differences in the results reflect the
-//! algorithms rather than implementation details (the role MACEDON plays in
-//! the paper).
+//! All three take one [`StreamConfig`], send
+//! [`DATA_PACKET_BYTES`](bullet_transport::DATA_PACKET_BYTES) packets over
+//! the same TFRC connection table, keep the same
+//! [`DeliveryCounters`](bullet_telemetry::DeliveryCounters), and run on the
+//! same content-description primitives and simulator as Bullet itself, so
+//! differences in the results reflect the algorithms rather than
+//! implementation details (the role MACEDON plays in the paper).
 
 #![warn(missing_docs)]
 
 pub mod antientropy;
 pub mod gossip;
-pub mod metrics;
 pub mod streaming;
 
-pub use antientropy::{AntiEntropyConfig, AntiEntropyMsg, AntiEntropyNode};
-pub use gossip::{GossipConfig, GossipMsg, GossipNode};
-pub use metrics::DeliveryMetrics;
+pub use antientropy::{AntiEntropyMsg, AntiEntropyNode};
+pub use gossip::{GossipMsg, GossipNode};
 pub use streaming::{StreamConfig, StreamMsg, StreamTransport, StreamingNode};
 
 // The baselines run under scenario scripts with the default (no-op)

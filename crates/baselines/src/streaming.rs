@@ -8,11 +8,13 @@
 //! the offline bottleneck tree.
 
 use bullet_content::WorkingSet;
-use bullet_netsim::{Agent, Context, OverlayId, SimDuration, SimTime};
+use bullet_netsim::{Agent, Context, OverlayId, SimTime};
 use bullet_overlay::Tree;
-use bullet_transport::{Connections, TfrcConfig, TfrcFeedback, TfrcHeader};
-
-use crate::metrics::DeliveryMetrics;
+use bullet_telemetry::DeliveryCounters;
+use bullet_transport::{
+    packet_interval, Connections, TfrcFeedback, TfrcHeader, DATA_PACKET_BYTES,
+    FEEDBACK_PACKET_BYTES,
+};
 
 /// Which transport the streaming tree uses on every overlay link: TFRC, as
 /// for Bullet (§2.4), is the one there is.
@@ -22,43 +24,29 @@ pub enum StreamTransport {
     Tfrc,
 }
 
-/// Configuration of the streaming application.
+/// Configuration of a baseline's stream: the one config type all three
+/// baselines take. Packets are [`DATA_PACKET_BYTES`] long and every
+/// connection runs TFRC with the defaults, as for Bullet; what a baseline
+/// tunes beyond this (gossip's fanout, anti-entropy's epoch and digests) are
+/// constants in its module.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
     /// Target streaming rate at the source, in bits per second.
     pub stream_rate_bps: f64,
-    /// Data packet size in bytes.
-    pub packet_size: u32,
     /// Time at which the source starts streaming.
     pub stream_start: SimTime,
-    /// Transport used on every parent-child link. `Tfrc` is the only value;
-    /// the field stays because the perf ledger's workloads set it.
+    /// Transport used on every overlay link. `Tfrc` is the only value; the
+    /// field stays because the perf ledger's workloads set it.
     pub transport: StreamTransport,
-    /// TFRC parameters.
-    pub tfrc: TfrcConfig,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        let packet_size = 1_500;
         StreamConfig {
             stream_rate_bps: 600_000.0,
-            packet_size,
             stream_start: SimTime::from_secs(10),
             transport: StreamTransport::Tfrc,
-            tfrc: TfrcConfig {
-                packet_size,
-                ..TfrcConfig::default()
-            },
         }
-    }
-}
-
-impl StreamConfig {
-    /// Interval between packet generations at the source.
-    pub fn packet_interval(&self) -> SimDuration {
-        let per_sec = self.stream_rate_bps / (self.packet_size as f64 * 8.0);
-        SimDuration::from_secs_f64(1.0 / per_sec.max(0.01))
     }
 }
 
@@ -90,7 +78,7 @@ pub struct StreamingNode {
     /// TFRC connections to the parent and the children.
     conns: Connections,
     /// Cumulative delivery counters sampled by the harness.
-    pub metrics: DeliveryMetrics,
+    pub metrics: DeliveryCounters,
 }
 
 impl StreamingNode {
@@ -104,7 +92,7 @@ impl StreamingNode {
             next_seq: 0,
             seen: WorkingSet::new(),
             conns: Connections::new(),
-            metrics: DeliveryMetrics::default(),
+            metrics: DeliveryCounters::default(),
         }
     }
 
@@ -120,10 +108,9 @@ impl StreamingNode {
 
     fn forward_to_children(&mut self, ctx: &mut Context<'_, StreamMsg>, seq: u64) {
         let now = ctx.now();
-        let packet_size = self.config.packet_size;
         for &child in &self.children {
-            if let Ok(header) = self.conns.send(child, self.config.tfrc, now, packet_size) {
-                ctx.send_data(child, StreamMsg::Data { header, seq }, packet_size);
+            if let Ok(header) = self.conns.send(child, now) {
+                ctx.send_data(child, StreamMsg::Data { header, seq }, DATA_PACKET_BYTES);
             }
         }
     }
@@ -142,14 +129,13 @@ impl Agent for StreamingNode {
     fn on_message(&mut self, ctx: &mut Context<'_, StreamMsg>, from: OverlayId, msg: StreamMsg) {
         match msg {
             StreamMsg::Data { header, seq } => {
-                let size = self.config.packet_size;
-                if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
-                    ctx.send_control(from, StreamMsg::Feedback(feedback), 60);
+                if let Some(feedback) = self.conns.receive(from, ctx.now(), header) {
+                    ctx.send_control(from, StreamMsg::Feedback(feedback), FEEDBACK_PACKET_BYTES);
                 }
                 let duplicate = !self.seen.insert(seq);
                 let from_parent = Some(from) == self.parent;
                 self.metrics
-                    .record_receive(self.config.packet_size, from_parent, duplicate);
+                    .record_receive(DATA_PACKET_BYTES, from_parent, duplicate);
                 if !duplicate {
                     self.forward_to_children(ctx, seq);
                 }
@@ -165,7 +151,7 @@ impl Agent for StreamingNode {
             self.metrics.packets_generated += 1;
             self.seen.insert(seq);
             self.forward_to_children(ctx, seq);
-            ctx.set_timer(self.config.packet_interval(), TIMER_GENERATE);
+            ctx.set_timer(packet_interval(self.config.stream_rate_bps), TIMER_GENERATE);
         }
     }
 }
@@ -173,7 +159,7 @@ impl Agent for StreamingNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bullet_netsim::{LinkSpec, NetworkSpec, Sim, SimRng};
+    use bullet_netsim::{LinkSpec, NetworkSpec, Sim, SimDuration, SimRng};
     use bullet_overlay::random_tree;
 
     fn hub(n: usize, access_bps: f64) -> NetworkSpec {
@@ -234,6 +220,25 @@ mod tests {
                 "node {node} unexpectedly received {got}/{generated}"
             );
         }
+    }
+
+    /// Every settable value, spelled out with no `..`: a new field fails to
+    /// compile here, so a knob cannot be added without being seen. The
+    /// values are the defaults: a 600 Kbps stream of 1,500-byte packets, one
+    /// every 20 ms.
+    #[test]
+    fn the_settable_values_are_these() {
+        let config = StreamConfig {
+            stream_rate_bps: 600_000.0,
+            stream_start: SimTime::from_secs(10),
+            transport: StreamTransport::Tfrc,
+        };
+        assert_eq!(
+            format!("{config:?}"),
+            format!("{:?}", StreamConfig::default())
+        );
+        let interval = packet_interval(config.stream_rate_bps);
+        assert_eq!(interval, SimDuration::from_millis(20));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bullet configuration.
 
 use bullet_netsim::{SimDuration, SimTime};
-use bullet_transport::TfrcConfig;
+use bullet_transport::DATA_PACKET_BYTES;
 
 // ---- failure detection and recovery (§4.6), on under `recovery` ----
 
@@ -128,17 +128,15 @@ impl Default for OverloadConfig {
 
 /// Tunable parameters of a Bullet node.
 ///
-/// Defaults follow the paper: 600 Kbps target stream, 1500-byte packets,
-/// 5-second RanSub epochs with 10-entry sets, up to 10 senders and 10
+/// Defaults follow the paper: a 600 Kbps target stream (of
+/// [`DATA_PACKET_BYTES`] packets, over TFRC with its defaults), 5-second
+/// RanSub epochs with 10-entry sets, up to 10 senders and 10
 /// receivers per node, and sender eviction when more than half of the packets
 /// it delivers are duplicates.
 #[derive(Clone, Debug)]
 pub struct BulletConfig {
     /// Target streaming rate at the source, in bits per second.
     pub stream_rate_bps: f64,
-    /// Data packet size in bytes (payload plus headers, as accounted on the
-    /// wire).
-    pub packet_size: u32,
     /// Time at which the source starts streaming.
     pub stream_start: SimTime,
     /// RanSub epoch length (collect/distribute period).
@@ -211,22 +209,18 @@ pub struct BulletConfig {
     /// footprint.
     pub overload: Option<OverloadConfig>,
     /// Playout freshness deadline: a first-delivery block older than this
-    /// (measured from its generation slot at the source,
-    /// `stream_start + seq * packet_interval`) is counted as late in the
+    /// (measured from its generation slot at the source, `stream_start +
+    /// seq * packet_interval(stream_rate_bps)`) is counted as late in the
     /// delivery metrics (`fresh_bytes`) — a live playout that far behind
     /// the source cannot use it. Purely observational: no protocol
     /// decision consults it.
     pub freshness_deadline: SimDuration,
-    /// Transport parameters for every TFRC connection.
-    pub tfrc: TfrcConfig,
 }
 
 impl Default for BulletConfig {
     fn default() -> Self {
-        let packet_size = 1_500;
         BulletConfig {
             stream_rate_bps: 600_000.0,
-            packet_size,
             stream_start: SimTime::from_secs(10),
             ransub_epoch: SimDuration::from_secs(5),
             ransub_set_size: 10,
@@ -246,10 +240,6 @@ impl Default for BulletConfig {
             integrity: false,
             overload: None,
             freshness_deadline: SimDuration::from_secs(10),
-            tfrc: TfrcConfig {
-                packet_size,
-                ..TfrcConfig::default()
-            },
         }
     }
 }
@@ -298,30 +288,24 @@ impl BulletConfig {
         }
     }
 
-    /// Interval between packet generations at the source implied by the
-    /// stream rate and packet size.
-    pub fn packet_interval(&self) -> SimDuration {
-        let per_sec = self.stream_rate_bps / (self.packet_size as f64 * 8.0);
-        SimDuration::from_secs_f64(1.0 / per_sec.max(0.01))
-    }
-
     /// Expected number of data packets per RanSub epoch, used to size the
     /// per-epoch limiting-factor adjustment step.
     pub fn packets_per_epoch(&self) -> f64 {
-        let per_sec = self.stream_rate_bps / (self.packet_size as f64 * 8.0);
+        let per_sec = self.stream_rate_bps / (DATA_PACKET_BYTES as f64 * 8.0);
         (per_sec * self.ransub_epoch.as_secs_f64()).max(1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use bullet_transport::packet_interval;
+
     use super::*;
 
     #[test]
     fn default_matches_paper_parameters() {
         let config = BulletConfig::default();
         assert_eq!(config.stream_rate_bps, 600_000.0);
-        assert_eq!(config.packet_size, 1_500);
         assert_eq!(config.ransub_set_size, 10);
         assert_eq!(config.max_senders, 10);
         assert_eq!(config.max_receivers, 10);
@@ -342,7 +326,6 @@ mod tests {
         assert_eq!(overload, OverloadConfig::default());
         let config = BulletConfig {
             stream_rate_bps: 600_000.0,
-            packet_size: 1_500,
             stream_start: SimTime::from_secs(10),
             ransub_epoch: SimDuration::from_secs(5),
             ransub_set_size: 10,
@@ -362,7 +345,6 @@ mod tests {
             integrity: false,
             overload: None,
             freshness_deadline: SimDuration::from_secs(10),
-            tfrc: BulletConfig::default().tfrc,
         };
         assert_eq!(
             format!("{config:?}"),
@@ -378,16 +360,18 @@ mod tests {
     fn packet_interval_matches_rate() {
         let config = BulletConfig::default();
         // 600 Kbps / (1500 B * 8) = 50 packets/s => 20 ms.
-        assert_eq!(config.packet_interval().as_micros(), 20_000);
+        let interval = packet_interval(config.stream_rate_bps);
+        assert_eq!(interval.as_micros(), 20_000);
         assert!((config.packets_per_epoch() - 250.0).abs() < 1e-9);
     }
 
     #[test]
     fn packet_interval_handles_tiny_rates() {
+        assert!(packet_interval(1.0) <= SimDuration::from_secs(100));
         let config = BulletConfig {
             stream_rate_bps: 1.0,
             ..BulletConfig::default()
         };
-        assert!(config.packet_interval() <= SimDuration::from_secs(100));
+        assert_eq!(config.packets_per_epoch(), 1.0);
     }
 }

@@ -9,7 +9,9 @@
 
 use bullet_content::{ReconcileRequest, SummaryTicket};
 use bullet_ransub::RanSubMsg;
-use bullet_transport::{TfrcFeedback, TfrcHeader, FEEDBACK_PACKET_BYTES};
+use bullet_transport::{
+    TfrcFeedback, TfrcHeader, DATA_PACKET_BYTES, FEEDBACK_PACKET_BYTES, HEADER_BYTES,
+};
 
 /// A message exchanged between Bullet nodes.
 #[derive(Clone, Debug)]
@@ -88,22 +90,17 @@ pub enum BulletMsg {
     ReattachReject,
 }
 
-/// Fixed per-message header overhead (IP + UDP + Bullet framing), in bytes.
-pub const HEADER_BYTES: u32 = 40;
-
 /// Wire size of one summary-ticket entry in a RanSub set: the ticket itself
 /// plus the node address.
 pub const RANSUB_ENTRY_BYTES: u32 = 128;
 
 impl BulletMsg {
-    /// The size this message occupies on the wire, in bytes.
-    ///
-    /// `data_packet_size` is the configured size of a full data packet
-    /// (payload plus headers); every other message type derives its size from
-    /// its contents.
-    pub fn wire_bytes(&self, data_packet_size: u32) -> u32 {
+    /// The size this message occupies on the wire, in bytes: a full data
+    /// packet for [`BulletMsg::Data`], and a size derived from its contents
+    /// for every other message type.
+    pub fn wire_bytes(&self) -> u32 {
         match self {
-            BulletMsg::Data { .. } => data_packet_size,
+            BulletMsg::Data { .. } => DATA_PACKET_BYTES,
             BulletMsg::Feedback(_) => FEEDBACK_PACKET_BYTES,
             BulletMsg::RanSub(msg) => {
                 let members = match msg {
@@ -159,7 +156,7 @@ mod tests {
             seq: 7,
             digest: bullet_content::block_digest(7),
         };
-        assert_eq!(msg.wire_bytes(1_500), 1_500);
+        assert_eq!(msg.wire_bytes(), DATA_PACKET_BYTES);
         assert!(msg.is_data());
     }
 
@@ -167,7 +164,7 @@ mod tests {
     fn ransub_size_scales_with_set_size() {
         let set: WeightedSet<SummaryTicket> = WeightedSet::empty();
         let empty = BulletMsg::RanSub(RanSubMsg::Distribute { epoch: 1, set });
-        assert_eq!(empty.wire_bytes(1_500), HEADER_BYTES);
+        assert_eq!(empty.wire_bytes(), HEADER_BYTES);
         assert!(!empty.is_data());
     }
 
@@ -176,18 +173,18 @@ mod tests {
         let request = ReconcileRequest::new(BloomFilter::new(16_384, 6), 0, 100, 4, 1);
         let msg = BulletMsg::FilterRefresh { request };
         // 16 Kbit = 2 KB of filter plus headers.
-        assert!(msg.wire_bytes(1_500) > 2_000);
-        assert!(msg.wire_bytes(1_500) < 2_200);
+        assert!(msg.wire_bytes() > 2_000);
+        assert!(msg.wire_bytes() < 2_200);
     }
 
     #[test]
     fn control_messages_are_small() {
-        assert_eq!(BulletMsg::PeeringAccept.wire_bytes(1_500), HEADER_BYTES);
+        assert_eq!(BulletMsg::PeeringAccept.wire_bytes(), HEADER_BYTES);
         assert_eq!(
             BulletMsg::ReceiverReport {
                 cumulative_raw_bytes: 1
             }
-            .wire_bytes(1_500),
+            .wire_bytes(),
             HEADER_BYTES
         );
         assert_eq!(
@@ -197,7 +194,7 @@ mod tests {
                 receive_rate: 0.0,
                 loss_event_rate: 0.0,
             })
-            .wire_bytes(1_500),
+            .wire_bytes(),
             FEEDBACK_PACKET_BYTES
         );
     }

@@ -28,7 +28,7 @@ use bullet_netsim::{Agent, Context, FaultPlan, OverlayId, SimDuration, SimTime};
 use bullet_overlay::Tree;
 use bullet_ransub::{Member, RanSub, RanSubConfig, RanSubEvent, RanSubMsg};
 use bullet_telemetry::{TraceData, CAT_JOURNEY, CAT_PROTO};
-use bullet_transport::Connections;
+use bullet_transport::{packet_interval, Connections, TfrcHeader, DATA_PACKET_BYTES};
 
 use crate::config::{
     BulletConfig, CORRUPT_PENALTY, DEFER_BASE, HEALTH_DECAY, MAX_RETRIES, ORPHAN_EPOCHS,
@@ -122,8 +122,9 @@ pub struct BulletNode {
     peers: PeerManager,
 
     conns: Connections,
-    /// `config.packet_interval()`, computed once: the source's generation
-    /// period and the clock every accepted block is aged by.
+    /// `packet_interval(config.stream_rate_bps)`, computed once: the
+    /// source's generation period and the clock every accepted block is
+    /// aged by.
     packet_interval: SimDuration,
 
     /// Reusable peer-id buffer for the periodic timers (filter refresh, mesh
@@ -240,7 +241,7 @@ impl BulletNode {
         );
         let disjoint = Self::fresh_disjoint(&children, &config);
         let peers = Self::fresh_peers(&config);
-        let packet_interval = config.packet_interval();
+        let packet_interval = packet_interval(config.stream_rate_bps);
         BulletNode {
             id,
             parent,
@@ -369,7 +370,7 @@ impl BulletNode {
     }
 
     fn send_msg(&self, ctx: &mut Context<'_, BulletMsg>, to: OverlayId, msg: BulletMsg) {
-        let size = msg.wire_bytes(self.config.packet_size);
+        let size = msg.wire_bytes();
         if msg.is_data() {
             ctx.send_data(to, msg, size);
         } else {
@@ -378,14 +379,13 @@ impl BulletNode {
     }
 
     /// Sends block `seq` to `to` under the transport header `header`.
-    /// Takes the two fields it reads, not `&self`, so that the send loops
+    /// Takes the one field it reads, not `&self`, so that the send loops
     /// can call it while holding the connection table they borrowed.
     fn send_data_packet(
-        config: &BulletConfig,
         tainted: &BTreeMap<u64, u64>,
         ctx: &mut Context<'_, BulletMsg>,
         to: OverlayId,
-        header: bullet_transport::TfrcHeader,
+        header: TfrcHeader,
         seq: u64,
     ) {
         let msg = BulletMsg::Data {
@@ -393,11 +393,10 @@ impl BulletNode {
             seq,
             digest: carried_digest(tainted, seq),
         };
-        let size = msg.wire_bytes(config.packet_size);
         if seq.is_multiple_of(TRACE_INTERVAL) {
-            ctx.send_data_traced(to, msg, size, seq);
+            ctx.send_data_traced(to, msg, DATA_PACKET_BYTES, seq);
         } else {
-            ctx.send_data(to, msg, size);
+            ctx.send_data(to, msg, DATA_PACKET_BYTES);
         }
     }
 
@@ -649,11 +648,10 @@ impl BulletNode {
         let mut factors = std::mem::take(&mut self.scratch_factors);
         self.sending_factors(&mut factors);
         let now = ctx.now();
-        let config = &self.config;
         let tainted = &self.tainted;
         let conns = &mut self.conns;
         let outcome = self.disjoint.route_packet(seq, &factors, |child| {
-            let Ok(header) = conns.send(child, config.tfrc, now, config.packet_size) else {
+            let Ok(header) = conns.send(child, now) else {
                 return false;
             };
             if ctx.tracing(CAT_JOURNEY) {
@@ -662,7 +660,7 @@ impl BulletNode {
                     to: child as u32,
                 });
             }
-            Self::send_data_packet(config, tainted, ctx, child, header, seq);
+            Self::send_data_packet(tainted, ctx, child, header, seq);
             true
         });
         self.scratch_factors = factors;
@@ -1030,8 +1028,6 @@ impl BulletNode {
         }
         let mut keys = std::mem::take(&mut self.scratch_keys);
         let now = ctx.now();
-        let tfrc = self.config.tfrc;
-        let packet_size = self.config.packet_size;
         let batch = self.config.peer_service_batch;
         for receiver in self.peers.receivers_mut() {
             let node = receiver.node;
@@ -1051,7 +1047,7 @@ impl BulletNode {
                 continue;
             }
             for &key in &keys {
-                let Ok(header) = self.conns.send(node, tfrc, now, packet_size) else {
+                let Ok(header) = self.conns.send(node, now) else {
                     break;
                 };
                 if ctx.tracing(CAT_JOURNEY) {
@@ -1060,12 +1056,12 @@ impl BulletNode {
                         to: node as u32,
                     });
                 }
-                Self::send_data_packet(&self.config, &self.tainted, ctx, node, header, key);
+                Self::send_data_packet(&self.tainted, ctx, node, header, key);
                 self.metrics.served_packets += 1;
                 receiver.offers(&self.working_set).mark_sent(key);
                 #[cfg(test)]
                 receiver.shadow_sent.insert(key);
-                receiver.bytes_sent_window += packet_size as u64;
+                receiver.bytes_sent_window += DATA_PACKET_BYTES as u64;
             }
         }
         self.scratch_keys = keys;
@@ -1199,13 +1195,12 @@ impl BulletNode {
         &mut self,
         ctx: &mut Context<'_, BulletMsg>,
         from: OverlayId,
-        header: bullet_transport::TfrcHeader,
+        header: TfrcHeader,
         seq: u64,
         digest: u64,
     ) {
         // Transport-level processing: loss detection and feedback pacing.
-        let size = self.config.packet_size;
-        if let Some(feedback) = self.conns.receive(from, ctx.now(), header, size) {
+        if let Some(feedback) = self.conns.receive(from, ctx.now(), header) {
             self.send_msg(ctx, from, BulletMsg::Feedback(feedback));
         }
 
@@ -1220,13 +1215,9 @@ impl BulletNode {
             // reconciliation round re-requests it from an honest peer. The
             // forwarder pays a misbehavior penalty.
             self.metrics.corrupt_blocks_rejected += 1;
-            self.metrics.delivery.raw_bytes += self.config.packet_size as u64;
-            self.metrics.delivery.total_packets += 1;
-            if from_parent {
-                self.metrics.delivery.from_parent_bytes += self.config.packet_size as u64;
-            } else {
-                self.metrics.delivery.from_peers_bytes += self.config.packet_size as u64;
-            }
+            self.metrics
+                .delivery
+                .record_arrival(DATA_PACKET_BYTES, from_parent);
             if let Some(sender) = self.peers.sender_mut(from) {
                 sender.total_packets_window += 1;
             }
@@ -1236,7 +1227,7 @@ impl BulletNode {
 
         let duplicate = self.working_set.contains(seq) || seq < self.working_set.low_watermark();
         self.metrics
-            .record_receive(self.config.packet_size, from_parent, duplicate);
+            .record_receive(DATA_PACKET_BYTES, from_parent, duplicate);
         if !duplicate {
             // Timeliness: the source emits `seq` at `stream_start +
             // seq * packet_interval`, so every node can judge a block's
@@ -1250,7 +1241,7 @@ impl BulletNode {
                 .saturating_add(seq.saturating_mul(self.packet_interval.as_micros()));
             let age_us = ctx.now().as_micros().saturating_sub(generated_us);
             if age_us > self.config.freshness_deadline.as_micros() {
-                self.metrics.delivery.record_stale(self.config.packet_size);
+                self.metrics.delivery.record_stale(DATA_PACKET_BYTES);
             }
         }
         if ctx.tracing(CAT_JOURNEY) {
@@ -1266,7 +1257,7 @@ impl BulletNode {
             if duplicate {
                 sender.duplicate_packets_window += 1;
             } else {
-                sender.useful_bytes_window += self.config.packet_size as u64;
+                sender.useful_bytes_window += DATA_PACKET_BYTES as u64;
             }
         }
         if duplicate {

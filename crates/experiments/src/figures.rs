@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use bullet_baselines::{AntiEntropyConfig, GossipConfig, StreamConfig, StreamTransport};
+use bullet_baselines::{StreamConfig, StreamTransport};
 use bullet_core::BulletConfig;
 use bullet_dynamics::ScenarioScript;
 use bullet_netsim::{SimDuration, SimTime};
@@ -247,7 +247,6 @@ impl Params {
             stream_rate_bps: rate_bps,
             stream_start: self.stream_start,
             transport: StreamTransport::Tfrc,
-            ..StreamConfig::default()
         }
     }
 }
@@ -494,23 +493,14 @@ pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             seed,
         )
     });
-    let gossip_topo = topo.clone();
-    let gossip = GossipConfig {
-        stream_rate_bps: EPIDEMIC_RATE_BPS,
-        stream_start: p.stream_start,
-        ..GossipConfig::default()
-    };
+    let stream = p.stream_config(EPIDEMIC_RATE_BPS);
+    let (gossip_topo, gossip) = (topo.clone(), stream.clone());
     plan.arm(&p, "Push gossiping", move |run, seed| {
         gossip_run_on(gossip_topo.network(), 0, &gossip, run, &NO_SCRIPT, seed)
     });
     let bottleneck = topo.tree(TreeKind::Bottleneck, 0, p.seed);
-    let ae = AntiEntropyConfig {
-        stream_rate_bps: EPIDEMIC_RATE_BPS,
-        stream_start: p.stream_start,
-        ..AntiEntropyConfig::default()
-    };
     plan.arm(&p, "Streaming w/AE", move |run, seed| {
-        antientropy_run_on(topo.network(), &bottleneck, &ae, run, &NO_SCRIPT, seed)
+        antientropy_run_on(topo.network(), &bottleneck, &stream, run, &NO_SCRIPT, seed)
     });
 
     plan.assemble(|arms| {

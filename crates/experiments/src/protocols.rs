@@ -5,9 +5,7 @@
 //! and hands them to the one metered runner. A static run passes an empty
 //! [`ScenarioScript`] (`NO_SCRIPT`).
 
-use bullet_baselines::{
-    AntiEntropyConfig, AntiEntropyNode, GossipConfig, GossipNode, StreamConfig, StreamingNode,
-};
+use bullet_baselines::{AntiEntropyNode, GossipNode, StreamConfig, StreamingNode};
 use bullet_core::{BulletConfig, BulletNode};
 use bullet_dynamics::ScenarioScript;
 use bullet_netsim::{Network, NodeResources, OverlayId, Sim};
@@ -88,7 +86,7 @@ pub fn streaming_run_on(
 pub fn gossip_run_on(
     network: Network,
     source: OverlayId,
-    config: &GossipConfig,
+    config: &StreamConfig,
     run: &RunSpec,
     script: &ScenarioScript,
     seed: u64,
@@ -102,7 +100,7 @@ pub fn gossip_run_on(
 pub fn antientropy_run_on(
     network: Network,
     tree: &Tree,
-    config: &AntiEntropyConfig,
+    config: &StreamConfig,
     run: &RunSpec,
     script: &ScenarioScript,
     seed: u64,
@@ -165,21 +163,10 @@ mod tests {
         let streaming = streaming_run_on(net(), &tree, &stream_cfg, &run, &NO_SCRIPT, 1);
         assert!(streaming.steady_state_kbps() > 100.0);
 
-        let gossip_cfg = GossipConfig {
-            stream_rate_bps: 300_000.0,
-            stream_start: SimTime::from_secs(2),
-            ..GossipConfig::default()
-        };
-        let gossip = gossip_run_on(net(), 0, &gossip_cfg, &run, &NO_SCRIPT, 1);
+        let gossip = gossip_run_on(net(), 0, &stream_cfg, &run, &NO_SCRIPT, 1);
         assert!(gossip.summary.steady_raw_kbps > 50.0);
 
-        let ae_cfg = AntiEntropyConfig {
-            stream_rate_bps: 300_000.0,
-            stream_start: SimTime::from_secs(2),
-            epoch: SimDuration::from_secs(5),
-            ..AntiEntropyConfig::default()
-        };
-        let ae = antientropy_run_on(net(), &tree, &ae_cfg, &run, &NO_SCRIPT, 1);
+        let ae = antientropy_run_on(net(), &tree, &stream_cfg, &run, &NO_SCRIPT, 1);
         assert!(ae.steady_state_kbps() > 100.0);
     }
 }

@@ -494,7 +494,6 @@ mod tests {
             stream_rate_bps: 400_000.0,
             stream_start: SimTime::from_secs(2),
             transport: StreamTransport::Tfrc,
-            ..StreamConfig::default()
         };
         let agents = (0..n)
             .map(|i| StreamingNode::new(i, &tree, config.clone()))

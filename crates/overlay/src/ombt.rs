@@ -14,25 +14,21 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 use bullet_netsim::{DirectedLinkId, Network, OverlayId};
-use bullet_transport::tcp_throughput_bps;
+use bullet_transport::{tcp_throughput_bps, DATA_PACKET_BYTES};
 
 use crate::tree::Tree;
 
-/// Configuration of the greedy OMBT construction.
+/// Configuration of the greedy OMBT construction. The TCP steady-state
+/// formula uses the streams' packet size, [`DATA_PACKET_BYTES`].
 #[derive(Clone, Copy, Debug)]
 pub struct OmbtConfig {
-    /// Packet size used in the TCP steady-state formula, in bytes.
-    pub packet_size: u32,
     /// Maximum children per node (degree constraint).
     pub max_children: usize,
 }
 
 impl Default for OmbtConfig {
     fn default() -> Self {
-        OmbtConfig {
-            packet_size: 1_500,
-            max_children: 10,
-        }
+        OmbtConfig { max_children: 10 }
     }
 }
 
@@ -88,7 +84,6 @@ pub enum OracleStrategy {
 /// Oracle estimator for overlay link throughput.
 pub struct ThroughputOracle<'a> {
     net: &'a mut Network,
-    packet_size: u32,
     /// Number of tree flows currently routed over each directed link.
     flows: HashMap<DirectedLinkId, u32>,
     strategy: OracleStrategy,
@@ -97,15 +92,14 @@ pub struct ThroughputOracle<'a> {
 impl<'a> ThroughputOracle<'a> {
     /// Creates an oracle over the given network with the default
     /// ([`OracleStrategy::Batched`]) route acquisition.
-    pub fn new(net: &'a mut Network, packet_size: u32) -> Self {
-        Self::with_strategy(net, packet_size, OracleStrategy::default())
+    pub fn new(net: &'a mut Network) -> Self {
+        Self::with_strategy(net, OracleStrategy::default())
     }
 
     /// Creates an oracle with an explicit route-acquisition strategy.
-    pub fn with_strategy(net: &'a mut Network, packet_size: u32, strategy: OracleStrategy) -> Self {
+    pub fn with_strategy(net: &'a mut Network, strategy: OracleStrategy) -> Self {
         ThroughputOracle {
             net,
-            packet_size,
             flows: HashMap::new(),
             strategy,
         }
@@ -141,7 +135,7 @@ impl<'a> ThroughputOracle<'a> {
         let rtt = (delay + reverse_delay).max(1e-4);
         let loss = 1.0 - loss_survive;
         let formula = if loss > 0.0 {
-            tcp_throughput_bps(self.packet_size as f64, rtt, loss)
+            tcp_throughput_bps(DATA_PACKET_BYTES as f64, rtt, loss)
         } else {
             f64::INFINITY
         };
@@ -183,7 +177,7 @@ pub fn bottleneck_tree_with(
 ) -> Tree {
     assert!(participants > 0, "need at least one participant");
     assert!(root < participants, "root out of range");
-    let mut oracle = ThroughputOracle::with_strategy(net, config.packet_size, strategy);
+    let mut oracle = ThroughputOracle::with_strategy(net, strategy);
     let mut parents: Vec<Option<OverlayId>> = vec![None; participants];
     let mut in_tree = vec![false; participants];
     let mut child_count = vec![0usize; participants];
@@ -275,10 +269,7 @@ mod tests {
         // chain source -> fast -> slow, never slow -> fast.
         let spec = star(&[10e6, 10e6, 0.5e6]);
         let mut net = Network::new(&spec);
-        let config = OmbtConfig {
-            packet_size: 1_500,
-            max_children: 1,
-        };
+        let config = OmbtConfig { max_children: 1 };
         let tree = bottleneck_tree(&mut net, 3, 0, &config);
         assert_eq!(tree.parent(1), Some(0));
         assert_eq!(tree.parent(2), Some(1));
@@ -288,10 +279,7 @@ mod tests {
     fn respects_the_degree_constraint() {
         let spec = star(&[10e6; 20]);
         let mut net = Network::new(&spec);
-        let config = OmbtConfig {
-            packet_size: 1_500,
-            max_children: 3,
-        };
+        let config = OmbtConfig { max_children: 3 };
         let tree = bottleneck_tree(&mut net, 20, 0, &config);
         assert!(tree.max_degree() <= 3);
         assert_eq!(tree.subtree_size(0), 20);
@@ -303,7 +291,7 @@ mod tests {
         // a path must reduce the fair share reported afterwards.
         let spec = star(&[10e6, 10e6, 10e6]);
         let mut net = Network::new(&spec);
-        let mut oracle = ThroughputOracle::new(&mut net, 1_500);
+        let mut oracle = ThroughputOracle::new(&mut net);
         let before = oracle.estimate_bps(0, 1).unwrap();
         oracle.commit_flow(0, 1);
         let after = oracle.estimate_bps(0, 1).unwrap();
@@ -323,7 +311,7 @@ mod tests {
         spec.attach(1);
         spec.attach(2);
         let mut net = Network::new(&spec);
-        let mut oracle = ThroughputOracle::new(&mut net, 1_500);
+        let mut oracle = ThroughputOracle::new(&mut net);
         let clean = oracle.estimate_bps(0, 1).unwrap();
         let lossy = oracle.estimate_bps(0, 2).unwrap();
         assert!(lossy < clean, "lossy {lossy} should be below clean {clean}");
@@ -332,10 +320,7 @@ mod tests {
     #[test]
     fn batched_and_pairwise_strategies_build_the_same_tree() {
         let spec = star(&[10e6, 3e6, 7e6, 1e6, 12e6, 5e6, 2e6, 9e6]);
-        let config = OmbtConfig {
-            packet_size: 1_500,
-            max_children: 2,
-        };
+        let config = OmbtConfig { max_children: 2 };
         let batched = bottleneck_tree_with(
             &mut Network::new(&spec),
             8,
@@ -358,10 +343,8 @@ mod tests {
         let spec = star(&[10e6, 10e6, 4e6]);
         let mut net_a = Network::new(&spec);
         let mut net_b = Network::new(&spec);
-        let mut batched =
-            ThroughputOracle::with_strategy(&mut net_a, 1_500, OracleStrategy::Batched);
-        let mut pairwise =
-            ThroughputOracle::with_strategy(&mut net_b, 1_500, OracleStrategy::Pairwise);
+        let mut batched = ThroughputOracle::with_strategy(&mut net_a, OracleStrategy::Batched);
+        let mut pairwise = ThroughputOracle::with_strategy(&mut net_b, OracleStrategy::Pairwise);
         for from in 0..3 {
             for to in 0..3 {
                 if from == to {

@@ -62,13 +62,7 @@ impl DeliveryCounters {
     /// [`fresh_bytes`]: DeliveryCounters::fresh_bytes
     /// [`record_stale`]: DeliveryCounters::record_stale
     pub fn record_receive(&mut self, bytes: u32, from_parent: bool, duplicate: bool) {
-        self.raw_bytes += bytes as u64;
-        self.total_packets += 1;
-        if from_parent {
-            self.from_parent_bytes += bytes as u64;
-        } else {
-            self.from_peers_bytes += bytes as u64;
-        }
+        self.record_arrival(bytes, from_parent);
         if duplicate {
             self.duplicate_packets += 1;
             if from_parent {
@@ -78,6 +72,21 @@ impl DeliveryCounters {
             self.useful_bytes += bytes as u64;
             self.useful_packets += 1;
             self.fresh_bytes += bytes as u64;
+        }
+    }
+
+    /// Records the arrival of a data packet, new or not: the raw and total
+    /// counts and the from-parent or from-peers bytes. This is the first
+    /// half of [`record_receive`](DeliveryCounters::record_receive); a
+    /// protocol that rejects a packet before judging it new (Bullet's
+    /// integrity layer) records only this half.
+    pub fn record_arrival(&mut self, bytes: u32, from_parent: bool) {
+        self.raw_bytes += bytes as u64;
+        self.total_packets += 1;
+        if from_parent {
+            self.from_parent_bytes += bytes as u64;
+        } else {
+            self.from_peers_bytes += bytes as u64;
         }
     }
 
@@ -113,6 +122,25 @@ mod tests {
         assert_eq!(m.total_packets, 4);
         assert_eq!(m.useful_packets, 2);
         assert!((m.duplicate_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    /// An arrival counts what every receive counts and judges nothing: two
+    /// arrivals equal two duplicate receives less their duplicate counts.
+    #[test]
+    fn an_arrival_is_the_first_half_of_a_receive() {
+        let mut arrived = DeliveryCounters::default();
+        arrived.record_arrival(1_500, true);
+        arrived.record_arrival(1_500, false);
+        let mut received = DeliveryCounters::default();
+        received.record_receive(1_500, true, true);
+        received.record_receive(1_500, false, true);
+        let expected = DeliveryCounters {
+            duplicate_packets: 0,
+            duplicate_from_parent: 0,
+            ..received
+        };
+        assert_eq!(arrived, expected);
+        assert_eq!(arrived.raw_bytes, 3_000);
     }
 
     #[test]

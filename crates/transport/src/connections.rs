@@ -5,7 +5,9 @@
 use bullet_netsim::{OverlayId, SimTime};
 
 use crate::rate::SendOutcome;
-use crate::tfrc::{TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender};
+use crate::tfrc::{
+    TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender, DATA_PACKET_BYTES,
+};
 
 /// A map from peer id to a per-peer value.
 ///
@@ -71,20 +73,14 @@ pub struct Connection {
 pub type Connections = PeerTable<Connection>;
 
 impl PeerTable<Connection> {
-    /// Sends a packet of `size_bytes` to `peer`, creating the sending half
-    /// under `config` on first use. On success returns the header to stamp
-    /// on the packet; a refused send is not sent.
-    pub fn send(
-        &mut self,
-        peer: OverlayId,
-        config: TfrcConfig,
-        now: SimTime,
-        size_bytes: u32,
-    ) -> Result<TfrcHeader, SendOutcome> {
+    /// Sends one data packet ([`DATA_PACKET_BYTES`]) to `peer`, creating the
+    /// sending half from [`TfrcConfig::default`] on first use. On success
+    /// returns the header to stamp on the packet; a refused send is not sent.
+    pub fn send(&mut self, peer: OverlayId, now: SimTime) -> Result<TfrcHeader, SendOutcome> {
         self.get_or_insert_with(peer, Connection::default)
             .sender
-            .get_or_insert_with(|| TfrcSender::new(config))
-            .try_send(now, size_bytes)
+            .get_or_insert_with(|| TfrcSender::new(TfrcConfig::default()))
+            .try_send(now, DATA_PACKET_BYTES)
     }
 
     /// Takes in a data packet from `peer`, creating the receiving half on
@@ -94,12 +90,11 @@ impl PeerTable<Connection> {
         peer: OverlayId,
         now: SimTime,
         header: TfrcHeader,
-        size_bytes: u32,
     ) -> Option<TfrcFeedback> {
         self.get_or_insert_with(peer, Connection::default)
             .receiver
             .get_or_insert_with(TfrcReceiver::new)
-            .on_data(now, header, size_bytes)
+            .on_data(now, header, DATA_PACKET_BYTES)
     }
 
     /// Applies `peer`'s feedback to the sending half toward it. Feedback for
@@ -209,7 +204,6 @@ mod tests {
     /// order.
     #[test]
     fn connections_match_a_btreemap_model() {
-        let config = TfrcConfig::default();
         for case in 0..64u64 {
             let mut rng = SimRng::new(0xc0ee_0000 + case);
             let sparse: Vec<OverlayId> = (0..12)
@@ -223,7 +217,7 @@ mod tests {
                 let peer = draw_peer(&mut rng, &sparse);
                 let what = match rng.range_usize(0, 9) {
                     0 | 1 => {
-                        let _ = conns.send(peer, config, now, 1_500);
+                        let _ = conns.send(peer, now);
                         let halves = model.entry(peer).or_default();
                         halves.0 = Some(halves.0.unwrap_or(0) + 1);
                         "send"
@@ -234,7 +228,7 @@ mod tests {
                             timestamp: now,
                             rtt_estimate: SimDuration::from_millis(100),
                         };
-                        conns.receive(peer, now, header, 1_500);
+                        conns.receive(peer, now, header);
                         let halves = model.entry(peer).or_default();
                         halves.1 = Some(halves.1.unwrap_or(0) + 1);
                         "receive"

@@ -11,7 +11,9 @@
 //!   and the offline bottleneck-tree estimator,
 //! * loss-event detection and the eight-interval weighted loss history
 //!   ([`loss`]),
-//! * the TFRC sender/receiver state machines ([`tfrc`]),
+//! * the TFRC sender/receiver state machines ([`tfrc`]), with the wire
+//!   sizes every agent shares ([`DATA_PACKET_BYTES`], [`HEADER_BYTES`],
+//!   [`FEEDBACK_PACKET_BYTES`]) and a source's pacing ([`packet_interval`]),
 //! * the per-peer connection table every agent keeps them in
 //!   ([`connections`]), and
 //! * the non-blocking send primitive ([`rate::RateLimiter`]) whose
@@ -49,5 +51,6 @@ pub use equation::{tcp_throughput, tcp_throughput_bps, TcpRate};
 pub use loss::{LossDetector, LossIntervalHistory};
 pub use rate::{RateLimiter, SendOutcome};
 pub use tfrc::{
-    TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender, FEEDBACK_PACKET_BYTES,
+    packet_interval, TfrcConfig, TfrcFeedback, TfrcHeader, TfrcReceiver, TfrcSender,
+    DATA_PACKET_BYTES, FEEDBACK_PACKET_BYTES, HEADER_BYTES,
 };

@@ -42,31 +42,51 @@ pub struct TfrcFeedback {
     pub loss_event_rate: f64,
 }
 
+/// Wire size of a data packet in bytes, headers included. Bullet and every
+/// baseline stream 1,500-byte packets (paper §2.4 and §4), so this is also
+/// the size `s` in every TFRC response function.
+pub const DATA_PACKET_BYTES: u32 = 1_500;
+
+/// Fixed per-message header overhead (IP + UDP + protocol framing), in
+/// bytes: the wire size of a control message with no body.
+pub const HEADER_BYTES: u32 = 40;
+
 /// Wire size of a feedback packet in bytes (IP + UDP + TFRC feedback).
 pub const FEEDBACK_PACKET_BYTES: u32 = 60;
 
-/// Configuration shared by TFRC senders.
-#[derive(Clone, Copy, Debug)]
+/// Interval between packet generations at a source streaming `rate_bps`
+/// bits per second in [`DATA_PACKET_BYTES`] packets.
+pub fn packet_interval(rate_bps: f64) -> SimDuration {
+    let per_sec = rate_bps / (DATA_PACKET_BYTES as f64 * 8.0);
+    SimDuration::from_secs_f64(1.0 / per_sec.max(0.01))
+}
+
+/// RTT estimate a sender uses before the first feedback arrives.
+const INITIAL_RTT: SimDuration = SimDuration::from_millis(200);
+
+/// Burst allowance of a sender's token bucket, in packets.
+pub const BURST_PACKETS: u32 = 4;
+
+/// Upper bound on a sender's rate, in bytes per second (1 Gbps): never
+/// reached by a stream, so in effect no bound.
+const MAX_RATE: f64 = 1e9 / 8.0;
+
+/// The one settable TFRC parameter: the packet size `s` of the response
+/// function. Every connection uses the default, [`DATA_PACKET_BYTES`]
+/// ([`crate::Connections`] builds each sender from it); the type stays
+/// because the perf ledger's micro-benchmarks build a [`TfrcSender`] from it
+/// and read the size back. The other parameters are constants: the initial
+/// RTT, the burst ([`BURST_PACKETS`]) and the rate cap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TfrcConfig {
     /// Nominal packet size `s` used in the response function, in bytes.
     pub packet_size: u32,
-    /// Initial RTT estimate used before the first feedback arrives.
-    pub initial_rtt: SimDuration,
-    /// Burst allowance of the token bucket, in packets.
-    pub burst_packets: u32,
-    /// Upper bound on the sending rate, in bytes per second. Models the
-    /// application-limited case (a source never needs to exceed its
-    /// streaming rate by much).
-    pub max_rate: f64,
 }
 
 impl Default for TfrcConfig {
     fn default() -> Self {
         TfrcConfig {
-            packet_size: 1_500,
-            initial_rtt: SimDuration::from_millis(200),
-            burst_packets: 4,
-            max_rate: 1e9 / 8.0,
+            packet_size: DATA_PACKET_BYTES,
         }
     }
 }
@@ -74,7 +94,8 @@ impl Default for TfrcConfig {
 /// The sending half of a TFRC connection.
 #[derive(Clone, Debug)]
 pub struct TfrcSender {
-    config: TfrcConfig,
+    /// The packet size `s` of the response function, in bytes.
+    packet_size: u32,
     limiter: RateLimiter,
     /// Smoothed RTT estimate.
     rtt: SimDuration,
@@ -94,12 +115,13 @@ pub struct TfrcSender {
 impl TfrcSender {
     /// Creates a sender with the given configuration.
     pub fn new(config: TfrcConfig) -> Self {
-        let initial_rate = config.packet_size as f64 / config.initial_rtt.as_secs_f64().max(1e-3);
-        let burst = (config.burst_packets * config.packet_size) as f64;
+        let packet_size = config.packet_size;
+        let initial_rate = packet_size as f64 / INITIAL_RTT.as_secs_f64().max(1e-3);
+        let burst = (BURST_PACKETS * packet_size) as f64;
         TfrcSender {
-            config,
+            packet_size,
             limiter: RateLimiter::new(initial_rate, burst),
-            rtt: config.initial_rtt,
+            rtt: INITIAL_RTT,
             has_rtt_sample: false,
             rate: initial_rate,
             slow_start: true,
@@ -167,14 +189,14 @@ impl TfrcSender {
         if p <= 0.0 && self.slow_start {
             // No loss yet: double the rate each feedback, as TCP slow start
             // does, but never beyond twice the rate the receiver reports.
-            let doubled = (self.rate * 2.0).max(self.config.packet_size as f64);
-            let cap = (feedback.receive_rate * 2.0).max(self.config.packet_size as f64);
+            let doubled = (self.rate * 2.0).max(self.packet_size as f64);
+            let cap = (feedback.receive_rate * 2.0).max(self.packet_size as f64);
             self.rate = doubled.min(cap);
         } else {
             self.slow_start = false;
             let t_rto = 4.0 * self.rtt.as_secs_f64();
             let eq_rate = tcp_throughput(
-                self.config.packet_size as f64,
+                self.packet_size as f64,
                 self.rtt.as_secs_f64(),
                 p.max(1e-6),
                 t_rto,
@@ -182,10 +204,10 @@ impl TfrcSender {
             .bytes_per_sec;
             // TFRC never sends at more than twice the receiver's reported
             // receive rate; this bounds the rate when p is tiny.
-            let cap = (feedback.receive_rate * 2.0).max(self.config.packet_size as f64);
+            let cap = (feedback.receive_rate * 2.0).max(self.packet_size as f64);
             self.rate = eq_rate.min(cap);
         }
-        self.rate = self.rate.min(self.config.max_rate);
+        self.rate = self.rate.min(MAX_RATE);
         self.limiter.set_rate(self.rate);
         self.last_feedback = Some(now);
     }
@@ -206,7 +228,7 @@ impl TfrcSender {
             None => SimDuration::ZERO,
         };
         if since > deadline {
-            self.rate = (self.rate / 2.0).max(self.config.packet_size as f64 / 2.0);
+            self.rate = (self.rate / 2.0).max(self.packet_size as f64 / 2.0);
             self.limiter.set_rate(self.rate);
             // Restart the timeout window so repeated calls halve gradually.
             self.last_feedback = Some(now);
@@ -307,9 +329,9 @@ mod tests {
             for (at, fb) in pending_feedback.drain(..) {
                 sender.on_feedback(at, &fb);
             }
-            while let Ok(header) = sender.try_send(now, 1_500) {
+            while let Ok(header) = sender.try_send(now, DATA_PACKET_BYTES) {
                 let arrive = now + SimDuration::from_millis(50);
-                if let Some(fb) = receiver.on_data(arrive, header, 1_500) {
+                if let Some(fb) = receiver.on_data(arrive, header, DATA_PACKET_BYTES) {
                     pending_feedback.push((arrive + SimDuration::from_millis(50), fb));
                 }
             }
@@ -375,7 +397,7 @@ mod tests {
         assert!(!sender.in_slow_start());
         // And it should be close to the response-function value.
         let expected = tcp_throughput(
-            1_500.0,
+            DATA_PACKET_BYTES as f64,
             sender.rtt().as_secs_f64(),
             0.05,
             4.0 * sender.rtt().as_secs_f64(),
@@ -394,13 +416,26 @@ mod tests {
         let now = SimTime::ZERO;
         let mut accepted = 0;
         for _ in 0..100 {
-            if sender.try_send(now, 1_500).is_ok() {
+            if sender.try_send(now, DATA_PACKET_BYTES).is_ok() {
                 accepted += 1;
             }
         }
         // Only the burst allowance may be accepted instantaneously.
-        assert_eq!(accepted, TfrcConfig::default().burst_packets as usize);
+        assert_eq!(accepted, BURST_PACKETS as usize);
         assert!(sender.sends_blocked > 0);
+    }
+
+    /// Every settable value, spelled out with no `..`: a new field fails to
+    /// compile here, so a parameter cannot be added without being seen. The
+    /// value is the default, and a sender built from it starts at one packet
+    /// per initial RTT.
+    #[test]
+    fn the_settable_values_are_these() {
+        let config = TfrcConfig {
+            packet_size: DATA_PACKET_BYTES,
+        };
+        assert_eq!(config, TfrcConfig::default());
+        assert_eq!(TfrcSender::new(config).allowed_rate(), 7_500.0);
     }
 
     #[test]
@@ -433,7 +468,7 @@ mod tests {
                 timestamp: now,
                 rtt_estimate: rtt,
             };
-            if receiver.on_data(now, header, 1_500).is_some() {
+            if receiver.on_data(now, header, DATA_PACKET_BYTES).is_some() {
                 feedbacks += 1;
             }
         }
@@ -453,7 +488,7 @@ mod tests {
                 timestamp: now,
                 rtt_estimate: rtt,
             };
-            if let Some(fb) = receiver.on_data(now, header, 1_500) {
+            if let Some(fb) = receiver.on_data(now, header, DATA_PACKET_BYTES) {
                 last_rate = fb.receive_rate;
             }
         }

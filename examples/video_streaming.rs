@@ -46,7 +46,6 @@ fn run_tree(topology: &BuiltTopology, tree: &Tree) -> RunResult {
         stream_rate_bps: DESCRIPTION_KBPS * DESCRIPTIONS as f64 * 1_000.0,
         stream_start: SimTime::from_secs(5),
         transport: StreamTransport::Tfrc,
-        ..StreamConfig::default()
     };
     let agents: Vec<StreamingNode> = (0..topology.participants())
         .map(|id| StreamingNode::new(id, tree, config.clone()))

@@ -52,7 +52,6 @@ fn run_streaming(topo: &BuiltTopology, tree: &Tree, seed: u64, secs: u64) -> Run
         stream_rate_bps: STREAM_BPS,
         stream_start: SimTime::from_secs(10),
         transport: StreamTransport::Tfrc,
-        ..StreamConfig::default()
     };
     let agents: Vec<StreamingNode> = (0..topo.participants())
         .map(|id| StreamingNode::new(id, tree, config.clone()))

@@ -834,7 +834,7 @@ fn throughput_oracle_rereads_mutated_link_state() {
     let mut spec = topo.spec.clone();
     let before = {
         let mut net = Network::new(&spec);
-        let mut oracle = ThroughputOracle::new(&mut net, 1_500);
+        let mut oracle = ThroughputOracle::new(&mut net);
         (1..8)
             .map(|n| oracle.estimate_bps(0, n))
             .collect::<Vec<_>>()
@@ -852,11 +852,11 @@ fn throughput_oracle_rereads_mutated_link_state() {
     spec.set_link_bandwidth(access, throttled_bps);
     let (mutated, fresh): (Vec<_>, Vec<_>) = {
         let mutated = {
-            let mut oracle = ThroughputOracle::new(&mut net, 1_500);
+            let mut oracle = ThroughputOracle::new(&mut net);
             (1..8).map(|n| oracle.estimate_bps(0, n)).collect()
         };
         let mut fresh_net = Network::new(&spec);
-        let mut oracle = ThroughputOracle::new(&mut fresh_net, 1_500);
+        let mut oracle = ThroughputOracle::new(&mut fresh_net);
         (mutated, (1..8).map(|n| oracle.estimate_bps(0, n)).collect())
     };
     assert_eq!(
@@ -893,10 +893,7 @@ fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
             ),
         ] {
             let label = format!("{class}/case{case}");
-            let ombt = OmbtConfig {
-                packet_size: 1_500,
-                max_children: 4,
-            };
+            let ombt = OmbtConfig { max_children: 4 };
             let batched = bottleneck_tree_with(
                 &mut Network::new(&topo.spec),
                 clients,
@@ -921,7 +918,7 @@ fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
             // point queries.
             let estimates = |strategy: OracleStrategy| -> Vec<Option<f64>> {
                 let mut net = Network::new(&topo.spec);
-                let mut oracle = ThroughputOracle::with_strategy(&mut net, 1_500, strategy);
+                let mut oracle = ThroughputOracle::with_strategy(&mut net, strategy);
                 (1..clients)
                     .map(|node| oracle.estimate_bps(0, node))
                     .collect()
@@ -1408,26 +1405,38 @@ fn the_environment_knob_set_is_pinned() {
 }
 
 /// Each TFRC stanza is defined once, in `bullet_transport::Connections`: no
-/// production source outside `crates/transport/src` builds a sender or feeds
-/// a receiver itself. And no agent keeps a hashed per-peer map or a hashed
-/// delivered-set: the connection table (a sorted `PeerTable`) and
-/// `WorkingSet` replace them, so nothing on the per-packet path runs a
-/// hasher and nothing iterates in a per-process order.
+/// production source outside `crates/transport/src` builds a sender, feeds
+/// a receiver or writes a `TfrcConfig` itself, so every connection runs the
+/// one default TFRC. The stream's pacing is written once too: a single
+/// `fn packet_interval(` in the workspace, beside `DATA_PACKET_BYTES`. And
+/// no agent keeps a hashed per-peer map or a hashed delivered-set: the
+/// connection table (a sorted `PeerTable`) and `WorkingSet` replace them, so
+/// nothing on the per-packet path runs a hasher and nothing iterates in a
+/// per-process order.
 #[test]
 fn the_tfrc_stanzas_are_defined_once() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let workspace = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = workspace.join("crates");
     let read = |path: &std::path::Path| std::fs::read_to_string(path).expect("source is UTF-8");
-    let mut files = Vec::new();
+    let (mut files, mut transport) = (Vec::new(), Vec::new());
+    for dir in ["src", "examples"] {
+        rust_files(&workspace.join(dir), &mut files);
+    }
     for member in std::fs::read_dir(&root).expect("crates/ is readable") {
         let member = member.expect("directory entry is readable").path();
-        if !member.ends_with("transport") {
-            rust_files(&member.join("src"), &mut files);
+        if member.ends_with("transport") {
+            rust_files(&member.join("src"), &mut transport);
+            continue;
+        }
+        rust_files(&member.join("src"), &mut files);
+        if member.join("benches").is_dir() {
+            rust_files(&member.join("benches"), &mut files);
         }
     }
     for path in &files {
         let text = read(path);
         let production = text.split("\n#[cfg(test)]\nmod ").next().unwrap_or("");
-        for stanza in ["TfrcSender::new", ".on_data("] {
+        for stanza in ["TfrcSender::new", ".on_data(", "TfrcConfig {"] {
             assert!(
                 !production.contains(stanza),
                 "{} calls {stanza}",
@@ -1435,6 +1444,19 @@ fn the_tfrc_stanzas_are_defined_once() {
             );
         }
     }
+    let pacers: Vec<String> = files
+        .iter()
+        .chain(&transport)
+        .flat_map(|path| {
+            let definitions = read(path).matches("fn packet_interval(").count();
+            std::iter::repeat_n(path.display().to_string(), definitions)
+        })
+        .collect();
+    assert!(
+        pacers.len() <= 1,
+        "`fn packet_interval(` is defined {} times: {pacers:?}",
+        pacers.len()
+    );
     for agent in [
         "bullet/src/node.rs",
         "baselines/src/streaming.rs",
