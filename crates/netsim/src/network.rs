@@ -746,7 +746,7 @@ impl Network {
 
     /// Computes and memoizes the routes from `from` to **every**
     /// participant: pairs already known are kept, the rest are read off one
-    /// reference shortest-path tree rooted at `from`'s router — the eager
+    /// whole-graph shortest-path tree rooted at `from`'s router — the eager
     /// mode's cached tree, or in the lazy modes a transient one, since the
     /// targets of a row span the graph and no goal-directed search prunes
     /// anything (`routing` module docs, "Row fills").

@@ -15,10 +15,11 @@
 //! v)`) with the smallest directed link id. Because the distance array of a
 //! graph is unique and every edge cost is at least 1 (as [`Network`]
 //! guarantees via `delay.as_micros().max(1)`), this predecessor chain is a
-//! pure function of the graph — both the eager reference Dijkstra
+//! pure function of the graph — both the whole-graph search
 //! ([`ShortestPaths`]) and the lazy bidirectional searches ([`LazyRouter`])
 //! reproduce it hop for hop, which is what the routing-equivalence test
-//! harness in `tests/support/routing_equiv.rs` asserts.
+//! harness in `tests/support/routing_equiv.rs` asserts. The reference for
+//! both is the binary-heap Dijkstra kept in this module's tests.
 //!
 //! # Reconstruction
 //!
@@ -56,10 +57,11 @@
 //! # Row fills
 //!
 //! A whole row of routes out of one source ([`Network::route_all_from`])
-//! runs the reference search, [`ShortestPaths::compute`], in both routing
+//! runs the whole-graph search, [`ShortestPaths::compute`], in both routing
 //! modes. Its targets are every participant, scattered over the whole
 //! graph, so settling all of them settles nearly everything: no goal
-//! direction can prune a search whose goals span the graph.
+//! direction can prune a search whose goals span the graph. What it can save
+//! is the queue: it keeps a bucket queue, not a heap (see `dijkstra`).
 //!
 //! [`Network`]: crate::network::Network
 //! [`Network::route_all_from`]: crate::network::Network::route_all_from
@@ -125,6 +127,10 @@ pub struct Adjacency {
     /// In-edges: `in_edges[v]` holds `(u, link, cost)` for every edge
     /// `u → v`.
     in_edges: Vec<Vec<(RouterId, DirectedLinkId, u64)>>,
+    /// The lowest and highest edge cost ever set: bounds on every live cost,
+    /// which size the bucket queue of the whole-graph search.
+    min_cost: u64,
+    max_cost: u64,
 }
 
 impl Adjacency {
@@ -133,11 +139,14 @@ impl Adjacency {
         Adjacency {
             edges: vec![Vec::new(); routers],
             in_edges: vec![Vec::new(); routers],
+            min_cost: u64::MAX,
+            max_cost: 0,
         }
     }
 
-    /// Adds a directed edge.
+    /// Adds a directed edge. Router and link ids must fit in a `u32`.
     pub fn add_edge(&mut self, from: RouterId, to: RouterId, link: DirectedLinkId, cost: u64) {
+        self.widen_cost_bounds(cost);
         self.edges[from].push((to, link, cost));
         self.in_edges[to].push((from, link, cost));
     }
@@ -149,6 +158,7 @@ impl Adjacency {
     /// the whole list and the tie-break compares link ids, not positions —
     /// so in-place patching yields bit-identical routes to a full rebuild.
     pub fn set_edge_cost(&mut self, from: RouterId, to: RouterId, link: DirectedLinkId, cost: u64) {
+        self.widen_cost_bounds(cost);
         for e in &mut self.edges[from] {
             if e.1 == link {
                 e.2 = cost;
@@ -159,6 +169,11 @@ impl Adjacency {
                 e.2 = cost;
             }
         }
+    }
+
+    fn widen_cost_bounds(&mut self, cost: u64) {
+        self.min_cost = self.min_cost.min(cost);
+        self.max_cost = self.max_cost.max(cost);
     }
 
     /// Removes a directed edge (see [`Adjacency::set_edge_cost`] on why
@@ -191,46 +206,41 @@ impl Adjacency {
     /// Dijkstra distances from `source` to every router (`u64::MAX` marks
     /// unreachable). One full-graph scan — used by the incremental repair's
     /// exact improving-edge filter, where a handful of these replaces
-    /// recomputing every cached route.
+    /// recomputing every cached route — and the landmark tables.
     pub fn distances_from(&self, source: RouterId) -> Vec<u64> {
-        dijkstra_dist(self, source)
+        dijkstra(self, source, Dir::Forward, &mut [])
     }
 
-    /// Dijkstra distances from every router *to* `target`, running over the
-    /// in-edge lists — exact even on asymmetric graphs.
+    /// Dijkstra distances from every router *to* `target`, the same search
+    /// run over the in-edge lists — exact even on asymmetric graphs.
     pub fn distances_to(&self, target: RouterId) -> Vec<u64> {
-        let n = self.len();
-        let mut dist = vec![u64::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[target] = 0;
-        heap.push(Reverse((0u64, target)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            for &(v, _, cost) in self.in_neighbors(u) {
-                let nd = d.saturating_add(cost);
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
+        dijkstra(self, target, Dir::Backward, &mut [])
+    }
+
+    /// The edges a search in direction `dir` follows out of `router`.
+    fn edges(&self, dir: Dir, router: RouterId) -> &[(RouterId, DirectedLinkId, u64)] {
+        match dir {
+            Dir::Forward => &self.edges[router],
+            Dir::Backward => &self.in_edges[router],
         }
-        dist
     }
 }
 
+/// `prev` entry of a router with no predecessor (the source, or unreachable).
+const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// The shortest path tree rooted at one source router.
 ///
-/// This is the *reference* router: a full eager Dijkstra whose predecessor
-/// array follows the canonical tie-break (smallest link id among tight
-/// in-edges), making `path_to` independent of heap iteration order.
+/// Its predecessor array follows the canonical tie-break (smallest link id
+/// among tight in-edges), so `path_to` is a pure function of the graph,
+/// whatever order the search settles routers in.
 #[derive(Clone, Debug)]
 pub struct ShortestPaths {
     source: RouterId,
-    /// For each router, the directed link used to reach it on the canonical
-    /// shortest path from `source` (and the router that link comes from).
-    prev: Vec<Option<(RouterId, DirectedLinkId)>>,
+    /// For each router, the router and directed link it is reached through
+    /// on the canonical shortest path from `source`; [`NO_PREV`] for the
+    /// source and unreachable routers.
+    prev: Vec<(u32, u32)>,
     /// Shortest path cost from `source` to each router; `u64::MAX` if
     /// unreachable.
     dist: Vec<u64>,
@@ -239,35 +249,8 @@ pub struct ShortestPaths {
 impl ShortestPaths {
     /// Runs Dijkstra from `source` over the adjacency structure.
     pub fn compute(adj: &Adjacency, source: RouterId) -> Self {
-        let n = adj.len();
-        let mut dist = vec![u64::MAX; n];
-        let mut prev: Vec<Option<(RouterId, DirectedLinkId)>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[source] = 0;
-        heap.push(Reverse((0u64, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            for &(v, link, cost) in adj.neighbors(u) {
-                let nd = d.saturating_add(cost);
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = Some((u, link));
-                    heap.push(Reverse((nd, v)));
-                } else if nd == dist[v] && nd != u64::MAX {
-                    // Canonical tie-break: among tight in-edges keep the
-                    // smallest link id. Every tight edge is relaxed exactly
-                    // once (when its tail settles), so the winner is a pure
-                    // function of the graph, not of heap order.
-                    if let Some((_, prev_link)) = prev[v] {
-                        if link < prev_link {
-                            prev[v] = Some((u, link));
-                        }
-                    }
-                }
-            }
-        }
+        let mut prev = vec![NO_PREV; adj.len()];
+        let dist = dijkstra(adj, source, Dir::Forward, &mut prev);
         ShortestPaths { source, prev, dist }
     }
 
@@ -290,12 +273,10 @@ impl ShortestPaths {
         }
         let mut cur = dst;
         while cur != self.source {
-            let Some((p, link)) = self.prev[cur] else {
-                out.clear();
-                return false;
-            };
-            out.push(link);
-            cur = p;
+            // A reachable router's predecessor chain ends at the source.
+            let (p, link) = self.prev[cur];
+            out.push(link as DirectedLinkId);
+            cur = p as RouterId;
         }
         out.reverse();
         true
@@ -309,24 +290,67 @@ impl ShortestPaths {
     }
 }
 
-/// Dijkstra distances only (no predecessors); used to build landmark tables.
-fn dijkstra_dist(adj: &Adjacency, source: RouterId) -> Vec<u64> {
-    let n = adj.len();
-    let mut dist = vec![u64::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[source] = 0;
-    heap.push(Reverse((0u64, source)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u] {
-            continue;
-        }
-        for &(v, _, cost) in adj.neighbors(u) {
-            let nd = d.saturating_add(cost);
-            if nd < dist[v] {
-                dist[v] = nd;
-                heap.push(Reverse((nd, v)));
+/// Most buckets a [`dijkstra`] queue spans.
+const MAX_BUCKETS: u64 = 256;
+
+/// The one whole-graph search: distances from `root` (to it, over in-edges,
+/// for [`Dir::Backward`]), and each router's canonical predecessor written
+/// into `prev` unless it is empty.
+///
+/// A monotone bucket queue: buckets of width `w = max(min_cost, ⌈max_cost /
+/// MAX_BUCKETS⌉)` in a ring of `max_cost / w + 2` slots, which no relaxation
+/// can wrap. Entries are router ids; `queued` marks a router's one live
+/// entry, in the bucket of its label. With every cost ≥ `w` — as in every
+/// generated topology, whose delays are ≥ 0.5 ms — a relaxation lands in a
+/// later bucket and each router is settled once. A wider spread can land
+/// one in the bucket being drained, where it is queued again (Δ-stepping's
+/// label correction). Distances and the tie-break stay exact: an edge whose
+/// tail is not final cannot be tight at the head's final distance. A router
+/// whose one onward edge leads back to its improver is labelled but never
+/// queued, since that edge can neither improve nor tie.
+fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [(u32, u32)]) -> Vec<u64> {
+    let width = adj.min_cost.max(adj.max_cost.div_ceil(MAX_BUCKETS)).max(1);
+    let slots = adj.max_cost / width + 2;
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); slots as usize];
+    let mut dist = vec![u64::MAX; adj.len()];
+    let mut queued = vec![false; adj.len()];
+    dist[root] = 0;
+    queued[root] = true;
+    buckets[0].push(root as u32);
+    let (mut pending, mut bucket) = (1usize, 0u64);
+    while pending > 0 {
+        let slot = (bucket % slots) as usize;
+        while let Some(u) = buckets[slot].pop() {
+            pending -= 1;
+            let u = u as usize;
+            if !std::mem::take(&mut queued[u]) {
+                continue; // stale: relabelled or settled since
+            }
+            debug_assert_eq!(dist[u] / width, bucket);
+            let du = dist[u];
+            for &(v, link, cost) in adj.edges(dir, u) {
+                let (nd, old) = (du.saturating_add(cost), dist[v]);
+                if nd < old {
+                    dist[v] = nd;
+                    if !prev.is_empty() {
+                        prev[v] = (u as u32, link as u32);
+                    }
+                    if matches!(adj.edges(dir, v), [(back, _, _)] if *back == u) {
+                        queued[v] = false; // a dead end
+                    } else if !queued[v] || old / width != nd / width {
+                        queued[v] = true;
+                        buckets[(nd / width % slots) as usize].push(v as u32);
+                        pending += 1;
+                    }
+                } else if nd == old && nd != u64::MAX && !prev.is_empty() {
+                    // The canonical tie-break: the smallest tight link id.
+                    if (link as u32) < prev[v].1 {
+                        prev[v] = (u as u32, link as u32);
+                    }
+                }
             }
         }
+        bucket += 1;
     }
     dist
 }
@@ -341,7 +365,7 @@ pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u64>> {
         return Vec::new();
     }
     let mut tables: Vec<Vec<u64>> = Vec::new();
-    let mut closest = dijkstra_dist(adj, 0);
+    let mut closest = adj.distances_from(0);
     for _ in 0..count.min(n) {
         let mut next = 0;
         for (v, &c) in closest.iter().enumerate() {
@@ -352,7 +376,7 @@ pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u64>> {
         if !tables.is_empty() && closest[next] == 0 {
             break; // every router is already a landmark
         }
-        let table = dijkstra_dist(adj, next);
+        let table = adj.distances_from(next);
         for (c, &d) in closest.iter_mut().zip(&table) {
             *c = (*c).min(d);
         }
@@ -538,11 +562,7 @@ fn advance(
             // the sum is a valid upper bound on the s→t distance.
             *mu = (*mu).min(dv.saturating_add(other.dist[v]));
         }
-        let edges = match dir {
-            Dir::Forward => adj.neighbors(v),
-            Dir::Backward => adj.in_neighbors(v),
-        };
-        for &(u, _link, cost) in edges {
+        for &(u, _link, cost) in adj.edges(dir, v) {
             let nd = dv.saturating_add(cost.saturating_mul(2));
             if other.labeled(epoch, u) {
                 *mu = (*mu).min(nd.saturating_add(other.dist[u]));
@@ -821,36 +841,28 @@ impl LazyRouter {
             {
                 break;
             }
-            if kf.unwrap_or(u64::MAX) <= kb.unwrap_or(u64::MAX) {
-                advance(
-                    epoch,
-                    adj,
-                    Dir::Forward,
-                    &mut self.fwd,
-                    &self.bwd,
-                    &mut self.pot,
-                    &self.landmark_dists,
-                    &mut mu,
-                    &mut self.settled,
-                );
+            let (dir, side, other) = if kf.unwrap_or(u64::MAX) <= kb.unwrap_or(u64::MAX) {
+                (Dir::Forward, &mut self.fwd, &self.bwd)
             } else {
-                advance(
-                    epoch,
-                    adj,
-                    Dir::Backward,
-                    &mut self.bwd,
-                    &self.fwd,
-                    &mut self.pot,
-                    &self.landmark_dists,
-                    &mut mu,
-                    &mut self.settled,
-                );
-            }
+                (Dir::Backward, &mut self.bwd, &self.fwd)
+            };
+            let (pot, landmarks) = (&mut self.pot, &self.landmark_dists);
+            advance(
+                epoch,
+                adj,
+                dir,
+                side,
+                other,
+                pot,
+                landmarks,
+                &mut mu,
+                &mut self.settled,
+            );
         }
 
         // Phase 2: canonical reconstruction. Walk back from the destination
         // choosing, at every node, the tight in-edge with the smallest link
-        // id — exactly the reference Dijkstra's tie-break. Tightness of an
+        // id — exactly the whole-graph search's tie-break. Tightness of an
         // in-neighbor is read off the two balls phase 1 left behind; no
         // search is resumed.
         let mut rev = std::mem::take(&mut self.rev_buf);
@@ -869,8 +881,14 @@ impl LazyRouter {
                 if step > dv {
                     continue;
                 }
+                // Is `u`'s true forward (scaled) distance exactly `target`?
                 let target = dv - step;
-                if self.forward_dist_is(adj, src, mu, u, target) {
+                let tight = match self.tightness(src, mu, u, target) {
+                    Tight::Yes => true,
+                    Tight::No => false,
+                    Tight::IfOnShortestPath => self.on_shortest_path(adj, src, mu, u),
+                };
+                if tight {
                     best = Some((link, u, target));
                 }
             }
@@ -883,24 +901,6 @@ impl LazyRouter {
         self.path_buf.extend(rev.iter().rev());
         self.rev_buf = rev;
         Some((mu / 2, &self.path_buf))
-    }
-
-    /// Whether the true forward (scaled) distance of `u` equals `target`,
-    /// asked of an in-neighbor of a router on a shortest `src → dst` path
-    /// once phase 1 has stopped strictly (`mu` is the scaled path cost).
-    fn forward_dist_is(
-        &mut self,
-        adj: &Adjacency,
-        src: RouterId,
-        mu: u64,
-        u: RouterId,
-        target: u64,
-    ) -> bool {
-        match self.tightness(src, mu, u, target) {
-            Tight::Yes => true,
-            Tight::No => false,
-            Tight::IfOnShortestPath => self.on_shortest_path(adj, src, mu, u),
-        }
     }
 
     /// The three-way rule of the module docs' "Reconstruction" section, as
@@ -1083,6 +1083,165 @@ mod tests {
         assert_eq!(bidi.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
         let mut alt = LazyRouter::new(&adj, 3);
         assert_eq!(alt.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
+    }
+
+    /// The reference model of [`dijkstra`]: the binary-heap search it
+    /// replaced. Distances from `root` (to it, for [`Dir::Backward`]) and
+    /// the canonical predecessors.
+    fn heap_model(
+        adj: &Adjacency,
+        root: RouterId,
+        dir: Dir,
+    ) -> (Vec<u64>, Vec<Option<(usize, usize)>>) {
+        let n = adj.len();
+        let mut dist = vec![u64::MAX; n];
+        let mut prev: Vec<Option<(RouterId, DirectedLinkId)>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[root] = 0;
+        heap.push(Reverse((0u64, root)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            for &(v, link, cost) in adj.edges(dir, u) {
+                let nd = d.saturating_add(cost);
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    prev[v] = Some((u, link));
+                    heap.push(Reverse((nd, v)));
+                } else if nd == dist[v] && nd != u64::MAX {
+                    if let Some((_, prev_link)) = prev[v] {
+                        if link < prev_link {
+                            prev[v] = Some((u, link));
+                        }
+                    }
+                }
+            }
+        }
+        (dist, prev)
+    }
+
+    /// A seeded digraph for the kernel harness, over the cost range `costs`
+    /// (log-uniform): a core ring and chords with independent per-direction
+    /// costs, some one-way, some parallel; leaf chains hanging off the core
+    /// (degree-1 routers); one-way chains and routers with no way back
+    /// (directed dead ends); and routers the core cannot reach. Link ids are
+    /// shuffled so that the first tight in-edge found is seldom the
+    /// canonical one.
+    fn random_digraph(rng: &mut SimRng, costs: (u64, u64)) -> Adjacency {
+        let cost = |rng: &mut SimRng| {
+            let (lo, hi) = (costs.0 as f64, costs.1 as f64);
+            ((lo.ln() + rng.next_f64() * (hi.ln() - lo.ln())).exp() as u64).clamp(costs.0, costs.1)
+        };
+        let core = rng.range_usize(4, 30);
+        let mut edges: Vec<(RouterId, RouterId, u64)> = Vec::new();
+        let mut n = core;
+        for i in 0..core {
+            let j = (i + 1) % core;
+            edges.push((i, j, cost(rng)));
+            if !rng.chance(0.15) {
+                edges.push((j, i, cost(rng)));
+            }
+        }
+        for _ in 0..core {
+            let (a, b) = (rng.range_usize(0, core), rng.range_usize(0, core));
+            edges.push((a, b, cost(rng)));
+            if rng.chance(0.5) {
+                edges.push((b, a, cost(rng)));
+            }
+            if rng.chance(0.2) {
+                edges.push((a, b, cost(rng))); // a parallel edge
+            }
+        }
+        for _ in 0..rng.range_usize(1, 5) {
+            // A leaf chain both ways, or a one-way chain ending in a sink or
+            // in a router whose one out-edge leads elsewhere.
+            let one_way = rng.chance(0.4);
+            let mut at = rng.range_usize(0, core);
+            for _ in 0..rng.range_usize(1, 4) {
+                edges.push((at, n, cost(rng)));
+                if !one_way {
+                    edges.push((n, at, cost(rng)));
+                }
+                at = n;
+                n += 1;
+            }
+            if one_way && rng.chance(0.5) {
+                edges.push((at, rng.range_usize(0, core), cost(rng)));
+            }
+        }
+        // Routers the core cannot reach: isolated ones, and a pair whose
+        // only edges lead into the core.
+        n += rng.range_usize(0, 3);
+        edges.push((n, n + 1, cost(rng)));
+        edges.push((n + 1, n, cost(rng)));
+        edges.push((n + 1, rng.range_usize(0, core), cost(rng)));
+        n += 2;
+        let mut links: Vec<DirectedLinkId> = (0..edges.len()).collect();
+        rng.shuffle(&mut links);
+        let mut adj = Adjacency::new(n);
+        for (&(a, b, c), &link) in edges.iter().zip(&links) {
+            adj.add_edge(a, b, link, c);
+        }
+        adj
+    }
+
+    /// [`ShortestPaths::compute`], [`Adjacency::distances_from`] and
+    /// [`Adjacency::distances_to`] against [`heap_model`], from every root:
+    /// equal distances, and equal predecessors for every router.
+    fn assert_kernel_matches_model(adj: &Adjacency, label: &str) {
+        for root in 0..adj.len() {
+            let (dist, prev) = heap_model(adj, root, Dir::Forward);
+            let sp = ShortestPaths::compute(adj, root);
+            let kernel_prev: Vec<_> = (sp.prev.iter())
+                .map(|&(p, link)| ((p, link) != NO_PREV).then_some((p as usize, link as usize)))
+                .collect();
+            assert_eq!(sp.dist, dist, "{label}: distances from {root}");
+            assert_eq!(kernel_prev, prev, "{label}: predecessors from {root}");
+            assert_eq!(adj.distances_from(root), dist, "{label}: from {root}");
+            let (to, _) = heap_model(adj, root, Dir::Backward);
+            assert_eq!(adj.distances_to(root), to, "{label}: distances to {root}");
+        }
+    }
+
+    /// The bucket-queue kernel is exact: on seeded digraphs of three cost
+    /// ranges (tie-heavy 1–3; 500 µs–40 ms like the generated topologies;
+    /// 1 µs–10 s, which makes the bucket width exceed the cheapest edge and
+    /// the kernel label-correcting) and on the 7×7 unit grid, it agrees with
+    /// the binary-heap model from every root.
+    ///
+    /// Mutants this test kills, each checked by hand:
+    /// - the tie-break applied only on strict improvement;
+    /// - no re-queue into the bucket being drained when `w > min_cost`;
+    /// - the dead-end skip without its "leads back to `u`" check.
+    #[test]
+    fn bucket_kernel_matches_a_binary_heap_model() {
+        let mut rng = SimRng::new(0xB0C4E7);
+        let mut label_correcting = 0;
+        for case in 0..64 {
+            for costs in [(1, 3), (500, 40_000), (1, 10_000_000)] {
+                let adj = random_digraph(&mut rng, costs);
+                label_correcting += usize::from(adj.max_cost.div_ceil(MAX_BUCKETS) > adj.min_cost);
+                assert_kernel_matches_model(&adj, &format!("case {case}, costs {costs:?}"));
+            }
+        }
+        assert!(
+            label_correcting >= 32,
+            "only {label_correcting} wide-spread cases"
+        );
+        let side = 7;
+        let mut grid = Vec::new();
+        for y in 0..side {
+            for x in 0..side {
+                if x + 1 < side {
+                    grid.push((y * side + x, y * side + x + 1, 1));
+                }
+                if y + 1 < side {
+                    grid.push((y * side + x, (y + 1) * side + x, 1));
+                }
+            }
+        }
+        assert_kernel_matches_model(&symmetric_adjacency(side * side, &grid), "7x7 grid");
     }
 
     /// Every ordered pair of `adj` must route — cost and hop sequence — as the

@@ -11,9 +11,9 @@
 //! global topology information no online protocol has).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use bullet_netsim::{DirectedLinkId, Network, OverlayId};
+use bullet_netsim::{Network, OverlayId};
 use bullet_transport::{tcp_throughput_bps, DATA_PACKET_BYTES};
 
 use crate::tree::Tree;
@@ -84,8 +84,9 @@ pub enum OracleStrategy {
 /// Oracle estimator for overlay link throughput.
 pub struct ThroughputOracle<'a> {
     net: &'a mut Network,
-    /// Number of tree flows currently routed over each directed link.
-    flows: HashMap<DirectedLinkId, u32>,
+    /// Number of tree flows currently routed over each directed link,
+    /// indexed by link id.
+    flows: Vec<u32>,
     strategy: OracleStrategy,
 }
 
@@ -99,8 +100,8 @@ impl<'a> ThroughputOracle<'a> {
     /// Creates an oracle with an explicit route-acquisition strategy.
     pub fn with_strategy(net: &'a mut Network, strategy: OracleStrategy) -> Self {
         ThroughputOracle {
+            flows: vec![0; net.links().len()],
             net,
-            flows: HashMap::new(),
             strategy,
         }
     }
@@ -125,8 +126,7 @@ impl<'a> ThroughputOracle<'a> {
             let link = self.net.link(link_id);
             loss_survive *= 1.0 - link.loss;
             delay += link.delay.as_secs_f64();
-            let flows = *self.flows.get(&link_id).unwrap_or(&0);
-            fair_share = fair_share.min(link.bandwidth_bps / (flows + 1) as f64);
+            fair_share = fair_share.min(link.bandwidth_bps / (self.flows[link_id] + 1) as f64);
         }
         let mut reverse_delay = 0.0;
         for &link_id in self.net.route_links(rev) {
@@ -148,7 +148,7 @@ impl<'a> ThroughputOracle<'a> {
             return;
         };
         for &link_id in self.net.route_links(id) {
-            *self.flows.entry(link_id).or_insert(0) += 1;
+            self.flows[link_id] += 1;
         }
     }
 }

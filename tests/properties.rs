@@ -19,7 +19,7 @@ use bullet_suite::overlay::{
     bottleneck_tree_with, random_tree, OmbtConfig, OracleStrategy, ThroughputOracle, Tree,
 };
 use bullet_suite::ransub::{compact, Member, WeightedSet};
-use bullet_suite::topology::{generate, TopologyConfig};
+use bullet_suite::topology::{generate, LossProfile, TopologyConfig};
 use bullet_suite::transport::tcp_throughput_bps;
 
 #[path = "support/routing_equiv.rs"]
@@ -875,58 +875,61 @@ fn throughput_oracle_rereads_mutated_link_state() {
 }
 
 /// The offline tree oracle must build **bit-identical** trees whether its
-/// routes come from pairwise point searches or from the batched one-to-many
-/// row fills: the paths are canonical either way, and the floating-point
+/// routes come from the batched one-to-many row fills or from pairwise point
+/// searches: the paths are canonical either way, and the floating-point
 /// estimate arithmetic is untouched by the strategy. This is the oracle
-/// counterpart of the routing-equivalence gate.
+/// counterpart of the routing-equivalence gate. The pairwise side routes
+/// with plain bidirectional search, so the row fills' whole-graph kernel is
+/// checked against independent code; the lossy cases make every estimate
+/// read its reverse route too, through the RTT of the TCP formula.
 #[test]
 fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
     let mut rng = SimRng::new(0x0BA7_C11E);
     for case in 0..4 {
         let seed = rng.next_u64();
         let clients = 10 + (rng.next_u64() % 8) as usize;
-        for (topo, class) in [
-            (generate(&TopologyConfig::small(clients, seed)), "small"),
+        for (config, class) in [
+            (TopologyConfig::small(clients, seed), "small"),
+            (TopologyConfig::emulation(clients, seed), "emulation"),
             (
-                generate(&TopologyConfig::emulation(clients, seed)),
-                "emulation",
+                TopologyConfig::small(clients, seed).with_loss(LossProfile::paper_lossy()),
+                "small-lossy",
+            ),
+            (
+                TopologyConfig::emulation(clients, seed).with_loss(LossProfile::paper_lossy()),
+                "emulation-lossy",
             ),
         ] {
+            let topo = generate(&config);
             let label = format!("{class}/case{case}");
+            let network = |strategy: OracleStrategy| match strategy {
+                OracleStrategy::Batched => Network::new(&topo.spec),
+                OracleStrategy::Pairwise => {
+                    Network::with_routing(&topo.spec, RoutingMode::LazyAlt { landmarks: 0 })
+                }
+            };
             let ombt = OmbtConfig { max_children: 4 };
-            let batched = bottleneck_tree_with(
-                &mut Network::new(&topo.spec),
-                clients,
-                0,
-                &ombt,
-                OracleStrategy::Batched,
-            );
-            let pairwise = bottleneck_tree_with(
-                &mut Network::new(&topo.spec),
-                clients,
-                0,
-                &ombt,
-                OracleStrategy::Pairwise,
-            );
+            let tree = |strategy: OracleStrategy| {
+                bottleneck_tree_with(&mut network(strategy), clients, 0, &ombt, strategy)
+            };
             assert_eq!(
-                batched.parents(),
-                pairwise.parents(),
+                tree(OracleStrategy::Batched).parents(),
+                tree(OracleStrategy::Pairwise).parents(),
                 "{label}: OMBT diverges under batching"
             );
             // The oracle's source-to-node estimates on a fresh network, the
             // first round of every OMBT build: batched row fills vs pure
             // point queries.
             let estimates = |strategy: OracleStrategy| -> Vec<Option<f64>> {
-                let mut net = Network::new(&topo.spec);
+                let mut net = network(strategy);
                 let mut oracle = ThroughputOracle::with_strategy(&mut net, strategy);
                 (1..clients)
                     .map(|node| oracle.estimate_bps(0, node))
                     .collect()
             };
-            let batched = estimates(OracleStrategy::Batched);
-            let pairwise = estimates(OracleStrategy::Pairwise);
             assert_eq!(
-                batched, pairwise,
+                estimates(OracleStrategy::Batched),
+                estimates(OracleStrategy::Pairwise),
                 "{label}: batched metric diverges from pairwise"
             );
         }
