@@ -15,6 +15,12 @@ pub type RouterId = usize;
 /// Identifier of a directed link inside a [`crate::network::Network`].
 pub type DirectedLinkId = usize;
 
+/// The routing cost of a link with propagation delay `delay`: whole
+/// microseconds, at least 1, since every search needs positive costs.
+pub(crate) fn routing_cost(delay: SimDuration) -> u64 {
+    delay.as_micros().max(1)
+}
+
 /// Specification of one bidirectional physical link.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkSpec {
@@ -148,10 +154,10 @@ impl DirectedLink {
         self.max_queue_delay = transmission_time(self.queue_bytes, bandwidth_bps);
     }
 
-    /// Routing cost of this link (propagation delay in microseconds, with the
-    /// same ≥ 1 floor [`crate::network::Network`] applies at construction).
+    /// Routing cost of this link: its propagation delay in whole
+    /// microseconds, at least 1.
     pub fn cost(&self) -> u64 {
-        self.delay.as_micros().max(1)
+        routing_cost(self.delay)
     }
 
     /// Offers a packet of `size_bytes` to the link at time `now`.

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use crate::hash::FxHashMap;
-use crate::link::{DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
+use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
 use crate::rng::SimRng;
 use crate::routing::{select_landmarks, Adjacency, LazyRouter, RoutingMode, ShortestPaths};
 use crate::time::{SimDuration, SimTime};
@@ -453,10 +453,10 @@ struct TraceAgg {
 /// copies. A parallel experiment harness therefore builds one `NetworkSetup`
 /// per topology class and hands each run a cheap mutable view via
 /// [`Network::with_setup`]; the `Arc`s inside are shared across worker
-/// threads. Routes are bit-identical to a [`Network::new`] construction —
-/// the setup holds exactly the state `Network::with_routing` would have
-/// computed itself (asserted by `shared_setup_matches_per_run_construction`
-/// in this module's tests and by the experiments-crate gates).
+/// threads. [`Network::new`] builds a setup of its own the same way, so a
+/// shared view routes bit-identically to it (asserted by
+/// `shared_setup_matches_per_run_construction` in this module's tests and by
+/// the experiments-crate gates).
 #[derive(Clone, Debug)]
 pub struct NetworkSetup {
     routers: usize,
@@ -480,13 +480,16 @@ impl NetworkSetup {
 
     /// Builds the shared setup for `spec` with an explicit routing mode.
     pub fn with_routing(spec: &NetworkSpec, mode: RoutingMode) -> Self {
-        Self::from_links(spec, mode, &Network::build_links(spec))
-    }
-
-    /// Builds the setup over an already-expanded directed-link table (must
-    /// come from [`Network::build_links`] on `spec`).
-    fn from_links(spec: &NetworkSpec, mode: RoutingMode, links: &[DirectedLink]) -> Self {
-        let adjacency = Arc::new(Network::build_adjacency(spec.routers, links));
+        // Every directed link gets a slot, so a link that is down now can
+        // come back up in place.
+        let links = spec.links.iter().enumerate().flat_map(|(i, link)| {
+            let ((fwd, rev), cost) = (Network::directed_ids(i), routing_cost(link.delay));
+            [
+                (link.a, link.b, fwd, cost, link.up),
+                (link.b, link.a, rev, cost, link.up),
+            ]
+        });
+        let adjacency = Arc::new(Adjacency::new(spec.routers, links));
         let landmarks = match mode {
             RoutingMode::LazyAlt { landmarks } => Arc::new(select_landmarks(&adjacency, landmarks)),
             RoutingMode::EagerPerSource => Arc::new(Vec::new()),
@@ -533,9 +536,10 @@ pub struct Network {
     path_buf: Vec<DirectedLinkId>,
     /// Row fills performed (see [`Network::route_all_from`]).
     batched_queries: u64,
-    /// Flat per-link trace state: for each directed link, copies per trace
-    /// id. Only the (small, sampled) trace dimension is hashed.
-    link_traces: Vec<FxHashMap<u64, u64>>,
+    /// Copies per trace id, for each directed link that has carried a traced
+    /// copy. Only a sample of packets is traced, so most links never get an
+    /// entry; and each link's map grows on its own, never one big table.
+    link_traces: FxHashMap<DirectedLinkId, FxHashMap<u64, u64>>,
     /// Per-trace aggregates, updated incrementally on every traced hop.
     trace_aggs: FxHashMap<u64, TraceAgg>,
     /// Running sum over traces of (copies / distinct links), kept in sync
@@ -566,9 +570,7 @@ impl Network {
 
     /// Builds the live network from a spec with an explicit routing mode.
     pub fn with_routing(spec: &NetworkSpec, mode: RoutingMode) -> Self {
-        let links = Self::build_links(spec);
-        let setup = NetworkSetup::from_links(spec, mode, &links);
-        Self::from_setup_parts(spec, &setup, links)
+        Self::with_setup(spec, &NetworkSetup::with_routing(spec, mode))
     }
 
     /// Builds a live network over a shared [`NetworkSetup`], skipping the
@@ -584,31 +586,15 @@ impl Network {
     /// Panics if `spec`'s router or link count differs from what the setup
     /// was built over.
     pub fn with_setup(spec: &NetworkSpec, setup: &NetworkSetup) -> Self {
-        Self::from_setup_parts(spec, setup, Self::build_links(spec))
-    }
-
-    /// Expands a spec's bidirectional links into the directed-link table.
-    fn build_links(spec: &NetworkSpec) -> Vec<DirectedLink> {
-        let mut links = Vec::with_capacity(spec.links.len() * 2);
-        for link_spec in &spec.links {
-            links.push(DirectedLink::from_spec(link_spec, false));
-            links.push(DirectedLink::from_spec(link_spec, true));
-        }
-        links
-    }
-
-    /// The shared constructor tail behind [`Network::with_routing`] and
-    /// [`Network::with_setup`]: `links` must be `Self::build_links(spec)`.
-    fn from_setup_parts(
-        spec: &NetworkSpec,
-        setup: &NetworkSetup,
-        links: Vec<DirectedLink>,
-    ) -> Self {
         assert_eq!(
             (spec.routers, spec.links.len()),
             (setup.routers, setup.spec_links),
             "NetworkSetup was built for a different topology"
         );
+        let mut links = Vec::with_capacity(2 * spec.links.len());
+        for link in &spec.links {
+            links.extend([false, true].map(|reverse| DirectedLink::from_spec(link, reverse)));
+        }
         let adjacency = setup.adjacency.clone();
         let link_count = links.len();
         let mode = setup.mode;
@@ -636,7 +622,7 @@ impl Network {
             memo: RouteMemo::new(spec.attachments.len()),
             path_buf: Vec::new(),
             batched_queries: 0,
-            link_traces: vec![FxHashMap::default(); link_count],
+            link_traces: FxHashMap::default(),
             trace_aggs: FxHashMap::default(),
             stress_ratio_sum: 0.0,
             stress_max: 0,
@@ -644,18 +630,6 @@ impl Network {
             repair: RepairStats::default(),
             router_parts,
         }
-    }
-
-    /// Builds the routing adjacency from the directed-link table, skipping
-    /// links that are administratively down.
-    fn build_adjacency(routers: usize, links: &[DirectedLink]) -> Adjacency {
-        let mut adjacency = Adjacency::new(routers);
-        for (id, link) in links.iter().enumerate() {
-            if link.up {
-                adjacency.add_edge(link.from, link.to, id, link.cost());
-            }
-        }
-        adjacency
     }
 
     /// Number of overlay participants.
@@ -1152,7 +1126,12 @@ impl Network {
     /// Updates the per-link trace counts and the incremental link-stress
     /// aggregates for one traced copy crossing `link`.
     fn record_trace(&mut self, trace: u64, link: DirectedLinkId) {
-        let count = self.link_traces[link].entry(trace).or_insert(0);
+        let count = self
+            .link_traces
+            .entry(link)
+            .or_default()
+            .entry(trace)
+            .or_insert(0);
         *count += 1;
         let count = *count;
         let agg = self.trace_aggs.entry(trace).or_default();
@@ -1656,12 +1635,12 @@ mod tests {
                 .adjacency
                 .neighbors(CENTRE)
                 .iter()
-                .map(|&(v, _, cost)| (CENTRE, v, cost))
+                .map(|&(v, _, cost)| (CENTRE, v as usize, cost))
                 .chain(
                     net.adjacency
                         .in_neighbors(CENTRE)
                         .iter()
-                        .map(|&(u, _, cost)| (u, CENTRE, cost)),
+                        .map(|&(u, _, cost)| (u as usize, CENTRE, cost)),
                 )
                 .collect();
             assert_eq!(improved.len(), 8, "the centre has degree 4");

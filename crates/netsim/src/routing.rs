@@ -63,6 +63,15 @@
 //! direction can prune a search whose goals span the graph. What it can save
 //! is the queue: it keeps a bucket queue, not a heap (see `dijkstra`).
 //!
+//! # The graph
+//!
+//! Every search walks one [`Adjacency`]: a flat table per direction in which
+//! each directed link of the topology owns a fixed slot, whether it is up or
+//! down. Topology mutations patch those slots in place rather than rebuild
+//! anything. A router's live edges may come out of a patch in another
+//! order, but no search above depends on that order, so a patched graph
+//! routes exactly as a freshly built one.
+//!
 //! [`Network`]: crate::network::Network
 //! [`Network::route_all_from`]: crate::network::Network::route_all_from
 
@@ -117,16 +126,111 @@ impl RoutingMode {
     }
 }
 
-/// Adjacency representation used by the router: for each router, the list of
-/// `(neighbor, directed link id, cost)` edges leaving it, plus the mirrored
-/// in-edge lists the bidirectional searches walk.
+/// One direction of an [`Adjacency`] in compressed-sparse-row form: router
+/// `r` owns the slots `edges[start_r .. ranges[r + 1].0]`, where `(start_r,
+/// live_r) = ranges[r]`, and the first `live_r` of them are its live edges.
+/// The rest are its links that are down, kept in place for when they return.
+#[derive(Clone, Debug, Default)]
+struct Csr {
+    /// `(start, live)` per router, then a sentinel `(edges.len(), 0)`.
+    ranges: Vec<(u32, u32)>,
+    /// `(router, directed link id, cost)`: the far end of an out-edge, the
+    /// near end of an in-edge.
+    edges: Vec<(u32, u32, u64)>,
+}
+
+impl Csr {
+    /// Lays out one slot per `(owner, edge, up)`, the up edges of each
+    /// owner in the live prefix of its range.
+    fn new(
+        routers: usize,
+        slots: impl Iterator<Item = (RouterId, (u32, u32, u64), bool)> + Clone,
+    ) -> Self {
+        let mut ranges = vec![(0u32, 0u32); routers + 1];
+        for (owner, _, _) in slots.clone() {
+            ranges[owner + 1].0 += 1;
+        }
+        for r in 0..routers {
+            ranges[r + 1].0 += ranges[r].0;
+        }
+        let mut edges = vec![(0, 0, 0); ranges[routers].0 as usize];
+        // Down slots fill each range from its end.
+        let mut down = vec![0u32; routers];
+        for (owner, edge, up) in slots {
+            let at = if up {
+                ranges[owner].1 += 1;
+                ranges[owner].0 + ranges[owner].1 - 1
+            } else {
+                down[owner] += 1;
+                ranges[owner + 1].0 - down[owner]
+            };
+            edges[at as usize] = edge;
+        }
+        Csr { ranges, edges }
+    }
+
+    #[inline]
+    fn live(&self, r: RouterId) -> &[(u32, u32, u64)] {
+        let (start, live) = self.ranges[r];
+        &self.edges[start as usize..(start + live) as usize]
+    }
+
+    /// The slot of `link` among `r`'s live edges (`up`), or its down ones.
+    fn find(&self, r: RouterId, link: DirectedLinkId, up: bool) -> Option<usize> {
+        let (start, live) = self.ranges[r];
+        let (lo, hi) = if up {
+            (start, start + live)
+        } else {
+            (start + live, self.ranges[r + 1].0)
+        };
+        (lo as usize..hi as usize).find(|&i| self.edges[i].1 as usize == link)
+    }
+
+    /// Moves a live `link` just past the shrunk live prefix.
+    fn remove(&mut self, r: RouterId, link: DirectedLinkId) {
+        if let Some(i) = self.find(r, link, true) {
+            let (start, live) = &mut self.ranges[r];
+            *live -= 1;
+            self.edges.swap(i, (*start + *live) as usize);
+        }
+    }
+
+    /// Moves a down `link` to the end of the grown live prefix, at `cost`.
+    fn add(&mut self, r: RouterId, link: DirectedLinkId, cost: u64) {
+        let i = (self.find(r, link, false))
+            .unwrap_or_else(|| panic!("link {link} has no down slot at router {r}"));
+        let (start, live) = &mut self.ranges[r];
+        let at = (*start + *live) as usize;
+        *live += 1;
+        self.edges.swap(i, at);
+        self.edges[at].2 = cost;
+    }
+
+    fn set_cost(&mut self, r: RouterId, link: DirectedLinkId, cost: u64) {
+        if let Some(i) = self.find(r, link, true) {
+            self.edges[i].2 = cost;
+        }
+    }
+}
+
+/// The routing graph: for each router, its live `(neighbor, directed link
+/// id, cost)` out-edges, plus the mirrored in-edges the bidirectional
+/// searches walk. Router and link ids must fit in a `u32`.
+///
+/// Each direction is one flat compressed-sparse-row table whose slots are
+/// fixed at construction: every directed link, up or down, owns one slot in
+/// its tail's out-range and one in its head's in-range, and no edge ever
+/// leaves its owner's range. A removal swaps the edge to just past the
+/// shrunk live prefix, a re-added link is swapped back to the end of the
+/// grown one, and a cost change rewrites the slot. So a router's live edges
+/// are always exactly its up links at their current costs, in some order.
+/// No search depends on that order: relaxation scans the whole live range,
+/// and the canonical tie-break compares link ids, not positions. In-place
+/// mutation is therefore bit-identical to building the mutated graph afresh.
 #[derive(Clone, Debug, Default)]
 pub struct Adjacency {
-    /// Out-edges: `edges[u]` holds `(v, link, cost)` for every edge `u → v`.
-    edges: Vec<Vec<(RouterId, DirectedLinkId, u64)>>,
-    /// In-edges: `in_edges[v]` holds `(u, link, cost)` for every edge
-    /// `u → v`.
-    in_edges: Vec<Vec<(RouterId, DirectedLinkId, u64)>>,
+    out_edges: Csr,
+    in_edges: Csr,
     /// The lowest and highest edge cost ever set: bounds on every live cost,
     /// which size the bucket queue of the whole-graph search.
     min_cost: u64,
@@ -134,41 +238,52 @@ pub struct Adjacency {
 }
 
 impl Adjacency {
-    /// Creates an adjacency structure for `routers` nodes.
-    pub fn new(routers: usize) -> Self {
+    /// Builds the graph of `routers` routers over every directed link that
+    /// may ever be up, as `(from, to, link, cost, up)`: links that are down
+    /// get a slot but no edge until [`Adjacency::add_edge`].
+    pub fn new<I>(routers: usize, links: I) -> Self
+    where
+        I: Iterator<Item = (RouterId, RouterId, DirectedLinkId, u64, bool)> + Clone,
+    {
+        let (mut min_cost, mut max_cost) = (u64::MAX, 0);
+        for (_, _, _, cost, _) in links.clone().filter(|l| l.4) {
+            (min_cost, max_cost) = (min_cost.min(cost), max_cost.max(cost));
+        }
+        let id = |id: usize| u32::try_from(id).expect("router and link ids fit in a u32");
+        let slot = move |end: RouterId, link: DirectedLinkId, cost| (id(end), id(link), cost);
         Adjacency {
-            edges: vec![Vec::new(); routers],
-            in_edges: vec![Vec::new(); routers],
-            min_cost: u64::MAX,
-            max_cost: 0,
+            out_edges: Csr::new(
+                routers,
+                (links.clone())
+                    .map(move |(from, to, link, cost, up)| (from, slot(to, link, cost), up)),
+            ),
+            in_edges: Csr::new(
+                routers,
+                links.map(move |(from, to, link, cost, up)| (to, slot(from, link, cost), up)),
+            ),
+            min_cost,
+            max_cost,
         }
     }
 
-    /// Adds a directed edge. Router and link ids must fit in a `u32`.
+    /// Brings a down directed link back, at `cost`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link is not a down link of the graph: it was not given
+    /// to [`Adjacency::new`], or it is already up.
     pub fn add_edge(&mut self, from: RouterId, to: RouterId, link: DirectedLinkId, cost: u64) {
         self.widen_cost_bounds(cost);
-        self.edges[from].push((to, link, cost));
-        self.in_edges[to].push((from, link, cost));
+        self.out_edges.add(from, link, cost);
+        self.in_edges.add(to, link, cost);
     }
 
-    /// Updates the cost of an existing directed edge in place. A no-op if
-    /// the edge is not present (the link is administratively down).
-    ///
-    /// Edge-list order is irrelevant to canonical paths — relaxation scans
-    /// the whole list and the tie-break compares link ids, not positions —
-    /// so in-place patching yields bit-identical routes to a full rebuild.
+    /// Updates the cost of a live directed edge in place. A no-op if the
+    /// link is down (its cost is given again when it comes back up).
     pub fn set_edge_cost(&mut self, from: RouterId, to: RouterId, link: DirectedLinkId, cost: u64) {
         self.widen_cost_bounds(cost);
-        for e in &mut self.edges[from] {
-            if e.1 == link {
-                e.2 = cost;
-            }
-        }
-        for e in &mut self.in_edges[to] {
-            if e.1 == link {
-                e.2 = cost;
-            }
-        }
+        self.out_edges.set_cost(from, link, cost);
+        self.in_edges.set_cost(to, link, cost);
     }
 
     fn widen_cost_bounds(&mut self, cost: u64) {
@@ -176,31 +291,30 @@ impl Adjacency {
         self.max_cost = self.max_cost.max(cost);
     }
 
-    /// Removes a directed edge (see [`Adjacency::set_edge_cost`] on why
-    /// in-place removal preserves canonical paths).
+    /// Takes a directed edge down; a no-op if it is down already.
     pub fn remove_edge(&mut self, from: RouterId, to: RouterId, link: DirectedLinkId) {
-        self.edges[from].retain(|e| e.1 != link);
-        self.in_edges[to].retain(|e| e.1 != link);
+        self.out_edges.remove(from, link);
+        self.in_edges.remove(to, link);
     }
 
     /// Number of routers.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.out_edges.ranges.len().saturating_sub(1)
     }
 
     /// Returns `true` if the topology has no routers.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len() == 0
     }
 
-    /// Edges leaving `router`.
-    pub fn neighbors(&self, router: RouterId) -> &[(RouterId, DirectedLinkId, u64)] {
-        &self.edges[router]
+    /// Live edges leaving `router`, as `(to, link, cost)`.
+    pub fn neighbors(&self, router: RouterId) -> &[(u32, u32, u64)] {
+        self.out_edges.live(router)
     }
 
-    /// Edges arriving at `router`, as `(from, link, cost)`.
-    pub fn in_neighbors(&self, router: RouterId) -> &[(RouterId, DirectedLinkId, u64)] {
-        &self.in_edges[router]
+    /// Live edges arriving at `router`, as `(from, link, cost)`.
+    pub fn in_neighbors(&self, router: RouterId) -> &[(u32, u32, u64)] {
+        self.in_edges.live(router)
     }
 
     /// Dijkstra distances from `source` to every router (`u64::MAX` marks
@@ -218,10 +332,10 @@ impl Adjacency {
     }
 
     /// The edges a search in direction `dir` follows out of `router`.
-    fn edges(&self, dir: Dir, router: RouterId) -> &[(RouterId, DirectedLinkId, u64)] {
+    fn edges(&self, dir: Dir, router: RouterId) -> &[(u32, u32, u64)] {
         match dir {
-            Dir::Forward => &self.edges[router],
-            Dir::Backward => &self.in_edges[router],
+            Dir::Forward => self.out_edges.live(router),
+            Dir::Backward => self.in_edges.live(router),
         }
     }
 }
@@ -328,24 +442,25 @@ fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [(u32, u32)]) 
             }
             debug_assert_eq!(dist[u] / width, bucket);
             let du = dist[u];
-            for &(v, link, cost) in adj.edges(dir, u) {
+            for &(v32, link, cost) in adj.edges(dir, u) {
+                let v = v32 as usize;
                 let (nd, old) = (du.saturating_add(cost), dist[v]);
                 if nd < old {
                     dist[v] = nd;
                     if !prev.is_empty() {
-                        prev[v] = (u as u32, link as u32);
+                        prev[v] = (u as u32, link);
                     }
-                    if matches!(adj.edges(dir, v), [(back, _, _)] if *back == u) {
+                    if matches!(adj.edges(dir, v), [(back, _, _)] if *back as usize == u) {
                         queued[v] = false; // a dead end
                     } else if !queued[v] || old / width != nd / width {
                         queued[v] = true;
-                        buckets[(nd / width % slots) as usize].push(v as u32);
+                        buckets[(nd / width % slots) as usize].push(v32);
                         pending += 1;
                     }
                 } else if nd == old && nd != u64::MAX && !prev.is_empty() {
                     // The canonical tie-break: the smallest tight link id.
-                    if (link as u32) < prev[v].1 {
-                        prev[v] = (u as u32, link as u32);
+                    if link < prev[v].1 {
+                        prev[v] = (u as u32, link);
                     }
                 }
             }
@@ -563,6 +678,7 @@ fn advance(
             *mu = (*mu).min(dv.saturating_add(other.dist[v]));
         }
         for &(u, _link, cost) in adj.edges(dir, v) {
+            let u = u as usize;
             let nd = dv.saturating_add(cost.saturating_mul(2));
             if other.labeled(epoch, u) {
                 *mu = (*mu).min(nd.saturating_add(other.dist[u]));
@@ -776,7 +892,7 @@ impl LazyRouter {
                 }
                 out.nodes_lowered += 1;
                 for &(v, _, cost) in adj.neighbors(u) {
-                    let nd = d.saturating_add(cost);
+                    let (v, nd) = (v as usize, d.saturating_add(cost));
                     if nd < dist[v] {
                         dist[v] = nd;
                         heap.push(Reverse((nd, v)));
@@ -872,6 +988,7 @@ impl LazyRouter {
         while v != src {
             let mut best: Option<(DirectedLinkId, RouterId, u64)> = None;
             for &(u, link, cost) in adj.in_neighbors(v) {
+                let (u, link) = (u as usize, link as usize);
                 if let Some((best_link, _, _)) = best {
                     if link >= best_link {
                         continue; // only a smaller link id can win
@@ -945,7 +1062,7 @@ impl LazyRouter {
             let mut i = resume_at;
             while i < edges.len() {
                 let (w, _link, cost) = edges[i];
-                let step = cost.saturating_mul(2);
+                let (w, step) = (w as usize, cost.saturating_mul(2));
                 if step <= need {
                     match self.tightness(src, mu, w, need - step) {
                         Tight::Yes => on = true,
@@ -982,6 +1099,8 @@ impl LazyRouter {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::link::LinkSpec;
     use crate::network::{Network, NetworkSpec, RouteId};
@@ -991,16 +1110,36 @@ mod tests {
     /// `(a, b, cost)`, for both directions.
     type UndirectedEdge = (RouterId, RouterId, u64);
 
-    /// The symmetric graph of an undirected edge list: edge `i` is directed
+    /// `(from, to, link, cost)`.
+    type DirectedEdge = (RouterId, RouterId, DirectedLinkId, u64);
+
+    /// The digraph of `n` routers whose live edges are `edges`, with a down
+    /// slot reserved for each of `reserved`.
+    fn digraph_reserving(n: usize, edges: &[DirectedEdge], reserved: &[DirectedEdge]) -> Adjacency {
+        let up = edges
+            .iter()
+            .map(|&(a, b, link, cost)| (a, b, link, cost, true));
+        let down = reserved
+            .iter()
+            .map(|&(a, b, link, cost)| (a, b, link, cost, false));
+        Adjacency::new(n, up.chain(down))
+    }
+
+    fn digraph(n: usize, edges: &[DirectedEdge]) -> Adjacency {
+        digraph_reserving(n, edges, &[])
+    }
+
+    /// The directed edges of an undirected edge list: edge `i` is directed
     /// link `2 * i` from `a` to `b` and `2 * i + 1` back, as a
     /// [`NetworkSpec`] numbers them.
+    fn symmetric_edges(edges: &[UndirectedEdge]) -> Vec<DirectedEdge> {
+        (edges.iter().enumerate())
+            .flat_map(|(i, &(a, b, cost))| [(a, b, 2 * i, cost), (b, a, 2 * i + 1, cost)])
+            .collect()
+    }
+
     fn symmetric_adjacency(n: usize, edges: &[UndirectedEdge]) -> Adjacency {
-        let mut adj = Adjacency::new(n);
-        for (i, &(a, b, cost)) in edges.iter().enumerate() {
-            adj.add_edge(a, b, 2 * i, cost);
-            adj.add_edge(b, a, 2 * i + 1, cost);
-        }
-        adj
+        digraph(n, &symmetric_edges(edges))
     }
 
     /// The unit-cost line 0 - 1 - … - `n - 1`.
@@ -1025,9 +1164,7 @@ mod tests {
 
     #[test]
     fn unreachable_node_reports_none() {
-        let mut adj = Adjacency::new(3);
-        adj.add_edge(0, 1, 0, 1);
-        adj.add_edge(1, 0, 1, 1);
+        let adj = digraph(3, &[(0, 1, 0, 1), (1, 0, 1, 1)]);
         let sp = ShortestPaths::compute(&adj, 0);
         assert_eq!(sp.cost_to(2), None);
         assert_eq!(sp.path_to(2), None);
@@ -1040,10 +1177,7 @@ mod tests {
     #[test]
     fn picks_cheaper_of_two_routes() {
         // 0 -> 1 -> 2 costs 2; direct 0 -> 2 costs 5.
-        let mut adj = Adjacency::new(3);
-        adj.add_edge(0, 1, 0, 1);
-        adj.add_edge(1, 2, 1, 1);
-        adj.add_edge(0, 2, 2, 5);
+        let adj = digraph(3, &[(0, 1, 0, 1), (1, 2, 1, 1), (0, 2, 2, 5)]);
         let sp = ShortestPaths::compute(&adj, 0);
         assert_eq!(sp.cost_to(2), Some(2));
         assert_eq!(sp.path_to(2), Some(vec![0, 1]));
@@ -1068,15 +1202,7 @@ mod tests {
         // The canonical rule (smallest tight in-link at every node, walking
         // back from the destination) picks link 4 into node 3, so the route
         // is [0, 4] — for the reference and both lazy modes.
-        let mut adj = Adjacency::new(4);
-        adj.add_edge(0, 1, 0, 1);
-        adj.add_edge(1, 0, 1, 1);
-        adj.add_edge(0, 2, 2, 1);
-        adj.add_edge(2, 0, 3, 1);
-        adj.add_edge(1, 3, 4, 1);
-        adj.add_edge(3, 1, 5, 1);
-        adj.add_edge(2, 3, 6, 1);
-        adj.add_edge(3, 2, 7, 1);
+        let adj = symmetric_adjacency(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]);
         let sp = ShortestPaths::compute(&adj, 0);
         assert_eq!(sp.path_to(3), Some(vec![0, 4]));
         let mut bidi = LazyRouter::new(&adj, 0);
@@ -1085,14 +1211,14 @@ mod tests {
         assert_eq!(alt.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
     }
 
+    /// A [`heap_model`] result: each router's distance, and its canonical
+    /// predecessor router and link.
+    type ModelTree = (Vec<u64>, Vec<Option<(RouterId, DirectedLinkId)>>);
+
     /// The reference model of [`dijkstra`]: the binary-heap search it
     /// replaced. Distances from `root` (to it, for [`Dir::Backward`]) and
     /// the canonical predecessors.
-    fn heap_model(
-        adj: &Adjacency,
-        root: RouterId,
-        dir: Dir,
-    ) -> (Vec<u64>, Vec<Option<(usize, usize)>>) {
+    fn heap_model(adj: &Adjacency, root: RouterId, dir: Dir) -> ModelTree {
         let n = adj.len();
         let mut dist = vec![u64::MAX; n];
         let mut prev: Vec<Option<(RouterId, DirectedLinkId)>> = vec![None; n];
@@ -1104,7 +1230,7 @@ mod tests {
                 continue;
             }
             for &(v, link, cost) in adj.edges(dir, u) {
-                let nd = d.saturating_add(cost);
+                let (v, link, nd) = (v as usize, link as usize, d.saturating_add(cost));
                 if nd < dist[v] {
                     dist[v] = nd;
                     prev[v] = Some((u, link));
@@ -1127,8 +1253,8 @@ mod tests {
     /// (degree-1 routers); one-way chains and routers with no way back
     /// (directed dead ends); and routers the core cannot reach. Link ids are
     /// shuffled so that the first tight in-edge found is seldom the
-    /// canonical one.
-    fn random_digraph(rng: &mut SimRng, costs: (u64, u64)) -> Adjacency {
+    /// canonical one. Returns the router count and the edges.
+    fn random_digraph(rng: &mut SimRng, costs: (u64, u64)) -> (usize, Vec<DirectedEdge>) {
         let cost = |rng: &mut SimRng| {
             let (lo, hi) = (costs.0 as f64, costs.1 as f64);
             ((lo.ln() + rng.next_f64() * (hi.ln() - lo.ln())).exp() as u64).clamp(costs.0, costs.1)
@@ -1179,11 +1305,10 @@ mod tests {
         n += 2;
         let mut links: Vec<DirectedLinkId> = (0..edges.len()).collect();
         rng.shuffle(&mut links);
-        let mut adj = Adjacency::new(n);
-        for (&(a, b, c), &link) in edges.iter().zip(&links) {
-            adj.add_edge(a, b, link, c);
-        }
-        adj
+        let edges = (edges.iter().zip(&links))
+            .map(|(&(a, b, c), &link)| (a, b, link, c))
+            .collect();
+        (n, edges)
     }
 
     /// [`ShortestPaths::compute`], [`Adjacency::distances_from`] and
@@ -1191,16 +1316,97 @@ mod tests {
     /// equal distances, and equal predecessors for every router.
     fn assert_kernel_matches_model(adj: &Adjacency, label: &str) {
         for root in 0..adj.len() {
-            let (dist, prev) = heap_model(adj, root, Dir::Forward);
-            let sp = ShortestPaths::compute(adj, root);
-            let kernel_prev: Vec<_> = (sp.prev.iter())
-                .map(|&(p, link)| ((p, link) != NO_PREV).then_some((p as usize, link as usize)))
-                .collect();
-            assert_eq!(sp.dist, dist, "{label}: distances from {root}");
-            assert_eq!(kernel_prev, prev, "{label}: predecessors from {root}");
-            assert_eq!(adj.distances_from(root), dist, "{label}: from {root}");
+            let model = heap_model(adj, root, Dir::Forward);
+            assert_tree_matches(&ShortestPaths::compute(adj, root), &model, label);
+            assert_eq!(adj.distances_from(root), model.0, "{label}: from {root}");
             let (to, _) = heap_model(adj, root, Dir::Backward);
             assert_eq!(adj.distances_to(root), to, "{label}: distances to {root}");
+        }
+    }
+
+    /// `sp` has the distances and predecessors of a [`heap_model`] tree.
+    fn assert_tree_matches(sp: &ShortestPaths, (dist, prev): &ModelTree, label: &str) {
+        let root = sp.source;
+        let kernel_prev: Vec<_> = (sp.prev.iter())
+            .map(|&(p, link)| ((p, link) != NO_PREV).then_some((p as usize, link as usize)))
+            .collect();
+        assert_eq!(&sp.dist, dist, "{label}: distances from {root}");
+        assert_eq!(&kernel_prev, prev, "{label}: predecessors from {root}");
+    }
+
+    /// The slots under seeded mutation, against a model: 64 digraphs of
+    /// [`random_digraph`], a fifth of their links starting down, each put
+    /// through 300 steps of `remove_edge`, `add_edge` and `set_edge_cost` on
+    /// random links. Repeats, both directions of a pair and patches of a down
+    /// link all come up. After every step each router's live out- and
+    /// in-edges equal the model's `BTreeSet`s, and [`ShortestPaths::compute`]
+    /// from three roots equals [`heap_model`] on the model's graph built
+    /// afresh.
+    ///
+    /// Mutants this test kills, each checked by hand:
+    /// - `remove_edge` that skips the in-half;
+    /// - `add_edge` writing at the range's start instead of after the live
+    ///   prefix;
+    /// - `remove_edge` that shrinks the live prefix without the swap.
+    #[test]
+    fn adjacency_mutation_matches_a_btreeset_model() {
+        let mut rng = SimRng::new(0xAD7AC);
+        for case in 0..64 {
+            let costs = [(1, 3), (500, 40_000), (1, 10_000_000)][case % 3];
+            let (n, edges) = random_digraph(&mut rng, costs);
+            // Each edge's current cost, `None` while it is down.
+            let mut now: Vec<Option<u64>> = (edges.iter())
+                .map(|e| (!rng.chance(0.2)).then_some(e.3))
+                .collect();
+            let mut adj = Adjacency::new(
+                n,
+                (edges.iter().zip(&now))
+                    .map(|(&(a, b, link, c), now)| (a, b, link, c, now.is_some())),
+            );
+            for step in 0..300 {
+                let e = rng.range_usize(0, edges.len());
+                let (a, b, link, _) = edges[e];
+                let cost = costs.0 + rng.next_below(costs.1 - costs.0 + 1);
+                match rng.range_usize(0, 3) {
+                    0 => {
+                        adj.remove_edge(a, b, link);
+                        now[e] = None;
+                    }
+                    1 if now[e].is_none() => {
+                        adj.add_edge(a, b, link, cost);
+                        now[e] = Some(cost);
+                    }
+                    _ => {
+                        adj.set_edge_cost(a, b, link, cost);
+                        now[e] = now[e].map(|_| cost);
+                    }
+                }
+                let live: Vec<DirectedEdge> = (edges.iter().zip(&now))
+                    .filter_map(|(&(a, b, link, _), c)| c.map(|c| (a, b, link, c)))
+                    .collect();
+                let mut model_out = vec![BTreeSet::new(); n];
+                let mut model_in = vec![BTreeSet::new(); n];
+                for &(a, b, link, c) in &live {
+                    model_out[a].insert((b as u32, link as u32, c));
+                    model_in[b].insert((a as u32, link as u32, c));
+                }
+                let label = format!("case {case}, step {step}");
+                for r in 0..n {
+                    for (got, want) in [
+                        (adj.neighbors(r), &model_out[r]),
+                        (adj.in_neighbors(r), &model_in[r]),
+                    ] {
+                        let mut got = got.to_vec();
+                        got.sort_unstable();
+                        assert!(got.iter().eq(want), "{label}: router {r}: {got:?}");
+                    }
+                }
+                let fresh = digraph(n, &live);
+                for root in [0, n / 2, n - 1] {
+                    let model = heap_model(&fresh, root, Dir::Forward);
+                    assert_tree_matches(&ShortestPaths::compute(&adj, root), &model, &label);
+                }
+            }
         }
     }
 
@@ -1220,7 +1426,8 @@ mod tests {
         let mut label_correcting = 0;
         for case in 0..64 {
             for costs in [(1, 3), (500, 40_000), (1, 10_000_000)] {
-                let adj = random_digraph(&mut rng, costs);
+                let (n, edges) = random_digraph(&mut rng, costs);
+                let adj = digraph(n, &edges);
                 label_correcting += usize::from(adj.max_cost.div_ceil(MAX_BUCKETS) > adj.min_cost);
                 assert_kernel_matches_model(&adj, &format!("case {case}, costs {costs:?}"));
             }
@@ -1370,13 +1577,14 @@ mod tests {
         let mut rng = SimRng::new(0x71E5);
         for (label, n, edges) in tie_adversarial_shapes() {
             let symmetric = symmetric_adjacency(n, &edges);
-            let mut directed = Adjacency::new(n);
+            let mut one_way = Vec::new();
             for (i, &(a, b, cost)) in edges.iter().enumerate() {
-                directed.add_edge(a, b, 2 * i, cost + rng.next_below(2));
+                one_way.push((a, b, 2 * i, cost + rng.next_below(2)));
                 if !rng.chance(0.1) {
-                    directed.add_edge(b, a, 2 * i + 1, cost + rng.next_below(2));
+                    one_way.push((b, a, 2 * i + 1, cost + rng.next_below(2)));
                 }
             }
+            let directed = digraph(n, &one_way);
             assert_all_pairs_canonical(&symmetric, &[0, 3], label);
             assert_all_pairs_canonical(&directed, &[0], &format!("{label}/directed"));
 
@@ -1535,8 +1743,14 @@ mod tests {
     /// the mutated graph fresh: same canonical path for every pair.
     #[test]
     fn in_place_mutators_match_a_freshly_built_graph() {
-        let mut adj = line(5);
-        // Mutate: drop the 1-2 hop, add a 0-4 shortcut, raise 2-3 to 7.
+        // The line 0 - … - 4, with a down 0-4 shortcut (links 8 and 9).
+        let mut adj = digraph_reserving(
+            5,
+            &symmetric_edges(&line_edges(5)),
+            &[(0, 4, 8, 50), (4, 0, 9, 50)],
+        );
+        // Mutate: drop the 1-2 hop, bring the 0-4 shortcut up at cost 3,
+        // raise 2-3 to 7.
         adj.remove_edge(1, 2, 2);
         adj.remove_edge(2, 1, 3);
         adj.add_edge(0, 4, 8, 3);
@@ -1544,15 +1758,19 @@ mod tests {
         adj.set_edge_cost(2, 3, 4, 7);
         adj.set_edge_cost(3, 2, 5, 7);
         // Fresh build of the same final graph.
-        let mut fresh = Adjacency::new(5);
-        fresh.add_edge(0, 1, 0, 1);
-        fresh.add_edge(1, 0, 1, 1);
-        fresh.add_edge(2, 3, 4, 7);
-        fresh.add_edge(3, 2, 5, 7);
-        fresh.add_edge(3, 4, 6, 1);
-        fresh.add_edge(4, 3, 7, 1);
-        fresh.add_edge(0, 4, 8, 3);
-        fresh.add_edge(4, 0, 9, 3);
+        let fresh = digraph(
+            5,
+            &[
+                (0, 1, 0, 1),
+                (1, 0, 1, 1),
+                (2, 3, 4, 7),
+                (3, 2, 5, 7),
+                (3, 4, 6, 1),
+                (4, 3, 7, 1),
+                (0, 4, 8, 3),
+                (4, 0, 9, 3),
+            ],
+        );
         for src in 0..5 {
             let a = ShortestPaths::compute(&adj, src);
             let b = ShortestPaths::compute(&fresh, src);
@@ -1572,7 +1790,12 @@ mod tests {
     /// does zero work when an oscillation restores the original cost.
     #[test]
     fn landmark_repair_restores_admissibility() {
-        let mut adj = line(6);
+        // The line 0 - … - 5, with a down 0-5 shortcut (links 10 and 11).
+        let mut adj = digraph_reserving(
+            6,
+            &symmetric_edges(&line_edges(6)),
+            &[(0, 5, 10, 1), (5, 0, 11, 1)],
+        );
         let mut router = LazyRouter::new(&adj, 2);
         let tables = router.landmark_tables().to_vec();
 
@@ -1603,7 +1826,7 @@ mod tests {
             for u in 0..6 {
                 for &(v, _, c) in adj.neighbors(u) {
                     assert!(
-                        table[v] <= table[u].saturating_add(c),
+                        table[v as usize] <= table[u].saturating_add(c),
                         "consistency broken at {u}->{v}"
                     );
                 }
