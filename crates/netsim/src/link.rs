@@ -82,21 +82,6 @@ pub enum HopOutcome {
     DroppedDown,
 }
 
-/// Counters kept per directed link.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LinkCounters {
-    /// Packets accepted onto the link.
-    pub packets_sent: u64,
-    /// Bytes accepted onto the link.
-    pub bytes_sent: u64,
-    /// Packets dropped because of queue overflow.
-    pub dropped_queue: u64,
-    /// Packets dropped by the random loss process.
-    pub dropped_loss: u64,
-    /// Packets dropped because the link was administratively down.
-    pub dropped_down: u64,
-}
-
 /// A directed link with live queueing state.
 #[derive(Clone, Debug)]
 pub struct DirectedLink {
@@ -119,8 +104,6 @@ pub struct DirectedLink {
     pub up: bool,
     /// Time at which the transmitter becomes idle again.
     pub busy_until: SimTime,
-    /// Traffic counters.
-    pub counters: LinkCounters,
 }
 
 impl DirectedLink {
@@ -141,7 +124,6 @@ impl DirectedLink {
             max_queue_delay: transmission_time(spec.queue_bytes, spec.bandwidth_bps),
             up: spec.up,
             busy_until: SimTime::ZERO,
-            counters: LinkCounters::default(),
         }
     }
 
@@ -167,41 +149,44 @@ impl DirectedLink {
     /// wire after the packet left the queue.
     pub fn offer(&mut self, now: SimTime, size_bytes: u32, rng: &mut SimRng) -> HopOutcome {
         if !self.up {
-            self.counters.dropped_down += 1;
             return HopOutcome::DroppedDown;
         }
         let start = self.busy_until.max(now);
         let queueing = start - now;
         if queueing > self.max_queue_delay {
-            self.counters.dropped_queue += 1;
             return HopOutcome::DroppedQueue;
         }
         let tx = transmission_time(size_bytes, self.bandwidth_bps);
         self.busy_until = start + tx;
-        self.counters.packets_sent += 1;
-        self.counters.bytes_sent += size_bytes as u64;
         if rng.chance(self.loss) {
-            self.counters.dropped_loss += 1;
             return HopOutcome::DroppedLoss;
         }
         HopOutcome::Arrive(start + tx + self.delay)
-    }
-
-    /// Utilization proxy: bytes sent so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.counters.bytes_sent
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{Network, NetworkSpec};
 
     fn test_link(bw: f64, queue: u32, loss: f64) -> DirectedLink {
         let spec = LinkSpec::new(0, 1, bw, SimDuration::from_millis(10))
             .with_queue(queue)
             .with_loss(loss);
         DirectedLink::from_spec(&spec, false)
+    }
+
+    /// A network of one such physical link between routers 0 and 1; its
+    /// forward direction is directed link 0.
+    fn test_network(bw: f64, queue: u32, loss: f64) -> Network {
+        let mut spec = NetworkSpec::new(2);
+        spec.add_link(
+            LinkSpec::new(0, 1, bw, SimDuration::from_millis(10))
+                .with_queue(queue)
+                .with_loss(loss),
+        );
+        Network::new(&spec)
     }
 
     #[test]
@@ -234,17 +219,17 @@ mod tests {
     fn queue_overflow_drops_packets() {
         let mut rng = SimRng::new(1);
         // Queue of 3000 bytes = two 1500-byte packets of queueing delay.
-        let mut link = test_link(1_000_000.0, 3_000, 0.0);
-        let mut outcomes = Vec::new();
-        for _ in 0..6 {
-            outcomes.push(link.offer(SimTime::ZERO, 1500, &mut rng));
-        }
+        let mut net = test_network(1_000_000.0, 3_000, 0.0);
+        let outcomes: Vec<HopOutcome> = (0..6)
+            .map(|_| net.offer_hop(SimTime::ZERO, 0, 1500, None, &mut rng))
+            .collect();
         let drops = outcomes
             .iter()
             .filter(|o| matches!(o, HopOutcome::DroppedQueue))
             .count();
         assert!(drops >= 2, "expected queue drops, got {outcomes:?}");
-        assert_eq!(link.counters.dropped_queue as usize, drops);
+        // A queue-dropped packet never reached the wire.
+        assert_eq!(net.total_bytes_sent(), 1500 * (6 - drops as u64));
     }
 
     #[test]
@@ -267,25 +252,25 @@ mod tests {
     fn down_links_drop_without_consuming_randomness() {
         let mut rng = SimRng::new(4);
         let reference = rng.clone();
-        let mut link = test_link(1e6, 100_000, 0.5);
-        link.up = false;
+        let mut net = test_network(1e6, 100_000, 0.5);
+        net.set_link_up(0, false);
         for _ in 0..5 {
             assert_eq!(
-                link.offer(SimTime::ZERO, 1000, &mut rng),
+                net.offer_hop(SimTime::ZERO, 0, 1000, None, &mut rng),
                 HopOutcome::DroppedDown
             );
         }
-        assert_eq!(link.counters.dropped_down, 5);
-        assert_eq!(link.counters.packets_sent, 0);
+        assert_eq!(net.total_bytes_sent(), 0, "a down link sends nothing");
         // The loss process must not have advanced the RNG: scripted outages
         // cannot perturb draws elsewhere in the simulation.
         let mut reference = reference;
         assert_eq!(rng.next_u64(), reference.next_u64());
-        link.up = true;
+        net.set_link_up(0, true);
         assert!(matches!(
-            link.offer(SimTime::ZERO, 1000, &mut rng),
+            net.offer_hop(SimTime::ZERO, 0, 1000, None, &mut rng),
             HopOutcome::Arrive(_) | HopOutcome::DroppedLoss
         ));
+        assert_eq!(net.total_bytes_sent(), 1000);
     }
 
     #[test]
@@ -302,14 +287,21 @@ mod tests {
         }
     }
 
+    /// A packet the loss process drops was accepted onto the wire, so its
+    /// bytes count; one the queue or a down link drops does not.
     #[test]
     fn counters_track_bytes() {
         let mut rng = SimRng::new(3);
-        let mut link = test_link(1e9, 1_000_000, 0.0);
-        for _ in 0..10 {
-            link.offer(SimTime::ZERO, 1000, &mut rng);
+        let mut net = test_network(1e9, 1_000_000, 0.5);
+        let (mut arrived, mut lost) = (0, 0);
+        for i in 0..20 {
+            match net.offer_hop(SimTime::from_millis(i), 0, 1000, None, &mut rng) {
+                HopOutcome::Arrive(_) => arrived += 1,
+                HopOutcome::DroppedLoss => lost += 1,
+                other => panic!("unexpected outcome {other:?}"),
+            }
         }
-        assert_eq!(link.counters.packets_sent, 10);
-        assert_eq!(link.counters.bytes_sent, 10_000);
+        assert!(arrived > 0 && lost > 0, "{arrived} arrived, {lost} lost");
+        assert_eq!(net.total_bytes_sent(), 20 * 1000);
     }
 }

@@ -155,17 +155,20 @@ impl RouteId {
     pub const EMPTY: RouteId = RouteId(0);
 }
 
-/// Append-only arena of interned routes: one flat link-id buffer plus
-/// `(start, len)` spans indexed by [`RouteId`], and the repair metadata
+/// Append-only arena of interned routes: one flat buffer of 4-byte link ids
+/// plus `(start, len)` spans indexed by [`RouteId`], and the repair metadata
 /// incremental invalidation needs — per-route endpoints, cost and a stale
-/// flag, plus a link→routes back-index so a mutated link names exactly the
-/// routes that cross it.
+/// flag.
+///
+/// Nothing indexes routes by link: a repair finds the live routes that
+/// cross a changed link in the same pass over [`RouteArena::live`] that runs
+/// the improving filter (see `Network::apply_route_mutation`).
 #[derive(Clone, Debug)]
 struct RouteArena {
-    links: Vec<DirectedLinkId>,
+    links: Vec<u32>,
     spans: Vec<(u32, u32)>,
     /// `(source router, destination router)` per route.
-    ends: Vec<(RouterId, RouterId)>,
+    ends: Vec<(u32, u32)>,
     /// Canonical path cost (raw, unscaled units) per route at intern time —
     /// still current for every live route, because any mutation of a link on
     /// the route marks it stale first.
@@ -173,14 +176,10 @@ struct RouteArena {
     /// A stale route has been superseded; its links stay readable for
     /// in-flight packets, but repair skips it.
     stale: Vec<bool>,
-    /// Route ids crossing each directed link. A repair drains the bucket of
-    /// every link it changes; ids another repair already invalidated are
-    /// filtered on read via the `stale` flags.
-    by_link: Vec<Vec<u32>>,
 }
 
 impl RouteArena {
-    fn new(directed_links: usize) -> Self {
+    fn new() -> Self {
         RouteArena {
             links: Vec::new(),
             // Slot 0 is the reserved empty route (RouteId::EMPTY).
@@ -188,10 +187,11 @@ impl RouteArena {
             ends: vec![(0, 0)],
             cost: vec![0],
             stale: vec![false],
-            by_link: vec![Vec::new(); directed_links],
         }
     }
 
+    /// Interns `path`. Router and link ids fit in a `u32`: the
+    /// [`Adjacency`] every path is read off checks them when it is built.
     fn intern(
         &mut self,
         path: &[DirectedLinkId],
@@ -205,27 +205,24 @@ impl RouteArena {
             "route arena exhausted"
         );
         let start = u32::try_from(self.links.len()).expect("route arena offset fits in u32");
-        self.links.extend_from_slice(path);
+        self.links.extend(path.iter().map(|&link| link as u32));
         self.spans.push((start, path.len() as u32));
-        let id = (self.spans.len() - 1) as u32;
-        self.ends.push((src, dst));
+        self.ends.push((src as u32, dst as u32));
         self.cost.push(cost);
         self.stale.push(false);
-        for &link in path {
-            self.by_link[link].push(id);
-        }
-        RouteId(id)
+        RouteId((self.spans.len() - 1) as u32)
     }
 
     #[inline]
-    fn links(&self, id: RouteId) -> &[DirectedLinkId] {
+    fn links(&self, id: RouteId) -> &[u32] {
         let (start, len) = self.spans[id.0 as usize];
         &self.links[start as usize..start as usize + len as usize]
     }
 
     #[inline]
     fn ends(&self, raw: u32) -> (RouterId, RouterId) {
-        self.ends[raw as usize]
+        let (src, dst) = self.ends[raw as usize];
+        (src as RouterId, dst as RouterId)
     }
 
     #[inline]
@@ -243,14 +240,6 @@ impl RouteArena {
     fn live(&self) -> impl Iterator<Item = u32> + '_ {
         (1..self.spans.len() as u32).filter(|&raw| !self.stale[raw as usize])
     }
-
-    /// Drains the back-index bucket of a directed link: the live routes
-    /// crossing it (already-stale ids are dropped on the way out).
-    fn take_routes_through(&mut self, link: DirectedLinkId) -> Vec<u32> {
-        let mut ids = std::mem::take(&mut self.by_link[link]);
-        ids.retain(|&raw| !self.stale[raw as usize]);
-        ids
-    }
 }
 
 /// Flat `participants × participants` route-memo table: the one lookup in
@@ -267,7 +256,8 @@ struct RouteMemo {
     table: Vec<u32>,
     /// Pairs currently memoized [`RouteMemo::UNREACHABLE`]. Incremental
     /// repair clears exactly these on an improving mutation (an improvement
-    /// can connect pairs, and no back-index names a pair with no route);
+    /// can connect pairs, and a pair with no route has no interned route for
+    /// the repair pass to find);
     /// the list is bounded by the table and emptied by every clear.
     unreachable: Vec<(u32, u32)>,
 }
@@ -547,6 +537,8 @@ pub struct Network {
     stress_ratio_sum: f64,
     /// Largest per-(trace, link) copy count seen so far.
     stress_max: u64,
+    /// Bytes accepted across all links (see [`Network::offer_hop`]).
+    bytes_sent: u64,
     /// Bumped by every route-affecting topology mutation. Epoch `e` routes
     /// in the arena stay valid for flights already in the air, but the
     /// participant memo and the router workspaces only ever serve the
@@ -596,7 +588,6 @@ impl Network {
             links.extend([false, true].map(|reverse| DirectedLink::from_spec(link, reverse)));
         }
         let adjacency = setup.adjacency.clone();
-        let link_count = links.len();
         let mode = setup.mode;
         let computer = match mode {
             RoutingMode::EagerPerSource => RouteComputer::Eager {
@@ -618,7 +609,7 @@ impl Network {
             mode,
             computer,
             route_queries: 0,
-            routes: RouteArena::new(link_count),
+            routes: RouteArena::new(),
             memo: RouteMemo::new(spec.attachments.len()),
             path_buf: Vec::new(),
             batched_queries: 0,
@@ -626,6 +617,7 @@ impl Network {
             trace_aggs: FxHashMap::default(),
             stress_ratio_sum: 0.0,
             stress_max: 0,
+            bytes_sent: 0,
             topology_epoch: 0,
             repair: RepairStats::default(),
             router_parts,
@@ -938,9 +930,9 @@ impl Network {
     ///
     /// - **Worsening** changes (edge removed, cost raised) can only break
     ///   paths that *use* a changed edge, and cannot create a new shorter or
-    ///   tie-winning alternative anywhere — so draining the link→routes
-    ///   back-index of each changed link is exact: every other cached route
-    ///   is still the canonical shortest path.
+    ///   tie-winning alternative anywhere — so invalidating the live routes
+    ///   that cross a changed directed link is exact: every other cached
+    ///   route is still the canonical shortest path.
     /// - **Improving** changes (edge added, cost lowered) can reroute pairs
     ///   whose old route never touched a changed link. A surviving cached
     ///   route of cost `c` from `s` to `d` is still canonical iff no path
@@ -961,6 +953,16 @@ impl Network {
     ///   doomed set ([`healed_router`]). Improvements can also connect
     ///   previously unreachable pairs, so every memoized negative result is
     ///   reopened.
+    ///
+    /// Both rules run in one pass over the live routes. A route that crosses
+    /// a changed link — found by a binary search of the sorted changed ids
+    /// per route link — is invalidated by the worsening rule whatever the
+    /// mutation's kind, since its interned cost may no longer be its cost;
+    /// every other route faces the improving filter, if there is one. A
+    /// route crossing several changed links is invalidated once, and clearing
+    /// memo cells does not depend on order, so the pass invalidates exactly
+    /// the routes the two rules name, and the repair counters count each
+    /// once.
     fn apply_route_mutation(&mut self, changes: Vec<(DirectedLinkId, EdgeChange)>) {
         if changes.is_empty() {
             return;
@@ -1000,38 +1002,43 @@ impl Network {
                 self.repair.landmark_nodes_lowered += r.nodes_lowered;
             }
         }
-        // 3. Worsening rule: drain the back-index of every changed link.
+        // 3. One pass over the live routes applies both rules. A route that
+        //    crosses a changed link is stale (the worsening rule, and a
+        //    route's cost is only current while none of its links changed).
+        //    Any other route faces the improving filter: one reverse table
+        //    per distinct improved-edge tail and one forward table per
+        //    distinct head, all on the patched graph — or, for a healed
+        //    router `r`, just the two tables of the zero-cost pseudo-edge
+        //    `r → r`. The tables are built when the first route needs them.
+        let mut changed: Vec<u32> = changes.iter().map(|&(id, _)| id as u32).collect();
+        changed.sort_unstable();
+        let healed = healed_router(&self.adjacency, &improved).map(|r| [(r, r, 0)]);
+        let crossings: &[(RouterId, RouterId, u64)] = match &healed {
+            Some(through_router) => through_router,
+            None => &improved,
+        };
+        type Tables = FxHashMap<RouterId, Vec<u64>>;
+        let mut tables: Option<(Tables, Tables)> = None;
         let mut invalidated: Vec<u32> = Vec::new();
-        for &(id, _) in &changes {
-            for raw in self.routes.take_routes_through(id) {
-                self.routes.mark_stale(raw);
-                invalidated.push(raw);
-            }
-        }
-        // 4. Improving rule: exact distance filter over the surviving
-        //    routes. One reverse table per distinct improved-edge tail and
-        //    one forward table per distinct head, all on the patched graph —
-        //    or, for a healed router `r`, just the two tables of the
-        //    zero-cost pseudo-edge `r → r`.
-        if !improved.is_empty() && self.routes.live().next().is_some() {
-            let healed = healed_router(&self.adjacency, &improved).map(|r| [(r, r, 0)]);
-            let crossings: &[(RouterId, RouterId, u64)] = match &healed {
-                Some(through_router) => through_router,
-                None => &improved,
-            };
-            let mut to_tail: FxHashMap<RouterId, Vec<u64>> = FxHashMap::default();
-            let mut from_head: FxHashMap<RouterId, Vec<u64>> = FxHashMap::default();
-            for &(a, b, _) in crossings {
-                to_tail
-                    .entry(a)
-                    .or_insert_with(|| self.adjacency.distances_to(a));
-                from_head
-                    .entry(b)
-                    .or_insert_with(|| self.adjacency.distances_from(b));
-            }
-            self.repair.filter_tables += (to_tail.len() + from_head.len()) as u64;
-            let mut doomed: Vec<u32> = Vec::new();
-            for raw in self.routes.live() {
+        for raw in self.routes.live() {
+            let crosses = (self.routes.links(RouteId(raw)).iter())
+                .any(|link| changed.binary_search(link).is_ok());
+            if !crosses {
+                if improved.is_empty() {
+                    continue;
+                }
+                let (to_tail, from_head) = tables.get_or_insert_with(|| {
+                    let (mut to_tail, mut from_head) = (Tables::default(), Tables::default());
+                    for &(a, b, _) in crossings {
+                        to_tail
+                            .entry(a)
+                            .or_insert_with(|| self.adjacency.distances_to(a));
+                        from_head
+                            .entry(b)
+                            .or_insert_with(|| self.adjacency.distances_from(b));
+                    }
+                    (to_tail, from_head)
+                });
                 let (src, dst) = self.routes.ends(raw);
                 let cost = self.routes.cost(raw);
                 let survives = crossings.iter().all(|&(a, b, w)| {
@@ -1042,29 +1049,29 @@ impl Network {
                 });
                 if survives {
                     self.repair.routes_kept += 1;
-                } else {
-                    doomed.push(raw);
+                    continue;
                 }
             }
-            for raw in doomed {
-                self.routes.mark_stale(raw);
-                invalidated.push(raw);
-            }
+            invalidated.push(raw);
         }
-        // 5. Move each invalidated route's participant-memo cells
+        if let Some((to_tail, from_head)) = &tables {
+            self.repair.filter_tables += (to_tail.len() + from_head.len()) as u64;
+        }
+        // 4. Move each invalidated route's participant-memo cells
         //    (`parts(src) × parts(dst)`) to the new epoch. Every interned
         //    route joins two routers that have participants.
         self.repair.routes_invalidated += invalidated.len() as u64;
         for raw in invalidated {
+            self.routes.mark_stale(raw);
             let (src, dst) = self.routes.ends(raw);
             let (from, to) = (&self.router_parts[&src], &self.router_parts[&dst]);
             self.repair.memo_cells_cleared += self.memo.clear_pairs(from, to);
         }
-        // 6. Improvements can connect pairs memoized unreachable.
+        // 5. Improvements can connect pairs memoized unreachable.
         if !improved.is_empty() {
             self.repair.unreachable_cleared += self.memo.clear_unreachable();
         }
-        // 7. Eager trees span the whole graph, so any route-affecting
+        // 6. Eager trees span the whole graph, so any route-affecting
         //    mutation can bend them; drop the cache (the build counter
         //    survives — it lives in the variant and the variant is kept).
         //    Lazy workspaces are epoch-stamped per query and read the
@@ -1074,9 +1081,10 @@ impl Network {
         }
     }
 
-    /// The directed links of an interned route, in hop order.
+    /// The directed links of an interned route, in hop order, as the arena
+    /// stores them: 4-byte ids, widened to [`DirectedLinkId`] at the index.
     #[inline]
-    pub fn route_links(&self, id: RouteId) -> &[DirectedLinkId] {
+    pub fn route_links(&self, id: RouteId) -> &[u32] {
         self.routes.links(id)
     }
 
@@ -1089,7 +1097,8 @@ impl Network {
     /// the simulator itself stores [`RouteId`]s and never copies paths.
     pub fn path(&mut self, from: OverlayId, to: OverlayId) -> Option<Vec<DirectedLinkId>> {
         let id = self.route(from, to)?;
-        Some(self.routes.links(id).to_vec())
+        let links = self.routes.links(id);
+        Some(links.iter().map(|&link| link as DirectedLinkId).collect())
     }
 
     /// One-way propagation delay (sum of link delays) between two overlay
@@ -1103,12 +1112,14 @@ impl Network {
         let id = self.route(from, to)?;
         let mut total = crate::time::SimDuration::ZERO;
         for &link in self.routes.links(id) {
-            total = total + self.links[link].delay;
+            total = total + self.links[link as usize].delay;
         }
         Some(total)
     }
 
-    /// Offers a packet to one directed link.
+    /// Offers a packet to one directed link. Its bytes count towards
+    /// [`Network::total_bytes_sent`] when the link accepted it: it arrives,
+    /// or the loss process drops it on the wire.
     pub fn offer_hop(
         &mut self,
         now: SimTime,
@@ -1120,7 +1131,11 @@ impl Network {
         if let Some(id) = trace_id {
             self.record_trace(id, link);
         }
-        self.links[link].offer(now, size_bytes, rng)
+        let outcome = self.links[link].offer(now, size_bytes, rng);
+        if matches!(outcome, HopOutcome::Arrive(_) | HopOutcome::DroppedLoss) {
+            self.bytes_sent += u64::from(size_bytes);
+        }
+        outcome
     }
 
     /// Updates the per-link trace counts and the incremental link-stress
@@ -1172,7 +1187,7 @@ impl Network {
     /// Total bytes accepted across all links (a rough global utilization
     /// number used in tests and reports).
     pub fn total_bytes_sent(&self) -> u64 {
-        self.links.iter().map(|l| l.counters.bytes_sent).sum()
+        self.bytes_sent
     }
 }
 
@@ -1180,6 +1195,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use std::collections::BTreeSet;
 
     /// Two clients attached to stubs joined through a single transit router.
     ///
@@ -1193,6 +1209,14 @@ mod tests {
         spec.attach(0);
         spec.attach(2);
         spec
+    }
+
+    /// The links of an interned route, widened to the ids
+    /// [`Network::path`] returns.
+    fn links_of(net: &Network, id: RouteId) -> Vec<DirectedLinkId> {
+        (net.route_links(id).iter())
+            .map(|&link| link as DirectedLinkId)
+            .collect()
     }
 
     #[test]
@@ -1231,7 +1255,7 @@ mod tests {
         let second = net.route(0, 1).expect("route exists");
         assert_eq!(first, second, "repeat lookups return the same handle");
         let owned = net.path(0, 1).unwrap();
-        assert_eq!(net.route_links(first), owned.as_slice());
+        assert_eq!(links_of(&net, first), owned);
         // The reverse direction interns its own route.
         let rev = net.route(1, 0).expect("route exists");
         assert_ne!(first, rev);
@@ -1340,7 +1364,7 @@ mod tests {
                 for b in 0..spec.participants() {
                     let reference = point.path(a, b);
                     let via_batch = batched.route_batched(a, b);
-                    let got = via_batch.map(|id| batched.route_links(id).to_vec());
+                    let got = via_batch.map(|id| links_of(&batched, id));
                     assert_eq!(reference, got, "{mode:?}: {a}->{b}");
                     // After the row fill, the plain hot-path lookup agrees.
                     assert_eq!(batched.route(a, b), via_batch, "{mode:?}: {a}->{b}");
@@ -1416,7 +1440,7 @@ mod tests {
             assert_ne!(fast, slow, "{mode:?}: route did not move off the dead link");
             assert_eq!(slow, vec![4, 6], "{mode:?}: detour through router 3");
             // The old interned route is still readable (in-flight packets).
-            assert_eq!(net.route_links(fast_id).to_vec(), fast);
+            assert_eq!(links_of(&net, fast_id), fast);
             // Bringing the link back re-invalidates and restores the route.
             net.set_link_up(0, true);
             assert_eq!(net.topology_epoch(), 2);
@@ -1543,6 +1567,176 @@ mod tests {
         for a in 0..4 {
             for b in 0..4 {
                 assert_eq!(net.path(a, b), fresh.path(a, b), "{a}->{b}");
+            }
+        }
+    }
+
+    /// Takes one direction of a link up or down. The public mutators move
+    /// both directions of a physical link together; a one-way change is what
+    /// tells a repair that matches directed links from one that matches
+    /// physical links.
+    fn set_direction_up(net: &mut Network, id: DirectedLinkId, up: bool) {
+        if net.links[id].up != up {
+            net.links[id].up = up;
+            let change = if up {
+                EdgeChange::Added
+            } else {
+                EdgeChange::Removed
+            };
+            net.apply_route_mutation(vec![(id, change)]);
+        }
+    }
+
+    /// The fused repair pass against a model of the route memo. Seeded
+    /// topologies of 6–10 routers, 4–8 participants (some sharing a router)
+    /// and every pair warm take 200 random mutations each: a link, one
+    /// direction of a link or a router taken down or up, a link's delay
+    /// raised or lowered. The model records every pair's `RouteId` and links
+    /// before each mutation. After a worsening one, exactly the pairs whose
+    /// route crossed a changed directed link get a new id, and
+    /// `routes_invalidated` grows by the number of distinct live ids that
+    /// crossed one. After every mutation, every pair routes as on a graph
+    /// built afresh from the model's link state.
+    ///
+    /// Mutants this test kills, each checked by hand:
+    /// - scanning only `changes[0]`;
+    /// - scanning stale routes too;
+    /// - matching the physical link, so the reverse direction is
+    ///   invalidated too.
+    #[test]
+    fn fused_repair_pass_matches_a_route_model() {
+        let mut rng = SimRng::new(0xF05ED);
+        for case in 0..24 {
+            let routers = rng.range_usize(6, 11);
+            let mut spec = NetworkSpec::new(routers);
+            // Whole-millisecond delays, so every delay change moves the cost.
+            let mut delay_ms: Vec<u64> = Vec::new();
+            let mut add_link = |spec: &mut NetworkSpec, rng: &mut SimRng, a, b| {
+                delay_ms.push(1 + rng.next_below(20));
+                let delay = SimDuration::from_millis(*delay_ms.last().unwrap());
+                spec.add_link(LinkSpec::new(a, b, 10e6, delay));
+            };
+            for r in 1..routers {
+                let parent = rng.range_usize(0, r);
+                add_link(&mut spec, &mut rng, r, parent);
+            }
+            for _ in 0..rng.range_usize(2, routers) {
+                let (a, b) = (rng.range_usize(0, routers), rng.range_usize(0, routers));
+                if a != b {
+                    add_link(&mut spec, &mut rng, a, b);
+                }
+            }
+            for _ in 0..rng.range_usize(4, 9) {
+                spec.attach(rng.range_usize(0, routers));
+            }
+            let mode = if case % 2 == 0 {
+                RoutingMode::EagerPerSource
+            } else {
+                RoutingMode::LazyAlt { landmarks: 2 }
+            };
+            let mut net = Network::with_routing(&spec, mode);
+            let mut up = vec![true; 2 * spec.links.len()];
+            let parts = spec.participants();
+            let record = |net: &mut Network| -> Vec<(Option<RouteId>, Vec<DirectedLinkId>)> {
+                let mut memo = Vec::new();
+                for a in 0..parts {
+                    for b in 0..parts {
+                        let id = net.route(a, b);
+                        memo.push((id, id.map(|id| links_of(net, id)).unwrap_or_default()));
+                    }
+                }
+                memo
+            };
+            let mut before = record(&mut net);
+            for step in 0..200 {
+                let link = rng.range_usize(0, spec.links.len());
+                let (fwd, rev) = Network::directed_ids(link);
+                let kind = rng.range_usize(0, 8);
+                let invalidated = net.repair_stats().routes_invalidated;
+                // The directed links whose edge the mutation changes.
+                let mut changed: Vec<DirectedLinkId> = Vec::new();
+                let mut flip = |up: &mut [bool], ids: &[DirectedLinkId], to: bool| {
+                    for &id in ids {
+                        if up[id] != to {
+                            up[id] = to;
+                            changed.push(id);
+                        }
+                    }
+                };
+                let worsening = match kind {
+                    0 | 1 => {
+                        net.set_link_up(link, kind == 1);
+                        flip(&mut up, &[fwd, rev], kind == 1);
+                        kind == 0
+                    }
+                    2 | 3 => {
+                        let old = delay_ms[link];
+                        let new = if kind == 2 {
+                            old + 1 + rng.next_below(10)
+                        } else {
+                            old.saturating_sub(1 + rng.next_below(10)).max(1)
+                        };
+                        net.set_link_delay(link, SimDuration::from_millis(new));
+                        delay_ms[link] = new;
+                        if new != old {
+                            changed.extend([fwd, rev].into_iter().filter(|&id| up[id]));
+                        }
+                        kind == 2
+                    }
+                    4 | 5 => {
+                        let router = rng.range_usize(0, routers);
+                        net.set_router_up(router, kind == 5);
+                        for (i, l) in spec.links.iter().enumerate() {
+                            if l.a == router || l.b == router {
+                                let (f, r) = Network::directed_ids(i);
+                                flip(&mut up, &[f, r], kind == 5);
+                            }
+                        }
+                        kind == 4
+                    }
+                    _ => {
+                        let id = if rng.chance(0.5) { fwd } else { rev };
+                        set_direction_up(&mut net, id, kind == 7);
+                        flip(&mut up, &[id], kind == 7);
+                        kind == 6
+                    }
+                };
+                let label = format!("case {case}, step {step}, kind {kind}, changed {changed:?}");
+                let after = record(&mut net);
+                if worsening {
+                    let mut doomed = BTreeSet::new();
+                    for (pair, (old, new)) in before.iter().zip(&after).enumerate() {
+                        let (a, b) = (pair / parts, pair % parts);
+                        if old.1.iter().any(|link| changed.contains(link)) {
+                            doomed.insert(old.0.expect("a route crossed the link").0);
+                            assert_ne!(new.0, old.0, "{label}: {a}->{b} kept a stale route");
+                        } else {
+                            assert_eq!(new.0, old.0, "{label}: {a}->{b} lost a live route");
+                        }
+                    }
+                    assert_eq!(
+                        net.repair_stats().routes_invalidated - invalidated,
+                        doomed.len() as u64,
+                        "{label}"
+                    );
+                }
+                let fresh = Adjacency::new(
+                    routers,
+                    spec.links.iter().enumerate().flat_map(|(i, l)| {
+                        let ((f, r), cost) = (Network::directed_ids(i), delay_ms[i] * 1000);
+                        [(l.a, l.b, f, cost, up[f]), (l.b, l.a, r, cost, up[r])]
+                    }),
+                );
+                for a in 0..parts {
+                    let tree = ShortestPaths::compute(&fresh, spec.attachments[a]);
+                    for b in 0..parts {
+                        let (id, links) = &after[a * parts + b];
+                        let got = id.map(|_| links.clone());
+                        let want = tree.path_to(spec.attachments[b]);
+                        assert_eq!(got, want, "{label}: {a}->{b}");
+                    }
+                }
+                before = after;
             }
         }
     }

@@ -1645,7 +1645,8 @@ mod tests {
     /// `from → to` through a row fill, as an owned link sequence.
     fn batched_path(net: &mut Network, from: usize, to: usize) -> Option<Vec<DirectedLinkId>> {
         let id = net.route_batched(from, to)?;
-        Some(net.route_links(id).to_vec())
+        let links = net.route_links(id);
+        Some(links.iter().map(|&link| link as DirectedLinkId).collect())
     }
 
     // In a lazy-mode network a row fill runs the reference Dijkstra and a

@@ -14,7 +14,7 @@ use bullet_telemetry::{
 
 use crate::agent::{Action, Agent, Context, MsgClass, TimerAlloc, TimerId};
 use crate::event_queue::{event_key, key_time_micros, EventQueue};
-use crate::link::HopOutcome;
+use crate::link::{DirectedLinkId, HopOutcome};
 use crate::network::{Network, NetworkSpec, OverlayId, RouteId};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -891,7 +891,7 @@ impl<A: Agent> Sim<A> {
             self.push(at, EventKind::Deliver(fid));
             return;
         }
-        let link = links[hop];
+        let link = links[hop] as DirectedLinkId;
         let (size_bytes, trace) = (flight.size_bytes, flight.trace);
         let (from, to) = (flight.from, flight.to);
         match self

@@ -13,7 +13,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use bullet_netsim::{Network, OverlayId};
+use bullet_netsim::{DirectedLinkId, Network, OverlayId};
 use bullet_transport::{tcp_throughput_bps, DATA_PACKET_BYTES};
 
 use crate::tree::Tree;
@@ -123,6 +123,7 @@ impl<'a> ThroughputOracle<'a> {
         let mut fair_share = f64::INFINITY;
         let mut delay = 0.0;
         for &link_id in self.net.route_links(fwd) {
+            let link_id = link_id as DirectedLinkId;
             let link = self.net.link(link_id);
             loss_survive *= 1.0 - link.loss;
             delay += link.delay.as_secs_f64();
@@ -130,7 +131,7 @@ impl<'a> ThroughputOracle<'a> {
         }
         let mut reverse_delay = 0.0;
         for &link_id in self.net.route_links(rev) {
-            reverse_delay += self.net.link(link_id).delay.as_secs_f64();
+            reverse_delay += self.net.link(link_id as DirectedLinkId).delay.as_secs_f64();
         }
         let rtt = (delay + reverse_delay).max(1e-4);
         let loss = 1.0 - loss_survive;
@@ -148,7 +149,7 @@ impl<'a> ThroughputOracle<'a> {
             return;
         };
         for &link_id in self.net.route_links(id) {
-            self.flows[link_id] += 1;
+            self.flows[link_id as DirectedLinkId] += 1;
         }
     }
 }

@@ -11,7 +11,7 @@
 //! topology class goes through the same gate.
 
 use bullet_suite::netsim::{
-    LinkSpec, Network, NetworkSpec, RouterId, RoutingMode, SimDuration, SimRng,
+    DirectedLinkId, LinkSpec, Network, NetworkSpec, RouterId, RoutingMode, SimDuration, SimRng,
 };
 
 /// Number of landmarks the harness gives the ALT router. Deliberately small
@@ -47,6 +47,14 @@ fn batched_networks(spec: &NetworkSpec) -> (Network, Network) {
     )
 }
 
+/// `a → b` through a row fill, widened to the link ids [`Network::path`]
+/// returns.
+fn batched_path(net: &mut Network, a: usize, b: usize) -> Option<Vec<DirectedLinkId>> {
+    let id = net.route_batched(a, b)?;
+    let links = net.route_links(id);
+    Some(links.iter().map(|&link| link as DirectedLinkId).collect())
+}
+
 /// Asserts that one participant pair routes identically under all three
 /// pairwise strategies (path hop sequence and propagation cost) and under
 /// the batched one-to-many row fills.
@@ -73,9 +81,7 @@ fn assert_pair(
         "{label}: participants {a}->{b}: ALT path diverges from reference"
     );
     for (net, name) in [(bidi_batched, "batched-bidi"), (alt_batched, "batched-alt")] {
-        let batched = net
-            .route_batched(a, b)
-            .map(|id| net.route_links(id).to_vec());
+        let batched = batched_path(net, a, b);
         assert_eq!(
             reference, batched,
             "{label}: participants {a}->{b}: {name} row fill diverges from reference"
@@ -325,9 +331,7 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
                     (&mut bidi_batched, "batched-bidi"),
                     (&mut alt_batched, "batched-alt"),
                 ] {
-                    let batched = net
-                        .route_batched(a, b)
-                        .map(|id| net.route_links(id).to_vec());
+                    let batched = batched_path(net, a, b);
                     assert_eq!(reference, batched, "{ctx}: incremental {name}");
                 }
             }
@@ -437,9 +441,7 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
                     (&mut *bidi_batched, "batched-bidi"),
                     (&mut *alt_batched, "batched-alt"),
                 ] {
-                    let batched = net
-                        .route_batched(a, b)
-                        .map(|id| net.route_links(id).to_vec());
+                    let batched = batched_path(net, a, b);
                     assert_eq!(reference, batched, "{ctx}: incremental {name}");
                 }
                 if reference.is_some() {
