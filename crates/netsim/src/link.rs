@@ -16,7 +16,10 @@ pub type RouterId = usize;
 pub type DirectedLinkId = usize;
 
 /// The routing cost of a link with propagation delay `delay`: whole
-/// microseconds, at least 1, since every search needs positive costs.
+/// microseconds, at least 1, since every search needs positive costs. The
+/// routing graph stores a cost in a `u32`, so a cost above `u32::MAX`
+/// (a delay beyond about 71.6 minutes) panics where a link enters it:
+/// in `Adjacency::new` and `Network::set_link_delay`.
 pub(crate) fn routing_cost(delay: SimDuration) -> u64 {
     delay.as_micros().max(1)
 }
@@ -30,7 +33,10 @@ pub struct LinkSpec {
     pub b: RouterId,
     /// Capacity in bits per second (per direction).
     pub bandwidth_bps: f64,
-    /// One-way propagation delay.
+    /// One-way propagation delay. It is the link's routing cost in whole
+    /// microseconds, which must fit in a `u32`: at most `u32::MAX` µs, about
+    /// 71.6 minutes. Building a network over a longer delay, or setting one,
+    /// panics.
     pub delay: SimDuration,
     /// Independent per-packet random loss probability in `[0, 1]`.
     pub loss: f64,
@@ -85,10 +91,10 @@ pub enum HopOutcome {
 /// A directed link with live queueing state.
 #[derive(Clone, Debug)]
 pub struct DirectedLink {
-    /// Transmitting router.
-    pub from: RouterId,
-    /// Receiving router.
-    pub to: RouterId,
+    /// Transmitting router, at the routing graph's `u32` width.
+    pub from: u32,
+    /// Receiving router, at the routing graph's `u32` width.
+    pub to: u32,
     /// Capacity in bits per second.
     pub bandwidth_bps: f64,
     /// One-way propagation delay.
@@ -107,13 +113,18 @@ pub struct DirectedLink {
 }
 
 impl DirectedLink {
-    /// Builds the directed link for one direction of `spec`.
-    pub fn from_spec(spec: &LinkSpec, reverse: bool) -> Self {
+    /// Builds the directed link for one direction of `spec`, whose router
+    /// ids the caller has checked fit in a `u32` (`Network::with_setup`
+    /// checks a whole spec at once: a check per link here would keep the
+    /// construction loop from being optimised).
+    pub(crate) fn from_spec(spec: &LinkSpec, reverse: bool) -> Self {
         let (from, to) = if reverse {
             (spec.b, spec.a)
         } else {
             (spec.a, spec.b)
         };
+        debug_assert!(from.max(to) <= u32::MAX as usize);
+        let (from, to) = (from as u32, to as u32);
         DirectedLink {
             from,
             to,

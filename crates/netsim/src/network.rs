@@ -11,23 +11,25 @@ use std::sync::Arc;
 use crate::hash::FxHashMap;
 use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
 use crate::rng::SimRng;
-use crate::routing::{select_landmarks, Adjacency, LazyRouter, RoutingMode, ShortestPaths};
+use crate::routing::{
+    edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, ShortestPaths,
+};
 use crate::time::{SimDuration, SimTime};
 
 /// Best ALT lower bound on `dist(a, b)` over the landmark tables (raw cost
 /// units): `max_L |d_L(a) − d_L(b)|`, by the triangle inequality on each
 /// table's per-edge-consistent entries. Zero — the trivial bound — with no
 /// tables or when a landmark reaches only one of the two routers.
-fn landmark_lb(tables: &[Vec<u64>], a: RouterId, b: RouterId) -> u64 {
+fn landmark_lb(tables: &[Vec<u32>], a: RouterId, b: RouterId) -> u64 {
     let mut best = 0;
     for table in tables {
         let (da, db) = (table[a], table[b]);
-        if da == u64::MAX || db == u64::MAX {
+        if da == u32::MAX || db == u32::MAX {
             continue;
         }
         best = best.max(da.abs_diff(db));
     }
-    best
+    u64::from(best)
 }
 
 /// The router, if there is one, whose in- and out-edges in the patched
@@ -332,7 +334,8 @@ impl RouteMemo {
 /// only in how much work a memo-missing query costs and what is kept
 /// resident.
 enum RouteComputer {
-    /// Cached full shortest-path trees, one per source router.
+    /// Cached full shortest-path trees, one per source router: one 4-byte
+    /// predecessor link per router.
     Eager {
         trees: FxHashMap<RouterId, ShortestPaths>,
         trees_built: u64,
@@ -458,7 +461,7 @@ pub struct NetworkSetup {
     adjacency: Arc<Adjacency>,
     /// Landmark distance tables ([`RoutingMode::LazyAlt`] only; empty
     /// otherwise).
-    landmarks: Arc<Vec<Vec<u64>>>,
+    landmarks: Arc<Vec<Vec<u32>>>,
 }
 
 impl NetworkSetup {
@@ -576,12 +579,17 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `spec`'s router or link count differs from what the setup
-    /// was built over.
+    /// was built over, or if a link names a router id that does not fit in
+    /// a `u32`.
     pub fn with_setup(spec: &NetworkSpec, setup: &NetworkSetup) -> Self {
         assert_eq!(
             (spec.routers, spec.links.len()),
             (setup.routers, setup.spec_links),
             "NetworkSetup was built for a different topology"
+        );
+        assert!(
+            (spec.links.iter()).all(|link| link.a.max(link.b) <= u32::MAX as usize),
+            "router ids fit in a u32"
         );
         let mut links = Vec::with_capacity(2 * spec.links.len());
         for link in &spec.links {
@@ -677,10 +685,7 @@ impl Network {
                     *trees_built += 1;
                     ShortestPaths::compute(adjacency, src)
                 });
-                if !sp.path_into(dst, &mut self.path_buf) {
-                    return None;
-                }
-                let cost = sp.cost_to(dst).expect("path exists, so cost does");
+                let cost = sp.path_into(adjacency, dst, &mut self.path_buf)?;
                 (&self.path_buf, cost)
             }
             RouteComputer::Lazy(router) => {
@@ -748,10 +753,8 @@ impl Network {
         };
         for t in pending {
             let dst = self.attachments[t];
-            let id = sp.path_into(dst, &mut self.path_buf).then(|| {
-                let cost = sp.cost_to(dst).expect("path exists, so cost does");
-                self.routes.intern(&self.path_buf, src, dst, cost)
-            });
+            let id = (sp.path_into(adjacency, dst, &mut self.path_buf))
+                .map(|cost| self.routes.intern(&self.path_buf, src, dst, cost));
             self.memo.set(from, t, id);
         }
     }
@@ -840,8 +843,16 @@ impl Network {
     /// directions). Delay is the routing cost, so this invalidates the
     /// routes crossing the link — but only when the integer-microsecond
     /// cost actually moves; a sub-microsecond wiggle is metadata-only.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the link, if `delay` is more than `u32::MAX`
+    /// microseconds (see [`LinkSpec::delay`]), whether the link is up or
+    /// down.
     pub fn set_link_delay(&mut self, index: usize, delay: SimDuration) {
         let (fwd, rev) = Self::directed_ids(index);
+        // The graph stores a cost in a `u32`: check before anything changes.
+        edge_cost(fwd, routing_cost(delay));
         let old_cost = self.links[fwd].cost();
         self.links[fwd].delay = delay;
         self.links[rev].delay = delay;
@@ -887,21 +898,32 @@ impl Network {
     /// correlated outage of a stub router and all its attachments — and
     /// invalidates the routes crossing any of them.
     pub fn set_router_up(&mut self, router: RouterId, up: bool) {
-        let mut changes: Vec<(DirectedLinkId, EdgeChange)> = Vec::new();
-        for (id, link) in self.links.iter_mut().enumerate() {
-            if (link.from == router || link.to == router) && link.up != up {
-                link.up = up;
-                changes.push((
-                    id,
-                    if up {
-                        EdgeChange::Added
-                    } else {
-                        EdgeChange::Removed
-                    },
-                ));
+        let changes = self.router_changes(router, up);
+        self.apply_route_mutation(changes);
+    }
+
+    /// Sets every directed link at `router` to `up` and returns the ones
+    /// that changed, in ascending id order. The links are the router's slots
+    /// in the adjacency — every directed link has one at its tail and one at
+    /// its head, up or down — so this reads the router's own edges, not the
+    /// whole link table.
+    fn router_changes(&mut self, router: RouterId, up: bool) -> Vec<(DirectedLinkId, EdgeChange)> {
+        let mut ids: Vec<DirectedLinkId> = self.adjacency.incident_links(router).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let change = if up {
+            EdgeChange::Added
+        } else {
+            EdgeChange::Removed
+        };
+        let mut changes = Vec::new();
+        for id in ids {
+            if self.links[id].up != up {
+                self.links[id].up = up;
+                changes.push((id, change));
             }
         }
-        self.apply_route_mutation(changes);
+        changes
     }
 
     /// The two directed-link ids of physical (spec) link `index`.
@@ -976,17 +998,18 @@ impl Network {
             let adjacency = Arc::make_mut(&mut self.adjacency);
             for &(id, change) in &changes {
                 let link = &self.links[id];
+                let (from, to) = (link.from as RouterId, link.to as RouterId);
                 match change {
-                    EdgeChange::Removed => adjacency.remove_edge(link.from, link.to, id),
+                    EdgeChange::Removed => adjacency.remove_edge(from, to, id),
                     EdgeChange::Added => {
                         let cost = link.cost();
-                        adjacency.add_edge(link.from, link.to, id, cost);
-                        improved.push((link.from, link.to, cost));
+                        adjacency.add_edge(from, to, id, cost);
+                        improved.push((from, to, cost));
                     }
                     EdgeChange::Cost { new_cost, lowered } => {
-                        adjacency.set_edge_cost(link.from, link.to, id, new_cost);
+                        adjacency.set_edge_cost(from, to, id, new_cost);
                         if lowered {
-                            improved.push((link.from, link.to, new_cost));
+                            improved.push((from, to, new_cost));
                         }
                     }
                 }
@@ -1072,8 +1095,9 @@ impl Network {
             self.repair.unreachable_cleared += self.memo.clear_unreachable();
         }
         // 6. Eager trees span the whole graph, so any route-affecting
-        //    mutation can bend them; drop the cache (the build counter
-        //    survives — it lives in the variant and the variant is kept).
+        //    mutation can bend them, and a tree reads its paths off the graph
+        //    it was computed on; drop the cache (the build counter survives
+        //    — it lives in the variant and the variant is kept).
         //    Lazy workspaces are epoch-stamped per query and read the
         //    adjacency fresh each time: nothing to do.
         if let RouteComputer::Eager { trees, .. } = &mut self.computer {
@@ -1587,11 +1611,39 @@ mod tests {
         }
     }
 
+    /// A seeded topology of 6–10 routers — a random spanning tree plus a few
+    /// chords, no self-loops — with 4–8 participants, some sharing a router.
+    /// Delays are whole milliseconds, returned beside the spec, so every
+    /// delay change moves the cost.
+    fn random_spec(rng: &mut SimRng) -> (NetworkSpec, Vec<u64>) {
+        let routers = rng.range_usize(6, 11);
+        let mut spec = NetworkSpec::new(routers);
+        let mut delay_ms: Vec<u64> = Vec::new();
+        let mut add_link = |spec: &mut NetworkSpec, rng: &mut SimRng, a, b| {
+            delay_ms.push(1 + rng.next_below(20));
+            let delay = SimDuration::from_millis(*delay_ms.last().unwrap());
+            spec.add_link(LinkSpec::new(a, b, 10e6, delay));
+        };
+        for r in 1..routers {
+            let parent = rng.range_usize(0, r);
+            add_link(&mut spec, rng, r, parent);
+        }
+        for _ in 0..rng.range_usize(2, routers) {
+            let (a, b) = (rng.range_usize(0, routers), rng.range_usize(0, routers));
+            if a != b {
+                add_link(&mut spec, rng, a, b);
+            }
+        }
+        for _ in 0..rng.range_usize(4, 9) {
+            spec.attach(rng.range_usize(0, routers));
+        }
+        (spec, delay_ms)
+    }
+
     /// The fused repair pass against a model of the route memo. Seeded
-    /// topologies of 6–10 routers, 4–8 participants (some sharing a router)
-    /// and every pair warm take 200 random mutations each: a link, one
-    /// direction of a link or a router taken down or up, a link's delay
-    /// raised or lowered. The model records every pair's `RouteId` and links
+    /// topologies of [`random_spec`] with every pair warm take 200 random
+    /// mutations each: a link, one direction of a link or a router taken
+    /// down or up, a link's delay raised or lowered. The model records every pair's `RouteId` and links
     /// before each mutation. After a worsening one, exactly the pairs whose
     /// route crossed a changed directed link get a new id, and
     /// `routes_invalidated` grows by the number of distinct live ids that
@@ -1607,28 +1659,8 @@ mod tests {
     fn fused_repair_pass_matches_a_route_model() {
         let mut rng = SimRng::new(0xF05ED);
         for case in 0..24 {
-            let routers = rng.range_usize(6, 11);
-            let mut spec = NetworkSpec::new(routers);
-            // Whole-millisecond delays, so every delay change moves the cost.
-            let mut delay_ms: Vec<u64> = Vec::new();
-            let mut add_link = |spec: &mut NetworkSpec, rng: &mut SimRng, a, b| {
-                delay_ms.push(1 + rng.next_below(20));
-                let delay = SimDuration::from_millis(*delay_ms.last().unwrap());
-                spec.add_link(LinkSpec::new(a, b, 10e6, delay));
-            };
-            for r in 1..routers {
-                let parent = rng.range_usize(0, r);
-                add_link(&mut spec, &mut rng, r, parent);
-            }
-            for _ in 0..rng.range_usize(2, routers) {
-                let (a, b) = (rng.range_usize(0, routers), rng.range_usize(0, routers));
-                if a != b {
-                    add_link(&mut spec, &mut rng, a, b);
-                }
-            }
-            for _ in 0..rng.range_usize(4, 9) {
-                spec.attach(rng.range_usize(0, routers));
-            }
+            let (spec, mut delay_ms) = random_spec(&mut rng);
+            let routers = spec.routers;
             let mode = if case % 2 == 0 {
                 RoutingMode::EagerPerSource
             } else {
@@ -1732,13 +1764,66 @@ mod tests {
                     for b in 0..parts {
                         let (id, links) = &after[a * parts + b];
                         let got = id.map(|_| links.clone());
-                        let want = tree.path_to(spec.attachments[b]);
+                        let want = tree.path_to(&fresh, spec.attachments[b]).map(|(_, p)| p);
                         assert_eq!(got, want, "{label}: {a}->{b}");
                     }
                 }
                 before = after;
             }
         }
+    }
+
+    /// `set_router_up` reads a router's links off its slots in the
+    /// adjacency instead of scanning the whole link table. On topologies of
+    /// [`random_spec`], under random sequences of router outages and heals
+    /// mixed with one-link and one-direction flips (so a router's links are
+    /// in mixed states), its change list equals a full scan's: the same
+    /// links, in ascending id order, with the same kind.
+    #[test]
+    fn router_changes_match_a_full_link_scan() {
+        let mut rng = SimRng::new(0x5CA7);
+        for case in 0..24 {
+            let (spec, _) = random_spec(&mut rng);
+            let mut net = Network::new(&spec);
+            for step in 0..100 {
+                match rng.range_usize(0, 4) {
+                    0 => net.set_link_up(rng.range_usize(0, spec.links.len()), rng.chance(0.5)),
+                    1 => {
+                        set_direction_up(&mut net, rng.range_usize(0, 2 * spec.links.len()), false)
+                    }
+                    _ => {}
+                }
+                let (router, up) = (rng.range_usize(0, spec.routers), rng.chance(0.5));
+                let want: Vec<(DirectedLinkId, bool)> = (net.links.iter().enumerate())
+                    .filter(|(_, l)| l.from as usize == router || l.to as usize == router)
+                    .filter(|(_, l)| l.up != up)
+                    .map(|(id, _)| (id, up))
+                    .collect();
+                let changes = net.router_changes(router, up);
+                let got: Vec<(DirectedLinkId, bool)> = (changes.iter())
+                    .map(|&(id, change)| (id, matches!(change, EdgeChange::Added)))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "case {case}, step {step}: router {router} up {up}"
+                );
+                assert!(changes.iter().all(|&(id, _)| net.links[id].up == up));
+                net.apply_route_mutation(changes);
+            }
+        }
+    }
+
+    /// A link's routing cost is stored in a `u32` of microseconds: a longer
+    /// delay panics naming the link, even while the link is down.
+    #[test]
+    #[should_panic(expected = "directed link 2: routing cost 4294967296 us")]
+    fn a_delay_beyond_u32_microseconds_panics_naming_the_link() {
+        let mut net = Network::new(&diamond());
+        let at_max = SimDuration::from_micros(u64::from(u32::MAX));
+        net.set_link_delay(1, at_max);
+        assert_eq!(net.link(2).cost(), u64::from(u32::MAX));
+        net.set_link_up(1, false);
+        net.set_link_delay(1, at_max + SimDuration::from_micros(1));
     }
 
     /// The improving filter as it stood before the healed-router rule, kept
@@ -1829,12 +1914,12 @@ mod tests {
                 .adjacency
                 .neighbors(CENTRE)
                 .iter()
-                .map(|&(v, _, cost)| (CENTRE, v as usize, cost))
+                .map(|&(v, _, cost)| (CENTRE, v as usize, u64::from(cost)))
                 .chain(
                     net.adjacency
                         .in_neighbors(CENTRE)
                         .iter()
-                        .map(|&(u, _, cost)| (u as usize, CENTRE, cost)),
+                        .map(|&(u, _, cost)| (u as usize, CENTRE, u64::from(cost))),
                 )
                 .collect();
             assert_eq!(improved.len(), 8, "the centre has degree 4");

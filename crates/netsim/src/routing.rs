@@ -72,6 +72,27 @@
 //! order, but no search above depends on that order, so a patched graph
 //! routes exactly as a freshly built one.
 //!
+//! # Widths
+//!
+//! Routing state is stored at the width of what it holds and widened to
+//! `u64` for arithmetic, so every sum is the one a `u64` store would give:
+//!
+//! - An edge slot is 12 bytes: `u32` router, link and cost. A cost is a
+//!   delay in whole microseconds, so a link may be up to `u32::MAX` µs
+//!   (about 71.6 minutes); a longer one panics, naming the link, where it
+//!   enters the graph.
+//! - A landmark table holds one `u32` distance per router, `u32::MAX` for
+//!   unreachable; a finite distance must stay below it.
+//! - A [`LazyRouter`]'s search workspace — two frontier labels of 12 bytes
+//!   (a distance, and an epoch stamp whose low bit marks a settled router),
+//!   the landmark potential cache and the reconstruction memo, 41 bytes per
+//!   router — is allocated by its first point query. A router that only
+//!   serves row fills, as the bottleneck-tree oracle's does, never holds
+//!   one.
+//! - A cached [`ShortestPaths`] tree is one `u32` predecessor link per
+//!   router. A path is walked back over its head's in-edges, and its cost
+//!   is the sum of its links' costs.
+//!
 //! [`Network`]: crate::network::Network
 //! [`Network::route_all_from`]: crate::network::Network::route_all_from
 
@@ -126,6 +147,47 @@ impl RoutingMode {
     }
 }
 
+/// One slot of an [`Adjacency`]: `(router, directed link id, cost)`.
+type Edge = (u32, u32, u32);
+
+/// The routing cost of directed link `link` at the width an edge stores it.
+///
+/// # Panics
+///
+/// Panics, naming the link, if `cost` does not fit in a `u32`: a delay of
+/// more than `u32::MAX` microseconds, about 71.6 minutes.
+pub(crate) fn edge_cost(link: DirectedLinkId, cost: u64) -> u32 {
+    u32::try_from(cost).unwrap_or_else(|_| {
+        panic!("directed link {link}: routing cost {cost} us does not fit in a u32")
+    })
+}
+
+/// A distance at the width a landmark table stores it: `u32::MAX` for
+/// unreachable (`u64::MAX`).
+///
+/// # Panics
+///
+/// Panics if a finite distance is `u32::MAX` or more.
+fn landmark_entry(dist: u64) -> u32 {
+    if dist == u64::MAX {
+        return u32::MAX;
+    }
+    (u32::try_from(dist).ok())
+        .filter(|&d| d != u32::MAX)
+        .unwrap_or_else(|| panic!("landmark distance {dist} us does not fit in a u32"))
+}
+
+/// A landmark table entry widened back for arithmetic: `u64::MAX` for
+/// unreachable.
+#[inline]
+fn widen_landmark(entry: u32) -> u64 {
+    if entry == u32::MAX {
+        u64::MAX
+    } else {
+        u64::from(entry)
+    }
+}
+
 /// One direction of an [`Adjacency`] in compressed-sparse-row form: router
 /// `r` owns the slots `edges[start_r .. ranges[r + 1].0]`, where `(start_r,
 /// live_r) = ranges[r]`, and the first `live_r` of them are its live edges.
@@ -135,17 +197,14 @@ struct Csr {
     /// `(start, live)` per router, then a sentinel `(edges.len(), 0)`.
     ranges: Vec<(u32, u32)>,
     /// `(router, directed link id, cost)`: the far end of an out-edge, the
-    /// near end of an in-edge.
-    edges: Vec<(u32, u32, u64)>,
+    /// near end of an in-edge. 12 bytes a slot.
+    edges: Vec<Edge>,
 }
 
 impl Csr {
     /// Lays out one slot per `(owner, edge, up)`, the up edges of each
     /// owner in the live prefix of its range.
-    fn new(
-        routers: usize,
-        slots: impl Iterator<Item = (RouterId, (u32, u32, u64), bool)> + Clone,
-    ) -> Self {
+    fn new(routers: usize, slots: impl Iterator<Item = (RouterId, Edge, bool)> + Clone) -> Self {
         let mut ranges = vec![(0u32, 0u32); routers + 1];
         for (owner, _, _) in slots.clone() {
             ranges[owner + 1].0 += 1;
@@ -170,9 +229,14 @@ impl Csr {
     }
 
     #[inline]
-    fn live(&self, r: RouterId) -> &[(u32, u32, u64)] {
+    fn live(&self, r: RouterId) -> &[Edge] {
         let (start, live) = self.ranges[r];
         &self.edges[start as usize..(start + live) as usize]
+    }
+
+    /// All of `r`'s slots, live and down.
+    fn slots(&self, r: RouterId) -> &[Edge] {
+        &self.edges[self.ranges[r].0 as usize..self.ranges[r + 1].0 as usize]
     }
 
     /// The slot of `link` among `r`'s live edges (`up`), or its down ones.
@@ -196,7 +260,7 @@ impl Csr {
     }
 
     /// Moves a down `link` to the end of the grown live prefix, at `cost`.
-    fn add(&mut self, r: RouterId, link: DirectedLinkId, cost: u64) {
+    fn add(&mut self, r: RouterId, link: DirectedLinkId, cost: u32) {
         let i = (self.find(r, link, false))
             .unwrap_or_else(|| panic!("link {link} has no down slot at router {r}"));
         let (start, live) = &mut self.ranges[r];
@@ -206,7 +270,7 @@ impl Csr {
         self.edges[at].2 = cost;
     }
 
-    fn set_cost(&mut self, r: RouterId, link: DirectedLinkId, cost: u64) {
+    fn set_cost(&mut self, r: RouterId, link: DirectedLinkId, cost: u32) {
         if let Some(i) = self.find(r, link, true) {
             self.edges[i].2 = cost;
         }
@@ -215,7 +279,7 @@ impl Csr {
 
 /// The routing graph: for each router, its live `(neighbor, directed link
 /// id, cost)` out-edges, plus the mirrored in-edges the bidirectional
-/// searches walk. Router and link ids must fit in a `u32`.
+/// searches walk. Router ids, link ids and costs must fit in a `u32`.
 ///
 /// Each direction is one flat compressed-sparse-row table whose slots are
 /// fixed at construction: every directed link, up or down, owns one slot in
@@ -241,6 +305,11 @@ impl Adjacency {
     /// Builds the graph of `routers` routers over every directed link that
     /// may ever be up, as `(from, to, link, cost, up)`: links that are down
     /// get a slot but no edge until [`Adjacency::add_edge`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a router or link id does not fit in a `u32`, or if a cost
+    /// does not (the message names the link).
     pub fn new<I>(routers: usize, links: I) -> Self
     where
         I: Iterator<Item = (RouterId, RouterId, DirectedLinkId, u64, bool)> + Clone,
@@ -250,7 +319,9 @@ impl Adjacency {
             (min_cost, max_cost) = (min_cost.min(cost), max_cost.max(cost));
         }
         let id = |id: usize| u32::try_from(id).expect("router and link ids fit in a u32");
-        let slot = move |end: RouterId, link: DirectedLinkId, cost| (id(end), id(link), cost);
+        let slot = move |end: RouterId, link: DirectedLinkId, cost| {
+            (id(end), id(link), edge_cost(link, cost))
+        };
         Adjacency {
             out_edges: Csr::new(
                 routers,
@@ -271,24 +342,33 @@ impl Adjacency {
     /// # Panics
     ///
     /// Panics if the link is not a down link of the graph: it was not given
-    /// to [`Adjacency::new`], or it is already up.
+    /// to [`Adjacency::new`], or it is already up. Panics as `new` does if
+    /// `cost` does not fit in a `u32`.
     pub fn add_edge(&mut self, from: RouterId, to: RouterId, link: DirectedLinkId, cost: u64) {
-        self.widen_cost_bounds(cost);
+        let cost = self.narrow_cost(link, cost);
         self.out_edges.add(from, link, cost);
         self.in_edges.add(to, link, cost);
     }
 
     /// Updates the cost of a live directed edge in place. A no-op if the
     /// link is down (its cost is given again when it comes back up).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Adjacency::new`] does if `cost` does not fit in a `u32`.
     pub fn set_edge_cost(&mut self, from: RouterId, to: RouterId, link: DirectedLinkId, cost: u64) {
-        self.widen_cost_bounds(cost);
+        let cost = self.narrow_cost(link, cost);
         self.out_edges.set_cost(from, link, cost);
         self.in_edges.set_cost(to, link, cost);
     }
 
-    fn widen_cost_bounds(&mut self, cost: u64) {
+    /// Narrows `link`'s new `cost` to an edge's width, widening the cost
+    /// bounds to cover it.
+    fn narrow_cost(&mut self, link: DirectedLinkId, cost: u64) -> u32 {
+        let narrow = edge_cost(link, cost);
         self.min_cost = self.min_cost.min(cost);
         self.max_cost = self.max_cost.max(cost);
+        narrow
     }
 
     /// Takes a directed edge down; a no-op if it is down already.
@@ -308,13 +388,24 @@ impl Adjacency {
     }
 
     /// Live edges leaving `router`, as `(to, link, cost)`.
-    pub fn neighbors(&self, router: RouterId) -> &[(u32, u32, u64)] {
+    pub fn neighbors(&self, router: RouterId) -> &[(u32, u32, u32)] {
         self.out_edges.live(router)
     }
 
     /// Live edges arriving at `router`, as `(from, link, cost)`.
-    pub fn in_neighbors(&self, router: RouterId) -> &[(u32, u32, u64)] {
+    pub fn in_neighbors(&self, router: RouterId) -> &[(u32, u32, u32)] {
         self.in_edges.live(router)
+    }
+
+    /// Every directed link leaving or entering `router`, up or down: the
+    /// links of its slots in both tables, in slot order (a self-loop twice).
+    pub(crate) fn incident_links(
+        &self,
+        router: RouterId,
+    ) -> impl Iterator<Item = DirectedLinkId> + '_ {
+        (self.out_edges.slots(router).iter())
+            .chain(self.in_edges.slots(router))
+            .map(|&(_, link, _)| link as DirectedLinkId)
     }
 
     /// Dijkstra distances from `source` to every router (`u64::MAX` marks
@@ -332,7 +423,7 @@ impl Adjacency {
     }
 
     /// The edges a search in direction `dir` follows out of `router`.
-    fn edges(&self, dir: Dir, router: RouterId) -> &[(u32, u32, u64)] {
+    fn edges(&self, dir: Dir, router: RouterId) -> &[Edge] {
         match dir {
             Dir::Forward => self.out_edges.live(router),
             Dir::Backward => self.in_edges.live(router),
@@ -340,32 +431,33 @@ impl Adjacency {
     }
 }
 
-/// `prev` entry of a router with no predecessor (the source, or unreachable).
-const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
+/// `prev` entry of a router with no predecessor link (the source, or
+/// unreachable).
+const NO_LINK: u32 = u32::MAX;
 
-/// The shortest path tree rooted at one source router.
+/// The shortest path tree rooted at one source router, as one 4-byte
+/// predecessor link per router.
 ///
 /// Its predecessor array follows the canonical tie-break (smallest link id
-/// among tight in-edges), so `path_to` is a pure function of the graph,
-/// whatever order the search settles routers in.
+/// among tight in-edges), so `path_into` is a pure function of the graph,
+/// whatever order the search settles routers in. The tree keeps no
+/// distances: a path is walked back over the adjacency it was computed on,
+/// and its cost is the sum of its links' costs.
 #[derive(Clone, Debug)]
 pub struct ShortestPaths {
     source: RouterId,
-    /// For each router, the router and directed link it is reached through
-    /// on the canonical shortest path from `source`; [`NO_PREV`] for the
-    /// source and unreachable routers.
-    prev: Vec<(u32, u32)>,
-    /// Shortest path cost from `source` to each router; `u64::MAX` if
-    /// unreachable.
-    dist: Vec<u64>,
+    /// For each router, the directed link it is reached through on the
+    /// canonical shortest path from `source`; [`NO_LINK`] for the source and
+    /// unreachable routers.
+    prev: Vec<u32>,
 }
 
 impl ShortestPaths {
     /// Runs Dijkstra from `source` over the adjacency structure.
     pub fn compute(adj: &Adjacency, source: RouterId) -> Self {
-        let mut prev = vec![NO_PREV; adj.len()];
-        let dist = dijkstra(adj, source, Dir::Forward, &mut prev);
-        ShortestPaths { source, prev, dist }
+        let mut prev = vec![NO_LINK; adj.len()];
+        dijkstra(adj, source, Dir::Forward, &mut prev);
+        ShortestPaths { source, prev }
     }
 
     /// The source router this tree is rooted at.
@@ -373,34 +465,42 @@ impl ShortestPaths {
         self.source
     }
 
-    /// Shortest-path cost to `dst`, or `None` if unreachable.
-    pub fn cost_to(&self, dst: RouterId) -> Option<u64> {
-        (self.dist[dst] != u64::MAX).then_some(self.dist[dst])
-    }
-
     /// Writes the canonical path (directed link ids, source to `dst`) into
-    /// `out`, returning `false` if `dst` is unreachable.
-    pub fn path_into(&self, dst: RouterId, out: &mut Vec<DirectedLinkId>) -> bool {
+    /// `out` and returns its cost, or `None` if `dst` is unreachable. `adj`
+    /// must be the graph the tree was computed on: each hop's tail and cost
+    /// are read off its head's in-edges.
+    pub fn path_into(
+        &self,
+        adj: &Adjacency,
+        dst: RouterId,
+        out: &mut Vec<DirectedLinkId>,
+    ) -> Option<u64> {
         out.clear();
-        if self.dist[dst] == u64::MAX {
-            return false;
-        }
+        let mut cost = 0;
         let mut cur = dst;
         while cur != self.source {
             // A reachable router's predecessor chain ends at the source.
-            let (p, link) = self.prev[cur];
+            let link = self.prev[cur];
+            if link == NO_LINK {
+                return None;
+            }
+            let &(tail, _, c) = (adj.in_neighbors(cur).iter())
+                .find(|&&(_, l, _)| l == link)
+                .expect("a tree link is a live in-edge of its head");
             out.push(link as DirectedLinkId);
-            cur = p as RouterId;
+            cost += u64::from(c);
+            cur = tail as RouterId;
         }
         out.reverse();
-        true
+        Some(cost)
     }
 
-    /// The sequence of directed link ids on the path from the source to
-    /// `dst`, or `None` if `dst` is unreachable.
-    pub fn path_to(&self, dst: RouterId) -> Option<Vec<DirectedLinkId>> {
+    /// The cost of the canonical path from the source to `dst` and its
+    /// directed link ids, or `None` if `dst` is unreachable.
+    pub fn path_to(&self, adj: &Adjacency, dst: RouterId) -> Option<(u64, Vec<DirectedLinkId>)> {
         let mut path = Vec::new();
-        self.path_into(dst, &mut path).then_some(path)
+        let cost = self.path_into(adj, dst, &mut path)?;
+        Some((cost, path))
     }
 }
 
@@ -408,8 +508,8 @@ impl ShortestPaths {
 const MAX_BUCKETS: u64 = 256;
 
 /// The one whole-graph search: distances from `root` (to it, over in-edges,
-/// for [`Dir::Backward`]), and each router's canonical predecessor written
-/// into `prev` unless it is empty.
+/// for [`Dir::Backward`]), and each router's canonical predecessor link
+/// written into `prev` unless it is empty.
 ///
 /// A monotone bucket queue: buckets of width `w = max(min_cost, ⌈max_cost /
 /// MAX_BUCKETS⌉)` in a ring of `max_cost / w + 2` slots, which no relaxation
@@ -422,7 +522,7 @@ const MAX_BUCKETS: u64 = 256;
 /// tail is not final cannot be tight at the head's final distance. A router
 /// whose one onward edge leads back to its improver is labelled but never
 /// queued, since that edge can neither improve nor tie.
-fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [(u32, u32)]) -> Vec<u64> {
+fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [u32]) -> Vec<u64> {
     let width = adj.min_cost.max(adj.max_cost.div_ceil(MAX_BUCKETS)).max(1);
     let slots = adj.max_cost / width + 2;
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); slots as usize];
@@ -444,11 +544,11 @@ fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [(u32, u32)]) 
             let du = dist[u];
             for &(v32, link, cost) in adj.edges(dir, u) {
                 let v = v32 as usize;
-                let (nd, old) = (du.saturating_add(cost), dist[v]);
+                let (nd, old) = (du.saturating_add(u64::from(cost)), dist[v]);
                 if nd < old {
                     dist[v] = nd;
                     if !prev.is_empty() {
-                        prev[v] = (u as u32, link);
+                        prev[v] = link;
                     }
                     if matches!(adj.edges(dir, v), [(back, _, _)] if *back as usize == u) {
                         queued[v] = false; // a dead end
@@ -459,9 +559,7 @@ fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [(u32, u32)]) 
                     }
                 } else if nd == old && nd != u64::MAX && !prev.is_empty() {
                     // The canonical tie-break: the smallest tight link id.
-                    if link < prev[v].1 {
-                        prev[v] = (u as u32, link);
-                    }
+                    prev[v] = prev[v].min(link);
                 }
             }
         }
@@ -473,13 +571,18 @@ fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [(u32, u32)]) 
 /// Farthest-point landmark selection: each landmark maximizes the minimum
 /// distance to the ones already chosen, so landmarks spread to the graph's
 /// periphery (and into other components, since unreachable counts as
-/// farthest). Returns one full distance table per landmark.
-pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u64>> {
+/// farthest). Returns one full distance table per landmark, in `u32`
+/// entries (`u32::MAX` marks unreachable).
+///
+/// # Panics
+///
+/// Panics if a finite distance does not fit below `u32::MAX`.
+pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u32>> {
     let n = adj.len();
     if n == 0 || count == 0 {
         return Vec::new();
     }
-    let mut tables: Vec<Vec<u64>> = Vec::new();
+    let mut tables: Vec<Vec<u32>> = Vec::new();
     let mut closest = adj.distances_from(0);
     for _ in 0..count.min(n) {
         let mut next = 0;
@@ -495,7 +598,7 @@ pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u64>> {
         for (c, &d) in closest.iter_mut().zip(&table) {
             *c = (*c).min(d);
         }
-        tables.push(table);
+        tables.push(table.iter().copied().map(landmark_entry).collect());
     }
     tables
 }
@@ -508,18 +611,22 @@ fn add_pot(d: u64, p: i64) -> u64 {
     (d as i128 + p as i128).clamp(0, u64::MAX as i128) as u64
 }
 
-/// One frontier of a bidirectional search. All per-node arrays are stamped
-/// with the query epoch, so starting a new query is O(1) — no clearing.
+/// One frontier of a bidirectional search: a 12-byte label per router. All
+/// labels are stamped with the query epoch, so starting a new query is
+/// O(1) — no clearing.
+///
+/// The heap holds no key per router to tell a stale entry from a fresh one.
+/// It needs none: every improvement of a router pushes a strictly smaller
+/// key (its potential is fixed for the query), so the first entry of an
+/// unsettled router to reach the top is its freshest, and every entry after
+/// it finds the router settled.
 #[derive(Debug)]
 struct SearchSide {
     /// Tentative distance in *scaled* (doubled) cost units.
     dist: Vec<u64>,
-    /// Heap key (`dist + potential`) of the node's freshest heap entry.
-    key: Vec<u64>,
-    /// Epoch in which `dist`/`key` were last written.
+    /// The (even) epoch in which `dist` was last written, plus 1 once the
+    /// router is settled.
     stamp: Vec<u32>,
-    /// Epoch in which the node was settled (popped with a fresh key).
-    settled_at: Vec<u32>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
@@ -527,41 +634,44 @@ impl SearchSide {
     fn new(n: usize) -> Self {
         SearchSide {
             dist: vec![0; n],
-            key: vec![0; n],
             stamp: vec![0; n],
-            settled_at: vec![0; n],
             heap: BinaryHeap::new(),
         }
     }
 
     #[inline]
     fn labeled(&self, epoch: u32, v: RouterId) -> bool {
-        self.stamp[v] == epoch
+        self.stamp[v] & !1 == epoch
     }
 
     #[inline]
     fn settled(&self, epoch: u32, v: RouterId) -> bool {
-        self.settled_at[v] == epoch
+        self.stamp[v] == epoch | 1
     }
 
     /// Lowers `v`'s tentative distance to `d` if it improves; returns
-    /// whether it did.
+    /// whether it did. Consistent potentials never improve a settled
+    /// router, which would lose its settled bit.
     #[inline]
     fn improve(&mut self, epoch: u32, v: RouterId, d: u64) -> bool {
-        if self.stamp[v] == epoch && d >= self.dist[v] {
+        if self.labeled(epoch, v) && d >= self.dist[v] {
             return false;
         }
+        debug_assert!(
+            !self.settled(epoch, v),
+            "router {v} improved after settling"
+        );
         self.stamp[v] = epoch;
         self.dist[v] = d;
         true
     }
 
-    /// Smallest key of a *fresh* (non-stale, unsettled) heap entry, popping
-    /// stale entries off the top. `None` once the frontier is exhausted.
+    /// Smallest key of an entry whose router is unsettled, popping the
+    /// stale entries of settled routers off the top. `None` once the
+    /// frontier is exhausted.
     fn peek_fresh(&mut self, epoch: u32) -> Option<u64> {
-        while let Some(&Reverse((key, v32))) = self.heap.peek() {
-            let v = v32 as usize;
-            if self.stamp[v] != epoch || self.settled_at[v] == epoch || key != self.key[v] {
+        while let Some(&Reverse((key, v))) = self.heap.peek() {
+            if self.settled(epoch, v as usize) {
                 self.heap.pop();
                 continue;
             }
@@ -582,8 +692,8 @@ struct PotCache {
     epoch: u32,
     active: bool,
     /// Landmark distances to the query source / destination.
-    at_src: Vec<u64>,
-    at_dst: Vec<u64>,
+    at_src: Vec<u32>,
+    at_dst: Vec<u32>,
 }
 
 impl PotCache {
@@ -598,7 +708,7 @@ impl PotCache {
         }
     }
 
-    fn begin(&mut self, epoch: u32, landmarks: &[Vec<u64>], src: RouterId, dst: RouterId) {
+    fn begin(&mut self, epoch: u32, landmarks: &[Vec<u32>], src: RouterId, dst: RouterId) {
         self.epoch = epoch;
         self.active = !landmarks.is_empty();
         self.at_src.clear();
@@ -610,7 +720,7 @@ impl PotCache {
     }
 
     /// The potential of `v` for the current query (0 without landmarks).
-    fn get(&mut self, landmarks: &[Vec<u64>], v: RouterId) -> i64 {
+    fn get(&mut self, landmarks: &[Vec<u32>], v: RouterId) -> i64 {
         if !self.active {
             return 0;
         }
@@ -621,17 +731,17 @@ impl PotCache {
         let mut pi_src = 0i64;
         for (l, table) in landmarks.iter().enumerate() {
             let dv = table[v];
-            if dv == u64::MAX {
+            if dv == u32::MAX {
                 continue; // landmark in another component: no bound
             }
-            let dv = dv as i64;
+            let dv = i64::from(dv);
             let dt = self.at_dst[l];
-            if dt != u64::MAX {
-                pi_dst = pi_dst.max((dv - dt as i64).abs());
+            if dt != u32::MAX {
+                pi_dst = pi_dst.max((dv - i64::from(dt)).abs());
             }
             let ds = self.at_src[l];
-            if ds != u64::MAX {
-                pi_src = pi_src.max((dv - ds as i64).abs());
+            if ds != u32::MAX {
+                pi_src = pi_src.max((dv - i64::from(ds)).abs());
             }
         }
         let p = pi_dst - pi_src;
@@ -648,9 +758,11 @@ enum Dir {
     Backward,
 }
 
-/// Settles the next node of `side`, relaxing its edges and tightening the
-/// meeting upper bound `mu` against the `other` side's labels. Returns the
-/// settled router, or `None` if the frontier is exhausted.
+/// Settles the router at the top of `side`, relaxing its edges and
+/// tightening the meeting upper bound `mu` against the `other` side's
+/// labels. The top entry is fresh: the query loop calls
+/// [`SearchSide::peek_fresh`] on `side` just before, and steps only a side
+/// that has an entry.
 #[allow(clippy::too_many_arguments)]
 fn advance(
     epoch: u32,
@@ -659,41 +771,35 @@ fn advance(
     side: &mut SearchSide,
     other: &SearchSide,
     pot: &mut PotCache,
-    landmarks: &[Vec<u64>],
+    landmarks: &[Vec<u32>],
     mu: &mut u64,
     settled: &mut u64,
-) -> Option<RouterId> {
-    loop {
-        let Reverse((key, v32)) = side.heap.pop()?;
-        let v = v32 as usize;
-        if side.stamp[v] != epoch || side.settled_at[v] == epoch || key != side.key[v] {
-            continue; // stale entry
+) {
+    let Reverse((_, v)) = side.heap.pop().expect("the stepped side has an entry");
+    let v = v as usize;
+    debug_assert!(!side.settled(epoch, v), "peek_fresh left a stale top");
+    side.stamp[v] = epoch | 1;
+    *settled += 1;
+    let dv = side.dist[v];
+    if other.labeled(epoch, v) {
+        // Any label on the other side is the cost of a real path, so the sum
+        // is a valid upper bound on the s→t distance.
+        *mu = (*mu).min(dv.saturating_add(other.dist[v]));
+    }
+    for &(u, _link, cost) in adj.edges(dir, v) {
+        let u = u as usize;
+        let nd = dv.saturating_add(2 * u64::from(cost));
+        if other.labeled(epoch, u) {
+            *mu = (*mu).min(nd.saturating_add(other.dist[u]));
         }
-        side.settled_at[v] = epoch;
-        *settled += 1;
-        let dv = side.dist[v];
-        if other.labeled(epoch, v) {
-            // Any label on the other side is the cost of a real path, so
-            // the sum is a valid upper bound on the s→t distance.
-            *mu = (*mu).min(dv.saturating_add(other.dist[v]));
+        if side.improve(epoch, u, nd) {
+            let p = pot.get(landmarks, u);
+            let key = match dir {
+                Dir::Forward => add_pot(nd, p),
+                Dir::Backward => add_pot(nd, -p),
+            };
+            side.heap.push(Reverse((key, u as u32)));
         }
-        for &(u, _link, cost) in adj.edges(dir, v) {
-            let u = u as usize;
-            let nd = dv.saturating_add(cost.saturating_mul(2));
-            if other.labeled(epoch, u) {
-                *mu = (*mu).min(nd.saturating_add(other.dist[u]));
-            }
-            if side.improve(epoch, u, nd) {
-                let p = pot.get(landmarks, u);
-                let key = match dir {
-                    Dir::Forward => add_pot(nd, p),
-                    Dir::Backward => add_pot(nd, -p),
-                };
-                side.key[u] = key;
-                side.heap.push(Reverse((key, u as u32)));
-            }
-        }
-        return Some(v);
     }
 }
 
@@ -733,297 +839,39 @@ pub struct LandmarkRepair {
     pub nodes_lowered: u64,
 }
 
-/// On-demand point-to-point router: lazy bidirectional Dijkstra with an
-/// optional ALT (landmark) lower-bound mode.
-///
-/// A query grows a forward frontier from the source and a backward frontier
-/// from the destination until every router on a shortest path is settled by
-/// one of them (`top_f + top_b > μ`), then reconstructs the *canonical* path
-/// by walking tight in-edges back from the destination, deciding tightness
-/// from the two balls alone (see "Reconstruction" in the module docs). All
-/// distances run in doubled cost units so the landmark potentials stay
-/// integral; all per-node state is epoch-stamped so a query does no
-/// O(routers) clearing.
-///
-/// The ALT potentials assume symmetric edge costs (`cost(u→v) == cost(v→u)`),
-/// which holds for every topology built from a `NetworkSpec`.
+/// The per-router state of point queries: both frontiers, the potential
+/// cache and the reconstruction's memo, 41 bytes per router. A
+/// [`LazyRouter`] allocates it on its first query, so a router that only
+/// ever serves row fills never holds one.
 #[derive(Debug)]
-pub struct LazyRouter {
-    epoch: u32,
-    /// Landmark distance tables, sharable across routers over the same
-    /// graph: building them is the only whole-graph precomputation a lazy
-    /// router does (a few full Dijkstras — dozens of milliseconds and ~1 MB
-    /// per table at paper scale), so parallel experiment harnesses build
-    /// them once per topology and hand every per-run router the same `Arc`.
-    landmark_dists: Arc<Vec<Vec<u64>>>,
+struct Workspace {
     fwd: SearchSide,
     bwd: SearchSide,
     pot: PotCache,
-    path_buf: Vec<DirectedLinkId>,
-    rev_buf: Vec<DirectedLinkId>,
     /// Memoised "is on a shortest s→t path" verdicts of the current query
     /// for routers only the backward side settled (see `on_shortest_path`).
     on_sp_stamp: Vec<u32>,
     on_sp: Vec<bool>,
     on_sp_stack: Vec<(RouterId, usize)>,
-    searches: u64,
-    settled: u64,
+    rev_buf: Vec<DirectedLinkId>,
 }
 
-impl LazyRouter {
-    /// Builds a lazy router over `adj`. `landmarks > 0` precomputes that
-    /// many farthest-point landmark distance tables (a few full Dijkstras —
-    /// the only precomputation; nothing per-source is ever built).
-    pub fn new(adj: &Adjacency, landmarks: usize) -> Self {
-        Self::with_landmarks(adj, Arc::new(select_landmarks(adj, landmarks)))
-    }
-
-    /// Builds a lazy router over `adj` reusing already-computed landmark
-    /// distance tables (see [`LazyRouter::new`]; pass an empty vector for
-    /// plain bidirectional search). The tables must have been computed over
-    /// the same graph, or lower bounds — and therefore paths — would be
-    /// wrong. The per-query workspace is private to this router; only the
-    /// immutable tables are shared.
-    pub fn with_landmarks(adj: &Adjacency, tables: Arc<Vec<Vec<u64>>>) -> Self {
-        let n = adj.len();
-        // A release assert: tables from a different graph would make the ALT
-        // lower bounds — and thus every returned path — silently wrong, and
-        // the check is a handful of `len` reads per router construction.
-        assert!(
-            tables.iter().all(|t| t.len() == n),
-            "landmark tables must cover every router of the graph"
-        );
-        LazyRouter {
-            epoch: 0,
-            landmark_dists: tables,
+impl Workspace {
+    fn new(n: usize) -> Self {
+        Workspace {
             fwd: SearchSide::new(n),
             bwd: SearchSide::new(n),
             pot: PotCache::new(n),
-            path_buf: Vec::new(),
-            rev_buf: Vec::new(),
             on_sp_stamp: vec![0; n],
             on_sp: vec![false; n],
             on_sp_stack: Vec::new(),
-            searches: 0,
-            settled: 0,
+            rev_buf: Vec::new(),
         }
-    }
-
-    /// Work counters.
-    pub fn stats(&self) -> LazyRouterStats {
-        LazyRouterStats {
-            searches: self.searches,
-            settled: self.settled,
-            landmarks: self.landmark_dists.len(),
-        }
-    }
-
-    /// The landmark distance tables this router computes potentials from
-    /// (raw, unscaled cost units; `u64::MAX` marks an unreachable router).
-    pub fn landmark_tables(&self) -> &[Vec<u64>] {
-        &self.landmark_dists
-    }
-
-    /// Restores landmark admissibility after graph mutations that *improved*
-    /// connectivity (edges added or costs lowered), without recomputing any
-    /// table from scratch.
-    ///
-    /// The invariant maintained is per-edge consistency: for every up edge
-    /// `(u, v)` of cost `c`, each table satisfies `d[v] ≤ d[u] + c`. By
-    /// induction along any path this implies `|d[a] − d[b]|` is a true lower
-    /// bound on `dist(a, b)` — the only property ALT needs; the tables never
-    /// have to be *exact* distances. Worsening mutations (removals, cost
-    /// increases) keep the invariant for free — stale entries are merely too
-    /// low, which is still a lower bound — so callers only pass the improved
-    /// edges. Consistency can only break *at* an improved edge, so the check
-    /// is `O(tables × improved edges)`; a table that fails is repaired with a
-    /// decrease-only Dijkstra seeded from the violated edges, touching just
-    /// the region whose entries actually drop. Entries decrease monotonically
-    /// and never rise, so a cost oscillation that returns an edge to its
-    /// original value needs zero repair work.
-    ///
-    /// `improved` holds `(from, to, new_cost)` directed edges, in raw cost
-    /// units; both orientations of a symmetric link must be present when both
-    /// changed. Tables are cloned on first write if still shared with sibling
-    /// routers ([`LazyRouter::with_landmarks`] sharing stays sound — sharers
-    /// keep their own consistent snapshot of the pre-mutation graph).
-    pub fn repair_landmarks(
-        &mut self,
-        adj: &Adjacency,
-        improved: &[(RouterId, RouterId, u64)],
-    ) -> LandmarkRepair {
-        let mut out = LandmarkRepair::default();
-        if self.landmark_dists.is_empty() || improved.is_empty() {
-            return out;
-        }
-        // Read-only pass first: only clone the shared tables when a repair is
-        // actually needed.
-        let violated: Vec<usize> = self
-            .landmark_dists
-            .iter()
-            .enumerate()
-            .filter_map(|(i, table)| {
-                out.checks += 1;
-                improved
-                    .iter()
-                    .any(|&(u, v, c)| table[u].saturating_add(c) < table[v])
-                    .then_some(i)
-            })
-            .collect();
-        if violated.is_empty() {
-            return out;
-        }
-        let tables = Arc::make_mut(&mut self.landmark_dists);
-        let mut heap: BinaryHeap<Reverse<(u64, RouterId)>> = BinaryHeap::new();
-        for i in violated {
-            out.repairs += 1;
-            let dist = &mut tables[i];
-            heap.clear();
-            for &(u, v, c) in improved {
-                let nd = dist[u].saturating_add(c);
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if d > dist[u] {
-                    continue;
-                }
-                out.nodes_lowered += 1;
-                for &(v, _, cost) in adj.neighbors(u) {
-                    let (v, nd) = (v as usize, d.saturating_add(cost));
-                    if nd < dist[v] {
-                        dist[v] = nd;
-                        heap.push(Reverse((nd, v)));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Computes the canonical shortest path from `src` to `dst`, returning
-    /// its cost and directed link sequence (borrowed from an internal
-    /// buffer), or `None` if unreachable. Identical to
-    /// [`ShortestPaths::path_to`] on the same graph.
-    pub fn query(
-        &mut self,
-        adj: &Adjacency,
-        src: RouterId,
-        dst: RouterId,
-    ) -> Option<(u64, &[DirectedLinkId])> {
-        self.path_buf.clear();
-        if src == dst {
-            return Some((0, &self.path_buf));
-        }
-        self.searches += 1;
-        self.epoch = self.epoch.checked_add(1).expect("routing epoch overflow");
-        let epoch = self.epoch;
-        self.pot.begin(epoch, &self.landmark_dists, src, dst);
-        self.fwd.heap.clear();
-        self.bwd.heap.clear();
-
-        let ps = self.pot.get(&self.landmark_dists, src);
-        self.fwd.improve(epoch, src, 0);
-        self.fwd.key[src] = add_pot(0, ps);
-        self.fwd.heap.push(Reverse((self.fwd.key[src], src as u32)));
-        let pd = self.pot.get(&self.landmark_dists, dst);
-        self.bwd.improve(epoch, dst, 0);
-        self.bwd.key[dst] = add_pot(0, -pd);
-        self.bwd.heap.push(Reverse((self.bwd.key[dst], dst as u32)));
-
-        // Phase 1: alternate the cheaper frontier until the meeting bound
-        // is proven optimal. With consistent potentials the per-node keys
-        // satisfy `true_dist(v) + p(v) ≥ top`, so once `top_f + top_b > μ`
-        // no node both sides left unsettled can lie on a path of cost ≤ μ
-        // (the potentials cancel in the sum). The stop is strict because
-        // phase 2 needs the tying paths' routers settled too.
-        let mut mu = u64::MAX;
-        loop {
-            let kf = self.fwd.peek_fresh(epoch);
-            let kb = self.bwd.peek_fresh(epoch);
-            if mu == u64::MAX {
-                // A frontier exhausted before the searches met: if the
-                // destination were reachable it would have been settled (and
-                // μ set) by the exhausted side.
-                if kf.is_none() || kb.is_none() {
-                    return None;
-                }
-            } else if kf
-                .unwrap_or(u64::MAX)
-                .saturating_add(kb.unwrap_or(u64::MAX))
-                > mu
-            {
-                break;
-            }
-            let (dir, side, other) = if kf.unwrap_or(u64::MAX) <= kb.unwrap_or(u64::MAX) {
-                (Dir::Forward, &mut self.fwd, &self.bwd)
-            } else {
-                (Dir::Backward, &mut self.bwd, &self.fwd)
-            };
-            let (pot, landmarks) = (&mut self.pot, &self.landmark_dists);
-            advance(
-                epoch,
-                adj,
-                dir,
-                side,
-                other,
-                pot,
-                landmarks,
-                &mut mu,
-                &mut self.settled,
-            );
-        }
-
-        // Phase 2: canonical reconstruction. Walk back from the destination
-        // choosing, at every node, the tight in-edge with the smallest link
-        // id — exactly the whole-graph search's tie-break. Tightness of an
-        // in-neighbor is read off the two balls phase 1 left behind; no
-        // search is resumed.
-        let mut rev = std::mem::take(&mut self.rev_buf);
-        rev.clear();
-        let mut v = dst;
-        let mut dv = mu;
-        while v != src {
-            let mut best: Option<(DirectedLinkId, RouterId, u64)> = None;
-            for &(u, link, cost) in adj.in_neighbors(v) {
-                let (u, link) = (u as usize, link as usize);
-                if let Some((best_link, _, _)) = best {
-                    if link >= best_link {
-                        continue; // only a smaller link id can win
-                    }
-                }
-                let step = cost.saturating_mul(2);
-                if step > dv {
-                    continue;
-                }
-                // Is `u`'s true forward (scaled) distance exactly `target`?
-                let target = dv - step;
-                let tight = match self.tightness(src, mu, u, target) {
-                    Tight::Yes => true,
-                    Tight::No => false,
-                    Tight::IfOnShortestPath => self.on_shortest_path(adj, src, mu, u),
-                };
-                if tight {
-                    best = Some((link, u, target));
-                }
-            }
-            let (link, u, target) =
-                best.expect("a shortest path always has a tight canonical predecessor");
-            rev.push(link);
-            v = u;
-            dv = target;
-        }
-        self.path_buf.extend(rev.iter().rev());
-        self.rev_buf = rev;
-        Some((mu / 2, &self.path_buf))
     }
 
     /// The three-way rule of the module docs' "Reconstruction" section, as
     /// far as `u`'s own labels decide it.
-    fn tightness(&self, src: RouterId, mu: u64, u: RouterId, target: u64) -> Tight {
-        let epoch = self.epoch;
+    fn tightness(&self, epoch: u32, src: RouterId, mu: u64, u: RouterId, target: u64) -> Tight {
         if u == src || self.fwd.settled(epoch, u) {
             // Exact forward distance (the source's label is 0 from the start).
             if self.fwd.dist[u] == target {
@@ -1047,8 +895,14 @@ impl LazyRouter {
     /// answers [`Tight::IfOnShortestPath`] is strictly farther from `dst`,
     /// so this is a depth-first walk over the backward ball — iterative,
     /// because nothing smaller bounds its depth — memoised per query.
-    fn on_shortest_path(&mut self, adj: &Adjacency, src: RouterId, mu: u64, u: RouterId) -> bool {
-        let epoch = self.epoch;
+    fn on_shortest_path(
+        &mut self,
+        epoch: u32,
+        adj: &Adjacency,
+        src: RouterId,
+        mu: u64,
+        u: RouterId,
+    ) -> bool {
         let mut stack = std::mem::take(&mut self.on_sp_stack);
         stack.clear();
         if self.on_sp_stamp[u] != epoch {
@@ -1062,9 +916,9 @@ impl LazyRouter {
             let mut i = resume_at;
             while i < edges.len() {
                 let (w, _link, cost) = edges[i];
-                let (w, step) = (w as usize, cost.saturating_mul(2));
+                let (w, step) = (w as usize, 2 * u64::from(cost));
                 if step <= need {
-                    match self.tightness(src, mu, w, need - step) {
+                    match self.tightness(epoch, src, mu, w, need - step) {
                         Tight::Yes => on = true,
                         Tight::No => {}
                         Tight::IfOnShortestPath if self.on_sp_stamp[w] == epoch => {
@@ -1094,6 +948,290 @@ impl LazyRouter {
         }
         self.on_sp_stack = stack;
         self.on_sp[u]
+    }
+}
+
+/// On-demand point-to-point router: lazy bidirectional Dijkstra with an
+/// optional ALT (landmark) lower-bound mode.
+///
+/// A query grows a forward frontier from the source and a backward frontier
+/// from the destination until every router on a shortest path is settled by
+/// one of them (`top_f + top_b > μ`), then reconstructs the *canonical* path
+/// by walking tight in-edges back from the destination, deciding tightness
+/// from the two balls alone (see "Reconstruction" in the module docs). All
+/// distances run in doubled cost units so the landmark potentials stay
+/// integral; all per-node state is epoch-stamped so a query does no
+/// O(routers) clearing.
+///
+/// The ALT potentials assume symmetric edge costs (`cost(u→v) == cost(v→u)`),
+/// which holds for every topology built from a `NetworkSpec`.
+#[derive(Debug)]
+pub struct LazyRouter {
+    /// Even, bumped by 2 per query: [`SearchSide`] keeps the settled bit in
+    /// the low bit of its stamps.
+    epoch: u32,
+    /// Landmark distance tables, sharable across routers over the same
+    /// graph: building them is the only whole-graph precomputation a lazy
+    /// router does (a few full Dijkstras — dozens of milliseconds and ~80 KB
+    /// per table at paper scale), so parallel experiment harnesses build
+    /// them once per topology and hand every per-run router the same `Arc`.
+    landmark_dists: Arc<Vec<Vec<u32>>>,
+    /// Allocated by the first query.
+    workspace: Option<Workspace>,
+    path_buf: Vec<DirectedLinkId>,
+    searches: u64,
+    settled: u64,
+}
+
+impl LazyRouter {
+    /// Builds a lazy router over `adj`. `landmarks > 0` precomputes that
+    /// many farthest-point landmark distance tables (a few full Dijkstras —
+    /// the only precomputation; nothing per-source is ever built).
+    pub fn new(adj: &Adjacency, landmarks: usize) -> Self {
+        Self::with_landmarks(adj, Arc::new(select_landmarks(adj, landmarks)))
+    }
+
+    /// Builds a lazy router over `adj` reusing already-computed landmark
+    /// distance tables (see [`LazyRouter::new`]; pass an empty vector for
+    /// plain bidirectional search). The tables must have been computed over
+    /// the same graph, or lower bounds — and therefore paths — would be
+    /// wrong. The per-query workspace is private to this router, and
+    /// allocated by its first [`LazyRouter::query`]; only the immutable
+    /// tables are shared.
+    pub fn with_landmarks(adj: &Adjacency, tables: Arc<Vec<Vec<u32>>>) -> Self {
+        // A release assert: tables from a different graph would make the ALT
+        // lower bounds — and thus every returned path — silently wrong, and
+        // the check is a handful of `len` reads per router construction.
+        assert!(
+            tables.iter().all(|t| t.len() == adj.len()),
+            "landmark tables must cover every router of the graph"
+        );
+        LazyRouter {
+            epoch: 0,
+            landmark_dists: tables,
+            workspace: None,
+            path_buf: Vec::new(),
+            searches: 0,
+            settled: 0,
+        }
+    }
+
+    /// Work counters.
+    pub fn stats(&self) -> LazyRouterStats {
+        LazyRouterStats {
+            searches: self.searches,
+            settled: self.settled,
+            landmarks: self.landmark_dists.len(),
+        }
+    }
+
+    /// The landmark distance tables this router computes potentials from
+    /// (raw, unscaled cost units; `u32::MAX` marks an unreachable router).
+    pub fn landmark_tables(&self) -> &[Vec<u32>] {
+        &self.landmark_dists
+    }
+
+    /// Restores landmark admissibility after graph mutations that *improved*
+    /// connectivity (edges added or costs lowered), without recomputing any
+    /// table from scratch.
+    ///
+    /// The invariant maintained is per-edge consistency: for every up edge
+    /// `(u, v)` of cost `c`, each table satisfies `d[v] ≤ d[u] + c`. By
+    /// induction along any path this implies `|d[a] − d[b]|` is a true lower
+    /// bound on `dist(a, b)` — the only property ALT needs; the tables never
+    /// have to be *exact* distances. Worsening mutations (removals, cost
+    /// increases) keep the invariant for free — stale entries are merely too
+    /// low, which is still a lower bound — so callers only pass the improved
+    /// edges. Consistency can only break *at* an improved edge, so the check
+    /// is `O(tables × improved edges)`; a table that fails is repaired with a
+    /// decrease-only Dijkstra seeded from the violated edges, touching just
+    /// the region whose entries actually drop. Entries decrease monotonically
+    /// and never rise, so a cost oscillation that returns an edge to its
+    /// original value needs zero repair work.
+    ///
+    /// `improved` holds `(from, to, new_cost)` directed edges, in raw cost
+    /// units; both orientations of a symmetric link must be present when both
+    /// changed. Tables are cloned on first write if still shared with sibling
+    /// routers ([`LazyRouter::with_landmarks`] sharing stays sound — sharers
+    /// keep their own consistent snapshot of the pre-mutation graph).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry lowered from unreachable does not fit below
+    /// `u32::MAX`.
+    pub fn repair_landmarks(
+        &mut self,
+        adj: &Adjacency,
+        improved: &[(RouterId, RouterId, u64)],
+    ) -> LandmarkRepair {
+        let mut out = LandmarkRepair::default();
+        if self.landmark_dists.is_empty() || improved.is_empty() {
+            return out;
+        }
+        // Read-only pass first: only clone the shared tables when a repair is
+        // actually needed.
+        let violated: Vec<usize> = self
+            .landmark_dists
+            .iter()
+            .enumerate()
+            .filter_map(|(i, table)| {
+                out.checks += 1;
+                improved
+                    .iter()
+                    .any(|&(u, v, c)| {
+                        widen_landmark(table[u]).saturating_add(c) < widen_landmark(table[v])
+                    })
+                    .then_some(i)
+            })
+            .collect();
+        if violated.is_empty() {
+            return out;
+        }
+        let tables = Arc::make_mut(&mut self.landmark_dists);
+        let mut heap: BinaryHeap<Reverse<(u64, RouterId)>> = BinaryHeap::new();
+        for i in violated {
+            out.repairs += 1;
+            let dist = &mut tables[i];
+            heap.clear();
+            for &(u, v, c) in improved {
+                let nd = widen_landmark(dist[u]).saturating_add(c);
+                if nd < widen_landmark(dist[v]) {
+                    dist[v] = landmark_entry(nd);
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+            while let Some(Reverse((d, u))) = heap.pop() {
+                if d > widen_landmark(dist[u]) {
+                    continue;
+                }
+                out.nodes_lowered += 1;
+                for &(v, _, cost) in adj.neighbors(u) {
+                    let (v, nd) = (v as usize, d.saturating_add(u64::from(cost)));
+                    if nd < widen_landmark(dist[v]) {
+                        dist[v] = landmark_entry(nd);
+                        heap.push(Reverse((nd, v)));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Computes the canonical shortest path from `src` to `dst`, returning
+    /// its cost and directed link sequence (borrowed from an internal
+    /// buffer), or `None` if unreachable. Identical to
+    /// [`ShortestPaths::path_to`] on the same graph. The first query
+    /// allocates the router's workspace.
+    pub fn query(
+        &mut self,
+        adj: &Adjacency,
+        src: RouterId,
+        dst: RouterId,
+    ) -> Option<(u64, &[DirectedLinkId])> {
+        self.path_buf.clear();
+        if src == dst {
+            return Some((0, &self.path_buf));
+        }
+        self.searches += 1;
+        self.epoch = self.epoch.checked_add(2).expect("routing epoch overflow");
+        let epoch = self.epoch;
+        let ws = (self.workspace).get_or_insert_with(|| Workspace::new(adj.len()));
+        let landmarks = &self.landmark_dists;
+        ws.pot.begin(epoch, landmarks, src, dst);
+        ws.fwd.heap.clear();
+        ws.bwd.heap.clear();
+
+        let ps = ws.pot.get(landmarks, src);
+        ws.fwd.improve(epoch, src, 0);
+        ws.fwd.heap.push(Reverse((add_pot(0, ps), src as u32)));
+        let pd = ws.pot.get(landmarks, dst);
+        ws.bwd.improve(epoch, dst, 0);
+        ws.bwd.heap.push(Reverse((add_pot(0, -pd), dst as u32)));
+
+        // Phase 1: alternate the cheaper frontier until the meeting bound
+        // is proven optimal. With consistent potentials the per-node keys
+        // satisfy `true_dist(v) + p(v) ≥ top`, so once `top_f + top_b > μ`
+        // no node both sides left unsettled can lie on a path of cost ≤ μ
+        // (the potentials cancel in the sum). The stop is strict because
+        // phase 2 needs the tying paths' routers settled too.
+        let mut mu = u64::MAX;
+        loop {
+            let kf = ws.fwd.peek_fresh(epoch);
+            let kb = ws.bwd.peek_fresh(epoch);
+            if mu == u64::MAX {
+                // A frontier exhausted before the searches met: if the
+                // destination were reachable it would have been settled (and
+                // μ set) by the exhausted side.
+                if kf.is_none() || kb.is_none() {
+                    return None;
+                }
+            } else if kf
+                .unwrap_or(u64::MAX)
+                .saturating_add(kb.unwrap_or(u64::MAX))
+                > mu
+            {
+                break;
+            }
+            let (dir, side, other) = if kf.unwrap_or(u64::MAX) <= kb.unwrap_or(u64::MAX) {
+                (Dir::Forward, &mut ws.fwd, &ws.bwd)
+            } else {
+                (Dir::Backward, &mut ws.bwd, &ws.fwd)
+            };
+            advance(
+                epoch,
+                adj,
+                dir,
+                side,
+                other,
+                &mut ws.pot,
+                landmarks,
+                &mut mu,
+                &mut self.settled,
+            );
+        }
+
+        // Phase 2: canonical reconstruction. Walk back from the destination
+        // choosing, at every node, the tight in-edge with the smallest link
+        // id — exactly the whole-graph search's tie-break. Tightness of an
+        // in-neighbor is read off the two balls phase 1 left behind; no
+        // search is resumed.
+        let mut rev = std::mem::take(&mut ws.rev_buf);
+        rev.clear();
+        let mut v = dst;
+        let mut dv = mu;
+        while v != src {
+            let mut best: Option<(DirectedLinkId, RouterId, u64)> = None;
+            for &(u, link, cost) in adj.in_neighbors(v) {
+                let (u, link) = (u as usize, link as usize);
+                if let Some((best_link, _, _)) = best {
+                    if link >= best_link {
+                        continue; // only a smaller link id can win
+                    }
+                }
+                let step = 2 * u64::from(cost);
+                if step > dv {
+                    continue;
+                }
+                // Is `u`'s true forward (scaled) distance exactly `target`?
+                let target = dv - step;
+                let tight = match ws.tightness(epoch, src, mu, u, target) {
+                    Tight::Yes => true,
+                    Tight::No => false,
+                    Tight::IfOnShortestPath => ws.on_shortest_path(epoch, adj, src, mu, u),
+                };
+                if tight {
+                    best = Some((link, u, target));
+                }
+            }
+            let (link, u, target) =
+                best.expect("a shortest path always has a tight canonical predecessor");
+            rev.push(link);
+            v = u;
+            dv = target;
+        }
+        self.path_buf.extend(rev.iter().rev());
+        ws.rev_buf = rev;
+        Some((mu / 2, &self.path_buf))
     }
 }
 
@@ -1157,17 +1295,15 @@ mod tests {
     fn path_on_a_line() {
         let adj = line(4);
         let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.cost_to(3), Some(3));
-        assert_eq!(sp.path_to(3), Some(vec![0, 2, 4]));
-        assert_eq!(sp.path_to(0), Some(vec![]));
+        assert_eq!(sp.path_to(&adj, 3), Some((3, vec![0, 2, 4])));
+        assert_eq!(sp.path_to(&adj, 0), Some((0, vec![])));
     }
 
     #[test]
     fn unreachable_node_reports_none() {
         let adj = digraph(3, &[(0, 1, 0, 1), (1, 0, 1, 1)]);
         let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.cost_to(2), None);
-        assert_eq!(sp.path_to(2), None);
+        assert_eq!(sp.path_to(&adj, 2), None);
         let mut lazy = LazyRouter::new(&adj, 0);
         assert!(lazy.query(&adj, 0, 2).is_none());
         let mut alt = LazyRouter::new(&adj, 2);
@@ -1179,8 +1315,7 @@ mod tests {
         // 0 -> 1 -> 2 costs 2; direct 0 -> 2 costs 5.
         let adj = digraph(3, &[(0, 1, 0, 1), (1, 2, 1, 1), (0, 2, 2, 5)]);
         let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.cost_to(2), Some(2));
-        assert_eq!(sp.path_to(2), Some(vec![0, 1]));
+        assert_eq!(sp.path_to(&adj, 2), Some((2, vec![0, 1])));
         let mut lazy = LazyRouter::new(&adj, 0);
         let (cost, path) = lazy.query(&adj, 0, 2).unwrap();
         assert_eq!(cost, 2);
@@ -1191,7 +1326,7 @@ mod tests {
     fn reverse_direction_uses_reverse_links() {
         let adj = line(3);
         let sp = ShortestPaths::compute(&adj, 2);
-        assert_eq!(sp.path_to(0), Some(vec![3, 1]));
+        assert_eq!(sp.path_to(&adj, 0), Some((2, vec![3, 1])));
         let mut lazy = LazyRouter::new(&adj, 0);
         assert_eq!(lazy.query(&adj, 2, 0).unwrap().1, &[3, 1]);
     }
@@ -1204,7 +1339,7 @@ mod tests {
         // is [0, 4] — for the reference and both lazy modes.
         let adj = symmetric_adjacency(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]);
         let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.path_to(3), Some(vec![0, 4]));
+        assert_eq!(sp.path_to(&adj, 3), Some((2, vec![0, 4])));
         let mut bidi = LazyRouter::new(&adj, 0);
         assert_eq!(bidi.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
         let mut alt = LazyRouter::new(&adj, 3);
@@ -1230,7 +1365,7 @@ mod tests {
                 continue;
             }
             for &(v, link, cost) in adj.edges(dir, u) {
-                let (v, link, nd) = (v as usize, link as usize, d.saturating_add(cost));
+                let (v, link, nd) = (v as usize, link as usize, d.saturating_add(u64::from(cost)));
                 if nd < dist[v] {
                     dist[v] = nd;
                     prev[v] = Some((u, link));
@@ -1311,27 +1446,35 @@ mod tests {
         (n, edges)
     }
 
-    /// [`ShortestPaths::compute`], [`Adjacency::distances_from`] and
+    /// [`dijkstra`] with predecessors, [`Adjacency::distances_from`] and
     /// [`Adjacency::distances_to`] against [`heap_model`], from every root:
-    /// equal distances, and equal predecessors for every router.
+    /// equal distances, and equal predecessor links for every router.
     fn assert_kernel_matches_model(adj: &Adjacency, label: &str) {
         for root in 0..adj.len() {
             let model = heap_model(adj, root, Dir::Forward);
-            assert_tree_matches(&ShortestPaths::compute(adj, root), &model, label);
+            assert_tree_matches(adj, root, &model, label);
             assert_eq!(adj.distances_from(root), model.0, "{label}: from {root}");
             let (to, _) = heap_model(adj, root, Dir::Backward);
             assert_eq!(adj.distances_to(root), to, "{label}: distances to {root}");
         }
     }
 
-    /// `sp` has the distances and predecessors of a [`heap_model`] tree.
-    fn assert_tree_matches(sp: &ShortestPaths, (dist, prev): &ModelTree, label: &str) {
-        let root = sp.source;
-        let kernel_prev: Vec<_> = (sp.prev.iter())
-            .map(|&(p, link)| ((p, link) != NO_PREV).then_some((p as usize, link as usize)))
+    /// The tree [`ShortestPaths::compute`] builds from `root` over `adj`,
+    /// and the distances [`dijkstra`] finds on the way, are a [`heap_model`]
+    /// tree's: equal distances, equal predecessor links.
+    fn assert_tree_matches(adj: &Adjacency, root: RouterId, (dist, prev): &ModelTree, label: &str) {
+        let model_prev: Vec<u32> = (prev.iter())
+            .map(|p| p.map_or(NO_LINK, |(_, link)| link as u32))
             .collect();
-        assert_eq!(&sp.dist, dist, "{label}: distances from {root}");
-        assert_eq!(&kernel_prev, prev, "{label}: predecessors from {root}");
+        let mut kernel_prev = vec![NO_LINK; adj.len()];
+        let kernel_dist = dijkstra(adj, root, Dir::Forward, &mut kernel_prev);
+        assert_eq!(&kernel_dist, dist, "{label}: distances from {root}");
+        assert_eq!(kernel_prev, model_prev, "{label}: predecessors from {root}");
+        assert_eq!(
+            ShortestPaths::compute(adj, root).prev,
+            model_prev,
+            "{label}: tree"
+        );
     }
 
     /// The slots under seeded mutation, against a model: 64 digraphs of
@@ -1387,8 +1530,8 @@ mod tests {
                 let mut model_out = vec![BTreeSet::new(); n];
                 let mut model_in = vec![BTreeSet::new(); n];
                 for &(a, b, link, c) in &live {
-                    model_out[a].insert((b as u32, link as u32, c));
-                    model_in[b].insert((a as u32, link as u32, c));
+                    model_out[a].insert((b as u32, link as u32, c as u32));
+                    model_in[b].insert((a as u32, link as u32, c as u32));
                 }
                 let label = format!("case {case}, step {step}");
                 for r in 0..n {
@@ -1404,7 +1547,7 @@ mod tests {
                 let fresh = digraph(n, &live);
                 for root in [0, n / 2, n - 1] {
                     let model = heap_model(&fresh, root, Dir::Forward);
-                    assert_tree_matches(&ShortestPaths::compute(&adj, root), &model, &label);
+                    assert_tree_matches(&adj, root, &model, &label);
                 }
             }
         }
@@ -1462,7 +1605,7 @@ mod tests {
         for src in 0..adj.len() {
             let sp = ShortestPaths::compute(adj, src);
             for dst in 0..adj.len() {
-                let want = sp.path_to(dst).map(|p| (sp.cost_to(dst).unwrap(), p));
+                let want = sp.path_to(adj, dst);
                 for (router, landmarks) in routers.iter_mut().zip(landmark_counts) {
                     let got = router.query(adj, src, dst).map(|(c, p)| (c, p.to_vec()));
                     assert_eq!(got, want, "{label}: {src}->{dst}, {landmarks} landmarks");
@@ -1595,10 +1738,231 @@ mod tests {
                 assert_eq!((cost, hops), (55, 6));
                 let ball =
                     |side: &SearchSide| (0..n).filter(|&v| side.settled(router.epoch, v)).count();
-                assert_eq!(ball(&router.fwd), 1, "the forward ball is the source alone");
-                assert!(ball(&router.bwd) >= hops);
+                let ws = router.workspace.as_ref().expect("a query ran");
+                assert_eq!(ball(&ws.fwd), 1, "the forward ball is the source alone");
+                assert!(ball(&ws.bwd) >= hops);
             }
         }
+    }
+
+    /// The frontier as the search kept it before it dropped the key, the
+    /// model of [`SearchSide`]: each router's freshest heap key and the
+    /// epoch it was settled in, beside its distance and stamp. An entry is
+    /// stale unless its router is labelled, unsettled and holds its key.
+    struct KeyedSide {
+        dist: Vec<u64>,
+        key: Vec<u64>,
+        stamp: Vec<u32>,
+        settled_at: Vec<u32>,
+        heap: BinaryHeap<Reverse<(u64, u32)>>,
+    }
+
+    impl KeyedSide {
+        const EPOCH: u32 = 1;
+
+        fn new(n: usize) -> Self {
+            KeyedSide {
+                dist: vec![0; n],
+                key: vec![0; n],
+                stamp: vec![0; n],
+                settled_at: vec![0; n],
+                heap: BinaryHeap::new(),
+            }
+        }
+
+        fn labeled(&self, v: RouterId) -> bool {
+            self.stamp[v] == Self::EPOCH
+        }
+
+        fn stale(&self, key: u64, v: RouterId) -> bool {
+            !self.labeled(v) || self.settled_at[v] == Self::EPOCH || key != self.key[v]
+        }
+
+        fn label(&mut self, v: RouterId, dist: u64, key: u64) {
+            self.stamp[v] = Self::EPOCH;
+            self.dist[v] = dist;
+            self.key[v] = key;
+            self.heap.push(Reverse((key, v as u32)));
+        }
+
+        fn peek_fresh(&mut self) -> Option<u64> {
+            while let Some(&Reverse((key, v))) = self.heap.peek() {
+                if !self.stale(key, v as usize) {
+                    return Some(key);
+                }
+                self.heap.pop();
+            }
+            None
+        }
+    }
+
+    /// The landmark potential of `v` for a query from `src` to `dst`, read
+    /// straight off the tables: the model of [`PotCache`].
+    fn model_potential(tables: &[Vec<u32>], src: RouterId, dst: RouterId, v: RouterId) -> i64 {
+        let bound = |a: RouterId, b: RouterId| {
+            (tables.iter())
+                .filter(|t| t[a] != u32::MAX && t[b] != u32::MAX)
+                .map(|t| (i64::from(t[a]) - i64::from(t[b])).abs())
+                .max()
+                .unwrap_or(0)
+        };
+        bound(v, dst) - bound(v, src)
+    }
+
+    /// What phase 1 of a point query left with keyed frontiers: the meeting
+    /// cost `μ` in scaled units (`None` if unreachable), the routers settled,
+    /// and each side's settled set.
+    type KeyedOutcome = (Option<u64>, u64, Vec<bool>, Vec<bool>);
+
+    /// Phase 1 of [`LazyRouter::query`] over [`KeyedSide`]s, as it ran
+    /// before the key was dropped.
+    fn keyed_model_search(
+        adj: &Adjacency,
+        tables: &[Vec<u32>],
+        src: RouterId,
+        dst: RouterId,
+    ) -> KeyedOutcome {
+        let n = adj.len();
+        let pot = |v: RouterId| model_potential(tables, src, dst, v);
+        let (mut fwd, mut bwd) = (KeyedSide::new(n), KeyedSide::new(n));
+        fwd.label(src, 0, add_pot(0, pot(src)));
+        bwd.label(dst, 0, add_pot(0, -pot(dst)));
+        let (mut mu, mut settled) = (u64::MAX, 0);
+        loop {
+            let (kf, kb) = (fwd.peek_fresh(), bwd.peek_fresh());
+            if mu == u64::MAX {
+                if kf.is_none() || kb.is_none() {
+                    break;
+                }
+            } else if kf
+                .unwrap_or(u64::MAX)
+                .saturating_add(kb.unwrap_or(u64::MAX))
+                > mu
+            {
+                break;
+            }
+            let (dir, side, other) = if kf.unwrap_or(u64::MAX) <= kb.unwrap_or(u64::MAX) {
+                (Dir::Forward, &mut fwd, &bwd)
+            } else {
+                (Dir::Backward, &mut bwd, &fwd)
+            };
+            while let Some(Reverse((key, v))) = side.heap.pop() {
+                let v = v as usize;
+                if side.stale(key, v) {
+                    continue;
+                }
+                side.settled_at[v] = KeyedSide::EPOCH;
+                settled += 1;
+                let dv = side.dist[v];
+                if other.labeled(v) {
+                    mu = mu.min(dv.saturating_add(other.dist[v]));
+                }
+                for &(u, _, cost) in adj.edges(dir, v) {
+                    let (u, nd) = (u as usize, dv + 2 * u64::from(cost));
+                    if other.labeled(u) {
+                        mu = mu.min(nd.saturating_add(other.dist[u]));
+                    }
+                    if !side.labeled(u) || nd < side.dist[u] {
+                        let key = match dir {
+                            Dir::Forward => add_pot(nd, pot(u)),
+                            Dir::Backward => add_pot(nd, -pot(u)),
+                        };
+                        side.label(u, nd, key);
+                    }
+                }
+                break;
+            }
+        }
+        let ball = |side: &KeyedSide| {
+            (0..n)
+                .map(|v| side.settled_at[v] == KeyedSide::EPOCH)
+                .collect()
+        };
+        let mu = (mu != u64::MAX).then_some(mu);
+        (mu, settled, ball(&fwd), ball(&bwd))
+    }
+
+    /// The keyless frontiers search exactly as the keyed ones did. On
+    /// symmetric graphs made from the kernel harness's digraphs (every edge
+    /// both ways at one cost, in its three cost ranges), with 0, 2 and 8
+    /// landmarks, every query equals [`keyed_model_search`]: the same cost,
+    /// the same settled count and the same two settled balls — so the same
+    /// reconstruction — and a path equal to the reference tree's.
+    ///
+    /// Mutants this test kills, each checked by hand:
+    /// - dropping the settled check in `peek_fresh`;
+    /// - leaving the potential out of the heap key;
+    /// - setting the settled bit on the other side.
+    #[test]
+    fn keyless_search_matches_the_keyed_model() {
+        let mut rng = SimRng::new(0x4E71E55);
+        for case in 0..18 {
+            let costs = [(1, 3), (500, 40_000), (1, 10_000_000)][case % 3];
+            let (n, directed) = random_digraph(&mut rng, costs);
+            let edges: Vec<UndirectedEdge> = (directed.iter())
+                .map(|&(a, b, _, cost)| (a, b, cost))
+                .collect();
+            let adj = symmetric_adjacency(n, &edges);
+            for landmarks in [0, 2, 8] {
+                let mut router = LazyRouter::new(&adj, landmarks);
+                for src in 0..n {
+                    let reference = ShortestPaths::compute(&adj, src);
+                    for dst in (0..n).filter(|&dst| dst != src) {
+                        let label = format!("case {case}, {landmarks} landmarks: {src}->{dst}");
+                        let before = router.stats().settled;
+                        let got = router.query(&adj, src, dst).map(|(c, p)| (c, p.to_vec()));
+                        let settled = router.stats().settled - before;
+                        let (mu, model_settled, fwd, bwd) =
+                            keyed_model_search(&adj, router.landmark_tables(), src, dst);
+                        let want = reference.path_to(&adj, dst);
+                        assert_eq!(got, want, "{label}");
+                        assert_eq!(mu.map(|mu| mu / 2), want.map(|(cost, _)| cost), "{label}");
+                        assert_eq!(settled, model_settled, "{label}: settled count");
+                        let ws = router.workspace.as_ref().expect("a query ran");
+                        let ball = |side: &SearchSide| -> Vec<bool> {
+                            (0..n).map(|v| side.settled(router.epoch, v)).collect()
+                        };
+                        assert_eq!(ball(&ws.fwd), fwd, "{label}: forward ball");
+                        assert_eq!(ball(&ws.bwd), bwd, "{label}: backward ball");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Costs and landmark distances are stored in `u32`s. A cost above
+    /// `u32::MAX` panics where it enters the graph, naming the link.
+    #[test]
+    #[should_panic(expected = "directed link 3: routing cost 4294967296 us")]
+    fn a_cost_beyond_u32_panics_naming_the_link() {
+        let at_max = u64::from(u32::MAX);
+        let adj = digraph(2, &[(0, 1, 2, at_max)]);
+        assert_eq!(adj.neighbors(0), &[(1, 2, u32::MAX)]);
+        digraph(2, &[(0, 1, 2, at_max), (1, 0, 3, at_max + 1)]);
+    }
+
+    /// The widest finite landmark entry, `u32::MAX - 1`, round-trips exactly
+    /// and bounds a query exactly; `u32::MAX` is the unreachable sentinel,
+    /// so a finite distance that large panics.
+    #[test]
+    fn a_landmark_distance_of_u32_max_minus_one_round_trips() {
+        let far = u64::from(u32::MAX) - 1;
+        let adj = symmetric_adjacency(3, &[(0, 1, far - 1), (1, 2, 1)]);
+        let tables = select_landmarks(&adj, 2);
+        assert_eq!(tables, [vec![u32::MAX - 1, 1, 0], vec![u32::MAX - 2, 0, 1]]);
+        for table in &tables {
+            let landmark = table.iter().position(|&d| d == 0).unwrap();
+            let widened: Vec<u64> = table.iter().copied().map(widen_landmark).collect();
+            assert_eq!(widened, adj.distances_from(landmark));
+        }
+        let mut router = LazyRouter::new(&adj, 2);
+        assert_eq!(router.query(&adj, 2, 0), Some((far, &[3, 1][..])));
+        assert_eq!(widen_landmark(landmark_entry(u64::MAX)), u64::MAX);
+        let overflow = std::panic::catch_unwind(|| landmark_entry(u64::from(u32::MAX)));
+        assert!(
+            overflow.is_err(),
+            "a finite u32::MAX would read as unreachable"
+        );
     }
 
     #[test]
@@ -1776,8 +2140,7 @@ mod tests {
             let a = ShortestPaths::compute(&adj, src);
             let b = ShortestPaths::compute(&fresh, src);
             for dst in 0..5 {
-                assert_eq!(a.cost_to(dst), b.cost_to(dst), "{src}->{dst}");
-                assert_eq!(a.path_to(dst), b.path_to(dst), "{src}->{dst}");
+                assert_eq!(a.path_to(&adj, dst), b.path_to(&fresh, dst), "{src}->{dst}");
             }
         }
         // Removing a down edge twice or patching a missing edge is a no-op.
@@ -1837,16 +2200,15 @@ mod tests {
         for src in 0..6 {
             let sp = ShortestPaths::compute(&adj, src);
             for dst in 0..6 {
-                let true_dist = sp.cost_to(dst).unwrap();
+                let (true_dist, _) = sp.path_to(&adj, dst).unwrap();
                 for table in router.landmark_tables() {
-                    assert!(table[src].abs_diff(table[dst]) <= true_dist);
+                    assert!(u64::from(table[src].abs_diff(table[dst])) <= true_dist);
                 }
             }
         }
         // And queries still return canonical paths with correct costs.
         let sp = ShortestPaths::compute(&adj, 1);
         let (cost, path) = router.query(&adj, 1, 5).unwrap();
-        assert_eq!(Some(cost), sp.cost_to(5));
-        assert_eq!(Some(path.to_vec()), sp.path_to(5));
+        assert_eq!(Some((cost, path.to_vec())), sp.path_to(&adj, 5));
     }
 }
