@@ -68,7 +68,7 @@ pub use network::{
 };
 pub use rng::SimRng;
 pub use routing::{
-    Adjacency, LandmarkRepair, LazyRouter, LazyRouterStats, RoutingMode, ShortestPaths,
+    Adjacency, LandmarkRepair, LazyRouter, LazyRouterStats, RoutingMode, RowTree, ShortestPaths,
 };
 pub use sim::{
     FaultPlan, NodeOverloadStats, NodeResources, NodeTraffic, QueueDiscipline, Sim, SimCounters,

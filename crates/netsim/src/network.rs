@@ -12,7 +12,7 @@ use crate::hash::FxHashMap;
 use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
 use crate::rng::SimRng;
 use crate::routing::{
-    edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, ShortestPaths,
+    edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, RowTree, ShortestPaths,
 };
 use crate::time::{SimDuration, SimTime};
 
@@ -248,8 +248,7 @@ impl RouteArena {
 /// front of the [`RouteArena`].
 ///
 /// A hit on the simulator's per-send hot path is one multiply-add and a
-/// 4-byte load, and the batched oracle path ([`Network::route_all_from`])
-/// records whole rows of routes in it at once. The table is `n²` 4-byte
+/// 4-byte load. The table is `n²` 4-byte
 /// entries with no cap — 4 MB at the paper's 1,000 participants. Entries are
 /// `RouteId` raw values with two sentinels.
 #[derive(Clone, Debug)]
@@ -354,13 +353,12 @@ pub struct RoutingStats {
     /// The mode the network routes with.
     pub mode: RoutingMode,
     /// Route computations (route-memo misses); memo hits are not counted.
-    /// Pairs computed by a batched row fill count individually.
     pub route_queries: u64,
-    /// Whole-graph row fills run ([`Network::route_all_from`]), in either
+    /// Whole-graph row searches run ([`Network::row_tree`]), in either
     /// mode.
     pub batched_queries: u64,
-    /// Per-source Dijkstra trees the eager mode built and *cached*. The tree
-    /// a lazy-mode row fill runs is dropped when the row is done and is
+    /// Per-source Dijkstra trees the eager mode built and *cached*. The
+    /// search behind a row tree is dropped when the row is built and is
     /// counted by `batched_queries` alone.
     pub trees_built: u64,
     /// Lazy point-to-point searches run.
@@ -527,7 +525,7 @@ pub struct Network {
     /// Scratch for a path read off a [`ShortestPaths`] tree on its way into
     /// the arena.
     path_buf: Vec<DirectedLinkId>,
-    /// Row fills performed (see [`Network::route_all_from`]).
+    /// Row searches performed (see [`Network::row_tree`]).
     batched_queries: u64,
     /// Copies per trace id, for each directed link that has carried a traced
     /// copy. Only a sample of packets is traced, so most links never get an
@@ -696,67 +694,21 @@ impl Network {
         Some(self.routes.intern(path, src, dst, cost))
     }
 
-    /// The interned route between two overlay participants, computing the
-    /// **entire row** of routes out of `from` on a memo miss (see
-    /// [`Network::route_all_from`]).
+    /// The canonical routes from `from` to every participant, as one
+    /// [`RowTree`] indexed by participant: one whole-graph search from
+    /// `from`'s router in either routing mode, counted in
+    /// [`RoutingStats::batched_queries`]. A row's targets span the graph, so
+    /// no goal-directed search prunes it (`routing` module docs, "Row
+    /// trees").
     ///
-    /// This is the oracle-side lookup: offline tree constructions evaluate a
-    /// candidate source against many destinations (and, over their run, the
-    /// reverse pairs of every participant), so amortizing a whole row per
-    /// miss turns their O(participants²) point searches into O(participants)
-    /// whole-graph ones. Routes are canonical either way — bit-identical to
-    /// what [`Network::route`] returns.
-    pub fn route_batched(&mut self, from: OverlayId, to: OverlayId) -> Option<RouteId> {
-        if self.memo.get(from, to) == RouteMemo::UNKNOWN {
-            self.route_all_from(from);
-        }
-        let entry = self.memo.get(from, to);
-        debug_assert_ne!(entry, RouteMemo::UNKNOWN, "row fill covers every pair");
-        (entry != RouteMemo::UNREACHABLE).then_some(RouteId(entry))
-    }
-
-    /// Computes and memoizes the routes from `from` to **every**
-    /// participant: pairs already known are kept, the rest are read off one
-    /// whole-graph shortest-path tree rooted at `from`'s router — the eager
-    /// mode's cached tree, or in the lazy modes a transient one, since the
-    /// targets of a row span the graph and no goal-directed search prunes
-    /// anything (`routing` module docs, "Row fills").
-    pub fn route_all_from(&mut self, from: OverlayId) {
-        let src = self.attachments[from];
-        let mut pending: Vec<OverlayId> = Vec::new();
-        for (t, &dst) in self.attachments.iter().enumerate() {
-            if self.memo.get(from, t) != RouteMemo::UNKNOWN {
-                continue;
-            }
-            if dst == src {
-                self.memo.set(from, t, Some(RouteId::EMPTY));
-            } else {
-                pending.push(t);
-            }
-        }
-        if pending.is_empty() {
-            return;
-        }
+    /// This is the oracle-side lookup: an offline tree construction
+    /// evaluates a source against every destination, so one search per
+    /// participant replaces a point search per pair. The row is a snapshot
+    /// that neither the route arena nor the participant memo sees, and it
+    /// routes exactly as [`Network::route`] does on the same graph.
+    pub fn row_tree(&mut self, from: OverlayId) -> RowTree {
         self.batched_queries += 1;
-        self.route_queries += pending.len() as u64;
-        let adjacency = &self.adjacency;
-        let transient;
-        let sp = match &mut self.computer {
-            RouteComputer::Eager { trees, trees_built } => trees.entry(src).or_insert_with(|| {
-                *trees_built += 1;
-                ShortestPaths::compute(adjacency, src)
-            }),
-            RouteComputer::Lazy(_) => {
-                transient = ShortestPaths::compute(adjacency, src);
-                &transient
-            }
-        };
-        for t in pending {
-            let dst = self.attachments[t];
-            let id = (sp.path_into(adjacency, dst, &mut self.path_buf))
-                .map(|cost| self.routes.intern(&self.path_buf, src, dst, cost));
-            self.memo.set(from, t, id);
-        }
+        RowTree::compute(&self.adjacency, self.attachments[from], &self.attachments)
     }
 
     /// Counters describing the routing work done so far. Totals accumulate
@@ -1374,6 +1326,12 @@ mod tests {
         assert_eq!(stats.mode, RoutingMode::LazyAlt { landmarks: 0 });
     }
 
+    /// `from → to` read off `from`'s row tree, as an owned link sequence.
+    fn row_path(net: &mut Network, from: OverlayId, to: OverlayId) -> Option<Vec<DirectedLinkId>> {
+        let mut path = Vec::new();
+        net.row_tree(from).path_into(to, &mut path).then_some(path)
+    }
+
     #[test]
     fn batched_row_fill_matches_point_queries() {
         for mode in [
@@ -1383,55 +1341,59 @@ mod tests {
         ] {
             let spec = dumbbell();
             let mut point = Network::with_routing(&spec, mode);
-            let mut batched = Network::with_routing(&spec, mode);
+            let mut rows = Network::with_routing(&spec, mode);
             for a in 0..spec.participants() {
+                let row = rows.row_tree(a);
+                let mut path = Vec::new();
                 for b in 0..spec.participants() {
-                    let reference = point.path(a, b);
-                    let via_batch = batched.route_batched(a, b);
-                    let got = via_batch.map(|id| links_of(&batched, id));
-                    assert_eq!(reference, got, "{mode:?}: {a}->{b}");
-                    // After the row fill, the plain hot-path lookup agrees.
-                    assert_eq!(batched.route(a, b), via_batch, "{mode:?}: {a}->{b}");
+                    let got = row.path_into(b, &mut path).then(|| path.clone());
+                    assert_eq!(point.path(a, b), got, "{mode:?}: {a}->{b}");
                 }
             }
-            let stats = batched.routing_stats();
-            assert!(stats.batched_queries > 0, "{mode:?}: no row fill ran");
-            if mode != RoutingMode::EagerPerSource {
-                assert_eq!(stats.trees_built, 0, "{mode:?}: batched built SPTs");
-                assert_eq!(stats.lazy_searches, 0, "{mode:?}: fell back to point");
-            }
+            let stats = rows.routing_stats();
+            assert_eq!(stats.batched_queries, spec.participants() as u64);
+            assert_eq!(
+                (stats.route_queries, stats.trees_built, stats.lazy_searches),
+                (0, 0, 0),
+                "{mode:?}: a row tree is one search and nothing else"
+            );
         }
     }
 
     #[test]
-    fn batched_row_fill_memoizes_unreachable_destinations() {
+    fn row_trees_report_unreachable_destinations() {
         // Participant 1 sits on an isolated router.
         let mut spec = NetworkSpec::new(3);
         spec.add_link(LinkSpec::new(0, 1, 10e6, SimDuration::from_millis(5)));
         spec.attach(0);
         spec.attach(2);
+        spec.attach(1);
         let mut net = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
-        assert_eq!(net.route_batched(0, 1), None);
-        let queries = net.routing_stats().route_queries;
-        // Served from the memo: no further computation.
-        assert_eq!(net.route_batched(0, 1), None);
+        assert_eq!(row_path(&mut net, 0, 1), None);
+        assert_eq!(row_path(&mut net, 1, 0), None);
+        assert_eq!(row_path(&mut net, 0, 0), Some(vec![]));
+        assert_eq!(row_path(&mut net, 0, 2), Some(vec![0]));
         assert_eq!(net.route(0, 1), None);
-        assert_eq!(net.routing_stats().route_queries, queries);
     }
 
     #[test]
-    fn route_all_from_prefills_the_hot_path() {
+    fn row_trees_leave_point_routing_alone() {
         let spec = dumbbell();
         let mut net = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 2 });
-        net.route_all_from(0);
-        let stats = net.routing_stats();
-        assert_eq!(stats.batched_queries, 1);
-        // Subsequent hot-path lookups are memo hits: no new computations.
-        net.route(0, 1).expect("route exists");
-        assert_eq!(net.routing_stats().route_queries, stats.route_queries);
-        // A second row fill finds nothing left to do.
-        net.route_all_from(0);
-        assert_eq!(net.routing_stats().batched_queries, 1);
+        let first = net.route(0, 1).expect("route exists");
+        let before = net.routing_stats();
+        assert_eq!(row_path(&mut net, 0, 1), Some(links_of(&net, first)));
+        let after = net.routing_stats();
+        assert_eq!(after.batched_queries, before.batched_queries + 1);
+        assert_eq!(
+            (after.route_queries, after.lazy_searches),
+            (before.route_queries, before.lazy_searches)
+        );
+        // The row interned nothing: the point route is the one routed first,
+        // and the reverse pair is still a memo miss.
+        assert_eq!(net.route(0, 1), Some(first));
+        net.route(1, 0).expect("route exists");
+        assert_eq!(net.routing_stats().route_queries, after.route_queries + 1);
     }
 
     /// Two disjoint router paths between the participants' routers:
@@ -2043,7 +2005,7 @@ mod tests {
         assert!(net.route(0, 1).is_some());
         net.set_router_up(1, false);
         assert_eq!(net.route(0, 1), None, "transit outage disconnects");
-        assert_eq!(net.route_batched(0, 1), None);
+        assert_eq!(row_path(&mut net, 0, 1), None);
         net.set_router_up(1, true);
         assert!(net.route(0, 1).is_some(), "recovery restores the route");
     }

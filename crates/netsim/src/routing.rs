@@ -54,14 +54,20 @@
 //! Nothing here uses cost symmetry, so plain bidirectional search on
 //! directed graphs reconstructs the same way.
 //!
-//! # Row fills
+//! # Row trees
 //!
-//! A whole row of routes out of one source ([`Network::route_all_from`])
-//! runs the whole-graph search, [`ShortestPaths::compute`], in both routing
-//! modes. Its targets are every participant, scattered over the whole
-//! graph, so settling all of them settles nearly everything: no goal
-//! direction can prune a search whose goals span the graph. What it can save
-//! is the queue: it keeps a bucket queue, not a heap (see `dijkstra`).
+//! The routes out of one source to every participant
+//! ([`Network::row_tree`]) come from one whole-graph search,
+//! [`ShortestPaths::compute`], in both routing modes. Its targets are every
+//! participant, scattered over the whole graph, so settling all of them
+//! settles nearly everything: no goal direction can prune a search whose
+//! goals span the graph. What it can save is the queue: it keeps a bucket
+//! queue, not a heap (see `dijkstra`). The search's predecessor links are
+//! then kept only along the paths to the targets, as a [`RowTree`]: a prefix
+//! tree in which each target's path is read back only as far as the first
+//! router already in the tree. The canonical routes out of one source share
+//! most of their links, so the tree holds each shared link once, and
+//! nothing is interned in the route arena or memoised per pair.
 //!
 //! # The graph
 //!
@@ -86,15 +92,20 @@
 //! - A [`LazyRouter`]'s search workspace — two frontier labels of 12 bytes
 //!   (a distance, and an epoch stamp whose low bit marks a settled router),
 //!   the landmark potential cache and the reconstruction memo, 41 bytes per
-//!   router — is allocated by its first point query. A router that only
-//!   serves row fills, as the bottleneck-tree oracle's does, never holds
+//!   router — is allocated by its first point query. A network that only
+//!   builds row trees, as the bottleneck-tree oracle's does, never holds
 //!   one.
 //! - A cached [`ShortestPaths`] tree is one `u32` predecessor link per
 //!   router. A path is walked back over its head's in-edges, and its cost
 //!   is the sum of its links' costs.
+//! - A [`RowTree`] is 8 bytes per distinct link of its row — a `u32` parent
+//!   node and a `u32` link — and a `u32` leaf per target. Its search is
+//!   transient: 17 bytes per router at its peak (a distance, a queue flag, a
+//!   predecessor link and the bucket queue), then a `u32` router-to-node
+//!   entry beside the predecessor links while the tree is read off.
 //!
 //! [`Network`]: crate::network::Network
-//! [`Network::route_all_from`]: crate::network::Network::route_all_from
+//! [`Network::row_tree`]: crate::network::Network::row_tree
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -484,12 +495,10 @@ impl ShortestPaths {
             if link == NO_LINK {
                 return None;
             }
-            let &(tail, _, c) = (adj.in_neighbors(cur).iter())
-                .find(|&&(_, l, _)| l == link)
-                .expect("a tree link is a live in-edge of its head");
+            let (tail, c) = tail_of(adj, cur, link);
             out.push(link as DirectedLinkId);
             cost += u64::from(c);
-            cur = tail as RouterId;
+            cur = tail;
         }
         out.reverse();
         Some(cost)
@@ -501,6 +510,90 @@ impl ShortestPaths {
         let mut path = Vec::new();
         let cost = self.path_into(adj, dst, &mut path)?;
         Some((cost, path))
+    }
+}
+
+/// The tail router and cost of `link`, a live in-edge of `head`.
+fn tail_of(adj: &Adjacency, head: RouterId, link: u32) -> (RouterId, u32) {
+    let &(tail, _, cost) = (adj.in_neighbors(head).iter())
+        .find(|&&(_, l, _)| l == link)
+        .expect("a tree link is a live in-edge of its head");
+    (tail as RouterId, cost)
+}
+
+/// [`RowTree`] node of a target its source cannot reach.
+const NO_NODE: u32 = u32::MAX;
+
+/// The canonical paths from one source router to a list of targets, kept as
+/// a prefix tree: the paths out of one source share most of their links, so
+/// the tree holds each of them once.
+///
+/// Node 0 is the source router. Node `i + 1` is a router entered over
+/// `links[i] = (parent node, directed link)`, and a parent always precedes
+/// its children. Each target holds one leaf, the node of its router. Every
+/// root-to-leaf walk follows one search's canonical predecessor links, so
+/// [`RowTree::path_into`] returns exactly what [`ShortestPaths::path_into`]
+/// does. The tree is a snapshot of the graph it was computed on, and no
+/// topology mutation repairs it.
+#[derive(Clone, Debug)]
+pub struct RowTree {
+    /// `(parent node, directed link)` of nodes 1, 2, … in order.
+    links: Box<[(u32, u32)]>,
+    /// Each target's node, or [`NO_NODE`] if it is unreachable.
+    leaves: Box<[u32]>,
+}
+
+impl RowTree {
+    /// Runs one whole-graph search from `source` and keeps the canonical
+    /// paths to every router of `targets`. Each path is read back from its
+    /// target only as far as the first router already in the tree, and the
+    /// new branch hangs off that router's node.
+    pub(crate) fn compute(adj: &Adjacency, source: RouterId, targets: &[RouterId]) -> Self {
+        let sp = ShortestPaths::compute(adj, source);
+        let mut node_of = vec![NO_NODE; adj.len()];
+        node_of[source] = 0;
+        let (mut links, mut leaves) = (Vec::new(), Vec::with_capacity(targets.len()));
+        // A new branch as `(router, link into it)`, read from its far end.
+        let mut branch: Vec<(RouterId, u32)> = Vec::new();
+        for &target in targets {
+            let mut cur = target;
+            while node_of[cur] == NO_NODE && sp.prev[cur] != NO_LINK {
+                let link = sp.prev[cur];
+                branch.push((cur, link));
+                cur = tail_of(adj, cur, link).0;
+            }
+            // Only an unreachable target stops outside the tree, at once: its
+            // branch is empty and its leaf is `NO_NODE`.
+            let mut node = node_of[cur];
+            for (router, link) in branch.drain(..).rev() {
+                links.push((node, link));
+                node = links.len() as u32;
+                node_of[router] = node;
+            }
+            leaves.push(node);
+        }
+        RowTree {
+            links: links.into_boxed_slice(),
+            leaves: leaves.into_boxed_slice(),
+        }
+    }
+
+    /// Writes the canonical path to target `target` (directed link ids,
+    /// source first) into `out`. Returns `false`, with `out` empty, if the
+    /// target is unreachable.
+    pub fn path_into(&self, target: usize, out: &mut Vec<DirectedLinkId>) -> bool {
+        out.clear();
+        let mut node = self.leaves[target];
+        if node == NO_NODE {
+            return false;
+        }
+        while node != 0 {
+            let (parent, link) = self.links[node as usize - 1];
+            out.push(link as DirectedLinkId);
+            node = parent;
+        }
+        out.reverse();
+        true
     }
 }
 
@@ -841,8 +934,8 @@ pub struct LandmarkRepair {
 
 /// The per-router state of point queries: both frontiers, the potential
 /// cache and the reconstruction's memo, 41 bytes per router. A
-/// [`LazyRouter`] allocates it on its first query, so a router that only
-/// ever serves row fills never holds one.
+/// [`LazyRouter`] allocates it on its first query, so the router of a
+/// network that only builds row trees never holds one.
 #[derive(Debug)]
 struct Workspace {
     fwd: SearchSide,
@@ -1241,7 +1334,7 @@ mod tests {
 
     use super::*;
     use crate::link::LinkSpec;
-    use crate::network::{Network, NetworkSpec, RouteId};
+    use crate::network::{Network, NetworkSpec};
     use crate::rng::SimRng;
     use crate::time::SimDuration;
 
@@ -2006,14 +2099,13 @@ mod tests {
         Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks })
     }
 
-    /// `from → to` through a row fill, as an owned link sequence.
+    /// `from → to` read off `from`'s row tree, as an owned link sequence.
     fn batched_path(net: &mut Network, from: usize, to: usize) -> Option<Vec<DirectedLinkId>> {
-        let id = net.route_batched(from, to)?;
-        let links = net.route_links(id);
-        Some(links.iter().map(|&link| link as DirectedLinkId).collect())
+        let mut path = Vec::new();
+        net.row_tree(from).path_into(to, &mut path).then_some(path)
     }
 
-    // In a lazy-mode network a row fill runs the reference Dijkstra and a
+    // In a lazy-mode network a row tree runs the reference Dijkstra and a
     // point query runs `LazyRouter::query`: the four tests below compare two
     // implementations, each on a network of its own so neither is served
     // from the other's memo.
@@ -2022,14 +2114,36 @@ mod tests {
     fn batched_paths_match_the_reference_on_a_line() {
         let mut rows = lazy_network(5, &line_edges(5), 0);
         let mut points = lazy_network(5, &line_edges(5), 0);
+        let row = rows.row_tree(1);
+        let mut path = Vec::new();
         for t in [4, 0, 1, 3, 4] {
             // out of order, the source itself, a repeat
-            assert_eq!(batched_path(&mut rows, 1, t), points.path(1, t), "1->{t}");
+            let got = row.path_into(t, &mut path).then(|| path.clone());
+            assert_eq!(got, points.path(1, t), "1->{t}");
         }
         assert_eq!(batched_path(&mut rows, 1, 4), Some(vec![2, 4, 6]));
         let stats = rows.routing_stats();
-        assert_eq!((stats.batched_queries, stats.lazy_searches), (1, 0));
+        assert_eq!((stats.batched_queries, stats.lazy_searches), (2, 0));
         assert_eq!(points.routing_stats().lazy_searches, 3);
+    }
+
+    /// A row's branches hang off the first tree router they meet: on a
+    /// star of two-hop spokes with one shared first hop, the tree holds
+    /// each link once, and a branch anchored at the root would lose the
+    /// shared hop.
+    #[test]
+    fn row_trees_share_the_links_of_common_prefixes() {
+        // 0 - 1, then 1 - 2, 1 - 3 and 1 - 4: every path out of 0 starts
+        // with link 0.
+        let edges = [(0, 1, 5), (1, 2, 5), (1, 3, 5), (1, 4, 5)];
+        let mut net = lazy_network(5, &edges, 0);
+        let row = net.row_tree(0);
+        assert_eq!(row.links.len(), 4, "one entry per distinct link");
+        let mut path = Vec::new();
+        for (t, last) in [(2, 2), (3, 4), (4, 6)] {
+            assert!(row.path_into(t, &mut path));
+            assert_eq!(path, [0, last], "0->{t}");
+        }
     }
 
     #[test]
@@ -2042,27 +2156,29 @@ mod tests {
             assert_eq!(batched_path(&mut rows, 0, 1), Some(vec![0]));
             assert_eq!(batched_path(&mut rows, 0, 2), None, "landmarks {landmarks}");
             assert_eq!(batched_path(&mut rows, 0, 3), None, "landmarks {landmarks}");
-            assert_eq!(rows.route_batched(0, 0), Some(RouteId::EMPTY));
+            assert_eq!(batched_path(&mut rows, 0, 0), Some(vec![]));
             for t in 0..4 {
                 assert_eq!(batched_path(&mut rows, 0, t), points.path(0, t), "0->{t}");
             }
         }
     }
 
-    /// Row fills must return bit-identical canonical paths to the pairwise
+    /// Row trees must return bit-identical canonical paths to the pairwise
     /// lazy searches on tie-heavy random graphs, with and without landmarks.
     #[test]
     fn batched_paths_match_reference_on_random_tie_heavy_graphs() {
         let mut rng = SimRng::new(0xBA7C4);
+        let mut path = Vec::new();
         for case in 0..20 {
             let (n, edges) = random_tie_heavy_edges(&mut rng);
             for landmarks in [0, 3] {
                 let mut rows = lazy_network(n, &edges, landmarks);
                 let mut points = lazy_network(n, &edges, landmarks);
                 for src in 0..n {
+                    let row = rows.row_tree(src);
                     for dst in 0..n {
                         assert_eq!(
-                            batched_path(&mut rows, src, dst),
+                            row.path_into(dst, &mut path).then(|| path.clone()),
                             points.path(src, dst),
                             "case {case}: {src}->{dst}, {landmarks} landmarks"
                         );
@@ -2074,23 +2190,22 @@ mod tests {
         }
     }
 
-    /// Row fills interleave with point queries on one network: a fill keeps
-    /// the pairs already routed and the lazy router's workspace is none of
-    /// its business.
+    /// Row trees interleave with point queries on one network: a row
+    /// touches neither the memo nor the lazy router's workspace.
     #[test]
     fn batched_and_pairwise_queries_interleave() {
         let mut net = lazy_network(6, &line_edges(6), 2);
         let first = net.route(0, 5).expect("connected");
-        assert_eq!(net.route_batched(0, 2), net.route(0, 2));
+        assert_eq!(batched_path(&mut net, 0, 2), net.path(0, 2));
         assert_eq!(batched_path(&mut net, 0, 2), Some(vec![0, 2]));
-        assert_eq!(net.route_batched(0, 5), Some(first), "the fill kept 0->5");
+        assert_eq!(net.route(0, 5), Some(first), "the row kept 0->5");
         let back = net.route(5, 0).expect("connected");
         assert_eq!(net.route_links(back), &[9, 7, 5, 3, 1]);
+        assert_eq!(batched_path(&mut net, 5, 0), Some(vec![9, 7, 5, 3, 1]));
         let stats = net.routing_stats();
-        assert_eq!((stats.lazy_searches, stats.batched_queries), (2, 1));
-        // One point search, four filled pairs (0->0 crosses no link), one
-        // point search.
-        assert_eq!(stats.route_queries, 6);
+        assert_eq!((stats.lazy_searches, stats.batched_queries), (3, 3));
+        // Three point searches; the rows count none.
+        assert_eq!(stats.route_queries, 3);
     }
 
     #[test]

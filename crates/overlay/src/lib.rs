@@ -24,8 +24,6 @@ pub mod random_tree;
 pub mod tree;
 
 pub use handcrafted::{good_tree, layered_tree, worst_tree};
-pub use ombt::{
-    bottleneck_tree, bottleneck_tree_with, OmbtConfig, OracleStrategy, ThroughputOracle,
-};
+pub use ombt::{bottleneck_tree, OmbtConfig, ThroughputOracle};
 pub use random_tree::random_tree;
 pub use tree::{Tree, TreeError};

@@ -13,7 +13,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use bullet_netsim::{DirectedLinkId, Network, OverlayId};
+use bullet_netsim::{DirectedLinkId, Network, OverlayId, RowTree};
 use bullet_transport::{tcp_throughput_bps, DATA_PACKET_BYTES};
 
 use crate::tree::Tree;
@@ -59,79 +59,67 @@ impl Ord for Candidate {
     }
 }
 
-/// How a [`ThroughputOracle`] acquires the unicast routes it inspects.
-///
-/// Both strategies return the same canonical paths (the guarantee lives in
-/// `bullet_netsim::routing`), so the trees built on top of them are
-/// bit-identical; they differ only in how much search work a cache-missing
-/// pair costs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OracleStrategy {
-    /// One point-to-point computation per (source, destination) pair: the
-    /// reference the batched-vs-pairwise tree equivalence property compares
-    /// against.
-    Pairwise,
-    /// Batched one-to-many queries: the first miss on a source's row fills
-    /// the network's flat participant route table with a single forward
-    /// search ([`Network::route_all_from`]). Tree constructions evaluate a
-    /// candidate source against many destinations (and, over their run, the
-    /// reverse pair of every participant), so this turns their
-    /// O(participants²) point searches into O(participants) batched ones.
-    #[default]
-    Batched,
-}
-
 /// Oracle estimator for overlay link throughput.
+///
+/// It reads the routes of a participant's pairs off that participant's
+/// [`RowTree`], built by the first estimate that needs it: one whole-graph
+/// search per participant, where point routes would cost one search per
+/// pair and intern every pair's route. A tree construction evaluates a
+/// source against every destination and, through the RTT, every
+/// destination against the source, so it ends up holding a row per
+/// participant. Paths are walked source first, so every sum and product
+/// is the one a point route gives, bit for bit.
 pub struct ThroughputOracle<'a> {
     net: &'a mut Network,
     /// Number of tree flows currently routed over each directed link,
     /// indexed by link id.
     flows: Vec<u32>,
-    strategy: OracleStrategy,
+    /// Each participant's row tree, once an estimate has needed it.
+    rows: Vec<Option<RowTree>>,
+    /// Scratch for one path, source first.
+    path: Vec<DirectedLinkId>,
 }
 
 impl<'a> ThroughputOracle<'a> {
-    /// Creates an oracle over the given network with the default
-    /// ([`OracleStrategy::Batched`]) route acquisition.
+    /// Creates an oracle over the given network.
     pub fn new(net: &'a mut Network) -> Self {
-        Self::with_strategy(net, OracleStrategy::default())
-    }
-
-    /// Creates an oracle with an explicit route-acquisition strategy.
-    pub fn with_strategy(net: &'a mut Network, strategy: OracleStrategy) -> Self {
         ThroughputOracle {
             flows: vec![0; net.links().len()],
+            rows: vec![None; net.participants()],
+            path: Vec::new(),
             net,
-            strategy,
         }
     }
 
-    fn route(&mut self, from: OverlayId, to: OverlayId) -> Option<bullet_netsim::RouteId> {
-        match self.strategy {
-            OracleStrategy::Pairwise => self.net.route(from, to),
-            OracleStrategy::Batched => self.net.route_batched(from, to),
-        }
+    /// Reads the canonical route `from -> to` into `self.path`, returning
+    /// `false` if `to` is unreachable.
+    fn read_path(&mut self, from: OverlayId, to: OverlayId) -> bool {
+        let row = self.rows[from].get_or_insert_with(|| self.net.row_tree(from));
+        row.path_into(to, &mut self.path)
     }
 
     /// Estimates the throughput (bits/second) of the overlay link
     /// `from -> to` under the current tree flows, per the paper's §4.1 model:
     /// `min(formula rate, min over links of capacity / (flows + 1))`.
     pub fn estimate_bps(&mut self, from: OverlayId, to: OverlayId) -> Option<f64> {
-        let fwd = self.route(from, to)?;
-        let rev = self.route(to, from)?;
+        if !self.read_path(from, to) {
+            return None;
+        }
         let mut loss_survive = 1.0;
         let mut fair_share = f64::INFINITY;
         let mut delay = 0.0;
-        for &link_id in self.net.route_links(fwd) {
-            let link_id = link_id as DirectedLinkId;
+        for &link_id in &self.path {
             let link = self.net.link(link_id);
             loss_survive *= 1.0 - link.loss;
             delay += link.delay.as_secs_f64();
             fair_share = fair_share.min(link.bandwidth_bps / (self.flows[link_id] + 1) as f64);
         }
+        if !self.read_path(to, from) {
+            return None;
+        }
         let mut reverse_delay = 0.0;
-        for &link_id in self.net.route_links(rev) {
-            reverse_delay += self.net.link(link_id as DirectedLinkId).delay.as_secs_f64();
+        for &link_id in &self.path {
+            reverse_delay += self.net.link(link_id).delay.as_secs_f64();
         }
         let rtt = (delay + reverse_delay).max(1e-4);
         let loss = 1.0 - loss_survive;
@@ -145,40 +133,26 @@ impl<'a> ThroughputOracle<'a> {
 
     /// Marks the overlay link `from -> to` as carrying one more tree flow.
     pub fn commit_flow(&mut self, from: OverlayId, to: OverlayId) {
-        let Some(id) = self.route(from, to) else {
-            return;
-        };
-        for &link_id in self.net.route_links(id) {
-            self.flows[link_id as DirectedLinkId] += 1;
+        if self.read_path(from, to) {
+            for &link_id in &self.path {
+                self.flows[link_id] += 1;
+            }
         }
     }
 }
 
 /// Builds the greedy offline bottleneck-bandwidth tree over `participants`
-/// overlay nodes rooted at `root`, batching its candidate-evaluation rounds
-/// through the network's one-to-many query path.
+/// overlay nodes rooted at `root`, estimating its candidates with a
+/// [`ThroughputOracle`].
 pub fn bottleneck_tree(
     net: &mut Network,
     participants: usize,
     root: OverlayId,
     config: &OmbtConfig,
 ) -> Tree {
-    bottleneck_tree_with(net, participants, root, config, OracleStrategy::default())
-}
-
-/// [`bottleneck_tree`] with an explicit [`OracleStrategy`]. Both strategies
-/// build bit-identical trees; `Pairwise` is the reference the equivalence
-/// property compares against.
-pub fn bottleneck_tree_with(
-    net: &mut Network,
-    participants: usize,
-    root: OverlayId,
-    config: &OmbtConfig,
-    strategy: OracleStrategy,
-) -> Tree {
     assert!(participants > 0, "need at least one participant");
     assert!(root < participants, "root out of range");
-    let mut oracle = ThroughputOracle::with_strategy(net, strategy);
+    let mut oracle = ThroughputOracle::new(net);
     let mut parents: Vec<Option<OverlayId>> = vec![None; participants];
     let mut in_tree = vec![false; participants];
     let mut child_count = vec![0usize; participants];
@@ -247,10 +221,17 @@ pub fn bottleneck_tree_with(
     Tree::from_parents(parents).expect("greedy construction yields a tree")
 }
 
+/// Point-route reference for the oracle, shared with the workspace
+/// property tests.
+#[cfg(test)]
+#[path = "../../../tests/support/pairwise_ombt.rs"]
+mod pairwise_ombt;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bullet_netsim::{LinkSpec, NetworkSpec, SimDuration};
+    use pairwise_ombt::{pairwise_bottleneck_tree, PairwiseOracle};
 
     /// Star of routers around one hub; participant i attaches to router i+1
     /// whose access link bandwidth is `bw[i]`.
@@ -322,21 +303,9 @@ mod tests {
     fn batched_and_pairwise_strategies_build_the_same_tree() {
         let spec = star(&[10e6, 3e6, 7e6, 1e6, 12e6, 5e6, 2e6, 9e6]);
         let config = OmbtConfig { max_children: 2 };
-        let batched = bottleneck_tree_with(
-            &mut Network::new(&spec),
-            8,
-            0,
-            &config,
-            OracleStrategy::Batched,
-        );
-        let pairwise = bottleneck_tree_with(
-            &mut Network::new(&spec),
-            8,
-            0,
-            &config,
-            OracleStrategy::Pairwise,
-        );
-        assert_eq!(batched.parents(), pairwise.parents());
+        let batched = bottleneck_tree(&mut Network::new(&spec), 8, 0, &config);
+        let pairwise = pairwise_bottleneck_tree(&mut Network::new(&spec), 8, config.max_children);
+        assert_eq!(batched.parents(), pairwise);
     }
 
     #[test]
@@ -344,8 +313,8 @@ mod tests {
         let spec = star(&[10e6, 10e6, 4e6]);
         let mut net_a = Network::new(&spec);
         let mut net_b = Network::new(&spec);
-        let mut batched = ThroughputOracle::with_strategy(&mut net_a, OracleStrategy::Batched);
-        let mut pairwise = ThroughputOracle::with_strategy(&mut net_b, OracleStrategy::Pairwise);
+        let mut batched = ThroughputOracle::new(&mut net_a);
+        let mut pairwise = PairwiseOracle::new(&mut net_b);
         for from in 0..3 {
             for to in 0..3 {
                 if from == to {

@@ -1,5 +1,6 @@
 //! Quickstart: build a topology, layer Bullet over a random tree, stream for
-//! a minute, and print what every receiver achieved.
+//! a minute, and print what every receiver achieved. It exits with a panic
+//! unless every receiver's useful rate over the run is positive.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
@@ -70,4 +71,24 @@ fn main() {
         result.summary.control_overhead_kbps,
         result.summary.median_delivery_fraction * 100.0
     );
+
+    // 5. Every receiver got useful data: its rate from the stream's start to
+    //    the last sample is positive.
+    let last = result
+        .per_node_useful_bytes
+        .last()
+        .expect("the run sampled");
+    let streaming_s =
+        result.times.last().expect("the run sampled") - config.stream_start.as_secs_f64();
+    let rates: Vec<(usize, f64)> = (last.iter().enumerate())
+        .filter(|&(node, _)| node != result.source)
+        .map(|(node, &bytes)| (node, bytes as f64 * 8.0 / streaming_s / 1_000.0))
+        .collect();
+    let (slowest, kbps) = (rates.iter().copied())
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("the overlay has receivers");
+    println!("slowest receiver: node {slowest} at {kbps:.0} Kbps useful");
+    for (node, kbps) in rates {
+        assert!(kbps > 0.0, "receiver {node} got no useful data");
+    }
 }

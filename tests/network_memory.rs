@@ -8,18 +8,19 @@
 //! so the setup is a handful of allocations; a graph with one edge list per
 //! router would hold tens of thousands and fail here. The view's search
 //! workspace must appear at its first point query and not before. The test
-//! then builds the offline bottleneck tree over 40 participants, which
-//! interns a route for every participant pair, and bounds what the view
-//! grows by per interned route link: a 4-byte link id plus each route's
-//! share of its span, endpoints, cost and stale flag; the tree's view never
-//! holds a workspace. Last, on the small emulation class, the eager
-//! per-source trees must hold 4 bytes per router and source.
+//! then builds the offline bottleneck tree over 40 participants, whose
+//! oracle reads one row tree per participant and interns nothing: the view
+//! must not grow, and the build's peak above it is bounded by the row
+//! trees' links and leaves, the oracle's flow array and one row search.
+//! Last, on the small emulation class, the eager per-source trees must
+//! hold 4 bytes per router and source.
 //!
 //! The counts are the same on every run for a given toolchain. This file
 //! contains exactly one test so no concurrent test can touch the
 //! process-wide counters during the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bullet_suite::netsim::{Network, NetworkSetup, RoutingMode, SimDuration};
@@ -30,9 +31,17 @@ struct CountingAllocator;
 
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static LIVE_ALLOCATIONS: AtomicI64 = AtomicI64::new(0);
+/// The most bytes live at once since the last [`reset_peak`].
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Adds `delta` to the live bytes and raises the peak to the new total.
+fn grow(delta: i64) {
+    let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 fn count_alloc(size: usize) {
-    LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed);
+    grow(size as i64);
     LIVE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -48,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        grow(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -75,6 +84,13 @@ fn live() -> (i64, i64) {
         LIVE_BYTES.load(Ordering::SeqCst),
         LIVE_ALLOCATIONS.load(Ordering::SeqCst),
     )
+}
+
+/// Starts a new peak window at the bytes live now, and returns them.
+fn reset_peak() -> i64 {
+    let now = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_BYTES.store(now, Ordering::SeqCst);
+    now
 }
 
 /// What became live since `before`.
@@ -142,45 +158,63 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     );
 
     let topo = generate(&TopologyConfig::paper_scale(40, 7));
+    let links = 2 * topo.spec.links.len();
     let participants = topo.spec.participants();
     let setup = NetworkSetup::new(&topo.spec);
+    // One row search, on a view of its own, peaks at its transient
+    // workspace and the row tree it returns.
+    let mut probe = Network::with_setup(&topo.spec, &setup);
+    let base = reset_peak();
+    drop(probe.row_tree(0));
+    let search = PEAK_BYTES.load(Ordering::SeqCst) - base;
+    drop(probe);
     let before = live();
     let mut view = Network::with_setup(&topo.spec, &setup);
     let (fresh_view, _) = held_since(before);
     let before = live();
+    let base = reset_peak();
     let tree = bottleneck_tree(&mut view, participants, 0, &OmbtConfig::default());
+    let peak = PEAK_BYTES.load(Ordering::SeqCst) - base;
     drop(tree);
     let (grown, _) = held_since(before);
-    // Every pair is a memo hit now, so these are the routes the tree interned.
-    let queries = view.routing_stats().route_queries;
-    let mut route_links = 0;
+    let stats = view.routing_stats();
+    // A row tree holds each distinct link of its row's canonical paths
+    // once, and those are the links of the point routes out of its source.
+    let mut row_links = 0;
     for a in 0..participants {
+        let mut row: BTreeSet<u32> = BTreeSet::new();
         for b in 0..participants {
             let id = view.route(a, b).expect("the paper topology is connected");
-            route_links += view.route_links(id).len();
+            row.extend(view.route_links(id));
         }
+        row_links += row.len() as i64;
     }
-    assert_eq!(view.routing_stats().route_queries, queries);
-    assert_eq!(
-        view.routing_stats().lazy_searches,
-        0,
-        "the tree ran row fills only"
-    );
-    let per_link = grown as f64 / route_links as f64;
+    let n = participants as i64;
+    let rows = 8 * row_links + 4 * n * n;
+    let flows = 4 * links as i64;
     let report = format!(
-        "{participants} participants: a fresh view of {fresh_view} B, which the tree \
-         grew by {grown} B over {route_links} interned route links, {per_link:.2} B each"
+        "{participants} participants: a fresh view of {fresh_view} B, which the tree grew \
+         by {grown} B after {} row searches and {} point searches; a build peak of {peak} B \
+         above it, against {rows} B of row trees over {row_links} links, a {flows} B flow \
+         array and a {search} B row search",
+        stats.batched_queries, stats.lazy_searches
     );
-    // Measured: a fresh view of 2,503,145 B grew by 190,951 B over 31,250
-    // route links, 6.11 B each. A route arena of 8-byte link ids with a
-    // link→routes back-index holds 17.4 B a link.
-    assert!(per_link <= 8.0, "{report}");
-    // The tree's row fills need no search workspace, so the view holds its
-    // links, memo and routes alone: a workspace would add 0.83 MB.
-    assert!(
-        fresh_view + grown <= VIEW_CEILING + 8 * route_links as i64,
+    // The oracle's rows are its own and gone with it, and it needs no
+    // point route: the view keeps no route, memo row or workspace.
+    assert!(grown <= 4_096, "{report}");
+    assert_eq!(
+        (stats.batched_queries, stats.lazy_searches),
+        (participants as u64, 0),
         "{report}"
     );
+    // The peak holds every row tree at once, 8 B per link and 4 B per
+    // participant, beside the oracle's 4-byte flow count per directed link
+    // and one row search's transient workspace; 16 KB covers the rest of
+    // the greedy's state. Measured: a peak of 660,708 B over 128,696 B of
+    // row trees (15,287 links), a 178,088 B flow array and a 350,220 B
+    // search. Interning a route per pair grew the view by 190,951 B and
+    // peaked at 734,339 B, above this ceiling.
+    assert!(peak <= rows + flows + search + 16_384, "{report}");
 
     // Small topologies route with eager per-source trees. Warm every pair of
     // the emulation class, then drop the tree cache with a route-affecting

@@ -15,15 +15,17 @@ use bullet_suite::content::{
     WorkingSet,
 };
 use bullet_suite::netsim::{LinkSpec, Network, NetworkSpec, RoutingMode, SimDuration, SimRng};
-use bullet_suite::overlay::{
-    bottleneck_tree_with, random_tree, OmbtConfig, OracleStrategy, ThroughputOracle, Tree,
-};
+use bullet_suite::overlay::{bottleneck_tree, random_tree, OmbtConfig, ThroughputOracle, Tree};
 use bullet_suite::ransub::{compact, Member, WeightedSet};
 use bullet_suite::topology::{generate, LossProfile, TopologyConfig};
-use bullet_suite::transport::tcp_throughput_bps;
+use bullet_suite::transport::{tcp_throughput_bps, DATA_PACKET_BYTES};
 
+#[path = "support/pairwise_ombt.rs"]
+mod pairwise_ombt;
 #[path = "support/routing_equiv.rs"]
 mod routing_equiv;
+
+use pairwise_ombt::{pairwise_bottleneck_tree, PairwiseOracle};
 
 const CASES: u64 = 64;
 
@@ -621,6 +623,40 @@ fn lazy_routing_matches_reference_on_the_paper_topology_class() {
     );
 }
 
+/// Row trees are canonical routes on a mutated paper-class topology too:
+/// after a link outage and a delay change on the routes between three
+/// participants, every ordered pair's path in the row tree read off the
+/// patched graph is the one `Network::route` interns for it.
+/// `lazy_routing_matches_reference_on_the_paper_topology_class` checks a
+/// pristine paper-class topology the same way.
+#[test]
+fn row_trees_are_canonical_routes_after_paper_class_mutations() {
+    let topo = generate(&TopologyConfig::paper_scale(24, 11));
+    let n = topo.participants();
+    let mut net = Network::new(&topo.spec);
+    let mut middle_link = |a: usize, b: usize| {
+        let path = net.path(a, b).expect("the paper topology is connected");
+        path[path.len() / 2] / 2
+    };
+    let (down, slowed) = (middle_link(0, 1), middle_link(1, 2));
+    net.set_link_up(down, false);
+    let delay = topo.spec.links[slowed].delay;
+    net.set_link_delay(slowed, delay + SimDuration::from_millis(40));
+    assert_eq!(net.topology_epoch(), 2, "both mutations change the graph");
+    let mut path = Vec::new();
+    for a in 0..n {
+        let row = net.row_tree(a);
+        for b in 0..n {
+            let point = net.route(a, b).map(|id| {
+                let links = net.route_links(id).iter();
+                links.map(|&link| link as usize).collect::<Vec<_>>()
+            });
+            let read = row.path_into(b, &mut path).then_some(&path);
+            assert_eq!(read, point.as_ref(), "{a}->{b}");
+        }
+    }
+}
+
 /// The scenario-dynamics mutation gate on seeded topology classes: after
 /// every scripted link/router mutation, the incrementally invalidated
 /// networks (all strategies, pairwise and batched) must route bit-identically
@@ -874,17 +910,18 @@ fn throughput_oracle_rereads_mutated_link_state() {
     }
 }
 
-/// The offline tree oracle must build **bit-identical** trees whether its
-/// routes come from the batched one-to-many row fills or from pairwise point
-/// searches: the paths are canonical either way, and the floating-point
-/// estimate arithmetic is untouched by the strategy. This is the oracle
-/// counterpart of the routing-equivalence gate. The pairwise side routes
-/// with plain bidirectional search, so the row fills' whole-graph kernel is
+/// The offline tree oracle, which reads its routes off one row tree per
+/// participant, must agree **bit for bit** with the pairwise model of
+/// `pairwise_ombt`, which reads every pair's point route: over random sequences of
+/// estimates and committed flows, and in the trees the greedy builds. The
+/// model routes with lazy search, so the row trees' whole-graph kernel is
 /// checked against independent code; the lossy cases make every estimate
-/// read its reverse route too, through the RTT of the TCP formula.
+/// read its reverse route too, through the RTT of the TCP formula, and the
+/// lossy paper-class case does so on ≈ 20k routers.
 #[test]
 fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
     let mut rng = SimRng::new(0x0BA7_C11E);
+    let mut topologies = Vec::new();
     for case in 0..4 {
         let seed = rng.next_u64();
         let clients = 10 + (rng.next_u64() % 8) as usize;
@@ -900,38 +937,38 @@ fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
                 "emulation-lossy",
             ),
         ] {
-            let topo = generate(&config);
-            let label = format!("{class}/case{case}");
-            let network = |strategy: OracleStrategy| match strategy {
-                OracleStrategy::Batched => Network::new(&topo.spec),
-                OracleStrategy::Pairwise => {
-                    Network::with_routing(&topo.spec, RoutingMode::LazyAlt { landmarks: 0 })
-                }
-            };
-            let ombt = OmbtConfig { max_children: 4 };
-            let tree = |strategy: OracleStrategy| {
-                bottleneck_tree_with(&mut network(strategy), clients, 0, &ombt, strategy)
-            };
+            topologies.push((format!("{class}/case{case}"), config));
+        }
+    }
+    topologies.push((
+        "paper-lossy".to_string(),
+        TopologyConfig::paper_scale(40, 7).with_loss(LossProfile::paper_lossy()),
+    ));
+    for (label, config) in topologies {
+        let topo = generate(&config);
+        let n = topo.participants();
+        let points = || Network::with_routing(&topo.spec, RoutingMode::LazyAlt { landmarks: 4 });
+        let ombt = OmbtConfig { max_children: 4 };
+        let tree = bottleneck_tree(&mut Network::new(&topo.spec), n, 0, &ombt);
+        assert_eq!(
+            tree.parents(),
+            pairwise_bottleneck_tree(&mut points(), n, ombt.max_children),
+            "{label}: OMBT diverges from the pairwise model"
+        );
+        let (mut rows, mut pairs) = (Network::new(&topo.spec), points());
+        let mut oracle = ThroughputOracle::new(&mut rows);
+        let mut model = PairwiseOracle::new(&mut pairs);
+        for step in 0..8 * n {
+            let (from, to) = (rng.range_usize(0, n), rng.range_usize(0, n));
             assert_eq!(
-                tree(OracleStrategy::Batched).parents(),
-                tree(OracleStrategy::Pairwise).parents(),
-                "{label}: OMBT diverges under batching"
+                oracle.estimate_bps(from, to).map(f64::to_bits),
+                model.estimate_bps(from, to).map(f64::to_bits),
+                "{label}: step {step}: {from}->{to}"
             );
-            // The oracle's source-to-node estimates on a fresh network, the
-            // first round of every OMBT build: batched row fills vs pure
-            // point queries.
-            let estimates = |strategy: OracleStrategy| -> Vec<Option<f64>> {
-                let mut net = network(strategy);
-                let mut oracle = ThroughputOracle::with_strategy(&mut net, strategy);
-                (1..clients)
-                    .map(|node| oracle.estimate_bps(0, node))
-                    .collect()
-            };
-            assert_eq!(
-                estimates(OracleStrategy::Batched),
-                estimates(OracleStrategy::Pairwise),
-                "{label}: batched metric diverges from pairwise"
-            );
+            if rng.chance(0.5) {
+                oracle.commit_flow(from, to);
+                model.commit_flow(from, to);
+            }
         }
     }
 }

@@ -3,15 +3,15 @@
 //! The lazy bidirectional router and its ALT (landmark) variant must return
 //! the *same* canonical route — identical hop sequence, hence identical
 //! cost — as the eager per-source reference Dijkstra, for every router pair
-//! the overlay can use; the batched one-to-many row fills
-//! (`Network::route_batched` / `route_all_from`) must reproduce those same
-//! routes again. This module cross-checks all strategies over one
+//! the overlay can use; the one-search-per-source row trees
+//! (`Network::row_tree`) must reproduce those same routes again. This module cross-checks all strategies over one
 //! `NetworkSpec` and is shared (via `#[path]` inclusion) by
 //! `tests/properties.rs` and the paper-scale tests, so every generated
 //! topology class goes through the same gate.
 
 use bullet_suite::netsim::{
-    DirectedLinkId, LinkSpec, Network, NetworkSpec, RouterId, RoutingMode, SimDuration, SimRng,
+    DirectedLinkId, LinkSpec, Network, NetworkSpec, RouterId, RoutingMode, RowTree, SimDuration,
+    SimRng,
 };
 
 /// Number of landmarks the harness gives the ALT router. Deliberately small
@@ -32,39 +32,33 @@ fn networks(spec: &NetworkSpec) -> (Network, Network, Network) {
     )
 }
 
-/// Builds the batched (row-filling) networks under comparison: plain
-/// bidirectional and ALT, both queried exclusively through
-/// `Network::route_batched`.
-fn batched_networks(spec: &NetworkSpec) -> (Network, Network) {
-    (
-        Network::with_routing(spec, RoutingMode::LazyAlt { landmarks: 0 }),
-        Network::with_routing(
-            spec,
-            RoutingMode::LazyAlt {
-                landmarks: HARNESS_LANDMARKS,
-            },
-        ),
+/// Builds the network the row trees are read from. A row tree runs the same
+/// whole-graph search in every routing mode, and this network is asked for
+/// nothing else, so its lazy router never runs.
+fn row_network(spec: &NetworkSpec) -> Network {
+    Network::with_routing(
+        spec,
+        RoutingMode::LazyAlt {
+            landmarks: HARNESS_LANDMARKS,
+        },
     )
 }
 
-/// `a → b` through a row fill, widened to the link ids [`Network::path`]
-/// returns.
-fn batched_path(net: &mut Network, a: usize, b: usize) -> Option<Vec<DirectedLinkId>> {
-    let id = net.route_batched(a, b)?;
-    let links = net.route_links(id);
-    Some(links.iter().map(|&link| link as DirectedLinkId).collect())
+/// `a → b` read off `a`'s row tree.
+fn row_path(row: &RowTree, b: usize) -> Option<Vec<DirectedLinkId>> {
+    let mut path = Vec::new();
+    row.path_into(b, &mut path).then_some(path)
 }
 
 /// Asserts that one participant pair routes identically under all three
-/// pairwise strategies (path hop sequence and propagation cost) and under
-/// the batched one-to-many row fills.
+/// pairwise strategies (path hop sequence and propagation cost) and on the
+/// source's row tree.
 #[allow(clippy::too_many_arguments)]
 fn assert_pair(
     eager: &mut Network,
     bidi: &mut Network,
     alt: &mut Network,
-    bidi_batched: &mut Network,
-    alt_batched: &mut Network,
+    row: &RowTree,
     a: usize,
     b: usize,
     label: &str,
@@ -80,13 +74,11 @@ fn assert_pair(
         reference, guided,
         "{label}: participants {a}->{b}: ALT path diverges from reference"
     );
-    for (net, name) in [(bidi_batched, "batched-bidi"), (alt_batched, "batched-alt")] {
-        let batched = batched_path(net, a, b);
-        assert_eq!(
-            reference, batched,
-            "{label}: participants {a}->{b}: {name} row fill diverges from reference"
-        );
-    }
+    assert_eq!(
+        reference,
+        row_path(row, b),
+        "{label}: participants {a}->{b}: row tree diverges from reference"
+    );
     if reference.is_some() {
         let cost = eager.propagation_delay(a, b);
         assert_eq!(
@@ -103,31 +95,21 @@ fn assert_pair(
 }
 
 /// Cross-checks every ordered participant pair of `spec` across the routing
-/// strategies (pairwise and batched), then verifies each strategy did what
+/// strategies (pairwise and row trees), then verifies each strategy did what
 /// it claims (the reference built trees, the lazy routers built none, the
-/// batched networks never fell back to point searches).
+/// row network ran one search per row and nothing else).
 pub fn assert_all_participant_pairs_equivalent(spec: &NetworkSpec, label: &str) {
     let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let mut rows = row_network(spec);
     let n = spec.participants();
     for a in 0..n {
-        for b in 0..n {
-            if a != b {
-                assert_pair(
-                    &mut eager,
-                    &mut bidi,
-                    &mut alt,
-                    &mut bidi_batched,
-                    &mut alt_batched,
-                    a,
-                    b,
-                    label,
-                );
-            }
+        let row = rows.row_tree(a);
+        for b in (0..n).filter(|&b| b != a) {
+            assert_pair(&mut eager, &mut bidi, &mut alt, &row, a, b, label);
         }
     }
     check_strategy_invariants(&eager, &bidi, &alt, label);
-    check_batched_invariants(&bidi_batched, &alt_batched, n, label);
+    check_row_invariants(&rows, n, label);
 }
 
 /// Cross-checks a sampled subset of ordered participant pairs — used at
@@ -135,23 +117,16 @@ pub fn assert_all_participant_pairs_equivalent(spec: &NetworkSpec, label: &str) 
 /// every source.
 pub fn assert_sampled_pairs_equivalent(spec: &NetworkSpec, pairs: &[(usize, usize)], label: &str) {
     let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let mut net = row_network(spec);
+    let mut rows: Vec<Option<RowTree>> = vec![None; spec.participants()];
     for &(a, b) in pairs {
         if a != b {
-            assert_pair(
-                &mut eager,
-                &mut bidi,
-                &mut alt,
-                &mut bidi_batched,
-                &mut alt_batched,
-                a,
-                b,
-                label,
-            );
+            let row = rows[a].get_or_insert_with(|| net.row_tree(a));
+            assert_pair(&mut eager, &mut bidi, &mut alt, row, a, b, label);
         }
     }
     check_strategy_invariants(&eager, &bidi, &alt, label);
-    check_batched_invariants(&bidi_batched, &alt_batched, spec.participants(), label);
+    check_row_invariants(&net, rows.iter().flatten().count(), label);
 }
 
 /// Three uniform-delay topologies built to defeat a lazy router that
@@ -165,7 +140,7 @@ pub fn assert_sampled_pairs_equivalent(spec: &NetworkSpec, pairs: &[(usize, usiz
 /// alone. `netsim`'s own `reconstruction_matches_reference_on_tie_adversarial_graphs`
 /// runs the same shapes at the `LazyRouter` level (and as directed graphs,
 /// which a `NetworkSpec` cannot express) and lists the mutants they kill;
-/// here they go through `Network` — route cache, arena and row fills.
+/// here they go through `Network` — route cache, arena and row trees.
 pub fn tie_adversarial_specs() -> Vec<(&'static str, NetworkSpec)> {
     let hop = SimDuration::from_millis(1);
     let link = |a: RouterId, b: RouterId, delay: SimDuration| LinkSpec::new(a, b, 1e6, delay);
@@ -276,17 +251,19 @@ impl TopoMutation {
 
 /// The mutation gate of the scenario-dynamics engine: after **each** step
 /// of `mutations`, every ordered participant-pair route served by the
-/// incrementally invalidated networks (all three strategies, pairwise and
-/// batched row fills) must be bit-identical to a *freshly rebuilt* eager
-/// network on the mutated spec — and the incremental networks' link state
-/// (capacity, loss, delay, up) must match the rebuilt one's too.
+/// incrementally invalidated networks (all three strategies) and every row
+/// tree read off the patched graph must be bit-identical to a *freshly
+/// rebuilt* eager network on the mutated spec — and the incremental
+/// networks' link state (capacity, loss, delay, up) must match the rebuilt
+/// one's too.
 ///
-/// Every network is warmed with a full all-pairs sweep before the first
-/// mutation so that stale caches, memo rows and router workspaces actually
-/// exist to be invalidated.
+/// Every pairwise network is warmed with a full all-pairs sweep before the
+/// first mutation so that stale caches, memo rows and router workspaces
+/// actually exist to be invalidated. A row tree is a snapshot that nothing
+/// repairs, so the rows are built afresh after every step.
 pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation], label: &str) {
     let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let mut rows = row_network(spec);
     let n = spec.participants();
     let warm = |net: &mut Network| {
         for a in 0..n {
@@ -298,42 +275,22 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
     for net in [&mut eager, &mut bidi, &mut alt] {
         warm(net);
     }
-    for a in 0..n {
-        for b in 0..n {
-            let _ = bidi_batched.route_batched(a, b);
-            let _ = alt_batched.route_batched(a, b);
-        }
-    }
     let mut mutated_spec = spec.clone();
     for (step, &mutation) in mutations.iter().enumerate() {
         mutation.apply_to_spec(&mut mutated_spec);
-        for net in [
-            &mut eager,
-            &mut bidi,
-            &mut alt,
-            &mut bidi_batched,
-            &mut alt_batched,
-        ] {
+        for net in [&mut eager, &mut bidi, &mut alt, &mut rows] {
             mutation.apply_to_network(net);
         }
         let mut fresh = Network::with_routing(&mutated_spec, RoutingMode::EagerPerSource);
         for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
+            let row = rows.row_tree(a);
+            for b in (0..n).filter(|&b| b != a) {
                 let reference = fresh.path(a, b);
                 let ctx = format!("{label}: step {step} ({mutation:?}): {a}->{b}");
                 assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
                 assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
                 assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
-                for (net, name) in [
-                    (&mut bidi_batched, "batched-bidi"),
-                    (&mut alt_batched, "batched-alt"),
-                ] {
-                    let batched = batched_path(net, a, b);
-                    assert_eq!(reference, batched, "{ctx}: incremental {name}");
-                }
+                assert_eq!(reference, row_path(&row, b), "{ctx}: patched row tree");
             }
         }
         // Link state followed the mutation on every incremental network.
@@ -374,7 +331,7 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
 /// raises/lowers, exact-restore delay oscillations, link toggles, no-op
 /// re-asserts, correlated router outages and heals — over `spec`, and after
 /// **every** step asserts that all incrementally repaired networks (the
-/// three strategies plus both batched row-fill variants) serve routes
+/// three strategies) and the row trees of the patched graph serve routes
 /// bit-identical to a network freshly built on the mutated spec.
 ///
 /// After the random phase, a deterministic heal epilogue restores every
@@ -388,7 +345,7 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
 pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usize, label: &str) {
     let mut rng = SimRng::new(seed);
     let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let mut rows = row_network(spec);
     let n = spec.participants();
     // Warm every cache layer so there is real state to invalidate.
     for a in 0..n {
@@ -396,8 +353,6 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             for net in [&mut eager, &mut bidi, &mut alt] {
                 let _ = net.path(a, b);
             }
-            let _ = bidi_batched.route_batched(a, b);
-            let _ = alt_batched.route_batched(a, b);
         }
     }
     // Applies one mutation to the spec and every network under test, then
@@ -410,40 +365,25 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
         eager: &mut Network,
         bidi: &mut Network,
         alt: &mut Network,
-        bidi_batched: &mut Network,
-        alt_batched: &mut Network,
+        rows: &mut Network,
         n: usize,
         step_label: &str,
     ) {
         mutation.apply_to_spec(mutated_spec);
-        for net in [
-            &mut *eager,
-            &mut *bidi,
-            &mut *alt,
-            &mut *bidi_batched,
-            &mut *alt_batched,
-        ] {
+        for net in [&mut *eager, &mut *bidi, &mut *alt, &mut *rows] {
             mutation.apply_to_network(net);
         }
         // Ground truth: a network freshly built on the mutated spec.
         let mut fresh = Network::with_routing(mutated_spec, RoutingMode::EagerPerSource);
         for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
+            let row = rows.row_tree(a);
+            for b in (0..n).filter(|&b| b != a) {
                 let reference = fresh.path(a, b);
                 let ctx = format!("{step_label} ({mutation:?}): {a}->{b}");
                 assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
                 assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
                 assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
-                for (net, name) in [
-                    (&mut *bidi_batched, "batched-bidi"),
-                    (&mut *alt_batched, "batched-alt"),
-                ] {
-                    let batched = batched_path(net, a, b);
-                    assert_eq!(reference, batched, "{ctx}: incremental {name}");
-                }
+                assert_eq!(reference, row_path(&row, b), "{ctx}: patched row tree");
                 if reference.is_some() {
                     assert_eq!(
                         fresh.propagation_delay(a, b),
@@ -518,8 +458,7 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             &mut eager,
             &mut bidi,
             &mut alt,
-            &mut bidi_batched,
-            &mut alt_batched,
+            &mut rows,
             n,
             &format!("{label}: step {step}"),
         );
@@ -555,8 +494,7 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             &mut eager,
             &mut bidi,
             &mut alt,
-            &mut bidi_batched,
-            &mut alt_batched,
+            &mut rows,
             n,
             &format!("{label}: heal step {step}"),
         );
@@ -573,27 +511,22 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
     );
 }
 
-fn check_batched_invariants(bidi: &Network, alt: &Network, participants: usize, label: &str) {
-    // The flat route memo covers every harness topology, so a batched
-    // network must serve everything from one-to-many row fills: no SPT
-    // trees, no point searches, and at most one row fill per participant.
-    for (net, name) in [(bidi, "batched-bidi"), (alt, "batched-alt")] {
-        let s = net.routing_stats();
-        assert_eq!(s.trees_built, 0, "{label}: {name} built SPT trees");
-        assert_eq!(
-            s.lazy_searches, 0,
-            "{label}: {name} fell back to point searches"
-        );
-        assert_eq!(
-            s.routers_settled, 0,
-            "{label}: {name} entered the lazy router"
-        );
-        if s.route_queries > 0 {
-            assert!(s.batched_queries > 0, "{label}: {name} ran no row fills");
-            assert!(
-                s.batched_queries <= participants as u64,
-                "{label}: {name} ran more row fills than participants"
-            );
-        }
-    }
+/// A row network runs one whole-graph search per row it was asked for and
+/// nothing else: no cached trees, no point searches, no memo misses.
+fn check_row_invariants(rows: &Network, built: usize, label: &str) {
+    let s = rows.routing_stats();
+    assert_eq!(
+        (
+            s.trees_built,
+            s.lazy_searches,
+            s.routers_settled,
+            s.route_queries
+        ),
+        (0, 0, 0, 0),
+        "{label}: the row network ran more than row searches"
+    );
+    assert_eq!(
+        s.batched_queries, built as u64,
+        "{label}: one search per row tree"
+    );
 }
