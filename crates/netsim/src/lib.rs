@@ -67,9 +67,7 @@ pub use network::{
     StressStats,
 };
 pub use rng::SimRng;
-pub use routing::{
-    Adjacency, LandmarkRepair, LazyRouter, LazyRouterStats, RoutingMode, RowTree, ShortestPaths,
-};
+pub use routing::{Adjacency, LandmarkRepair, LazyRouter, LazyRouterStats, RoutingMode, RowTree};
 pub use sim::{
     FaultPlan, NodeOverloadStats, NodeResources, NodeTraffic, QueueDiscipline, Sim, SimCounters,
 };

@@ -11,9 +11,7 @@ use std::sync::Arc;
 use crate::hash::FxHashMap;
 use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
 use crate::rng::SimRng;
-use crate::routing::{
-    edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, RowTree, ShortestPaths,
-};
+use crate::routing::{edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, RowTree};
 use crate::time::{SimDuration, SimTime};
 
 /// Best ALT lower bound on `dist(a, b)` over the landmark tables (raw cost
@@ -333,10 +331,10 @@ impl RouteMemo {
 /// only in how much work a memo-missing query costs and what is kept
 /// resident.
 enum RouteComputer {
-    /// Cached full shortest-path trees, one per source router: one 4-byte
-    /// predecessor link per router.
+    /// One cached [`RowTree`] per source participant, built by its first
+    /// memo miss.
     Eager {
-        trees: FxHashMap<RouterId, ShortestPaths>,
+        rows: Vec<Option<RowTree>>,
         trees_built: u64,
     },
     /// Lazy bidirectional, landmark-guided point-to-point search; nothing
@@ -347,7 +345,7 @@ enum RouteComputer {
 
 /// Counters describing the routing work a [`Network`] has done. Exposed so
 /// tests and benchmarks can prove that paper-scale runs never build
-/// per-source shortest-path trees.
+/// per-source row trees for point routes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoutingStats {
     /// The mode the network routes with.
@@ -357,9 +355,9 @@ pub struct RoutingStats {
     /// Whole-graph row searches run ([`Network::row_tree`]), in either
     /// mode.
     pub batched_queries: u64,
-    /// Per-source Dijkstra trees the eager mode built and *cached*. The
-    /// search behind a row tree is dropped when the row is built and is
-    /// counted by `batched_queries` alone.
+    /// Row trees the eager mode built and cached for its point routes, one
+    /// per source participant and topology epoch. The rows
+    /// [`Network::row_tree`] returns are counted by `batched_queries` alone.
     pub trees_built: u64,
     /// Lazy point-to-point searches run.
     pub lazy_searches: u64,
@@ -513,7 +511,7 @@ pub struct Network {
     /// private copy (clone-on-write).
     adjacency: Arc<Adjacency>,
     attachments: Vec<RouterId>,
-    /// Route computation strategy (eager per-source trees or lazy search).
+    /// Route computation strategy (eager per-source rows or lazy search).
     mode: RoutingMode,
     computer: RouteComputer,
     /// Route computations performed (route-memo misses).
@@ -522,8 +520,7 @@ pub struct Network {
     routes: RouteArena,
     /// Flat participant-pair route memo (see [`RouteMemo`]).
     memo: RouteMemo,
-    /// Scratch for a path read off a [`ShortestPaths`] tree on its way into
-    /// the arena.
+    /// Scratch for a path read off an eager row on its way into the arena.
     path_buf: Vec<DirectedLinkId>,
     /// Row searches performed (see [`Network::row_tree`]).
     batched_queries: u64,
@@ -597,7 +594,7 @@ impl Network {
         let mode = setup.mode;
         let computer = match mode {
             RoutingMode::EagerPerSource => RouteComputer::Eager {
-                trees: FxHashMap::default(),
+                rows: vec![None; spec.attachments.len()],
                 trees_built: 0,
             },
             RoutingMode::LazyAlt { .. } => RouteComputer::Lazy(Box::new(
@@ -676,18 +673,20 @@ impl Network {
             return Some(RouteId::EMPTY);
         }
         self.route_queries += 1;
-        let adjacency = &self.adjacency;
         let (path, cost): (&[DirectedLinkId], u64) = match &mut self.computer {
-            RouteComputer::Eager { trees, trees_built } => {
-                let sp = trees.entry(src).or_insert_with(|| {
+            RouteComputer::Eager { rows, trees_built } => {
+                let row = rows[from].get_or_insert_with(|| {
                     *trees_built += 1;
-                    ShortestPaths::compute(adjacency, src)
+                    RowTree::compute(&self.adjacency, src, &self.attachments)
                 });
-                let cost = sp.path_into(adjacency, dst, &mut self.path_buf)?;
+                if !row.path_into(to, &mut self.path_buf) {
+                    return None;
+                }
+                let cost = self.path_buf.iter().map(|&l| self.links[l].cost()).sum();
                 (&self.path_buf, cost)
             }
             RouteComputer::Lazy(router) => {
-                let (cost, path) = router.query(adjacency, src, dst)?;
+                let (cost, path) = router.query(&self.adjacency, src, dst)?;
                 (path, cost)
             }
         };
@@ -1046,14 +1045,13 @@ impl Network {
         if !improved.is_empty() {
             self.repair.unreachable_cleared += self.memo.clear_unreachable();
         }
-        // 6. Eager trees span the whole graph, so any route-affecting
-        //    mutation can bend them, and a tree reads its paths off the graph
-        //    it was computed on; drop the cache (the build counter survives
+        // 6. Eager rows span the whole graph, so any route-affecting
+        //    mutation can bend them; drop them (the build counter survives
         //    — it lives in the variant and the variant is kept).
         //    Lazy workspaces are epoch-stamped per query and read the
         //    adjacency fresh each time: nothing to do.
-        if let RouteComputer::Eager { trees, .. } = &mut self.computer {
-            trees.clear();
+        if let RouteComputer::Eager { rows, .. } = &mut self.computer {
+            rows.fill(None);
         }
     }
 
@@ -1170,6 +1168,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::model_paths;
     use crate::time::SimDuration;
     use std::collections::BTreeSet;
 
@@ -1722,11 +1721,11 @@ mod tests {
                     }),
                 );
                 for a in 0..parts {
-                    let tree = ShortestPaths::compute(&fresh, spec.attachments[a]);
+                    let model = model_paths(&fresh, spec.attachments[a]);
                     for b in 0..parts {
                         let (id, links) = &after[a * parts + b];
                         let got = id.map(|_| links.clone());
-                        let want = tree.path_to(&fresh, spec.attachments[b]).map(|(_, p)| p);
+                        let want = model[spec.attachments[b]].clone().map(|(_, p)| p);
                         assert_eq!(got, want, "{label}: {a}->{b}");
                     }
                 }

@@ -15,8 +15,8 @@
 //! v)`) with the smallest directed link id. Because the distance array of a
 //! graph is unique and every edge cost is at least 1 (as [`Network`]
 //! guarantees via `delay.as_micros().max(1)`), this predecessor chain is a
-//! pure function of the graph — both the whole-graph search
-//! ([`ShortestPaths`]) and the lazy bidirectional searches ([`LazyRouter`])
+//! pure function of the graph — both the whole-graph search behind a
+//! [`RowTree`] and the lazy bidirectional searches ([`LazyRouter`])
 //! reproduce it hop for hop, which is what the routing-equivalence test
 //! harness in `tests/support/routing_equiv.rs` asserts. The reference for
 //! both is the binary-heap Dijkstra kept in this module's tests.
@@ -56,18 +56,19 @@
 //!
 //! # Row trees
 //!
-//! The routes out of one source to every participant
-//! ([`Network::row_tree`]) come from one whole-graph search,
-//! [`ShortestPaths::compute`], in both routing modes. Its targets are every
-//! participant, scattered over the whole graph, so settling all of them
-//! settles nearly everything: no goal direction can prune a search whose
-//! goals span the graph. What it can save is the queue: it keeps a bucket
-//! queue, not a heap (see `dijkstra`). The search's predecessor links are
-//! then kept only along the paths to the targets, as a [`RowTree`]: a prefix
-//! tree in which each target's path is read back only as far as the first
-//! router already in the tree. The canonical routes out of one source share
-//! most of their links, so the tree holds each shared link once, and
-//! nothing is interned in the route arena or memoised per pair.
+//! The routes out of one source to every participant come from one
+//! whole-graph search, `dijkstra`, kept as a [`RowTree`]. Two callers build
+//! rows: the bottleneck-tree oracle ([`Network::row_tree`]), in both routing
+//! modes, and [`RoutingMode::EagerPerSource`], which caches one row per
+//! source participant and reads each of its point routes off it. A row's
+//! targets are every participant, scattered over the whole graph, so
+//! settling all of them settles nearly everything: no goal direction can
+//! prune a search whose goals span the graph. What it can save is the queue:
+//! it keeps a bucket queue, not a heap. The search's predecessor links are
+//! then kept only along the paths to the targets, as a prefix tree in which
+//! each target's path is read back only as far as the first router already
+//! in the tree. The canonical routes out of one source share most of their
+//! links, so the tree holds each shared link once.
 //!
 //! # The graph
 //!
@@ -95,9 +96,6 @@
 //!   router — is allocated by its first point query. A network that only
 //!   builds row trees, as the bottleneck-tree oracle's does, never holds
 //!   one.
-//! - A cached [`ShortestPaths`] tree is one `u32` predecessor link per
-//!   router. A path is walked back over its head's in-edges, and its cost
-//!   is the sum of its links' costs.
 //! - A [`RowTree`] is 8 bytes per distinct link of its row — a `u32` parent
 //!   node and a `u32` link — and a `u32` leaf per target. Its search is
 //!   transient: 17 bytes per router at its peak (a distance, a queue flag, a
@@ -116,10 +114,13 @@ use crate::link::{DirectedLinkId, RouterId};
 /// How a [`Network`](crate::network::Network) computes routes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoutingMode {
-    /// One full Dijkstra shortest-path tree per source router, cached for
-    /// the network's lifetime. Fast for small graphs whose participants talk
-    /// to everyone, but at paper scale (20k routers) each first contact
-    /// costs a whole-graph scan and each source pins an O(routers) tree.
+    /// One row tree per source participant ([`RowTree`]): the first route
+    /// out of a participant runs one whole-graph search and keeps its
+    /// canonical paths to every participant, and each later route from it
+    /// is read off that row. Every route-affecting mutation drops the rows.
+    /// Fast for small graphs whose participants talk to everyone, but at
+    /// paper scale (20k routers) each first contact costs a whole-graph
+    /// scan.
     EagerPerSource,
     /// On-demand bidirectional Dijkstra per router pair, guided by ALT (A*,
     /// landmarks, triangle inequality) lower bounds: two frontiers grow from
@@ -139,14 +140,14 @@ pub enum RoutingMode {
 
 impl RoutingMode {
     /// Router count at which [`RoutingMode::auto`] switches from the eager
-    /// per-source trees to lazy landmark-guided search.
+    /// per-source rows to lazy landmark-guided search.
     pub const AUTO_LAZY_ROUTERS: usize = 4_096;
 
     /// Default landmark count for [`RoutingMode::LazyAlt`].
     pub const DEFAULT_LANDMARKS: usize = 8;
 
     /// Picks a mode from the topology size: small graphs keep the eager
-    /// per-source trees, paper-scale graphs get lazy ALT search.
+    /// per-source rows, paper-scale graphs get lazy ALT search.
     pub fn auto(routers: usize) -> RoutingMode {
         if routers >= Self::AUTO_LAZY_ROUTERS {
             RoutingMode::LazyAlt {
@@ -446,79 +447,12 @@ impl Adjacency {
 /// unreachable).
 const NO_LINK: u32 = u32::MAX;
 
-/// The shortest path tree rooted at one source router, as one 4-byte
-/// predecessor link per router.
-///
-/// Its predecessor array follows the canonical tie-break (smallest link id
-/// among tight in-edges), so `path_into` is a pure function of the graph,
-/// whatever order the search settles routers in. The tree keeps no
-/// distances: a path is walked back over the adjacency it was computed on,
-/// and its cost is the sum of its links' costs.
-#[derive(Clone, Debug)]
-pub struct ShortestPaths {
-    source: RouterId,
-    /// For each router, the directed link it is reached through on the
-    /// canonical shortest path from `source`; [`NO_LINK`] for the source and
-    /// unreachable routers.
-    prev: Vec<u32>,
-}
-
-impl ShortestPaths {
-    /// Runs Dijkstra from `source` over the adjacency structure.
-    pub fn compute(adj: &Adjacency, source: RouterId) -> Self {
-        let mut prev = vec![NO_LINK; adj.len()];
-        dijkstra(adj, source, Dir::Forward, &mut prev);
-        ShortestPaths { source, prev }
-    }
-
-    /// The source router this tree is rooted at.
-    pub fn source(&self) -> RouterId {
-        self.source
-    }
-
-    /// Writes the canonical path (directed link ids, source to `dst`) into
-    /// `out` and returns its cost, or `None` if `dst` is unreachable. `adj`
-    /// must be the graph the tree was computed on: each hop's tail and cost
-    /// are read off its head's in-edges.
-    pub fn path_into(
-        &self,
-        adj: &Adjacency,
-        dst: RouterId,
-        out: &mut Vec<DirectedLinkId>,
-    ) -> Option<u64> {
-        out.clear();
-        let mut cost = 0;
-        let mut cur = dst;
-        while cur != self.source {
-            // A reachable router's predecessor chain ends at the source.
-            let link = self.prev[cur];
-            if link == NO_LINK {
-                return None;
-            }
-            let (tail, c) = tail_of(adj, cur, link);
-            out.push(link as DirectedLinkId);
-            cost += u64::from(c);
-            cur = tail;
-        }
-        out.reverse();
-        Some(cost)
-    }
-
-    /// The cost of the canonical path from the source to `dst` and its
-    /// directed link ids, or `None` if `dst` is unreachable.
-    pub fn path_to(&self, adj: &Adjacency, dst: RouterId) -> Option<(u64, Vec<DirectedLinkId>)> {
-        let mut path = Vec::new();
-        let cost = self.path_into(adj, dst, &mut path)?;
-        Some((cost, path))
-    }
-}
-
-/// The tail router and cost of `link`, a live in-edge of `head`.
-fn tail_of(adj: &Adjacency, head: RouterId, link: u32) -> (RouterId, u32) {
-    let &(tail, _, cost) = (adj.in_neighbors(head).iter())
+/// The tail router of `link`, a live in-edge of `head`.
+fn tail_of(adj: &Adjacency, head: RouterId, link: u32) -> RouterId {
+    let &(tail, _, _) = (adj.in_neighbors(head).iter())
         .find(|&&(_, l, _)| l == link)
         .expect("a tree link is a live in-edge of its head");
-    (tail as RouterId, cost)
+    tail as RouterId
 }
 
 /// [`RowTree`] node of a target its source cannot reach.
@@ -532,9 +466,10 @@ const NO_NODE: u32 = u32::MAX;
 /// `links[i] = (parent node, directed link)`, and a parent always precedes
 /// its children. Each target holds one leaf, the node of its router. Every
 /// root-to-leaf walk follows one search's canonical predecessor links, so
-/// [`RowTree::path_into`] returns exactly what [`ShortestPaths::path_into`]
-/// does. The tree is a snapshot of the graph it was computed on, and no
-/// topology mutation repairs it.
+/// [`RowTree::path_into`] returns the canonical path. The tree is a
+/// snapshot of the graph it was computed on, and no topology mutation
+/// repairs it: the eager routing mode drops its cached rows at every
+/// route-affecting mutation.
 #[derive(Clone, Debug)]
 pub struct RowTree {
     /// `(parent node, directed link)` of nodes 1, 2, … in order.
@@ -549,7 +484,8 @@ impl RowTree {
     /// target only as far as the first router already in the tree, and the
     /// new branch hangs off that router's node.
     pub(crate) fn compute(adj: &Adjacency, source: RouterId, targets: &[RouterId]) -> Self {
-        let sp = ShortestPaths::compute(adj, source);
+        let mut prev = vec![NO_LINK; adj.len()];
+        dijkstra(adj, source, Dir::Forward, &mut prev);
         let mut node_of = vec![NO_NODE; adj.len()];
         node_of[source] = 0;
         let (mut links, mut leaves) = (Vec::new(), Vec::with_capacity(targets.len()));
@@ -557,10 +493,10 @@ impl RowTree {
         let mut branch: Vec<(RouterId, u32)> = Vec::new();
         for &target in targets {
             let mut cur = target;
-            while node_of[cur] == NO_NODE && sp.prev[cur] != NO_LINK {
-                let link = sp.prev[cur];
+            while node_of[cur] == NO_NODE && prev[cur] != NO_LINK {
+                let link = prev[cur];
                 branch.push((cur, link));
-                cur = tail_of(adj, cur, link).0;
+                cur = tail_of(adj, cur, link);
             }
             // Only an unreachable target stops outside the tree, at once: its
             // branch is empty and its leaf is `NO_NODE`.
@@ -1077,20 +1013,14 @@ pub struct LazyRouter {
 }
 
 impl LazyRouter {
-    /// Builds a lazy router over `adj`. `landmarks > 0` precomputes that
-    /// many farthest-point landmark distance tables (a few full Dijkstras —
-    /// the only precomputation; nothing per-source is ever built).
-    pub fn new(adj: &Adjacency, landmarks: usize) -> Self {
-        Self::with_landmarks(adj, Arc::new(select_landmarks(adj, landmarks)))
-    }
-
-    /// Builds a lazy router over `adj` reusing already-computed landmark
-    /// distance tables (see [`LazyRouter::new`]; pass an empty vector for
-    /// plain bidirectional search). The tables must have been computed over
-    /// the same graph, or lower bounds — and therefore paths — would be
-    /// wrong. The per-query workspace is private to this router, and
-    /// allocated by its first [`LazyRouter::query`]; only the immutable
-    /// tables are shared.
+    /// Builds a lazy router over `adj` with already-computed landmark
+    /// distance tables (the farthest-point tables a
+    /// [`NetworkSetup`](crate::network::NetworkSetup) holds; pass an empty
+    /// vector for plain bidirectional search). Nothing per-source is ever
+    /// built. The tables must have been computed over the same graph, or
+    /// lower bounds — and therefore paths — would be wrong. The per-query
+    /// workspace is private to this router, and allocated by its first
+    /// [`LazyRouter::query`]; only the immutable tables are shared.
     pub fn with_landmarks(adj: &Adjacency, tables: Arc<Vec<Vec<u32>>>) -> Self {
         // A release assert: tables from a different graph would make the ALT
         // lower bounds — and thus every returned path — silently wrong, and
@@ -1212,8 +1142,8 @@ impl LazyRouter {
 
     /// Computes the canonical shortest path from `src` to `dst`, returning
     /// its cost and directed link sequence (borrowed from an internal
-    /// buffer), or `None` if unreachable. Identical to
-    /// [`ShortestPaths::path_to`] on the same graph. The first query
+    /// buffer), or `None` if unreachable: the canonical path, as a
+    /// [`RowTree`] on the same graph holds it. The first query
     /// allocates the router's workspace.
     pub fn query(
         &mut self,
@@ -1328,6 +1258,10 @@ impl LazyRouter {
     }
 }
 
+/// The test module's binary-heap model, for the network's route tests.
+#[cfg(test)]
+pub(crate) use tests::model_paths;
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
@@ -1384,22 +1318,29 @@ mod tests {
         symmetric_adjacency(n, &line_edges(n))
     }
 
+    /// A lazy router over `adj` with `landmarks` farthest-point tables, as
+    /// a [`NetworkSetup`](crate::network::NetworkSetup) selects them.
+    fn lazy_router(adj: &Adjacency, landmarks: usize) -> LazyRouter {
+        LazyRouter::with_landmarks(adj, Arc::new(select_landmarks(adj, landmarks)))
+    }
+
     #[test]
     fn path_on_a_line() {
         let adj = line(4);
-        let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.path_to(&adj, 3), Some((3, vec![0, 2, 4])));
-        assert_eq!(sp.path_to(&adj, 0), Some((0, vec![])));
+        let model = model_paths(&adj, 0);
+        assert_eq!(model[3], Some((3, vec![0, 2, 4])));
+        assert_eq!(model[0], Some((0, vec![])));
+        let mut lazy = lazy_router(&adj, 0);
+        assert_eq!(lazy.query(&adj, 0, 3).unwrap(), (3, &[0, 2, 4][..]));
     }
 
     #[test]
     fn unreachable_node_reports_none() {
         let adj = digraph(3, &[(0, 1, 0, 1), (1, 0, 1, 1)]);
-        let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.path_to(&adj, 2), None);
-        let mut lazy = LazyRouter::new(&adj, 0);
+        assert_eq!(model_paths(&adj, 0)[2], None);
+        let mut lazy = lazy_router(&adj, 0);
         assert!(lazy.query(&adj, 0, 2).is_none());
-        let mut alt = LazyRouter::new(&adj, 2);
+        let mut alt = lazy_router(&adj, 2);
         assert!(alt.query(&adj, 0, 2).is_none());
     }
 
@@ -1407,9 +1348,8 @@ mod tests {
     fn picks_cheaper_of_two_routes() {
         // 0 -> 1 -> 2 costs 2; direct 0 -> 2 costs 5.
         let adj = digraph(3, &[(0, 1, 0, 1), (1, 2, 1, 1), (0, 2, 2, 5)]);
-        let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.path_to(&adj, 2), Some((2, vec![0, 1])));
-        let mut lazy = LazyRouter::new(&adj, 0);
+        assert_eq!(model_paths(&adj, 0)[2], Some((2, vec![0, 1])));
+        let mut lazy = lazy_router(&adj, 0);
         let (cost, path) = lazy.query(&adj, 0, 2).unwrap();
         assert_eq!(cost, 2);
         assert_eq!(path, &[0, 1]);
@@ -1418,9 +1358,8 @@ mod tests {
     #[test]
     fn reverse_direction_uses_reverse_links() {
         let adj = line(3);
-        let sp = ShortestPaths::compute(&adj, 2);
-        assert_eq!(sp.path_to(&adj, 0), Some((2, vec![3, 1])));
-        let mut lazy = LazyRouter::new(&adj, 0);
+        assert_eq!(model_paths(&adj, 2)[0], Some((2, vec![3, 1])));
+        let mut lazy = lazy_router(&adj, 0);
         assert_eq!(lazy.query(&adj, 2, 0).unwrap().1, &[3, 1]);
     }
 
@@ -1431,17 +1370,19 @@ mod tests {
         // back from the destination) picks link 4 into node 3, so the route
         // is [0, 4] — for the reference and both lazy modes.
         let adj = symmetric_adjacency(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]);
-        let sp = ShortestPaths::compute(&adj, 0);
-        assert_eq!(sp.path_to(&adj, 3), Some((2, vec![0, 4])));
-        let mut bidi = LazyRouter::new(&adj, 0);
+        assert_eq!(model_paths(&adj, 0)[3], Some((2, vec![0, 4])));
+        let mut bidi = lazy_router(&adj, 0);
         assert_eq!(bidi.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
-        let mut alt = LazyRouter::new(&adj, 3);
+        let mut alt = lazy_router(&adj, 3);
         assert_eq!(alt.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
     }
 
     /// A [`heap_model`] result: each router's distance, and its canonical
     /// predecessor router and link.
     type ModelTree = (Vec<u64>, Vec<Option<(RouterId, DirectedLinkId)>>);
+
+    /// A [`model_paths`] entry: the cost and links of one canonical path.
+    pub(crate) type ModelPath = Option<(u64, Vec<DirectedLinkId>)>;
 
     /// The reference model of [`dijkstra`]: the binary-heap search it
     /// replaced. Distances from `root` (to it, for [`Dir::Backward`]) and
@@ -1473,6 +1414,31 @@ mod tests {
             }
         }
         (dist, prev)
+    }
+
+    /// The canonical path from `root` to every router of `adj`, read off
+    /// [`heap_model`]'s tree: its cost and its links, or `None` if the
+    /// router is unreachable.
+    pub(crate) fn model_paths(adj: &Adjacency, root: RouterId) -> Vec<ModelPath> {
+        let (dist, prev) = heap_model(adj, root, Dir::Forward);
+        (0..adj.len())
+            .map(|dst| (dist[dst] != u64::MAX).then(|| (dist[dst], model_links(&prev, dst))))
+            .collect()
+    }
+
+    /// The links of the path to `dst` in a [`heap_model`] tree, root first
+    /// (none if `dst` is the root or unreachable).
+    fn model_links(
+        prev: &[Option<(RouterId, DirectedLinkId)>],
+        dst: RouterId,
+    ) -> Vec<DirectedLinkId> {
+        let (mut path, mut cur) = (Vec::new(), dst);
+        while let Some((tail, link)) = prev[cur] {
+            path.push(link);
+            cur = tail;
+        }
+        path.reverse();
+        path
     }
 
     /// A seeded digraph for the kernel harness, over the cost range `costs`
@@ -1552,9 +1518,9 @@ mod tests {
         }
     }
 
-    /// The tree [`ShortestPaths::compute`] builds from `root` over `adj`,
-    /// and the distances [`dijkstra`] finds on the way, are a [`heap_model`]
-    /// tree's: equal distances, equal predecessor links.
+    /// The predecessor links and distances [`dijkstra`] finds from `root`
+    /// over `adj` are a [`heap_model`] tree's, and a [`RowTree`] over every
+    /// router holds the model's path to each.
     fn assert_tree_matches(adj: &Adjacency, root: RouterId, (dist, prev): &ModelTree, label: &str) {
         let model_prev: Vec<u32> = (prev.iter())
             .map(|p| p.map_or(NO_LINK, |(_, link)| link as u32))
@@ -1563,11 +1529,27 @@ mod tests {
         let kernel_dist = dijkstra(adj, root, Dir::Forward, &mut kernel_prev);
         assert_eq!(&kernel_dist, dist, "{label}: distances from {root}");
         assert_eq!(kernel_prev, model_prev, "{label}: predecessors from {root}");
+        let model: Vec<_> = (0..adj.len())
+            .map(|dst| (dist[dst] != u64::MAX).then(|| model_links(prev, dst)))
+            .collect();
         assert_eq!(
-            ShortestPaths::compute(adj, root).prev,
-            model_prev,
-            "{label}: tree"
+            row_paths(adj, root),
+            model,
+            "{label}: row paths from {root}"
         );
+    }
+
+    /// The path to every router of `adj`, read off one [`RowTree`] from
+    /// `root` that targets them all.
+    fn row_paths(adj: &Adjacency, root: RouterId) -> Vec<Option<Vec<DirectedLinkId>>> {
+        let routers: Vec<RouterId> = (0..adj.len()).collect();
+        let row = RowTree::compute(adj, root, &routers);
+        (routers.iter())
+            .map(|&dst| {
+                let mut path = Vec::new();
+                row.path_into(dst, &mut path).then_some(path)
+            })
+            .collect()
     }
 
     /// The slots under seeded mutation, against a model: 64 digraphs of
@@ -1575,9 +1557,9 @@ mod tests {
     /// through 300 steps of `remove_edge`, `add_edge` and `set_edge_cost` on
     /// random links. Repeats, both directions of a pair and patches of a down
     /// link all come up. After every step each router's live out- and
-    /// in-edges equal the model's `BTreeSet`s, and [`ShortestPaths::compute`]
-    /// from three roots equals [`heap_model`] on the model's graph built
-    /// afresh.
+    /// in-edges equal the model's `BTreeSet`s, and [`dijkstra`] and a
+    /// [`RowTree`] from three roots equal [`heap_model`] on the model's graph
+    /// built afresh.
     ///
     /// Mutants this test kills, each checked by hand:
     /// - `remove_edge` that skips the in-half;
@@ -1693,12 +1675,11 @@ mod tests {
     fn assert_all_pairs_canonical(adj: &Adjacency, landmark_counts: &[usize], label: &str) {
         let mut routers: Vec<LazyRouter> = landmark_counts
             .iter()
-            .map(|&landmarks| LazyRouter::new(adj, landmarks))
+            .map(|&landmarks| lazy_router(adj, landmarks))
             .collect();
         for src in 0..adj.len() {
-            let sp = ShortestPaths::compute(adj, src);
-            for dst in 0..adj.len() {
-                let want = sp.path_to(adj, dst);
+            let model = model_paths(adj, src);
+            for (dst, want) in model.into_iter().enumerate() {
                 for (router, landmarks) in routers.iter_mut().zip(landmark_counts) {
                     let got = router.query(adj, src, dst).map(|(c, p)| (c, p.to_vec()));
                     assert_eq!(got, want, "{label}: {src}->{dst}, {landmarks} landmarks");
@@ -1825,7 +1806,7 @@ mod tests {
             assert_all_pairs_canonical(&directed, &[0], &format!("{label}/directed"));
 
             if label == "far-source" {
-                let mut router = LazyRouter::new(&symmetric, 0);
+                let mut router = lazy_router(&symmetric, 0);
                 let (cost, path) = router.query(&symmetric, n - 1, n - 2).unwrap();
                 let hops = path.len();
                 assert_eq!((cost, hops), (55, 6));
@@ -1997,9 +1978,9 @@ mod tests {
                 .collect();
             let adj = symmetric_adjacency(n, &edges);
             for landmarks in [0, 2, 8] {
-                let mut router = LazyRouter::new(&adj, landmarks);
+                let mut router = lazy_router(&adj, landmarks);
                 for src in 0..n {
-                    let reference = ShortestPaths::compute(&adj, src);
+                    let model = model_paths(&adj, src);
                     for dst in (0..n).filter(|&dst| dst != src) {
                         let label = format!("case {case}, {landmarks} landmarks: {src}->{dst}");
                         let before = router.stats().settled;
@@ -2007,7 +1988,7 @@ mod tests {
                         let settled = router.stats().settled - before;
                         let (mu, model_settled, fwd, bwd) =
                             keyed_model_search(&adj, router.landmark_tables(), src, dst);
-                        let want = reference.path_to(&adj, dst);
+                        let want = model[dst].clone();
                         assert_eq!(got, want, "{label}");
                         assert_eq!(mu.map(|mu| mu / 2), want.map(|(cost, _)| cost), "{label}");
                         assert_eq!(settled, model_settled, "{label}: settled count");
@@ -2048,7 +2029,7 @@ mod tests {
             let widened: Vec<u64> = table.iter().copied().map(widen_landmark).collect();
             assert_eq!(widened, adj.distances_from(landmark));
         }
-        let mut router = LazyRouter::new(&adj, 2);
+        let mut router = lazy_router(&adj, 2);
         assert_eq!(router.query(&adj, 2, 0), Some((far, &[3, 1][..])));
         assert_eq!(widen_landmark(landmark_entry(u64::MAX)), u64::MAX);
         let overflow = std::panic::catch_unwind(|| landmark_entry(u64::from(u32::MAX)));
@@ -2061,7 +2042,7 @@ mod tests {
     #[test]
     fn lazy_router_counts_its_work() {
         let adj = line(6);
-        let mut lazy = LazyRouter::new(&adj, 0);
+        let mut lazy = lazy_router(&adj, 0);
         assert_eq!(lazy.stats(), LazyRouterStats::default());
         lazy.query(&adj, 0, 5).unwrap();
         let stats = lazy.stats();
@@ -2252,11 +2233,13 @@ mod tests {
             ],
         );
         for src in 0..5 {
-            let a = ShortestPaths::compute(&adj, src);
-            let b = ShortestPaths::compute(&fresh, src);
-            for dst in 0..5 {
-                assert_eq!(a.path_to(&adj, dst), b.path_to(&fresh, dst), "{src}->{dst}");
-            }
+            let model = model_paths(&fresh, src);
+            assert_eq!(model_paths(&adj, src), model, "from {src}");
+            let links: Vec<_> = model
+                .into_iter()
+                .map(|p| p.map(|(_, links)| links))
+                .collect();
+            assert_eq!(row_paths(&adj, src), links, "row from {src}");
         }
         // Removing a down edge twice or patching a missing edge is a no-op.
         adj.remove_edge(1, 2, 2);
@@ -2275,7 +2258,7 @@ mod tests {
             &symmetric_edges(&line_edges(6)),
             &[(0, 5, 10, 1), (5, 0, 11, 1)],
         );
-        let mut router = LazyRouter::new(&adj, 2);
+        let mut router = lazy_router(&adj, 2);
         let tables = router.landmark_tables().to_vec();
 
         // Worsening: raise 2-3 to 9. Tables are now stale-low but still
@@ -2313,17 +2296,15 @@ mod tests {
         }
         // Admissibility against true distances on the mutated graph.
         for src in 0..6 {
-            let sp = ShortestPaths::compute(&adj, src);
-            for dst in 0..6 {
-                let (true_dist, _) = sp.path_to(&adj, dst).unwrap();
+            let (true_dists, _) = heap_model(&adj, src, Dir::Forward);
+            for (dst, &true_dist) in true_dists.iter().enumerate() {
                 for table in router.landmark_tables() {
                     assert!(u64::from(table[src].abs_diff(table[dst])) <= true_dist);
                 }
             }
         }
         // And queries still return canonical paths with correct costs.
-        let sp = ShortestPaths::compute(&adj, 1);
         let (cost, path) = router.query(&adj, 1, 5).unwrap();
-        assert_eq!(Some((cost, path.to_vec())), sp.path_to(&adj, 5));
+        assert_eq!(Some((cost, path.to_vec())), model_paths(&adj, 1)[5]);
     }
 }

@@ -12,8 +12,9 @@
 //! oracle reads one row tree per participant and interns nothing: the view
 //! must not grow, and the build's peak above it is bounded by the row
 //! trees' links and leaves, the oracle's flow array and one row search.
-//! Last, on the small emulation class, the eager per-source trees must
-//! hold 4 bytes per router and source.
+//! Last, on the small emulation class, the eager mode's cached rows must
+//! hold 8 bytes per row link and 4 bytes per participant, and a
+//! route-affecting mutation must free them.
 //!
 //! The counts are the same on every run for a given toolchain. This file
 //! contains exactly one test so no concurrent test can touch the
@@ -216,36 +217,45 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     // peaked at 734,339 B, above this ceiling.
     assert!(peak <= rows + flows + search + 16_384, "{report}");
 
-    // Small topologies route with eager per-source trees. Warm every pair of
-    // the emulation class, then drop the tree cache with a route-affecting
-    // mutation: what it frees is what the trees held, one 4-byte predecessor
-    // link per router and source. The first mutation gives the view its own
-    // copy of the graph, so the measured one allocates none.
+    // Small topologies route with eager per-source rows. Warm every pair of
+    // the emulation class, then drop the row cache with a route-affecting
+    // mutation: what it frees is what the rows held, 8 B per row link and
+    // 4 B per participant per row. The first mutation gives the view its
+    // own copy of the graph, so the measured one allocates none.
     let topo = generate(&TopologyConfig::emulation(60, 7));
-    let (routers, participants) = (topo.spec.routers, topo.spec.participants());
+    let participants = topo.spec.participants();
     let setup = NetworkSetup::with_routing(&topo.spec, RoutingMode::EagerPerSource);
     let mut view = Network::with_setup(&topo.spec, &setup);
     let delay = topo.spec.links[0].delay;
     view.set_link_delay(0, delay + SimDuration::from_millis(1));
+    // A row holds each distinct link of the point routes out of its source.
+    let mut row_links = 0;
     for a in 0..participants {
+        let mut row: BTreeSet<u32> = BTreeSet::new();
         for b in 0..participants {
-            view.route(a, b);
+            let id = view
+                .route(a, b)
+                .expect("the emulation topology is connected");
+            row.extend(view.route_links(id));
         }
+        row_links += row.len() as i64;
     }
     let sources = view.routing_stats().trees_built as i64;
     let before = live();
     view.set_link_delay(0, delay + SimDuration::from_millis(2));
     let (freed, _) = held_since(before);
-    let per_router = -freed as f64 / (sources * routers as i64) as f64;
+    let rows = 8 * row_links + 4 * participants as i64 * sources;
     let report = format!(
-        "{sources} cached trees over {routers} routers freed {} B, {per_router:.2} B per \
-         router and source",
+        "{sources} cached rows over {row_links} links and {participants} participants \
+         freed {} B, against {rows} B of row trees",
         -freed
     );
-    // Measured: 60 trees over 1,116 routers freed 267,840 B, 4.00 B each. A
-    // tree of 8-byte predecessors and 8-byte distances frees 16.
+    // Measured: 60 rows over 16,498 links freed 146,384 B, exactly 8 B per
+    // link and 4 B per leaf, so the ceiling has no slack. One 4-byte
+    // predecessor link per router and source freed 267,840 B here. A
+    // mutation that kept the rows would free nothing.
     assert!(
-        sources >= 40 && (3.5..=4.0).contains(&per_router),
+        sources == participants as i64 && (rows / 2..=rows).contains(&-freed),
         "{report}"
     );
 }

@@ -1515,7 +1515,7 @@ fn the_tfrc_stanzas_are_defined_once() {
 /// a test observes behaviour through, or `codec` (a crate no protocol path
 /// uses yet). A caller-less helper that only its own test exercises is
 /// deleted, not listed here.
-const CALLER_LESS: [(&str, &str); 23] = [
+const CALLER_LESS: [(&str, &str); 22] = [
     (
         "alt_lower_bound",
         "accessor: the ALT admissibility property reads it",
@@ -1560,10 +1560,6 @@ const CALLER_LESS: [(&str, &str); 23] = [
     (
         "node_resources",
         "accessor: the ingress-queue tests read the model",
-    ),
-    (
-        "path_to",
-        "reference: the single-source search the routing tests compare against",
     ),
     (
         "propagation_delay",
@@ -1716,4 +1712,80 @@ fn every_pub_fn_has_a_production_caller() {
             "{name} ({reason}) has a production caller now: drop it from the list"
         );
     }
+}
+
+/// What README names in backticks that a run writes rather than the
+/// repository holds: the perf ledger and the files `trace_probe` writes.
+const README_OUTPUTS: [&str; 5] = [
+    "perf/out/ledger.json",
+    "profile.json",
+    "journeys.jsonl",
+    "series.jsonl",
+    "trace.jsonl",
+];
+
+/// Every repository path README cites in backticks exists, and so does
+/// every `path.rs::name` it cites, as a `fn` in that file. A span is a path
+/// if it has no whitespace and either ends in a file extension or starts in
+/// one of the repository's source directories; fenced blocks are skipped,
+/// and [`README_OUTPUTS`] are outputs, not citations. A renamed test or a
+/// deleted file then fails here instead of rotting in the prose.
+#[test]
+fn readme_citations_resolve() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md is readable");
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in readme.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    let (mut cited, mut missing) = (0, Vec::new());
+    for span in prose.split('`').skip(1).step_by(2) {
+        let (path, name) = span.split_once("::").unwrap_or((span, ""));
+        let extension = ["rs", "md", "json", "jsonl", "py", "toml", "yml"]
+            .iter()
+            .any(|ext| path.rsplit_once('.').is_some_and(|(_, e)| e == *ext));
+        let source_dir = [
+            "crates/",
+            "examples/",
+            "perf/",
+            "scripts/",
+            "src/",
+            "tests/",
+        ]
+        .iter()
+        .any(|dir| path.starts_with(dir));
+        if span.contains(char::is_whitespace)
+            || !(extension || source_dir)
+            || README_OUTPUTS.contains(&span)
+        {
+            continue;
+        }
+        cited += 1;
+        let file = root.join(path);
+        let found = match name {
+            "" => file.exists(),
+            name => std::fs::read_to_string(&file).is_ok_and(|text| {
+                [format!("fn {name}("), format!("fn {name}<")]
+                    .iter()
+                    .any(|def| text.contains(def.as_str()))
+            }),
+        };
+        if !found {
+            missing.push(span);
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "README cites what is not there: {missing:?}"
+    );
+    assert!(
+        cited >= 20,
+        "only {cited} citations found: is the scan broken?"
+    );
 }
