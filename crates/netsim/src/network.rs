@@ -6,6 +6,7 @@
 //! link's queueing, loss, and delay and reports when (and whether) the packet
 //! reaches the next hop.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::hash::FxHashMap;
@@ -352,12 +353,14 @@ pub struct RoutingStats {
     pub mode: RoutingMode,
     /// Route computations (route-memo misses); memo hits are not counted.
     pub route_queries: u64,
-    /// Whole-graph row searches run ([`Network::row_tree`]), in either
-    /// mode.
+    /// Whole-graph row searches run ([`Network::row_trees`]), in either
+    /// mode: one per source asked for, whether or not anything reaches it.
+    /// The bottleneck-tree oracle asks for every participant's row, on a
+    /// disconnected graph too.
     pub batched_queries: u64,
     /// Row trees the eager mode built and cached for its point routes, one
     /// per source participant and topology epoch. The rows
-    /// [`Network::row_tree`] returns are counted by `batched_queries` alone.
+    /// [`Network::row_trees`] returns are counted by `batched_queries` alone.
     pub trees_built: u64,
     /// Lazy point-to-point searches run.
     pub lazy_searches: u64,
@@ -522,7 +525,7 @@ pub struct Network {
     memo: RouteMemo,
     /// Scratch for a path read off an eager row on its way into the arena.
     path_buf: Vec<DirectedLinkId>,
-    /// Row searches performed (see [`Network::row_tree`]).
+    /// Row searches performed (see [`Network::row_trees`]).
     batched_queries: u64,
     /// Copies per trace id, for each directed link that has carried a traced
     /// copy. Only a sample of packets is traced, so most links never get an
@@ -693,21 +696,62 @@ impl Network {
         Some(self.routes.intern(path, src, dst, cost))
     }
 
-    /// The canonical routes from `from` to every participant, as one
-    /// [`RowTree`] indexed by participant: one whole-graph search from
-    /// `from`'s router in either routing mode, counted in
-    /// [`RoutingStats::batched_queries`]. A row's targets span the graph, so
-    /// no goal-directed search prunes it (`routing` module docs, "Row
-    /// trees").
+    /// The canonical routes from each of `sources` to every participant, one
+    /// [`RowTree`] per source in the order of `sources`, each indexed by
+    /// participant: one whole-graph search per source in either routing
+    /// mode, all counted in [`RoutingStats::batched_queries`]. A row's
+    /// targets span the graph, so no goal-directed search prunes it
+    /// (`routing` module docs, "Row trees").
     ///
     /// This is the oracle-side lookup: an offline tree construction
     /// evaluates a source against every destination, so one search per
-    /// participant replaces a point search per pair. The row is a snapshot
-    /// that neither the route arena nor the participant memo sees, and it
-    /// routes exactly as [`Network::route`] does on the same graph.
-    pub fn row_tree(&mut self, from: OverlayId) -> RowTree {
-        self.batched_queries += 1;
-        RowTree::compute(&self.adjacency, self.attachments[from], &self.attachments)
+    /// participant replaces a point search per pair. The searches only read
+    /// the graph, so they run on every core: one scoped worker per
+    /// available core, capped at `sources.len()`, the calling thread among
+    /// them. The rows are placed by source index, so they are the same at
+    /// any worker count. A row is a snapshot that neither the route arena
+    /// nor the participant memo sees, and it routes exactly as
+    /// [`Network::route`] does on the same graph.
+    pub fn row_trees(&mut self, sources: &[OverlayId]) -> Vec<RowTree> {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        self.row_trees_on(sources, cores)
+    }
+
+    /// [`Network::row_trees`] on at most `workers` threads (at least one).
+    /// Each worker takes the next source index from a shared counter and
+    /// returns its `(index, row)` pairs; the rows are then placed by index.
+    pub(crate) fn row_trees_on(&mut self, sources: &[OverlayId], workers: usize) -> Vec<RowTree> {
+        self.batched_queries += sources.len() as u64;
+        let (adjacency, attachments) = (&*self.adjacency, &self.attachments[..]);
+        // The counter hands out indices and publishes nothing else: each
+        // row comes back through its worker's `join`.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&source) = sources.get(i) else {
+                    return done;
+                };
+                let row = RowTree::compute(adjacency, attachments[source], attachments);
+                done.push((i, row));
+            }
+        };
+        let mut rows: Vec<Option<RowTree>> = vec![None; sources.len()];
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers.min(sources.len()))
+                .map(|_| scope.spawn(work))
+                .collect();
+            let helped = helpers
+                .into_iter()
+                .flat_map(|helper| helper.join().expect("a row worker panicked"));
+            for (i, row) in work().into_iter().chain(helped) {
+                rows[i] = Some(row);
+            }
+        });
+        rows.into_iter()
+            .map(|row| row.expect("every source index is taken once"))
+            .collect()
     }
 
     /// Counters describing the routing work done so far. Totals accumulate
@@ -1328,7 +1372,9 @@ mod tests {
     /// `from → to` read off `from`'s row tree, as an owned link sequence.
     fn row_path(net: &mut Network, from: OverlayId, to: OverlayId) -> Option<Vec<DirectedLinkId>> {
         let mut path = Vec::new();
-        net.row_tree(from).path_into(to, &mut path).then_some(path)
+        net.row_trees(&[from])[0]
+            .path_into(to, &mut path)
+            .then_some(path)
     }
 
     #[test]
@@ -1341,8 +1387,8 @@ mod tests {
             let spec = dumbbell();
             let mut point = Network::with_routing(&spec, mode);
             let mut rows = Network::with_routing(&spec, mode);
-            for a in 0..spec.participants() {
-                let row = rows.row_tree(a);
+            let sources: Vec<OverlayId> = (0..spec.participants()).collect();
+            for (a, row) in rows.row_trees(&sources).into_iter().enumerate() {
                 let mut path = Vec::new();
                 for b in 0..spec.participants() {
                     let got = row.path_into(b, &mut path).then(|| path.clone());
@@ -1356,6 +1402,70 @@ mod tests {
                 (0, 0, 0),
                 "{mode:?}: a row tree is one search and nothing else"
             );
+        }
+    }
+
+    /// Rows built on any number of workers are the rows one thread computes
+    /// source by source, in the order the sources are asked for: on a
+    /// tie-heavy unit grid, on the 40-participant paper topology class and
+    /// on a disconnected graph. The sources come in reverse with one
+    /// repeated, so rows placed in completion order or by participant fail.
+    /// This is the one test that runs several workers on a one-core host.
+    #[test]
+    fn row_trees_are_the_same_at_any_worker_count() {
+        let side = 7;
+        let mut grid = NetworkSpec::new(side * side);
+        let unit = SimDuration::from_micros(1);
+        for r in 0..side * side {
+            if r % side + 1 < side {
+                grid.add_link(LinkSpec::new(r, r + 1, 1e6, unit));
+            }
+            if r + side < side * side {
+                grid.add_link(LinkSpec::new(r, r + side, 1e6, unit));
+            }
+            grid.attach(r);
+        }
+        // The generator builds its spec with the library build of this
+        // crate, whose types are not this test build's: copy it field by
+        // field.
+        let topo = bullet_topology::generate(&bullet_topology::TopologyConfig::paper_scale(40, 7));
+        let mut paper = NetworkSpec::new(topo.spec.routers);
+        for link in &topo.spec.links {
+            paper.add_link(LinkSpec {
+                a: link.a,
+                b: link.b,
+                bandwidth_bps: link.bandwidth_bps,
+                delay: SimDuration::from_micros(link.delay.as_micros()),
+                loss: link.loss,
+                queue_bytes: link.queue_bytes,
+                up: link.up,
+            });
+        }
+        for &router in &topo.spec.attachments {
+            paper.attach(router);
+        }
+        // Routers 0-1-2 and 3-4 are two components; router 5 is alone.
+        let mut split = NetworkSpec::new(6);
+        for (a, b) in [(0, 1), (1, 2), (3, 4)] {
+            split.add_link(LinkSpec::new(a, b, 1e6, SimDuration::from_millis(1)));
+        }
+        for router in [0, 3, 5, 2, 4, 1] {
+            split.attach(router);
+        }
+        for (label, spec) in [("grid", grid), ("paper", paper), ("split", split)] {
+            let mut net = Network::with_routing(&spec, RoutingMode::EagerPerSource);
+            let mut sources: Vec<OverlayId> = (0..spec.participants()).rev().collect();
+            sources.push(sources[1]);
+            let expected: Vec<RowTree> = (sources.iter())
+                .map(|&p| RowTree::compute(&net.adjacency, net.attachments[p], &net.attachments))
+                .collect();
+            let counts = [1, 2, 3, sources.len() + 1];
+            for workers in counts {
+                let rows = net.row_trees_on(&sources, workers);
+                assert!(rows == expected, "{label}: {workers} workers");
+            }
+            let searches = (counts.len() * sources.len()) as u64;
+            assert_eq!(net.routing_stats().batched_queries, searches, "{label}");
         }
     }
 

@@ -58,9 +58,13 @@
 //!
 //! The routes out of one source to every participant come from one
 //! whole-graph search, `dijkstra`, kept as a [`RowTree`]. Two callers build
-//! rows: the bottleneck-tree oracle ([`Network::row_tree`]), in both routing
-//! modes, and [`RoutingMode::EagerPerSource`], which caches one row per
-//! source participant and reads each of its point routes off it. A row's
+//! rows: the bottleneck-tree oracle, in both routing modes, which asks
+//! [`Network::row_trees`] for every participant's row at once, and
+//! [`RoutingMode::EagerPerSource`], which caches one row per source
+//! participant and reads each of its point routes off it. The oracle's
+//! searches only read the graph, so they run on scoped workers, one per
+//! core, and each row is placed by its source's index: the rows are the
+//! same at any worker count. A row's
 //! targets are every participant, scattered over the whole graph, so
 //! settling all of them settles nearly everything: no goal direction can
 //! prune a search whose goals span the graph. What it can save is the queue:
@@ -100,10 +104,11 @@
 //!   node and a `u32` link — and a `u32` leaf per target. Its search is
 //!   transient: 17 bytes per router at its peak (a distance, a queue flag, a
 //!   predecessor link and the bucket queue), then a `u32` router-to-node
-//!   entry beside the predecessor links while the tree is read off.
+//!   entry beside the predecessor links while the tree is read off. Up to
+//!   one search per worker is live at once.
 //!
 //! [`Network`]: crate::network::Network
-//! [`Network::row_tree`]: crate::network::Network::row_tree
+//! [`Network::row_trees`]: crate::network::Network::row_trees
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -466,11 +471,16 @@ const NO_NODE: u32 = u32::MAX;
 /// `links[i] = (parent node, directed link)`, and a parent always precedes
 /// its children. Each target holds one leaf, the node of its router. Every
 /// root-to-leaf walk follows one search's canonical predecessor links, so
-/// [`RowTree::path_into`] returns the canonical path. The tree is a
-/// snapshot of the graph it was computed on, and no topology mutation
+/// [`RowTree::path_into`] returns the canonical path, and
+/// [`RowTree::reaches`] answers reachability from the leaf alone. The tree
+/// is a snapshot of the graph it was computed on, and no topology mutation
 /// repairs it: the eager routing mode drops its cached rows at every
-/// route-affecting mutation.
-#[derive(Clone, Debug)]
+/// route-affecting mutation. A row depends on the graph, the source and the
+/// targets alone, so the rows [`Network::row_trees`] builds on several
+/// workers equal those built one at a time.
+///
+/// [`Network::row_trees`]: crate::network::Network::row_trees
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowTree {
     /// `(parent node, directed link)` of nodes 1, 2, … in order.
     links: Box<[(u32, u32)]>,
@@ -512,6 +522,11 @@ impl RowTree {
             links: links.into_boxed_slice(),
             leaves: leaves.into_boxed_slice(),
         }
+    }
+
+    /// Whether the source reaches target `target`: one leaf read, no walk.
+    pub fn reaches(&self, target: usize) -> bool {
+        self.leaves[target] != NO_NODE
     }
 
     /// Writes the canonical path to target `target` (directed link ids,
@@ -2083,7 +2098,9 @@ mod tests {
     /// `from → to` read off `from`'s row tree, as an owned link sequence.
     fn batched_path(net: &mut Network, from: usize, to: usize) -> Option<Vec<DirectedLinkId>> {
         let mut path = Vec::new();
-        net.row_tree(from).path_into(to, &mut path).then_some(path)
+        net.row_trees(&[from])[0]
+            .path_into(to, &mut path)
+            .then_some(path)
     }
 
     // In a lazy-mode network a row tree runs the reference Dijkstra and a
@@ -2095,7 +2112,7 @@ mod tests {
     fn batched_paths_match_the_reference_on_a_line() {
         let mut rows = lazy_network(5, &line_edges(5), 0);
         let mut points = lazy_network(5, &line_edges(5), 0);
-        let row = rows.row_tree(1);
+        let row = &rows.row_trees(&[1])[0];
         let mut path = Vec::new();
         for t in [4, 0, 1, 3, 4] {
             // out of order, the source itself, a repeat
@@ -2118,7 +2135,7 @@ mod tests {
         // with link 0.
         let edges = [(0, 1, 5), (1, 2, 5), (1, 3, 5), (1, 4, 5)];
         let mut net = lazy_network(5, &edges, 0);
-        let row = net.row_tree(0);
+        let row = &net.row_trees(&[0])[0];
         assert_eq!(row.links.len(), 4, "one entry per distinct link");
         let mut path = Vec::new();
         for (t, last) in [(2, 2), (3, 4), (4, 6)] {
@@ -2155,8 +2172,8 @@ mod tests {
             for landmarks in [0, 3] {
                 let mut rows = lazy_network(n, &edges, landmarks);
                 let mut points = lazy_network(n, &edges, landmarks);
-                for src in 0..n {
-                    let row = rows.row_tree(src);
+                let sources: Vec<usize> = (0..n).collect();
+                for (src, row) in rows.row_trees(&sources).iter().enumerate() {
                     for dst in 0..n {
                         assert_eq!(
                             row.path_into(dst, &mut path).then(|| path.clone()),

@@ -32,11 +32,23 @@ impl Default for OmbtConfig {
     }
 }
 
-/// A candidate overlay edge in the greedy frontier.
+/// A candidate overlay edge in the greedy frontier. The ids are
+/// participant indices, which [`bottleneck_tree`] checks fit in a `u32`:
+/// 16 bytes a candidate, and the frontier holds O(participants²) of them.
 struct Candidate {
     throughput_bps: f64,
-    from: OverlayId,
-    to: OverlayId,
+    from: u32,
+    to: u32,
+}
+
+impl Candidate {
+    fn new(throughput_bps: f64, from: OverlayId, to: OverlayId) -> Self {
+        Candidate {
+            throughput_bps,
+            from: from as u32,
+            to: to as u32,
+        }
+    }
 }
 
 impl PartialEq for Candidate {
@@ -62,47 +74,46 @@ impl Ord for Candidate {
 /// Oracle estimator for overlay link throughput.
 ///
 /// It reads the routes of a participant's pairs off that participant's
-/// [`RowTree`], built by the first estimate that needs it: one whole-graph
-/// search per participant, where point routes would cost one search per
-/// pair and intern every pair's route. A tree construction evaluates a
-/// source against every destination and, through the RTT, every
-/// destination against the source, so it ends up holding a row per
-/// participant. Paths are walked source first, so every sum and product
-/// is the one a point route gives, bit for bit.
+/// [`RowTree`]. Every participant's row is built when the oracle is made,
+/// by one [`Network::row_trees`] call that spreads the whole-graph searches
+/// over every core: one search per participant, where point routes would
+/// cost one search per pair and intern every pair's route. A tree
+/// construction evaluates a source against every destination, and on lossy
+/// paths, through the RTT, every destination against the source, so it
+/// reads nearly every row anyway. Paths are walked source first, so every
+/// sum and product is the one a point route gives, bit for bit.
 pub struct ThroughputOracle<'a> {
     net: &'a mut Network,
     /// Number of tree flows currently routed over each directed link,
     /// indexed by link id.
     flows: Vec<u32>,
-    /// Each participant's row tree, once an estimate has needed it.
-    rows: Vec<Option<RowTree>>,
+    /// Each participant's row tree.
+    rows: Vec<RowTree>,
     /// Scratch for one path, source first.
     path: Vec<DirectedLinkId>,
 }
 
 impl<'a> ThroughputOracle<'a> {
-    /// Creates an oracle over the given network.
+    /// Creates an oracle over the given network, building every
+    /// participant's row tree.
     pub fn new(net: &'a mut Network) -> Self {
+        let participants: Vec<OverlayId> = (0..net.participants()).collect();
         ThroughputOracle {
             flows: vec![0; net.links().len()],
-            rows: vec![None; net.participants()],
+            rows: net.row_trees(&participants),
             path: Vec::new(),
             net,
         }
     }
 
-    /// Reads the canonical route `from -> to` into `self.path`, returning
-    /// `false` if `to` is unreachable.
-    fn read_path(&mut self, from: OverlayId, to: OverlayId) -> bool {
-        let row = self.rows[from].get_or_insert_with(|| self.net.row_tree(from));
-        row.path_into(to, &mut self.path)
-    }
-
     /// Estimates the throughput (bits/second) of the overlay link
     /// `from -> to` under the current tree flows, per the paper's §4.1 model:
-    /// `min(formula rate, min over links of capacity / (flows + 1))`.
+    /// `min(formula rate, min over links of capacity / (flows + 1))`, or
+    /// `None` if either direction is unreachable. The RTT enters only the
+    /// TCP formula, which applies only to a lossy path, so only a lossy
+    /// path's reverse route is walked.
     pub fn estimate_bps(&mut self, from: OverlayId, to: OverlayId) -> Option<f64> {
-        if !self.read_path(from, to) {
+        if !self.rows[from].path_into(to, &mut self.path) || !self.rows[to].reaches(from) {
             return None;
         }
         let mut loss_survive = 1.0;
@@ -114,16 +125,14 @@ impl<'a> ThroughputOracle<'a> {
             delay += link.delay.as_secs_f64();
             fair_share = fair_share.min(link.bandwidth_bps / (self.flows[link_id] + 1) as f64);
         }
-        if !self.read_path(to, from) {
-            return None;
-        }
-        let mut reverse_delay = 0.0;
-        for &link_id in &self.path {
-            reverse_delay += self.net.link(link_id).delay.as_secs_f64();
-        }
-        let rtt = (delay + reverse_delay).max(1e-4);
         let loss = 1.0 - loss_survive;
         let formula = if loss > 0.0 {
+            self.rows[to].path_into(from, &mut self.path);
+            let mut reverse_delay = 0.0;
+            for &link_id in &self.path {
+                reverse_delay += self.net.link(link_id).delay.as_secs_f64();
+            }
+            let rtt = (delay + reverse_delay).max(1e-4);
             tcp_throughput_bps(DATA_PACKET_BYTES as f64, rtt, loss)
         } else {
             f64::INFINITY
@@ -133,7 +142,7 @@ impl<'a> ThroughputOracle<'a> {
 
     /// Marks the overlay link `from -> to` as carrying one more tree flow.
     pub fn commit_flow(&mut self, from: OverlayId, to: OverlayId) {
-        if self.read_path(from, to) {
+        if self.rows[from].path_into(to, &mut self.path) {
             for &link_id in &self.path {
                 self.flows[link_id] += 1;
             }
@@ -152,6 +161,7 @@ pub fn bottleneck_tree(
 ) -> Tree {
     assert!(participants > 0, "need at least one participant");
     assert!(root < participants, "root out of range");
+    u32::try_from(participants).expect("participant ids fit in a u32");
     let mut oracle = ThroughputOracle::new(net);
     let mut parents: Vec<Option<OverlayId>> = vec![None; participants];
     let mut in_tree = vec![false; participants];
@@ -162,11 +172,7 @@ pub fn bottleneck_tree(
     for to in 0..participants {
         if to != root {
             if let Some(bps) = oracle.estimate_bps(root, to) {
-                heap.push(Candidate {
-                    throughput_bps: bps,
-                    from: root,
-                    to,
-                });
+                heap.push(Candidate::new(bps, root, to));
             }
         }
     }
@@ -183,37 +189,33 @@ pub fn bottleneck_tree(
             }
             break;
         };
-        if in_tree[candidate.to] || child_count[candidate.from] >= config.max_children {
+        let (from, to) = (candidate.from as OverlayId, candidate.to as OverlayId);
+        if in_tree[to] || child_count[from] >= config.max_children {
             continue;
         }
         // Lazy re-evaluation: the fair shares may have changed since the
         // candidate was pushed. Recompute; if it is no longer competitive,
         // push the refreshed value back instead of accepting it.
-        let Some(current) = oracle.estimate_bps(candidate.from, candidate.to) else {
+        let Some(current) = oracle.estimate_bps(from, to) else {
             continue;
         };
         let next_best = heap.peek().map(|c| c.throughput_bps).unwrap_or(0.0);
         if current + 1e-6 < next_best && current + 1e-6 < candidate.throughput_bps {
             heap.push(Candidate {
                 throughput_bps: current,
-                from: candidate.from,
-                to: candidate.to,
+                ..candidate
             });
             continue;
         }
         // Accept.
-        parents[candidate.to] = Some(candidate.from);
-        in_tree[candidate.to] = true;
-        child_count[candidate.from] += 1;
-        oracle.commit_flow(candidate.from, candidate.to);
+        parents[to] = Some(from);
+        in_tree[to] = true;
+        child_count[from] += 1;
+        oracle.commit_flow(from, to);
         attached += 1;
-        for to in (0..participants).filter(|&to| !in_tree[to]) {
-            if let Some(bps) = oracle.estimate_bps(candidate.to, to) {
-                heap.push(Candidate {
-                    throughput_bps: bps,
-                    from: candidate.to,
-                    to,
-                });
+        for next in (0..participants).filter(|&next| !in_tree[next]) {
+            if let Some(bps) = oracle.estimate_bps(to, next) {
+                heap.push(Candidate::new(bps, to, next));
             }
         }
     }
@@ -308,25 +310,32 @@ mod tests {
         assert_eq!(batched.parents(), pairwise);
     }
 
+    /// Bit for bit, on a loss-free star, where an estimate is the fair
+    /// share alone, and on a lossy one, where the RTT through the reverse
+    /// route enters the TCP formula.
     #[test]
     fn batched_estimates_match_pairwise_estimates() {
-        let spec = star(&[10e6, 10e6, 4e6]);
-        let mut net_a = Network::new(&spec);
-        let mut net_b = Network::new(&spec);
-        let mut batched = ThroughputOracle::new(&mut net_a);
-        let mut pairwise = PairwiseOracle::new(&mut net_b);
-        for from in 0..3 {
-            for to in 0..3 {
-                if from == to {
-                    continue;
+        let clean = star(&[10e6, 10e6, 4e6]);
+        let mut lossy = star(&[10e6, 10e6, 4e6, 8e6]);
+        for (link, loss) in lossy.links.iter_mut().zip([0.01, 0.0, 0.03, 0.002]) {
+            link.loss = loss;
+        }
+        for (label, spec) in [("clean", clean), ("lossy", lossy)] {
+            let n = spec.participants();
+            let mut net_a = Network::new(&spec);
+            let mut net_b = Network::new(&spec);
+            let mut batched = ThroughputOracle::new(&mut net_a);
+            let mut pairwise = PairwiseOracle::new(&mut net_b);
+            for from in 0..n {
+                for to in (0..n).filter(|&to| to != from) {
+                    assert_eq!(
+                        batched.estimate_bps(from, to).map(f64::to_bits),
+                        pairwise.estimate_bps(from, to).map(f64::to_bits),
+                        "{label}: {from}->{to}"
+                    );
+                    batched.commit_flow(from, to);
+                    pairwise.commit_flow(from, to);
                 }
-                assert_eq!(
-                    batched.estimate_bps(from, to),
-                    pairwise.estimate_bps(from, to),
-                    "{from}->{to}"
-                );
-                batched.commit_flow(from, to);
-                pairwise.commit_flow(from, to);
             }
         }
     }

@@ -644,8 +644,8 @@ fn row_trees_are_canonical_routes_after_paper_class_mutations() {
     net.set_link_delay(slowed, delay + SimDuration::from_millis(40));
     assert_eq!(net.topology_epoch(), 2, "both mutations change the graph");
     let mut path = Vec::new();
-    for a in 0..n {
-        let row = net.row_tree(a);
+    let sources: Vec<usize> = (0..n).collect();
+    for (a, row) in net.row_trees(&sources).iter().enumerate() {
         for b in 0..n {
             let point = net.route(a, b).map(|id| {
                 let links = net.route_links(id).iter();

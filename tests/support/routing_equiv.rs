@@ -102,10 +102,10 @@ pub fn assert_all_participant_pairs_equivalent(spec: &NetworkSpec, label: &str) 
     let (mut eager, mut bidi, mut alt) = networks(spec);
     let mut rows = row_network(spec);
     let n = spec.participants();
-    for a in 0..n {
-        let row = rows.row_tree(a);
+    let sources: Vec<usize> = (0..n).collect();
+    for (a, row) in rows.row_trees(&sources).iter().enumerate() {
         for b in (0..n).filter(|&b| b != a) {
-            assert_pair(&mut eager, &mut bidi, &mut alt, &row, a, b, label);
+            assert_pair(&mut eager, &mut bidi, &mut alt, row, a, b, label);
         }
     }
     check_strategy_invariants(&eager, &bidi, &alt, label);
@@ -118,15 +118,19 @@ pub fn assert_all_participant_pairs_equivalent(spec: &NetworkSpec, label: &str) 
 pub fn assert_sampled_pairs_equivalent(spec: &NetworkSpec, pairs: &[(usize, usize)], label: &str) {
     let (mut eager, mut bidi, mut alt) = networks(spec);
     let mut net = row_network(spec);
-    let mut rows: Vec<Option<RowTree>> = vec![None; spec.participants()];
-    for &(a, b) in pairs {
-        if a != b {
-            let row = rows[a].get_or_insert_with(|| net.row_tree(a));
-            assert_pair(&mut eager, &mut bidi, &mut alt, row, a, b, label);
-        }
+    let mut sources: Vec<usize> = (pairs.iter())
+        .filter(|&&(a, b)| a != b)
+        .map(|&(a, _)| a)
+        .collect();
+    sources.sort_unstable();
+    sources.dedup();
+    let rows = net.row_trees(&sources);
+    for &(a, b) in pairs.iter().filter(|&&(a, b)| a != b) {
+        let row = &rows[sources.binary_search(&a).expect("a sampled source")];
+        assert_pair(&mut eager, &mut bidi, &mut alt, row, a, b, label);
     }
     check_strategy_invariants(&eager, &bidi, &alt, label);
-    check_row_invariants(&net, rows.iter().flatten().count(), label);
+    check_row_invariants(&net, sources.len(), label);
 }
 
 /// Three uniform-delay topologies built to defeat a lazy router that
@@ -265,6 +269,7 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
     let (mut eager, mut bidi, mut alt) = networks(spec);
     let mut rows = row_network(spec);
     let n = spec.participants();
+    let sources: Vec<usize> = (0..n).collect();
     let warm = |net: &mut Network| {
         for a in 0..n {
             for b in 0..n {
@@ -282,15 +287,14 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
             mutation.apply_to_network(net);
         }
         let mut fresh = Network::with_routing(&mutated_spec, RoutingMode::EagerPerSource);
-        for a in 0..n {
-            let row = rows.row_tree(a);
+        for (a, row) in rows.row_trees(&sources).iter().enumerate() {
             for b in (0..n).filter(|&b| b != a) {
                 let reference = fresh.path(a, b);
                 let ctx = format!("{label}: step {step} ({mutation:?}): {a}->{b}");
                 assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
                 assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
                 assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
-                assert_eq!(reference, row_path(&row, b), "{ctx}: patched row tree");
+                assert_eq!(reference, row_path(row, b), "{ctx}: patched row tree");
             }
         }
         // Link state followed the mutation on every incremental network.
@@ -375,15 +379,15 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
         }
         // Ground truth: a network freshly built on the mutated spec.
         let mut fresh = Network::with_routing(mutated_spec, RoutingMode::EagerPerSource);
-        for a in 0..n {
-            let row = rows.row_tree(a);
+        let sources: Vec<usize> = (0..n).collect();
+        for (a, row) in rows.row_trees(&sources).iter().enumerate() {
             for b in (0..n).filter(|&b| b != a) {
                 let reference = fresh.path(a, b);
                 let ctx = format!("{step_label} ({mutation:?}): {a}->{b}");
                 assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
                 assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
                 assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
-                assert_eq!(reference, row_path(&row, b), "{ctx}: patched row tree");
+                assert_eq!(reference, row_path(row, b), "{ctx}: patched row tree");
                 if reference.is_some() {
                     assert_eq!(
                         fresh.propagation_delay(a, b),
