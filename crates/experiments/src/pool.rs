@@ -13,9 +13,10 @@
 //! The caller sets the width: a [`Sweep`] names the worker count and how
 //! many seeds every figure's grid sweeps (one seed reproduces the
 //! historical single-seed output byte for byte). The bench targets build
-//! theirs from `BULLET_THREADS` and `BULLET_SEEDS` (`crates/bench`).
+//! theirs from `BULLET_THREADS` and `BULLET_SEEDS` (`crates/bench`). The
+//! width holds for nested work too: the oracle searches a task starts run
+//! at that task's share of it, never on more threads.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One unit of grid work: built by a figure, executed by a worker.
@@ -41,50 +42,27 @@ impl RunPool {
     }
 
     /// Executes every task and returns the results **in task order**,
-    /// regardless of which worker ran what when.
+    /// regardless of which worker ran what when: one
+    /// [`bullet_netsim::ordered_map`] over the tasks at this pool's width.
     ///
     /// With one worker (or one task) this degenerates to a plain serial
     /// map on the calling thread — the reference execution every other
     /// thread count must reproduce. A panicking task propagates out of the
-    /// scope and fails the harness, exactly like serial execution.
+    /// scope and fails the harness, exactly like serial execution. A task
+    /// that builds a bottleneck-tree oracle runs its searches at its share
+    /// of the width (`bullet_netsim::workers`), so a width of one keeps the
+    /// whole grid on one thread.
     pub fn run<'scope, R: Send>(&self, tasks: Vec<Task<'scope, R>>) -> Vec<R> {
-        let n = tasks.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return tasks.into_iter().map(|task| task()).collect();
-        }
-        // Tasks are claimed through a shared cursor (cheap work stealing:
-        // long and short runs pack onto workers greedily); each result
-        // lands in the slot of its task index, restoring serial order.
-        let task_slots: Vec<Mutex<Option<Task<'scope, R>>>> =
+        let slots: Vec<Mutex<Option<Task<'scope, R>>>> =
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let result_slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    let task = task_slots[index]
-                        .lock()
-                        .expect("task slot poisoned")
-                        .take()
-                        .expect("each task index is claimed exactly once");
-                    let result = task();
-                    *result_slots[index].lock().expect("result slot poisoned") = Some(result);
-                });
-            }
-        });
-        result_slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("scope joined every worker, so every task completed")
-            })
-            .collect()
+        bullet_netsim::ordered_map(self.threads, slots.len(), |index| {
+            let task = slots[index]
+                .lock()
+                .expect("task slot poisoned")
+                .take()
+                .expect("each task index is claimed exactly once");
+            task()
+        })
     }
 }
 

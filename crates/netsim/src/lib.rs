@@ -57,6 +57,7 @@ pub mod rng;
 pub mod routing;
 pub mod sim;
 pub mod time;
+pub mod workers;
 
 pub use agent::{Action, Agent, Context, MsgClass, TimerAlloc, TimerId};
 pub use bullet_telemetry as telemetry;
@@ -72,3 +73,4 @@ pub use sim::{
     FaultPlan, NodeOverloadStats, NodeResources, NodeTraffic, QueueDiscipline, Sim, SimCounters,
 };
 pub use time::{transmission_time, SimDuration, SimTime};
+pub use workers::ordered_map;

@@ -6,7 +6,6 @@
 //! link's queueing, loss, and delay and reports when (and whether) the packet
 //! reaches the next hop.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::hash::FxHashMap;
@@ -14,6 +13,7 @@ use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSp
 use crate::rng::SimRng;
 use crate::routing::{edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, RowTree};
 use crate::time::{SimDuration, SimTime};
+use crate::workers::{self, ordered_map};
 
 /// Best ALT lower bound on `dist(a, b)` over the landmark tables (raw cost
 /// units): `max_L |d_L(a) − d_L(b)|`, by the triangle inequality on each
@@ -706,52 +706,24 @@ impl Network {
     /// This is the oracle-side lookup: an offline tree construction
     /// evaluates a source against every destination, so one search per
     /// participant replaces a point search per pair. The searches only read
-    /// the graph, so they run on every core: one scoped worker per
-    /// available core, capped at `sources.len()`, the calling thread among
-    /// them. The rows are placed by source index, so they are the same at
-    /// any worker count. A row is a snapshot that neither the route arena
-    /// nor the participant memo sees, and it routes exactly as
-    /// [`Network::route`] does on the same graph.
+    /// the graph, so they run as one [`ordered_map`] at the width this thread
+    /// may use: every available core at the top level, the caller's share
+    /// inside an experiment grid's task (`workers` module docs). The rows
+    /// are placed by source index, so they are the same at any width. A row
+    /// is a snapshot that neither the route arena nor the participant memo
+    /// sees, and it routes exactly as [`Network::route`] does on the same
+    /// graph.
     pub fn row_trees(&mut self, sources: &[OverlayId]) -> Vec<RowTree> {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        self.row_trees_on(sources, cores)
+        self.row_trees_on(sources, workers::width())
     }
 
     /// [`Network::row_trees`] on at most `workers` threads (at least one).
-    /// Each worker takes the next source index from a shared counter and
-    /// returns its `(index, row)` pairs; the rows are then placed by index.
     pub(crate) fn row_trees_on(&mut self, sources: &[OverlayId], workers: usize) -> Vec<RowTree> {
         self.batched_queries += sources.len() as u64;
         let (adjacency, attachments) = (&*self.adjacency, &self.attachments[..]);
-        // The counter hands out indices and publishes nothing else: each
-        // row comes back through its worker's `join`.
-        let next = AtomicUsize::new(0);
-        let work = || {
-            let mut done = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&source) = sources.get(i) else {
-                    return done;
-                };
-                let row = RowTree::compute(adjacency, attachments[source], attachments);
-                done.push((i, row));
-            }
-        };
-        let mut rows: Vec<Option<RowTree>> = vec![None; sources.len()];
-        std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers.min(sources.len()))
-                .map(|_| scope.spawn(work))
-                .collect();
-            let helped = helpers
-                .into_iter()
-                .flat_map(|helper| helper.join().expect("a row worker panicked"));
-            for (i, row) in work().into_iter().chain(helped) {
-                rows[i] = Some(row);
-            }
-        });
-        rows.into_iter()
-            .map(|row| row.expect("every source index is taken once"))
-            .collect()
+        ordered_map(workers, sources.len(), |i| {
+            RowTree::compute(adjacency, attachments[sources[i]], attachments)
+        })
     }
 
     /// Counters describing the routing work done so far. Totals accumulate
@@ -1407,10 +1379,9 @@ mod tests {
 
     /// Rows built on any number of workers are the rows one thread computes
     /// source by source, in the order the sources are asked for: on a
-    /// tie-heavy unit grid, on the 40-participant paper topology class and
-    /// on a disconnected graph. The sources come in reverse with one
+    /// tie-heavy unit grid, on a seeded tie-heavy random graph and on a
+    /// disconnected graph. The sources come in reverse with one
     /// repeated, so rows placed in completion order or by participant fail.
-    /// This is the one test that runs several workers on a one-core host.
     #[test]
     fn row_trees_are_the_same_at_any_worker_count() {
         let side = 7;
@@ -1425,24 +1396,25 @@ mod tests {
             }
             grid.attach(r);
         }
-        // The generator builds its spec with the library build of this
-        // crate, whose types are not this test build's: copy it field by
-        // field.
-        let topo = bullet_topology::generate(&bullet_topology::TopologyConfig::paper_scale(40, 7));
-        let mut paper = NetworkSpec::new(topo.spec.routers);
-        for link in &topo.spec.links {
-            paper.add_link(LinkSpec {
-                a: link.a,
-                b: link.b,
-                bandwidth_bps: link.bandwidth_bps,
-                delay: SimDuration::from_micros(link.delay.as_micros()),
-                loss: link.loss,
-                queue_bytes: link.queue_bytes,
-                up: link.up,
-            });
+        // A seeded ring with as many random chords, delays of 1 to 3 µs (so
+        // most routers are reached over tied paths) and 60 participants on
+        // random routers, some sharing one.
+        let mut rng = SimRng::new(0x7E57_0DE5);
+        let routers = 400;
+        let mut random = NetworkSpec::new(routers);
+        let mut link = |a, b, rng: &mut SimRng| {
+            let delay = SimDuration::from_micros(1 + rng.next_below(3));
+            random.add_link(LinkSpec::new(a, b, 1e6, delay));
+        };
+        for r in 0..routers {
+            link(r, (r + 1) % routers, &mut rng);
+            let (a, b) = (rng.range_usize(0, routers), rng.range_usize(0, routers));
+            if a != b {
+                link(a, b, &mut rng);
+            }
         }
-        for &router in &topo.spec.attachments {
-            paper.attach(router);
+        for _ in 0..60 {
+            random.attach(rng.range_usize(0, routers));
         }
         // Routers 0-1-2 and 3-4 are two components; router 5 is alone.
         let mut split = NetworkSpec::new(6);
@@ -1452,7 +1424,7 @@ mod tests {
         for router in [0, 3, 5, 2, 4, 1] {
             split.attach(router);
         }
-        for (label, spec) in [("grid", grid), ("paper", paper), ("split", split)] {
+        for (label, spec) in [("grid", grid), ("random", random), ("split", split)] {
             let mut net = Network::with_routing(&spec, RoutingMode::EagerPerSource);
             let mut sources: Vec<OverlayId> = (0..spec.participants()).rev().collect();
             sources.push(sources[1]);

@@ -62,10 +62,10 @@
 //! [`Network::row_trees`] for every participant's row at once, and
 //! [`RoutingMode::EagerPerSource`], which caches one row per source
 //! participant and reads each of its point routes off it. The oracle's
-//! searches only read the graph, so they run on scoped workers, one per
-//! core, and each row is placed by its source's index: the rows are the
-//! same at any worker count. A row's
-//! targets are every participant, scattered over the whole graph, so
+//! searches only read the graph, so they run as one ordered scoped map
+//! ([`crate::workers`]) at the width the calling thread may use, and each
+//! row is placed by its source's index: the rows are the same at any
+//! worker count. A row's targets are every participant, scattered over the whole graph, so
 //! settling all of them settles nearly everything: no goal direction can
 //! prune a search whose goals span the graph. What it can save is the queue:
 //! it keeps a bucket queue, not a heap. The search's predecessor links are

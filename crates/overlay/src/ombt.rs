@@ -76,7 +76,7 @@ impl Ord for Candidate {
 /// It reads the routes of a participant's pairs off that participant's
 /// [`RowTree`]. Every participant's row is built when the oracle is made,
 /// by one [`Network::row_trees`] call that spreads the whole-graph searches
-/// over every core: one search per participant, where point routes would
+/// over the workers this thread may use: one search per participant, where point routes would
 /// cost one search per pair and intern every pair's route. A tree
 /// construction evaluates a source against every destination, and on lossy
 /// paths, through the RTT, every destination against the source, so it

@@ -12,7 +12,7 @@
 //! oracle reads one row tree per participant and interns nothing: the view
 //! must not grow, and the build's peak above it is bounded by the row
 //! trees' links and leaves, the oracle's flow array and one row search per
-//! worker, since the rows are built on every core at once.
+//! worker, on one worker and on two.
 //! Last, on the small emulation class, the eager mode's cached rows must
 //! hold 8 bytes per row link and 4 bytes per participant, and a
 //! route-affecting mutation must free them.
@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use bullet_suite::netsim::{Network, NetworkSetup, RoutingMode, SimDuration};
+use bullet_suite::netsim::{ordered_map, Network, NetworkSetup, RoutingMode, SimDuration};
 use bullet_suite::overlay::{bottleneck_tree, OmbtConfig};
 use bullet_suite::topology::{generate, TopologyConfig};
 
@@ -164,28 +164,37 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     let participants = topo.spec.participants();
     let setup = NetworkSetup::new(&topo.spec);
     // One row search, on a view of its own, peaks at its transient
-    // workspace and the row tree it returns. The oracle runs up to one
-    // search per worker at once, a worker per core as `row_trees` counts
-    // them.
+    // workspace and the row tree it returns. The oracle runs one search per
+    // worker at once.
     let mut probe = Network::with_setup(&topo.spec, &setup);
     let base = reset_peak();
     drop(probe.row_trees(&[0]));
     let search = PEAK_BYTES.load(Ordering::SeqCst) - base;
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let workers = cores.min(participants) as i64;
     drop(probe);
-    let before = live();
-    let mut view = Network::with_setup(&topo.spec, &setup);
-    let (fresh_view, _) = held_since(before);
-    let before = live();
-    let base = reset_peak();
-    let tree = bottleneck_tree(&mut view, participants, 0, &OmbtConfig::default());
-    let peak = PEAK_BYTES.load(Ordering::SeqCst) - base;
-    drop(tree);
-    let (grown, _) = held_since(before);
-    let stats = view.routing_stats();
+    // Each build runs as the one task of a map of width `workers`, so its
+    // rows are built on exactly that many workers on any host.
+    let builds: Vec<_> = [1, 2]
+        .into_iter()
+        .map(|workers| {
+            let built = ordered_map(workers, 1, |_| {
+                let before = live();
+                let mut view = Network::with_setup(&topo.spec, &setup);
+                let (fresh_view, _) = held_since(before);
+                let before = live();
+                let base = reset_peak();
+                let tree = bottleneck_tree(&mut view, participants, 0, &OmbtConfig::default());
+                let peak = PEAK_BYTES.load(Ordering::SeqCst) - base;
+                drop(tree);
+                let (grown, _) = held_since(before);
+                (view, fresh_view, grown, peak)
+            });
+            let (view, fresh_view, grown, peak) = built.into_iter().next().expect("one build");
+            (workers, view.routing_stats(), fresh_view, grown, peak)
+        })
+        .collect();
     // A row tree holds each distinct link of its row's canonical paths
     // once, and those are the links of the point routes out of its source.
+    let mut view = Network::with_setup(&topo.spec, &setup);
     let mut row_links = 0;
     for a in 0..participants {
         let mut row: BTreeSet<u32> = BTreeSet::new();
@@ -198,31 +207,37 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     let n = participants as i64;
     let rows = 8 * row_links + 4 * n * n;
     let flows = 4 * links as i64;
-    let report = format!(
-        "{participants} participants: a fresh view of {fresh_view} B, which the tree grew \
-         by {grown} B after {} row searches and {} point searches; a build peak of {peak} B \
-         above it, against {rows} B of row trees over {row_links} links, a {flows} B flow \
-         array and {workers} row searches of {search} B",
-        stats.batched_queries, stats.lazy_searches
-    );
-    // The oracle's rows are its own and gone with it, and it needs no
-    // point route: the view keeps no route, memo row or workspace.
-    assert!(grown <= 4_096, "{report}");
-    assert_eq!(
-        (stats.batched_queries, stats.lazy_searches),
-        (participants as u64, 0),
-        "{report}"
-    );
-    // The peak holds every row tree at once, 8 B per link and 4 B per
-    // participant, beside the oracle's 4-byte flow count per directed link
-    // and the transient workspaces of the row searches running at once,
-    // one per worker; 16 KB covers the rest of the greedy's state.
-    // Measured with 2 workers: peaks of 933,872 to 1,005,392 B (three runs)
-    // over 128,696 B of row trees (15,287 links), a 178,088 B flow array and
-    // a 350,292 B search. One search at a time peaked at 660,708 B.
-    // Interning a route per pair grew the view by 190,951 B and peaked at
-    // 734,339 B with one search at a time, above that ceiling.
-    assert!(peak <= rows + flows + workers * search + 16_384, "{report}");
+    for (workers, stats, fresh_view, grown, peak) in builds {
+        let report = format!(
+            "{participants} participants on {workers} workers: a fresh view of {fresh_view} B, \
+             which the tree grew by {grown} B after {} row searches and {} point searches; a \
+             build peak of {peak} B above it, against {rows} B of row trees over {row_links} \
+             links, a {flows} B flow array and row searches of {search} B",
+            stats.batched_queries, stats.lazy_searches
+        );
+        // The oracle's rows are its own and gone with it, and it needs no
+        // point route: the view keeps no route, memo row or workspace.
+        assert!(grown <= 4_096, "{report}");
+        assert_eq!(
+            (stats.batched_queries, stats.lazy_searches),
+            (participants as u64, 0),
+            "{report}"
+        );
+        // The peak holds every row tree at once, 8 B per link and 4 B per
+        // participant, beside the oracle's 4-byte flow count per directed
+        // link and the transient workspaces of the row searches running at
+        // once, one per worker; 16 KB covers the rest of the greedy's state.
+        // Measured: a 350,292 B search, 128,696 B of row trees (15,287
+        // links) and a 178,088 B flow array; a peak of 660,836 B on one
+        // worker, the same on every run, and of 933,872 to 1,005,392 B on
+        // two, which varies with how far the two searches overlap. Interning
+        // a route per pair grew the view by 190,951 B and peaked at
+        // 734,339 B on one worker, above its ceiling.
+        assert!(
+            peak <= rows + flows + workers as i64 * search + 16_384,
+            "{report}"
+        );
+    }
 
     // Small topologies route with eager per-source rows. Warm every pair of
     // the emulation class, then drop the row cache with a route-affecting
