@@ -90,6 +90,14 @@ pub const RECOVERY_LAG_PACKETS: u64 = 150;
 /// Trace one data packet in this many for link-stress accounting.
 pub const TRACE_INTERVAL: u64 = 100;
 
+/// Playout freshness deadline: a first-delivery block older than this
+/// (measured from its generation slot at the source, `stream_start +
+/// seq * packet_interval(stream_rate_bps)`) is counted as late in the
+/// delivery metrics (`fresh_bytes`) — a live playout that far behind the
+/// source cannot use it. Purely observational: no protocol decision
+/// consults it.
+pub const FRESHNESS_DEADLINE: SimDuration = SimDuration::from_secs(10);
+
 /// Overload-resilience parameters: bounded prioritized inboxes, a
 /// working-set memory budget, join admission control and slow-receiver
 /// demotion. The three fields are the values scenarios and tests set; the
@@ -208,13 +216,6 @@ pub struct BulletConfig {
     /// `None` (the default) disables the layer with zero behavioural
     /// footprint.
     pub overload: Option<OverloadConfig>,
-    /// Playout freshness deadline: a first-delivery block older than this
-    /// (measured from its generation slot at the source, `stream_start +
-    /// seq * packet_interval(stream_rate_bps)`) is counted as late in the
-    /// delivery metrics (`fresh_bytes`) — a live playout that far behind
-    /// the source cannot use it. Purely observational: no protocol
-    /// decision consults it.
-    pub freshness_deadline: SimDuration,
 }
 
 impl Default for BulletConfig {
@@ -239,7 +240,6 @@ impl Default for BulletConfig {
             recovery: false,
             integrity: false,
             overload: None,
-            freshness_deadline: SimDuration::from_secs(10),
         }
     }
 }
@@ -344,7 +344,6 @@ mod tests {
             recovery: false,
             integrity: false,
             overload: None,
-            freshness_deadline: SimDuration::from_secs(10),
         };
         assert_eq!(
             format!("{config:?}"),

@@ -31,8 +31,8 @@ use bullet_telemetry::{TraceData, CAT_JOURNEY, CAT_PROTO};
 use bullet_transport::{packet_interval, Connections, TfrcHeader, DATA_PACKET_BYTES};
 
 use crate::config::{
-    BulletConfig, CORRUPT_PENALTY, DEFER_BASE, HEALTH_DECAY, MAX_RETRIES, ORPHAN_EPOCHS,
-    PEER_IDLE_WINDOWS, PEER_SERVICE_INTERVAL, PRESSURE_FRACTION, QUARANTINE_BACKOFF,
+    BulletConfig, CORRUPT_PENALTY, DEFER_BASE, FRESHNESS_DEADLINE, HEALTH_DECAY, MAX_RETRIES,
+    ORPHAN_EPOCHS, PEER_IDLE_WINDOWS, PEER_SERVICE_INTERVAL, PRESSURE_FRACTION, QUARANTINE_BACKOFF,
     QUARANTINE_THRESHOLD, RECOVERY_LAG_PACKETS, RETRY_BASE, SLOW_RECEIVER_FRACTION,
     SLOW_RECEIVER_WINDOWS, STALL_PENALTY, TRACE_INTERVAL,
 };
@@ -333,11 +333,6 @@ impl BulletNode {
     /// Current receiving peers (mesh links this node serves).
     pub fn receiver_peers(&self) -> Vec<OverlayId> {
         self.peers.receivers().iter().map(|r| r.node).collect()
-    }
-
-    /// The node's configuration.
-    pub fn config(&self) -> &BulletConfig {
-        &self.config
     }
 
     /// Tainted blocks currently held: sequence numbers in the working
@@ -1240,7 +1235,7 @@ impl BulletNode {
                 .as_micros()
                 .saturating_add(seq.saturating_mul(self.packet_interval.as_micros()));
             let age_us = ctx.now().as_micros().saturating_sub(generated_us);
-            if age_us > self.config.freshness_deadline.as_micros() {
+            if age_us > FRESHNESS_DEADLINE.as_micros() {
                 self.metrics.delivery.record_stale(DATA_PACKET_BYTES);
             }
         }
@@ -2034,7 +2029,7 @@ mod tests {
         driver.install(&mut sim);
         driver.run_until(&mut sim, SimTime::from_secs(60));
 
-        let recorder = sim.recorder().expect("installed above");
+        let recorder = sim.take_recorder().expect("installed above");
         assert_eq!(recorder.evicted(), 0, "the ring must hold the whole run");
         // When each node first learned each block, and what it did after.
         let mut learned: HashMap<(u32, u64), u64> = HashMap::new();

@@ -13,7 +13,6 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     m: usize,
     k: u32,
-    inserted: usize,
 }
 
 impl BloomFilter {
@@ -25,18 +24,7 @@ impl BloomFilter {
             bits: vec![0u64; m_bits.div_ceil(64)],
             m: m_bits,
             k,
-            inserted: 0,
         }
-    }
-
-    /// Number of bits in the filter.
-    pub fn bits(&self) -> usize {
-        self.m
-    }
-
-    /// Number of elements inserted so far.
-    pub fn population(&self) -> usize {
-        self.inserted
     }
 
     /// Wire size in bytes (bit array only; header overhead is accounted for
@@ -63,7 +51,6 @@ impl BloomFilter {
             let pos = reduce(h1.wrapping_add(i.wrapping_mul(h2)), m);
             self.bits[pos / 64] |= 1u64 << (pos % 64);
         }
-        self.inserted += 1;
     }
 
     /// Tests a key. May return `true` for keys never inserted (false
@@ -76,7 +63,6 @@ impl BloomFilter {
     /// Clears the filter (used when rebuilding over a pruned working set).
     pub fn clear(&mut self) {
         self.bits.iter_mut().for_each(|w| *w = 0);
-        self.inserted = 0;
     }
 }
 
@@ -122,10 +108,10 @@ mod tests {
         BloomFilter::new(m, k)
     }
 
-    /// The false-positive probability theory predicts for the filter's
-    /// current population, `(1 - e^{-kn/m})^k`.
-    fn expected_fp_rate(bf: &BloomFilter) -> f64 {
-        let kn = bf.k as f64 * bf.inserted as f64;
+    /// The false-positive probability theory predicts for the filter
+    /// holding `n` keys, `(1 - e^{-kn/m})^k`.
+    fn expected_fp_rate(bf: &BloomFilter, n: u64) -> f64 {
+        let kn = bf.k as f64 * n as f64;
         (1.0 - (-kn / bf.m as f64).exp()).powi(bf.k as i32)
     }
 
@@ -181,7 +167,7 @@ mod tests {
             bf.insert(key);
         }
         let fp = (1_000u64..101_000).filter(|&k| bf.contains(k)).count() as f64 / 100_000.0;
-        let predicted = expected_fp_rate(&bf);
+        let predicted = expected_fp_rate(&bf, 1_000);
         assert!(fp < 0.05, "false positive rate {fp} too high");
         assert!(
             (fp - predicted).abs() < 0.02,
@@ -193,7 +179,7 @@ mod tests {
     fn sizing_formula_produces_reasonable_parameters() {
         let bf = for_capacity(1_000, 0.01);
         // Optimal: m ≈ 9.6 n, k ≈ 7.
-        assert!((8_000..12_000).contains(&bf.bits()), "m={}", bf.bits());
+        assert!((8_000..12_000).contains(&bf.m), "m={}", bf.m);
         assert!((5..=9).contains(&bf.k), "k={}", bf.k);
     }
 
@@ -204,7 +190,6 @@ mod tests {
             bf.insert(key);
         }
         bf.clear();
-        assert_eq!(bf.population(), 0);
         let survivors = (0..100u64).filter(|&k| bf.contains(k)).count();
         assert_eq!(survivors, 0);
     }
@@ -225,7 +210,7 @@ mod tests {
             for key in batch * 200..(batch + 1) * 200 {
                 bf.insert(key);
             }
-            let fp = expected_fp_rate(&bf);
+            let fp = expected_fp_rate(&bf, (batch + 1) * 200);
             assert!(fp >= last);
             last = fp;
         }

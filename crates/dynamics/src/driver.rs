@@ -215,11 +215,6 @@ impl ScenarioDriver {
         sample(end, sim);
     }
 
-    /// Stepped events not yet applied.
-    pub fn pending(&self) -> usize {
-        self.stepped.len() - self.next
-    }
-
     fn apply<A: ScenarioAgent>(&mut self, sim: &mut Sim<A>, action: &ScenarioAction) {
         match action {
             &ScenarioAction::Recover { node } => {
@@ -410,7 +405,7 @@ mod tests {
         assert!(!sim.is_failed(1), "rejoined node must be up");
         assert_eq!(driver.stats.leaves, 1);
         assert_eq!(driver.stats.joins, 1);
-        assert_eq!(driver.pending(), 0);
+        assert_eq!(driver.next, driver.stepped.len());
         // The goodbye beats emitted in on_graceful_leave were delivered.
         assert!(sim.agent(0).heard > 0);
     }
@@ -579,11 +574,19 @@ mod tests {
         driver.run_until(&mut sim, SimTime::from_secs(3));
         let (fwd, _) = bullet_netsim::Network::directed_ids(0);
         assert_eq!(sim.network().link(fwd).bandwidth_bps, 1_000.0);
-        assert_eq!(sim.network().topology_epoch(), 0);
+        assert_eq!(sim.network().repair_stats().route_mutations, 0);
         driver.run_until(&mut sim, SimTime::from_secs(5));
-        assert_eq!(sim.network().topology_epoch(), 1, "link-down invalidates");
+        assert_eq!(
+            sim.network().repair_stats().route_mutations,
+            1,
+            "link-down invalidates"
+        );
         driver.run_until(&mut sim, SimTime::from_secs(8));
-        assert_eq!(sim.network().topology_epoch(), 2, "hub outage invalidates");
+        assert_eq!(
+            sim.network().repair_stats().route_mutations,
+            2,
+            "hub outage invalidates"
+        );
         assert_eq!(driver.stats.link_mutations, 2);
         assert_eq!(driver.stats.router_mutations, 1);
     }

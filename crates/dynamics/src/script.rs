@@ -628,17 +628,33 @@ impl ScenarioScript {
         Ok(())
     }
 
-    /// Serializes the script back to the text format accepted by
-    /// [`Self::parse`]: one entry per line, `down` markers
-    /// first, then events in insertion order. The round trip is lossless —
-    /// `parse(&script.format())` reconstructs `script` exactly (times are
-    /// microsecond-resolution and floats print at full precision).
-    pub fn format(&self) -> String {
-        let mut lines = Vec::with_capacity(self.initially_down.len() + self.events.len());
-        for &node in &self.initially_down {
+    fn field<T: std::str::FromStr>(
+        fields: &[&str],
+        index: usize,
+        entry: &str,
+    ) -> Result<T, String> {
+        fields
+            .get(index)
+            .and_then(|f| f.parse().ok())
+            .ok_or_else(|| format!("scenario entry {entry:?}: bad or missing field {index}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The round-trip oracle: `script` in the text format
+    /// [`ScenarioScript::parse`] accepts, one entry per line, `down` markers
+    /// first, then events in insertion order. `parse(&format(&script))`
+    /// must reconstruct `script` exactly (times are microsecond-resolution
+    /// and floats print at full precision).
+    fn format(script: &ScenarioScript) -> String {
+        let mut lines = Vec::with_capacity(script.initially_down.len() + script.events.len());
+        for &node in &script.initially_down {
             lines.push(format!("down {node}"));
         }
-        for event in &self.events {
+        for event in &script.events {
             let t = event.at.as_secs_f64();
             lines.push(match &event.action {
                 ScenarioAction::Crash { node } => format!("{t} crash {node}"),
@@ -690,22 +706,6 @@ impl ScenarioScript {
         }
         lines.join("\n")
     }
-
-    fn field<T: std::str::FromStr>(
-        fields: &[&str],
-        index: usize,
-        entry: &str,
-    ) -> Result<T, String> {
-        fields
-            .get(index)
-            .and_then(|f| f.parse().ok())
-            .ok_or_else(|| format!("scenario entry {entry:?}: bad or missing field {index}"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn events_sort_stably_by_time() {
@@ -1106,7 +1106,7 @@ mod tests {
             );
         script.down_from_start(7);
         script.down_from_start(11);
-        let reparsed = ScenarioScript::parse(&script.format()).expect("formatted script parses");
+        let reparsed = ScenarioScript::parse(&format(&script)).expect("formatted script parses");
         assert_eq!(reparsed, script, "parse(format(s)) must reconstruct s");
     }
 
@@ -1133,7 +1133,7 @@ mod tests {
             }
         );
         assert_eq!(events[1].at, SimTime::from_secs_f64(45.5));
-        let reparsed = ScenarioScript::parse(&script.format()).expect("formatted script parses");
+        let reparsed = ScenarioScript::parse(&format(&script)).expect("formatted script parses");
         assert_eq!(reparsed, script, "overload verbs must round-trip");
     }
 
@@ -1196,7 +1196,7 @@ mod tests {
             3.0,
             77,
         ));
-        let reparsed = ScenarioScript::parse(&script.format()).expect("formatted script parses");
+        let reparsed = ScenarioScript::parse(&format(&script)).expect("formatted script parses");
         assert_eq!(reparsed, script);
     }
 

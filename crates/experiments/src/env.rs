@@ -205,6 +205,12 @@ pub fn constrained_source_topology(
 mod tests {
     use super::*;
 
+    /// `a → b` on `net`: the links of its interned route.
+    fn path(net: &mut Network, a: usize, b: usize) -> Option<Vec<u32>> {
+        let id = net.route(a, b)?;
+        Some(net.route_links(id).to_vec())
+    }
+
     #[test]
     fn topology_scales_with_scale() {
         let small = build_topology(
@@ -237,7 +243,7 @@ mod tests {
         for kind in [TreeKind::Random { max_children: 4 }, TreeKind::Bottleneck] {
             let tree = build_tree(&topo, kind, 0, 3);
             assert_eq!(tree.len(), 15, "{kind:?}");
-            assert_eq!(tree.root(), 0, "{kind:?}");
+            assert_eq!(tree.parent(0), None, "{kind:?}");
             assert_eq!(tree.subtree_size(0), 15, "{kind:?}");
         }
     }
@@ -275,8 +281,8 @@ mod tests {
         );
         for kind in [TreeKind::Random { max_children: 4 }, TreeKind::Bottleneck] {
             assert_eq!(
-                build_tree(&topo, kind, 0, 3).parents(),
-                prepared.tree(kind, 0, 3).parents(),
+                build_tree(&topo, kind, 0, 3),
+                prepared.tree(kind, 0, 3),
                 "{kind:?}: shared-setup tree diverged"
             );
         }
@@ -286,8 +292,8 @@ mod tests {
         let mut view_b = prepared.network();
         for a in 0..5 {
             for b in 0..5 {
-                assert_eq!(fresh.path(a, b), view_a.path(a, b), "{a}->{b}");
-                assert_eq!(fresh.path(a, b), view_b.path(a, b), "{a}->{b}");
+                assert_eq!(path(&mut fresh, a, b), path(&mut view_a, a, b), "{a}->{b}");
+                assert_eq!(path(&mut fresh, a, b), path(&mut view_b, a, b), "{a}->{b}");
             }
         }
     }
@@ -300,8 +306,8 @@ mod tests {
         let mut fresh = Network::new(&raw.spec);
         let mut view = prepared.network();
         for a in 0..prepared.participants() {
-            assert_eq!(fresh.path(a, 0), view.path(a, 0), "{a}->0");
-            assert_eq!(fresh.path(0, a), view.path(0, a), "0->{a}");
+            assert_eq!(path(&mut fresh, a, 0), path(&mut view, a, 0), "{a}->0");
+            assert_eq!(path(&mut fresh, 0, a), path(&mut view, 0, a), "0->{a}");
         }
     }
 }

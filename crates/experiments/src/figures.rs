@@ -2,11 +2,11 @@
 //!
 //! One `*_plan` function per figure of the paper's evaluation (§4), named by
 //! a key in [`crate::suite::SUITE_PLAN_KEYS`] — the plan and the key are all
-//! a figure is; [`crate::suite::figure`] and the `figures` bench run it by
-//! key. Each builds the topology and trees the paper describes, runs the
-//! systems under comparison, and assembles a [`FigureResult`] containing the
-//! same curves the figure plots plus the scalar numbers quoted in the
-//! surrounding text.
+//! a figure is; [`crate::suite::figure_suite_subset`] and the `figures` bench
+//! run it by key. Each builds the topology and trees the paper describes,
+//! runs the systems under comparison, and assembles a [`FigureResult`]
+//! containing the same curves the figure plots plus the scalar numbers
+//! quoted in the surrounding text.
 //!
 //! # The run grid
 //!

@@ -4,11 +4,12 @@
 //! runners for the Bullet reproduction.
 //!
 //! Every figure of the paper's evaluation (§4) is a plan in [`figures`] or
-//! [`scenarios`] and a key in [`SUITE_PLAN_KEYS`]: [`figure`] builds the
-//! topology and trees the paper describes, runs the systems under
-//! comparison at a configurable [`Scale`], and returns the same curves and
-//! scalar numbers the paper reports. The `figures` bench in `crates/bench`
-//! prints them via [`report`].
+//! [`scenarios`] and a key in [`SUITE_PLAN_KEYS`]. [`figure_suite_subset`]
+//! runs plans by key: each builds the topology and trees the paper
+//! describes, runs the systems under comparison at a configurable
+//! [`Scale`], and returns the same curves and scalar numbers the paper
+//! reports. The `figures` bench in `crates/bench` prints them via
+//! [`report`].
 
 #![warn(missing_docs)]
 
@@ -42,4 +43,4 @@ pub use scenarios::{
     access_link_of, overload_figure_knobs, sustained_crash_script, ADVERSARY_CORRUPT_CHANCE,
     ADVERSARY_FRACTIONS, OVERLOAD_NODE_RESOURCES, OVERLOAD_SLOW_FACTOR, RECOVERY_CRASH_EVERY_SECS,
 };
-pub use suite::{figure, figure_suite, figure_suite_subset, render_suite, SUITE_PLAN_KEYS};
+pub use suite::{figure_suite, figure_suite_subset, render_suite, SUITE_PLAN_KEYS};

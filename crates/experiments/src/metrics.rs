@@ -139,7 +139,7 @@ pub struct RunSummary {
     /// Median across re-attached nodes of their mean detection-to-accept
     /// time, seconds (the §4.6 acceptance number).
     pub median_reattach_secs: f64,
-    /// Route-affecting topology mutations the run applied (epoch bumps);
+    /// Route-affecting topology mutations the run applied;
     /// zero for static-topology runs.
     pub route_mutations: u64,
     /// Interned routes invalidated by affected-region route repair.

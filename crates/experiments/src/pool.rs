@@ -84,12 +84,6 @@ impl Sweep {
         }
     }
 
-    /// The serial single-seed sweep: the reference configuration that
-    /// reproduces the historical figure output byte for byte.
-    pub fn serial() -> Self {
-        Self::new(1, 1)
-    }
-
     /// The worker pool runs execute on.
     pub fn pool(&self) -> &RunPool {
         &self.pool
@@ -173,7 +167,7 @@ mod tests {
             seeds.iter().collect::<std::collections::HashSet<_>>().len(),
             3
         );
-        assert_eq!(Sweep::serial().run_seeds(7), vec![7]);
+        assert_eq!(Sweep::new(1, 1).run_seeds(7), vec![7]);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! different protocol RNG draws; a note quoting a script fact quotes the
 //! base seed's script.
 
+use bullet_core::config::FRESHNESS_DEADLINE;
 use bullet_core::OverloadConfig;
 use bullet_dynamics::{ChurnConfig, ScenarioAction, ScenarioScript};
-use bullet_netsim::{
-    FaultPlan, NetworkSpec, NodeResources, OverlayId, QueueDiscipline, SimDuration, SimTime,
-};
+use bullet_netsim::{FaultPlan, NetworkSpec, NodeResources, OverlayId, QueueDiscipline, SimTime};
 use bullet_topology::{BandwidthProfile, LossProfile};
 
 use crate::env::TreeKind;
@@ -520,12 +519,6 @@ pub(crate) fn adversary_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 /// Intake-understatement factor of the overload figure's slow receivers.
 pub const OVERLOAD_SLOW_FACTOR: f64 = 0.2;
 
-/// The playout deadline the overload figure judges timeliness against: a
-/// block arriving more than this after its generation slot missed the
-/// live playout point, whatever its integrity. Both arms are scored with
-/// the same deadline.
-pub const OVERLOAD_PLAYOUT_DEADLINE: SimDuration = SimDuration::from_secs(10);
-
 /// The per-node ingress processing capacity both overload-figure arms run
 /// under: enough headroom for the stream plus routine control, not enough
 /// to absorb a join storm without either shedding (bounded arm) or
@@ -605,11 +598,7 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let knobs = overload_figure_knobs();
     let mut bounded_cfg = p.bullet_config(SCENARIO_RATE_BPS).overload();
     bounded_cfg.overload = Some(knobs);
-    bounded_cfg.freshness_deadline = OVERLOAD_PLAYOUT_DEADLINE;
-    let unbounded_cfg = bullet_core::BulletConfig {
-        freshness_deadline: OVERLOAD_PLAYOUT_DEADLINE,
-        ..p.bullet_config(SCENARIO_RATE_BPS).integrity()
-    };
+    let unbounded_cfg = p.bullet_config(SCENARIO_RATE_BPS).integrity();
 
     // The storm: the flash crowd's 60% joiner suffix, arriving over a ramp
     // compressed tenfold (a "10x join storm" relative to the flashcrowd
@@ -780,7 +769,7 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         ));
         figure.notes.push(format!(
             "steady-state members through the storm, timely within the {}s playout deadline: bounded {member_on:.0} Kbps vs unbounded {member_off:.0} Kbps ({ratio:.1}x mean, {:.1}x for the worst-quartile members at {wq_on:.0} vs {wq_off:.0} Kbps); overlay-wide steady useful {:.0} vs {:.0} Kbps",
-            OVERLOAD_PLAYOUT_DEADLINE.as_secs_f64(),
+            FRESHNESS_DEADLINE.as_secs_f64(),
             wq_on / wq_off.max(1e-9),
             bounded.summary.steady_useful_kbps, unbounded.summary.steady_useful_kbps,
         ));

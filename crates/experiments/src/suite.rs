@@ -120,13 +120,6 @@ pub fn figure_suite_subset(scale: Scale, keys: &[&str], sweep: &Sweep) -> Vec<Fi
     figures
 }
 
-/// Runs the one plan named `key` under `sweep` and returns its figure —
-/// the first one, for the `fig07` plan, which also emits `fig08`. A figure
-/// is its plan and its key: there is no second, per-figure entry point.
-pub fn figure(scale: Scale, key: &str, sweep: &Sweep) -> FigureResult {
-    figure_suite_subset(scale, &[key], sweep).remove(0)
-}
-
 /// Renders a whole suite the way the `figures` bench does, one report
 /// after another. Byte-identical across thread counts by construction;
 /// the thread-invariance gate compares these strings directly.
@@ -146,7 +139,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown figure plan key")]
     fn unknown_subset_keys_are_rejected() {
-        figure_suite_subset(Scale::Small, &["fig99"], &Sweep::serial());
+        figure_suite_subset(Scale::Small, &["fig99"], &Sweep::new(1, 1));
     }
 
     #[test]
@@ -154,7 +147,7 @@ mod tests {
         // The cheapest real subset: one figure, one seed, serial — the
         // reference execution. (Thread invariance of the same subset is
         // gated in tests/parallel.rs at the workspace level.)
-        let figures = figure_suite_subset(Scale::Small, &["fig06"], &Sweep::serial());
+        let figures = figure_suite_subset(Scale::Small, &["fig06"], &Sweep::new(1, 1));
         assert_eq!(figures.len(), 1);
         assert_eq!(figures[0].id, "fig06");
         assert_eq!(figures[0].series.len(), 2);

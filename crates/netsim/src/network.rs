@@ -387,7 +387,13 @@ pub enum RepairMode {
 /// behavior (e.g. a loss change clears nothing).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Route-affecting mutations applied (epoch bumps).
+    /// Route-affecting mutations applied: 0 for a pristine network, one per
+    /// [`Network::set_link_up`], [`Network::set_link_delay`] or
+    /// [`Network::set_router_up`] that changes the routing graph. Capacity
+    /// and loss mutations do not count — link costs are propagation delays,
+    /// so those changes cannot re-route anything — and neither do mutations
+    /// with no graph effect (repeating a link's current state, or a delay
+    /// change too small to move the integer-microsecond cost).
     pub route_mutations: u64,
     /// Routes invalidated by affected-region repair.
     pub routes_invalidated: u64,
@@ -494,16 +500,6 @@ impl NetworkSetup {
             landmarks,
         }
     }
-
-    /// The routing mode this setup was built for.
-    pub fn mode(&self) -> RoutingMode {
-        self.mode
-    }
-
-    /// Number of physical routers the setup covers.
-    pub fn routers(&self) -> usize {
-        self.routers
-    }
 }
 
 /// The live network: directed links plus routing and tracing state.
@@ -540,11 +536,6 @@ pub struct Network {
     stress_max: u64,
     /// Bytes accepted across all links (see [`Network::offer_hop`]).
     bytes_sent: u64,
-    /// Bumped by every route-affecting topology mutation. Epoch `e` routes
-    /// in the arena stay valid for flights already in the air, but the
-    /// participant memo and the router workspaces only ever serve the
-    /// current epoch.
-    topology_epoch: u64,
     /// Repair work counters (see [`RepairStats`]).
     repair: RepairStats,
     /// Overlay participants attached to each router, for partial memo
@@ -624,7 +615,6 @@ impl Network {
             stress_ratio_sum: 0.0,
             stress_max: 0,
             bytes_sent: 0,
-            topology_epoch: 0,
             repair: RepairStats::default(),
             router_parts,
         }
@@ -633,11 +623,6 @@ impl Network {
     /// Number of overlay participants.
     pub fn participants(&self) -> usize {
         self.attachments.len()
-    }
-
-    /// Number of physical routers.
-    pub fn routers(&self) -> usize {
-        self.adjacency.len()
     }
 
     /// Read-only view of a directed link.
@@ -745,17 +730,6 @@ impl Network {
             routers_settled,
             landmarks,
         }
-    }
-
-    /// The topology mutation epoch: 0 for a pristine network, bumped by
-    /// every route-affecting mutation ([`Network::set_link_up`],
-    /// [`Network::set_link_delay`], [`Network::set_router_up`]). Capacity
-    /// and loss mutations do not move it — link costs are propagation
-    /// delays, so those changes cannot re-route anything — and neither do
-    /// mutations with no graph effect (repeating a link's current state, or
-    /// a delay change too small to move the integer-microsecond cost).
-    pub fn topology_epoch(&self) -> u64 {
-        self.topology_epoch
     }
 
     /// Does nothing: affected-region repair is the only way a network
@@ -898,12 +872,12 @@ impl Network {
         (2 * index, 2 * index + 1)
     }
 
-    /// Applies a classified route-affecting mutation: bumps the epoch and
-    /// repairs the affected region — instead of dumping the whole memo,
-    /// identifies exactly the routes the mutation can change and moves only
-    /// their memo cells to the new epoch, keeping the adjacency, the
-    /// route computer and the ALT landmark tables alive. A no-op for an
-    /// empty change set (the mutation had no graph effect).
+    /// Applies a classified route-affecting mutation: counts it in
+    /// [`RepairStats::route_mutations`] and repairs the affected region —
+    /// instead of dumping the whole memo, identifies exactly the routes the
+    /// mutation can change and clears only their memo cells, keeping the
+    /// adjacency, the route computer and the ALT landmark tables alive. A
+    /// no-op for an empty change set (the mutation had no graph effect).
     ///
     /// The interned route arena is append-only — [`RouteId`]s held by
     /// in-flight messages stay valid, so packets already launched keep
@@ -956,7 +930,6 @@ impl Network {
         if changes.is_empty() {
             return;
         }
-        self.topology_epoch += 1;
         self.repair.route_mutations += 1;
         // 1. Patch the adjacency in place (clone-on-write: a shared
         //    NetworkSetup and its sibling runs keep the unmutated graph).
@@ -1047,8 +1020,8 @@ impl Network {
         if let Some((to_tail, from_head)) = &tables {
             self.repair.filter_tables += (to_tail.len() + from_head.len()) as u64;
         }
-        // 4. Move each invalidated route's participant-memo cells
-        //    (`parts(src) × parts(dst)`) to the new epoch. Every interned
+        // 4. Clear each invalidated route's participant-memo cells
+        //    (`parts(src) × parts(dst)`). Every interned
         //    route joins two routers that have participants.
         self.repair.routes_invalidated += invalidated.len() as u64;
         for raw in invalidated {
@@ -1076,19 +1049,6 @@ impl Network {
     #[inline]
     pub fn route_links(&self, id: RouteId) -> &[u32] {
         self.routes.links(id)
-    }
-
-    /// The routed path (directed link ids) between two overlay participants,
-    /// as an owned vector.
-    ///
-    /// Returns an empty path when both participants share an attachment
-    /// router, and `None` when the destination is unreachable. This is a
-    /// convenience wrapper over [`Network::route`] for oracles and tests;
-    /// the simulator itself stores [`RouteId`]s and never copies paths.
-    pub fn path(&mut self, from: OverlayId, to: OverlayId) -> Option<Vec<DirectedLinkId>> {
-        let id = self.route(from, to)?;
-        let links = self.routes.links(id);
-        Some(links.iter().map(|&link| link as DirectedLinkId).collect())
     }
 
     /// One-way propagation delay (sum of link delays) between two overlay
@@ -1202,18 +1162,29 @@ mod tests {
         spec
     }
 
-    /// The links of an interned route, widened to the ids
-    /// [`Network::path`] returns.
+    /// The links of an interned route, widened to [`DirectedLinkId`]s.
     fn links_of(net: &Network, id: RouteId) -> Vec<DirectedLinkId> {
         (net.route_links(id).iter())
             .map(|&link| link as DirectedLinkId)
             .collect()
     }
 
+    /// The routed path `from → to`: the links of [`Network::route`]'s
+    /// route, empty when both share an attachment router, `None` when `to`
+    /// is unreachable.
+    fn point_path(
+        net: &mut Network,
+        from: OverlayId,
+        to: OverlayId,
+    ) -> Option<Vec<DirectedLinkId>> {
+        let id = net.route(from, to)?;
+        Some(links_of(net, id))
+    }
+
     #[test]
     fn routes_between_participants() {
         let mut net = Network::new(&dumbbell());
-        let path = net.path(0, 1).expect("path exists");
+        let path = point_path(&mut net, 0, 1).expect("path exists");
         assert_eq!(path.len(), 2);
         // Forward direction uses the even (forward) directed links.
         assert_eq!(net.link(path[0]).from, 0);
@@ -1223,8 +1194,8 @@ mod tests {
     #[test]
     fn reverse_path_differs_from_forward_path() {
         let mut net = Network::new(&dumbbell());
-        let fwd = net.path(0, 1).unwrap();
-        let rev = net.path(1, 0).unwrap();
+        let fwd = point_path(&mut net, 0, 1).unwrap();
+        let rev = point_path(&mut net, 1, 0).unwrap();
         assert_eq!(fwd.len(), rev.len());
         assert_ne!(fwd, rev);
     }
@@ -1234,7 +1205,7 @@ mod tests {
         let mut spec = dumbbell();
         let extra = spec.attach(0);
         let mut net = Network::new(&spec);
-        assert_eq!(net.path(0, extra), Some(vec![]));
+        assert_eq!(point_path(&mut net, 0, extra), Some(vec![]));
         assert_eq!(net.route(0, extra), Some(RouteId::EMPTY));
         assert!(net.route_links(RouteId::EMPTY).is_empty());
     }
@@ -1245,7 +1216,7 @@ mod tests {
         let first = net.route(0, 1).expect("route exists");
         let second = net.route(0, 1).expect("route exists");
         assert_eq!(first, second, "repeat lookups return the same handle");
-        let owned = net.path(0, 1).unwrap();
+        let owned = point_path(&mut net, 0, 1).unwrap();
         assert_eq!(links_of(&net, first), owned);
         // The reverse direction interns its own route.
         let rev = net.route(1, 0).expect("route exists");
@@ -1261,7 +1232,7 @@ mod tests {
         spec.attach(2);
         let mut net = Network::new(&spec);
         assert_eq!(net.route(0, 1), None);
-        assert_eq!(net.path(0, 1), None);
+        assert_eq!(point_path(&mut net, 0, 1), None);
     }
 
     #[test]
@@ -1275,7 +1246,7 @@ mod tests {
     fn stress_counts_traced_copies() {
         let mut net = Network::new(&dumbbell());
         let mut rng = SimRng::new(1);
-        let path = net.path(0, 1).unwrap();
+        let path = point_path(&mut net, 0, 1).unwrap();
         // The same traced packet crosses the first link twice (two copies).
         net.offer_hop(SimTime::ZERO, path[0], 100, Some(7), &mut rng);
         net.offer_hop(SimTime::ZERO, path[0], 100, Some(7), &mut rng);
@@ -1290,7 +1261,7 @@ mod tests {
     fn stress_stats_accumulate_incrementally_between_polls() {
         let mut net = Network::new(&dumbbell());
         let mut rng = SimRng::new(1);
-        let path = net.path(0, 1).unwrap();
+        let path = point_path(&mut net, 0, 1).unwrap();
         assert_eq!(net.stress_stats(), StressStats::default());
         net.offer_hop(SimTime::ZERO, path[0], 100, Some(1), &mut rng);
         let first = net.stress_stats();
@@ -1318,9 +1289,9 @@ mod tests {
         let mut bidi = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         let mut alt = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 2 });
         for (a, b) in [(0, 1), (1, 0)] {
-            let reference = eager.path(a, b);
-            assert_eq!(reference, bidi.path(a, b));
-            assert_eq!(reference, alt.path(a, b));
+            let reference = point_path(&mut eager, a, b);
+            assert_eq!(reference, point_path(&mut bidi, a, b));
+            assert_eq!(reference, point_path(&mut alt, a, b));
         }
         assert_eq!(eager.routing_stats().trees_built, 2);
         assert_eq!(bidi.routing_stats().trees_built, 0);
@@ -1364,7 +1335,7 @@ mod tests {
                 let mut path = Vec::new();
                 for b in 0..spec.participants() {
                     let got = row.path_into(b, &mut path).then(|| path.clone());
-                    assert_eq!(point.path(a, b), got, "{mode:?}: {a}->{b}");
+                    assert_eq!(point_path(&mut point, a, b), got, "{mode:?}: {a}->{b}");
                 }
             }
             let stats = rows.routing_stats();
@@ -1498,23 +1469,23 @@ mod tests {
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let mut net = Network::with_routing(&diamond(), mode);
-            let fast = net.path(0, 1).expect("path exists");
+            let fast = point_path(&mut net, 0, 1).expect("path exists");
             let fast_id = net.route(0, 1).unwrap();
-            assert_eq!(net.topology_epoch(), 0);
+            assert_eq!(net.repair_stats().route_mutations, 0);
             net.set_link_up(0, false); // take the fast branch down
-            assert_eq!(net.topology_epoch(), 1);
-            let slow = net.path(0, 1).expect("detour exists");
+            assert_eq!(net.repair_stats().route_mutations, 1);
+            let slow = point_path(&mut net, 0, 1).expect("detour exists");
             assert_ne!(fast, slow, "{mode:?}: route did not move off the dead link");
             assert_eq!(slow, vec![4, 6], "{mode:?}: detour through router 3");
             // The old interned route is still readable (in-flight packets).
             assert_eq!(links_of(&net, fast_id), fast);
             // Bringing the link back re-invalidates and restores the route.
             net.set_link_up(0, true);
-            assert_eq!(net.topology_epoch(), 2);
-            assert_eq!(net.path(0, 1), Some(fast.clone()), "{mode:?}");
+            assert_eq!(net.repair_stats().route_mutations, 2);
+            assert_eq!(point_path(&mut net, 0, 1), Some(fast.clone()), "{mode:?}");
             // Idempotent flips do not churn the epoch.
             net.set_link_up(0, true);
-            assert_eq!(net.topology_epoch(), 2);
+            assert_eq!(net.repair_stats().route_mutations, 2);
         }
     }
 
@@ -1536,9 +1507,21 @@ mod tests {
             let check = |net: &mut Network, mutated: &NetworkSpec, want: &[DirectedLinkId]| {
                 let mut fresh = Network::with_routing(mutated, mode);
                 for (a, b) in [(0, 1), (a2, b2), (0, b2), (a2, 1)] {
-                    assert_eq!(net.path(a, b).as_deref(), Some(want), "{mode:?}: {a}->{b}");
-                    assert_eq!(net.path(a, b), fresh.path(a, b), "{mode:?}: {a}->{b}");
-                    assert_eq!(net.path(b, a), fresh.path(b, a), "{mode:?}: {b}->{a}");
+                    assert_eq!(
+                        point_path(net, a, b).as_deref(),
+                        Some(want),
+                        "{mode:?}: {a}->{b}"
+                    );
+                    assert_eq!(
+                        point_path(net, a, b),
+                        point_path(&mut fresh, a, b),
+                        "{mode:?}: {a}->{b}"
+                    );
+                    assert_eq!(
+                        point_path(net, b, a),
+                        point_path(&mut fresh, b, a),
+                        "{mode:?}: {b}->{a}"
+                    );
                 }
             };
             check(&mut net, &mutated, &[0, 2]);
@@ -1561,14 +1544,18 @@ mod tests {
     fn mutated_network_routes_match_a_fresh_build() {
         let mut spec = diamond();
         let mut net = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
-        net.path(0, 1);
+        point_path(&mut net, 0, 1);
         net.set_link_up(1, false);
         net.set_link_delay(2, SimDuration::from_millis(1));
         spec.set_link_up(1, false);
         spec.set_link_delay(2, SimDuration::from_millis(1));
         let mut fresh = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         for (a, b) in [(0, 1), (1, 0)] {
-            assert_eq!(net.path(a, b), fresh.path(a, b), "{a}->{b}");
+            assert_eq!(
+                point_path(&mut net, a, b),
+                point_path(&mut fresh, a, b),
+                "{a}->{b}"
+            );
         }
     }
 
@@ -1633,7 +1620,11 @@ mod tests {
         let mut fresh = Network::with_routing(&line6(), RoutingMode::LazyAlt { landmarks: 2 });
         for a in 0..4 {
             for b in 0..4 {
-                assert_eq!(net.path(a, b), fresh.path(a, b), "{a}->{b}");
+                assert_eq!(
+                    point_path(&mut net, a, b),
+                    point_path(&mut fresh, a, b),
+                    "{a}->{b}"
+                );
             }
         }
     }
@@ -2034,12 +2025,12 @@ mod tests {
         net.set_link_loss(1, 0.10);
         net.set_link_bandwidth(0, 1e6);
         assert_eq!(net.repair_stats(), RepairStats::default());
-        assert_eq!(net.topology_epoch(), 0);
+        assert_eq!(net.repair_stats().route_mutations, 0);
         // A delay write that does not move the integer-microsecond cost is
         // metadata-only too.
         net.set_link_delay(0, SimDuration::from_millis(2));
         assert_eq!(net.repair_stats(), RepairStats::default());
-        assert_eq!(net.topology_epoch(), 0);
+        assert_eq!(net.repair_stats().route_mutations, 0);
     }
 
     /// In-flight [`RouteId`]s survive incremental invalidation: the arena is
@@ -2059,12 +2050,16 @@ mod tests {
     #[test]
     fn capacity_and_loss_mutations_do_not_touch_routes() {
         let mut net = Network::new(&diamond());
-        let before = net.path(0, 1).unwrap();
+        let before = point_path(&mut net, 0, 1).unwrap();
         let queries = net.routing_stats().route_queries;
         net.set_link_bandwidth(0, 1e6);
         net.set_link_loss(0, 0.25);
-        assert_eq!(net.topology_epoch(), 0, "capacity/loss must not re-route");
-        assert_eq!(net.path(0, 1), Some(before));
+        assert_eq!(
+            net.repair_stats().route_mutations,
+            0,
+            "capacity/loss must not re-route"
+        );
+        assert_eq!(point_path(&mut net, 0, 1), Some(before));
         assert_eq!(
             net.routing_stats().route_queries,
             queries,
@@ -2094,11 +2089,11 @@ mod tests {
     #[test]
     fn routing_work_counters_accumulate_across_mutations() {
         let mut net = Network::with_routing(&diamond(), RoutingMode::LazyAlt { landmarks: 0 });
-        net.path(0, 1);
+        point_path(&mut net, 0, 1);
         let before = net.routing_stats();
         assert!(before.lazy_searches > 0);
         net.set_link_up(0, false);
-        net.path(0, 1);
+        point_path(&mut net, 0, 1);
         let after = net.routing_stats();
         assert!(
             after.lazy_searches > before.lazy_searches,
@@ -2120,15 +2115,23 @@ mod tests {
         ] {
             let spec = diamond();
             let setup = NetworkSetup::with_routing(&spec, mode);
-            assert_eq!(setup.mode(), mode);
-            assert_eq!(setup.routers(), spec.routers);
+            assert_eq!(setup.mode, mode);
+            assert_eq!(setup.routers, spec.routers);
             let mut fresh = Network::with_routing(&spec, mode);
             let mut shared_a = Network::with_setup(&spec, &setup);
             let mut shared_b = Network::with_setup(&spec, &setup);
             for (a, b) in [(0, 1), (1, 0)] {
-                let reference = fresh.path(a, b);
-                assert_eq!(reference, shared_a.path(a, b), "{mode:?}: {a}->{b}");
-                assert_eq!(reference, shared_b.path(a, b), "{mode:?}: {a}->{b}");
+                let reference = point_path(&mut fresh, a, b);
+                assert_eq!(
+                    reference,
+                    point_path(&mut shared_a, a, b),
+                    "{mode:?}: {a}->{b}"
+                );
+                assert_eq!(
+                    reference,
+                    point_path(&mut shared_b, a, b),
+                    "{mode:?}: {a}->{b}"
+                );
             }
             assert_eq!(
                 fresh.routing_stats(),
@@ -2137,12 +2140,24 @@ mod tests {
             );
             // Mutating one shared view must not leak into its siblings.
             shared_a.set_link_up(0, false);
-            assert_ne!(shared_a.path(0, 1), shared_b.path(0, 1), "{mode:?}");
-            assert_eq!(shared_b.path(0, 1), fresh.path(0, 1), "{mode:?}");
-            assert_eq!(shared_b.topology_epoch(), 0, "{mode:?}");
+            assert_ne!(
+                point_path(&mut shared_a, 0, 1),
+                point_path(&mut shared_b, 0, 1),
+                "{mode:?}"
+            );
+            assert_eq!(
+                point_path(&mut shared_b, 0, 1),
+                point_path(&mut fresh, 0, 1),
+                "{mode:?}"
+            );
+            assert_eq!(shared_b.repair_stats().route_mutations, 0, "{mode:?}");
             // And the mutated view reroutes exactly like a mutated fresh one.
             fresh.set_link_up(0, false);
-            assert_eq!(shared_a.path(0, 1), fresh.path(0, 1), "{mode:?}");
+            assert_eq!(
+                point_path(&mut shared_a, 0, 1),
+                point_path(&mut fresh, 0, 1),
+                "{mode:?}"
+            );
         }
     }
 
@@ -2162,7 +2177,7 @@ mod tests {
     fn counters_accumulate() {
         let mut net = Network::new(&dumbbell());
         let mut rng = SimRng::new(1);
-        let path = net.path(0, 1).unwrap();
+        let path = point_path(&mut net, 0, 1).unwrap();
         for _ in 0..5 {
             net.offer_hop(SimTime::ZERO, path[0], 1000, None, &mut rng);
         }

@@ -2095,6 +2095,17 @@ mod tests {
         Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks })
     }
 
+    /// `from → to` by a point query, as an owned link sequence.
+    fn point_path(net: &mut Network, from: usize, to: usize) -> Option<Vec<DirectedLinkId>> {
+        let id = net.route(from, to)?;
+        Some(
+            net.route_links(id)
+                .iter()
+                .map(|&l| l as DirectedLinkId)
+                .collect(),
+        )
+    }
+
     /// `from → to` read off `from`'s row tree, as an owned link sequence.
     fn batched_path(net: &mut Network, from: usize, to: usize) -> Option<Vec<DirectedLinkId>> {
         let mut path = Vec::new();
@@ -2117,7 +2128,7 @@ mod tests {
         for t in [4, 0, 1, 3, 4] {
             // out of order, the source itself, a repeat
             let got = row.path_into(t, &mut path).then(|| path.clone());
-            assert_eq!(got, points.path(1, t), "1->{t}");
+            assert_eq!(got, point_path(&mut points, 1, t), "1->{t}");
         }
         assert_eq!(batched_path(&mut rows, 1, 4), Some(vec![2, 4, 6]));
         let stats = rows.routing_stats();
@@ -2156,7 +2167,11 @@ mod tests {
             assert_eq!(batched_path(&mut rows, 0, 3), None, "landmarks {landmarks}");
             assert_eq!(batched_path(&mut rows, 0, 0), Some(vec![]));
             for t in 0..4 {
-                assert_eq!(batched_path(&mut rows, 0, t), points.path(0, t), "0->{t}");
+                assert_eq!(
+                    batched_path(&mut rows, 0, t),
+                    point_path(&mut points, 0, t),
+                    "0->{t}"
+                );
             }
         }
     }
@@ -2177,7 +2192,7 @@ mod tests {
                     for dst in 0..n {
                         assert_eq!(
                             row.path_into(dst, &mut path).then(|| path.clone()),
-                            points.path(src, dst),
+                            point_path(&mut points, src, dst),
                             "case {case}: {src}->{dst}, {landmarks} landmarks"
                         );
                     }
@@ -2194,7 +2209,7 @@ mod tests {
     fn batched_and_pairwise_queries_interleave() {
         let mut net = lazy_network(6, &line_edges(6), 2);
         let first = net.route(0, 5).expect("connected");
-        assert_eq!(batched_path(&mut net, 0, 2), net.path(0, 2));
+        assert_eq!(batched_path(&mut net, 0, 2), point_path(&mut net, 0, 2));
         assert_eq!(batched_path(&mut net, 0, 2), Some(vec![0, 2]));
         assert_eq!(net.route(0, 5), Some(first), "the row kept 0->5");
         let back = net.route(5, 0).expect("connected");

@@ -464,11 +464,6 @@ impl<A: Agent> Sim<A> {
         self.recorder = Some(Box::new(FlightRecorder::new(spec)));
     }
 
-    /// The installed flight recorder, if any.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_deref()
-    }
-
     /// Removes and returns the installed flight recorder.
     pub fn take_recorder(&mut self) -> Option<Box<FlightRecorder>> {
         self.recorder.take()
@@ -1268,9 +1263,9 @@ mod tests {
             plain.agent(0).pongs_received,
             traced.agent(0).pongs_received
         );
-        assert!(plain.recorder().is_none() && plain.profile().is_none());
+        assert!(plain.recorder.is_none() && plain.profile().is_none());
 
-        let rec = traced.recorder().unwrap();
+        let rec = traced.recorder.as_deref().unwrap();
         // 3 pings + 3 pongs, each a send + a deliver, plus one timer fire.
         let kinds: Vec<_> = rec.events().map(|e| e.data.kind()).collect();
         assert_eq!(kinds.iter().filter(|k| **k == "send").count(), 6);

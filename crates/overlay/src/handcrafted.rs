@@ -74,7 +74,7 @@ mod tests {
         // Node 3 has the highest bandwidth, node 1 the lowest.
         let metric = [0.0, 1.0, 5.0, 9.0, 3.0];
         let tree = good_tree(0, &metric, 2);
-        assert_eq!(tree.root(), 0);
+        assert_eq!(tree.parent(0), None);
         // Root's children are the two fastest nodes.
         let mut top: Vec<_> = tree.children(0).to_vec();
         top.sort_unstable();
@@ -117,7 +117,7 @@ mod tests {
     fn root_not_required_to_be_zero() {
         let metric = [5.0, 1.0, 2.0];
         let tree = good_tree(2, &metric, 2);
-        assert_eq!(tree.root(), 2);
+        assert_eq!(tree.parent(2), None);
         let mut top: Vec<_> = tree.children(2).to_vec();
         top.sort_unstable();
         assert_eq!(top, vec![0, 1]);

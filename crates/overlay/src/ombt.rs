@@ -307,7 +307,7 @@ mod tests {
         let config = OmbtConfig { max_children: 2 };
         let batched = bottleneck_tree(&mut Network::new(&spec), 8, 0, &config);
         let pairwise = pairwise_bottleneck_tree(&mut Network::new(&spec), 8, config.max_children);
-        assert_eq!(batched.parents(), pairwise);
+        assert_eq!(batched, Tree::from_parents(pairwise).unwrap());
     }
 
     /// Bit for bit, on a loss-free star, where an estimate is the fair

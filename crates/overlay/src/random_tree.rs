@@ -48,7 +48,7 @@ mod tests {
         let mut rng = SimRng::new(1);
         let tree = random_tree(100, 0, 6, &mut rng);
         assert_eq!(tree.len(), 100);
-        assert_eq!(tree.root(), 0);
+        assert_eq!(tree.parent(0), None);
         assert_eq!(tree.subtree_size(0), 100);
     }
 
@@ -74,14 +74,14 @@ mod tests {
         let mut b = SimRng::new(5);
         let ta = random_tree(64, 0, 4, &mut a);
         let tb = random_tree(64, 0, 4, &mut b);
-        assert_ne!(ta.parents(), tb.parents());
+        assert_ne!(ta, tb);
     }
 
     #[test]
     fn same_seed_is_deterministic() {
         let ta = random_tree(64, 0, 4, &mut SimRng::new(9));
         let tb = random_tree(64, 0, 4, &mut SimRng::new(9));
-        assert_eq!(ta.parents(), tb.parents());
+        assert_eq!(ta, tb);
     }
 
     #[test]
@@ -96,7 +96,7 @@ mod tests {
     fn custom_root_is_honoured() {
         let mut rng = SimRng::new(7);
         let tree = random_tree(20, 13, 3, &mut rng);
-        assert_eq!(tree.root(), 13);
+        assert_eq!(tree.parent(13), None);
         assert_eq!(tree.parent(13), None);
     }
 }

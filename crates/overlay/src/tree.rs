@@ -36,7 +36,6 @@ pub enum TreeError {
 pub struct Tree {
     parents: Vec<Option<OverlayId>>,
     children: Vec<Vec<OverlayId>>,
-    root: OverlayId,
 }
 
 impl Tree {
@@ -67,11 +66,7 @@ impl Tree {
                 children[*p].push(node);
             }
         }
-        let tree = Tree {
-            parents,
-            children,
-            root,
-        };
+        let tree = Tree { parents, children };
         // Cycle/connectivity check: every node must reach the root.
         for node in 0..n {
             let mut cur = node;
@@ -100,11 +95,6 @@ impl Tree {
         self.parents.is_empty()
     }
 
-    /// The root participant.
-    pub fn root(&self) -> OverlayId {
-        self.root
-    }
-
     /// The parent of `node`, or `None` for the root.
     pub fn parent(&self, node: OverlayId) -> Option<OverlayId> {
         self.parents[node]
@@ -113,11 +103,6 @@ impl Tree {
     /// The children of `node`.
     pub fn children(&self, node: OverlayId) -> &[OverlayId] {
         &self.children[node]
-    }
-
-    /// The parent array (useful for serialization and tests).
-    pub fn parents(&self) -> &[Option<OverlayId>] {
-        &self.parents
     }
 
     /// Depth of `node` (the root has depth 0).
@@ -147,17 +132,6 @@ impl Tree {
         count
     }
 
-    /// All nodes in the subtree rooted at `node` (including itself).
-    pub fn subtree(&self, node: OverlayId) -> Vec<OverlayId> {
-        let mut nodes = Vec::new();
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            nodes.push(n);
-            stack.extend_from_slice(&self.children[n]);
-        }
-        nodes
-    }
-
     /// Maximum number of children any node has (the tree's fan-out).
     pub fn max_degree(&self) -> usize {
         self.children.iter().map(Vec::len).max().unwrap_or(0)
@@ -178,7 +152,7 @@ mod tests {
     #[test]
     fn builds_a_simple_tree() {
         let tree = Tree::from_parents(vec![None, Some(0), Some(0), Some(1)]).unwrap();
-        assert_eq!(tree.root(), 0);
+        assert_eq!(tree.parent(0), None);
         assert_eq!(tree.children(0), &[1, 2]);
         assert_eq!(tree.parent(3), Some(1));
         assert_eq!(tree.depth(3), 2);
@@ -218,9 +192,7 @@ mod tests {
         let tree = Tree::from_parents(vec![None, Some(0), Some(0), Some(1), Some(1)]).unwrap();
         assert_eq!(tree.subtree_size(1), 3);
         assert_eq!(tree.subtree_size(2), 1);
-        let mut sub = tree.subtree(1);
-        sub.sort_unstable();
-        assert_eq!(sub, vec![1, 3, 4]);
+        assert_eq!(tree.children(1), &[3, 4]);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl<T: Clone> RanSub<T> {
         &self.children
     }
 
-    /// The current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.current_epoch
-    }
-
     /// Number of descendants of `child` (the population its last collect set
     /// represented), if a collect has been seen from it.
     pub fn descendants_of(&self, child: OverlayId) -> Option<u64> {
@@ -534,10 +529,10 @@ mod tests {
     fn epochs_are_numbered_monotonically() {
         let mut h = Harness::new(&seven_node_parents(), RanSubConfig::default());
         h.run_epoch(0);
-        assert_eq!(h.nodes[0].epoch(), 1);
+        assert_eq!(h.nodes[0].current_epoch, 1);
         h.run_epoch(0);
-        assert_eq!(h.nodes[0].epoch(), 2);
-        assert_eq!(h.nodes[6].epoch(), 2);
+        assert_eq!(h.nodes[0].current_epoch, 2);
+        assert_eq!(h.nodes[6].current_epoch, 2);
     }
 
     #[test]
@@ -624,7 +619,7 @@ mod tests {
         }
         // Child 3 answers; child 4 never does.
         let collect3 = RanSubMsg::Collect {
-            epoch: h.nodes[1].epoch(),
+            epoch: h.nodes[1].current_epoch,
             set: WeightedSet::singleton(3, 3usize),
         };
         assert!(h.nodes[1].on_message(3, collect3, &mut h.rng).is_empty());

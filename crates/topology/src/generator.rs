@@ -425,7 +425,7 @@ mod tests {
             for b in 0..topo.participants() {
                 if a != b {
                     assert!(
-                        net.path(a, b).is_some(),
+                        net.route(a, b).is_some(),
                         "no route between participants {a} and {b}"
                     );
                 }

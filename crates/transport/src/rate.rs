@@ -38,11 +38,6 @@ impl RateLimiter {
         }
     }
 
-    /// Current sustained rate in bytes per second.
-    pub fn rate(&self) -> f64 {
-        self.rate_bytes_per_sec
-    }
-
     /// Updates the sustained rate, keeping accumulated tokens.
     pub fn set_rate(&mut self, rate_bytes_per_sec: f64) {
         self.rate_bytes_per_sec = rate_bytes_per_sec.max(0.0);

@@ -137,11 +137,6 @@ impl TfrcSender {
         self.rate
     }
 
-    /// The current smoothed RTT estimate.
-    pub fn rtt(&self) -> SimDuration {
-        self.rtt
-    }
-
     /// Whether the connection is still in the slow-start doubling phase.
     pub fn in_slow_start(&self) -> bool {
         self.slow_start
@@ -356,7 +351,7 @@ mod tests {
     #[test]
     fn rtt_estimate_converges_to_path_rtt() {
         let (sender, _) = drive_lossless(50);
-        let rtt = sender.rtt().as_secs_f64();
+        let rtt = sender.rtt.as_secs_f64();
         assert!((0.08..0.25).contains(&rtt), "rtt={rtt}");
     }
 
@@ -398,9 +393,9 @@ mod tests {
         // And it should be close to the response-function value.
         let expected = tcp_throughput(
             DATA_PACKET_BYTES as f64,
-            sender.rtt().as_secs_f64(),
+            sender.rtt.as_secs_f64(),
             0.05,
-            4.0 * sender.rtt().as_secs_f64(),
+            4.0 * sender.rtt.as_secs_f64(),
         )
         .bytes_per_sec;
         let ratio = after / expected;

@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub use bullet_baselines as baselines;
-pub use bullet_codec as codec;
 pub use bullet_content as content;
 pub use bullet_core as bullet;
 pub use bullet_dynamics as dynamics;

@@ -5,8 +5,8 @@ use bullet_suite::baselines::{StreamConfig, StreamTransport, StreamingNode};
 use bullet_suite::bullet::{BulletConfig, BulletNode};
 use bullet_suite::dynamics::{ChurnConfig, ScenarioAction, ScenarioScript};
 use bullet_suite::experiments::{
-    build_topology, build_tree, bullet_run_on, figure, run_metered, FigureResult, RunResult,
-    RunSpec, RunSummary, Scale, Sweep, TreeKind, OVERLOAD_NODE_RESOURCES,
+    build_topology, build_tree, bullet_run_on, figure_suite_subset, run_metered, FigureResult,
+    RunResult, RunSpec, RunSummary, Scale, Sweep, TreeKind, OVERLOAD_NODE_RESOURCES,
 };
 use bullet_suite::netsim::{Network, Sim, SimDuration, SimTime};
 use bullet_suite::overlay::Tree;
@@ -14,11 +14,11 @@ use bullet_suite::topology::{BandwidthProfile, BuiltTopology, LossProfile};
 
 const STREAM_BPS: f64 = 600_000.0;
 
-/// The sweep every `figure` call below runs under: one seed, so each claim
-/// reads the figure's base run, on two workers (results do not depend on
-/// the worker count, `tests/parallel.rs`).
-fn sweep() -> Sweep {
-    Sweep::new(2, 1)
+/// The figure of the plan named `key` (its first, where a plan emits two),
+/// run with one seed, so each claim reads the figure's base run, on two
+/// workers (results do not depend on the worker count, `tests/parallel.rs`).
+fn figure(key: &str) -> FigureResult {
+    figure_suite_subset(Scale::Small, &[key], &Sweep::new(2, 1)).remove(0)
 }
 
 fn small_env(profile: BandwidthProfile, seed: u64) -> (BuiltTopology, Tree) {
@@ -93,11 +93,11 @@ fn mesh_keeps_descendants_alive_through_a_failure() {
         .copied()
         .max_by_key(|&c| tree.subtree_size(c))
         .expect("root has children");
-    let descendants: Vec<usize> = tree
-        .subtree(victim)
-        .into_iter()
-        .filter(|&n| n != victim)
-        .collect();
+    let mut descendants = tree.children(victim).to_vec();
+    for i in 0.. {
+        let Some(&n) = descendants.get(i) else { break };
+        descendants.extend_from_slice(tree.children(n));
+    }
     if descendants.is_empty() {
         // Extremely unlikely with this seed, but the test would be vacuous.
         panic!("chosen victim has no descendants; adjust the seed");
@@ -321,7 +321,7 @@ fn loss_and_bandwidth_scripts_cause_zero_route_repair() {
 /// and end the run having received a meaningful share of the stream.
 #[test]
 fn flash_crowd_joiners_catch_up() {
-    let figure = figure(Scale::Small, "flashcrowd", &sweep());
+    let figure = figure("flashcrowd");
     assert_eq!(figure.id, "flashcrowd");
     assert!(!figure.notes.is_empty());
     let steady = figure
@@ -421,7 +421,7 @@ fn scalar_of(figure: &FigureResult, name: &str) -> f64 {
 /// fails the ratio assert (247.0 vs 247.0 Kbps).
 #[test]
 fn recovery_doubles_goodput_under_sustained_crashes() {
-    let figure = figure(Scale::Small, "recovery", &sweep());
+    let figure = figure("recovery");
     let on = summary_of(&figure, "Bullet - recovery on");
     let off = summary_of(&figure, "Bullet - recovery off");
     assert!(on.reattaches > 0, "no orphan ever re-attached");
@@ -445,7 +445,7 @@ fn recovery_doubles_goodput_under_sustained_crashes() {
 /// (`quarantine_threshold: f64::MAX`) fails the quarantine assert.
 #[test]
 fn integrity_defense_doubles_clean_goodput_at_20pct_adversaries() {
-    let figure = figure(Scale::Small, "adversary", &sweep());
+    let figure = figure("adversary");
     let on = summary_of(&figure, "Bullet - defense on - 20% adversaries");
     let off = summary_of(&figure, "Bullet - defense off - 20% adversaries");
     assert_eq!(
@@ -479,7 +479,7 @@ fn integrity_defense_doubles_clean_goodput_at_20pct_adversaries() {
 /// budget of 60).
 #[test]
 fn bounded_queues_hold_goodput_through_a_join_storm() {
-    let figure = figure(Scale::Small, "overload", &sweep());
+    let figure = figure("overload");
     let bounded = summary_of(&figure, "Bullet - bounded queues");
     let unbounded = summary_of(&figure, "Bullet - unbounded queues");
     let budget = u64::from(OVERLOAD_NODE_RESOURCES.queue_budget);

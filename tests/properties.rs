@@ -9,7 +9,6 @@
 
 use std::collections::BTreeSet;
 
-use bullet_suite::codec::{Framing, LtDecoder, LtEncoder, TornadoDecoder, TornadoEncoder};
 use bullet_suite::content::{
     missing_keys, BloomFilter, LiveTicket, PermutationFamily, ReconcileRequest, SummaryTicket,
     WorkingSet,
@@ -380,65 +379,6 @@ fn live_ticket_matches_a_full_rebuild_under_learn_prune_and_lies() {
     );
 }
 
-/// LT codes recover the original block from any sufficiently large set of
-/// distinct encoded symbols.
-#[test]
-fn lt_codes_round_trip() {
-    let mut rng = SimRng::new(0x17C0);
-    for case in 0..CASES {
-        let k = gen_range(&mut rng, 4, 80) as usize;
-        let seed = gen_range(&mut rng, 0, 1_000);
-        let skip = gen_range(&mut rng, 1, 4);
-        let source: Vec<Vec<u8>> = (0..k).map(|i| vec![(i % 251) as u8; 32]).collect();
-        let encoder = LtEncoder::new(source.clone(), seed);
-        let mut decoder = LtDecoder::new(k, 32, seed);
-        let mut id = 0u64;
-        while !decoder.is_complete() && id < 50 * k as u64 {
-            if id.is_multiple_of(skip) {
-                decoder.add(&encoder.symbol(id));
-            }
-            id += 1;
-        }
-        assert!(decoder.is_complete(), "case {case}: k={k} never decoded");
-        assert_eq!(decoder.into_source().unwrap(), source, "case {case}");
-    }
-}
-
-/// Tornado decoding is always *correct*: whatever subset of packets arrives
-/// (check packets included), once the decoder reports completion the
-/// reconstructed block equals the original. Recovery from a given loss
-/// pattern is probabilistic for a sparse single-layer code, so the test
-/// feeds the initially dropped packets afterwards if needed and requires
-/// eventual completion with the full packet set.
-#[test]
-fn tornado_codes_decode_correctly() {
-    let mut rng = SimRng::new(0x70B0);
-    for case in 0..CASES {
-        let k = gen_range(&mut rng, 8, 60) as usize;
-        let drop_every = gen_range(&mut rng, 5, 15);
-        let source: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 7 % 256) as u8; 16]).collect();
-        let encoder = TornadoEncoder::new(source.clone(), 5, 2.0, 4);
-        let mut decoder = TornadoDecoder::new(k, 16, 5, 4);
-        let mut dropped = Vec::new();
-        for index in 0..encoder.n() as u64 {
-            if index % drop_every != 0 {
-                decoder.add(&encoder.symbol(index));
-            } else {
-                dropped.push(index);
-            }
-        }
-        // Late arrivals of the dropped packets must finish the block.
-        for index in dropped {
-            if decoder.is_complete() {
-                break;
-            }
-            decoder.add(&encoder.symbol(index));
-        }
-        assert!(decoder.is_complete(), "case {case}: k={k}");
-        assert_eq!(decoder.into_source().unwrap(), source, "case {case}");
-    }
-}
-
 /// Compact never emits duplicates, never exceeds the requested size, and
 /// reports the combined population.
 #[test]
@@ -506,7 +446,7 @@ fn random_trees_are_valid() {
         // Rebuilding from the parent array must succeed (validates
         // acyclicity).
         assert!(
-            Tree::from_parents(tree.parents().to_vec()).is_ok(),
+            Tree::from_parents((0..n).map(|v| tree.parent(v)).collect()).is_ok(),
             "case {case}"
         );
     }
@@ -635,14 +575,18 @@ fn row_trees_are_canonical_routes_after_paper_class_mutations() {
     let n = topo.participants();
     let mut net = Network::new(&topo.spec);
     let mut middle_link = |a: usize, b: usize| {
-        let path = net.path(a, b).expect("the paper topology is connected");
+        let path = routing_equiv::path(&mut net, a, b).expect("the paper topology is connected");
         path[path.len() / 2] / 2
     };
     let (down, slowed) = (middle_link(0, 1), middle_link(1, 2));
     net.set_link_up(down, false);
     let delay = topo.spec.links[slowed].delay;
     net.set_link_delay(slowed, delay + SimDuration::from_millis(40));
-    assert_eq!(net.topology_epoch(), 2, "both mutations change the graph");
+    assert_eq!(
+        net.repair_stats().route_mutations,
+        2,
+        "both mutations change the graph"
+    );
     let mut path = Vec::new();
     let sources: Vec<usize> = (0..n).collect();
     for (a, row) in net.row_trees(&sources).iter().enumerate() {
@@ -801,7 +745,7 @@ fn alt_lower_bounds_stay_admissible_after_mutation_sequences() {
         let n = spec.participants();
         for a in 0..n {
             for b in 0..n {
-                let _ = net.path(a, b);
+                let _ = net.route(a, b);
             }
         }
         let links = spec.links.len();
@@ -836,7 +780,11 @@ fn alt_lower_bounds_stay_admissible_after_mutation_sequences() {
                     }
                     let ctx = format!("case {case} step {step}: {a}->{b}");
                     // Stale landmarks must never leak a wrong route.
-                    assert_eq!(fresh.path(a, b), net.path(a, b), "{ctx}: path diverges");
+                    assert_eq!(
+                        routing_equiv::path(&mut fresh, a, b),
+                        routing_equiv::path(&mut net, a, b),
+                        "{ctx}: path diverges"
+                    );
                     let lb = net
                         .alt_lower_bound(a, b)
                         .expect("ALT network must expose landmark bounds");
@@ -951,8 +899,13 @@ fn tree_oracles_are_identical_under_batched_and_pairwise_routing() {
         let ombt = OmbtConfig { max_children: 4 };
         let tree = bottleneck_tree(&mut Network::new(&topo.spec), n, 0, &ombt);
         assert_eq!(
-            tree.parents(),
-            pairwise_bottleneck_tree(&mut points(), n, ombt.max_children),
+            tree,
+            Tree::from_parents(pairwise_bottleneck_tree(
+                &mut points(),
+                n,
+                ombt.max_children
+            ))
+            .expect("the pairwise model builds a tree"),
             "{label}: OMBT diverges from the pairwise model"
         );
         let (mut rows, mut pairs) = (Network::new(&topo.spec), points());
@@ -1346,24 +1299,6 @@ fn integrity_and_overload_without_recovery_is_refused() {
     layer_subset_run(false, true, true);
 }
 
-/// Framing maps sequence numbers to (block, offset) pairs and back without
-/// loss.
-#[test]
-fn framing_round_trips() {
-    let mut rng = SimRng::new(0xF4A3);
-    for case in 0..CASES {
-        let seq = gen_range(&mut rng, 0, 1_000_000);
-        let per_block = gen_range(&mut rng, 1, 500) as u32;
-        let bytes = gen_range(&mut rng, 1, 2_000) as u32;
-        let framing = Framing::new(per_block, bytes);
-        let object = framing.object_of(seq);
-        assert_eq!(framing.seq_of(object), seq, "case {case}");
-        assert!(object.offset < per_block, "case {case}");
-        let (low, high) = framing.block_range(object.block);
-        assert!((low..=high).contains(&seq), "case {case}");
-    }
-}
-
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &std::path::Path, found: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("source directory is readable") {
@@ -1511,22 +1446,19 @@ fn the_tfrc_stanzas_are_defined_once() {
 }
 
 /// Public functions no production code calls, each with why it stays: a
-/// reference implementation a test compares against, a read-only accessor
-/// a test observes behaviour through, or `codec` (a crate no protocol path
-/// uses yet). A caller-less helper that only its own test exercises is
-/// deleted, not listed here.
-const CALLER_LESS: [(&str, &str); 22] = [
+/// reference implementation a test compares against, or a read-only
+/// accessor a test observes behaviour through and cannot read elsewhere. A
+/// caller-less helper that only its own test exercises is deleted, not
+/// listed here.
+const CALLER_LESS: [(&str, &str); 18] = [
     (
         "alt_lower_bound",
         "accessor: the ALT admissibility property reads it",
     ),
-    ("block_range", "codec"),
-    ("blocks_for", "codec"),
     (
         "build_tree",
         "reference: PreparedTopology::tree must build the same trees",
     ),
-    ("complete_blocks", "codec"),
     (
         "corrupt_blocks_held",
         "accessor: the integrity properties read it",
@@ -1539,8 +1471,6 @@ const CALLER_LESS: [(&str, &str); 22] = [
         "in_slow_start",
         "accessor: the TFRC tests observe the phase",
     ),
-    ("into_data", "codec"),
-    ("into_source", "codec"),
     (
         "is_partitioned",
         "accessor: the scenario driver's tests read it",
@@ -1552,6 +1482,10 @@ const CALLER_LESS: [(&str, &str); 22] = [
     (
         "missing_in_range",
         "accessor: the working-set model harness compares it",
+    ),
+    (
+        "node",
+        "accessor: an agent's own id; netsim's crate example and regression agents read it",
     ),
     (
         "node_overload_stats",
@@ -1574,10 +1508,13 @@ const CALLER_LESS: [(&str, &str); 22] = [
         "reverify_working_set",
         "reference: recomputes every verdict the bookkeeping keeps",
     ),
-    ("seq_of", "codec"),
     (
         "set_link_delay",
         "reference: the routing-equivalence gate mutates spec and network alike",
+    ),
+    (
+        "timer_compactions",
+        "accessor: the compaction regression proves the sweeps it compares ran",
     ),
     ("total_bytes_sent", "accessor: the goldens read it"),
 ];
@@ -1614,10 +1551,16 @@ fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Whether `name` occurs in `text` as a whole identifier.
+/// Whether `text` calls `name` or names it by path: `name(` (so `.name(`
+/// too), `::name` or `name::<`. A bare identifier is not a call, so a
+/// variable, field or macro that shares a function's name keeps nothing
+/// alive.
 fn mentions(text: &str, name: &str) -> bool {
     text.match_indices(name).any(|(at, _)| {
-        !text[..at].ends_with(is_ident) && !text[at + name.len()..].starts_with(is_ident)
+        let (before, after) = (&text[..at], &text[at + name.len()..]);
+        !before.ends_with(is_ident)
+            && !after.starts_with(is_ident)
+            && (before.ends_with("::") || after.starts_with('(') || after.starts_with("::<"))
     })
 }
 
@@ -1625,9 +1568,13 @@ fn mentions(text: &str, name: &str) -> bool {
 /// workspace: `crates/*/src`, `crates/*/benches`, `examples/`, `src/` or
 /// `perf/src`. Code is cut into one piece per `fn`, and a mention inside a
 /// function that is itself caller-less does not count, so a chain of
-/// wrappers nothing calls is caught whole. The exceptions are listed in
-/// [`CALLER_LESS`] with their reasons; a listed name that gains a caller or
-/// loses its definition must leave the list.
+/// wrappers nothing calls is caught whole. Only a call or a path counts as a
+/// mention ([`mentions`]), so a local, field or macro that shares a
+/// function's name does not hide it. Functions are matched by name alone:
+/// a name defined in several impls (`new`, `len`, `is_empty`) is alive if
+/// any of them is called, so the check is approximate for those. The
+/// exceptions are listed in [`CALLER_LESS`] with their reasons; a listed
+/// name that gains a caller or loses its definition must leave the list.
 #[test]
 fn every_pub_fn_has_a_production_caller() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));

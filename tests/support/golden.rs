@@ -467,7 +467,7 @@ fn run(row: &Row, traced: bool) -> (Golden, Option<Traced>) {
         counters: sim.counters(),
         digest: Digest(digest),
         bytes_sent: sim.network().total_bytes_sent(),
-        epoch: sim.network().topology_epoch(),
+        epoch: sim.network().repair_stats().route_mutations,
         scenario,
         extra: (row.extra)(&sim),
     };

@@ -50,6 +50,17 @@ fn row_path(row: &RowTree, b: usize) -> Option<Vec<DirectedLinkId>> {
     row.path_into(b, &mut path).then_some(path)
 }
 
+/// `a → b` by a point query on `net`, as an owned link sequence.
+pub fn path(net: &mut Network, a: usize, b: usize) -> Option<Vec<DirectedLinkId>> {
+    let id = net.route(a, b)?;
+    Some(
+        net.route_links(id)
+            .iter()
+            .map(|&l| l as DirectedLinkId)
+            .collect(),
+    )
+}
+
 /// Asserts that one participant pair routes identically under all three
 /// pairwise strategies (path hop sequence and propagation cost) and on the
 /// source's row tree.
@@ -63,9 +74,9 @@ fn assert_pair(
     b: usize,
     label: &str,
 ) {
-    let reference = eager.path(a, b);
-    let lazy = bidi.path(a, b);
-    let guided = alt.path(a, b);
+    let reference = path(eager, a, b);
+    let lazy = path(bidi, a, b);
+    let guided = path(alt, a, b);
     assert_eq!(
         reference, lazy,
         "{label}: participants {a}->{b}: bidirectional path diverges from reference"
@@ -273,7 +284,7 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
     let warm = |net: &mut Network| {
         for a in 0..n {
             for b in 0..n {
-                let _ = net.path(a, b);
+                let _ = net.route(a, b);
             }
         }
     };
@@ -289,11 +300,15 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
         let mut fresh = Network::with_routing(&mutated_spec, RoutingMode::EagerPerSource);
         for (a, row) in rows.row_trees(&sources).iter().enumerate() {
             for b in (0..n).filter(|&b| b != a) {
-                let reference = fresh.path(a, b);
+                let reference = path(&mut fresh, a, b);
                 let ctx = format!("{label}: step {step} ({mutation:?}): {a}->{b}");
-                assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
-                assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
-                assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
+                assert_eq!(
+                    reference,
+                    path(&mut eager, a, b),
+                    "{ctx}: incremental eager"
+                );
+                assert_eq!(reference, path(&mut bidi, a, b), "{ctx}: incremental bidi");
+                assert_eq!(reference, path(&mut alt, a, b), "{ctx}: incremental alt");
                 assert_eq!(reference, row_path(row, b), "{ctx}: patched row tree");
             }
         }
@@ -320,13 +335,16 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
         })
         .count() as u64;
     assert!(
-        eager.topology_epoch() <= route_affecting,
-        "{label}: epoch {} exceeds the {} route-affecting mutations",
-        eager.topology_epoch(),
+        eager.repair_stats().route_mutations <= route_affecting,
+        "{label}: {} route mutations counted for {} route-affecting ones",
+        eager.repair_stats().route_mutations,
         route_affecting
     );
     if route_affecting > 0 {
-        assert!(eager.topology_epoch() > 0, "{label}: epoch never moved");
+        assert!(
+            eager.repair_stats().route_mutations > 0,
+            "{label}: no route mutation counted"
+        );
     }
 }
 
@@ -355,7 +373,7 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
     for a in 0..n {
         for b in 0..n {
             for net in [&mut eager, &mut bidi, &mut alt] {
-                let _ = net.path(a, b);
+                let _ = net.route(a, b);
             }
         }
     }
@@ -382,11 +400,11 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
         let sources: Vec<usize> = (0..n).collect();
         for (a, row) in rows.row_trees(&sources).iter().enumerate() {
             for b in (0..n).filter(|&b| b != a) {
-                let reference = fresh.path(a, b);
+                let reference = path(&mut fresh, a, b);
                 let ctx = format!("{step_label} ({mutation:?}): {a}->{b}");
-                assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
-                assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
-                assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
+                assert_eq!(reference, path(eager, a, b), "{ctx}: incremental eager");
+                assert_eq!(reference, path(bidi, a, b), "{ctx}: incremental bidi");
+                assert_eq!(reference, path(alt, a, b), "{ctx}: incremental alt");
                 assert_eq!(reference, row_path(row, b), "{ctx}: patched row tree");
                 if reference.is_some() {
                     assert_eq!(
