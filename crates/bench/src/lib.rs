@@ -1,10 +1,10 @@
 //! # bullet-bench
 //!
-//! Four bench targets: `figures` renders any figure of the evaluation by
-//! plan key, `table1_profiles` renders and checks Table 1, and
-//! `parallel_suite` and `telemetry_overhead` assert their own wall-clock
-//! gates. Costs are not measured here: the ledger under `perf/` times the
-//! workloads of record and the hot primitives.
+//! Three bench targets: `figures` renders any figure of the evaluation by
+//! plan key (and Table 1 by the key `table1`), and `parallel_suite` and
+//! `telemetry_overhead` assert their own wall-clock gates. Costs are not
+//! measured here: the ledger under `perf/` times the workloads of record
+//! and the hot primitives.
 //!
 //! This crate is where the environment is read. [`announce`] parses the
 //! `BULLET_*` knobs (README, "Environment variables") once into a

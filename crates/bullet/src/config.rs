@@ -12,9 +12,8 @@ pub const ORPHAN_EPOCHS: u32 = 2;
 
 /// Evict a mesh peer (sender or receiver) after this many consecutive
 /// mesh-evaluation windows without any traffic or control activity from it.
-/// Generalizes [`BulletConfig::sender_idle_evals_to_drop`] to both peer
-/// lists; an explicit `sender_idle_evals_to_drop` still takes precedence for
-/// senders.
+/// Senders are judged by it under [`BulletConfig::evict_idle_senders`] or
+/// `recovery`; receivers under `recovery` only.
 pub const PEER_IDLE_WINDOWS: u32 = 2;
 
 /// Give up on a control RPC (`PeeringRequest`, `Reattach`) after this many
@@ -185,16 +184,16 @@ pub struct BulletConfig {
     /// Whether peers are chosen by lowest summary-ticket resemblance.
     /// Disabling this picks a uniformly random candidate instead (ablation).
     pub resemblance_peering: bool,
-    /// Drop a sending peer after this many consecutive mesh-evaluation
-    /// windows with zero packets from it (`None` disables the check).
+    /// Drop a sending peer after [`PEER_IDLE_WINDOWS`] consecutive
+    /// mesh-evaluation windows with zero packets from it.
     ///
     /// Under churn a crashed sender otherwise survives forever: it delivers
     /// nothing, so the duplicate/usefulness eviction rules never judge it,
     /// while its row of the reconciliation stripe (Fig. 4) stays assigned
     /// to a corpse and those sequence numbers are never re-requested from
-    /// live peers. Static-network runs keep the paper behaviour (`None`);
+    /// live peers. Static-network runs keep the paper behaviour (`false`);
     /// churn scenarios enable it.
-    pub sender_idle_evals_to_drop: Option<u32>,
+    pub evict_idle_senders: bool,
     /// Failure-detection and recovery (§4.6): orphan re-attach, peer
     /// liveness eviction and control-RPC retries, tuned by [`ORPHAN_EPOCHS`],
     /// [`PEER_IDLE_WINDOWS`], [`MAX_RETRIES`] and [`RETRY_BASE`]. Off (the
@@ -236,7 +235,7 @@ impl Default for BulletConfig {
             peer_service_batch: 64,
             disjoint_send: true,
             resemblance_peering: true,
-            sender_idle_evals_to_drop: None,
+            evict_idle_senders: false,
             recovery: false,
             integrity: false,
             overload: None,
@@ -250,7 +249,7 @@ impl BulletConfig {
     /// crashed peer's reconciliation row is reassigned to live senders.
     pub fn churn(self) -> Self {
         BulletConfig {
-            sender_idle_evals_to_drop: Some(2),
+            evict_idle_senders: true,
             ..self
         }
     }
@@ -340,7 +339,7 @@ mod tests {
             peer_service_batch: 64,
             disjoint_send: true,
             resemblance_peering: true,
-            sender_idle_evals_to_drop: None,
+            evict_idle_senders: false,
             recovery: false,
             integrity: false,
             overload: None,
@@ -352,7 +351,7 @@ mod tests {
         let overloaded = config.overload();
         assert_eq!(overloaded.overload, Some(overload));
         assert!(overloaded.recovery && overloaded.integrity);
-        assert_eq!(overloaded.sender_idle_evals_to_drop, Some(2));
+        assert!(overloaded.evict_idle_senders);
     }
 
     #[test]

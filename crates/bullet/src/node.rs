@@ -14,8 +14,8 @@
 //!   wasteful or under-performing peers.
 //!
 //! The node is a [`bullet_netsim::Agent`], so the same code runs under the
-//! discrete-event simulator and the thread-based live runtime in the
-//! examples.
+//! discrete-event simulator and the thread-based live runtime in
+//! `tests/live_runtime.rs`.
 
 use std::collections::BTreeMap;
 
@@ -1108,12 +1108,8 @@ impl BulletNode {
             }
         }
         let recovery = self.config.recovery;
-        // An explicit idle-sender knob wins; otherwise the recovery
-        // subsystem's peer-liveness window covers senders too.
-        let idle_limit = self
-            .config
-            .sender_idle_evals_to_drop
-            .or(recovery.then_some(PEER_IDLE_WINDOWS));
+        // The recovery subsystem's peer-liveness window covers senders too.
+        let idle_limit = (self.config.evict_idle_senders || recovery).then_some(PEER_IDLE_WINDOWS);
         // Liveness guard: the sender that is our last live path toward
         // the source is never evicted, whatever the rules say.
         let protected = self.last_path_sender();

@@ -230,9 +230,6 @@ struct Meter {
     ch_raw: ChannelId,
     ch_parent: ChannelId,
     ch_control: ChannelId,
-    useful: BandwidthSeries,
-    raw: BandwidthSeries,
-    from_parent: BandwidthSeries,
 }
 
 impl Meter {
@@ -252,9 +249,6 @@ impl Meter {
             ch_raw,
             ch_parent,
             ch_control,
-            useful: BandwidthSeries::new(spec.label.clone()),
-            raw: BandwidthSeries::new(format!("{} (raw)", spec.label)),
-            from_parent: BandwidthSeries::new(format!("{} (from parent)", spec.label)),
         }
     }
 
@@ -275,10 +269,6 @@ impl Meter {
                 .observe_node(self.ch_control, node, sim.traffic(node).control_bytes_in);
         }
         self.hub.end_window();
-        let latest = |ch: ChannelId| self.hub.points(ch).last().expect("rate point").value;
-        self.useful.push(t, latest(self.ch_useful));
-        self.raw.push(t, latest(self.ch_raw));
-        self.from_parent.push(t, latest(self.ch_parent));
         self.times.push(t);
         self.per_node_useful.push(row);
         self.per_node_fresh.push(fresh_row);
@@ -293,6 +283,16 @@ impl Meter {
         repair_wall_secs: f64,
     ) -> RunResult {
         let n = self.n;
+        let series = |ch: ChannelId, label: String| {
+            let mut series = BandwidthSeries::new(label);
+            for point in self.hub.points(ch) {
+                series.push(point.t_secs, point.value);
+            }
+            series
+        };
+        let useful = series(self.ch_useful, spec.label.clone());
+        let raw = series(self.ch_raw, format!("{} (raw)", spec.label));
+        let from_parent = series(self.ch_parent, format!("{} (from parent)", spec.label));
 
         // Fill the profile's wall-clock half before the deterministic
         // pieces are read; `SelfProfile::eq` ignores these fields.
@@ -351,8 +351,8 @@ impl Meter {
         let ingress = sim.overload_stats();
         let duration_secs = spec.duration.as_secs_f64().max(1e-9);
         let summary = RunSummary {
-            steady_useful_kbps: self.useful.steady_state_kbps(0.25),
-            steady_raw_kbps: self.raw.steady_state_kbps(0.25),
+            steady_useful_kbps: useful.steady_state_kbps(0.25),
+            steady_raw_kbps: raw.steady_state_kbps(0.25),
             duplicate_fraction: totals.duplicate_fraction(),
             parent_relay_duplicate_share: ratio_or_zero(
                 totals.delivery.duplicate_from_parent as f64,
@@ -383,7 +383,7 @@ impl Meter {
                 } else {
                     (receivers - poisoned_receivers) as f64 / receivers as f64
                 };
-                self.useful.steady_state_kbps(0.25) * clean_fraction
+                useful.steady_state_kbps(0.25) * clean_fraction
             },
             sim_events: sim.counters().events,
             peak_queue_depth: profile.map_or(0, |p| p.peak_queue_depth),
@@ -393,9 +393,9 @@ impl Meter {
         RunResult {
             label: spec.label.clone(),
             times: self.times,
-            useful: self.useful,
-            raw: self.raw,
-            from_parent: self.from_parent,
+            useful,
+            raw,
+            from_parent,
             per_node_useful_bytes: self.per_node_useful,
             per_node_fresh_bytes: self.per_node_fresh,
             source: spec.source,

@@ -5,7 +5,7 @@
 //! to received messages and timer expirations by emitting [`Action`]s. The
 //! agent never touches the simulator directly, which keeps the protocol code
 //! independent of the runtime that drives it (the discrete-event simulator in
-//! this crate, or the thread-based live runtime in the examples).
+//! this crate, or the thread-based live runtime in `tests/live_runtime.rs`).
 
 use bullet_telemetry::{FlightRecorder, TraceData};
 
@@ -162,7 +162,8 @@ pub enum Action<M> {
 ///
 /// It records the agent's outputs; the runtime applies them after the
 /// callback returns. This "collect then apply" structure is what lets the
-/// same protocol code run under both the simulator and a live runtime.
+/// same protocol code run under both the simulator and a live runtime
+/// (`tests/live_runtime.rs`).
 pub struct Context<'a, M> {
     now: SimTime,
     node: OverlayId,

@@ -1001,7 +1001,7 @@ impl<A: Agent> Sim<A> {
                     // The (node, tag) metadata lives in the timer slab,
                     // recorded when the context allocated `id`; the copy in
                     // the action exists for runtimes that keep their own
-                    // timer state (see examples/live_mesh.rs).
+                    // timer state (see tests/live_runtime.rs).
                     debug_assert_eq!(
                         self.timers.peek(id),
                         Some((node as u32, tag)),

@@ -33,13 +33,6 @@ impl KbpsRange {
         };
         kbps * 1_000.0
     }
-
-    /// Returns `true` if `bps` lies inside the range (with a small tolerance
-    /// for floating point sampling at the boundaries).
-    pub fn contains_bps(&self, bps: f64) -> bool {
-        let kbps = bps / 1_000.0;
-        kbps >= self.low as f64 - 1e-9 && kbps <= self.high as f64 + 1e-9
-    }
 }
 
 /// The three bandwidth-constraint levels of Table 1.
@@ -101,6 +94,15 @@ impl BandwidthProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl KbpsRange {
+        /// Returns `true` if `bps` lies inside the range (with a small
+        /// tolerance for floating point sampling at the boundaries).
+        pub(crate) fn contains_bps(&self, bps: f64) -> bool {
+            let kbps = bps / 1_000.0;
+            kbps >= self.low as f64 - 1e-9 && kbps <= self.high as f64 + 1e-9
+        }
+    }
 
     #[test]
     fn table1_values_are_reproduced() {

@@ -21,7 +21,8 @@
 //!
 //! Everything here is a pure state machine: no clocks, no sockets, no
 //! simulator types other than `SimTime`/`SimDuration`, which makes the same
-//! code usable under the discrete-event simulator and the live runtime.
+//! code usable under the discrete-event simulator and the live runtime in
+//! `tests/live_runtime.rs`.
 //!
 //! # The connection table
 //!

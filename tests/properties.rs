@@ -1192,7 +1192,7 @@ fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Ve
         ransub_epoch: SimDuration::from_secs(2),
         filter_refresh_interval: SimDuration::from_secs(2),
         mesh_eval_interval: SimDuration::from_secs(4),
-        sender_idle_evals_to_drop: Some(2),
+        evict_idle_senders: true,
         recovery,
         integrity,
         overload: overload.then(|| OverloadConfig {
