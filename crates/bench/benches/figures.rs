@@ -67,7 +67,7 @@ fn main() {
         let figure = FigureResult {
             id: "custom".into(),
             title: "Bullet under the BULLET_SCENARIO script".into(),
-            series: vec![result.useful],
+            series: vec![result.curve(&result.useful)],
             summaries: vec![(result.label, result.summary)],
             ..FigureResult::default()
         };

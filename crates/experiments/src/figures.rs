@@ -82,7 +82,7 @@ impl FigureResult {
     }
 
     pub(crate) fn add_run(&mut self, result: &RunResult) {
-        self.series.push(result.useful.clone());
+        self.series.push(result.curve(&result.useful));
         self.summaries
             .push((result.label.clone(), result.summary.clone()));
     }
@@ -90,9 +90,9 @@ impl FigureResult {
     /// Adds a Bullet run's raw, useful and from-parent curves and its
     /// summary (Figs. 7, 10, 13 and 14).
     fn add_breakdown(&mut self, result: &RunResult) {
-        self.series.push(result.raw.clone());
-        self.series.push(result.useful.clone());
-        self.series.push(result.from_parent.clone());
+        for series in [&result.raw, &result.useful, &result.from_parent] {
+            self.series.push(result.curve(series));
+        }
         self.summaries
             .push((result.label.clone(), result.summary.clone()));
     }
@@ -509,7 +509,7 @@ pub(crate) fn fig11_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             "Achieved bandwidth over time for Bullet and epidemic approaches",
         );
         for result in arms.iter().flatten() {
-            figure.series.push(result.raw.clone());
+            figure.series.push(result.curve(&result.raw));
             figure.add_run(result);
         }
         let (bullet, gossip, ae) = (&arms[0][0], &arms[1][0], &arms[2][0]);
@@ -728,6 +728,7 @@ pub(crate) fn ablations_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RateSeries;
     use bullet_netsim::Network;
 
     /// A single small Bullet run over a generated topology.
@@ -782,9 +783,11 @@ mod tests {
     #[test]
     fn figure_result_lookup_by_label() {
         let mut figure = FigureResult::new("x", "t");
-        let mut series = BandwidthSeries::new("Bullet - Medium");
-        series.push(1.0, 100.0);
-        figure.series.push(series);
+        figure.series.push(BandwidthSeries {
+            label: "Bullet - Medium".into(),
+            times: vec![1.0],
+            kbps: vec![100.0],
+        });
         assert!(figure.steady_state_of("Medium").is_some());
         assert!(figure.steady_state_of("High").is_none());
     }
@@ -792,12 +795,16 @@ mod tests {
     /// A run that simulates nothing: it carries its spec's label and, in
     /// `source`, the seed it was handed.
     fn placeholder(run: &RunSpec, seed: u64) -> RunResult {
+        let empty = || RateSeries {
+            label: run.label.clone(),
+            kbps: Vec::new(),
+        };
         RunResult {
             label: run.label.clone(),
             times: Vec::new(),
-            useful: BandwidthSeries::new(&run.label),
-            raw: BandwidthSeries::new(&run.label),
-            from_parent: BandwidthSeries::new(&run.label),
+            useful: empty(),
+            raw: empty(),
+            from_parent: empty(),
             per_node_useful_bytes: Vec::new(),
             per_node_fresh_bytes: Vec::new(),
             source: seed as usize,

@@ -29,7 +29,7 @@ pub use env::{
     TreeKind,
 };
 pub use figures::FigureResult;
-pub use metrics::{BandwidthSeries, Cdf, RunSummary};
+pub use metrics::{BandwidthSeries, Cdf, RateSeries, RunSummary};
 pub use pool::{RunPool, Sweep};
 pub use protocols::{
     antientropy_run_on, bullet_run_on, bullet_run_resourced_on, gossip_run_on, streaming_run_on,

@@ -43,33 +43,43 @@ pub struct BandwidthSeries {
 }
 
 impl BandwidthSeries {
-    /// Creates an empty series with a label.
-    pub fn new(label: impl Into<String>) -> Self {
-        BandwidthSeries {
-            label: label.into(),
-            times: Vec::new(),
-            kbps: Vec::new(),
-        }
-    }
-
-    /// Appends one sample.
-    pub fn push(&mut self, time_secs: f64, kbps: f64) {
-        self.times.push(time_secs);
-        self.kbps.push(kbps);
-    }
-
     /// Mean bandwidth over the final `fraction` of the samples — the
     /// "steady-state achieved bandwidth" number quoted in the text of the
     /// paper (e.g. "approximately 500 Kbps" for Fig. 7).
     pub fn steady_state_kbps(&self, fraction: f64) -> f64 {
-        if self.kbps.is_empty() {
-            return 0.0;
-        }
-        let fraction = fraction.clamp(0.05, 1.0);
-        let start = ((self.kbps.len() as f64) * (1.0 - fraction)).floor() as usize;
-        let tail = &self.kbps[start.min(self.kbps.len() - 1)..];
-        tail.iter().sum::<f64>() / tail.len() as f64
+        steady_state_kbps(&self.kbps, fraction)
     }
+}
+
+/// One of a run's rate series: a labelled value per sample, in Kbps. Its
+/// sample times are the run's, held once in `RunResult::times`;
+/// `RunResult::curve` pairs the two into a figure's [`BandwidthSeries`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RateSeries {
+    /// Curve label.
+    pub label: String,
+    /// Average per-node bandwidth at each sample, in Kbps.
+    pub kbps: Vec<f64>,
+}
+
+impl RateSeries {
+    /// Mean bandwidth over the final `fraction` of the samples, as
+    /// [`BandwidthSeries::steady_state_kbps`].
+    pub fn steady_state_kbps(&self, fraction: f64) -> f64 {
+        steady_state_kbps(&self.kbps, fraction)
+    }
+}
+
+/// The mean of the final `fraction` of `kbps` (at least 5 %, and at least
+/// one sample), or 0 for no samples.
+fn steady_state_kbps(kbps: &[f64], fraction: f64) -> f64 {
+    if kbps.is_empty() {
+        return 0.0;
+    }
+    let fraction = fraction.clamp(0.05, 1.0);
+    let start = ((kbps.len() as f64) * (1.0 - fraction)).floor() as usize;
+    let tail = &kbps[start.min(kbps.len() - 1)..];
+    tail.iter().sum::<f64>() / tail.len() as f64
 }
 
 /// An empirical CDF over per-node values (Fig. 8).
@@ -183,18 +193,19 @@ mod tests {
 
     #[test]
     fn steady_state_uses_the_tail() {
-        let mut s = BandwidthSeries::new("test");
-        for i in 0..100 {
-            // Ramp from 0 to 990, then read the last 10%.
-            s.push(i as f64, (i * 10) as f64);
-        }
+        // Ramp from 0 to 990, then read the last 10%.
+        let s = RateSeries {
+            label: "test".into(),
+            kbps: (0..100).map(|i| (i * 10) as f64).collect(),
+        };
         let tail = s.steady_state_kbps(0.1);
         assert!(tail > 900.0, "tail mean {tail}");
     }
 
     #[test]
     fn steady_state_of_empty_series_is_zero() {
-        assert_eq!(BandwidthSeries::new("x").steady_state_kbps(0.2), 0.0);
+        assert_eq!(RateSeries::default().steady_state_kbps(0.2), 0.0);
+        assert_eq!(BandwidthSeries::default().steady_state_kbps(0.2), 0.0);
     }
 
     #[test]

@@ -55,14 +55,19 @@ impl RunPool {
     pub fn run<'scope, R: Send>(&self, tasks: Vec<Task<'scope, R>>) -> Vec<R> {
         let slots: Vec<Mutex<Option<Task<'scope, R>>>> =
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        bullet_netsim::ordered_map(self.threads, slots.len(), |index| {
-            let task = slots[index]
-                .lock()
-                .expect("task slot poisoned")
-                .take()
-                .expect("each task index is claimed exactly once");
-            task()
-        })
+        bullet_netsim::ordered_map(
+            self.threads,
+            slots.len(),
+            || (),
+            |_, index| {
+                let task = slots[index]
+                    .lock()
+                    .expect("task slot poisoned")
+                    .take()
+                    .expect("each task index is claimed exactly once");
+                task()
+            },
+        )
     }
 }
 

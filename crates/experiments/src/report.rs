@@ -120,12 +120,12 @@ mod tests {
             title: "Test figure".into(),
             ..FigureResult::default()
         };
-        let mut a = BandwidthSeries::new("Bullet");
-        a.push(0.0, 0.0);
-        a.push(5.0, 450.5);
-        let mut b = BandwidthSeries::new("Tree");
-        b.push(0.0, 0.0);
-        b.push(5.0, 210.0);
+        let series = |label: &str, kbps: f64| BandwidthSeries {
+            label: label.into(),
+            times: vec![0.0, 5.0],
+            kbps: vec![0.0, kbps],
+        };
+        let (a, b) = (series("Bullet", 450.5), series("Tree", 210.0));
         figure.series.push(a);
         figure.series.push(b);
         figure

@@ -26,7 +26,7 @@ use bullet_netsim::telemetry::{
 use bullet_netsim::{OverlayId, RoutingStats, Sim, SimDuration, SimTime};
 
 use crate::metrics::{
-    mean_secs_from_us, median_or_zero, ratio_or_zero, BandwidthSeries, Cdf, RunSummary,
+    mean_secs_from_us, median_or_zero, ratio_or_zero, BandwidthSeries, Cdf, RateSeries, RunSummary,
 };
 
 /// A protocol agent whose delivery progress the runner can observe. Every
@@ -126,14 +126,15 @@ pub struct RunTelemetry {
 pub struct RunResult {
     /// Curve label.
     pub label: String,
-    /// Sample times in seconds.
+    /// Sample times in seconds, shared by every series and per-sample row
+    /// of the run.
     pub times: Vec<f64>,
     /// Average per-node useful bandwidth over time.
-    pub useful: BandwidthSeries,
+    pub useful: RateSeries,
     /// Average per-node raw bandwidth over time.
-    pub raw: BandwidthSeries,
+    pub raw: RateSeries,
     /// Average per-node bandwidth received from the tree parent over time.
-    pub from_parent: BandwidthSeries,
+    pub from_parent: RateSeries,
     /// Per-sample, per-node cumulative useful bytes (`[sample][node]`),
     /// source included; used to derive CDFs at arbitrary instants.
     pub per_node_useful_bytes: Vec<Vec<u64>>,
@@ -185,6 +186,16 @@ impl RunResult {
     pub fn steady_state_kbps(&self) -> f64 {
         self.useful.steady_state_kbps(0.25)
     }
+
+    /// One of this run's series as a figure curve, at the run's sample
+    /// times.
+    pub fn curve(&self, series: &RateSeries) -> BandwidthSeries {
+        BandwidthSeries {
+            label: series.label.clone(),
+            times: self.times.clone(),
+            kbps: series.kbps.clone(),
+        }
+    }
 }
 
 /// Parameters of one metered run.
@@ -222,7 +233,6 @@ impl RunSpec {
 /// The sampling state of one metered run.
 struct Meter {
     n: usize,
-    times: Vec<f64>,
     per_node_useful: Vec<Vec<u64>>,
     per_node_fresh: Vec<Vec<u64>>,
     hub: MetricsHub,
@@ -241,7 +251,6 @@ impl Meter {
         let ch_control = hub.counter_rate("control_in_kbps");
         Meter {
             n,
-            times: Vec::new(),
             per_node_useful: Vec::new(),
             per_node_fresh: Vec::new(),
             hub,
@@ -253,8 +262,7 @@ impl Meter {
     }
 
     fn sample<A: MeteredAgent>(&mut self, now: SimTime, sim: &Sim<A>) {
-        let t = now.as_secs_f64();
-        self.hub.begin_window(t);
+        self.hub.begin_window(now.as_secs_f64());
         let mut row = Vec::with_capacity(self.n);
         let mut fresh_row = Vec::with_capacity(self.n);
         for node in 0..self.n {
@@ -269,7 +277,6 @@ impl Meter {
                 .observe_node(self.ch_control, node, sim.traffic(node).control_bytes_in);
         }
         self.hub.end_window();
-        self.times.push(t);
         self.per_node_useful.push(row);
         self.per_node_fresh.push(fresh_row);
     }
@@ -283,12 +290,18 @@ impl Meter {
         repair_wall_secs: f64,
     ) -> RunResult {
         let n = self.n;
-        let series = |ch: ChannelId, label: String| {
-            let mut series = BandwidthSeries::new(label);
-            for point in self.hub.points(ch) {
-                series.push(point.t_secs, point.value);
-            }
-            series
+        // Every channel has one point per sample window, at the window's end.
+        let times = (self.hub.points(self.ch_useful).iter())
+            .map(|point| point.t_secs)
+            .collect();
+        let series = |ch: ChannelId, label: String| RateSeries {
+            label,
+            kbps: self
+                .hub
+                .points(ch)
+                .iter()
+                .map(|point| point.value)
+                .collect(),
         };
         let useful = series(self.ch_useful, spec.label.clone());
         let raw = series(self.ch_raw, format!("{} (raw)", spec.label));
@@ -392,7 +405,7 @@ impl Meter {
 
         RunResult {
             label: spec.label.clone(),
-            times: self.times,
+            times,
             useful,
             raw,
             from_parent,

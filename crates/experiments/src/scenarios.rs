@@ -145,7 +145,7 @@ pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         // finds the first matching label, and gates must read useful bandwidth.
         for result in &arms[0] {
             figure.add_run(result);
-            figure.series.push(result.raw.clone());
+            figure.series.push(result.curve(&result.raw));
         }
         let result = &arms[0][0];
 

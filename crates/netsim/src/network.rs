@@ -11,7 +11,9 @@ use std::sync::Arc;
 use crate::hash::FxHashMap;
 use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
 use crate::rng::SimRng;
-use crate::routing::{edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, RowTree};
+use crate::routing::{
+    edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, RowSearch, RowTree, BRANCH,
+};
 use crate::time::{SimDuration, SimTime};
 use crate::workers::{self, ordered_map};
 
@@ -248,11 +250,15 @@ impl RouteArena {
 ///
 /// A hit on the simulator's per-send hot path is one multiply-add and a
 /// 4-byte load. The table is `n²` 4-byte
-/// entries with no cap — 4 MB at the paper's 1,000 participants. Entries are
-/// `RouteId` raw values with two sentinels.
+/// entries with no cap — 4 MB at the paper's 1,000 participants — and is
+/// allocated by the first memo write: until then every pair reads
+/// [`RouteMemo::UNKNOWN`] and there is nothing to clear, so a view that only
+/// builds row trees, as the bottleneck-tree oracle's does, never holds one.
+/// Entries are `RouteId` raw values with two sentinels.
 #[derive(Clone, Debug)]
 struct RouteMemo {
     n: usize,
+    /// Empty until the first [`RouteMemo::set`], then `n²` entries.
     table: Vec<u32>,
     /// Pairs currently memoized [`RouteMemo::UNREACHABLE`]. Incremental
     /// repair clears exactly these on an improving mutation (an improvement
@@ -271,18 +277,24 @@ impl RouteMemo {
     fn new(n: usize) -> Self {
         RouteMemo {
             n,
-            table: vec![Self::UNKNOWN; n * n],
+            table: Vec::new(),
             unreachable: Vec::new(),
         }
     }
 
     #[inline]
     fn get(&self, from: OverlayId, to: OverlayId) -> u32 {
+        if self.table.is_empty() {
+            return Self::UNKNOWN;
+        }
         self.table[from * self.n + to]
     }
 
     #[inline]
     fn set(&mut self, from: OverlayId, to: OverlayId, route: Option<RouteId>) {
+        if self.table.is_empty() {
+            self.table = vec![Self::UNKNOWN; self.n * self.n];
+        }
         self.table[from * self.n + to] = match route {
             Some(id) => id.0,
             None => {
@@ -296,6 +308,9 @@ impl RouteMemo {
     /// invalidated router pair), returning how many memoized cells were
     /// dropped.
     fn clear_pairs(&mut self, from: &[u32], to: &[u32]) -> u64 {
+        if self.table.is_empty() {
+            return 0;
+        }
         let mut cleared = 0;
         for &f in from {
             let row = f as usize * self.n;
@@ -568,8 +583,8 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `spec`'s router or link count differs from what the setup
-    /// was built over, or if a link names a router id that does not fit in
-    /// a `u32`.
+    /// was built over, if a link names a router id that does not fit in a
+    /// `u32`, or if a directed link id does not fit in 31 bits.
     pub fn with_setup(spec: &NetworkSpec, setup: &NetworkSetup) -> Self {
         assert_eq!(
             (spec.routers, spec.links.len()),
@@ -579,6 +594,11 @@ impl Network {
         assert!(
             (spec.links.iter()).all(|link| link.a.max(link.b) <= u32::MAX as usize),
             "router ids fit in a u32"
+        );
+        // A row tree tells a link entry from a branch marker by the top bit.
+        assert!(
+            2 * spec.links.len() <= BRANCH as usize,
+            "directed link ids fit in 31 bits"
         );
         let mut links = Vec::with_capacity(2 * spec.links.len());
         for link in &spec.links {
@@ -706,8 +726,8 @@ impl Network {
     pub(crate) fn row_trees_on(&mut self, sources: &[OverlayId], workers: usize) -> Vec<RowTree> {
         self.batched_queries += sources.len() as u64;
         let (adjacency, attachments) = (&*self.adjacency, &self.attachments[..]);
-        ordered_map(workers, sources.len(), |i| {
-            RowTree::compute(adjacency, attachments[sources[i]], attachments)
+        ordered_map(workers, sources.len(), RowSearch::default, |search, i| {
+            search.row(adjacency, attachments[sources[i]], attachments)
         })
     }
 

@@ -64,15 +64,16 @@
 //! participant and reads each of its point routes off it. The oracle's
 //! searches only read the graph, so they run as one ordered scoped map
 //! ([`crate::workers`]) at the width the calling thread may use, and each
-//! row is placed by its source's index: the rows are the same at any
-//! worker count. A row's targets are every participant, scattered over the whole graph, so
-//! settling all of them settles nearly everything: no goal direction can
-//! prune a search whose goals span the graph. What it can save is the queue:
-//! it keeps a bucket queue, not a heap. The search's predecessor links are
-//! then kept only along the paths to the targets, as a prefix tree in which
-//! each target's path is read back only as far as the first router already
-//! in the tree. The canonical routes out of one source share most of their
-//! links, so the tree holds each shared link once.
+//! row is placed by its source's index: the rows are the same at any worker
+//! count. Each worker reuses one search workspace for every row it builds.
+//! A row's targets are every participant, scattered over the whole graph,
+//! so settling all of them settles nearly everything: no goal direction can
+//! prune a search whose goals span the graph. What it can save is the
+//! queue: it keeps a bucket queue, not a heap. The search's predecessor
+//! links are then kept only along the paths to the targets, as a prefix
+//! tree in which each target's path is read back only as far as the first
+//! router already in the tree. The canonical routes out of one source share
+//! most of their links, so the tree holds each shared link once.
 //!
 //! # The graph
 //!
@@ -100,12 +101,15 @@
 //!   router — is allocated by its first point query. A network that only
 //!   builds row trees, as the bottleneck-tree oracle's does, never holds
 //!   one.
-//! - A [`RowTree`] is 8 bytes per distinct link of its row — a `u32` parent
-//!   node and a `u32` link — and a `u32` leaf per target. Its search is
-//!   transient: 17 bytes per router at its peak (a distance, a queue flag, a
-//!   predecessor link and the bucket queue), then a `u32` router-to-node
-//!   entry beside the predecessor links while the tree is read off. Up to
-//!   one search per worker is live at once.
+//! - A [`RowTree`] is one `u32` entry per distinct link of its row, one
+//!   more per branch that does not continue from the entry before it, and
+//!   a `u32` leaf per target. Its search keeps 13 bytes per router (a
+//!   distance, which holds the router's tree node once the search ends, a
+//!   queue flag and a predecessor link) and a scratch copy of the row being
+//!   read off, and the bucket queue adds about 4 more while the search
+//!   runs. Each worker keeps one such workspace for all the rows it builds,
+//!   so up to one is live per worker, and each row is allocated once, at
+//!   its exact length.
 //!
 //! [`Network`]: crate::network::Network
 //! [`Network::row_trees`]: crate::network::Network::row_trees
@@ -463,65 +467,45 @@ fn tail_of(adj: &Adjacency, head: RouterId, link: u32) -> RouterId {
 /// [`RowTree`] node of a target its source cannot reach.
 const NO_NODE: u32 = u32::MAX;
 
+/// The top bit of a [`RowTree`] entry: set on a branch marker, whose low 31
+/// bits are the node the branch hangs off. Every directed link id is below
+/// it (`Network::with_setup` asserts as much), so a link entry never has
+/// it set.
+pub(crate) const BRANCH: u32 = 1 << 31;
+
 /// The canonical paths from one source router to a list of targets, kept as
 /// a prefix tree: the paths out of one source share most of their links, so
 /// the tree holds each of them once.
 ///
-/// Node 0 is the source router. Node `i + 1` is a router entered over
-/// `links[i] = (parent node, directed link)`, and a parent always precedes
-/// its children. Each target holds one leaf, the node of its router. Every
-/// root-to-leaf walk follows one search's canonical predecessor links, so
-/// [`RowTree::path_into`] returns the canonical path, and
-/// [`RowTree::reaches`] answers reachability from the leaf alone. The tree
-/// is a snapshot of the graph it was computed on, and no topology mutation
-/// repairs it: the eager routing mode drops its cached rows at every
-/// route-affecting mutation. A row depends on the graph, the source and the
-/// targets alone, so the rows [`Network::row_trees`] builds on several
-/// workers equal those built one at a time.
+/// The tree is one run of `u32` entries, its branches laid end to end. Node
+/// 0 is the source router and node `i + 1` is entry `i`. A link entry is
+/// the directed link into its node's router, and its parent is the node of
+/// the entry before it (node 0 for the first entry). A branch that does not
+/// continue from the entry before it starts with one marker entry, `BRANCH
+/// | parent node`, which no leaf names. Each target holds one leaf, the node
+/// of its router. Every root-to-leaf walk follows one search's canonical
+/// predecessor links, so [`RowTree::path_into`] returns the canonical path,
+/// and [`RowTree::reaches`] answers reachability from the leaf alone. The
+/// tree is a snapshot of the graph it was computed on, and no topology
+/// mutation repairs it: the eager routing mode drops its cached rows at
+/// every route-affecting mutation. A row depends on the graph, the source
+/// and the targets alone, so the rows [`Network::row_trees`] builds on
+/// several workers equal those built one at a time.
 ///
 /// [`Network::row_trees`]: crate::network::Network::row_trees
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowTree {
-    /// `(parent node, directed link)` of nodes 1, 2, … in order.
-    links: Box<[(u32, u32)]>,
+    /// Link entries and branch markers, in node order.
+    entries: Box<[u32]>,
     /// Each target's node, or [`NO_NODE`] if it is unreachable.
     leaves: Box<[u32]>,
 }
 
 impl RowTree {
     /// Runs one whole-graph search from `source` and keeps the canonical
-    /// paths to every router of `targets`. Each path is read back from its
-    /// target only as far as the first router already in the tree, and the
-    /// new branch hangs off that router's node.
+    /// paths to every router of `targets`, on a workspace of its own.
     pub(crate) fn compute(adj: &Adjacency, source: RouterId, targets: &[RouterId]) -> Self {
-        let mut prev = vec![NO_LINK; adj.len()];
-        dijkstra(adj, source, Dir::Forward, &mut prev);
-        let mut node_of = vec![NO_NODE; adj.len()];
-        node_of[source] = 0;
-        let (mut links, mut leaves) = (Vec::new(), Vec::with_capacity(targets.len()));
-        // A new branch as `(router, link into it)`, read from its far end.
-        let mut branch: Vec<(RouterId, u32)> = Vec::new();
-        for &target in targets {
-            let mut cur = target;
-            while node_of[cur] == NO_NODE && prev[cur] != NO_LINK {
-                let link = prev[cur];
-                branch.push((cur, link));
-                cur = tail_of(adj, cur, link);
-            }
-            // Only an unreachable target stops outside the tree, at once: its
-            // branch is empty and its leaf is `NO_NODE`.
-            let mut node = node_of[cur];
-            for (router, link) in branch.drain(..).rev() {
-                links.push((node, link));
-                node = links.len() as u32;
-                node_of[router] = node;
-            }
-            leaves.push(node);
-        }
-        RowTree {
-            links: links.into_boxed_slice(),
-            leaves: leaves.into_boxed_slice(),
-        }
+        RowSearch::default().row(adj, source, targets)
     }
 
     /// Whether the source reaches target `target`: one leaf read, no walk.
@@ -538,14 +522,91 @@ impl RowTree {
         if node == NO_NODE {
             return false;
         }
+        // Back one entry at a time, jumping at a branch marker.
         while node != 0 {
-            let (parent, link) = self.links[node as usize - 1];
-            out.push(link as DirectedLinkId);
-            node = parent;
+            let entry = self.entries[node as usize - 1];
+            if entry & BRANCH != 0 {
+                node = entry & !BRANCH;
+            } else {
+                out.push(entry as DirectedLinkId);
+                node -= 1;
+            }
         }
         out.reverse();
         true
     }
+}
+
+/// The buffers one row search needs, kept from one row to the next: the
+/// search's distances and queue flags, each router's predecessor link, and
+/// the row being read off. A worker that builds many rows allocates them
+/// once, and each row once, at its exact length.
+#[derive(Default)]
+pub(crate) struct RowSearch {
+    search: Search,
+    prev: Vec<u32>,
+    /// A new branch as `(router, link into it)`, read from its far end.
+    branch: Vec<(RouterId, u32)>,
+    entries: Vec<u32>,
+}
+
+impl RowSearch {
+    /// Runs one whole-graph search from `source` and keeps the canonical
+    /// paths to every router of `targets`. Each path is read back from its
+    /// target only as far as the first router already in the tree, and the
+    /// new branch hangs off that router's node.
+    pub(crate) fn row(
+        &mut self,
+        adj: &Adjacency,
+        source: RouterId,
+        targets: &[RouterId],
+    ) -> RowTree {
+        reset(&mut self.prev, adj.len(), NO_LINK);
+        self.search.run(adj, source, Dir::Forward, &mut self.prev);
+        // The distances are dead once the predecessor links are final, so
+        // each router's tree node is kept in their buffer.
+        let (prev, node_of) = (&self.prev, &mut self.search.dist);
+        node_of.fill(NO_NODE.into());
+        node_of[source] = 0;
+        let (branch, entries) = (&mut self.branch, &mut self.entries);
+        entries.clear();
+        let mut leaves = Vec::with_capacity(targets.len());
+        for &target in targets {
+            let mut cur = target;
+            while node_of[cur] == u64::from(NO_NODE) && prev[cur] != NO_LINK {
+                let link = prev[cur];
+                branch.push((cur, link));
+                cur = tail_of(adj, cur, link);
+            }
+            // Only an unreachable target stops outside the tree, at once: its
+            // branch is empty and its leaf is `NO_NODE`.
+            let mut node = node_of[cur] as u32;
+            if !branch.is_empty() && node as usize != entries.len() {
+                entries.push(BRANCH | node);
+            }
+            for (router, link) in branch.drain(..).rev() {
+                entries.push(link);
+                node = entries.len() as u32;
+                node_of[router] = node.into();
+            }
+            leaves.push(node);
+        }
+        // Every node, a marker's among them, is at most the entry count.
+        assert!(
+            entries.len() < BRANCH as usize,
+            "a row's nodes fit in 31 bits"
+        );
+        RowTree {
+            entries: entries.as_slice().into(),
+            leaves: leaves.into_boxed_slice(),
+        }
+    }
+}
+
+/// Refills `buf` with `len` copies of `value`, in the capacity it has.
+fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
 }
 
 /// Most buckets a [`dijkstra`] queue spans.
@@ -553,63 +614,85 @@ const MAX_BUCKETS: u64 = 256;
 
 /// The one whole-graph search: distances from `root` (to it, over in-edges,
 /// for [`Dir::Backward`]), and each router's canonical predecessor link
-/// written into `prev` unless it is empty.
-///
-/// A monotone bucket queue: buckets of width `w = max(min_cost, ⌈max_cost /
-/// MAX_BUCKETS⌉)` in a ring of `max_cost / w + 2` slots, which no relaxation
-/// can wrap. Entries are router ids; `queued` marks a router's one live
-/// entry, in the bucket of its label. With every cost ≥ `w` — as in every
-/// generated topology, whose delays are ≥ 0.5 ms — a relaxation lands in a
-/// later bucket and each router is settled once. A wider spread can land
-/// one in the bucket being drained, where it is queued again (Δ-stepping's
-/// label correction). Distances and the tie-break stay exact: an edge whose
-/// tail is not final cannot be tight at the head's final distance. A router
-/// whose one onward edge leads back to its improver is labelled but never
-/// queued, since that edge can neither improve nor tie.
+/// written into `prev` unless it is empty, on buffers of its own;
+/// [`Search::run`] is the same search on buffers kept between searches.
 fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [u32]) -> Vec<u64> {
-    let width = adj.min_cost.max(adj.max_cost.div_ceil(MAX_BUCKETS)).max(1);
-    let slots = adj.max_cost / width + 2;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); slots as usize];
-    let mut dist = vec![u64::MAX; adj.len()];
-    let mut queued = vec![false; adj.len()];
-    dist[root] = 0;
-    queued[root] = true;
-    buckets[0].push(root as u32);
-    let (mut pending, mut bucket) = (1usize, 0u64);
-    while pending > 0 {
-        let slot = (bucket % slots) as usize;
-        while let Some(u) = buckets[slot].pop() {
-            pending -= 1;
-            let u = u as usize;
-            if !std::mem::take(&mut queued[u]) {
-                continue; // stale: relabelled or settled since
-            }
-            debug_assert_eq!(dist[u] / width, bucket);
-            let du = dist[u];
-            for &(v32, link, cost) in adj.edges(dir, u) {
-                let v = v32 as usize;
-                let (nd, old) = (du.saturating_add(u64::from(cost)), dist[v]);
-                if nd < old {
-                    dist[v] = nd;
-                    if !prev.is_empty() {
-                        prev[v] = link;
+    let mut search = Search::default();
+    search.run(adj, root, dir, prev);
+    search.dist
+}
+
+/// The per-router buffers of one [`dijkstra`]: each router's distance and
+/// queue flag. The bucket ring is made afresh by each search: kept, each
+/// bucket would keep the most it ever held from any root, which over the
+/// 40 rows of a 20k-router graph grew a worker's workspace by a quarter.
+#[derive(Default)]
+struct Search {
+    dist: Vec<u64>,
+    queued: Vec<bool>,
+}
+
+impl Search {
+    /// Leaves the distances from `root` in `self.dist`, and each router's
+    /// canonical predecessor link in `prev` unless it is empty.
+    ///
+    /// A monotone bucket queue: buckets of width `w = max(min_cost,
+    /// ⌈max_cost / MAX_BUCKETS⌉)` in a ring of `max_cost / w + 2` slots,
+    /// which no relaxation can wrap. Entries are router ids; `queued` marks
+    /// a router's one live entry, in the bucket of its label. With every
+    /// cost ≥ `w` — as in every generated topology, whose delays are ≥ 0.5
+    /// ms — a relaxation lands in a later bucket and each router is settled
+    /// once. A wider spread can land one in the bucket being drained, where
+    /// it is queued again (Δ-stepping's label correction). Distances and the
+    /// tie-break stay exact: an edge whose tail is not final cannot be tight
+    /// at the head's final distance. A router whose one onward edge leads
+    /// back to its improver is labelled but never queued, since that edge
+    /// can neither improve nor tie.
+    fn run(&mut self, adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [u32]) {
+        let width = adj.min_cost.max(adj.max_cost.div_ceil(MAX_BUCKETS)).max(1);
+        let slots = adj.max_cost / width + 2;
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); slots as usize];
+        let Search { dist, queued } = self;
+        reset(dist, adj.len(), u64::MAX);
+        reset(queued, adj.len(), false);
+        dist[root] = 0;
+        queued[root] = true;
+        buckets[0].push(root as u32);
+        let (mut pending, mut bucket) = (1usize, 0u64);
+        while pending > 0 {
+            let slot = (bucket % slots) as usize;
+            while let Some(u) = buckets[slot].pop() {
+                pending -= 1;
+                let u = u as usize;
+                if !std::mem::take(&mut queued[u]) {
+                    continue; // stale: relabelled or settled since
+                }
+                debug_assert_eq!(dist[u] / width, bucket);
+                let du = dist[u];
+                for &(v32, link, cost) in adj.edges(dir, u) {
+                    let v = v32 as usize;
+                    let (nd, old) = (du.saturating_add(u64::from(cost)), dist[v]);
+                    if nd < old {
+                        dist[v] = nd;
+                        if !prev.is_empty() {
+                            prev[v] = link;
+                        }
+                        if matches!(adj.edges(dir, v), [(back, _, _)] if *back as usize == u) {
+                            queued[v] = false; // a dead end
+                        } else if !queued[v] || old / width != nd / width {
+                            queued[v] = true;
+                            buckets[(nd / width % slots) as usize].push(v32);
+                            pending += 1;
+                        }
+                    } else if nd == old && nd != u64::MAX && !prev.is_empty() {
+                        // The canonical tie-break: the smallest tight link id.
+                        prev[v] = prev[v].min(link);
                     }
-                    if matches!(adj.edges(dir, v), [(back, _, _)] if *back as usize == u) {
-                        queued[v] = false; // a dead end
-                    } else if !queued[v] || old / width != nd / width {
-                        queued[v] = true;
-                        buckets[(nd / width % slots) as usize].push(v32);
-                        pending += 1;
-                    }
-                } else if nd == old && nd != u64::MAX && !prev.is_empty() {
-                    // The canonical tie-break: the smallest tight link id.
-                    prev[v] = prev[v].min(link);
                 }
             }
+            bucket += 1;
         }
-        bucket += 1;
     }
-    dist
 }
 
 /// Farthest-point landmark selection: each landmark maximizes the minimum
@@ -1523,13 +1606,25 @@ mod tests {
     /// [`dijkstra`] with predecessors, [`Adjacency::distances_from`] and
     /// [`Adjacency::distances_to`] against [`heap_model`], from every root:
     /// equal distances, and equal predecessor links for every router.
+    ///
+    /// One [`RowSearch`] is also reused from root to root, its search run
+    /// backward in between, and must build every row as a fresh one does.
     fn assert_kernel_matches_model(adj: &Adjacency, label: &str) {
+        let routers: Vec<RouterId> = (0..adj.len()).collect();
+        let mut reused = RowSearch::default();
         for root in 0..adj.len() {
             let model = heap_model(adj, root, Dir::Forward);
             assert_tree_matches(adj, root, &model, label);
             assert_eq!(adj.distances_from(root), model.0, "{label}: from {root}");
             let (to, _) = heap_model(adj, root, Dir::Backward);
             assert_eq!(adj.distances_to(root), to, "{label}: distances to {root}");
+            assert_eq!(
+                reused.row(adj, root, &routers),
+                RowTree::compute(adj, root, &routers),
+                "{label}: a reused workspace from {root}"
+            );
+            reused.search.run(adj, root, Dir::Backward, &mut []);
+            assert_eq!(reused.search.dist, to, "{label}: reused, to {root}");
         }
     }
 
@@ -2139,7 +2234,8 @@ mod tests {
     /// A row's branches hang off the first tree router they meet: on a
     /// star of two-hop spokes with one shared first hop, the tree holds
     /// each link once, and a branch anchored at the root would lose the
-    /// shared hop.
+    /// shared hop. A branch that does not continue from the entry before it
+    /// costs one marker entry, and only such a branch does.
     #[test]
     fn row_trees_share_the_links_of_common_prefixes() {
         // 0 - 1, then 1 - 2, 1 - 3 and 1 - 4: every path out of 0 starts
@@ -2147,7 +2243,15 @@ mod tests {
         let edges = [(0, 1, 5), (1, 2, 5), (1, 3, 5), (1, 4, 5)];
         let mut net = lazy_network(5, &edges, 0);
         let row = &net.row_trees(&[0])[0];
-        assert_eq!(row.links.len(), 4, "one entry per distinct link");
+        // Target 2's branch continues from link 0's entry; targets 3 and 4
+        // each start a branch at node 1 with a marker.
+        let markers = row.entries.iter().filter(|&&e| e & BRANCH != 0).count();
+        assert_eq!(
+            (row.entries.len() - markers, markers),
+            (4, 2),
+            "one entry per distinct link, one marker per branch off an earlier node"
+        );
+        assert_eq!(&*row.entries, [0, 2, BRANCH | 1, 4, BRANCH | 1, 6]);
         let mut path = Vec::new();
         for (t, last) in [(2, 2), (3, 4), (4, 6)] {
             assert!(row.path_into(t, &mut path));

@@ -11,23 +11,26 @@
 //! then builds the offline bottleneck tree over 40 participants, whose
 //! oracle reads one row tree per participant and interns nothing: the view
 //! must not grow, and the build's peak above it is bounded by the row
-//! trees' links and leaves, the oracle's flow array and one row search per
+//! trees' entries and leaves, the oracle's flow array and one row search per
 //! worker, on one worker and on two.
 //! Last, on the small emulation class, the eager mode's cached rows must
-//! hold 8 bytes per row link and 4 bytes per participant, and a
-//! route-affecting mutation must free them.
+//! hold 4 bytes per row entry (a link or a branch marker) and 4 bytes per
+//! participant, and a route-affecting mutation must free them.
 //!
 //! The counts are the same on every run for a given toolchain. This file
 //! contains exactly one test so no concurrent test can touch the
 //! process-wide counters during the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bullet_suite::netsim::{ordered_map, Network, NetworkSetup, RoutingMode, SimDuration};
 use bullet_suite::overlay::{bottleneck_tree, OmbtConfig};
 use bullet_suite::topology::{generate, TopologyConfig};
+
+#[path = "support/row_entries.rs"]
+mod row_entries;
+use row_entries::RowEntries;
 
 struct CountingAllocator;
 
@@ -78,7 +81,7 @@ const SETUP_CEILING: i64 = 2_103_000;
 
 /// Ceiling on the bytes a paper-scale `Network` view holds before its first
 /// point query.
-const VIEW_CEILING: i64 = 2_624_000;
+const VIEW_CEILING: i64 = 2_584_000;
 
 /// `(live bytes, live allocations)` right now.
 fn live() -> (i64, i64) {
@@ -126,11 +129,12 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     // Measured on 20,200 routers and 44,642 directed links: the setup holds
     // 2,041,384 B in 15 allocations — two 12-byte edge slots per directed
     // link and eight tables of 4-byte landmark distances — and a view
-    // 2,547,017 B in 109, nearly all of it 56-byte directed links. The
+    // 2,507,017 B in 108, nearly all of it 56-byte directed links. The
     // ceilings leave 3 % on bytes and a few allocations. A graph of one
     // edge-list `Vec` per router and direction holds over 40,000
     // allocations; 16-byte edges and 8-byte landmark entries make the setup
-    // 3.04 MB, and a workspace built with the view makes it 4.2 MB.
+    // 3.04 MB, a workspace built with the view makes it 4.2 MB, and a route
+    // memo built with it adds its 40,000 B.
     assert!(setup_bytes <= SETUP_CEILING, "{report}");
     assert!(setup_allocations <= 20, "{report}");
     assert!(view_bytes <= VIEW_CEILING, "{report}");
@@ -138,12 +142,14 @@ fn a_paper_scale_network_holds_flat_routing_state() {
 
     // The view's first point query allocates the search workspace, a 41-byte
     // label set per router (two 12-byte frontier labels, a 12-byte potential
-    // and a 5-byte reconstruction memo); the next query finds it there.
+    // and a 5-byte reconstruction memo), and the route memo, 4 B per
+    // participant pair; the next query finds both there.
     let attachments = &topo.spec.attachments;
     let far = (1..attachments.len())
         .find(|&p| attachments[p] != attachments[0])
         .expect("participants on two routers");
     let workspace = 41 * routers as i64;
+    let memo = 4 * (attachments.len() as i64).pow(2);
     let before = live();
     view.route(0, far).expect("the paper topology is connected");
     let (first_query, _) = held_since(before);
@@ -151,11 +157,11 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     view.route(far, 0).expect("the paper topology is connected");
     let (second_query, _) = held_since(before);
     let report = format!(
-        "workspace {workspace} B: the first query grew the view by {first_query} B, \
-         the second by {second_query} B"
+        "workspace {workspace} B and memo {memo} B: the first query grew the view by \
+         {first_query} B, the second by {second_query} B"
     );
-    // Measured: 830,083 B, then 580 B.
-    let at_first_query_only = (workspace..=workspace + 16_384).contains(&first_query);
+    // Measured: 870,083 B, then 580 B.
+    let at_first_query_only = (workspace + memo..=workspace + memo + 16_384).contains(&first_query);
     assert!(
         at_first_query_only && second_query <= workspace / 10,
         "{report}"
@@ -165,9 +171,8 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     let links = 2 * topo.spec.links.len();
     let participants = topo.spec.participants();
     let setup = NetworkSetup::new(&topo.spec);
-    // One row search, on a view of its own, peaks at its transient
-    // workspace and the row tree it returns. The oracle runs one search per
-    // worker at once.
+    // One row search, on a view of its own, peaks at its workspace and the
+    // row tree it returns. The oracle keeps one workspace per worker.
     let mut probe = Network::with_setup(&topo.spec, &setup);
     let base = reset_peak();
     drop(probe.row_trees(&[0]));
@@ -178,63 +183,74 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     let builds: Vec<_> = [1, 2]
         .into_iter()
         .map(|workers| {
-            let built = ordered_map(workers, 1, |_| {
-                let before = live();
-                let mut view = Network::with_setup(&topo.spec, &setup);
-                let (fresh_view, _) = held_since(before);
-                let before = live();
-                let base = reset_peak();
-                let tree = bottleneck_tree(&mut view, participants, 0, &OmbtConfig::default());
-                let peak = PEAK_BYTES.load(Ordering::SeqCst) - base;
-                drop(tree);
-                let (grown, _) = held_since(before);
-                (view, fresh_view, grown, peak)
-            });
+            let built = ordered_map(
+                workers,
+                1,
+                || (),
+                |_, _| {
+                    let before = live();
+                    let mut view = Network::with_setup(&topo.spec, &setup);
+                    let (fresh_view, _) = held_since(before);
+                    let before = live();
+                    let base = reset_peak();
+                    let tree = bottleneck_tree(&mut view, participants, 0, &OmbtConfig::default());
+                    let peak = PEAK_BYTES.load(Ordering::SeqCst) - base;
+                    drop(tree);
+                    let (grown, _) = held_since(before);
+                    (view, fresh_view, grown, peak)
+                },
+            );
             let (view, fresh_view, grown, peak) = built.into_iter().next().expect("one build");
             (workers, view.routing_stats(), fresh_view, grown, peak)
         })
         .collect();
     // A row tree holds each distinct link of its row's canonical paths
-    // once, and those are the links of the point routes out of its source.
+    // once, and those are the links of the point routes out of its source,
+    // beside a marker per branch that does not continue from the entry
+    // before it.
     let mut view = Network::with_setup(&topo.spec, &setup);
-    let mut row_links = 0;
+    let (mut row_links, mut row_entries) = (0, 0);
     for a in 0..participants {
-        let mut row: BTreeSet<u32> = BTreeSet::new();
+        let mut row = RowEntries::default();
         for b in 0..participants {
             let id = view.route(a, b).expect("the paper topology is connected");
-            row.extend(view.route_links(id));
+            row.add_path(view.route_links(id));
         }
-        row_links += row.len() as i64;
+        (row_links, row_entries) = (row_links + row.links(), row_entries + row.entries);
     }
     let n = participants as i64;
-    let rows = 8 * row_links + 4 * n * n;
+    let rows = 4 * row_entries + 4 * n * n;
     let flows = 4 * links as i64;
     for (workers, stats, fresh_view, grown, peak) in builds {
         let report = format!(
             "{participants} participants on {workers} workers: a fresh view of {fresh_view} B, \
              which the tree grew by {grown} B after {} row searches and {} point searches; a \
              build peak of {peak} B above it, against {rows} B of row trees over {row_links} \
-             links, a {flows} B flow array and row searches of {search} B",
-            stats.batched_queries, stats.lazy_searches
+             links and {} branch markers, a {flows} B flow array and row searches of {search} B",
+            stats.batched_queries,
+            stats.lazy_searches,
+            row_entries - row_links
         );
         // The oracle's rows are its own and gone with it, and it needs no
-        // point route: the view keeps no route, memo row or workspace.
+        // point route: the view keeps no route, route memo or workspace.
         assert!(grown <= 4_096, "{report}");
         assert_eq!(
             (stats.batched_queries, stats.lazy_searches),
             (participants as u64, 0),
             "{report}"
         );
-        // The peak holds every row tree at once, 8 B per link and 4 B per
-        // participant, beside the oracle's 4-byte flow count per directed
-        // link and the transient workspaces of the row searches running at
-        // once, one per worker; 16 KB covers the rest of the greedy's state.
-        // Measured: a 350,292 B search, 128,696 B of row trees (15,287
-        // links) and a 178,088 B flow array; a peak of 660,836 B on one
-        // worker, the same on every run, and of 933,872 to 1,005,392 B on
-        // two, which varies with how far the two searches overlap. Interning
-        // a route per pair grew the view by 190,951 B and peaked at
-        // 734,339 B on one worker, above its ceiling.
+        // The peak holds every row tree at once, 4 B per entry (a link or a
+        // branch marker) and 4 B per participant, beside the oracle's 4-byte
+        // flow count per directed link and the workspaces of the row
+        // searches running at once, one per worker; 16 KB covers the rest of
+        // the greedy's state. Measured: a 350,292 B search, 73,628 B of row
+        // trees (15,287 links and 1,520 markers) and a 178,088 B flow array;
+        // a peak of 609,688 B on one worker, the same on every run, and of
+        // 946,016 B on two, which varies with how far the two searches
+        // overlap. With 8-byte `(parent, link)` entries the rows held
+        // 128,696 B and the one-worker peak was 660,836 B. Interning a route
+        // per pair grew the view by 190,951 B and peaked at 734,339 B on one
+        // worker, above its ceiling.
         assert!(
             peak <= rows + flows + workers as i64 * search + 16_384,
             "{report}"
@@ -243,7 +259,7 @@ fn a_paper_scale_network_holds_flat_routing_state() {
 
     // Small topologies route with eager per-source rows. Warm every pair of
     // the emulation class, then drop the row cache with a route-affecting
-    // mutation: what it frees is what the rows held, 8 B per row link and
+    // mutation: what it frees is what the rows held, 4 B per row entry and
     // 4 B per participant per row. The first mutation gives the view its
     // own copy of the graph, so the measured one allocates none.
     let topo = generate(&TopologyConfig::emulation(60, 7));
@@ -252,32 +268,35 @@ fn a_paper_scale_network_holds_flat_routing_state() {
     let mut view = Network::with_setup(&topo.spec, &setup);
     let delay = topo.spec.links[0].delay;
     view.set_link_delay(0, delay + SimDuration::from_millis(1));
-    // A row holds each distinct link of the point routes out of its source.
-    let mut row_links = 0;
+    // A row holds each distinct link of the point routes out of its source,
+    // and its branch markers.
+    let (mut row_links, mut row_entries) = (0, 0);
     for a in 0..participants {
-        let mut row: BTreeSet<u32> = BTreeSet::new();
+        let mut row = RowEntries::default();
         for b in 0..participants {
             let id = view
                 .route(a, b)
                 .expect("the emulation topology is connected");
-            row.extend(view.route_links(id));
+            row.add_path(view.route_links(id));
         }
-        row_links += row.len() as i64;
+        (row_links, row_entries) = (row_links + row.links(), row_entries + row.entries);
     }
     let sources = view.routing_stats().trees_built as i64;
     let before = live();
     view.set_link_delay(0, delay + SimDuration::from_millis(2));
     let (freed, _) = held_since(before);
-    let rows = 8 * row_links + 4 * participants as i64 * sources;
+    let rows = 4 * row_entries + 4 * participants as i64 * sources;
     let report = format!(
-        "{sources} cached rows over {row_links} links and {participants} participants \
-         freed {} B, against {rows} B of row trees",
+        "{sources} cached rows over {row_links} links, {} branch markers and {participants} \
+         participants freed {} B, against {rows} B of row trees",
+        row_entries - row_links,
         -freed
     );
-    // Measured: 60 rows over 16,498 links freed 146,384 B, exactly 8 B per
-    // link and 4 B per leaf, so the ceiling has no slack. One 4-byte
-    // predecessor link per router and source freed 267,840 B here. A
-    // mutation that kept the rows would free nothing.
+    // Measured: 60 rows over 16,498 links and 3,480 markers freed 94,312 B,
+    // exactly 4 B per entry and 4 B per leaf, so the ceiling has no slack
+    // (8-byte entries freed 146,384 B). One 4-byte predecessor link per
+    // router and source freed 267,840 B here. A mutation that kept the rows
+    // would free nothing.
     assert!(
         sources == participants as i64 && (rows / 2..=rows).contains(&-freed),
         "{report}"
