@@ -105,9 +105,7 @@ pub const FRESHNESS_DEADLINE: SimDuration = SimDuration::from_secs(10);
 ///
 /// `None` in [`BulletConfig::overload`] disables the layer entirely: no
 /// message is shed, no join is deferred, no block is evicted beyond the
-/// ordinary working-set window and no peer is demoted for lagging, so
-/// runs without overload protection are bit-identical to the
-/// pre-overload protocol.
+/// ordinary working-set window and no peer is demoted for lagging.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OverloadConfig {
     /// Control messages (reconciliation + peering classes together)

@@ -45,8 +45,8 @@ use crate::peering::PeerManager;
 /// the high bits carry the node's *timer generation*, bumped on every
 /// rejoin so periodic chains armed before a crash die silently instead of
 /// doubling up with the chains the rejoin re-arms. Generation zero keeps
-/// the raw constants, so static-network runs are bit-identical to the
-/// pre-dynamics protocol.
+/// the raw constants, so a node that never rejoins arms exactly the tags
+/// below.
 mod timer {
     pub const GENERATE: u64 = 1;
     pub const RANSUB_EPOCH: u64 = 2;
@@ -192,9 +192,10 @@ pub struct BulletNode {
     /// Consecutive deferrals issued per requester, driving the
     /// exponential backoff carried in `PeeringDeferred`.
     defer_strikes: BTreeMap<OverlayId, u32>,
-    /// Responders whose `PeeringDeferred` backoff is being waited out;
-    /// front-popped by the DEFER_RETRY tick.
-    deferred_retries: Vec<OverlayId>,
+    /// Responders whose `PeeringDeferred` backoff is being waited out,
+    /// each with the time (µs) its wait ends. A DEFER_RETRY tick re-asks
+    /// the first responder whose wait has ended.
+    deferred_retries: Vec<(u64, OverlayId)>,
     /// Responders that deferred us at least once, for the
     /// admitted-after-defer metric. Cleared on accept/reject.
     deferred_once: Vec<OverlayId>,
@@ -563,7 +564,7 @@ impl BulletNode {
         }
         let was_deferred = self.deferred_once.contains(&from);
         self.deferred_once.retain(|&n| n != from);
-        self.deferred_retries.retain(|&n| n != from);
+        self.deferred_retries.retain(|&(_, n)| n != from);
         was_deferred
     }
 
@@ -1406,7 +1407,8 @@ impl Agent for BulletNode {
                 if !self.deferred_once.contains(&from) {
                     self.deferred_once.push(from);
                 }
-                self.deferred_retries.push(from);
+                let due = (ctx.now() + retry_after).as_micros();
+                self.deferred_retries.push((due, from));
                 ctx.set_timer(retry_after, self.tag(timer::DEFER_RETRY));
             }
             BulletMsg::FilterRefresh { request } => {
@@ -1557,13 +1559,15 @@ impl Agent for BulletNode {
                 self.service_retries(ctx);
             }
             timer::DEFER_RETRY => {
-                // One deferral, one timer, one retry: pop the oldest
-                // waiting responder and re-ask, unless the peering
-                // resolved some other way in the meantime.
-                if self.deferred_retries.is_empty() {
+                // One deferral, one timer, one retry: re-ask the first
+                // responder whose wait has ended, unless the peering
+                // resolved some other way in the meantime. A tick whose
+                // wait was settled early finds none due.
+                let now = ctx.now().as_micros();
+                let Some(due) = self.deferred_retries.iter().position(|&(at, _)| at <= now) else {
                     return;
-                }
-                let node = self.deferred_retries.remove(0);
+                };
+                let (_, node) = self.deferred_retries.remove(due);
                 if self.peers.is_sender(node) || self.is_quarantined(node, ctx.now()) {
                     return;
                 }
@@ -2525,7 +2529,13 @@ mod tests {
             };
             agent.on_message(ctx, 7, msg);
         });
-        assert_eq!(sim.agent(2).deferred_retries, vec![7]);
+        let waiting: Vec<_> = sim
+            .agent(2)
+            .deferred_retries
+            .iter()
+            .map(|&(_, n)| n)
+            .collect();
+        assert_eq!(waiting, vec![7]);
         sim.invoke_agent(2, |agent, ctx| {
             agent.on_message(ctx, 7, BulletMsg::PeeringAccept);
         });
@@ -2535,6 +2545,50 @@ mod tests {
             assert!(agent.deferred_retries.is_empty());
             assert!(agent.deferred_once.is_empty());
         }
+    }
+
+    /// Each deferral's tick re-asks the responder whose wait has ended,
+    /// whatever order the deferrals arrived in. Popping the oldest entry
+    /// instead re-asks 7 at 0.5 s, early, and 8 at 2 s, late.
+    #[test]
+    fn a_deferred_join_is_retried_at_its_responder_after_its_wait() {
+        use bullet_netsim::{Action, SimRng, TimerAlloc};
+        let tree =
+            Tree::from_parents(vec![None, Some(0), Some(0), Some(0), Some(0)]).expect("valid tree");
+        let mut node = BulletNode::new(2, &tree, quick_config().overload());
+        let (mut rng, mut timers, mut actions) = (SimRng::new(49), TimerAlloc::new(), Vec::new());
+        // At t = 0 the node is deferred by 7 for 2 s, then by 8 for 0.5 s.
+        for (responder, millis) in [(7, 2_000), (8, 500)] {
+            let ctx = &mut Context::new(SimTime::ZERO, 2, &mut rng, &mut actions, &mut timers);
+            let retry_after = SimDuration::from_millis(millis);
+            node.on_message(ctx, responder, BulletMsg::PeeringDeferred { retry_after });
+        }
+        let tags: Vec<u64> = actions
+            .drain(..)
+            .filter_map(|action| match action {
+                Action::SetTimer { tag, .. } => Some(tag),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tags.len(), 2, "one DEFER_RETRY timer per deferral");
+        for (millis, responder) in [(500, 8), (2_000, 7)] {
+            let now = SimTime::from_micros(millis * 1_000);
+            let ctx = &mut Context::new(now, 2, &mut rng, &mut actions, &mut timers);
+            node.on_timer(ctx, tags[0]);
+            let asked: Vec<OverlayId> = actions
+                .drain(..)
+                .filter_map(|action| match action {
+                    Action::Send {
+                        to,
+                        msg: BulletMsg::PeeringRequest { .. },
+                        ..
+                    } => Some(to),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(asked, vec![responder], "the tick at {millis} ms");
+        }
+        assert!(node.deferred_retries.is_empty());
     }
 
     #[test]

@@ -115,7 +115,8 @@ mod tests {
         (1.0 - (-kn / bf.m as f64).exp()).powi(bf.k as i32)
     }
 
-    /// The probe positions of the historical formula, `(h1 + i*h2) % m`.
+    /// The probe positions of the plain double-hashing formula,
+    /// `(h1 + i*h2) % m`.
     fn modulo_positions(m: usize, k: u32, key: u64) -> Vec<usize> {
         let (h1, h2) = hash_pair(key);
         (0..k as u64)
@@ -124,8 +125,8 @@ mod tests {
     }
 
     /// The mask (power-of-two `m`) and modulo (any other `m`) branches both
-    /// probe exactly the positions of the old all-modulo formula, so no
-    /// filter ever built or queried changes a bit.
+    /// probe exactly the positions of `(h1 + i*h2) % m`: the mask is a
+    /// faster way to the same bits.
     #[test]
     fn probe_positions_match_the_modulo_formula_on_both_branches() {
         for m in [1usize, 64, 16_384, 1 << 20, 3, 100, 9_586, 16_383, 16_385] {

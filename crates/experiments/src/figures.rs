@@ -15,7 +15,7 @@
 //! closure per arm that performs a run under a given [`RunSpec`] and seed —
 //! and the grid builder (`RunGrid`) owns the rest: the seeds of the
 //! caller's [`Sweep`] (index 0 is the arm's base seed, so a one-seed sweep
-//! reproduces the historical output byte for byte), the `[seed k]` labels
+//! renders the output the goldens pin), the `[seed k]` labels
 //! of the extra seeds, one run task per (arm, seed), the arm-major,
 //! seed-minor split of the results the assembly receives, and one
 //! steady-state spread note per multi-seed arm, appended after the plan's

@@ -13,8 +13,8 @@ pub fn ratio_or_zero(numerator: f64, denominator: f64) -> f64 {
     }
 }
 
-/// Sorts `values` and returns the element at index `len / 2` — the
-/// harness's historical median convention — or `0.0` when the input is
+/// Sorts `values` and returns the element at index `len / 2` — the upper
+/// middle for an even length, which the goldens pin — or `0.0` when the input is
 /// empty (e.g. a source-only run with no receivers).
 pub fn median_or_zero(mut values: Vec<f64>) -> f64 {
     values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -245,8 +245,7 @@ mod tests {
     #[test]
     fn median_uses_the_historical_len_over_two_pick() {
         assert_eq!(median_or_zero(vec![3.0, 1.0, 2.0]), 2.0);
-        // Even length picks the upper-middle element, like the harness
-        // always has.
+        // Even length picks the upper-middle element.
         assert_eq!(median_or_zero(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
     }
 

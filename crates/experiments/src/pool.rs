@@ -11,10 +11,10 @@
 //! OS interleaved them. `tests/parallel.rs` holds that gate.
 //!
 //! The caller sets the width: a [`Sweep`] names the worker count and how
-//! many seeds every figure's grid sweeps (one seed reproduces the
-//! historical single-seed output byte for byte). The bench targets build
-//! theirs from `BULLET_THREADS` and `BULLET_SEEDS` (`crates/bench`). The
-//! width holds for nested work too: the oracle searches a task starts run
+//! many seeds every figure's grid sweeps (seed index 0 is each arm's base
+//! seed, so a one-seed sweep renders the golden output). The bench targets
+//! build theirs from `BULLET_THREADS` and `BULLET_SEEDS` (`crates/bench`).
+//! The width holds for nested work too: the oracle searches a task starts run
 //! at that task's share of it, never on more threads.
 
 use std::sync::Mutex;
@@ -113,7 +113,7 @@ impl Sweep {
 }
 
 /// The display label of seed `k` of a configuration: index 0 keeps the bare
-/// label (single-seed output is byte-identical to the historical harness).
+/// label, so a one-seed sweep's output carries no seed suffix.
 pub(crate) fn seed_label(base: &str, k: usize) -> String {
     if k == 0 {
         base.to_string()
@@ -167,7 +167,7 @@ mod tests {
         let sweep = Sweep::new(1, 3);
         let seeds = sweep.run_seeds(7);
         assert_eq!(seeds.len(), 3);
-        assert_eq!(seeds[0], 7, "seed 0 must preserve the historical run");
+        assert_eq!(seeds[0], 7, "seed 0 must be the base seed");
         assert_eq!(
             seeds.iter().collect::<std::collections::HashSet<_>>().len(),
             3

@@ -7,14 +7,13 @@
 //! CDFs and scalar summaries the paper's figures are built from.
 //!
 //! Sampling goes through the [`MetricsHub`]: each delivery counter is a
-//! registered rate channel, differenced and folded by the hub with the
-//! same arithmetic (and the same `f64` accumulation order) the harness
-//! has always used, so the series are byte-identical to the pre-hub
-//! output. When a run is configured with a [`TelemetryConfig`], the
-//! result additionally carries a [`RunTelemetry`]: the flight-recorder
-//! trace, the hub series, per-block journey spans and the simulator's
-//! self-profile. The caller chooses the switches; [`run_metered`] and every
-//! figure run keep them off.
+//! registered rate channel, differenced and folded by the hub in node
+//! order, the `f64` accumulation order the goldens pin. When a run is
+//! configured with a [`TelemetryConfig`], the result additionally carries
+//! a [`RunTelemetry`]: the flight-recorder trace, the hub series,
+//! per-block journey spans and the simulator's self-profile. The caller
+//! chooses the switches; [`run_metered`] and every figure run keep them
+//! off.
 
 use bullet_baselines::{AntiEntropyNode, GossipNode, StreamingNode};
 use bullet_core::{BulletMetrics, BulletNode};
@@ -72,10 +71,10 @@ impl_metered_for_baseline!(StreamingNode);
 impl_metered_for_baseline!(GossipNode);
 impl_metered_for_baseline!(AntiEntropyNode);
 
-/// Telemetry switches for one metered run. The default is everything off,
-/// which keeps the run byte-identical to (and as fast as) the pre-telemetry
-/// harness: no recorder is installed and the sim's hot path only checks one
-/// `Option`.
+/// Telemetry switches for one metered run. The default is everything off:
+/// no recorder is installed and the sim's hot path only checks one
+/// `Option`. Telemetry observes only, so a traced run of the same spec
+/// simulates exactly the same events.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Install a flight recorder with this spec before the run.
@@ -442,7 +441,7 @@ pub fn run_metered_with<A: MeteredAgent>(
 ///
 /// Crashes in the script pre-schedule through the simulator's event queue
 /// before anything else — the same ordering as `RunSpec::failure` — so a
-/// one-crash script reproduces the legacy failure injection event for
+/// one-crash script reproduces `RunSpec::failure`'s injection event for
 /// event. Lifecycle and link events apply between event-loop steps at
 /// their scripted instants.
 pub fn run_metered_dynamic_with<A: MeteredAgent>(

@@ -11,10 +11,8 @@
 //! event per physical hop, so the perf ledger's four workloads pop 17–27
 //! million times a pass, from a queue that holds 750–1,260 events on
 //! average and 1,141–1,929 at its peak: five 4-ary levels, all in cache.
-//! What a pop costs there is branches, not memory. Which of four children
-//! is the smallest is a coin the predictor cannot learn; a sift that asked
-//! with an `if` per child cost ≈ 170–195 cycles a pop, a third to
-//! two-fifths of every run. So `sift_down`
+//! What a pop costs there is branches, not memory: which of four children
+//! is the smallest is a coin the predictor cannot learn. So `sift_down`
 //!
 //! - picks the smallest child of a full node by compare-and-select (two
 //!   pair minima, then the minimum of those), and
@@ -24,11 +22,8 @@
 //!   it on the way down, one key store per level instead of a swap — and is
 //!   then sifted up from that leaf, 0–1 steps.
 //!
-//! A pop is ≈ 60–95 cycles that way. Measured on `tree_stream` `run_s`
-//! (PR 24, parent 2.84–3.11 s): the selects in the old top-down loop
-//! 1.79–2.01, the bottom-up walk with branching selection 2.89–3.39
-//! (nothing), both 1.67–1.85 — the walk is worth ≈ 7 %, and only once the
-//! selection no longer mispredicts.
+//! The two go together: the bottom-up walk saves a compare per level, and
+//! that saving shows only when the compares it keeps do not mispredict.
 
 use std::hint::select_unpredictable;
 

@@ -1138,10 +1138,10 @@ impl Network {
     ///
     /// The aggregates are maintained incrementally as traced copies cross
     /// links, so this is O(1) and safe to poll from sampling harnesses. It
-    /// is also fully deterministic: the old implementation rebuilt the
-    /// statistics by iterating a randomly-seeded `HashMap`, which made the
-    /// floating-point summation order (and thus the reported mean's low
-    /// bits) vary from process to process.
+    /// is also fully deterministic: the floating-point sums are taken in
+    /// the order packets cross links, never in a hash map's iteration
+    /// order, so the reported mean's low bits are the same in every
+    /// process.
     pub fn stress_stats(&self) -> StressStats {
         let traced = self.trace_aggs.len();
         if traced == 0 {

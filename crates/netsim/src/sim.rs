@@ -85,9 +85,8 @@ pub struct SimCounters {
 /// `queue_budget / drain_per_sec`; an `Unbounded` node admits everything
 /// and its backlog — and with it every later message's delay — grows
 /// without limit for as long as arrivals outpace the drain. The model
-/// draws no RNG and preserves per-node FIFO order; a simulator with no
-/// resources installed behaves byte-identically to one built before this
-/// type existed.
+/// draws no RNG and preserves per-node FIFO order; a node with no
+/// resources installed is delivered to without queueing delay.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeResources {
     /// Backlogged messages at which the discipline kicks in. A `DropTail`
@@ -161,9 +160,8 @@ pub struct NodeOverloadStats {
 /// does not hold means.
 ///
 /// Every draw is gated on its chance being positive, so a simulator with
-/// no plans installed — or with plans predating the adversary fields —
-/// draws no extra RNG and behaves byte-identically to one built before
-/// this type (or those fields) existed.
+/// no plans installed draws no RNG for faults, and a plan whose adversary
+/// chances are zero draws none for the adversary.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Probability a control message is silently dropped.

@@ -1,18 +1,16 @@
 //! The metrics hub: a registry of named per-node counters sampled into
 //! windowed rate series.
 //!
-//! One sampler replaces the ad-hoc cumulative-counter differencing that
-//! used to be copied between the experiment harness and the baseline
-//! metrics path. A sampling window is driven externally (the harness
-//! calls [`MetricsHub::begin_window`] at each sample instant, feeds every
-//! channel, then [`MetricsHub::end_window`]); the hub differences each
-//! channel against its previous cumulative values and folds the deltas
-//! into one point per window.
+//! One sampler does the cumulative-counter differencing for the experiment
+//! harness and every protocol it meters. A sampling window is driven
+//! externally (the harness calls [`MetricsHub::begin_window`] at each
+//! sample instant, feeds every channel, then [`MetricsHub::end_window`]);
+//! the hub differences each channel against its previous cumulative values
+//! and folds the deltas into one point per window.
 //!
-//! The arithmetic is deliberately bit-compatible with the historical
-//! harness: counter deltas accumulate in node order as `f64`, and every
-//! channel scales by `* 8.0 / dt / 1_000.0 / receivers` — so series built
-//! through the hub are byte-identical to the pre-hub output.
+//! The arithmetic is fixed because the determinism goldens read it:
+//! counter deltas accumulate in node order as `f64`, and every channel
+//! scales by `* 8.0 / dt / 1_000.0 / receivers`.
 
 use std::fmt::Write as _;
 
@@ -79,8 +77,8 @@ impl MetricsHub {
     }
 
     /// Open a sampling window ending at `t_secs`. The window length is
-    /// the distance from the previous window end, floored at 1 ns —
-    /// exactly the historical `dt` guard.
+    /// the distance from the previous window end, floored at 1 ns so a
+    /// zero-length window divides by a positive `dt`.
     pub fn begin_window(&mut self, t_secs: f64) {
         self.window_dt = (t_secs - self.last_t).max(1e-9);
         self.window_t = t_secs;
@@ -91,8 +89,8 @@ impl MetricsHub {
     }
 
     /// Feed one node's cumulative counter value into a channel. Must be
-    /// called in ascending node order within a window so the `f64`
-    /// accumulation order matches the historical sampler.
+    /// called in ascending node order within a window: the `f64` sum is
+    /// order-dependent, and the goldens pin this order.
     #[inline]
     pub fn observe_node(&mut self, ch: ChannelId, node: usize, cumulative: u64) {
         let ch = &mut self.channels[ch.0];
