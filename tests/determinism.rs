@@ -12,12 +12,21 @@
 mod golden;
 
 use bullet_suite::dynamics::ScenarioStats;
-use bullet_suite::experiments::{figure_suite_subset, Scale, Sweep, SUITE_PLAN_KEYS};
+use bullet_suite::experiments::{
+    figure_suite_subset, BandwidthSeries, Cdf, FigureResult, Scale, Sweep, SUITE_PLAN_KEYS,
+};
 use bullet_suite::netsim::SimCounters;
 use golden::{
-    fingerprint, fingerprint_traced, mix, Digest, Golden, Row, ADVERSARY64, BULLET64, CHURN64,
-    FAULTS64, OVERLOAD64, PAPER_SMOKE,
+    assert_golden, fingerprint, fingerprint_traced, mix, Digest, Golden, Row, ADVERSARY64,
+    BULLET64, CHURN64, FAULTS64, OVERLOAD64, PAPER_SMOKE,
 };
+
+/// Holds a row's digest to `golden` and its render to its committed file.
+fn assert_pinned(row: &Row, golden: Golden) {
+    let (digest, render) = fingerprint(row);
+    assert_eq!(digest, golden);
+    assert_golden(row.name, &render);
+}
 
 /// Two runs with the same seed must be byte-identical, including the event
 /// count (which covers event ordering, not just outcomes).
@@ -49,7 +58,7 @@ fn bullet64_golden() -> Golden {
 /// reproduce that run exactly.
 #[test]
 fn bullet_64_matches_pre_refactor_golden_run() {
-    assert_eq!(fingerprint(&BULLET64), bullet64_golden());
+    assert_pinned(&BULLET64, bullet64_golden());
 }
 
 /// A fully instrumented run (all-category flight recorder + self-profiling)
@@ -57,8 +66,9 @@ fn bullet_64_matches_pre_refactor_golden_run() {
 /// only, and the trace it captures is itself deterministic.
 #[test]
 fn bullet_64_traced_matches_the_same_golden_run() {
-    let (golden, traced) = fingerprint_traced(&BULLET64);
+    let (golden, render, traced) = fingerprint_traced(&BULLET64);
     assert_eq!(golden, bullet64_golden());
+    assert_golden(BULLET64.name, &render);
     // The trace saw the run: sends, deliveries, block journeys.
     assert!(!traced.trace_jsonl.is_empty());
     assert!(traced.trace_jsonl.contains("\"kind\":\"block_sealed\""));
@@ -66,7 +76,7 @@ fn bullet_64_traced_matches_the_same_golden_run() {
     assert_eq!(traced.profile.events, golden.counters.events);
     assert!(traced.profile.peak_queue_depth > 0);
     // Two instrumented runs produce byte-identical traces.
-    assert_eq!(fingerprint_traced(&BULLET64).1, traced);
+    assert_eq!(fingerprint_traced(&BULLET64).2, traced);
 }
 
 #[test]
@@ -79,8 +89,8 @@ fn bullet_64_is_deterministic_across_runs() {
 /// paths changed behaviour.
 #[test]
 fn churn_64_matches_golden_run() {
-    assert_eq!(
-        fingerprint(&CHURN64),
+    assert_pinned(
+        &CHURN64,
         Golden {
             counters: SimCounters {
                 delivered: 44_032,
@@ -107,7 +117,7 @@ fn churn_64_matches_golden_run() {
                 ..ScenarioStats::default()
             },
             extra: vec![],
-        }
+        },
     );
 }
 
@@ -129,8 +139,8 @@ fn churn_64_is_deterministic_across_runs() {
 /// event count, the bytes sent and the 95 re-attaches are unchanged.
 #[test]
 fn faults_64_matches_golden_run() {
-    assert_eq!(
-        fingerprint(&FAULTS64),
+    assert_pinned(
+        &FAULTS64,
         Golden {
             counters: SimCounters {
                 delivered: 68_294,
@@ -158,7 +168,7 @@ fn faults_64_matches_golden_run() {
             // The recovery subsystem actually fired: orphans (and partition
             // survivors that lost their parent path) re-attached.
             extra: vec![("reattaches", 95)],
-        }
+        },
     );
 }
 
@@ -179,8 +189,8 @@ fn faults_64_is_deterministic_across_runs() {
 /// quarantine decision is unchanged.
 #[test]
 fn adversary_64_matches_golden_run() {
-    assert_eq!(
-        fingerprint(&ADVERSARY64),
+    assert_pinned(
+        &ADVERSARY64,
         Golden {
             counters: SimCounters {
                 delivered: 21_894,
@@ -202,7 +212,7 @@ fn adversary_64_matches_golden_run() {
             },
             // The defense actually fired.
             extra: vec![("quarantines", 9)],
-        }
+        },
     );
 }
 
@@ -222,8 +232,8 @@ fn adversary_64_is_deterministic_across_runs() {
 /// storm delivers more.
 #[test]
 fn overload_64_matches_golden_run() {
-    assert_eq!(
-        fingerprint(&OVERLOAD64),
+    assert_pinned(
+        &OVERLOAD64,
         Golden {
             counters: SimCounters {
                 delivered: 103_404,
@@ -251,7 +261,7 @@ fn overload_64_matches_golden_run() {
                 ("working_set_evictions", 8_486),
                 ("slow_demotions", 4),
             ],
-        }
+        },
     );
 }
 
@@ -281,6 +291,41 @@ fn figure_suite_matches_golden_output() {
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| mix(h, u64::from(b)));
     assert_eq!(Digest(digest), Digest(0x63fc_f91f_6168_fc4f));
+    assert_golden("figure_suite_small", &render_figures(&figures));
+}
+
+/// Every value of the figures' `Debug` form, one line per title, series,
+/// summary, note, scalar and CDF, each led by its figure's id.
+fn render_figures(figures: &[FigureResult]) -> String {
+    let mut out = String::new();
+    for figure in figures {
+        let FigureResult {
+            id,
+            title,
+            series,
+            summaries,
+            notes,
+            scalars,
+            cdf,
+        } = figure;
+        out += &format!("{id} title {title:?}\n");
+        for BandwidthSeries { label, times, kbps } in series {
+            out += &format!("{id} series {label:?} times {times:?} kbps {kbps:?}\n");
+        }
+        for (label, summary) in summaries {
+            out += &format!("{id} summary {label:?} {summary:?}\n");
+        }
+        for note in notes {
+            out += &format!("{id} note {note:?}\n");
+        }
+        for (name, value) in scalars {
+            out += &format!("{id} scalar {name:?} {value:?}\n");
+        }
+        if let Some(Cdf { values }) = cdf {
+            out += &format!("{id} cdf {values:?}\n");
+        }
+    }
+    out
 }
 
 /// Because every route is canonical, route-computation order can never
@@ -288,8 +333,8 @@ fn figure_suite_matches_golden_output() {
 /// simulator) changed behaviour.
 #[test]
 fn paper_scale_smoke_matches_golden_run() {
-    assert_eq!(
-        fingerprint(&PAPER_SMOKE),
+    assert_pinned(
+        &PAPER_SMOKE,
         Golden {
             counters: SimCounters {
                 delivered: 18_982,
@@ -318,6 +363,6 @@ fn paper_scale_smoke_matches_golden_run() {
                 ("routing.routers_settled", 177_967),
                 ("routing.landmarks", 8),
             ],
-        }
+        },
     );
 }

@@ -1,24 +1,33 @@
-//! The golden workloads: one table, one runner, one fingerprint type.
+//! The golden workloads: one table, one runner, one render.
 //!
 //! Every row streams Bullet (500 Kbps from t=2s) over a degree-4 random
 //! tree and differs only in what the table says: the topology, the seed,
 //! the run length, the configuration profile, the scenario script, and
-//! which layer metrics its per-node digest folds in between the delivery
-//! and traffic counters (that order is part of each golden). Shared (via
-//! `#[path]` inclusion) by `tests/determinism.rs`, which pins every row's
-//! [`Golden`] with one `assert_eq!` — whose failure message is the
-//! recapture — and by `tests/parallel.rs`, which re-runs the rows on
-//! worker threads.
+//! which layer metrics its node table shows between the delivery and
+//! traffic columns. A run renders as text — a delivery block, one line per
+//! node under min/p10/p50/p90/max and sum rows, and a work block — and
+//! [`assert_golden`] holds the render to its committed file under
+//! `tests/goldens/`. Shared (via `#[path]` inclusion) by
+//! `tests/determinism.rs`, which pins every row, and by `tests/parallel.rs`,
+//! which re-runs the rows on worker threads.
 
 // Each includer uses its own subset of the rows.
 #![allow(dead_code)]
 
+use std::fmt::Write;
+use std::fs;
+use std::iter::once;
+use std::path::Path;
+
 use bullet_suite::bullet::config::OverloadConfig;
 use bullet_suite::bullet::{BulletConfig, BulletMetrics, BulletNode};
 use bullet_suite::dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript, ScenarioStats};
-use bullet_suite::netsim::telemetry::{block_journeys, journeys_to_jsonl, SelfProfile, TraceSpec};
+use bullet_suite::netsim::telemetry::{
+    block_journeys, journeys_to_jsonl, DeliveryCounters, SelfProfile, TraceSpec,
+};
 use bullet_suite::netsim::{
-    FaultPlan, LinkSpec, NetworkSpec, RoutingMode, Sim, SimCounters, SimDuration, SimRng, SimTime,
+    FaultPlan, LinkSpec, NetworkSpec, NodeTraffic, RepairStats, RoutingStats, Sim, SimCounters,
+    SimDuration, SimRng, SimTime,
 };
 use bullet_suite::overlay::random_tree;
 use bullet_suite::topology::{generate, TopologyConfig};
@@ -41,11 +50,29 @@ pub struct Row {
     config: fn(BulletConfig) -> BulletConfig,
     /// `None` runs the simulator bare, without a scenario driver.
     script: Option<fn(u64) -> ScenarioScript>,
-    /// The layer metrics of one node, in digest order.
-    layer_fields: fn(&BulletMetrics) -> Vec<u64>,
-    /// Named overlay-wide values asserted beside the digest, so a golden
-    /// also says that the row's layer actually fired.
+    /// The layer metrics the node table shows, in column order.
+    layer: &'static [Column],
     extra: fn(&Sim<BulletNode>) -> Vec<(&'static str, u64)>,
+}
+
+/// A named node-table column read off one node's [`BulletMetrics`].
+type Column = (&'static str, fn(&BulletMetrics) -> u64);
+
+/// `columns![a, b]`: the `BulletMetrics` fields `a` and `b` as columns.
+macro_rules! columns {
+    ($($field:ident),*) => {
+        &[$((stringify!($field), |m: &BulletMetrics| m.$field)),*]
+    };
+}
+
+/// `fields!(v => T { a, b } skip { c })`: `v`'s fields `a` and `b` as
+/// `("a", a)` pairs, `c` left to the caller. Every field is named, so a
+/// field added to `T` fails to compile here until it is rendered.
+macro_rules! fields {
+    ($value:expr => $ty:ident { $($field:ident),* } $(skip { $($skip:ident),* })?) => {{
+        let $ty { $($field,)* $($($skip: _,)*)? } = $value;
+        [$((stringify!($field), $field)),*]
+    }};
 }
 
 /// A digest that prints the way the goldens are written.
@@ -91,7 +118,7 @@ pub const BULLET64: Row = Row {
     run_secs: 20,
     config: |base| base,
     script: None,
-    layer_fields: |_| Vec::new(),
+    layer: &[],
     extra: |_| Vec::new(),
 };
 
@@ -105,7 +132,7 @@ pub const CHURN64: Row = Row {
     run_secs: 20,
     config: BulletConfig::churn,
     script: Some(churn_script),
-    layer_fields: |_| Vec::new(),
+    layer: &[],
     extra: |_| Vec::new(),
 };
 
@@ -120,7 +147,12 @@ pub const FAULTS64: Row = Row {
     run_secs: 25,
     config: |base| short_epochs(base).recovery(),
     script: Some(faults_script),
-    layer_fields: recovery_fields,
+    layer: columns![
+        orphan_detections,
+        reattaches,
+        control_retries,
+        false_positive_evictions
+    ],
     extra: |sim| vec![("reattaches", sum(sim, |m| m.reattaches))],
 };
 
@@ -137,17 +169,17 @@ pub const ADVERSARY64: Row = Row {
         let nodes: Vec<usize> = (1..STAR_NODES).collect();
         ScenarioScript::adversary_fraction(&nodes, 0.2, SimTime::from_secs(5), 0.75, seed ^ 0xAD5A)
     }),
-    layer_fields: |m| {
-        let mut fields = recovery_fields(m);
-        fields.extend([
-            m.blocks_verified,
-            m.corrupt_blocks_rejected,
-            m.corrupt_blocks_accepted,
-            m.health_penalties,
-            m.quarantines,
-        ]);
-        fields
-    },
+    layer: columns![
+        orphan_detections,
+        reattaches,
+        control_retries,
+        false_positive_evictions,
+        blocks_verified,
+        corrupt_blocks_rejected,
+        corrupt_blocks_accepted,
+        health_penalties,
+        quarantines
+    ],
     extra: |sim| vec![("quarantines", sum(sim, |m| m.quarantines))],
 };
 
@@ -176,21 +208,19 @@ pub const OVERLOAD64: Row = Row {
         config
     },
     script: Some(overload_script),
-    layer_fields: |m| {
-        vec![
-            m.orphan_detections,
-            m.reattaches,
-            m.control_retries,
-            m.health_penalties,
-            m.quarantines,
-            m.inbox_sheds,
-            m.joins_deferred,
-            m.joins_admitted_after_defer,
-            m.peak_inbox_depth,
-            m.working_set_evictions,
-            m.slow_demotions,
-        ]
-    },
+    layer: columns![
+        orphan_detections,
+        reattaches,
+        control_retries,
+        health_penalties,
+        quarantines,
+        inbox_sheds,
+        joins_deferred,
+        joins_admitted_after_defer,
+        peak_inbox_depth,
+        working_set_evictions,
+        slow_demotions
+    ],
     extra: |sim| {
         let peak = metrics(sim).map(|m| m.peak_inbox_depth).max();
         vec![
@@ -230,10 +260,13 @@ pub const PAPER_SMOKE: Row = Row {
     run_secs: 6,
     config: |base| base,
     script: None,
-    layer_fields: |_| Vec::new(),
+    layer: &[],
     extra: |sim| {
         let routing = sim.network().routing_stats();
-        let lazy_alt = matches!(routing.mode, RoutingMode::LazyAlt { .. });
+        let lazy_alt = matches!(
+            routing.mode,
+            bullet_suite::netsim::RoutingMode::LazyAlt { .. }
+        );
         vec![
             ("routing.lazy_alt", lazy_alt as u64),
             ("routing.trees_built", routing.trees_built),
@@ -265,15 +298,6 @@ fn short_epochs(base: BulletConfig) -> BulletConfig {
         ransub_epoch: SimDuration::from_secs(2),
         ..base
     }
-}
-
-fn recovery_fields(m: &BulletMetrics) -> Vec<u64> {
-    vec![
-        m.orphan_detections,
-        m.reattaches,
-        m.control_retries,
-        m.false_positive_evictions,
-    ]
 }
 
 fn metrics(sim: &Sim<BulletNode>) -> impl Iterator<Item = &BulletMetrics> {
@@ -405,7 +429,7 @@ pub fn mix(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
-fn run(row: &Row, traced: bool) -> (Golden, Option<Traced>) {
+fn run(row: &Row, traced: bool) -> (Golden, String, Option<Traced>) {
     let spec = (row.topology)(row.seed);
     let nodes = spec.participants();
     let tree = random_tree(nodes, 0, 4, &mut SimRng::new(row.seed));
@@ -438,28 +462,12 @@ fn run(row: &Row, traced: bool) -> (Golden, Option<Traced>) {
         }
     };
 
+    let table = node_table(row, &sim);
+    // The old digest folded each node line but its last column,
+    // `from_parent_bytes`.
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for node in 0..nodes {
-        let m = &sim.agent(node).metrics;
-        let t = sim.traffic(node);
-        let delivery = [
-            m.delivery.useful_packets,
-            m.delivery.useful_bytes,
-            m.delivery.raw_bytes,
-            m.delivery.duplicate_packets,
-            m.delivery.total_packets,
-        ];
-        let traffic = [
-            t.data_bytes_in,
-            t.control_bytes_in,
-            t.data_bytes_out,
-            t.control_bytes_out,
-        ];
-        for v in delivery
-            .into_iter()
-            .chain((row.layer_fields)(m))
-            .chain(traffic)
-        {
+    for line in &table {
+        for &(_, v) in &line[..line.len() - 1] {
             digest = mix(digest, v);
         }
     }
@@ -471,6 +479,7 @@ fn run(row: &Row, traced: bool) -> (Golden, Option<Traced>) {
         scenario,
         extra: (row.extra)(&sim),
     };
+    let render = render(row, &sim, scenario, &table);
     let telemetry = traced.then(|| {
         let profile = sim.profile().expect("profiling enabled");
         let recorder = sim.take_recorder().expect("recorder installed");
@@ -481,18 +490,246 @@ fn run(row: &Row, traced: bool) -> (Golden, Option<Traced>) {
             profile,
         }
     });
-    (golden, telemetry)
+    (golden, render, telemetry)
 }
 
-/// Runs a row and returns what it is pinned to.
-pub fn fingerprint(row: &Row) -> Golden {
-    run(row, false).0
+/// One line per node, in node order: its five delivery counters, the row's
+/// layer columns, its four traffic counters and its bytes from the parent.
+fn node_table(row: &Row, sim: &Sim<BulletNode>) -> Vec<Vec<(&'static str, u64)>> {
+    (0..sim.network().participants())
+        .map(|node| {
+            let m = &sim.agent(node).metrics;
+            // Left out: raw less from-parent bytes, a share of the
+            // duplicates, the useful bytes again and the source's count.
+            let delivery = fields!(m.delivery => DeliveryCounters {
+                useful_packets, useful_bytes, raw_bytes, duplicate_packets, total_packets,
+                from_parent_bytes
+            } skip { from_peers_bytes, duplicate_from_parent, fresh_bytes, packets_generated });
+            let traffic = fields!(sim.traffic(node) => NodeTraffic {
+                data_bytes_in, control_bytes_in, data_bytes_out, control_bytes_out
+            });
+            let layer = row.layer.iter().map(|&(name, read)| (name, read(m)));
+            let (core, from_parent) = delivery.split_at(5);
+            core.iter()
+                .copied()
+                .chain(layer)
+                .chain(traffic)
+                .chain(from_parent.iter().copied())
+                .collect()
+        })
+        .collect()
+}
+
+/// Appends `values` as `prefix.name value` lines.
+fn write_values(out: &mut String, prefix: &str, values: &[(&str, u64)]) {
+    for (name, value) in values {
+        writeln!(out, "{:<30} {value}", format!("{prefix}{name}")).unwrap();
+    }
+}
+
+/// Appends the node table under min/p10/p50/p90/max rows (nearest rank
+/// below, over every node) and a sum row, each column right-aligned.
+fn write_table(out: &mut String, table: &[Vec<(&'static str, u64)>]) {
+    let mut columns: Vec<Vec<u64>> = (0..table[0].len())
+        .map(|c| table.iter().map(|line| line[c].1).collect())
+        .collect();
+    columns.iter_mut().for_each(|column| column.sort_unstable());
+    let line = |label: String, cells: Vec<String>| once(label).chain(cells).collect::<Vec<_>>();
+    let mut lines = vec![line(
+        "node".into(),
+        table[0].iter().map(|(name, _)| name.to_string()).collect(),
+    )];
+    let last = table.len() - 1;
+    for (label, rank) in [
+        ("min", 0),
+        ("p10", last / 10),
+        ("p50", last / 2),
+        ("p90", last * 9 / 10),
+        ("max", last),
+    ] {
+        lines.push(line(
+            label.into(),
+            columns.iter().map(|c| c[rank].to_string()).collect(),
+        ));
+    }
+    lines.push(line(
+        "sum".into(),
+        columns
+            .iter()
+            .map(|c| c.iter().sum::<u64>().to_string())
+            .collect(),
+    ));
+    for (node, values) in table.iter().enumerate() {
+        lines.push(line(
+            node.to_string(),
+            values.iter().map(|(_, v)| v.to_string()).collect(),
+        ));
+    }
+    let widths: Vec<usize> = (0..lines[0].len())
+        .map(|c| lines.iter().map(|cells| cells[c].len()).max().unwrap_or(0))
+        .collect();
+    out.push_str("\n## nodes (quantiles are nearest rank below, over every node)\n");
+    for cells in &lines {
+        let aligned: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, w)| format!("{cell:>w$}"))
+            .collect();
+        writeln!(out, "{}", aligned.join(" ")).unwrap();
+    }
+}
+
+/// A run's delivery block, its node table and its work block: the text a
+/// row is pinned to.
+fn render(
+    row: &Row,
+    sim: &Sim<BulletNode>,
+    scenario: ScenarioStats,
+    table: &[Vec<(&'static str, u64)>],
+) -> String {
+    let network = sim.network();
+    let (counters, routing, repair) = (
+        sim.counters(),
+        network.routing_stats(),
+        network.repair_stats(),
+    );
+    let mut out = format!("# {}\n\n## delivery\n", row.name);
+    write_values(
+        &mut out,
+        "",
+        &fields!(counters => SimCounters {
+        delivered, dropped_in_network, dropped_dest_failed, dropped_src_failed,
+        dropped_partitioned, dropped_faulted, duplicated_faulted, delayed_faulted,
+        corrupted_adversary, stalled_adversary, dropped_overload
+    } skip { events, timers_fired }),
+    );
+    let bytes_sent = network.total_bytes_sent();
+    write_values(
+        &mut out,
+        "",
+        &[
+            ("bytes_sent", bytes_sent),
+            ("epoch", repair.route_mutations),
+        ],
+    );
+    write_values(
+        &mut out,
+        "scenario.",
+        &fields!(scenario => ScenarioStats {
+            crashes, recoveries, leaves, joins, link_mutations, router_mutations, partitions, heals,
+            faults, adversaries, slow_nodes
+        }),
+    );
+    write_table(&mut out, table);
+    out += "\n## work\n";
+    write_values(
+        &mut out,
+        "",
+        &[
+            ("events", counters.events),
+            ("timers_fired", counters.timers_fired),
+        ],
+    );
+    writeln!(out, "{:<30} {:?}", "routing.mode", routing.mode).unwrap();
+    write_values(
+        &mut out,
+        "routing.",
+        &fields!(routing => RoutingStats {
+        route_queries, batched_queries, trees_built, lazy_searches, routers_settled
+    } skip { mode, landmarks }),
+    );
+    write_values(
+        &mut out,
+        "routing.",
+        &[("landmarks", routing.landmarks as u64)],
+    );
+    write_values(
+        &mut out,
+        "repair.",
+        &fields!(repair => RepairStats {
+            route_mutations, routes_invalidated, routes_kept, filter_tables, memo_cells_cleared,
+            unreachable_cleared, landmark_checks, landmark_repairs, landmark_nodes_lowered
+        }),
+    );
+    out
+}
+
+/// Holds `render` to the committed `tests/goldens/<name>.txt`. On a
+/// mismatch it writes the render under the target's temp directory and
+/// panics with the differing lines and the `cp` that recaptures the file.
+pub fn assert_golden(name: &str, render: &str) {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(format!("{name}.txt"));
+    let expected = fs::read_to_string(&committed).unwrap_or_default();
+    let mismatches = Path::new(env!("CARGO_TARGET_TMPDIR")).join("goldens");
+    if let Err(message) = compare(&committed, &expected, render, &mismatches) {
+        panic!("{message}");
+    }
+}
+
+/// [`assert_golden`]'s comparison of `render` with the `expected` text of
+/// `committed`, writing a mismatching render into `out_dir`.
+pub fn compare(
+    committed: &Path,
+    expected: &str,
+    render: &str,
+    out_dir: &Path,
+) -> Result<(), String> {
+    if render == expected {
+        return Ok(());
+    }
+    let fresh = out_dir.join(committed.file_name().expect("a golden is a file"));
+    fs::create_dir_all(out_dir)
+        .and_then(|()| fs::write(&fresh, render))
+        .expect("the mismatch directory is writable");
+    let (old, new): (Vec<&str>, Vec<&str>) = (expected.lines().collect(), render.lines().collect());
+    let moved: Vec<usize> = (0..old.len().max(new.len()))
+        .filter(|&i| old.get(i) != new.get(i))
+        .collect();
+    let mut message = format!("{} moved on {} lines:\n", committed.display(), moved.len());
+    for &i in moved.iter().take(40) {
+        let side = |lines: &[&str]| {
+            lines
+                .get(i)
+                .map_or("(no line)".to_string(), |l| l.to_string())
+        };
+        writeln!(
+            message,
+            "line {}:\n  - {}\n  + {}",
+            i + 1,
+            side(&old),
+            side(&new)
+        )
+        .unwrap();
+    }
+    if moved.len() > 40 {
+        writeln!(message, "(and {} more)", moved.len() - 40).unwrap();
+    }
+    write!(
+        message,
+        "if the move is meant, say why in the test's doc comment and recapture with\n  cp {} {}",
+        fresh.display(),
+        committed.display()
+    )
+    .unwrap();
+    Err(message)
+}
+
+/// Runs a row and returns what it is pinned to, and its render.
+pub fn fingerprint(row: &Row) -> (Golden, String) {
+    let (golden, render, _) = run(row, false);
+    (golden, render)
 }
 
 /// Runs a row with a full-category flight recorder and self-profiling
-/// enabled. The [`Golden`] must equal [`fingerprint`]'s — telemetry is
+/// enabled. The render must equal [`fingerprint`]'s — telemetry is
 /// read-only — and the trace itself must be deterministic.
-pub fn fingerprint_traced(row: &Row) -> (Golden, Traced) {
-    let (golden, telemetry) = run(row, true);
-    (golden, telemetry.expect("a traced run captures telemetry"))
+pub fn fingerprint_traced(row: &Row) -> (Golden, String, Traced) {
+    let (golden, render, telemetry) = run(row, true);
+    (
+        golden,
+        render,
+        telemetry.expect("a traced run captures telemetry"),
+    )
 }
