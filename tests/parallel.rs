@@ -8,16 +8,14 @@
 //! `RunResult`s, `FigureResult`s and rendered report bytes are
 //! bit-identical at any thread count.** These tests hold that contract at
 //! 1 vs 8 threads, over a multi-seed sweep (so result reordering would be
-//! caught), and re-run the bullet64/churn64 golden workloads concurrently
-//! to pin them against their single-threaded fingerprints.
+//! caught), and re-run the golden workloads concurrently to pin them
+//! against their single-threaded renders.
 
 #[path = "support/golden.rs"]
 mod golden;
 
 use bullet_suite::experiments::{figure_suite_subset, render_suite, Scale, Sweep};
-use golden::{
-    fingerprint, fingerprint_traced, Row, ADVERSARY64, BULLET64, CHURN64, FAULTS64, OVERLOAD64,
-};
+use golden::{render, render_traced, Row, ADVERSARY64, BULLET64, CHURN64, FAULTS64, OVERLOAD64};
 
 /// The subset of the suite the invariance gate sweeps: a multi-run paper
 /// figure (fig09: three topologies × two protocols), the fig07 grid with
@@ -87,11 +85,11 @@ fn assert_identical_under_concurrency<T: PartialEq + std::fmt::Debug + Send>(
 }
 
 /// A golden workload re-run on worker threads must reproduce its
-/// single-threaded fingerprint (`tests/determinism.rs` holds the
-/// constants; this cross-checks them under `BULLET_THREADS=8`-style
+/// single-threaded render (`tests/determinism.rs` holds that render to its
+/// committed file; this cross-checks it under `BULLET_THREADS=8`-style
 /// concurrency).
 fn assert_golden_under_concurrency(row: &Row) {
-    assert_identical_under_concurrency(|| fingerprint(row));
+    assert_identical_under_concurrency(|| render(row));
 }
 
 #[test]
@@ -106,7 +104,7 @@ fn bullet64_golden_is_identical_under_concurrency() {
 /// (`SelfProfile::eq` ignores its wall-clock fields by design).
 #[test]
 fn bullet64_trace_is_identical_under_concurrency() {
-    assert_identical_under_concurrency(|| fingerprint_traced(&BULLET64));
+    assert_identical_under_concurrency(|| render_traced(&BULLET64));
 }
 
 /// Scenario-driven runs (mid-run network mutation, epoch-invalidated

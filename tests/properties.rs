@@ -1176,9 +1176,10 @@ const LAYER_SUBSET_GENERATED: u64 = 1_434;
 /// node crashes at 10 s and rejoins at 30 s, the second corrupts half the
 /// blocks it relays from 4 s on. The layers are set **directly on the
 /// config fields**, not through the `churn ⊂ recovery ⊂ integrity ⊂
-/// overload` profile builders. Returns the simulator's event count and
-/// every node's `useful_packets`.
-fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Vec<u64>) {
+/// overload` profile builders. Returns the simulator's event count, every
+/// node's `useful_packets`, and the run's totals of corrupt blocks accepted
+/// and rejected.
+fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Vec<u64>, [u64; 2]) {
     use bullet_suite::bullet::{BulletConfig, BulletNode, OverloadConfig};
     use bullet_suite::dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript};
     use bullet_suite::netsim::{FaultPlan, Sim, SimTime};
@@ -1234,49 +1235,60 @@ fn layer_subset_run(recovery: bool, integrity: bool, overload: bool) -> (u64, Ve
         sim.agent(0).metrics.delivery.packets_generated,
         LAYER_SUBSET_GENERATED
     );
-    let useful = (0..NODES)
-        .map(|n| sim.agent(n).metrics.delivery.useful_packets)
-        .collect();
-    (sim.counters().events, useful)
+    let metrics = || (0..NODES).map(|n| &sim.agent(n).metrics);
+    let useful = metrics().map(|m| m.delivery.useful_packets).collect();
+    let accepted = metrics().map(|m| m.corrupt_blocks_accepted).sum();
+    let rejected = metrics().map(|m| m.corrupt_blocks_rejected).sum();
+    (sim.counters().events, useful, [accepted, rejected])
 }
 
 /// The six valid layer subsets, pinned off the profile chain. The goldens
 /// only ever run `{}`, `{R}`, `{R,I}` and `{R,I,O}` as the profile builders
 /// compose them; `{O}` and `{R,O}` had never executed before this test, and
 /// `{R}` here is recovery without the churn profile having set it. Each
-/// subset runs twice for equality and is held to the event count and
-/// per-node `useful_packets` captured at the commit that added the test,
-/// before the harness and `node.rs` were touched — so a refactor that moves
-/// any of them moved behaviour. Integrity without recovery is not a valid
-/// subset: see the two `#[should_panic]` tests below.
+/// subset runs twice for equality and is held to its event count, its
+/// corrupt blocks accepted and rejected, and its per-node `useful_packets`,
+/// so a refactor that moves any of them moved behaviour. A defended subset
+/// (integrity on) accepts no corrupt block and rejects some; an undefended
+/// one accepts some. Integrity without recovery is not a valid subset: see
+/// the two `#[should_panic]` tests below.
 #[test]
 fn the_six_valid_layer_subsets_are_pinned() {
+    /// Name, [recovery, integrity, overload], events, corrupt blocks
+    /// [accepted, rejected], per-node useful packets.
+    type Pin = (&'static str, [bool; 3], u64, [u64; 2], [u64; 16]);
     #[rustfmt::skip]
-    let expected: [(&str, [bool; 3], u64, [u64; 16]); 6] = [
-        ("{}", [false, false, false], 135_039,
+    let expected: [Pin; 6] = [
+        ("{}", [false, false, false], 135_039, [1_295, 0],
          [0, 1326, 1430, 1432, 1278, 1155, 1318, 1009, 1431, 1279, 1416, 1433, 990, 1427, 1431, 1432]),
-        ("{R}", [true, false, false], 153_390,
+        ("{R}", [true, false, false], 153_390, [352, 0],
          [0, 1379, 1431, 1431, 1427, 1429, 1429, 1427, 1431, 1425, 1430, 1432, 1430, 1430, 1431, 1433]),
-        ("{R,I}", [true, true, false], 152_798,
+        ("{R,I}", [true, true, false], 152_798, [0, 9],
          [0, 1078, 1430, 1431, 1429, 1428, 1432, 1432, 1431, 1429, 1430, 1433, 1431, 1430, 1431, 1432]),
         // The three overload rows were recaptured when a deferred join came
         // to be retried at the responder whose wait had ended, not at the
         // oldest waiting one; the other three rows run no deferral.
-        ("{O}", [false, false, true], 132_089,
+        ("{O}", [false, false, true], 132_089, [1_268, 0],
          [0, 1298, 1428, 1429, 1217, 1148, 1274, 1104, 1429, 1218, 1427, 1432, 1094, 1428, 1429, 1432]),
-        ("{R,O}", [true, false, true], 151_462,
+        ("{R,O}", [true, false, true], 151_462, [874, 0],
          [0, 1018, 1430, 1431, 1432, 1430, 1432, 1430, 1431, 1430, 1430, 1432, 1431, 1430, 1431, 1433]),
-        ("{R,I,O}", [true, true, true], 150_090,
+        ("{R,I,O}", [true, true, true], 150_090, [0, 12],
          [0, 1050, 1430, 1431, 1430, 1431, 1432, 1431, 1431, 1430, 1430, 1432, 1430, 1430, 1431, 1433]),
     ];
-    for (name, [recovery, integrity, overload], events, useful) in expected {
+    for (name, [recovery, integrity, overload], events, corrupt, useful) in expected {
         let run = layer_subset_run(recovery, integrity, overload);
         assert_eq!(
             run,
             layer_subset_run(recovery, integrity, overload),
             "{name}: two runs of the same subset differ"
         );
-        assert_eq!(run, (events, useful.to_vec()), "{name}");
+        assert_eq!(run, (events, useful.to_vec(), corrupt), "{name}");
+        let [accepted, rejected] = corrupt;
+        assert_eq!(
+            (accepted == 0, rejected > 0),
+            (integrity, integrity),
+            "{name}: accepted {accepted} and rejected {rejected} corrupt blocks"
+        );
         for (node, &held) in useful.iter().enumerate().skip(1) {
             assert!(
                 held * 3 >= LAYER_SUBSET_GENERATED,

@@ -21,13 +21,13 @@ use std::path::Path;
 
 use bullet_suite::bullet::config::OverloadConfig;
 use bullet_suite::bullet::{BulletConfig, BulletMetrics, BulletNode};
-use bullet_suite::dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript, ScenarioStats};
+use bullet_suite::dynamics::{ScenarioDriver, ScenarioScript, ScenarioStats};
 use bullet_suite::netsim::telemetry::{
     block_journeys, journeys_to_jsonl, DeliveryCounters, SelfProfile, TraceSpec,
 };
 use bullet_suite::netsim::{
-    FaultPlan, LinkSpec, NetworkSpec, NodeTraffic, RepairStats, RoutingStats, Sim, SimCounters,
-    SimDuration, SimRng, SimTime,
+    LinkSpec, NetworkSpec, NodeTraffic, RepairStats, RoutingStats, Sim, SimCounters, SimDuration,
+    SimRng, SimTime,
 };
 use bullet_suite::overlay::random_tree;
 use bullet_suite::topology::{generate, TopologyConfig};
@@ -52,7 +52,6 @@ pub struct Row {
     script: Option<fn(u64) -> ScenarioScript>,
     /// The layer metrics the node table shows, in column order.
     layer: &'static [Column],
-    extra: fn(&Sim<BulletNode>) -> Vec<(&'static str, u64)>,
 }
 
 /// A named node-table column read off one node's [`BulletMetrics`].
@@ -65,38 +64,15 @@ macro_rules! columns {
     };
 }
 
-/// `fields!(v => T { a, b } skip { c })`: `v`'s fields `a` and `b` as
-/// `("a", a)` pairs, `c` left to the caller. Every field is named, so a
-/// field added to `T` fails to compile here until it is rendered.
+/// `fields!("p.", v => T { a, b } skip { c })`: `v`'s fields `a` and `b`
+/// as `("p.a", a)` pairs, `c` left to the caller. Every field is named, so
+/// a field added to `T` fails to compile here until it is rendered.
 macro_rules! fields {
-    ($value:expr => $ty:ident { $($field:ident),* } $(skip { $($skip:ident),* })?) => {{
+    ($prefix:literal, $value:expr => $ty:ident { $($field:ident),* }
+     $(skip { $($skip:ident),* })?) => {{
         let $ty { $($field,)* $($($skip: _,)*)? } = $value;
-        [$((stringify!($field), $field)),*]
+        [$((concat!($prefix, stringify!($field)), $field)),*]
     }};
-}
-
-/// A digest that prints the way the goldens are written.
-#[derive(PartialEq)]
-pub struct Digest(pub u64);
-
-impl std::fmt::Debug for Digest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Digest({:#018x})", self.0)
-    }
-}
-
-/// What a row's run is pinned to.
-#[derive(Debug, PartialEq)]
-pub struct Golden {
-    pub counters: SimCounters,
-    /// Per-node delivery, layer and traffic counters, folded in node order.
-    pub digest: Digest,
-    /// Total bytes accepted by physical links.
-    pub bytes_sent: u64,
-    /// Route-affecting topology mutations applied.
-    pub epoch: u64,
-    pub scenario: ScenarioStats,
-    pub extra: Vec<(&'static str, u64)>,
 }
 
 /// The telemetry a fully instrumented run captures.
@@ -119,41 +95,57 @@ pub const BULLET64: Row = Row {
     config: |base| base,
     script: None,
     layer: &[],
-    extra: |_| Vec::new(),
 };
 
-/// Every dynamics channel at once: a crash with a later rejoin, a graceful
-/// leave (child handoff), a flash crowd of late joiners, an oscillating
-/// access-link capacity, and a correlated stub outage with recovery.
+/// Every dynamics channel inside the 20-second window: node 3 crashes and
+/// rejoins, node 5 leaves gracefully (its children go to its parent), node
+/// 1's access link halves in capacity and recovers, node 7's stub router
+/// goes down and up (route-invalidating), and the last quarter of the
+/// overlay joins as a flash crowd at 8..12 s.
 pub const CHURN64: Row = Row {
     name: "churn64",
     topology: star64,
     seed: 2003,
     run_secs: 20,
     config: BulletConfig::churn,
-    script: Some(churn_script),
+    script: Some(|seed| {
+        let crowd: Vec<usize> = (48..STAR_NODES).collect();
+        let crowd = ScenarioScript::flash_crowd(&crowd, SimTime::from_secs(8), 4.0, seed ^ 0xF1A5);
+        script(
+            "6 crash 3; 10 join 3; 9 leave 5
+             7 link-bw 1 1000000; 13 link-bw 1 2000000
+             11 router-down 7; 14 router-up 7",
+        )
+        .merge(crowd)
+    }),
     layer: &[],
-    extra: |_| Vec::new(),
 };
 
 /// The §4.6 recovery subsystem (2-second RanSub epochs so detection fits
-/// the window) under every failure channel at once: permanent crashes that
-/// orphan subtrees, a partition with a later heal, and per-node
-/// control-message fault plans off the deterministic sim RNG.
+/// the window) under every failure channel at once, the fault plans drawn
+/// off the deterministic sim RNG: from t=3s node 5 drops 30% and duplicates
+/// 10% of its incoming control messages and node 9 delays half of its by
+/// 20 ms; node 3 crashes for good at 6 s, orphaning its subtree; nodes
+/// 33-47 are cut off for three epochs from 8 s; node 11 crashes at 16 s.
 pub const FAULTS64: Row = Row {
     name: "faults64",
     topology: star64,
     seed: 2003,
     run_secs: 25,
     config: |base| short_epochs(base).recovery(),
-    script: Some(faults_script),
+    script: Some(|_| {
+        script(
+            "3 fault 5 0.3 0.1 0 0; 3 fault 9 0 0 0.5 0.02; 6 crash 3
+             8 partition 33,34,35,36,37,38,39,40,41,42,43,44,45,46,47; 14 heal
+             16 crash 11",
+        )
+    }),
     layer: columns![
         orphan_detections,
         reattaches,
         control_retries,
         false_positive_evictions
     ],
-    extra: |sim| vec![("reattaches", sum(sim, |m| m.reattaches))],
 };
 
 /// The integrity layer while 20% of the non-source nodes turn adversarial
@@ -180,14 +172,14 @@ pub const ADVERSARY64: Row = Row {
         health_penalties,
         quarantines
     ],
-    extra: |sim| vec![("quarantines", sum(sim, |m| m.quarantines))],
 };
 
-/// The overload layer through a 16-node join storm at t=5s and six
-/// scripted slow receivers that understate their intake fivefold. The
-/// knobs are tightened well below their defaults so every mechanism fires
-/// at this scale: the inbox budget forces sheds and join deferrals during
-/// the storm, and the working-set budget forces owed-floor evictions.
+/// The overload layer through six slow receivers (~10% of the overlay) that
+/// understate their intake fivefold from t=3s and a 16-node join storm
+/// ramped over 5 s from t=5s. The knobs are tightened well below their
+/// defaults so every mechanism fires at this scale: the inbox budget forces
+/// sheds and join deferrals during the storm, and the working-set budget
+/// forces owed-floor evictions.
 pub const OVERLOAD64: Row = Row {
     name: "overload64",
     topology: star64,
@@ -207,7 +199,14 @@ pub const OVERLOAD64: Row = Row {
         });
         config
     },
-    script: Some(overload_script),
+    script: Some(|seed| {
+        script(&format!(
+            "3 slow_node 7 0.2; 3 slow_node 14 0.2; 3 slow_node 21 0.2
+             3 slow_node 28 0.2; 3 slow_node 35 0.2; 3 slow_node 42 0.2
+             5 joinstorm 48 16 5 {}",
+            seed ^ 0x0B10
+        ))
+    }),
     layer: columns![
         orphan_detections,
         reattaches,
@@ -221,23 +220,6 @@ pub const OVERLOAD64: Row = Row {
         working_set_evictions,
         slow_demotions
     ],
-    extra: |sim| {
-        let peak = metrics(sim).map(|m| m.peak_inbox_depth).max();
-        vec![
-            ("inbox_sheds", sum(sim, |m| m.inbox_sheds)),
-            ("joins_deferred", sum(sim, |m| m.joins_deferred)),
-            (
-                "joins_admitted_after_defer",
-                sum(sim, |m| m.joins_admitted_after_defer),
-            ),
-            ("peak_inbox_depth", peak.unwrap_or(0)),
-            (
-                "working_set_evictions",
-                sum(sim, |m| m.working_set_evictions),
-            ),
-            ("slow_demotions", sum(sim, |m| m.slow_demotions)),
-        ]
-    },
 };
 
 /// 256 Bullet nodes streaming for a few simulated seconds over a full
@@ -261,21 +243,6 @@ pub const PAPER_SMOKE: Row = Row {
     config: |base| base,
     script: None,
     layer: &[],
-    extra: |sim| {
-        let routing = sim.network().routing_stats();
-        let lazy_alt = matches!(
-            routing.mode,
-            bullet_suite::netsim::RoutingMode::LazyAlt { .. }
-        );
-        vec![
-            ("routing.lazy_alt", lazy_alt as u64),
-            ("routing.trees_built", routing.trees_built),
-            ("routing.route_queries", routing.route_queries),
-            ("routing.lazy_searches", routing.lazy_searches),
-            ("routing.routers_settled", routing.routers_settled),
-            ("routing.landmarks", routing.landmarks as u64),
-        ]
-    },
 };
 
 /// Star topology: one core router, one stub router per participant.
@@ -300,136 +267,12 @@ fn short_epochs(base: BulletConfig) -> BulletConfig {
     }
 }
 
-fn metrics(sim: &Sim<BulletNode>) -> impl Iterator<Item = &BulletMetrics> {
-    (0..sim.network().participants()).map(|n| &sim.agent(n).metrics)
+/// A script in the text grammar of `ScenarioScript::parse`.
+fn script(text: &str) -> ScenarioScript {
+    ScenarioScript::parse(text).expect("a valid scenario script")
 }
 
-fn sum(sim: &Sim<BulletNode>, field: fn(&BulletMetrics) -> u64) -> u64 {
-    metrics(sim).map(field).sum()
-}
-
-/// Every scenario channel fires at least once inside the 20-second window.
-fn churn_script(seed: u64) -> ScenarioScript {
-    let script = ScenarioScript::new()
-        // Crash + rejoin cycle.
-        .at(SimTime::from_secs(6), ScenarioAction::Crash { node: 3 })
-        .at(SimTime::from_secs(10), ScenarioAction::Join { node: 3 })
-        // Graceful leave: children are handed to the leaver's parent.
-        .at(
-            SimTime::from_secs(9),
-            ScenarioAction::GracefulLeave { node: 5 },
-        )
-        // Node 1's access link halves in capacity, then recovers.
-        .at(
-            SimTime::from_secs(7),
-            ScenarioAction::SetLinkBandwidth {
-                link: 1,
-                bps: 1_000_000.0,
-            },
-        )
-        .at(
-            SimTime::from_secs(13),
-            ScenarioAction::SetLinkBandwidth {
-                link: 1,
-                bps: 2_000_000.0,
-            },
-        )
-        // Correlated outage of node 7's stub router (route-invalidating).
-        .at(
-            SimTime::from_secs(11),
-            ScenarioAction::SetRouterUp {
-                router: 7,
-                up: false,
-            },
-        )
-        .at(
-            SimTime::from_secs(14),
-            ScenarioAction::SetRouterUp {
-                router: 7,
-                up: true,
-            },
-        );
-    // Flash crowd: the last quarter of the overlay joins at 8..12 s.
-    let crowd: Vec<usize> = (48..STAR_NODES).collect();
-    script.merge(ScenarioScript::flash_crowd(
-        &crowd,
-        SimTime::from_secs(8),
-        4.0,
-        seed ^ 0xF1A5,
-    ))
-}
-
-/// A subtree-orphaning crash, a partition/heal cycle and two
-/// control-message fault plans.
-fn faults_script(_seed: u64) -> ScenarioScript {
-    ScenarioScript::new()
-        // Lossy and slow control planes from early on: node 5 drops 30%
-        // and duplicates 10% of its incoming control messages, node 9
-        // delays half of its by 20 ms.
-        .at(
-            SimTime::from_secs(3),
-            ScenarioAction::Fault {
-                node: 5,
-                plan: FaultPlan {
-                    drop_chance: 0.3,
-                    duplicate_chance: 0.1,
-                    ..FaultPlan::default()
-                },
-            },
-        )
-        .at(
-            SimTime::from_secs(3),
-            ScenarioAction::Fault {
-                node: 9,
-                plan: FaultPlan {
-                    delay_chance: 0.5,
-                    delay: SimDuration::from_millis(20),
-                    ..FaultPlan::default()
-                },
-            },
-        )
-        // A permanent crash: node 3's subtree orphans and must re-attach.
-        .at(SimTime::from_secs(6), ScenarioAction::Crash { node: 3 })
-        // A partition cuts nodes 33-47 off for three epochs, then heals.
-        .at(
-            SimTime::from_secs(8),
-            ScenarioAction::Partition {
-                nodes: (33..48).collect(),
-            },
-        )
-        .at(SimTime::from_secs(14), ScenarioAction::Heal)
-        // A second permanent crash after the heal.
-        .at(SimTime::from_secs(16), ScenarioAction::Crash { node: 11 })
-}
-
-/// Six slow receivers (~10% of the overlay) from t=3s, then a 16-node join
-/// storm at t=5s ramped over 5 seconds.
-fn overload_script(seed: u64) -> ScenarioScript {
-    let mut script = ScenarioScript::new();
-    for node in [7, 14, 21, 28, 35, 42] {
-        script = script.at(
-            SimTime::from_secs(3),
-            ScenarioAction::SlowNode { node, factor: 0.2 },
-        );
-    }
-    script.at(
-        SimTime::from_secs(5),
-        ScenarioAction::JoinStorm {
-            first: 48,
-            count: 16,
-            ramp_secs: 5.0,
-            seed: seed ^ 0x0B10,
-        },
-    )
-}
-
-/// One step of the digest fold, shared with `tests/determinism.rs`'s
-/// whole-suite golden.
-pub fn mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-}
-
-fn run(row: &Row, traced: bool) -> (Golden, String, Option<Traced>) {
+fn run(row: &Row, traced: bool) -> (String, Option<Traced>) {
     let spec = (row.topology)(row.seed);
     let nodes = spec.participants();
     let tree = random_tree(nodes, 0, 4, &mut SimRng::new(row.seed));
@@ -462,24 +305,7 @@ fn run(row: &Row, traced: bool) -> (Golden, String, Option<Traced>) {
         }
     };
 
-    let table = node_table(row, &sim);
-    // The old digest folded each node line but its last column,
-    // `from_parent_bytes`.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for line in &table {
-        for &(_, v) in &line[..line.len() - 1] {
-            digest = mix(digest, v);
-        }
-    }
-    let golden = Golden {
-        counters: sim.counters(),
-        digest: Digest(digest),
-        bytes_sent: sim.network().total_bytes_sent(),
-        epoch: sim.network().repair_stats().route_mutations,
-        scenario,
-        extra: (row.extra)(&sim),
-    };
-    let render = render(row, &sim, scenario, &table);
+    let render = render_run(row, &sim, scenario);
     let telemetry = traced.then(|| {
         let profile = sim.profile().expect("profiling enabled");
         let recorder = sim.take_recorder().expect("recorder installed");
@@ -490,7 +316,7 @@ fn run(row: &Row, traced: bool) -> (Golden, String, Option<Traced>) {
             profile,
         }
     });
-    (golden, render, telemetry)
+    (render, telemetry)
 }
 
 /// One line per node, in node order: its five delivery counters, the row's
@@ -499,13 +325,14 @@ fn node_table(row: &Row, sim: &Sim<BulletNode>) -> Vec<Vec<(&'static str, u64)>>
     (0..sim.network().participants())
         .map(|node| {
             let m = &sim.agent(node).metrics;
-            // Left out: raw less from-parent bytes, a share of the
-            // duplicates, the useful bytes again and the source's count.
-            let delivery = fields!(m.delivery => DeliveryCounters {
+            // Left out: from-peer bytes (raw less from-parent), duplicates
+            // from the parent, the timely share of the useful bytes, and
+            // the source's packet count.
+            let delivery = fields!("", m.delivery => DeliveryCounters {
                 useful_packets, useful_bytes, raw_bytes, duplicate_packets, total_packets,
                 from_parent_bytes
             } skip { from_peers_bytes, duplicate_from_parent, fresh_bytes, packets_generated });
-            let traffic = fields!(sim.traffic(node) => NodeTraffic {
+            let traffic = fields!("", sim.traffic(node) => NodeTraffic {
                 data_bytes_in, control_bytes_in, data_bytes_out, control_bytes_out
             });
             let layer = row.layer.iter().map(|&(name, read)| (name, read(m)));
@@ -520,13 +347,6 @@ fn node_table(row: &Row, sim: &Sim<BulletNode>) -> Vec<Vec<(&'static str, u64)>>
         .collect()
 }
 
-/// Appends `values` as `prefix.name value` lines.
-fn write_values(out: &mut String, prefix: &str, values: &[(&str, u64)]) {
-    for (name, value) in values {
-        writeln!(out, "{:<30} {value}", format!("{prefix}{name}")).unwrap();
-    }
-}
-
 /// Appends the node table under min/p10/p50/p90/max rows (nearest rank
 /// below, over every node) and a sum row, each column right-aligned.
 fn write_table(out: &mut String, table: &[Vec<(&'static str, u64)>]) {
@@ -534,37 +354,36 @@ fn write_table(out: &mut String, table: &[Vec<(&'static str, u64)>]) {
         .map(|c| table.iter().map(|line| line[c].1).collect())
         .collect();
     columns.iter_mut().for_each(|column| column.sort_unstable());
-    let line = |label: String, cells: Vec<String>| once(label).chain(cells).collect::<Vec<_>>();
-    let mut lines = vec![line(
-        "node".into(),
-        table[0].iter().map(|(name, _)| name.to_string()).collect(),
-    )];
     let last = table.len() - 1;
-    for (label, rank) in [
+    let ranks = [
         ("min", 0),
         ("p10", last / 10),
         ("p50", last / 2),
         ("p90", last * 9 / 10),
         ("max", last),
-    ] {
-        lines.push(line(
-            label.into(),
-            columns.iter().map(|c| c[rank].to_string()).collect(),
-        ));
-    }
-    lines.push(line(
+    ];
+    let mut rows: Vec<(String, Vec<u64>)> = ranks
+        .map(|(label, rank)| (label.into(), columns.iter().map(|c| c[rank]).collect()))
+        .into();
+    rows.push((
         "sum".into(),
-        columns
-            .iter()
-            .map(|c| c.iter().sum::<u64>().to_string())
-            .collect(),
+        columns.iter().map(|c| c.iter().sum()).collect(),
     ));
-    for (node, values) in table.iter().enumerate() {
-        lines.push(line(
-            node.to_string(),
-            values.iter().map(|(_, v)| v.to_string()).collect(),
-        ));
-    }
+    rows.extend(
+        table
+            .iter()
+            .enumerate()
+            .map(|(node, line)| (node.to_string(), line.iter().map(|&(_, v)| v).collect())),
+    );
+    let header = once("node")
+        .chain(table[0].iter().map(|&(name, _)| name))
+        .map(String::from);
+    let mut lines = vec![header.collect::<Vec<_>>()];
+    lines.extend(rows.into_iter().map(|(label, values)| {
+        once(label)
+            .chain(values.iter().map(u64::to_string))
+            .collect()
+    }));
     let widths: Vec<usize> = (0..lines[0].len())
         .map(|c| lines.iter().map(|cells| cells[c].len()).max().unwrap_or(0))
         .collect();
@@ -581,76 +400,45 @@ fn write_table(out: &mut String, table: &[Vec<(&'static str, u64)>]) {
 
 /// A run's delivery block, its node table and its work block: the text a
 /// row is pinned to.
-fn render(
-    row: &Row,
-    sim: &Sim<BulletNode>,
-    scenario: ScenarioStats,
-    table: &[Vec<(&'static str, u64)>],
-) -> String {
+fn render_run(row: &Row, sim: &Sim<BulletNode>, scenario: ScenarioStats) -> String {
     let network = sim.network();
     let (counters, routing, repair) = (
         sim.counters(),
         network.routing_stats(),
         network.repair_stats(),
     );
-    let mut out = format!("# {}\n\n## delivery\n", row.name);
-    write_values(
-        &mut out,
-        "",
-        &fields!(counters => SimCounters {
+    let delivery = fields!("", counters => SimCounters {
         delivered, dropped_in_network, dropped_dest_failed, dropped_src_failed,
         dropped_partitioned, dropped_faulted, duplicated_faulted, delayed_faulted,
         corrupted_adversary, stalled_adversary, dropped_overload
-    } skip { events, timers_fired }),
-    );
-    let bytes_sent = network.total_bytes_sent();
-    write_values(
-        &mut out,
-        "",
-        &[
-            ("bytes_sent", bytes_sent),
-            ("epoch", repair.route_mutations),
-        ],
-    );
-    write_values(
-        &mut out,
-        "scenario.",
-        &fields!(scenario => ScenarioStats {
-            crashes, recoveries, leaves, joins, link_mutations, router_mutations, partitions, heals,
-            faults, adversaries, slow_nodes
-        }),
-    );
-    write_table(&mut out, table);
-    out += "\n## work\n";
-    write_values(
-        &mut out,
-        "",
-        &[
-            ("events", counters.events),
-            ("timers_fired", counters.timers_fired),
-        ],
-    );
-    writeln!(out, "{:<30} {:?}", "routing.mode", routing.mode).unwrap();
-    write_values(
-        &mut out,
-        "routing.",
-        &fields!(routing => RoutingStats {
+    } skip { events, timers_fired })
+    .into_iter()
+    .chain([
+        ("bytes_sent", network.total_bytes_sent()),
+        ("epoch", repair.route_mutations),
+    ])
+    .chain(fields!("scenario.", scenario => ScenarioStats {
+        crashes, recoveries, leaves, joins, link_mutations, router_mutations, partitions, heals,
+        faults, adversaries, slow_nodes
+    }));
+    let work = fields!("routing.", routing => RoutingStats {
         route_queries, batched_queries, trees_built, lazy_searches, routers_settled
-    } skip { mode, landmarks }),
-    );
-    write_values(
-        &mut out,
-        "routing.",
-        &[("landmarks", routing.landmarks as u64)],
-    );
-    write_values(
-        &mut out,
-        "repair.",
-        &fields!(repair => RepairStats {
-            route_mutations, routes_invalidated, routes_kept, filter_tables, memo_cells_cleared,
-            unreachable_cleared, landmark_checks, landmark_repairs, landmark_nodes_lowered
-        }),
-    );
+    } skip { mode, landmarks })
+    .into_iter()
+    .chain([("routing.landmarks", routing.landmarks as u64)])
+    .chain(fields!("repair.", repair => RepairStats {
+        route_mutations, routes_invalidated, routes_kept, filter_tables, memo_cells_cleared,
+        unreachable_cleared, landmark_checks, landmark_repairs, landmark_nodes_lowered
+    }));
+    let mut out = format!("# {}\n\n## delivery\n", row.name);
+    let write = |out: &mut String, (name, value): (&str, u64)| writeln!(out, "{name:<30} {value}");
+    delivery.for_each(|pair| write(&mut out, pair).unwrap());
+    write_table(&mut out, &node_table(row, sim));
+    out += "\n## work\n";
+    write(&mut out, ("events", counters.events)).unwrap();
+    write(&mut out, ("timers_fired", counters.timers_fired)).unwrap();
+    writeln!(out, "{:<30} {:?}", "routing.mode", routing.mode).unwrap();
+    work.for_each(|pair| write(&mut out, pair).unwrap());
     out
 }
 
@@ -689,47 +477,26 @@ pub fn compare(
         .collect();
     let mut message = format!("{} moved on {} lines:\n", committed.display(), moved.len());
     for &i in moved.iter().take(40) {
-        let side = |lines: &[&str]| {
-            lines
-                .get(i)
-                .map_or("(no line)".to_string(), |l| l.to_string())
-        };
-        writeln!(
-            message,
-            "line {}:\n  - {}\n  + {}",
-            i + 1,
-            side(&old),
-            side(&new)
-        )
-        .unwrap();
+        let [was, now] = [&old, &new].map(|lines| lines.get(i).copied().unwrap_or("(no line)"));
+        writeln!(message, "line {}:\n  - {was}\n  + {now}", i + 1).unwrap();
     }
     if moved.len() > 40 {
         writeln!(message, "(and {} more)", moved.len() - 40).unwrap();
     }
-    write!(
-        message,
-        "if the move is meant, say why in the test's doc comment and recapture with\n  cp {} {}",
-        fresh.display(),
-        committed.display()
-    )
-    .unwrap();
+    let (fresh, committed) = (fresh.display(), committed.display());
+    message += &format!("if the move is meant, say why and recapture:\n  cp {fresh} {committed}");
     Err(message)
 }
 
-/// Runs a row and returns what it is pinned to, and its render.
-pub fn fingerprint(row: &Row) -> (Golden, String) {
-    let (golden, render, _) = run(row, false);
-    (golden, render)
+/// Runs a row and renders it.
+pub fn render(row: &Row) -> String {
+    run(row, false).0
 }
 
 /// Runs a row with a full-category flight recorder and self-profiling
-/// enabled. The render must equal [`fingerprint`]'s — telemetry is
-/// read-only — and the trace itself must be deterministic.
-pub fn fingerprint_traced(row: &Row) -> (Golden, String, Traced) {
-    let (golden, render, telemetry) = run(row, true);
-    (
-        golden,
-        render,
-        telemetry.expect("a traced run captures telemetry"),
-    )
+/// enabled. The render must equal [`render`]'s — telemetry is read-only —
+/// and the trace itself must be deterministic.
+pub fn render_traced(row: &Row) -> (String, Traced) {
+    let (render, telemetry) = run(row, true);
+    (render, telemetry.expect("a traced run captures telemetry"))
 }
