@@ -475,7 +475,11 @@ pub fn compare(
     let moved: Vec<usize> = (0..old.len().max(new.len()))
         .filter(|&i| old.get(i) != new.get(i))
         .collect();
-    let mut message = format!("{} moved on {} lines:\n", committed.display(), moved.len());
+    let mut message = format!(
+        "{} differs from this run on {} line(s):\n",
+        committed.display(),
+        moved.len()
+    );
     for &i in moved.iter().take(40) {
         let [was, now] = [&old, &new].map(|lines| lines.get(i).copied().unwrap_or("(no line)"));
         writeln!(message, "line {}:\n  - {was}\n  + {now}", i + 1).unwrap();
