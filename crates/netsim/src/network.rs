@@ -12,7 +12,8 @@ use crate::hash::FxHashMap;
 use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
 use crate::rng::SimRng;
 use crate::routing::{
-    edge_cost, select_landmarks, Adjacency, LazyRouter, RoutingMode, RowSearch, RowTree, BRANCH,
+    edge_cost, select_landmarks, Adjacency, Contracted, LazyRouter, RoutingMode, RowSearch,
+    RowTree, BRANCH,
 };
 use crate::time::{SimDuration, SimTime};
 use crate::workers::{self, ordered_map};
@@ -515,6 +516,14 @@ impl NetworkSetup {
             landmarks,
         }
     }
+
+    /// The landmark distance tables, one `u32` per router each
+    /// ([`RoutingMode::LazyAlt`] only; empty otherwise). Introspection for
+    /// the property that holds the tables, which the contracted graph
+    /// selects, to the plain kernel's.
+    pub fn landmark_tables(&self) -> &[Vec<u32>] {
+        &self.landmarks
+    }
 }
 
 /// The live network: directed links plus routing and tracing state.
@@ -726,8 +735,14 @@ impl Network {
     pub(crate) fn row_trees_on(&mut self, sources: &[OverlayId], workers: usize) -> Vec<RowTree> {
         self.batched_queries += sources.len() as u64;
         let (adjacency, attachments) = (&*self.adjacency, &self.attachments[..]);
+        let index = Contracted::new(adjacency);
         ordered_map(workers, sources.len(), RowSearch::default, |search, i| {
-            search.row(adjacency, attachments[sources[i]], attachments)
+            search.row(
+                adjacency,
+                Some(&index),
+                attachments[sources[i]],
+                attachments,
+            )
         })
     }
 

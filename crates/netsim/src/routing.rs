@@ -57,8 +57,8 @@
 //! # Row trees
 //!
 //! The routes out of one source to every participant come from one
-//! whole-graph search, `dijkstra`, kept as a [`RowTree`]. Two callers build
-//! rows: the bottleneck-tree oracle, in both routing modes, which asks
+//! whole-graph search kept as a [`RowTree`]. Two callers build rows: the
+//! bottleneck-tree oracle, in both routing modes, which asks
 //! [`Network::row_trees`] for every participant's row at once, and
 //! [`RoutingMode::EagerPerSource`], which caches one row per source
 //! participant and reads each of its point routes off it. The oracle's
@@ -69,11 +69,29 @@
 //! A row's targets are every participant, scattered over the whole graph,
 //! so settling all of them settles nearly everything: no goal direction can
 //! prune a search whose goals span the graph. What it can save is the
-//! queue: it keeps a bucket queue, not a heap. The search's predecessor
-//! links are then kept only along the paths to the targets, as a prefix
-//! tree in which each target's path is read back only as far as the first
-//! router already in the tree. The canonical routes out of one source share
-//! most of their links, so the tree holds each shared link once.
+//! queue, a bucket queue and not a heap, and the graph it walks (below).
+//! The search keeps distances only. Each target's path is then read back
+//! from them, one canonical predecessor at a time, only as far as the first
+//! router already in the row, which is a prefix tree: the canonical routes
+//! out of one source share most of their links, so the tree holds each
+//! shared link once.
+//!
+//! # The contracted graph
+//!
+//! Most of a paper-class graph is chains and leaves: of the 20,300 routers
+//! of `paper_scale(200, 7)`, 10,405 are *interior*, with exactly two
+//! neighbours, and 3,815 are leaves off other routers. A search from many
+//! roots over one
+//! graph, as the oracle's rows and the landmark tables are, first folds it
+//! into a `Contracted` index: the other routers, each chain between two
+//! of them as one arc per direction, and each leaf (a *pendant* off one of
+//! them) as its parent's distance plus one edge. The same bucket kernel
+//! walks the folded graph, and every router's distance follows from its
+//! chain ends', so predecessors, read from distances, are the plain
+//! graph's. The index is built by [`Network::row_trees`] and
+//! `select_landmarks` for one call and dropped when it returns; a single
+//! search, such as [`Adjacency::distances_from`] or an eager row, walks
+//! the plain graph.
 //!
 //! # The graph
 //!
@@ -103,13 +121,17 @@
 //!   one.
 //! - A [`RowTree`] is one `u32` entry per distinct link of its row, one
 //!   more per branch that does not continue from the entry before it, and
-//!   a `u32` leaf per target. Its search keeps 13 bytes per router (a
-//!   distance, which holds the router's tree node once the search ends, a
-//!   queue flag and a predecessor link) and a scratch copy of the row being
-//!   read off, and the bucket queue adds about 4 more while the search
-//!   runs. Each worker keeps one such workspace for all the rows it builds,
-//!   so up to one is live per worker, and each row is allocated once, at
-//!   its exact length.
+//!   a `u32` leaf per target. Its search keeps 16 bytes per router it walks
+//!   (a distance and two bucket-list links), 4 bytes per router for the
+//!   row's tree nodes and a scratch copy of the row being read off. Each
+//!   worker keeps one such workspace for all the rows it builds, so up to
+//!   one is live per worker, and each row is allocated once, at its exact
+//!   length.
+//! - A `Contracted` index holds 4 bytes per router (its place), 12 per
+//!   arc and 8 per branch router (the folded graph's slots), and 16 per
+//!   interior or pendant router (its two chain ends and its cost from
+//!   each). Its searches walk the branch routers only: 6,080 of the 20,300
+//!   routers of `paper_scale(200, 7)`, over 16,402 arcs.
 //!
 //! [`Network`]: crate::network::Network
 //! [`Network::row_trees`]: crate::network::Network::row_trees
@@ -247,6 +269,11 @@ impl Csr {
             edges[at as usize] = edge;
         }
         Csr { ranges, edges }
+    }
+
+    /// Number of routers.
+    fn len(&self) -> usize {
+        self.ranges.len().saturating_sub(1)
     }
 
     #[inline]
@@ -400,7 +427,7 @@ impl Adjacency {
 
     /// Number of routers.
     pub fn len(&self) -> usize {
-        self.out_edges.ranges.len().saturating_sub(1)
+        self.out_edges.len()
     }
 
     /// Returns `true` if the topology has no routers.
@@ -434,34 +461,31 @@ impl Adjacency {
     /// exact improving-edge filter, where a handful of these replaces
     /// recomputing every cached route — and the landmark tables.
     pub fn distances_from(&self, source: RouterId) -> Vec<u64> {
-        dijkstra(self, source, Dir::Forward, &mut [])
+        dijkstra(self, source, Dir::Forward)
     }
 
     /// Dijkstra distances from every router *to* `target`, the same search
     /// run over the in-edge lists — exact even on asymmetric graphs.
     pub fn distances_to(&self, target: RouterId) -> Vec<u64> {
-        dijkstra(self, target, Dir::Backward, &mut [])
+        dijkstra(self, target, Dir::Backward)
     }
 
     /// The edges a search in direction `dir` follows out of `router`.
     fn edges(&self, dir: Dir, router: RouterId) -> &[Edge] {
-        match dir {
-            Dir::Forward => self.out_edges.live(router),
-            Dir::Backward => self.in_edges.live(router),
+        self.graph(dir).edges.live(router)
+    }
+
+    /// The graph a whole-graph search in direction `dir` walks.
+    fn graph(&self, dir: Dir) -> Graph<'_> {
+        Graph {
+            edges: match dir {
+                Dir::Forward => &self.out_edges,
+                Dir::Backward => &self.in_edges,
+            },
+            min_cost: self.min_cost,
+            max_cost: self.max_cost,
         }
     }
-}
-
-/// `prev` entry of a router with no predecessor link (the source, or
-/// unreachable).
-const NO_LINK: u32 = u32::MAX;
-
-/// The tail router of `link`, a live in-edge of `head`.
-fn tail_of(adj: &Adjacency, head: RouterId, link: u32) -> RouterId {
-    let &(tail, _, _) = (adj.in_neighbors(head).iter())
-        .find(|&&(_, l, _)| l == link)
-        .expect("a tree link is a live in-edge of its head");
-    tail as RouterId
 }
 
 /// [`RowTree`] node of a target its source cannot reach.
@@ -483,14 +507,15 @@ pub(crate) const BRANCH: u32 = 1 << 31;
 /// the entry before it (node 0 for the first entry). A branch that does not
 /// continue from the entry before it starts with one marker entry, `BRANCH
 /// | parent node`, which no leaf names. Each target holds one leaf, the node
-/// of its router. Every root-to-leaf walk follows one search's canonical
-/// predecessor links, so [`RowTree::path_into`] returns the canonical path,
-/// and [`RowTree::reaches`] answers reachability from the leaf alone. The
-/// tree is a snapshot of the graph it was computed on, and no topology
-/// mutation repairs it: the eager routing mode drops its cached rows at
-/// every route-affecting mutation. A row depends on the graph, the source
-/// and the targets alone, so the rows [`Network::row_trees`] builds on
-/// several workers equal those built one at a time.
+/// of its router. Every root-to-leaf walk follows canonical predecessor
+/// links, so [`RowTree::path_into`] returns the canonical path, and
+/// [`RowTree::reaches`] answers reachability from the leaf alone. The tree
+/// is a snapshot of the graph it was computed on, and no topology mutation
+/// repairs it: the eager routing mode drops its cached rows at every
+/// route-affecting mutation. A row depends on the graph, the source and the
+/// targets alone, so the rows [`Network::row_trees`] builds on several
+/// workers, over the contracted graph, equal those built one at a time over
+/// the plain one.
 ///
 /// [`Network::row_trees`]: crate::network::Network::row_trees
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -505,7 +530,7 @@ impl RowTree {
     /// Runs one whole-graph search from `source` and keeps the canonical
     /// paths to every router of `targets`, on a workspace of its own.
     pub(crate) fn compute(adj: &Adjacency, source: RouterId, targets: &[RouterId]) -> Self {
-        RowSearch::default().row(adj, source, targets)
+        RowSearch::default().row(adj, None, source, targets)
     }
 
     /// Whether the source reaches target `target`: one leaf read, no walk.
@@ -538,13 +563,17 @@ impl RowTree {
 }
 
 /// The buffers one row search needs, kept from one row to the next: the
-/// search's distances and queue flags, each router's predecessor link, and
-/// the row being read off. A worker that builds many rows allocates them
+/// search's distances and bucket lists, each router's node in the row being
+/// read off, and that row. A worker that builds many rows allocates them
 /// once, and each row once, at its exact length.
 #[derive(Default)]
 pub(crate) struct RowSearch {
     search: Search,
-    prev: Vec<u32>,
+    /// Each router's node in the row being read off, [`NO_NODE`] outside
+    /// it. Every entry is [`NO_NODE`] again once a row is built.
+    node_of: Vec<u32>,
+    /// The routers given a node, whose `node_of` entries a built row clears.
+    in_tree: Vec<u32>,
     /// A new branch as `(router, link into it)`, read from its far end.
     branch: Vec<(RouterId, u32)>,
     entries: Vec<u32>,
@@ -552,44 +581,58 @@ pub(crate) struct RowSearch {
 
 impl RowSearch {
     /// Runs one whole-graph search from `source` and keeps the canonical
-    /// paths to every router of `targets`. Each path is read back from its
-    /// target only as far as the first router already in the tree, and the
-    /// new branch hangs off that router's node.
+    /// paths to every router of `targets`: over `index` where it is given,
+    /// over `adj` itself otherwise, with the same row either way
+    /// ([`Search::forward`]). Each path is read back from its target only
+    /// as far as the first router already in the tree, one canonical
+    /// predecessor link at a time ([`Labels::link_into`]), and the new
+    /// branch hangs off that router's node. Over `index` the search labels
+    /// only branch routers; a path through a chain expands it into the
+    /// chain's links as it reads them, and no other interior router is
+    /// labelled.
     pub(crate) fn row(
         &mut self,
         adj: &Adjacency,
+        index: Option<&Contracted>,
         source: RouterId,
         targets: &[RouterId],
     ) -> RowTree {
-        reset(&mut self.prev, adj.len(), NO_LINK);
-        self.search.run(adj, source, Dir::Forward, &mut self.prev);
-        // The distances are dead once the predecessor links are final, so
-        // each router's tree node is kept in their buffer.
-        let (prev, node_of) = (&self.prev, &mut self.search.dist);
-        node_of.fill(NO_NODE.into());
-        node_of[source] = 0;
+        let labels = self.search.forward(adj, index, source);
+        let dist = &self.search.dist;
+        if self.node_of.len() != adj.len() {
+            reset(&mut self.node_of, adj.len(), NO_NODE);
+        }
+        let (node_of, in_tree) = (&mut self.node_of, &mut self.in_tree);
         let (branch, entries) = (&mut self.branch, &mut self.entries);
         entries.clear();
+        node_of[source] = 0;
+        in_tree.push(source as u32);
         let mut leaves = Vec::with_capacity(targets.len());
         for &target in targets {
             let mut cur = target;
-            while node_of[cur] == u64::from(NO_NODE) && prev[cur] != NO_LINK {
-                let link = prev[cur];
+            while node_of[cur] == NO_NODE {
+                let Some((link, tail)) = labels.link_into(adj, cur, dist) else {
+                    break;
+                };
                 branch.push((cur, link));
-                cur = tail_of(adj, cur, link);
+                cur = tail;
             }
             // Only an unreachable target stops outside the tree, at once: its
             // branch is empty and its leaf is `NO_NODE`.
-            let mut node = node_of[cur] as u32;
+            let mut node = node_of[cur];
             if !branch.is_empty() && node as usize != entries.len() {
                 entries.push(BRANCH | node);
             }
             for (router, link) in branch.drain(..).rev() {
                 entries.push(link);
                 node = entries.len() as u32;
-                node_of[router] = node.into();
+                node_of[router] = node;
+                in_tree.push(router as u32);
             }
             leaves.push(node);
+        }
+        for router in in_tree.drain(..) {
+            node_of[router as usize] = NO_NODE;
         }
         // Every node, a marker's among them, is at most the entry count.
         assert!(
@@ -609,89 +652,600 @@ fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.resize(len, value);
 }
 
+/// What one [`Search`] walks: a table of live out-edges, and bounds on
+/// their costs that size its bucket ring. An [`Adjacency`] gives one per
+/// direction ([`Adjacency::graph`]), a [`Contracted`] index one over its
+/// branch routers.
+#[derive(Clone, Copy)]
+struct Graph<'a> {
+    edges: &'a Csr,
+    /// A bound on the cheapest edge: the bucket width is at least it.
+    min_cost: u64,
+    /// At least the dearest edge, so that no relaxation wraps the ring.
+    max_cost: u64,
+}
+
 /// Most buckets a [`dijkstra`] queue spans.
 const MAX_BUCKETS: u64 = 256;
 
 /// The one whole-graph search: distances from `root` (to it, over in-edges,
-/// for [`Dir::Backward`]), and each router's canonical predecessor link
-/// written into `prev` unless it is empty, on buffers of its own;
-/// [`Search::run`] is the same search on buffers kept between searches.
-fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [u32]) -> Vec<u64> {
+/// for [`Dir::Backward`]), on buffers of its own; [`Search::run`] is the
+/// same search on buffers kept between searches.
+fn dijkstra(adj: &Adjacency, root: RouterId, dir: Dir) -> Vec<u64> {
     let mut search = Search::default();
-    search.run(adj, root, dir, prev);
+    search.run(adj.graph(dir), &[(root, 0)]);
     search.dist
 }
 
+/// [`Buckets`] entry for no router: an empty slot, a list's end, a router
+/// that is not queued.
+const NIL: u32 = u32::MAX;
+
+/// The top bit of a [`Buckets::back`] entry: set on the first router of a
+/// list, whose low bits are the list's slot.
+const HEAD: u32 = 1 << 31;
+
+/// The bucket ring of a [`Search`]: one doubly linked list per slot,
+/// threaded through two `u32`s per router, so a relabelled router moves to
+/// its new bucket in place and a search allocates nothing once its buffers
+/// are sized to the largest graph it has walked.
+#[derive(Default)]
+struct Buckets {
+    /// Each slot's first router, or [`NIL`].
+    heads: Vec<u32>,
+    /// A queued router's successor in its list, or [`NIL`].
+    next: Vec<u32>,
+    /// A queued router's predecessor in its list, or `HEAD | slot` for the
+    /// first of one; [`NIL`] for a router that is not queued.
+    back: Vec<u32>,
+}
+
+impl Buckets {
+    /// `slots` empty lists over `routers` routers.
+    fn reset(&mut self, routers: usize, slots: usize) {
+        assert!(
+            routers <= HEAD as usize,
+            "a search's routers fit in 31 bits"
+        );
+        reset(&mut self.heads, slots, NIL);
+        reset(&mut self.back, routers, NIL);
+        // A successor is written each time its router is queued.
+        self.next.resize(routers, NIL);
+    }
+
+    #[inline]
+    fn is_queued(&self, v: usize) -> bool {
+        self.back[v] != NIL
+    }
+
+    /// Queues `v`, which is not queued, in `slot`.
+    #[inline]
+    fn push(&mut self, v: usize, slot: usize) {
+        let first = self.heads[slot];
+        if first != NIL {
+            self.back[first as usize] = v as u32;
+        }
+        (self.next[v], self.back[v]) = (first, HEAD | slot as u32);
+        self.heads[slot] = v as u32;
+    }
+
+    /// Takes the queued `v` out of its list.
+    #[inline]
+    fn unlink(&mut self, v: usize) {
+        let (next, back) = (self.next[v], self.back[v]);
+        if back & HEAD != 0 {
+            self.heads[(back & !HEAD) as usize] = next;
+        } else {
+            self.next[back as usize] = next;
+        }
+        if next != NIL {
+            self.back[next as usize] = back;
+        }
+        self.back[v] = NIL;
+    }
+
+    #[inline]
+    fn pop(&mut self, slot: usize) -> Option<usize> {
+        let first = self.heads[slot];
+        (first != NIL).then(|| {
+            self.unlink(first as usize);
+            first as usize
+        })
+    }
+}
+
 /// The per-router buffers of one [`dijkstra`]: each router's distance and
-/// queue flag. The bucket ring is made afresh by each search: kept, each
-/// bucket would keep the most it ever held from any root, which over the
-/// 40 rows of a 20k-router graph grew a worker's workspace by a quarter.
+/// its links in the bucket lists. They are sized to the graph a search
+/// walks and kept for the next: a worker's search allocates nothing after
+/// its first.
 #[derive(Default)]
 struct Search {
     dist: Vec<u64>,
-    queued: Vec<bool>,
+    queue: Buckets,
 }
 
 impl Search {
-    /// Leaves the distances from `root` in `self.dist`, and each router's
-    /// canonical predecessor link in `prev` unless it is empty.
+    /// Leaves the distances from `seeds` in `self.dist`. A seed `(router,
+    /// distance)` labels its router as an edge of that cost from a virtual
+    /// root would; a plain search has one seed, its root at 0.
     ///
     /// A monotone bucket queue: buckets of width `w = max(min_cost,
     /// ⌈max_cost / MAX_BUCKETS⌉)` in a ring of `max_cost / w + 2` slots,
-    /// which no relaxation can wrap. Entries are router ids; `queued` marks
-    /// a router's one live entry, in the bucket of its label. With every
-    /// cost ≥ `w` — as in every generated topology, whose delays are ≥ 0.5
-    /// ms — a relaxation lands in a later bucket and each router is settled
-    /// once. A wider spread can land one in the bucket being drained, where
-    /// it is queued again (Δ-stepping's label correction). Distances and the
-    /// tie-break stay exact: an edge whose tail is not final cannot be tight
-    /// at the head's final distance. A router whose one onward edge leads
-    /// back to its improver is labelled but never queued, since that edge
-    /// can neither improve nor tie.
-    fn run(&mut self, adj: &Adjacency, root: RouterId, dir: Dir, prev: &mut [u32]) {
-        let width = adj.min_cost.max(adj.max_cost.div_ceil(MAX_BUCKETS)).max(1);
-        let slots = adj.max_cost / width + 2;
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); slots as usize];
-        let Search { dist, queued } = self;
-        reset(dist, adj.len(), u64::MAX);
-        reset(queued, adj.len(), false);
-        dist[root] = 0;
-        queued[root] = true;
-        buckets[0].push(root as u32);
-        let (mut pending, mut bucket) = (1usize, 0u64);
-        while pending > 0 {
-            let slot = (bucket % slots) as usize;
-            while let Some(u) = buckets[slot].pop() {
-                pending -= 1;
-                let u = u as usize;
-                if !std::mem::take(&mut queued[u]) {
-                    continue; // stale: relabelled or settled since
+    /// which no relaxation can wrap (nor a seed, which is never dearer than
+    /// an edge). Each queued router sits in the list of its label's bucket,
+    /// and a relabel that changes the bucket moves it. With every cost ≥
+    /// `w` — as in every generated topology, whose delays are ≥ 0.5 ms — a
+    /// relaxation lands in a later bucket and each router is settled once.
+    /// A wider spread can land one in the bucket being drained, where it is
+    /// queued again (Δ-stepping's label correction); the distances stay
+    /// exact. A router whose one onward edge leads back to its improver is
+    /// labelled but not queued, since that edge cannot improve anything.
+    fn run(&mut self, graph: Graph<'_>, seeds: &[(usize, u64)]) {
+        let width = graph
+            .min_cost
+            .max(graph.max_cost.div_ceil(MAX_BUCKETS))
+            .max(1);
+        let slots = graph.max_cost / width + 2;
+        let slot = |d: u64| (d / width % slots) as usize;
+        let Search { dist, queue } = self;
+        reset(dist, graph.edges.len(), u64::MAX);
+        queue.reset(graph.edges.len(), slots as usize);
+        let mut pending = 0usize;
+        for &(v, d) in seeds {
+            if d < dist[v] {
+                if queue.is_queued(v) {
+                    queue.unlink(v);
+                } else {
+                    pending += 1;
                 }
+                dist[v] = d;
+                queue.push(v, slot(d));
+            }
+        }
+        let mut bucket = 0u64;
+        while pending > 0 {
+            while let Some(u) = queue.pop((bucket % slots) as usize) {
+                pending -= 1;
                 debug_assert_eq!(dist[u] / width, bucket);
                 let du = dist[u];
-                for &(v32, link, cost) in adj.edges(dir, u) {
+                for &(v32, _, cost) in graph.edges.live(u) {
                     let v = v32 as usize;
                     let (nd, old) = (du.saturating_add(u64::from(cost)), dist[v]);
-                    if nd < old {
-                        dist[v] = nd;
-                        if !prev.is_empty() {
-                            prev[v] = link;
+                    if nd >= old {
+                        continue;
+                    }
+                    dist[v] = nd;
+                    let queued = queue.is_queued(v);
+                    if matches!(graph.edges.live(v), [(back, _, _)] if *back as usize == u) {
+                        // A dead end.
+                        if queued {
+                            queue.unlink(v);
+                            pending -= 1;
                         }
-                        if matches!(adj.edges(dir, v), [(back, _, _)] if *back as usize == u) {
-                            queued[v] = false; // a dead end
-                        } else if !queued[v] || old / width != nd / width {
-                            queued[v] = true;
-                            buckets[(nd / width % slots) as usize].push(v32);
+                    } else if !queued || old / width != nd / width {
+                        if queued {
+                            queue.unlink(v);
+                        } else {
                             pending += 1;
                         }
-                    } else if nd == old && nd != u64::MAX && !prev.is_empty() {
-                        // The canonical tie-break: the smallest tight link id.
-                        prev[v] = prev[v].min(link);
+                        queue.push(v, slot(nd));
                     }
                 }
             }
             bucket += 1;
         }
+    }
+
+    /// Runs the search forward from `root`: over `index` where it has one
+    /// that can start there ([`Contracted::start`]), over `adj` otherwise.
+    /// Returns how to read every router's label off the result.
+    fn forward<'a>(
+        &mut self,
+        adj: &Adjacency,
+        index: Option<&'a Contracted>,
+        root: RouterId,
+    ) -> Labels<'a> {
+        match index.and_then(|index| Some((index, index.start(adj, root)?))) {
+            Some((index, (seeds, chain))) => {
+                self.run(index.graph(), &seeds);
+                Labels::Folded(index, chain)
+            }
+            None => {
+                self.run(adj.graph(Dir::Forward), &[(root, 0)]);
+                Labels::Plain
+            }
+        }
+    }
+}
+
+/// How to read any router's label off a forward [`Search`]'s distances:
+/// straight, or through the [`Contracted`] index it ran over, with the
+/// root's own chain when the root is an interior router.
+enum Labels<'a> {
+    Plain,
+    Folded(&'a Contracted, Option<RootChain>),
+}
+
+impl Labels<'_> {
+    /// Router `r`'s distance from the root (`u64::MAX` if unreachable),
+    /// given the search's `dist`.
+    fn distance(&self, r: RouterId, dist: &[u64]) -> u64 {
+        match self {
+            Labels::Plain => dist[r],
+            Labels::Folded(index, chain) => index.distance(r, chain.as_ref(), dist),
+        }
+    }
+
+    /// Router `r`'s canonical predecessor, as `(link, tail)`: of the live
+    /// in-edges that are tight at its distance, the one with the smallest
+    /// link id. `None` for the root and for an unreachable router.
+    fn link_into(&self, adj: &Adjacency, r: RouterId, dist: &[u64]) -> Option<(u32, RouterId)> {
+        let d = self.distance(r, dist);
+        if d == u64::MAX {
+            return None;
+        }
+        (adj.in_neighbors(r).iter())
+            .filter(|&&(u, _, cost)| {
+                self.distance(u as RouterId, dist)
+                    .saturating_add(u64::from(cost))
+                    == d
+            })
+            .min_by_key(|&&(_, link, _)| link)
+            .map(|&(u, link, _)| (link, u as RouterId))
+    }
+
+    /// Passes every router's distance to `each`, reading the search's
+    /// arrays in sequence: by router after a plain search; after a folded
+    /// one, branch routers by index and then interior ones chain by chain,
+    /// `routers` being the index's [`Contracted::routers`].
+    fn each_distance(&self, dist: &[u64], routers: &[u32], mut each: impl FnMut(RouterId, u64)) {
+        match self {
+            Labels::Plain => dist.iter().enumerate().for_each(|(r, &d)| each(r, d)),
+            Labels::Folded(index, chain) => {
+                let (branch, interior) = routers.split_at(dist.len());
+                for (&r, &d) in branch.iter().zip(dist) {
+                    each(r as RouterId, d);
+                }
+                for (i, &r) in (0..).zip(interior) {
+                    each(r as RouterId, index.interior(i, chain.as_ref(), dist));
+                }
+            }
+        }
+    }
+}
+
+/// [`Contracted::place`] bit of an interior router or a pendant, whose low
+/// bits are its index in [`Contracted::reach`].
+const INTERIOR: u32 = 1 << 31;
+
+/// A [`Reach`] end that no branch router holds: a pendant's second end, and
+/// both ends of a cycle of interior routers, which no branch router
+/// reaches.
+const NO_END: u32 = u32::MAX;
+
+/// An interior router's two ways in, one per end of its chain: the end's
+/// branch index ([`NO_END`] on a cycle) and the cost from that end along
+/// the chain to the router. Way 0 is the end the chain was walked from. A
+/// pendant has one way in, from its branch router.
+type Reach = [(u32, u32); 2];
+
+/// The seeds of a search over a [`Contracted`] index, as `(branch index,
+/// distance)`: its root's, twice, or its own chain's two ends.
+type Seeds = [(usize, u64); 2];
+
+/// The own chain of a search root that is an interior router or a pendant
+/// (a chain of one): the root's index in [`Contracted::reach`], the first
+/// and last index of the chain (whose routers take consecutive indices, in
+/// the order of way 0's walk), and the root's cost from each end.
+struct RootChain {
+    at: u32,
+    span: (u32, u32),
+    cost: [u32; 2],
+}
+
+/// Whether `r` is an *interior* router: exactly two live out-edges and two
+/// live in-edges, to and from the same two distinct neighbours, neither of
+/// them `r`.
+fn is_interior(adj: &Adjacency, r: RouterId) -> bool {
+    let (&[(p, ..), (q, ..)], &[(a, ..), (b, ..)]) = (adj.neighbors(r), adj.in_neighbors(r)) else {
+        return false;
+    };
+    p != q && r != p as usize && r != q as usize && ((a, b) == (p, q) || (a, b) == (q, p))
+}
+
+/// What a [`Contracted`] index makes of a router.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// A router of the folded graph.
+    Branch,
+    /// A router of a chain ([`is_interior`]).
+    Interior,
+    /// A router whose one live out-edge and one live in-edge lead to and
+    /// from one branch router, like the leaf a participant attaches to.
+    Pendant,
+}
+
+/// Follows `from`'s out-edge `edge` through the interior routers it enters,
+/// calling `visit(router)` at each, and returns the router the chain ends
+/// at and its cost from `from`. An interior router's onward edge is the one
+/// that does not lead back. The walk must reach a router that is not
+/// `interior`.
+fn walk_chain(
+    adj: &Adjacency,
+    interior: impl Fn(RouterId) -> bool,
+    mut from: RouterId,
+    (to, _, cost): Edge,
+    mut visit: impl FnMut(RouterId),
+) -> (RouterId, u64) {
+    let (mut at, mut cost) = (to as RouterId, u64::from(cost));
+    while interior(at) {
+        visit(at);
+        let &(next, _, step) = (adj.neighbors(at).iter())
+            .find(|&&(next, ..)| next as RouterId != from)
+            .expect("an interior router has two out-neighbours");
+        (from, at) = (at, next as RouterId);
+        cost += u64::from(step);
+    }
+    (at, cost)
+}
+
+/// The routing graph with its chains and pendants folded, for searches
+/// that run from many roots over one graph. It is built from an
+/// [`Adjacency`] by the caller that runs those searches and dropped when
+/// they end, so a topology mutation never meets one.
+///
+/// Most of a paper-class graph is chains of *interior* routers
+/// ([`is_interior`]) and *pendants* ([`Kind::Pendant`]). Every other router
+/// is a *branch* router, and the index holds the branch routers, in id
+/// order, as a graph of their own: each live edge between two of them, and
+/// one *arc* per chain direction from branch router `A` through interior
+/// `x₁ … x_k` to branch router `B`. An arc costs the chain's summed cost in
+/// its direction, and its link is the real directed link `x_k → B`. A chain
+/// whose cost, either way, does not fit the arc's `u32` stays expanded: its
+/// routers are branch routers.
+///
+/// An interior router keeps its chain's ends and its cost from each
+/// ([`Reach`]), so its distance is `min(d(A) + Fᵢ, d(B) + Rᵢ)`; a pendant
+/// keeps its one end and edge cost; a cycle of interior routers has no end,
+/// and no branch router reaches it. So one search over the branch routers
+/// yields every router's distance, and the same kernel ([`Search::run`])
+/// walks both graphs. Every predecessor is then read from the distances
+/// ([`Labels::link_into`]), so the tie-break is the plain graph's by
+/// construction. A search from an interior router or a pendant seeds its
+/// chain's ends with their costs from it, and on its own chain the side
+/// facing the root costs the stretch from the root instead; only a root on
+/// a cycle of interior routers searches the plain graph.
+pub(crate) struct Contracted {
+    /// Per router: its branch index, or `INTERIOR | its index in reach` for
+    /// an interior router or a pendant.
+    place: Vec<u32>,
+    /// Edges and arcs between branch routers, by branch index.
+    arcs: Csr,
+    min_cost: u64,
+    max_cost: u64,
+    reach: Vec<Reach>,
+}
+
+impl Contracted {
+    /// Folds the chains and pendants of `adj`.
+    pub(crate) fn new(adj: &Adjacency) -> Self {
+        let n = adj.len();
+        let mut kind: Vec<Kind> = (0..n)
+            .map(|r| match (adj.neighbors(r), adj.in_neighbors(r)) {
+                (&[(p, ..)], &[(a, ..)]) if p == a && p as RouterId != r => Kind::Pendant,
+                _ if is_interior(adj, r) => Kind::Interior,
+                _ => Kind::Branch,
+            })
+            .collect();
+        // A pendant hangs off a branch router, or it is one.
+        for r in 0..n {
+            if kind[r] == Kind::Pendant && kind[adj.neighbors(r)[0].0 as RouterId] != Kind::Branch {
+                kind[r] = Kind::Branch;
+            }
+        }
+        let mut chain = Vec::new();
+        loop {
+            match Self::fold(adj, &kind) {
+                Ok(index) => return index,
+                Err((a, edge)) => {
+                    chain.clear();
+                    let interior = |r| kind[r] == Kind::Interior;
+                    walk_chain(adj, interior, a, edge, |x| chain.push(x));
+                    chain.iter().for_each(|&x| kind[x] = Kind::Branch);
+                }
+            }
+        }
+    }
+
+    /// Folds every chain and pendant of a graph whose routers are of `kind`,
+    /// or returns the branch router and out-edge that start a chain whose
+    /// cost does not fit an arc. Each chain is walked once, from the end
+    /// whose out-edge comes first, and that walk writes both of its arcs: an
+    /// arc takes its tail's slot for the out-edge that starts it.
+    fn fold(adj: &Adjacency, kind: &[Kind]) -> Result<Self, (RouterId, Edge)> {
+        let n = adj.len();
+        let is = |r: u32, k: Kind| kind[r as usize] == k;
+        // The out-edges of a branch router that its arcs replace.
+        let arc_edges = |a: RouterId| {
+            (adj.neighbors(a).iter()).filter(move |&&(to, ..)| !is(to, Kind::Pendant))
+        };
+        let mut place = vec![NO_END; n];
+        let (mut ranges, mut slots) = (Vec::new(), 0);
+        for a in (0..n).filter(|&a| kind[a] == Kind::Branch) {
+            place[a] = ranges.len() as u32;
+            let out = arc_edges(a).count() as u32;
+            ranges.push((slots, out));
+            slots += out;
+        }
+        ranges.push((slots, 0));
+        // An arc's head is `NO_END` until a walk writes it.
+        let mut arcs: Vec<Edge> = vec![(NO_END, 0, 0); slots as usize];
+        let mut reach: Vec<Reach> = Vec::with_capacity(n + 1 - ranges.len());
+        for a in (0..n).filter(|&a| kind[a] == Kind::Branch) {
+            for &(to, _, cost) in
+                (adj.neighbors(a).iter()).filter(|&&(to, ..)| is(to, Kind::Pendant))
+            {
+                place[to as usize] = INTERIOR | reach.len() as u32;
+                reach.push([(place[a], cost), (NO_END, 0)]);
+            }
+            let first = ranges[place[a] as usize].0 as usize;
+            for (slot, &edge) in (first..).zip(arc_edges(a)) {
+                if arcs[slot].0 != NO_END {
+                    continue; // written by the walk from the chain's other end
+                }
+                let (to, link, cost) = edge;
+                if is(to, Kind::Branch) {
+                    arcs[slot] = (place[to as usize], link, cost);
+                    continue;
+                }
+                // Way 0 of each router gets its cost from `a`; way 1, until
+                // the walk ends, the cost of the reverse links walked so far.
+                let lo = reach.len();
+                let (mut from, mut at, mut link) = (a, to as RouterId, link);
+                let (mut fwd, mut rev, mut first_back) = (u64::from(cost), 0, 0);
+                while kind[at] == Kind::Interior {
+                    let &[e, f] = adj.neighbors(at) else {
+                        unreachable!("an interior router has two out-edges")
+                    };
+                    let (back, onward) = if e.0 as RouterId == from {
+                        (e, f)
+                    } else {
+                        (f, e)
+                    };
+                    if reach.len() == lo {
+                        first_back = back.1;
+                    }
+                    rev += u64::from(back.2);
+                    place[at] = INTERIOR | reach.len() as u32;
+                    reach.push([(place[a], fwd as u32), (NO_END, rev as u32)]);
+                    (from, at, link) = (at, onward.0 as RouterId, onward.1);
+                    fwd += u64::from(onward.2);
+                }
+                let b_first = ranges[place[at] as usize].0 as usize;
+                let (j, &(_, _, step)) = (arc_edges(at).enumerate())
+                    .find(|(_, &(to, ..))| to as RouterId == from)
+                    .expect("a chain's end has an edge into it");
+                rev += u64::from(step);
+                if fwd.max(rev) > u64::from(u32::MAX) {
+                    return Err((a, edge));
+                }
+                for [_, (end, cost)] in &mut reach[lo..] {
+                    (*end, *cost) = (place[at], (rev - u64::from(*cost)) as u32);
+                }
+                arcs[slot] = (place[at], link, fwd as u32);
+                arcs[b_first + j] = (place[a], first_back, rev as u32);
+            }
+        }
+        // What no walk met is on a cycle of interior routers.
+        for at in place.iter_mut().filter(|at| **at == NO_END) {
+            *at = INTERIOR | reach.len() as u32;
+            reach.push([(NO_END, 0); 2]);
+        }
+        let (min_cost, max_cost) = (arcs.iter()).fold((u64::MAX, 0), |(lo, hi), &(_, _, cost)| {
+            (lo.min(u64::from(cost)), hi.max(u64::from(cost)))
+        });
+        Ok(Contracted {
+            place,
+            arcs: Csr {
+                ranges,
+                edges: arcs,
+            },
+            min_cost,
+            max_cost,
+            reach,
+        })
+    }
+
+    fn is_branch(&self, r: RouterId) -> bool {
+        self.place[r] & INTERIOR == 0
+    }
+
+    fn graph(&self) -> Graph<'_> {
+        Graph {
+            edges: &self.arcs,
+            min_cost: self.min_cost,
+            max_cost: self.max_cost,
+        }
+    }
+
+    /// The seeds of a search from `root` over this index, and the root's
+    /// own chain if it is an interior router or a pendant; `None` for a
+    /// root on a cycle of interior routers.
+    fn start(&self, adj: &Adjacency, root: RouterId) -> Option<(Seeds, Option<RootChain>)> {
+        let place = self.place[root];
+        if self.is_branch(root) {
+            return Some(([(place as usize, 0); 2], None));
+        }
+        let at = place & !INTERIOR;
+        let ways = self.reach[at as usize];
+        if ways[0].0 == NO_END {
+            return None;
+        }
+        let mut span = (at, at);
+        // A pendant has one way out, which seeds its one end twice.
+        let out = adj.neighbors(root);
+        let seeds = [0, 1].map(|i| {
+            let edge = out[i.min(out.len() - 1)];
+            let (end, cost) = walk_chain(
+                adj,
+                |r| !self.is_branch(r),
+                root,
+                edge,
+                |x| {
+                    let i = self.place[x] & !INTERIOR;
+                    span = (span.0.min(i), span.1.max(i));
+                },
+            );
+            (self.place[end] as usize, cost)
+        });
+        let cost = ways.map(|(_, cost)| cost);
+        Some((seeds, Some(RootChain { at, span, cost })))
+    }
+
+    /// Router `r`'s distance (`u64::MAX` if unreachable) from a search over
+    /// this index that started at `chain`'s root if it has one: `dist` is
+    /// by branch index.
+    fn distance(&self, r: RouterId, chain: Option<&RootChain>, dist: &[u64]) -> u64 {
+        let place = self.place[r];
+        match place & INTERIOR {
+            0 => dist[place as usize],
+            _ => self.interior(place & !INTERIOR, chain, dist),
+        }
+    }
+
+    /// [`Contracted::distance`] of the interior router at `reach[i]`.
+    fn interior(&self, i: u32, chain: Option<&RootChain>, dist: &[u64]) -> u64 {
+        let reach = self.reach[i as usize];
+        let mut ways = reach.map(|(end, cost)| match end {
+            NO_END => u64::MAX,
+            end => dist[end as usize].saturating_add(u64::from(cost)),
+        });
+        if let Some(chain) = chain.filter(|c| (c.span.0..=c.span.1).contains(&i)) {
+            if i == chain.at {
+                return 0;
+            }
+            // The side facing the root, way 0 past it and way 1 before it,
+            // costs the stretch from the root.
+            let toward = usize::from(i < chain.at);
+            ways[toward] = u64::from(reach[toward].1 - chain.cost[toward]);
+        }
+        ways[0].min(ways[1])
+    }
+
+    /// Every router, branch routers by index and then interior ones by
+    /// their index in `reach`: the order in which
+    /// [`Labels::each_distance`] reads a search's labels in sequence.
+    fn routers(&self) -> Vec<u32> {
+        let branches = self.arcs.len() as u32;
+        let mut routers = vec![0; self.place.len()];
+        for (r, &place) in self.place.iter().enumerate() {
+            let at = match place & INTERIOR {
+                0 => place,
+                _ => branches + (place & !INTERIOR),
+            };
+            routers[at as usize] = r as u32;
+        }
+        routers
     }
 }
 
@@ -701,6 +1255,9 @@ impl Search {
 /// farthest). Returns one full distance table per landmark, in `u32`
 /// entries (`u32::MAX` marks unreachable).
 ///
+/// Every search runs over one [`Contracted`] index, built here and dropped
+/// on return, and writes its distances straight into its table.
+///
 /// # Panics
 ///
 /// Panics if a finite distance does not fit below `u32::MAX`.
@@ -709,8 +1266,15 @@ pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u32>> {
     if n == 0 || count == 0 {
         return Vec::new();
     }
+    let (index, mut search) = (Contracted::new(adj), Search::default());
+    let routers = index.routers();
+    let mut distances = |root: RouterId, each: &mut dyn FnMut(RouterId, u64)| {
+        let labels = search.forward(adj, Some(&index), root);
+        labels.each_distance(&search.dist, &routers, each);
+    };
+    let mut closest = vec![0; n];
+    distances(0, &mut |r, d| closest[r] = d);
     let mut tables: Vec<Vec<u32>> = Vec::new();
-    let mut closest = adj.distances_from(0);
     for _ in 0..count.min(n) {
         let mut next = 0;
         for (v, &c) in closest.iter().enumerate() {
@@ -721,11 +1285,12 @@ pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u32>> {
         if !tables.is_empty() && closest[next] == 0 {
             break; // every router is already a landmark
         }
-        let table = adj.distances_from(next);
-        for (c, &d) in closest.iter_mut().zip(&table) {
-            *c = (*c).min(d);
-        }
-        tables.push(table.iter().copied().map(landmark_entry).collect());
+        let mut table = vec![0; n];
+        distances(next, &mut |r, d| {
+            closest[r] = closest[r].min(d);
+            table[r] = landmark_entry(d);
+        });
+        tables.push(table);
     }
     tables
 }
@@ -1603,7 +2168,7 @@ mod tests {
         (n, edges)
     }
 
-    /// [`dijkstra`] with predecessors, [`Adjacency::distances_from`] and
+    /// [`dijkstra`], [`Adjacency::distances_from`] and
     /// [`Adjacency::distances_to`] against [`heap_model`], from every root:
     /// equal distances, and equal predecessor links for every router.
     ///
@@ -1619,26 +2184,27 @@ mod tests {
             let (to, _) = heap_model(adj, root, Dir::Backward);
             assert_eq!(adj.distances_to(root), to, "{label}: distances to {root}");
             assert_eq!(
-                reused.row(adj, root, &routers),
+                reused.row(adj, None, root, &routers),
                 RowTree::compute(adj, root, &routers),
                 "{label}: a reused workspace from {root}"
             );
-            reused.search.run(adj, root, Dir::Backward, &mut []);
+            reused.search.run(adj.graph(Dir::Backward), &[(root, 0)]);
             assert_eq!(reused.search.dist, to, "{label}: reused, to {root}");
         }
     }
 
-    /// The predecessor links and distances [`dijkstra`] finds from `root`
-    /// over `adj` are a [`heap_model`] tree's, and a [`RowTree`] over every
+    /// The distances [`dijkstra`] finds from `root` over `adj` are a
+    /// [`heap_model`] tree's, so is every router's canonical predecessor
+    /// read from them ([`Labels::link_into`]), and a [`RowTree`] over every
     /// router holds the model's path to each.
     fn assert_tree_matches(adj: &Adjacency, root: RouterId, (dist, prev): &ModelTree, label: &str) {
-        let model_prev: Vec<u32> = (prev.iter())
-            .map(|p| p.map_or(NO_LINK, |(_, link)| link as u32))
+        let kernel = dijkstra(adj, root, Dir::Forward);
+        assert_eq!(&kernel, dist, "{label}: distances from {root}");
+        let links: Vec<_> = (0..adj.len())
+            .map(|r| Labels::Plain.link_into(adj, r, &kernel))
+            .map(|link| link.map(|(link, tail)| (tail, link as DirectedLinkId)))
             .collect();
-        let mut kernel_prev = vec![NO_LINK; adj.len()];
-        let kernel_dist = dijkstra(adj, root, Dir::Forward, &mut kernel_prev);
-        assert_eq!(&kernel_dist, dist, "{label}: distances from {root}");
-        assert_eq!(kernel_prev, model_prev, "{label}: predecessors from {root}");
+        assert_eq!(&links, prev, "{label}: predecessors from {root}");
         let model: Vec<_> = (0..adj.len())
             .map(|dst| (dist[dst] != u64::MAX).then(|| model_links(prev, dst)))
             .collect();
@@ -1745,7 +2311,8 @@ mod tests {
     /// the binary-heap model from every root.
     ///
     /// Mutants this test kills, each checked by hand:
-    /// - the tie-break applied only on strict improvement;
+    /// - the first tight in-edge read as the predecessor, not the one with
+    ///   the smallest link id;
     /// - no re-queue into the bucket being drained when `w > min_cost`;
     /// - the dead-end skip without its "leads back to `u`" check.
     #[test]
@@ -1777,6 +2344,267 @@ mod tests {
             }
         }
         assert_kernel_matches_model(&symmetric_adjacency(side * side, &grid), "7x7 grid");
+    }
+
+    /// [`random_digraph`] with chains added for the contraction harness:
+    /// two-way chains of one to four routers between two routers of the
+    /// graph (a ring when both are one router), with independent costs per
+    /// direction; a cycle of three to five routers that nothing else
+    /// touches; an `A → A` loop; a parallel link and a one-way hop on a
+    /// chain, which leave its routers on either side of them branch
+    /// routers. Link ids are shuffled again, and about a tenth of the
+    /// links start down, with a slot to come back to. Returns the router
+    /// count, the live edges and the down ones.
+    fn chained_digraph(
+        rng: &mut SimRng,
+        costs: (u64, u64),
+    ) -> (usize, Vec<DirectedEdge>, Vec<DirectedEdge>) {
+        let cost = |rng: &mut SimRng| costs.0 + rng.next_below(costs.1 - costs.0 + 1);
+        let (mut n, edges) = random_digraph(rng, costs);
+        let mut edges: Vec<(RouterId, RouterId, u64)> =
+            edges.iter().map(|&(a, b, _, c)| (a, b, c)).collect();
+        let first_chain = n;
+        for _ in 0..rng.range_usize(2, 7) {
+            let a = rng.range_usize(0, first_chain);
+            let b = if rng.chance(0.3) {
+                a
+            } else {
+                rng.range_usize(0, first_chain)
+            };
+            let mut at = a;
+            for _ in 0..rng.range_usize(1, 5) {
+                edges.push((at, n, cost(rng)));
+                edges.push((n, at, cost(rng)));
+                at = n;
+                n += 1;
+            }
+            edges.push((at, b, cost(rng)));
+            edges.push((b, at, cost(rng)));
+        }
+        let (chained, cycle) = (n, rng.range_usize(3, 6));
+        for i in 0..cycle {
+            let j = n + (i + 1) % cycle;
+            edges.push((n + i, j, cost(rng)));
+            edges.push((j, n + i, cost(rng)));
+        }
+        n += cycle;
+        let on_chain = |rng: &mut SimRng| rng.range_usize(first_chain, chained);
+        let looped = on_chain(rng);
+        edges.push((looped, looped, cost(rng)));
+        let parallel = edges[rng.range_usize(0, edges.len())];
+        edges.push((parallel.0, parallel.1, cost(rng)));
+        let one_way = on_chain(rng);
+        edges.push((one_way, n, cost(rng)));
+        n += 1;
+        let mut links: Vec<DirectedLinkId> = (0..edges.len()).collect();
+        rng.shuffle(&mut links);
+        let (mut live, mut down) = (Vec::new(), Vec::new());
+        for (&(a, b, c), &link) in edges.iter().zip(&links) {
+            let to = if rng.chance(0.1) {
+                &mut down
+            } else {
+                &mut live
+            };
+            to.push((a, b, link, c));
+        }
+        (n, live, down)
+    }
+
+    /// The plain-kernel reference for [`select_landmarks`]: the same
+    /// farthest-point choice over [`heap_model`] distances.
+    fn model_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u32>> {
+        let mut closest = heap_model(adj, 0, Dir::Forward).0;
+        let mut tables: Vec<Vec<u32>> = Vec::new();
+        for _ in 0..count.min(adj.len()) {
+            let mut next = 0;
+            for (v, &c) in closest.iter().enumerate() {
+                if c > closest[next] {
+                    next = v;
+                }
+            }
+            if !tables.is_empty() && closest[next] == 0 {
+                break;
+            }
+            let table = heap_model(adj, next, Dir::Forward).0;
+            for (c, &d) in closest.iter_mut().zip(&table) {
+                *c = (*c).min(d);
+            }
+            tables.push(table.into_iter().map(landmark_entry).collect());
+        }
+        tables
+    }
+
+    /// What [`assert_contraction_matches_model`] met: interior routers,
+    /// pendants, folded roots, interior routers on cycles, routers on rings
+    /// and interior labels decided by a tie between the chain's two sides.
+    #[derive(Default, Debug)]
+    struct Folded {
+        interior: usize,
+        pendants: usize,
+        interior_roots: usize,
+        on_cycles: usize,
+        on_rings: usize,
+        side_ties: usize,
+    }
+
+    /// From every root of `adj`, a search over its [`Contracted`] index
+    /// labels every router with [`heap_model`]'s distance and canonical
+    /// predecessor link; a [`RowSearch`] reused from root to root over the
+    /// index builds each row a fresh plain [`RowTree::compute`] does; and
+    /// [`select_landmarks`] picks [`model_landmarks`]' `landmarks` tables.
+    fn assert_contraction_matches_model(
+        adj: &Adjacency,
+        landmarks: usize,
+        label: &str,
+        seen: &mut Folded,
+    ) {
+        let index = Contracted::new(adj);
+        let routers: Vec<RouterId> = (0..adj.len()).collect();
+        let (mut search, mut rows) = (Search::default(), RowSearch::default());
+        for (r, &place) in index.place.iter().enumerate() {
+            if place & INTERIOR != 0 {
+                let [(a, _), (b, _)] = index.reach[(place & !INTERIOR) as usize];
+                if b == NO_END && a != NO_END {
+                    seen.pendants += 1;
+                    let (&[(to, ..)], &[(from, ..)]) = (adj.neighbors(r), adj.in_neighbors(r))
+                    else {
+                        panic!("{label}: {r} is folded but neither interior nor a pendant")
+                    };
+                    assert!(
+                        to == from && index.is_branch(to as RouterId),
+                        "{label}: {r}"
+                    );
+                } else {
+                    seen.interior += 1;
+                    assert!(is_interior(adj, r), "{label}: {r} is not interior");
+                }
+                seen.on_cycles += usize::from(a == NO_END);
+                seen.on_rings += usize::from(a == b && a != NO_END);
+            }
+        }
+        for root in 0..adj.len() {
+            let (dist, model_prev) = heap_model(adj, root, Dir::Forward);
+            let labels = search.forward(adj, Some(&index), root);
+            seen.interior_roots += usize::from(matches!(labels, Labels::Folded(_, Some(_))));
+            for r in 0..adj.len() {
+                let got = (
+                    labels.distance(r, &search.dist),
+                    (labels.link_into(adj, r, &search.dist))
+                        .map(|(link, tail)| (tail, link as DirectedLinkId)),
+                );
+                assert_eq!(got, (dist[r], model_prev[r]), "{label}: {r} from {root}");
+                if let (Labels::Folded(_, None), false) = (&labels, index.is_branch(r)) {
+                    let ways = index.reach[(index.place[r] & !INTERIOR) as usize];
+                    let [x, y] = ways.map(|(end, cost)| match end {
+                        NO_END => u64::MAX,
+                        end => search.dist[end as usize].saturating_add(u64::from(cost)),
+                    });
+                    seen.side_ties += usize::from(x == y && x != u64::MAX);
+                }
+            }
+            assert_eq!(
+                rows.row(adj, Some(&index), root, &routers),
+                RowTree::compute(adj, root, &routers),
+                "{label}: the row from {root}"
+            );
+        }
+        assert_eq!(
+            select_landmarks(adj, landmarks),
+            model_landmarks(adj, landmarks),
+            "{label}: landmark tables"
+        );
+    }
+
+    /// The contracted graph is exact: on seeded [`chained_digraph`]s in
+    /// the kernel harness's three cost ranges, before and after 40 steps of
+    /// `remove_edge`, `add_edge` and `set_edge_cost`, every router's label
+    /// from every root, every row and the landmark tables equal the plain
+    /// models' (see [`assert_contraction_matches_model`]). The graphs have
+    /// interior and pendant roots and targets, rings, cycles, ties between
+    /// a chain's two sides, parallel links, loops, down links and
+    /// asymmetric costs, and the test counts that they do.
+    ///
+    /// Mutants this test kills, each checked by hand:
+    /// - `is_interior` without its "same two neighbours" check;
+    /// - way 1's cost left as the sum of the reverse links walked;
+    /// - a root's own chain read through its ends only;
+    /// - a pendant folded off an interior router.
+    #[test]
+    fn contraction_matches_the_plain_models() {
+        let mut rng = SimRng::new(0xC0417AC7);
+        let mut seen = Folded::default();
+        for case in 0..64 {
+            let costs = [(1, 3), (500, 40_000), (1, 10_000_000)][case % 3];
+            let (n, live, down) = chained_digraph(&mut rng, costs);
+            let mut adj = digraph_reserving(n, &live, &down);
+            assert_contraction_matches_model(&adj, 4, &format!("case {case}"), &mut seen);
+            let all: Vec<DirectedEdge> = live.iter().chain(&down).copied().collect();
+            let mut up: Vec<bool> = (0..all.len()).map(|e| e < live.len()).collect();
+            for _ in 0..40 {
+                let e = rng.range_usize(0, all.len());
+                let (a, b, link, _) = all[e];
+                match (rng.range_usize(0, 3), up[e]) {
+                    (0, true) => adj.remove_edge(a, b, link),
+                    (1, false) => adj.add_edge(a, b, link, costs.0 + rng.next_below(costs.1)),
+                    _ => adj.set_edge_cost(a, b, link, costs.0 + rng.next_below(costs.1)),
+                }
+                up[e] = adj.neighbors(a).iter().any(|&(_, l, _)| l as usize == link);
+            }
+            let label = format!("case {case}, mutated");
+            assert_contraction_matches_model(&adj, 4, &label, &mut seen);
+        }
+        assert!(
+            seen.interior >= 1_000
+                && seen.pendants >= 120
+                && seen.interior_roots >= 1_000
+                && seen.on_cycles >= 120
+                && seen.on_rings >= 30
+                && seen.side_ties >= 150,
+            "{seen:?}"
+        );
+    }
+
+    /// A chain that costs more than an arc's `u32` either way stays
+    /// expanded, and one that costs exactly `u32::MAX` folds; both route
+    /// as the plain models do.
+    #[test]
+    fn a_chain_beyond_u32_stays_expanded() {
+        let max = u64::from(u32::MAX);
+        // 0 - 1 - 2 - 3 - 4 costs more than u32::MAX one way and less the
+        // other; 4 - 5 - 6 costs at most u32::MAX both ways. Leaves keep 0, 4
+        // and 6 branch routers.
+        let mut edges = Vec::new();
+        let chain = [
+            (0, 1, max - 2, 1),
+            (1, 2, 1, max),
+            (2, 3, 1, 1),
+            (3, 4, max / 2, 1),
+        ];
+        let fits = [(4, 5, max / 2 + 1, max - 1), (5, 6, 1, 1)];
+        let leaves = [
+            (0, 7, 1, 1),
+            (0, 8, 1, 1),
+            (4, 9, 1, 1),
+            (6, 10, 1, 1),
+            (6, 11, 1, 1),
+        ];
+        for &(a, b, fwd, rev) in chain.iter().chain(&fits).chain(&leaves) {
+            edges.extend([(a, b, fwd), (b, a, rev)]);
+        }
+        let directed: Vec<DirectedEdge> = (edges.iter().enumerate())
+            .map(|(link, &(a, b, c))| (a, b, link, c))
+            .collect();
+        let adj = digraph(12, &directed);
+        let index = Contracted::new(&adj);
+        let folded: Vec<RouterId> = (0..12).filter(|&r| !index.is_branch(r)).collect();
+        assert_eq!(
+            folded,
+            [5, 7, 8, 9, 10, 11],
+            "the chain that fits and the leaves fold"
+        );
+        assert!([1, 2, 3].iter().all(|&r| is_interior(&adj, r)));
+        // Its distances do not fit a landmark table.
+        assert_contraction_matches_model(&adj, 0, "u32 chains", &mut Folded::default());
     }
 
     /// Every ordered pair of `adj` must route — cost and hop sequence — as the

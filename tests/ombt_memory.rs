@@ -7,7 +7,8 @@
 //! `bottleneck_tree` build over `TopologyConfig::paper_scale(1000, 7)`, run
 //! on one worker, and holds it to what the build must keep: 4 B per row
 //! entry (a link or a branch marker) and per leaf, the oracle's 4-byte flow
-//! count per directed link, the greedy's candidate heap and one row search.
+//! count per directed link, the greedy's candidate heap and one row search
+//! (with the contracted graph it walks).
 //!
 //! A paper-scale topology is too large for the debug-build tier-1 run, so
 //! the test is ignored by default; it takes a few seconds in a release
@@ -151,7 +152,10 @@ fn the_paper_scale_bottleneck_tree_peaks_at_its_rows_flows_and_heap() {
     // 64 KB covers the rest of the greedy's state: a parent, a flag and a
     // child count per participant. Measured: a peak of 40,543,024 B against
     // 31,861,888 B of row trees (5,967,472 links and 998,000 markers), a
-    // 185,768 B flow array, an 8,388,608 B heap and a 363,796 B search.
-    // With 8-byte `(parent, link)` entries the rows alone held 51.7 MB.
+    // 185,768 B flow array, an 8,388,608 B heap and an 883,928 B search:
+    // the contracted graph of the call and one row search over it, where a
+    // search over the plain graph was 363,796 B. The peak is the greedy's,
+    // after the rows are built and their search is dropped, so it did not
+    // move. With 8-byte `(parent, link)` entries the rows alone held 51.7 MB.
     assert!(peak <= rows + flows + heap + search + slack, "{report}");
 }

@@ -13,7 +13,9 @@ use bullet_suite::content::{
     missing_keys, BloomFilter, LiveTicket, PermutationFamily, ReconcileRequest, SummaryTicket,
     WorkingSet,
 };
-use bullet_suite::netsim::{LinkSpec, Network, NetworkSpec, RoutingMode, SimDuration, SimRng};
+use bullet_suite::netsim::{
+    Adjacency, LinkSpec, Network, NetworkSetup, NetworkSpec, RoutingMode, SimDuration, SimRng,
+};
 use bullet_suite::overlay::{bottleneck_tree, random_tree, OmbtConfig, ThroughputOracle, Tree};
 use bullet_suite::ransub::{compact, Member, WeightedSet};
 use bullet_suite::topology::{generate, LossProfile, TopologyConfig};
@@ -521,6 +523,53 @@ fn lazy_routing_matches_reference_on_tie_adversarial_shapes() {
     for (label, spec) in routing_equiv::tie_adversarial_specs() {
         routing_equiv::assert_all_participant_pairs_equivalent(&spec, label);
     }
+}
+
+/// The contracted graph (`routing` module docs) on the paper topology
+/// class, where participants sit on pendant routers and most landmarks on
+/// interior ones: every participant's row tree, which `Network::row_trees`
+/// builds over the folded chains, holds for every pair the path an eager
+/// network reads off a row of the plain kernel, and the 8 landmark tables a
+/// paper-class setup selects over the folded graph are the farthest-point
+/// tables of `Adjacency::distances_from`, the plain kernel.
+#[test]
+fn contracted_rows_and_landmarks_match_the_plain_kernel_on_the_paper_topology_class() {
+    let topo = generate(&TopologyConfig::paper_scale(24, 9));
+    let (spec, n) = (&topo.spec, topo.participants());
+    let setup = NetworkSetup::new(spec);
+    let sources: Vec<usize> = (0..n).collect();
+    let rows = Network::with_setup(spec, &setup).row_trees(&sources);
+    let mut eager = Network::with_routing(spec, RoutingMode::EagerPerSource);
+    let mut path = Vec::new();
+    for (a, row) in rows.iter().enumerate() {
+        for b in 0..n {
+            let got = row.path_into(b, &mut path).then(|| path.clone());
+            assert_eq!(got, routing_equiv::path(&mut eager, a, b), "{a} -> {b}");
+        }
+    }
+    assert_eq!(eager.routing_stats().trees_built, n as u64);
+
+    let links = spec.links.iter().enumerate().flat_map(|(i, link)| {
+        let ((fwd, rev), cost) = (Network::directed_ids(i), link.delay.as_micros().max(1));
+        [
+            (link.a, link.b, fwd, cost, link.up),
+            (link.b, link.a, rev, cost, link.up),
+        ]
+    });
+    let adj = Adjacency::new(spec.routers, links);
+    let mut closest = adj.distances_from(0);
+    let mut plain = Vec::new();
+    for _ in 0..RoutingMode::DEFAULT_LANDMARKS {
+        let far =
+            (0..closest.len()).fold(0, |far, v| if closest[v] > closest[far] { v } else { far });
+        let table = adj.distances_from(far);
+        for (c, &d) in closest.iter_mut().zip(&table) {
+            *c = (*c).min(d);
+        }
+        let entry = |d: u64| u32::try_from(d).unwrap_or(u32::MAX);
+        plain.push(table.into_iter().map(entry).collect::<Vec<u32>>());
+    }
+    assert_eq!(setup.landmark_tables(), plain);
 }
 
 /// The paper topology class (≈20k routers): a sampled set of participant

@@ -179,7 +179,9 @@ pub const ADVERSARY64: Row = Row {
 /// ramped over 5 s from t=5s. The knobs are tightened well below their
 /// defaults so every mechanism fires at this scale: the inbox budget forces
 /// sheds and join deferrals during the storm, and the working-set budget
-/// forces owed-floor evictions.
+/// forces owed-floor evictions. It is the one row whose liveness detector
+/// evicts senders that speak again, so `false_positive_evictions` shows here
+/// with the recovery columns.
 pub const OVERLOAD64: Row = Row {
     name: "overload64",
     topology: star64,
@@ -211,6 +213,7 @@ pub const OVERLOAD64: Row = Row {
         orphan_detections,
         reattaches,
         control_retries,
+        false_positive_evictions,
         health_penalties,
         quarantines,
         inbox_sheds,
