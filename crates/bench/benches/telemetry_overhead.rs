@@ -72,7 +72,7 @@ fn measure(config: &TelemetryConfig) -> (u64, f64) {
         let start = Instant::now();
         let result = run_metered_with(sim, &spec, config);
         let secs = start.elapsed().as_secs_f64();
-        events = result.summary.sim_events;
+        events = result.summary.sim.events;
         if secs < best_secs {
             best_secs = secs;
         }

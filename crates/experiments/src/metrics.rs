@@ -1,6 +1,8 @@
 //! Series and summary statistics for experiment results.
 
 use bullet_core::BulletMetrics;
+use bullet_dynamics::ScenarioStats;
+use bullet_netsim::{RepairStats, SimCounters};
 
 /// `numerator / denominator`, or `0.0` when the denominator is zero — the
 /// guard every summary ratio shares so a degenerate run (no packets, no
@@ -116,7 +118,9 @@ impl Cdf {
 }
 
 /// Scalar summary of one run, covering the numbers quoted in the text of
-/// §4.2 (control overhead, duplicate ratio, link stress).
+/// §4.2 (control overhead, duplicate ratio, link stress). Each counter has
+/// one home, a field of its own struct, and the summary carries those
+/// structs whole: `totals`, `sim`, `repair` and `scenario`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunSummary {
     /// Mean per-node useful bandwidth in steady state, Kbps.
@@ -137,11 +141,10 @@ pub struct RunSummary {
     pub link_stress_max: u64,
     /// Fraction of the generated stream the median node received.
     pub median_delivery_fraction: f64,
-    /// Total completed orphan re-attaches across nodes. The one counter
-    /// mirrored out of [`RunSummary::totals`]: `perf/src/workloads.rs`
-    /// reads `summary.reattaches`, and a product PR may not edit `perf/`.
-    /// The next `benchmark` PR reads `totals.reattaches` there, then this
-    /// field goes (as with `Network::set_repair_mode`).
+    /// Total completed orphan re-attaches across nodes: a copy of
+    /// `totals.reattaches`, kept because `perf/src/workloads.rs` reads
+    /// `summary.reattaches` and a product PR may not edit `perf/`. It goes
+    /// once perf reads `totals.reattaches` (ROADMAP item 1(d)).
     pub reattaches: u64,
     /// Mean seconds from orphan detection to re-attach acceptance (zero
     /// when nothing re-attached).
@@ -149,21 +152,23 @@ pub struct RunSummary {
     /// Median across re-attached nodes of their mean detection-to-accept
     /// time, seconds (the §4.6 acceptance number).
     pub median_reattach_secs: f64,
-    /// Route-affecting topology mutations the run applied;
-    /// zero for static-topology runs.
+    /// A copy of `repair.route_mutations`, kept while perf reads it; it goes
+    /// once perf reads `summary.repair.route_mutations` (ROADMAP item 1(d)).
     pub route_mutations: u64,
-    /// Interned routes invalidated by affected-region route repair.
-    pub routes_invalidated: u64,
-    /// ALT landmark tables repaired after improving mutations (admissibility
-    /// check failures; zero when mutations only worsened links or the
-    /// tables were already consistent).
-    pub landmark_repairs: u64,
     /// Every per-node counter folded over the overlay
     /// ([`BulletMetrics::absorb`]: sums, and the maximum of
     /// `peak_inbox_depth`): read a layer counter as
     /// `summary.totals.quarantines`. The baselines keep only the delivery
     /// core, so their layer counters are zero.
     pub totals: BulletMetrics,
+    /// The simulator's counters at the end of the run: events, deliveries
+    /// and every drop reason.
+    pub sim: SimCounters,
+    /// The network's route-repair counters (all zero on a static topology).
+    pub repair: RepairStats,
+    /// The scenario actions the driver applied (all zero for an empty
+    /// script).
+    pub scenario: ScenarioStats,
     /// Steady-state goodput credited only to receivers whose working set
     /// accepted zero tampered blocks, Kbps (`steady_useful_kbps` scaled by
     /// the clean-receiver fraction — one accepted forgery poisons that
@@ -171,20 +176,12 @@ pub struct RunSummary {
     /// every working set stayed clean; the defense-on/off comparison in
     /// the adversary figure is a ratio of these.
     pub clean_goodput_kbps: f64,
-    /// Messages shed at simulated ingress queues (the netsim
-    /// `NodeResources` model; zero when no resource model is installed).
-    pub ingress_sheds: u64,
-    /// Deepest simulated ingress backlog observed across resourced nodes.
+    /// Deepest simulated ingress backlog observed across resourced nodes
+    /// (the netsim `NodeResources` model; zero when none is installed).
     pub ingress_peak_depth: u64,
-    /// Simulator events dispatched over the run (deterministic; always
-    /// populated, telemetry on or off).
+    /// A copy of `sim.events`, kept while perf reads it; it goes once perf
+    /// reads `summary.sim.events` (ROADMAP item 1(d)).
     pub sim_events: u64,
-    /// Peak event-queue depth observed (zero unless self-profiling was
-    /// enabled for the run; deterministic when populated).
-    pub peak_queue_depth: u64,
-    /// Mean event-queue depth over all dispatches (zero unless
-    /// self-profiling was enabled; deterministic when populated).
-    pub mean_queue_depth: f64,
 }
 
 #[cfg(test)]

@@ -18,8 +18,6 @@ pub(crate) const NO_SCRIPT: ScenarioScript = ScenarioScript::new();
 
 /// The body every constructor below shares: one agent per participant, the
 /// simulator, the optional per-node resource models, the metered run.
-/// Telemetry stays off: profiling would write queue depths into the
-/// `RunSummary` a figure reports.
 fn run_on<A: MeteredAgent>(
     network: Network,
     agent: impl FnMut(OverlayId) -> A,

@@ -286,7 +286,7 @@ impl Meter {
         spec: &RunSpec,
         telemetry: &TelemetryConfig,
         wall_secs: f64,
-        repair_wall_secs: f64,
+        driver: &ScenarioDriver,
     ) -> RunResult {
         let n = self.n;
         // Every channel has one point per sample window, at the window's end.
@@ -306,13 +306,12 @@ impl Meter {
         let raw = series(self.ch_raw, format!("{} (raw)", spec.label));
         let from_parent = series(self.ch_parent, format!("{} (from parent)", spec.label));
 
-        // Fill the profile's wall-clock half before the deterministic
-        // pieces are read; `SelfProfile::eq` ignores these fields.
+        // The profile's wall-clock half, which `SelfProfile::eq` ignores.
         let mut profile = sim.profile();
         if let Some(p) = &mut profile {
             p.wall_secs = wall_secs;
             p.events_per_sec = ratio_or_zero(p.events as f64, wall_secs);
-            p.repair_wall_secs = repair_wall_secs;
+            p.repair_wall_secs = driver.repair_wall_secs;
         }
         let captured = if telemetry.is_off() {
             None
@@ -360,7 +359,6 @@ impl Meter {
         }
         let stress = sim.network().stress_stats();
         let repair = sim.network().repair_stats();
-        let ingress = sim.overload_stats();
         let duration_secs = spec.duration.as_secs_f64().max(1e-9);
         let summary = RunSummary {
             steady_useful_kbps: useful.steady_state_kbps(0.25),
@@ -378,11 +376,10 @@ impl Meter {
             mean_reattach_secs: mean_secs_from_us(totals.reattach_wait_us, totals.reattaches),
             median_reattach_secs: median_or_zero(node_reattach_secs),
             route_mutations: repair.route_mutations,
-            routes_invalidated: repair.routes_invalidated,
-            landmark_repairs: repair.landmark_repairs,
             totals,
-            ingress_sheds: ingress.dropped,
-            ingress_peak_depth: ingress.peak_depth as u64,
+            sim: sim.counters(),
+            repair,
+            scenario: driver.stats,
             clean_goodput_kbps: {
                 // Goodput credited only to *clean* receivers. Blocks feed
                 // the downstream decoder, so a receiver whose working set
@@ -397,9 +394,8 @@ impl Meter {
                 };
                 useful.steady_state_kbps(0.25) * clean_fraction
             },
+            ingress_peak_depth: sim.overload_stats().peak_depth as u64,
             sim_events: sim.counters().events,
-            peak_queue_depth: profile.map_or(0, |p| p.peak_queue_depth),
-            mean_queue_depth: profile.map_or(0.0, |p| p.mean_queue_depth),
         };
 
         RunResult {
@@ -468,13 +464,7 @@ pub fn run_metered_dynamic_with<A: MeteredAgent>(
         meter.sample(now, sim)
     });
     let wall_secs = started.elapsed().as_secs_f64();
-    meter.finish(
-        &mut sim,
-        spec,
-        telemetry,
-        wall_secs,
-        driver.repair_wall_secs,
-    )
+    meter.finish(&mut sim, spec, telemetry, wall_secs, &driver)
 }
 
 #[cfg(test)]
@@ -589,9 +579,10 @@ mod tests {
     fn telemetry_off_run_carries_no_telemetry() {
         let result = streaming_run(6, 10);
         assert!(result.telemetry.is_none());
-        assert!(result.summary.sim_events > 0, "sim_events always populated");
-        assert_eq!(result.summary.peak_queue_depth, 0);
-        assert_eq!(result.summary.mean_queue_depth, 0.0);
+        assert!(
+            result.summary.sim.events > 0,
+            "sim counters always populated"
+        );
     }
 
     #[test]
@@ -609,11 +600,7 @@ mod tests {
         assert_eq!(traced.raw, plain.raw);
         assert_eq!(traced.from_parent, plain.from_parent);
         assert_eq!(traced.per_node_useful_bytes, plain.per_node_useful_bytes);
-        assert_eq!(
-            traced.summary.steady_useful_kbps,
-            plain.summary.steady_useful_kbps
-        );
-        assert_eq!(traced.summary.sim_events, plain.summary.sim_events);
+        assert_eq!(traced.summary, plain.summary);
 
         let telemetry = traced.telemetry.expect("telemetry captured");
         assert!(!telemetry.trace_jsonl.is_empty());
@@ -621,8 +608,7 @@ mod tests {
             .series_jsonl
             .contains("\"series\":\"useful_kbps\""));
         let profile = telemetry.profile.expect("profile captured");
-        assert_eq!(profile.events, traced.summary.sim_events);
+        assert_eq!(profile.events, traced.summary.sim.events);
         assert!(profile.peak_queue_depth > 0);
-        assert_eq!(traced.summary.peak_queue_depth, profile.peak_queue_depth);
     }
 }

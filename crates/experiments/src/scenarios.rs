@@ -785,7 +785,7 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             knobs.working_set_budget,
             s.totals.slow_demotions,
             s.ingress_peak_depth,
-            s.ingress_sheds,
+            s.sim.dropped_overload,
             unbounded.summary.ingress_peak_depth,
         ));
         if arms[0].len() > 1 {

@@ -124,19 +124,16 @@ struct ResourceState {
     busy_until_us: u64,
     /// Deepest backlog observed at any admission decision.
     peak_depth: u32,
-    /// Messages shed at this node.
-    dropped: u64,
 }
 
-/// Per-node overload observations: `(peak queue depth, messages shed)`.
-/// Returned by [`Sim::node_overload_stats`]; all-zero when no resource
-/// model is installed for the node.
+/// Per-node overload observations, returned by [`Sim::node_overload_stats`];
+/// all-zero when no resource model is installed for the node. The messages
+/// shed are counted once, for every node, in
+/// [`SimCounters::dropped_overload`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeOverloadStats {
     /// Deepest ingress backlog observed.
     pub peak_depth: u32,
-    /// Messages shed at the ingress queue.
-    pub dropped: u64,
 }
 
 /// Deterministic per-sender fault and adversary model.
@@ -638,7 +635,6 @@ impl<A: Agent> Sim<A> {
                     model,
                     busy_until_us: 0,
                     peak_depth: 0,
-                    dropped: 0,
                 })
             }
         }
@@ -651,27 +647,25 @@ impl<A: Agent> Sim<A> {
             .and_then(|states| states[node].map(|s| s.model))
     }
 
-    /// Overload observations for `node`: peak ingress backlog and messages
-    /// shed. All-zero when no resource model was ever installed.
+    /// Overload observations for `node`. All-zero when no resource model
+    /// was ever installed.
     pub fn node_overload_stats(&self, node: OverlayId) -> NodeOverloadStats {
         self.resources
             .as_ref()
             .and_then(|states| states[node])
             .map(|s| NodeOverloadStats {
                 peak_depth: s.peak_depth,
-                dropped: s.dropped,
             })
             .unwrap_or_default()
     }
 
     /// Overload observations aggregated across every node with a resource
-    /// model: `(max peak depth, total messages shed)`.
+    /// model: the deepest peak.
     pub fn overload_stats(&self) -> NodeOverloadStats {
         let mut total = NodeOverloadStats::default();
         if let Some(states) = &self.resources {
             for state in states.iter().flatten() {
                 total.peak_depth = total.peak_depth.max(state.peak_depth);
-                total.dropped += state.dropped;
             }
         }
         total
@@ -934,7 +928,6 @@ impl<A: Agent> Sim<A> {
                     if depth >= state.model.queue_budget
                         && state.model.discipline == QueueDiscipline::DropTail
                     {
-                        state.dropped += 1;
                         self.counters.dropped_overload += 1;
                         self.trace(CAT_SIM, flight.from as u32, || TraceData::Drop {
                             to: node as u32,
@@ -1309,6 +1302,22 @@ mod tests {
         );
         assert!(sim.is_failed(1));
         assert!(sim.counters().dropped_dest_failed > 0 || sim.counters().dropped_src_failed > 0);
+    }
+
+    /// A node down from the start (as `ScenarioDriver::install` leaves one
+    /// that joins later) sends nothing: its `on_start` ping is dropped at
+    /// the sender and nothing is delivered.
+    #[test]
+    fn a_node_failed_before_start_drops_its_sends() {
+        let spec = two_node_spec();
+        let agents = vec![PingAgent::new(1, true, 3), PingAgent::new(0, false, 0)];
+        let mut sim = Sim::new(&spec, agents, 1);
+        sim.set_node_failed(0, true);
+        sim.run_until(SimTime::from_secs(5));
+        let counters = sim.counters();
+        assert_eq!(counters.dropped_src_failed, 1);
+        assert_eq!(counters.delivered, 0);
+        assert_eq!(sim.traffic(0).data_bytes_out, 0);
     }
 
     #[test]
@@ -1738,7 +1747,6 @@ mod tests {
         let (counters, stats) = run();
         assert_eq!(counters.dropped_overload, 5);
         assert_eq!(counters.delivered, 5 + 5, "5 pings admitted, 5 pongs back");
-        assert_eq!(stats.dropped, 5);
         assert_eq!(stats.peak_depth, 4, "backlog peaked at the budget");
         assert_eq!((counters, stats), run(), "the model is deterministic");
     }
@@ -1765,7 +1773,6 @@ mod tests {
         sim.invoke_agent(0, |_, ctx| ctx.send_data(1, PingMsg::Ping(9), 100));
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.counters().dropped_overload, 1, "drained queue admits");
-        assert_eq!(sim.node_overload_stats(1).dropped, 1);
         assert_eq!(sim.node_resources(1).map(|m| m.queue_budget), Some(2));
         assert_eq!(sim.node_resources(0), None);
     }
@@ -1796,7 +1803,6 @@ mod tests {
         let midway = sim.counters().delivered;
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.counters().dropped_overload, 0, "unbounded never sheds");
-        assert_eq!(sim.node_overload_stats(1).dropped, 0);
         assert!(
             sim.node_overload_stats(1).peak_depth > 4,
             "backlog grows past the nominal budget, got {}",

@@ -127,7 +127,7 @@ fn main() {
         "trace_probe {{\"out_dir\":{:?},\"sim_events\":{},\"trace_lines\":{},\"series_lines\":{},\
          \"journeys\":{},\"mesh_recovery_journeys\":{},\"steady_useful_kbps\":{},\"profile\":{}}}",
         out_dir.display().to_string(),
-        result.summary.sim_events,
+        result.summary.sim.events,
         count_lines(&telemetry.trace_jsonl),
         count_lines(&telemetry.series_jsonl),
         journeys,
