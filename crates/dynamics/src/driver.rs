@@ -118,8 +118,7 @@ impl ScenarioDriver {
             {
                 // Expand the storm deterministically: the cohort starts the
                 // run down and joins at seeded uniform offsets inside the
-                // ramp — the same shape `ScenarioScript::flash_crowd`
-                // generates, but carried as one compact script line.
+                // ramp, drawn in node order.
                 let mut rng = SimRng::new(seed);
                 for node in first..first + count {
                     if !initially_down.contains(&node) {
@@ -630,6 +629,15 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut driver = ScenarioDriver::new(&script);
+        // The storm expands to the cohort marked down from the start and
+        // one join per member inside `[t, t + ramp)`.
+        assert_eq!(driver.initially_down, vec![2, 3, 4]);
+        assert_eq!(driver.stepped.len(), 3, "one join per cohort member");
+        for event in &driver.stepped {
+            assert!(matches!(event.action, ScenarioAction::Join { .. }));
+            assert!(event.at >= SimTime::from_secs(5));
+            assert!(event.at < SimTime::from_secs(9));
+        }
         let first = joins_of(&mut driver);
         assert_eq!(driver.stats.joins, 3, "every storm member joins");
         for joins in &first {

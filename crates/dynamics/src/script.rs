@@ -1,7 +1,7 @@
 //! Scenario scripts: deterministic, time-sorted mid-run event lists.
 //!
 //! A script is data, not behaviour: it can be built explicitly, generated
-//! from churn/flash-crowd/oscillation distributions, or parsed from a text
+//! from churn/oscillation/outage distributions, or parsed from a text
 //! format (the one the `figures` bench reads from `BULLET_SCENARIO`). The
 //! [`crate::ScenarioDriver`] applies it to a running simulation.
 
@@ -285,22 +285,6 @@ impl ScenarioScript {
                 script.push(SimTime::from_secs_f64(t), ScenarioAction::Join { node });
                 t += rng.exponential(config.mean_session_secs);
             }
-        }
-        script
-    }
-
-    /// A flash crowd: `nodes` start the run down and join at times drawn
-    /// uniformly from `[start, start + ramp)`.
-    pub fn flash_crowd(nodes: &[OverlayId], start: SimTime, ramp_secs: f64, seed: u64) -> Self {
-        let mut script = Self::new();
-        let mut rng = SimRng::new(seed);
-        for &node in nodes {
-            script.down_from_start(node);
-            let offset = rng.next_f64() * ramp_secs;
-            script.push(
-                SimTime::from_secs_f64(start.as_secs_f64() + offset),
-                ScenarioAction::Join { node },
-            );
         }
         script
     }
@@ -764,20 +748,6 @@ mod tests {
                     left_gracefully = true;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn flash_crowd_marks_nodes_down_and_joins_inside_the_ramp() {
-        let nodes: Vec<usize> = (10..30).collect();
-        let start = SimTime::from_secs(50);
-        let script = ScenarioScript::flash_crowd(&nodes, start, 20.0, 3);
-        assert_eq!(script.initially_down(), &nodes[..]);
-        assert_eq!(script.len(), nodes.len(), "one join per crowd member");
-        for event in script.sorted_events() {
-            assert!(matches!(event.action, ScenarioAction::Join { .. }));
-            assert!(event.at >= start);
-            assert!(event.at.as_secs_f64() < start.as_secs_f64() + 20.0);
         }
     }
 

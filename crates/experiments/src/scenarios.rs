@@ -122,20 +122,25 @@ pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
     let tree = topo.tree(TreeKind::Random { max_children: 10 }, 0, p.seed);
     let config = p.bullet_config(SCENARIO_RATE_BPS).churn();
 
-    let crowd_start = p.participants - (p.participants * 6 / 10);
-    let crowd: Vec<OverlayId> = (crowd_start.max(1)..p.participants).collect();
+    let first = (p.participants - (p.participants * 6 / 10)).max(1);
+    let crowd: Vec<OverlayId> = (first..p.participants).collect();
     let window = p.duration.as_secs_f64() - p.stream_start.as_secs_f64();
     let join_at = SimTime::from_secs_f64(p.stream_start.as_secs_f64() + window * 0.4);
     let ramp = window * 0.1;
 
     let mut plan = RunGrid::new(sweep);
-    let joiners = crowd.clone();
+    let count = crowd.len();
     plan.arm(&p, "Bullet - flash crowd", move |run, seed| {
-        let script = ScenarioScript::flash_crowd(&joiners, join_at, ramp, seed ^ 0xF1A5);
+        let storm = ScenarioAction::JoinStorm {
+            first,
+            count,
+            ramp_secs: ramp,
+            seed: seed ^ 0xF1A5,
+        };
+        let script = ScenarioScript::new().at(join_at, storm);
         bullet_run_on(topo.network(), &tree, &config, run, &script, seed)
     });
 
-    let crowd_len = crowd.len();
     plan.assemble(move |arms| {
         let mut figure = FigureResult::new(
             "flashcrowd",
@@ -153,7 +158,7 @@ pub(crate) fn flash_crowd_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
         // up to a healthy rate.
         let catch_up = crowd_catch_up_secs(result, &crowd, join_at.as_secs_f64() + ramp);
         figure.notes.push(format!(
-            "{crowd_len} joiners over {ramp:.0}s starting at t={:.0}s; steady useful {:.0} Kbps; crowd reached half the steady rate {} after the ramp",
+            "{count} joiners over {ramp:.0}s starting at t={:.0}s; steady useful {:.0} Kbps; crowd reached half the steady rate {} after the ramp",
             join_at.as_secs_f64(),
             result.summary.steady_useful_kbps,
             match catch_up {

@@ -109,14 +109,13 @@ pub const CHURN64: Row = Row {
     run_secs: 20,
     config: BulletConfig::churn,
     script: Some(|seed| {
-        let crowd: Vec<usize> = (48..STAR_NODES).collect();
-        let crowd = ScenarioScript::flash_crowd(&crowd, SimTime::from_secs(8), 4.0, seed ^ 0xF1A5);
-        script(
+        script(&format!(
             "6 crash 3; 10 join 3; 9 leave 5
              7 link-bw 1 1000000; 13 link-bw 1 2000000
-             11 router-down 7; 14 router-up 7",
-        )
-        .merge(crowd)
+             11 router-down 7; 14 router-up 7
+             8 joinstorm 48 16 4 {}",
+            seed ^ 0xF1A5
+        ))
     }),
     layer: &[],
 };
