@@ -15,6 +15,15 @@ use crate::bandwidth::BandwidthProfile;
 use crate::classes::{LinkClass, NodeClass};
 use crate::loss::LossProfile;
 
+/// Probability of an extra chord between two routers of the same transit
+/// domain (beyond the connecting ring).
+const TRANSIT_CHORD_PROB: f64 = 0.3;
+/// One-way delay, in milliseconds, corresponding to crossing the entire
+/// placement plane. Link delays scale with Euclidean distance.
+const PLANE_DELAY_MS: f64 = 40.0;
+/// Queue depth expressed as seconds of buffering at the link rate.
+const QUEUE_SECONDS: f64 = 0.2;
+
 /// Configuration for the transit-stub generator.
 #[derive(Clone, Debug)]
 pub struct TopologyConfig {
@@ -33,9 +42,6 @@ pub struct TopologyConfig {
     pub leaf_routers_per_stub: usize,
     /// Number of overlay participants (clients attached to stub routers).
     pub clients: usize,
-    /// Probability of an extra chord between two routers of the same transit
-    /// domain (beyond the connecting ring).
-    pub transit_chord_prob: f64,
     /// Probability of an extra inter-domain transit link per domain pair
     /// (beyond the connecting ring).
     pub interdomain_link_prob: f64,
@@ -47,11 +53,6 @@ pub struct TopologyConfig {
     pub loss: LossProfile,
     /// Seed for all topology randomness.
     pub seed: u64,
-    /// One-way delay, in milliseconds, corresponding to crossing the entire
-    /// placement plane. Link delays scale with Euclidean distance.
-    pub plane_delay_ms: f64,
-    /// Queue depth expressed as seconds of buffering at the link rate.
-    pub queue_seconds: f64,
 }
 
 impl TopologyConfig {
@@ -64,14 +65,11 @@ impl TopologyConfig {
             routers_per_stub: 4,
             leaf_routers_per_stub: 0,
             clients,
-            transit_chord_prob: 0.3,
             interdomain_link_prob: 0.5,
             stub_stub_links_per_domain: 0.5,
             bandwidth: BandwidthProfile::Medium,
             loss: LossProfile::None,
             seed,
-            plane_delay_ms: 40.0,
-            queue_seconds: 0.2,
         }
     }
 
@@ -85,14 +83,11 @@ impl TopologyConfig {
             routers_per_stub: 8,
             leaf_routers_per_stub: 0,
             clients,
-            transit_chord_prob: 0.3,
             interdomain_link_prob: 0.5,
             stub_stub_links_per_domain: 1.0,
             bandwidth: BandwidthProfile::Medium,
             loss: LossProfile::None,
             seed,
-            plane_delay_ms: 40.0,
-            queue_seconds: 0.2,
         }
     }
 
@@ -105,14 +100,11 @@ impl TopologyConfig {
             routers_per_stub: 16,
             leaf_routers_per_stub: 4,
             clients,
-            transit_chord_prob: 0.3,
             interdomain_link_prob: 0.4,
             stub_stub_links_per_domain: 1.0,
             bandwidth: BandwidthProfile::Medium,
             loss: LossProfile::None,
             seed,
-            plane_delay_ms: 40.0,
-            queue_seconds: 0.2,
         }
     }
 
@@ -202,7 +194,7 @@ pub fn generate(config: &TopologyConfig) -> BuiltTopology {
                 pending_links.push((domain[i], domain[(i + 1) % domain.len()]));
             }
             for j in i + 2..domain.len() {
-                if rng.chance(config.transit_chord_prob) {
+                if rng.chance(TRANSIT_CHORD_PROB) {
                     pending_links.push((domain[i], domain[j]));
                 }
             }
@@ -335,10 +327,10 @@ pub fn generate(config: &TopologyConfig) -> BuiltTopology {
         let dx = positions[a].x - positions[b].x;
         let dy = positions[a].y - positions[b].y;
         let dist = (dx * dx + dy * dy).sqrt();
-        let delay_ms = (dist * config.plane_delay_ms).max(0.5);
+        let delay_ms = (dist * PLANE_DELAY_MS).max(0.5);
         let overloaded = rng.chance(config.loss.overloaded_fraction());
         let loss = config.loss.sample(class, overloaded, &mut rng);
-        let queue_bytes = ((bandwidth * config.queue_seconds / 8.0) as u32).max(16_000);
+        let queue_bytes = ((bandwidth * QUEUE_SECONDS / 8.0) as u32).max(16_000);
         let link_idx = spec.add_link(
             LinkSpec::new(
                 a,
