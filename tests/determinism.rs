@@ -73,7 +73,8 @@ fn bullet_64_is_deterministic_across_runs() {
 }
 
 /// The scenario driver, the mutable network's route invalidation (one stub
-/// outage down and up: `epoch` 2) and the churn paths of the protocol.
+/// outage down and up: `repair.route_mutations` 2) and the churn paths of
+/// the protocol.
 #[test]
 fn churn_64_matches_golden_run() {
     assert_pinned(&CHURN64);

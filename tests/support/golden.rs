@@ -415,10 +415,7 @@ fn render_run(row: &Row, sim: &Sim<BulletNode>, scenario: ScenarioStats) -> Stri
         corrupted_adversary, stalled_adversary, dropped_overload
     } skip { events, timers_fired })
     .into_iter()
-    .chain([
-        ("bytes_sent", network.total_bytes_sent()),
-        ("epoch", repair.route_mutations),
-    ])
+    .chain([("bytes_sent", network.total_bytes_sent())])
     .chain(fields!("scenario.", scenario => ScenarioStats {
         crashes, recoveries, leaves, joins, link_mutations, router_mutations, partitions, heals,
         faults, adversaries, slow_nodes
