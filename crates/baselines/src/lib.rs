@@ -16,6 +16,7 @@
 //! differences in the results reflect the algorithms rather than
 //! implementation details (the role MACEDON plays in the paper).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod antientropy;

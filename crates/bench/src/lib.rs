@@ -11,6 +11,7 @@
 //! [`Knobs`] value that each target hands down; no library crate reads
 //! the environment.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod pool;

@@ -19,6 +19,7 @@
 //! * [`config`] — the tunables, defaulting to the paper's parameters, and
 //!   the fixed constants of the optional layers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

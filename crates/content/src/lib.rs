@@ -16,6 +16,7 @@
 //! * [`block`] — per-block integrity digests ([`block_digest`]) for
 //!   verifying that forwarded data carries the source's bytes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

@@ -35,6 +35,7 @@
 //! insertion index)`, and the driver's interleaving with the simulator is a
 //! pure function of the script and the seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod driver;

@@ -11,6 +11,7 @@
 //! reports. The `figures` bench in `crates/bench` prints them via
 //! [`report`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod env;

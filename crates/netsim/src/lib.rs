@@ -46,6 +46,7 @@
 //! assert!(sim.agent(1).greeted);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agent;

@@ -6,7 +6,6 @@
 //! delay, fires timers, and injects scheduled node failures.
 
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
 
 use bullet_telemetry::{
     DropReason, FlightRecorder, SelfProfile, TraceData, TraceSpec, CAT_ROUTE, CAT_SIM, NETWORK_NODE,
@@ -208,20 +207,12 @@ type FlightId = u32;
 
 /// Recycled slab of in-flight messages, indexed by [`FlightId`].
 ///
-/// Slots are `MaybeUninit` rather than `Option`: the hottest queue path
-/// (every hop and delivery resolves a `FlightId`) pays neither the
-/// discriminant byte (which padded each slot) nor the `Some`-check branch.
-///
-/// # Safety invariant
-///
-/// A slot is initialized if and only if its id is *not* on the `free` list.
-/// [`Sim`] upholds this by construction: `alloc` writes the slot and hands
-/// out the id inside exactly one queued `Hop`/`Deliver` event; the event's
-/// handler either forwards the id into the next queued event or ends the
-/// flight through `take`/`free`, which return the id to the free list. No
-/// id is ever referenced by two live events, so no freed slot is ever read.
+/// A slot is `Some` exactly while its id is held by one queued `Hop` or
+/// `Deliver` event. `Flight`'s `charged: bool` gives `Option` a niche, so
+/// a slot is no larger than the flight itself (see
+/// `flight_slots_cost_no_discriminant`).
 struct FlightSlab<M> {
-    slots: Vec<MaybeUninit<Flight<M>>>,
+    slots: Vec<Option<Flight<M>>>,
     /// Free slots in `slots`.
     free: Vec<FlightId>,
 }
@@ -238,7 +229,7 @@ impl<M> FlightSlab<M> {
     fn alloc(&mut self, flight: Flight<M>) -> FlightId {
         match self.free.pop() {
             Some(fid) => {
-                self.slots[fid as usize].write(flight);
+                self.slots[fid as usize] = Some(flight);
                 fid
             }
             None => {
@@ -246,36 +237,29 @@ impl<M> FlightSlab<M> {
                     self.slots.len() < u32::MAX as usize,
                     "flight pool exhausted"
                 );
-                self.slots.push(MaybeUninit::new(flight));
+                self.slots.push(Some(flight));
                 (self.slots.len() - 1) as FlightId
             }
         }
     }
 
-    /// A live flight. `fid` must come from [`FlightSlab::alloc`] and not yet
-    /// have been returned through [`FlightSlab::take`] or
-    /// [`FlightSlab::free`] (the safety invariant above).
+    /// A live flight: `fid` came from [`FlightSlab::alloc`] and has not
+    /// been taken or released since.
     #[inline]
     fn get(&self, fid: FlightId) -> &Flight<M> {
-        // SAFETY: per the slab invariant, a fid held by a queued event is
-        // not on the free list, so its slot was written by `alloc`.
-        unsafe { self.slots[fid as usize].assume_init_ref() }
+        self.slots[fid as usize].as_ref().expect("a live flight")
     }
 
-    /// Mutable access to a live flight; same contract as [`FlightSlab::get`].
+    /// Mutable access to a live flight.
     #[inline]
     fn get_mut(&mut self, fid: FlightId) -> &mut Flight<M> {
-        // SAFETY: as in `get`.
-        unsafe { self.slots[fid as usize].assume_init_mut() }
+        self.slots[fid as usize].as_mut().expect("a live flight")
     }
 
-    /// Moves a live flight out and returns its slot to the pool; same
-    /// contract as [`FlightSlab::get`].
+    /// Moves a live flight out and returns its slot to the pool.
     #[inline]
     fn take(&mut self, fid: FlightId) -> Flight<M> {
-        // SAFETY: as in `get`; pushing fid onto the free list afterwards is
-        // what marks the slot uninitialized again.
-        let flight = unsafe { self.slots[fid as usize].assume_init_read() };
+        let flight = self.slots[fid as usize].take().expect("a live flight");
         self.free.push(fid);
         flight
     }
@@ -294,29 +278,6 @@ impl<M> FlightSlab<M> {
     /// Currently free slots.
     fn free_slots(&self) -> usize {
         self.free.len()
-    }
-}
-
-impl<M> Drop for FlightSlab<M> {
-    fn drop(&mut self) {
-        if !std::mem::needs_drop::<Flight<M>>() {
-            return;
-        }
-        // Flights still in the air when the simulator is dropped (events
-        // left in the queue) own payloads that must be released. Rebuild
-        // occupancy from the free list; this is the only O(slots) walk and
-        // it runs once, at teardown.
-        let mut live = vec![true; self.slots.len()];
-        for &fid in &self.free {
-            live[fid as usize] = false;
-        }
-        for (slot, live) in self.slots.iter_mut().zip(live) {
-            if live {
-                // SAFETY: the slot is not on the free list, so per the slab
-                // invariant it holds an initialized flight.
-                unsafe { slot.assume_init_drop() };
-            }
-        }
     }
 }
 
@@ -1554,8 +1515,7 @@ mod tests {
     }
 
     /// Flights still queued when the simulator is torn down own their
-    /// payloads; the `MaybeUninit` flight slab must drop them (its `Drop`
-    /// walks the occupancy the free list implies).
+    /// payloads; dropping the flight slab must drop them.
     #[test]
     fn in_flight_payloads_are_dropped_with_the_sim() {
         use std::sync::Arc;
@@ -1586,6 +1546,19 @@ mod tests {
             Arc::strong_count(&keeper),
             1,
             "queued flight payloads leaked at teardown"
+        );
+    }
+
+    /// A flight slot is an `Option<Flight<M>>`, and the slot layout depends
+    /// on `Flight`'s `charged: bool` giving `Option` a niche: the slot costs
+    /// no discriminant and stays the size of the flight it holds.
+    #[test]
+    fn flight_slots_cost_no_discriminant() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<Flight<u64>>>(), size_of::<Flight<u64>>());
+        assert_eq!(
+            size_of::<Option<Flight<[u64; 6]>>>(),
+            size_of::<Flight<[u64; 6]>>()
         );
     }
 

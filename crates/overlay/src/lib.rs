@@ -16,6 +16,7 @@
 //! The paper's other comparison, an Overcast-style online tree (§4.2), is
 //! not built: no figure streams over one.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod handcrafted;

@@ -15,6 +15,7 @@
 //! messages and returns [`RanSubEvent`]s for the embedding protocol to act
 //! on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compact;

@@ -28,6 +28,7 @@
 //! raw `u64` microseconds, and nothing here ever touches an RNG, so
 //! installing a recorder cannot perturb a simulation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counters;

@@ -12,6 +12,7 @@
 //! ([`generate`]) that produces a [`bullet_netsim::NetworkSpec`] plus the
 //! per-link classification metadata the experiment harnesses need.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bandwidth;

@@ -39,6 +39,7 @@
 //! peers (gossip's full membership at paper scale is the largest). The table
 //! is also the seam a socket transport would implement.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod connections;

@@ -9,6 +9,7 @@
 //!
 //! See `README.md` for a tour.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use bullet_baselines as baselines;
