@@ -41,12 +41,9 @@ use crate::messages::BulletMsg;
 use crate::metrics::BulletMetrics;
 use crate::peering::PeerManager;
 
-/// Timer tags used by the node. The low byte of a tag is the timer kind;
-/// the high bits carry the node's *timer generation*, bumped on every
-/// rejoin so periodic chains armed before a crash die silently instead of
-/// doubling up with the chains the rejoin re-arms. Generation zero keeps
-/// the raw constants, so a node that never rejoins arms exactly the tags
-/// below.
+/// Timer tags used by the node. A rejoin needs no tag of its own: the
+/// simulator cancels every timer a node armed before it rejoined, so the
+/// chains `on_join` re-arms are the only ones left.
 mod timer {
     pub const GENERATE: u64 = 1;
     pub const RANSUB_EPOCH: u64 = 2;
@@ -63,9 +60,6 @@ mod timer {
     /// Deferred-join retry: armed once per `PeeringDeferred` received,
     /// firing after the responder's requested backoff (overload layer).
     pub const DEFER_RETRY: u64 = 9;
-
-    /// Bits of the tag holding the timer kind.
-    pub const KIND_BITS: u32 = 8;
 }
 
 /// The in-flight state of one §4.6 re-attach: the deterministic candidate
@@ -138,9 +132,6 @@ pub struct BulletNode {
 
     /// Cumulative data-plane metrics sampled by the experiment harness.
     pub metrics: BulletMetrics,
-    /// Timer generation (see the `timer` module docs): bumped on rejoin so
-    /// stale periodic chains die instead of doubling.
-    timer_gen: u64,
 
     // ---- §4.6 recovery subsystem (inert unless `config.recovery`) ----
     /// Ancestors from the parent up to the root, as far as locally known
@@ -261,7 +252,6 @@ impl BulletNode {
             scratch_keys: Vec::new(),
             scratch_factors: Vec::new(),
             metrics: BulletMetrics::default(),
-            timer_gen: 0,
             root_path,
             root_id,
             last_sample: Vec::new(),
@@ -298,11 +288,6 @@ impl BulletNode {
     /// whenever the child list changes.
     fn fresh_disjoint(children: &[OverlayId], config: &BulletConfig) -> DisjointSender {
         DisjointSender::new(children, config.packets_per_epoch(), config.disjoint_send)
-    }
-
-    /// Encodes a timer kind with the current timer generation.
-    fn tag(&self, kind: u64) -> u64 {
-        kind | (self.timer_gen << timer::KIND_BITS)
     }
 
     /// Whether this node is the stream source (the tree root).
@@ -666,35 +651,34 @@ impl BulletNode {
         }
     }
 
-    /// Arms the node's timer chains under the current timer generation: at
-    /// the source, stream generation and the RanSub epoch; everywhere, the
-    /// recurring maintenance timers (peer service, filter refresh, mesh
-    /// evaluation, housekeeping), staggered so thousands of nodes do not
-    /// wake up on the same tick; under recovery, every non-root node's
-    /// orphan detection. Used at start-up and again by the late-join
-    /// bootstrap.
+    /// Arms the node's timer chains: at the source, stream generation and
+    /// the RanSub epoch; everywhere, the recurring maintenance timers (peer
+    /// service, filter refresh, mesh evaluation, housekeeping), staggered so
+    /// thousands of nodes do not wake up on the same tick; under recovery,
+    /// every non-root node's orphan detection. Used at start-up and again by
+    /// the late-join bootstrap.
     fn arm_timers(&mut self, ctx: &mut Context<'_, BulletMsg>) {
         if self.is_root() {
             let start_delay = self.config.stream_start.saturating_since(ctx.now());
-            ctx.set_timer(start_delay, self.tag(timer::GENERATE));
-            ctx.set_timer(self.config.ransub_epoch, self.tag(timer::RANSUB_EPOCH));
+            ctx.set_timer(start_delay, timer::GENERATE);
+            ctx.set_timer(self.config.ransub_epoch, timer::RANSUB_EPOCH);
         }
         let jitter =
             |rng: &mut bullet_netsim::SimRng, d: SimDuration| d.mul_f64(rng.range_f64(0.5, 1.5));
         let service = jitter(ctx.rng(), PEER_SERVICE_INTERVAL);
-        ctx.set_timer(service, self.tag(timer::PEER_SERVICE));
+        ctx.set_timer(service, timer::PEER_SERVICE);
         let refresh = jitter(ctx.rng(), self.config.filter_refresh_interval);
-        ctx.set_timer(refresh, self.tag(timer::FILTER_REFRESH));
+        ctx.set_timer(refresh, timer::FILTER_REFRESH);
         let eval = jitter(ctx.rng(), self.config.mesh_eval_interval);
-        ctx.set_timer(eval, self.tag(timer::MESH_EVAL));
+        ctx.set_timer(eval, timer::MESH_EVAL);
         let housekeeping = jitter(ctx.rng(), SimDuration::from_secs(1));
-        ctx.set_timer(housekeeping, self.tag(timer::HOUSEKEEPING));
+        ctx.set_timer(housekeeping, timer::HOUSEKEEPING);
         if self.config.recovery && !self.is_root() {
             // Orphan detection: the first check waits out a two-epoch grace
             // — RanSub needs a full epoch to reach the leaves after start-up
             // or a rejoin — then the handler re-arms every epoch.
             let grace = self.config.ransub_epoch.saturating_mul(2);
-            ctx.set_timer(grace, self.tag(timer::ORPHAN));
+            ctx.set_timer(grace, timer::ORPHAN);
         }
     }
 
@@ -765,7 +749,7 @@ impl BulletNode {
             return;
         }
         self.retry_timer_armed = true;
-        ctx.set_timer(RETRY_BASE, self.tag(timer::RETRY));
+        ctx.set_timer(RETRY_BASE, timer::RETRY);
     }
 
     /// One orphan-detection tick: a strike per epoch without a parent
@@ -1409,7 +1393,7 @@ impl Agent for BulletNode {
                 }
                 let due = (ctx.now() + retry_after).as_micros();
                 self.deferred_retries.push((due, from));
-                ctx.set_timer(retry_after, self.tag(timer::DEFER_RETRY));
+                ctx.set_timer(retry_after, timer::DEFER_RETRY);
             }
             BulletMsg::FilterRefresh { request } => {
                 if let Some(receiver) = self.peers.receiver_mut(from) {
@@ -1482,12 +1466,7 @@ impl Agent for BulletNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BulletMsg>, tag: u64) {
-        if tag >> timer::KIND_BITS != self.timer_gen {
-            // A periodic chain armed before a crash/rejoin: let it die
-            // instead of doubling up with the chains the rejoin re-armed.
-            return;
-        }
-        match tag & ((1 << timer::KIND_BITS) - 1) {
+        match tag {
             timer::GENERATE => {
                 let seq = self.next_seq;
                 self.next_seq += 1;
@@ -1498,28 +1477,25 @@ impl Agent for BulletNode {
                 if self.learn_seq(seq) {
                     self.route_to_children(ctx, seq);
                 }
-                ctx.set_timer(self.packet_interval, self.tag(timer::GENERATE));
+                ctx.set_timer(self.packet_interval, timer::GENERATE);
             }
             timer::RANSUB_EPOCH => {
                 let events = self.ransub.start_epoch(ctx.rng());
                 self.handle_ransub_events(ctx, events);
-                ctx.set_timer(self.config.ransub_epoch, self.tag(timer::RANSUB_EPOCH));
+                ctx.set_timer(self.config.ransub_epoch, timer::RANSUB_EPOCH);
             }
             timer::PEER_SERVICE => {
                 self.serve_receivers(ctx);
-                ctx.set_timer(PEER_SERVICE_INTERVAL, self.tag(timer::PEER_SERVICE));
+                ctx.set_timer(PEER_SERVICE_INTERVAL, timer::PEER_SERVICE);
             }
             timer::FILTER_REFRESH => {
                 self.rebuild_ticket();
                 self.refresh_senders(ctx);
-                ctx.set_timer(
-                    self.config.filter_refresh_interval,
-                    self.tag(timer::FILTER_REFRESH),
-                );
+                ctx.set_timer(self.config.filter_refresh_interval, timer::FILTER_REFRESH);
             }
             timer::MESH_EVAL => {
                 self.evaluate_mesh(ctx);
-                ctx.set_timer(self.config.mesh_eval_interval, self.tag(timer::MESH_EVAL));
+                ctx.set_timer(self.config.mesh_eval_interval, timer::MESH_EVAL);
             }
             timer::HOUSEKEEPING => {
                 self.inbox_window = 0;
@@ -1548,11 +1524,11 @@ impl Agent for BulletNode {
                     self.tainted = self.tainted.split_off(&self.working_set.low_watermark());
                 }
                 self.conns.maybe_nofeedback_timeout(ctx.now());
-                ctx.set_timer(SimDuration::from_secs(1), self.tag(timer::HOUSEKEEPING));
+                ctx.set_timer(SimDuration::from_secs(1), timer::HOUSEKEEPING);
             }
             timer::ORPHAN => {
                 self.check_orphan(ctx);
-                ctx.set_timer(self.config.ransub_epoch, self.tag(timer::ORPHAN));
+                ctx.set_timer(self.config.ransub_epoch, timer::ORPHAN);
             }
             timer::RETRY => {
                 self.retry_timer_armed = false;
@@ -1641,20 +1617,19 @@ impl ScenarioAgent for BulletNode {
         self.peering_retries.clear();
     }
 
-    /// Late-join / rejoin bootstrap (scenario dynamics): bump the timer
-    /// generation (stale periodic chains die silently), discard transport
-    /// and peer state that refers to a network that has moved on, rebuild
-    /// the summary ticket from whatever content survived, and re-arm the
+    /// Late-join / rejoin bootstrap (scenario dynamics): every timer the
+    /// node armed before is already cancelled, so discard transport and
+    /// peer state that refers to a network that has moved on, rebuild the
+    /// summary ticket from whatever content survived, and re-arm the
     /// periodic timers. The working set is kept — after a crash/rejoin the
     /// node still holds its packets and should advertise them.
     fn on_join(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        self.timer_gen += 1;
         self.conns.clear();
         self.peers = Self::fresh_peers(&self.config);
         self.rebuild_ticket();
         // Recovery state refers to the pre-crash network: reset it so the
-        // orphan detector restarts from its grace period and stale retry
-        // ladders die with the old timer generation.
+        // orphan detector restarts from its grace period and the retry
+        // ladders, whose RETRY tick is gone, start empty.
         self.last_sample.clear();
         self.distributes_seen = 0;
         self.distributes_at_last_check = 0;
@@ -1669,8 +1644,8 @@ impl ScenarioAgent for BulletNode {
         // slow-node report scale, which models the node's own capacity).
         self.misbehavior.clear();
         self.quarantined.clear();
-        // Overload bookkeeping likewise restarts fresh; in-flight
-        // DEFER_RETRY timers die with the old timer generation.
+        // Overload bookkeeping likewise restarts fresh, as the DEFER_RETRY
+        // ticks it waited on are gone.
         self.inbox_window = 0;
         self.defer_strikes.clear();
         self.deferred_retries.clear();
@@ -2674,7 +2649,7 @@ mod tests {
             // at or above 10 is owed and must survive the budget eviction.
             let request = ReconcileRequest::new(BloomFilter::new(1_024, 4), 10, 90, 1, 0);
             assert!(agent.peers.on_peering_request(9, request));
-            agent.on_timer(ctx, agent.tag(timer::HOUSEKEEPING));
+            agent.on_timer(ctx, timer::HOUSEKEEPING);
         });
         {
             let agent = sim.agent(1);
@@ -2687,7 +2662,7 @@ mod tests {
             for seq in 0..100 {
                 agent.learn_seq(seq);
             }
-            agent.on_timer(ctx, agent.tag(timer::HOUSEKEEPING));
+            agent.on_timer(ctx, timer::HOUSEKEEPING);
         });
         {
             let agent = sim.agent(2);

@@ -17,8 +17,8 @@
 //!   instant and applies the action *after every simulator event at that
 //!   instant* — a fixed, documented interleaving that keeps runs
 //!   deterministic. Recoveries step (rather than pre-schedule) so they can
-//!   run the agent's `on_join` bootstrap: recovered nodes bump timer
-//!   generations and reset connection state exactly like late joiners.
+//!   run the agent's `on_join` bootstrap: a recovered node's old timers are
+//!   cancelled and it resets connection state exactly like a late joiner.
 
 use bullet_netsim::{Agent, Context, FaultPlan, Sim, SimDuration, SimRng, SimTime};
 
@@ -36,7 +36,9 @@ pub trait ScenarioAgent: Agent {
 
     /// The node just (re)joined: bootstrap participation (re-arm periodic
     /// timers, reset stale connection state). Runs with the failed flag
-    /// already cleared.
+    /// already cleared and everything the node armed before the call
+    /// already dead: [`Sim::set_node_failed`] cancelled its timers, so only
+    /// what this hook and later callbacks arm will fire.
     fn on_join(&mut self, _ctx: &mut Context<'_, Self::Msg>) {}
 
     /// The node was scripted to misbehave (or to stop misbehaving — the

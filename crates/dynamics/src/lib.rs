@@ -27,8 +27,8 @@
 //! * [`ScenarioAgent`] is the lifecycle contract protocols opt into:
 //!   `on_graceful_leave` says goodbye (Bullet hands its children to its
 //!   parent and tears down mesh peerings), `on_join` bootstraps a late
-//!   joiner or rejoiner (Bullet re-arms its periodic timers under a fresh
-//!   timer generation).
+//!   joiner or rejoiner (Bullet re-arms its periodic timers; the simulator
+//!   has already cancelled every timer the node armed before).
 //!
 //! Everything is deterministic: generators draw from the workspace's seeded
 //! [`bullet_netsim::SimRng`], events are totally ordered by `(time,

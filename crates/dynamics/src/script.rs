@@ -17,9 +17,9 @@ pub enum ScenarioAction {
         /// The failing node.
         node: OverlayId,
     },
-    /// Recovery from a crash: the node's failed flag clears and its
+    /// Recovery from a crash: the node's failed flag clears, cancelling
+    /// every timer it armed before, and its
     /// [`crate::ScenarioAgent::on_join`] hook re-bootstraps participation —
-    /// timer generations bump so stale pre-crash timer chains die, and
     /// connection state resets exactly as for a late join. Counted
     /// separately from [`ScenarioAction::Join`] in the driver's stats.
     Recover {
@@ -34,8 +34,9 @@ pub enum ScenarioAction {
         /// The departing node.
         node: OverlayId,
     },
-    /// Late join or rejoin: the node's failed flag clears and its
-    /// [`crate::ScenarioAgent::on_join`] hook bootstraps participation.
+    /// Late join or rejoin: the node's failed flag clears, cancelling every
+    /// timer it armed before, and its [`crate::ScenarioAgent::on_join`]
+    /// hook bootstraps participation.
     Join {
         /// The joining node.
         node: OverlayId,

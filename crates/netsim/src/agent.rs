@@ -33,13 +33,16 @@ pub struct TimerId(pub u64);
 pub struct TimerAlloc {
     /// Current generation per slot.
     gens: Vec<u32>,
-    /// Per-slot `(owning node, tag)` of the currently armed timer. Keeping
-    /// the metadata here lets runtimes enqueue just the 8-byte [`TimerId`]
-    /// per pending timer.
+    /// Per-slot `(owning node, tag)` of the currently armed timer, or
+    /// `(VACANT, _)` for a retired slot. Keeping the metadata here lets
+    /// runtimes enqueue just the 8-byte [`TimerId`] per pending timer.
     meta: Vec<(u32, u64)>,
     /// Retired slots available for reuse.
     free: Vec<u32>,
 }
+
+/// The owner a retired timer slot records.
+const VACANT: u32 = u32::MAX;
 
 impl TimerAlloc {
     /// Creates an empty allocator.
@@ -92,9 +95,22 @@ impl TimerAlloc {
                 if *g != u32::MAX {
                     self.free.push(slot);
                 }
-                Some(self.meta[slot as usize])
+                let meta = &mut self.meta[slot as usize];
+                Some(std::mem::replace(meta, (VACANT, 0)))
             }
             _ => None,
+        }
+    }
+
+    /// Retires every live timer `node` owns, as a rejoin needs: nothing a
+    /// node armed before it (re)joined may fire afterwards. One pass over
+    /// the slots.
+    pub(crate) fn retire_node(&mut self, node: u32) {
+        for slot in 0..self.gens.len() {
+            if self.meta[slot].0 == node {
+                let gen = self.gens[slot] as u64;
+                self.retire(TimerId((gen << 32) | slot as u64));
+            }
         }
     }
 
@@ -405,6 +421,21 @@ mod tests {
         assert_eq!(alloc.retire(c), Some((5, 300)));
         assert_eq!(alloc.retire(b), Some((4, 200)));
         assert_eq!(alloc.slots(), 2, "no growth from the retire/alloc cycle");
+    }
+
+    #[test]
+    fn retire_node_retires_only_that_nodes_live_timers() {
+        let mut alloc = TimerAlloc::new();
+        let fired = alloc.alloc(1, 10);
+        alloc.retire(fired);
+        let [a, b] = [alloc.alloc(1, 11), alloc.alloc(1, 12)];
+        let other = alloc.alloc(2, 20);
+        alloc.retire_node(1);
+        assert!(!alloc.is_live(a) && !alloc.is_live(b));
+        assert_eq!(alloc.peek(other), Some((2, 20)));
+        assert_eq!(alloc.live(), 1);
+        alloc.retire_node(1);
+        assert_eq!(alloc.free.len(), 2, "no slot is freed twice");
     }
 
     #[test]

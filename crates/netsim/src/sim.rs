@@ -526,12 +526,17 @@ impl<A: Agent> Sim<A> {
     }
 
     /// Sets `node`'s failed flag immediately (at the current instant).
+    /// Clearing it starts the node's next incarnation: every timer the node
+    /// armed before is cancelled, so only what it arms from now on fires.
     ///
     /// Scenario drivers use this between event-loop steps; for failures
     /// known ahead of the run, [`Sim::schedule_failure`] keeps the precise
     /// event-queue ordering.
     pub fn set_node_failed(&mut self, node: OverlayId, failed: bool) {
         self.failed[node] = failed;
+        if !failed {
+            self.timers.retire_node(node as u32);
+        }
     }
 
     /// Runs one agent callback outside the normal message/timer delivery
@@ -1246,6 +1251,30 @@ mod tests {
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.agent(0).timer_tags, vec![7]);
         assert_eq!(sim.counters().timers_fired, 1);
+    }
+
+    /// Clearing a node's failed flag starts its next incarnation: a timer
+    /// armed before the crash and due after the rejoin neither fires nor
+    /// counts, and one armed after the rejoin fires.
+    #[test]
+    fn a_rejoin_cancels_the_timers_armed_before_it() {
+        let spec = two_node_spec();
+        let agents = vec![PingAgent::new(1, false, 0), PingAgent::new(0, false, 0)];
+        let mut sim = Sim::new(&spec, agents, 1);
+        sim.invoke_agent(0, |_, ctx| {
+            ctx.set_timer(SimDuration::from_secs(5), 1);
+        });
+        sim.schedule_failure(SimTime::from_secs(1), 0);
+        sim.run_until(SimTime::from_secs(2));
+        sim.set_node_failed(0, false);
+        sim.invoke_agent(0, |_, ctx| {
+            ctx.set_timer(SimDuration::from_secs(4), 2);
+        });
+        sim.run_until(SimTime::from_secs(10));
+        assert_eq!(sim.agent(0).timer_tags, vec![2], "only the new timer fires");
+        assert_eq!(sim.counters().timers_fired, 1);
+        let (_, _, _, live) = sim.pool_stats();
+        assert_eq!(live, 0);
     }
 
     #[test]
