@@ -253,7 +253,7 @@ mod tests {
     /// holds 81 % of the stream at 120 s, 73 % at 70 s).
     const RUN_SECS: u64 = 120;
 
-    fn run(n: usize) -> Sim<AntiEntropyNode> {
+    fn build(n: usize) -> Sim<AntiEntropyNode> {
         let spec = hub(n, 2_000_000.0);
         let mut rng = SimRng::new(5);
         let tree = random_tree(n, 0, 3, &mut rng);
@@ -265,7 +265,11 @@ mod tests {
         let agents = (0..n)
             .map(|i| AntiEntropyNode::new(i, &tree, n, config.clone()))
             .collect();
-        let mut sim = Sim::new(&spec, agents, 5);
+        Sim::new(&spec, agents, 5)
+    }
+
+    fn run(n: usize) -> Sim<AntiEntropyNode> {
+        let mut sim = build(n);
         sim.run_until(SimTime::from_secs(RUN_SECS));
         sim
     }
@@ -299,6 +303,38 @@ mod tests {
         assert!(
             repaired_nodes >= 4,
             "expected anti-entropy repairs at several nodes, saw {repaired_nodes}"
+        );
+    }
+
+    /// A node that crashes and rejoins repairs again: the rejoin bootstraps
+    /// it through `on_start`, which re-arms its anti-entropy round, so its
+    /// digests go out and peers answer with what it lacks. Only its own
+    /// digests bring it data from outside the tree, so without the re-armed
+    /// round it would hear nothing but its parent's stream from then on.
+    #[test]
+    fn a_crashed_node_repairs_again_after_it_rejoins() {
+        use bullet_dynamics::{ScenarioAction, ScenarioDriver, ScenarioScript};
+        let n = 12;
+        let mut sim = build(n);
+        let victim = (1..n)
+            .find(|&node| sim.agent(node).children.is_empty())
+            .expect("a leaf exists");
+        let join = SimTime::from_secs(60);
+        let script = ScenarioScript::new()
+            .at(
+                SimTime::from_secs(20),
+                ScenarioAction::Crash { node: victim },
+            )
+            .at(join, ScenarioAction::Join { node: victim });
+        let mut driver = ScenarioDriver::new(&script);
+        driver.install(&mut sim);
+        driver.run_until(&mut sim, join);
+        let at_join = sim.agent(victim).metrics;
+        driver.run_until(&mut sim, SimTime::from_secs(RUN_SECS));
+        let end = sim.agent(victim).metrics;
+        assert!(
+            end.from_peers_bytes > at_join.from_peers_bytes,
+            "node {victim} got no repair after its rejoin"
         );
     }
 

@@ -17,11 +17,12 @@
 //! whether its working set accepted the key, and both callers — stream
 //! generation at the source and `handle_data` everywhere else — route only
 //! then; the set refuses a key it holds and any key below its low watermark.
-//! (2) The working set survives crash and rejoin (`on_join` keeps it), so a
-//! restarted node still refuses what it routed before. (3) Pruning only ever
-//! raises the watermark, so a key that left the set can never be accepted
-//! again. Within one [`DisjointSender::route_packet`] a child is offered the
-//! key a second time only after its first `try_send` was *refused*.
+//! (2) The working set survives crash and rejoin (the rejoin's `on_start`
+//! keeps it), so a restarted node still refuses what it routed before.
+//! (3) Pruning only ever raises the watermark, so a key that left the set
+//! can never be accepted again. Within one [`DisjointSender::route_packet`]
+//! a child is offered the key a second time only after its first `try_send`
+//! was *refused*.
 
 use bullet_netsim::OverlayId;
 

@@ -43,7 +43,7 @@ use crate::peering::PeerManager;
 
 /// Timer tags used by the node. A rejoin needs no tag of its own: the
 /// simulator cancels every timer a node armed before it rejoined, so the
-/// chains `on_join` re-arms are the only ones left.
+/// chains the rejoin's `on_start` arms are the only ones left.
 mod timer {
     pub const GENERATE: u64 = 1;
     pub const RANSUB_EPOCH: u64 = 2;
@@ -275,7 +275,7 @@ impl BulletNode {
     }
 
     /// An empty peer manager sized by `config`: the node's mesh state at
-    /// start-up, after a graceful leave and after a rejoin.
+    /// construction and at every `on_start`.
     fn fresh_peers(config: &BulletConfig) -> PeerManager {
         PeerManager::new(
             config.max_senders,
@@ -1259,7 +1259,40 @@ impl BulletNode {
 impl Agent for BulletNode {
     type Msg = BulletMsg;
 
+    /// Bootstrap, at the start of the run and at every rejoin: every timer
+    /// the node armed before is already cancelled, so discard transport and
+    /// peer state that refers to a network that has moved on, rebuild the
+    /// summary ticket from whatever content survived, and arm the periodic
+    /// timers. The working set is kept — after a crash/rejoin the node
+    /// still holds its packets and should advertise them. At the start all
+    /// of this state is already fresh, so only the timers are new.
     fn on_start(&mut self, ctx: &mut Context<'_, BulletMsg>) {
+        self.conns.clear();
+        self.peers = Self::fresh_peers(&self.config);
+        self.rebuild_ticket();
+        // Recovery state refers to the pre-crash network: reset it so the
+        // orphan detector restarts from its grace period and the retry
+        // ladders, whose RETRY tick is gone, start empty.
+        self.last_sample.clear();
+        self.distributes_seen = 0;
+        self.distributes_at_last_check = 0;
+        self.orphan_strikes = 0;
+        self.reattach = None;
+        self.peering_retries.clear();
+        self.retry_timer_armed = false;
+        self.recently_evicted.clear();
+        // Health scores and quarantines refer to the pre-crash network;
+        // the tainted map is kept — it describes the surviving working
+        // set — and so is the false-advertiser persona (and the
+        // slow-node report scale, which models the node's own capacity).
+        self.misbehavior.clear();
+        self.quarantined.clear();
+        // Overload bookkeeping likewise restarts fresh, as the DEFER_RETRY
+        // ticks it waited on are gone.
+        self.inbox_window = 0;
+        self.defer_strikes.clear();
+        self.deferred_retries.clear();
+        self.deferred_once.clear();
         self.arm_timers(ctx);
     }
 
@@ -1586,8 +1619,9 @@ fn carried_digest(tainted: &BTreeMap<u64, u64>, seq: u64) -> u64 {
 impl ScenarioAgent for BulletNode {
     /// Graceful departure (scenario dynamics): tear down every mesh peering
     /// with an explicit `PeerDrop`, hand the tree children to the parent
-    /// (`Leave` up, `Reparent` down), and clear local peer state. The
-    /// driver fails the node immediately after this returns.
+    /// (`Leave` up, `Reparent` down), and forget the children. The driver
+    /// fails the node immediately after this returns; the `on_start` of
+    /// its next incarnation resets the rest of its peer state.
     fn on_graceful_leave(&mut self, ctx: &mut Context<'_, BulletMsg>) {
         for node in self.sender_peers().into_iter().chain(self.receiver_peers()) {
             self.send_msg(ctx, node, BulletMsg::PeerDrop);
@@ -1611,46 +1645,6 @@ impl ScenarioAgent for BulletNode {
             }
         }
         self.children.clear();
-        self.peers = Self::fresh_peers(&self.config);
-        self.conns.clear();
-        self.reattach = None;
-        self.peering_retries.clear();
-    }
-
-    /// Late-join / rejoin bootstrap (scenario dynamics): every timer the
-    /// node armed before is already cancelled, so discard transport and
-    /// peer state that refers to a network that has moved on, rebuild the
-    /// summary ticket from whatever content survived, and re-arm the
-    /// periodic timers. The working set is kept — after a crash/rejoin the
-    /// node still holds its packets and should advertise them.
-    fn on_join(&mut self, ctx: &mut Context<'_, BulletMsg>) {
-        self.conns.clear();
-        self.peers = Self::fresh_peers(&self.config);
-        self.rebuild_ticket();
-        // Recovery state refers to the pre-crash network: reset it so the
-        // orphan detector restarts from its grace period and the retry
-        // ladders, whose RETRY tick is gone, start empty.
-        self.last_sample.clear();
-        self.distributes_seen = 0;
-        self.distributes_at_last_check = 0;
-        self.orphan_strikes = 0;
-        self.reattach = None;
-        self.peering_retries.clear();
-        self.retry_timer_armed = false;
-        self.recently_evicted.clear();
-        // Health scores and quarantines refer to the pre-crash network;
-        // the tainted map is kept — it describes the surviving working
-        // set — and so is the false-advertiser persona (and the
-        // slow-node report scale, which models the node's own capacity).
-        self.misbehavior.clear();
-        self.quarantined.clear();
-        // Overload bookkeeping likewise restarts fresh, as the DEFER_RETRY
-        // ticks it waited on are gone.
-        self.inbox_window = 0;
-        self.defer_strikes.clear();
-        self.deferred_retries.clear();
-        self.deferred_once.clear();
-        self.arm_timers(ctx);
     }
 
     /// Scenario adversary switch: a `false_advertise` plan turns this
@@ -1974,7 +1968,7 @@ mod tests {
     ///   never forwarded.
     ///
     /// Mutant this fails on: `handle_data` calling `route_to_children`
-    /// before its `if duplicate { return; }` (or `on_join` resetting
+    /// before its `if duplicate { return; }` (or `on_start` resetting
     /// `working_set`, which makes every pre-crash block fresh again).
     #[test]
     fn each_block_is_pushed_down_a_tree_edge_at_most_once() {

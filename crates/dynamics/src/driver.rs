@@ -16,30 +16,25 @@
 //!   cannot deliver. The driver runs the simulator up to the event's
 //!   instant and applies the action *after every simulator event at that
 //!   instant* — a fixed, documented interleaving that keeps runs
-//!   deterministic. Recoveries step (rather than pre-schedule) so they can
-//!   run the agent's `on_join` bootstrap: a recovered node's old timers are
-//!   cancelled and it resets connection state exactly like a late joiner.
+//!   deterministic. Recoveries step (rather than pre-schedule) because
+//!   clearing a failed flag on a running simulation bootstraps the node:
+//!   [`Sim::set_node_failed`] cancels its old timers and runs its
+//!   [`Agent::on_start`], exactly as for a late joiner.
 
 use bullet_netsim::{Agent, Context, FaultPlan, Sim, SimDuration, SimRng, SimTime};
 
 use crate::script::{ScenarioAction, ScenarioEvent, ScenarioScript};
 
 /// The lifecycle contract protocol agents opt into to participate in
-/// scripted membership dynamics. Both hooks default to no-ops, so a
-/// protocol that ignores churn still runs under any script — its nodes
-/// just fail and revive silently.
+/// scripted membership dynamics. Every hook defaults to a no-op, so a
+/// protocol that ignores churn still runs under any script. A node that
+/// comes up (a join or a recovery) needs no hook here: the simulator
+/// bootstraps it through [`Agent::on_start`], as at the start of the run.
 pub trait ScenarioAgent: Agent {
     /// The node is about to leave gracefully: say goodbye (hand children
     /// off, tear down peerings). Emitted sends still go out; immediately
     /// after this returns the node is failed.
     fn on_graceful_leave(&mut self, _ctx: &mut Context<'_, Self::Msg>) {}
-
-    /// The node just (re)joined: bootstrap participation (re-arm periodic
-    /// timers, reset stale connection state). Runs with the failed flag
-    /// already cleared and everything the node armed before the call
-    /// already dead: [`Sim::set_node_failed`] cancelled its timers, so only
-    /// what this hook and later callbacks arm will fire.
-    fn on_join(&mut self, _ctx: &mut Context<'_, Self::Msg>) {}
 
     /// The node was scripted to misbehave (or to stop misbehaving — the
     /// plan's flags may all be clear). The simulator injects the plan's
@@ -62,7 +57,7 @@ pub trait ScenarioAgent: Agent {
 pub struct ScenarioStats {
     /// Crashes pre-scheduled at install.
     pub crashes: u64,
-    /// Crash recoveries applied (failed flag cleared + `on_join` re-bootstrap).
+    /// Crash recoveries applied (failed flag cleared, node bootstrapped).
     pub recoveries: u64,
     /// Graceful leaves applied.
     pub leaves: u64,
@@ -220,7 +215,6 @@ impl ScenarioDriver {
         match action {
             &ScenarioAction::Recover { node } => {
                 sim.set_node_failed(node, false);
-                sim.invoke_agent(node, |agent, ctx| agent.on_join(ctx));
                 self.stats.recoveries += 1;
             }
             &ScenarioAction::GracefulLeave { node } => {
@@ -232,7 +226,6 @@ impl ScenarioDriver {
             }
             &ScenarioAction::Join { node } => {
                 sim.set_node_failed(node, false);
-                sim.invoke_agent(node, |agent, ctx| agent.on_join(ctx));
                 self.stats.joins += 1;
             }
             &ScenarioAction::SetLinkBandwidth { link, bps } => {
@@ -304,12 +297,13 @@ mod tests {
     use bullet_netsim::{LinkSpec, NetworkSpec, OverlayId, SimCounters};
 
     /// A heartbeat protocol: every node broadcasts a beat each second and
-    /// counts beats it hears; the scenario hooks record their invocations.
+    /// counts beats it hears; `on_start` and the scenario hooks record their
+    /// invocations.
     struct BeatAgent {
         peers: Vec<OverlayId>,
         heard: u64,
         leaves: Vec<SimTime>,
-        joins: Vec<SimTime>,
+        starts: Vec<SimTime>,
         adversary_plans: Vec<FaultPlan>,
         slow_factors: Vec<f64>,
     }
@@ -320,7 +314,7 @@ mod tests {
                 peers,
                 heard: 0,
                 leaves: Vec::new(),
-                joins: Vec::new(),
+                starts: Vec::new(),
                 adversary_plans: Vec::new(),
                 slow_factors: Vec::new(),
             }
@@ -331,6 +325,7 @@ mod tests {
         type Msg = ();
 
         fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+            self.starts.push(ctx.now());
             ctx.set_timer(SimDuration::from_secs(1), 0);
         }
 
@@ -352,11 +347,6 @@ mod tests {
             for &peer in &self.peers.clone() {
                 ctx.send_data(peer, (), 100);
             }
-        }
-
-        fn on_join(&mut self, ctx: &mut Context<'_, ()>) {
-            self.joins.push(ctx.now());
-            ctx.set_timer(SimDuration::from_secs(1), 0);
         }
 
         fn on_adversary(&mut self, _ctx: &mut Context<'_, ()>, plan: FaultPlan) {
@@ -402,7 +392,10 @@ mod tests {
         driver.install(&mut sim);
         driver.run_until(&mut sim, SimTime::from_secs(10));
         assert_eq!(sim.agent(1).leaves, vec![SimTime::from_secs(3)]);
-        assert_eq!(sim.agent(1).joins, vec![SimTime::from_secs(6)]);
+        assert_eq!(
+            sim.agent(1).starts,
+            vec![SimTime::ZERO, SimTime::from_secs(6)]
+        );
         assert!(!sim.is_failed(1), "rejoined node must be up");
         assert_eq!(driver.stats.leaves, 1);
         assert_eq!(driver.stats.joins, 1);
@@ -435,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_runs_the_on_join_bootstrap() {
+    fn recover_bootstraps_the_node_through_on_start() {
         let script = ScenarioScript::new()
             .at(SimTime::from_secs(3), ScenarioAction::Crash { node: 1 })
             .at(SimTime::from_secs(6), ScenarioAction::Recover { node: 1 });
@@ -444,9 +437,9 @@ mod tests {
         driver.install(&mut sim);
         driver.run_until(&mut sim, SimTime::from_secs(10));
         assert_eq!(
-            sim.agent(1).joins,
-            vec![SimTime::from_secs(6)],
-            "recovery must run the agent's on_join bootstrap"
+            sim.agent(1).starts,
+            vec![SimTime::ZERO, SimTime::from_secs(6)],
+            "recovery must bootstrap the node through on_start"
         );
         assert!(!sim.is_failed(1), "recovered node must be up");
         assert!(sim.agent(1).heard > 0, "recovered node rejoins the stream");
@@ -627,7 +620,7 @@ mod tests {
             driver.install(&mut sim);
             driver.run_until(&mut sim, SimTime::from_secs(15));
             (2..5)
-                .map(|node| sim.agent(node).joins.clone())
+                .map(|node| sim.agent(node).starts.clone())
                 .collect::<Vec<_>>()
         };
         let mut driver = ScenarioDriver::new(&script);
@@ -642,10 +635,11 @@ mod tests {
         }
         let first = joins_of(&mut driver);
         assert_eq!(driver.stats.joins, 3, "every storm member joins");
-        for joins in &first {
-            assert_eq!(joins.len(), 1, "each member joins exactly once");
-            assert!(joins[0] >= SimTime::from_secs(5), "not before the storm");
-            assert!(joins[0] <= SimTime::from_secs(9), "inside the ramp");
+        for starts in &first {
+            // The run's start, made while down, then the join's.
+            assert_eq!(starts.len(), 2, "each member joins exactly once");
+            assert!(starts[1] >= SimTime::from_secs(5), "not before the storm");
+            assert!(starts[1] <= SimTime::from_secs(9), "inside the ramp");
         }
         // Storm members start the run down: node 2 heard nothing at t=0..5.
         let again = joins_of(&mut ScenarioDriver::new(&script));

@@ -17,18 +17,18 @@
 //!   or parsed from text ([`ScenarioScript::parse`]; the `figures` bench
 //!   reads that text from `BULLET_SCENARIO`). A flash crowd is one
 //!   [`ScenarioAction::JoinStorm`] line, expanded by the driver.
-//! * [`ScenarioDriver`] owns a script during a run: crashes and recoveries
-//!   are pre-scheduled through the simulator's own event queue (so a
-//!   one-crash script is event-for-event identical to the legacy
-//!   `RunSpec::failure` path), while lifecycle transitions that need agent
-//!   cooperation — graceful leaves, (re)joins — and link mutations are
+//! * [`ScenarioDriver`] owns a script during a run: crashes are
+//!   pre-scheduled through the simulator's own event queue (so a one-crash
+//!   script is event-for-event identical to the legacy `RunSpec::failure`
+//!   path), while recoveries, graceful leaves, joins and link mutations are
 //!   applied between event-loop steps, after every simulator event at their
 //!   instant.
 //! * [`ScenarioAgent`] is the lifecycle contract protocols opt into:
 //!   `on_graceful_leave` says goodbye (Bullet hands its children to its
-//!   parent and tears down mesh peerings), `on_join` bootstraps a late
-//!   joiner or rejoiner (Bullet re-arms its periodic timers; the simulator
-//!   has already cancelled every timer the node armed before).
+//!   parent and tears down mesh peerings), and the adversary and slow-node
+//!   hooks switch behaviours. A late joiner or rejoiner needs no hook: the
+//!   simulator cancels every timer the node armed before and bootstraps it
+//!   through `Agent::on_start`, as at the start of the run.
 //!
 //! Everything is deterministic: generators draw from the workspace's seeded
 //! [`bullet_netsim::SimRng`], events are totally ordered by `(time,

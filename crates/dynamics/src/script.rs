@@ -18,10 +18,9 @@ pub enum ScenarioAction {
         node: OverlayId,
     },
     /// Recovery from a crash: the node's failed flag clears, cancelling
-    /// every timer it armed before, and its
-    /// [`crate::ScenarioAgent::on_join`] hook re-bootstraps participation —
-    /// connection state resets exactly as for a late join. Counted
-    /// separately from [`ScenarioAction::Join`] in the driver's stats.
+    /// every timer it armed before, and [`bullet_netsim::Agent::on_start`]
+    /// bootstraps it again, exactly as for a late join. Counted separately
+    /// from [`ScenarioAction::Join`] in the driver's stats.
     Recover {
         /// The recovering node.
         node: OverlayId,
@@ -35,8 +34,8 @@ pub enum ScenarioAction {
         node: OverlayId,
     },
     /// Late join or rejoin: the node's failed flag clears, cancelling every
-    /// timer it armed before, and its [`crate::ScenarioAgent::on_join`]
-    /// hook bootstraps participation.
+    /// timer it armed before, and [`bullet_netsim::Agent::on_start`]
+    /// bootstraps it.
     Join {
         /// The joining node.
         node: OverlayId,
@@ -207,8 +206,8 @@ impl ScenarioScript {
     }
 
     /// Marks `node` as down from the start of the run (a late joiner: its
-    /// `on_start` sends are dropped and its timers stay silent until a
-    /// [`ScenarioAction::Join`] revives it).
+    /// first `on_start`'s sends are dropped and its timers stay silent until
+    /// a [`ScenarioAction::Join`] bootstraps it again).
     pub fn down_from_start(&mut self, node: OverlayId) {
         if !self.initially_down.contains(&node) {
             self.initially_down.push(node);

@@ -317,7 +317,10 @@ pub trait Agent: Sized {
     /// The wire message type exchanged between agents of this protocol.
     type Msg: Clone;
 
-    /// Invoked once when the run starts, before any message is delivered.
+    /// Bootstraps the node: invoked when the run starts, before any message
+    /// is delivered, and again each time the node comes back up (its failed
+    /// flag cleared on a started run), after every timer it armed before
+    /// has been cancelled.
     fn on_start(&mut self, _ctx: &mut Context<'_, Self::Msg>) {}
 
     /// Invoked when a message from `from` is delivered to this agent.

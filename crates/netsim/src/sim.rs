@@ -526,25 +526,29 @@ impl<A: Agent> Sim<A> {
     }
 
     /// Sets `node`'s failed flag immediately (at the current instant).
-    /// Clearing it starts the node's next incarnation: every timer the node
-    /// armed before is cancelled, so only what it arms from now on fires.
+    /// Clearing it on a run that has started starts the node's next
+    /// incarnation: every timer the node armed before is cancelled, then
+    /// [`Agent::on_start`] bootstraps it, so only what it arms from now on
+    /// fires. Before the start, clearing the flag only clears it; the start
+    /// bootstraps every node once.
     ///
     /// Scenario drivers use this between event-loop steps; for failures
     /// known ahead of the run, [`Sim::schedule_failure`] keeps the precise
     /// event-queue ordering.
     pub fn set_node_failed(&mut self, node: OverlayId, failed: bool) {
         self.failed[node] = failed;
-        if !failed {
+        if !failed && self.started {
             self.timers.retire_node(node as u32);
+            self.run_agent(node, |agent, ctx| agent.on_start(ctx));
         }
     }
 
     /// Runs one agent callback outside the normal message/timer delivery
     /// path, with a live [`Context`] at the current simulated time.
     ///
-    /// This is the hook scenario drivers use for lifecycle transitions that
-    /// the network cannot deliver — graceful-leave handoff and late-join
-    /// bootstrap — where the agent must emit sends and (re)arm timers.
+    /// This is the hook scenario drivers use for callbacks the network
+    /// cannot deliver — a graceful-leave handoff, an adversary or slow-node
+    /// switch — where the agent may emit sends and arm timers.
     /// Actions are applied exactly as for a delivered message.
     pub fn invoke_agent<F>(&mut self, node: OverlayId, invoke: F)
     where
@@ -1136,6 +1140,8 @@ mod tests {
         pings_to_send: u32,
         pongs_received: Vec<(SimTime, u32)>,
         timer_tags: Vec<u64>,
+        /// When each `on_start` ran.
+        starts: Vec<SimTime>,
     }
 
     impl PingAgent {
@@ -1146,6 +1152,7 @@ mod tests {
                 pings_to_send: pings,
                 pongs_received: Vec::new(),
                 timer_tags: Vec::new(),
+                starts: Vec::new(),
             }
         }
     }
@@ -1154,6 +1161,7 @@ mod tests {
         type Msg = PingMsg;
 
         fn on_start(&mut self, ctx: &mut Context<'_, PingMsg>) {
+            self.starts.push(ctx.now());
             if self.initiator && self.pings_to_send > 0 {
                 ctx.send_data(self.peer, PingMsg::Ping(0), 100);
                 ctx.set_timer(SimDuration::from_secs(1), 7);
@@ -1253,26 +1261,42 @@ mod tests {
         assert_eq!(sim.counters().timers_fired, 1);
     }
 
-    /// Clearing a node's failed flag starts its next incarnation: a timer
-    /// armed before the crash and due after the rejoin neither fires nor
-    /// counts, and one armed after the rejoin fires.
+    /// Clearing a node's failed flag on a started run starts its next
+    /// incarnation: a timer armed before the crash and due after the rejoin
+    /// neither fires nor counts, and `on_start` runs once, after that timer
+    /// is retired, so the timer it arms fires. Clearing the flag before the
+    /// start only clears it: the start bootstraps the node once.
     #[test]
     fn a_rejoin_cancels_the_timers_armed_before_it() {
         let spec = two_node_spec();
-        let agents = vec![PingAgent::new(1, false, 0), PingAgent::new(0, false, 0)];
+        let agents = vec![PingAgent::new(1, true, 1), PingAgent::new(0, false, 0)];
         let mut sim = Sim::new(&spec, agents, 1);
+        sim.set_node_failed(0, true);
+        sim.set_node_failed(0, false);
+        sim.run_until(SimTime::from_millis(500));
+        assert_eq!(sim.agent(0).starts, vec![SimTime::ZERO]);
+        // Due after the rejoin, armed before the crash: never fires.
         sim.invoke_agent(0, |_, ctx| {
             ctx.set_timer(SimDuration::from_secs(5), 1);
         });
-        sim.schedule_failure(SimTime::from_secs(1), 0);
+        // The start's tag-7 timer (due at 1 s) is dropped while down.
+        sim.schedule_failure(SimTime::from_millis(700), 0);
         sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.agent(0).starts, vec![SimTime::ZERO]);
         sim.set_node_failed(0, false);
-        sim.invoke_agent(0, |_, ctx| {
-            ctx.set_timer(SimDuration::from_secs(4), 2);
-        });
+        assert_eq!(
+            sim.agent(0).starts,
+            vec![SimTime::ZERO, SimTime::from_secs(2)],
+            "the rejoin runs on_start once"
+        );
         sim.run_until(SimTime::from_secs(10));
-        assert_eq!(sim.agent(0).timer_tags, vec![2], "only the new timer fires");
+        assert_eq!(
+            sim.agent(0).timer_tags,
+            vec![7],
+            "only the timer the rejoin's on_start armed fires"
+        );
         assert_eq!(sim.counters().timers_fired, 1);
+        assert_eq!(sim.agent(0).pongs_received.len(), 2, "one ping per start");
         let (_, _, _, live) = sim.pool_stats();
         assert_eq!(live, 0);
     }

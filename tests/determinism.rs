@@ -214,7 +214,7 @@ const ALLOW: [(&str, &str); 6] = [
     ),
     (
         "ScenarioStats.recoveries",
-        "crates/dynamics/src/driver.rs::recover_runs_the_on_join_bootstrap; \
+        "crates/dynamics/src/driver.rs::recover_bootstraps_the_node_through_on_start; \
          no figure or golden row scripts a `recover`",
     ),
     (

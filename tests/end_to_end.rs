@@ -513,7 +513,11 @@ fn integrity_defense_doubles_clean_goodput_at_20pct_adversaries() {
 /// unbounded arm's grows past it, every backpressure mechanism fires (and
 /// deferred joiners do get in), and the worst-quartile steady-state
 /// members hold at least twice the unbounded arm's timely goodput (peak
-/// backlog 60 vs 402, 83 vs 39 Kbps, when written).
+/// backlog 60 vs 402, 83 vs 39 Kbps, when written). The 2× is a one-seed
+/// claim: over seed indices 0–9 of `Sweep::new(2, 10)` the small-scale
+/// worst-quartile ratio reads 0.54–2.11 (median 1.28; ≥ 2 only at index 0,
+/// the seed this test runs), and over 16 default-scale seeds 1.03–3.09
+/// (median 1.52; ≥ 2 on 3).
 ///
 /// Checked by hand against two deliberately broken builds: the inbox
 /// budget lifted in the bounded arm (`overload_figure_knobs` returning
