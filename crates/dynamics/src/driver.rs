@@ -567,7 +567,7 @@ mod tests {
         driver.install(&mut sim);
         driver.run_until(&mut sim, SimTime::from_secs(3));
         let (fwd, _) = bullet_netsim::Network::directed_ids(0);
-        assert_eq!(sim.network().link(fwd).bandwidth_bps, 1_000.0);
+        assert_eq!(sim.network().link(fwd).bandwidth_bps(), 1_000.0);
         assert_eq!(sim.network().repair_stats().route_mutations, 0);
         driver.run_until(&mut sim, SimTime::from_secs(5));
         assert_eq!(

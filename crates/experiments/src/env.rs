@@ -14,15 +14,16 @@ use bullet_topology::{generate, BandwidthProfile, BuiltTopology, LossProfile, To
 
 use crate::scale::Scale;
 
-/// A network spec bundled with its shared immutable routing setup
-/// ([`NetworkSetup`]: adjacency + ALT landmark tables) — generated
-/// ([`prepare_topology`]) or hand-built (Fig. 15's constrained source).
+/// A network spec bundled with its shared immutable setup
+/// ([`NetworkSetup`]: link parameters, adjacency and ALT landmark tables) —
+/// generated ([`prepare_topology`]) or hand-built (Fig. 15's constrained
+/// source).
 ///
 /// This is the unit of setup sharing in the parallel harness: the expensive
 /// pieces are built **once per topology class** when the spec is prepared,
 /// and every run — on any worker thread — gets its own cheap mutable
 /// [`Network`] view over them through [`PreparedTopology::network`]. The
-/// view's link queues, route arena, caches and participant route memo are
+/// view's link clocks, route arena, caches and participant route memo are
 /// private per run; routes are bit-identical to constructing
 /// `Network::new(spec)` from scratch (gated in `bullet_netsim` and by the
 /// figure thread-invariance tests). Cloning is two `Arc` bumps, so figure

@@ -63,7 +63,7 @@ pub mod workers;
 pub use agent::{Action, Agent, Context, MsgClass, TimerAlloc, TimerId};
 pub use bullet_telemetry as telemetry;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use link::{DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
+pub use link::{DirectedLinkId, HopOutcome, LinkParams, LinkSpec, RouterId};
 pub use network::{
     Network, NetworkSetup, NetworkSpec, OverlayId, RepairMode, RepairStats, RouteId, RoutingStats,
     StressStats,

@@ -5,6 +5,10 @@
 //! bounded drop-tail queue, adds a fixed propagation delay, and drops packets
 //! independently at its configured random loss rate. This is the same set of
 //! per-hop effects the paper's ModelNet emulators impose.
+//!
+//! The two directions share one [`LinkParams`]; what each direction keeps
+//! for itself is a `LinkClock`: when its transmitter is idle again, and
+//! whether it is up.
 
 use crate::rng::SimRng;
 use crate::time::{transmission_time, SimDuration, SimTime};
@@ -88,91 +92,184 @@ pub enum HopOutcome {
     DroppedDown,
 }
 
-/// A directed link with live queueing state.
-#[derive(Clone, Debug)]
-pub struct DirectedLink {
-    /// Transmitting router, at the routing graph's `u32` width.
-    pub from: u32,
-    /// Receiving router, at the routing graph's `u32` width.
-    pub to: u32,
-    /// Capacity in bits per second.
-    pub bandwidth_bps: f64,
-    /// One-way propagation delay.
-    pub delay: SimDuration,
-    /// Random loss probability.
-    pub loss: f64,
+/// The parameters of one physical link, which both its directions use: a
+/// [`crate::network::NetworkSetup`] builds one per [`LinkSpec`] and every
+/// view of the setup shares the table until a view changes a link's
+/// bandwidth, loss or delay. The live half of a directed link is its
+/// `LinkClock`, one per direction in each view.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LinkParams {
+    /// The spec's `a` endpoint, at the routing graph's `u32` width; the
+    /// forward direction runs from it.
+    a: u32,
+    /// The spec's `b` endpoint.
+    b: u32,
+    /// One-way propagation delay in microseconds. It is the routing cost,
+    /// which the graph holds in a `u32`, so it fits (see [`LinkSpec::delay`]).
+    delay_us: u32,
     /// Drop-tail queue capacity in bytes; kept so capacity mutations can
     /// recompute `max_queue_delay`.
-    pub queue_bytes: u32,
+    queue_bytes: u32,
+    /// Capacity in bits per second.
+    bandwidth_bps: f64,
+    /// Random loss probability.
+    loss: f64,
     /// Maximum queueing delay implied by the queue size, in simulated time.
-    pub max_queue_delay: SimDuration,
-    /// Administrative state (see [`LinkSpec::up`]).
-    pub up: bool,
-    /// Time at which the transmitter becomes idle again.
-    pub busy_until: SimTime,
+    max_queue_delay: SimDuration,
 }
 
-impl DirectedLink {
-    /// Builds the directed link for one direction of `spec`, whose router
-    /// ids the caller has checked fit in a `u32` (`Network::with_setup`
-    /// checks a whole spec at once: a check per link here would keep the
-    /// construction loop from being optimised).
-    pub(crate) fn from_spec(spec: &LinkSpec, reverse: bool) -> Self {
-        let (from, to) = if reverse {
-            (spec.b, spec.a)
-        } else {
-            (spec.a, spec.b)
-        };
-        debug_assert!(from.max(to) <= u32::MAX as usize);
-        let (from, to) = (from as u32, to as u32);
-        DirectedLink {
-            from,
-            to,
-            bandwidth_bps: spec.bandwidth_bps,
-            delay: spec.delay,
-            loss: spec.loss,
+impl LinkParams {
+    /// The parameters of `spec`, whose router ids and delay the caller has
+    /// checked fit in a `u32` (`NetworkSetup::with_routing` builds the
+    /// routing graph, which checks both, first).
+    pub(crate) fn from_spec(spec: &LinkSpec) -> Self {
+        debug_assert!(spec.a.max(spec.b) <= u32::MAX as usize);
+        LinkParams {
+            a: spec.a as u32,
+            b: spec.b as u32,
+            delay_us: delay_us(spec.delay),
             queue_bytes: spec.queue_bytes,
+            bandwidth_bps: spec.bandwidth_bps,
+            loss: spec.loss,
             max_queue_delay: transmission_time(spec.queue_bytes, spec.bandwidth_bps),
-            up: spec.up,
-            busy_until: SimTime::ZERO,
         }
     }
 
-    /// Changes the link capacity, recomputing the queueing-delay bound the
-    /// drop-tail queue implies. Packets already accepted keep their old
-    /// serialization schedule (`busy_until` is untouched): a capacity change
-    /// affects traffic offered from that point on.
-    pub fn set_bandwidth(&mut self, bandwidth_bps: f64) {
-        self.bandwidth_bps = bandwidth_bps;
-        self.max_queue_delay = transmission_time(self.queue_bytes, bandwidth_bps);
+    /// Capacity in bits per second (per direction).
+    pub fn bandwidth_bps(&self) -> f64 {
+        self.bandwidth_bps
+    }
+
+    /// Random loss probability.
+    pub fn loss(&self) -> f64 {
+        self.loss
+    }
+
+    /// One-way propagation delay.
+    pub fn delay(&self) -> SimDuration {
+        SimDuration::from_micros(u64::from(self.delay_us))
+    }
+
+    /// The transmitting and receiving router of directed link `id`, a
+    /// direction of this link: the forward one (`a` to `b`) when `id` is
+    /// even, as `Network::directed_ids` numbers them.
+    pub(crate) fn ends(&self, id: DirectedLinkId) -> (RouterId, RouterId) {
+        let (a, b) = (self.a as RouterId, self.b as RouterId);
+        if id % 2 == 1 {
+            (b, a)
+        } else {
+            (a, b)
+        }
     }
 
     /// Routing cost of this link: its propagation delay in whole
     /// microseconds, at least 1.
-    pub fn cost(&self) -> u64 {
-        routing_cost(self.delay)
+    pub(crate) fn cost(&self) -> u64 {
+        routing_cost(self.delay())
     }
 
-    /// Offers a packet of `size_bytes` to the link at time `now`.
+    /// Changes the link capacity, recomputing the queueing-delay bound the
+    /// drop-tail queue implies. Packets already accepted keep their old
+    /// serialization schedule (the clocks are untouched): a capacity change
+    /// affects traffic offered from that point on.
+    pub(crate) fn set_bandwidth(&mut self, bandwidth_bps: f64) {
+        self.bandwidth_bps = bandwidth_bps;
+        self.max_queue_delay = transmission_time(self.queue_bytes, bandwidth_bps);
+    }
+
+    /// Changes the random loss probability.
+    pub(crate) fn set_loss(&mut self, loss: f64) {
+        self.loss = loss;
+    }
+
+    /// Changes the propagation delay, which the caller has checked fits in
+    /// a `u32` of microseconds.
+    pub(crate) fn set_delay(&mut self, delay: SimDuration) {
+        self.delay_us = delay_us(delay);
+    }
+
+    /// Offers a packet of `size_bytes` at time `now` to the direction of
+    /// this link whose clock is `clock`.
     ///
     /// Applies the drop-tail queue bound first (congestion loss) and then the
     /// independent random loss process, mirroring a loss that occurs on the
-    /// wire after the packet left the queue.
-    pub fn offer(&mut self, now: SimTime, size_bytes: u32, rng: &mut SimRng) -> HopOutcome {
-        if !self.up {
+    /// wire after the packet left the queue. A down direction drops the
+    /// packet without drawing from `rng`.
+    #[inline]
+    pub(crate) fn offer(
+        &self,
+        clock: &mut LinkClock,
+        now: SimTime,
+        size_bytes: u32,
+        rng: &mut SimRng,
+    ) -> HopOutcome {
+        let Some(busy_until) = clock.busy_until() else {
             return HopOutcome::DroppedDown;
-        }
-        let start = self.busy_until.max(now);
+        };
+        let start = busy_until.max(now);
         let queueing = start - now;
         if queueing > self.max_queue_delay {
             return HopOutcome::DroppedQueue;
         }
         let tx = transmission_time(size_bytes, self.bandwidth_bps);
-        self.busy_until = start + tx;
+        clock.set_busy_until(start + tx);
         if rng.chance(self.loss) {
             return HopOutcome::DroppedLoss;
         }
-        HopOutcome::Arrive(start + tx + self.delay)
+        HopOutcome::Arrive(start + tx + self.delay())
+    }
+}
+
+/// `delay` in whole microseconds, which the caller has checked fit in a
+/// `u32`.
+fn delay_us(delay: SimDuration) -> u32 {
+    debug_assert!(delay.as_micros() <= u64::from(u32::MAX));
+    delay.as_micros() as u32
+}
+
+/// The live state of one directed link in one network view, in 8 bytes:
+/// the time its transmitter becomes idle again, in microseconds, and in the
+/// top bit whether the link is administratively down (see [`LinkSpec::up`]).
+/// A clock of 0 is an idle link that is up.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LinkClock(u64);
+
+impl LinkClock {
+    /// The bit that marks a down link. No simulated time reaches it.
+    const DOWN: u64 = 1 << 63;
+
+    /// An idle link, up or down.
+    pub(crate) fn new(up: bool) -> Self {
+        LinkClock(if up { 0 } else { Self::DOWN })
+    }
+
+    /// Whether the link is administratively up.
+    pub(crate) fn is_up(self) -> bool {
+        self.0 & Self::DOWN == 0
+    }
+
+    /// Takes the link up or down; when its transmitter is idle again does
+    /// not change.
+    pub(crate) fn set_up(&mut self, up: bool) {
+        self.0 = if up {
+            self.0 & !Self::DOWN
+        } else {
+            self.0 | Self::DOWN
+        };
+    }
+
+    /// When the transmitter is idle again, or `None` while the link is
+    /// down.
+    #[inline]
+    fn busy_until(self) -> Option<SimTime> {
+        self.is_up().then_some(SimTime::from_micros(self.0))
+    }
+
+    /// Sets when the transmitter of an up link is idle again.
+    #[inline]
+    fn set_busy_until(&mut self, at: SimTime) {
+        debug_assert!(self.is_up() && at.as_micros() < Self::DOWN);
+        self.0 = at.as_micros();
     }
 }
 
@@ -181,11 +278,13 @@ mod tests {
     use super::*;
     use crate::network::{Network, NetworkSpec};
 
-    fn test_link(bw: f64, queue: u32, loss: f64) -> DirectedLink {
+    /// The parameters of a 10 ms link from router 0 to router 1, and an
+    /// idle clock for one of its directions.
+    fn test_link(bw: f64, queue: u32, loss: f64) -> (LinkParams, LinkClock) {
         let spec = LinkSpec::new(0, 1, bw, SimDuration::from_millis(10))
             .with_queue(queue)
             .with_loss(loss);
-        DirectedLink::from_spec(&spec, false)
+        (LinkParams::from_spec(&spec), LinkClock::new(true))
     }
 
     /// A network of one such physical link between routers 0 and 1; its
@@ -203,9 +302,9 @@ mod tests {
     #[test]
     fn packet_arrival_includes_tx_and_propagation() {
         let mut rng = SimRng::new(1);
-        let mut link = test_link(1_000_000.0, 100_000, 0.0);
+        let (link, mut clock) = test_link(1_000_000.0, 100_000, 0.0);
         // 1500 B at 1 Mbps = 12 ms tx + 10 ms propagation.
-        match link.offer(SimTime::ZERO, 1500, &mut rng) {
+        match link.offer(&mut clock, SimTime::ZERO, 1500, &mut rng) {
             HopOutcome::Arrive(t) => assert_eq!(t.as_micros(), 22_000),
             other => panic!("unexpected outcome {other:?}"),
         }
@@ -214,9 +313,9 @@ mod tests {
     #[test]
     fn back_to_back_packets_queue_behind_each_other() {
         let mut rng = SimRng::new(1);
-        let mut link = test_link(1_000_000.0, 100_000, 0.0);
-        let first = link.offer(SimTime::ZERO, 1500, &mut rng);
-        let second = link.offer(SimTime::ZERO, 1500, &mut rng);
+        let (link, mut clock) = test_link(1_000_000.0, 100_000, 0.0);
+        let first = link.offer(&mut clock, SimTime::ZERO, 1500, &mut rng);
+        let second = link.offer(&mut clock, SimTime::ZERO, 1500, &mut rng);
         match (first, second) {
             (HopOutcome::Arrive(a), HopOutcome::Arrive(b)) => {
                 assert_eq!(a.as_micros(), 22_000);
@@ -224,6 +323,23 @@ mod tests {
             }
             other => panic!("unexpected outcomes {other:?}"),
         }
+    }
+
+    /// Taking a direction down and up again leaves its transmitter's
+    /// schedule as it was: the clock keeps `busy_until` beside the down bit.
+    #[test]
+    fn a_down_spell_keeps_the_transmitter_schedule() {
+        let mut rng = SimRng::new(1);
+        let (link, mut clock) = test_link(1_000_000.0, 100_000, 0.0);
+        link.offer(&mut clock, SimTime::ZERO, 1500, &mut rng);
+        clock.set_up(false);
+        assert!(!clock.is_up());
+        let down = link.offer(&mut clock, SimTime::ZERO, 1500, &mut rng);
+        assert_eq!(down, HopOutcome::DroppedDown);
+        clock.set_up(true);
+        // Queued behind the first packet's 12 ms: 24 ms tx + 10 ms.
+        let after = link.offer(&mut clock, SimTime::ZERO, 1500, &mut rng);
+        assert_eq!(after, HopOutcome::Arrive(SimTime::from_micros(34_000)));
     }
 
     #[test]
@@ -246,12 +362,15 @@ mod tests {
     #[test]
     fn random_loss_rate_is_respected() {
         let mut rng = SimRng::new(2);
-        let mut link = test_link(1e9, 10_000_000, 0.3);
+        let (link, mut clock) = test_link(1e9, 10_000_000, 0.3);
         let mut lost = 0;
         for i in 0..10_000 {
             // Space offers out so the queue never fills.
             let now = SimTime::from_millis(i as u64);
-            if matches!(link.offer(now, 100, &mut rng), HopOutcome::DroppedLoss) {
+            if matches!(
+                link.offer(&mut clock, now, 100, &mut rng),
+                HopOutcome::DroppedLoss
+            ) {
                 lost += 1;
             }
         }
@@ -287,12 +406,12 @@ mod tests {
     #[test]
     fn bandwidth_mutation_rescales_queue_bound_and_tx_time() {
         let mut rng = SimRng::new(5);
-        let mut link = test_link(1_000_000.0, 3_000, 0.0);
+        let (mut link, mut clock) = test_link(1_000_000.0, 3_000, 0.0);
         let before = link.max_queue_delay;
         link.set_bandwidth(2_000_000.0);
         assert_eq!(link.max_queue_delay.as_micros(), before.as_micros() / 2);
         // 1500 B at 2 Mbps = 6 ms tx + 10 ms propagation.
-        match link.offer(SimTime::ZERO, 1500, &mut rng) {
+        match link.offer(&mut clock, SimTime::ZERO, 1500, &mut rng) {
             HopOutcome::Arrive(t) => assert_eq!(t.as_micros(), 16_000),
             other => panic!("unexpected outcome {other:?}"),
         }

@@ -1,15 +1,18 @@
 //! The emulated physical network.
 //!
-//! A [`Network`] owns the directed links, the routing state, and the mapping
-//! from overlay participants to the router they are attached to. The
+//! A [`Network`] owns the directed links' clocks, the routing state, and the
+//! mapping from overlay participants to the router they are attached to. The
 //! simulator asks it to route packets hop by hop; the network applies each
 //! link's queueing, loss, and delay and reports when (and whether) the packet
-//! reaches the next hop.
+//! reaches the next hop. The link parameters and the routing graph are a
+//! [`NetworkSetup`]'s, shared by every view of it until a view mutates them.
 
 use std::sync::Arc;
 
 use crate::hash::FxHashMap;
-use crate::link::{routing_cost, DirectedLink, DirectedLinkId, HopOutcome, LinkSpec, RouterId};
+use crate::link::{
+    routing_cost, DirectedLinkId, HopOutcome, LinkClock, LinkParams, LinkSpec, RouterId,
+};
 use crate::rng::SimRng;
 use crate::routing::{
     edge_cost, select_landmarks, Adjacency, Contracted, LazyRouter, RoutingMode, RowSearch,
@@ -447,19 +450,19 @@ enum EdgeChange {
     Cost { new_cost: u64, lowered: bool },
 }
 
-/// Per-trace aggregate maintained incrementally as traced copies cross
-/// links.
-#[derive(Clone, Copy, Debug, Default)]
-struct TraceAgg {
-    /// Distinct links this traced packet has crossed at least once.
-    links: u64,
-    /// Total copies of the packet summed over those links.
+/// One traced packet's link stress, updated as its copies cross links.
+#[derive(Clone, Debug, Default)]
+struct TraceStress {
+    /// Total copies of the packet summed over the links it crossed.
     copies: u64,
+    /// Copies that crossed each directed link the packet crossed; its
+    /// `len()` is the packet's distinct links.
+    per_link: FxHashMap<u32, u32>,
 }
 
-/// The immutable, shareable half of a [`Network`]: the routing adjacency
-/// and the ALT landmark distance tables, both pure functions of a
-/// [`NetworkSpec`] and a [`RoutingMode`].
+/// The immutable, shareable half of a [`Network`]: the link parameters, the
+/// routing adjacency and the ALT landmark distance tables, all pure
+/// functions of a [`NetworkSpec`] and a [`RoutingMode`].
 ///
 /// Building these is the expensive part of network construction at paper
 /// scale (the landmark tables alone are several full-graph Dijkstras over
@@ -474,10 +477,10 @@ struct TraceAgg {
 #[derive(Clone, Debug)]
 pub struct NetworkSetup {
     routers: usize,
-    /// Physical (spec) link count the adjacency was built over; checked
-    /// against the spec on every [`Network::with_setup`] so a stale setup
-    /// cannot silently mis-index a different link table.
-    spec_links: usize,
+    /// Each physical (spec) link's parameters, by spec index. Its length is
+    /// checked against the spec on every [`Network::with_setup`] so a stale
+    /// setup cannot silently mis-index a different link table.
+    params: Arc<[LinkParams]>,
     mode: RoutingMode,
     adjacency: Arc<Adjacency>,
     /// Landmark distance tables ([`RoutingMode::LazyAlt`] only; empty
@@ -503,14 +506,17 @@ impl NetworkSetup {
                 (link.b, link.a, rev, cost, link.up),
             ]
         });
+        // The graph checks that every router id and delay fits in a `u32`,
+        // as the link parameters need.
         let adjacency = Arc::new(Adjacency::new(spec.routers, links));
+        let params = spec.links.iter().map(LinkParams::from_spec).collect();
         let landmarks = match mode {
             RoutingMode::LazyAlt { landmarks } => Arc::new(select_landmarks(&adjacency, landmarks)),
             RoutingMode::EagerPerSource => Arc::new(Vec::new()),
         };
         NetworkSetup {
             routers: spec.routers,
-            spec_links: spec.links.len(),
+            params,
             mode,
             adjacency,
             landmarks,
@@ -528,7 +534,14 @@ impl NetworkSetup {
 
 /// The live network: directed links plus routing and tracing state.
 pub struct Network {
-    links: Vec<DirectedLink>,
+    /// Each physical link's parameters, by spec index: both directions of
+    /// link `i` read entry `i`. Shared with the originating
+    /// [`NetworkSetup`] (and sibling runs) until a bandwidth, loss or delay
+    /// mutation changes this network's private copy (clone-on-write).
+    params: Arc<[LinkParams]>,
+    /// Each directed link's clock, by [`DirectedLinkId`]: when its
+    /// transmitter is idle again, and whether it is up.
+    clocks: Vec<LinkClock>,
     /// Routing adjacency. Shared with the originating [`NetworkSetup`] (and
     /// sibling runs) until a topology mutation patches this network's
     /// private copy (clone-on-write).
@@ -547,14 +560,12 @@ pub struct Network {
     path_buf: Vec<DirectedLinkId>,
     /// Row searches performed (see [`Network::row_trees`]).
     batched_queries: u64,
-    /// Copies per trace id, for each directed link that has carried a traced
-    /// copy. Only a sample of packets is traced, so most links never get an
-    /// entry; and each link's map grows on its own, never one big table.
-    link_traces: FxHashMap<DirectedLinkId, FxHashMap<u64, u64>>,
-    /// Per-trace aggregates, updated incrementally on every traced hop.
-    trace_aggs: FxHashMap<u64, TraceAgg>,
+    /// Link stress per trace id, updated on every traced hop. Only a sample
+    /// of packets is traced, and each traced packet keeps a map of the links
+    /// it crossed, so the table grows with the (trace, link) pairs.
+    traces: FxHashMap<u64, TraceStress>,
     /// Running sum over traces of (copies / distinct links), kept in sync
-    /// with `trace_aggs` so [`Network::stress_stats`] is O(1).
+    /// with `traces` so [`Network::stress_stats`] is O(1).
     stress_ratio_sum: f64,
     /// Largest per-(trace, link) copy count seen so far.
     stress_max: u64,
@@ -582,36 +593,40 @@ impl Network {
     }
 
     /// Builds a live network over a shared [`NetworkSetup`], skipping the
-    /// adjacency and landmark construction. This is the cheap per-run view a
-    /// parallel harness hands each worker: link queues, route arena and the
-    /// participant memo are private to this network; only the
-    /// immutable setup is shared. `spec` must be the spec the setup was
-    /// built from (same routers and links) — routes are then bit-identical
-    /// to [`Network::with_routing`] on that spec.
+    /// link parameter, adjacency and landmark construction. This is the
+    /// cheap per-run view a parallel harness hands each worker: the link
+    /// clocks (8 bytes per directed link), route arena and the participant
+    /// memo are private to this network; only the immutable setup is
+    /// shared. `spec` must be the spec the setup was built from (same
+    /// routers and links; the view takes each link's up state from it and
+    /// its parameters from the setup) — routes are then bit-identical to
+    /// [`Network::with_routing`] on that spec.
     ///
     /// # Panics
     ///
     /// Panics if `spec`'s router or link count differs from what the setup
-    /// was built over, if a link names a router id that does not fit in a
-    /// `u32`, or if a directed link id does not fit in 31 bits.
+    /// was built over, or if a directed link id does not fit in 31 bits.
+    /// (Building the setup panics first if a router id or a delay does not
+    /// fit in a `u32`.)
     pub fn with_setup(spec: &NetworkSpec, setup: &NetworkSetup) -> Self {
         assert_eq!(
             (spec.routers, spec.links.len()),
-            (setup.routers, setup.spec_links),
+            (setup.routers, setup.params.len()),
             "NetworkSetup was built for a different topology"
         );
-        assert!(
-            (spec.links.iter()).all(|link| link.a.max(link.b) <= u32::MAX as usize),
-            "router ids fit in a u32"
+        debug_assert!(
+            (spec.links.iter().zip(&setup.params[..]))
+                .all(|(link, params)| LinkParams::from_spec(link) == *params),
+            "NetworkSetup was built for different link parameters"
         );
         // A row tree tells a link entry from a branch marker by the top bit.
         assert!(
             2 * spec.links.len() <= BRANCH as usize,
             "directed link ids fit in 31 bits"
         );
-        let mut links = Vec::with_capacity(2 * spec.links.len());
+        let mut clocks = Vec::with_capacity(2 * spec.links.len());
         for link in &spec.links {
-            links.extend([false, true].map(|reverse| DirectedLink::from_spec(link, reverse)));
+            clocks.extend([LinkClock::new(link.up); 2]);
         }
         let adjacency = setup.adjacency.clone();
         let mode = setup.mode;
@@ -629,7 +644,8 @@ impl Network {
             router_parts.entry(r).or_default().push(p as u32);
         }
         Network {
-            links,
+            params: setup.params.clone(),
+            clocks,
             adjacency,
             attachments: spec.attachments.clone(),
             mode,
@@ -639,8 +655,7 @@ impl Network {
             memo: RouteMemo::new(spec.attachments.len()),
             path_buf: Vec::new(),
             batched_queries: 0,
-            link_traces: FxHashMap::default(),
-            trace_aggs: FxHashMap::default(),
+            traces: FxHashMap::default(),
             stress_ratio_sum: 0.0,
             stress_max: 0,
             bytes_sent: 0,
@@ -654,14 +669,21 @@ impl Network {
         self.attachments.len()
     }
 
-    /// Read-only view of a directed link.
-    pub fn link(&self, id: DirectedLinkId) -> &DirectedLink {
-        &self.links[id]
+    /// The parameters of directed link `id`: those of the physical link it
+    /// is a direction of.
+    #[inline]
+    pub fn link(&self, id: DirectedLinkId) -> &LinkParams {
+        &self.params[id / 2]
     }
 
-    /// All directed links.
-    pub fn links(&self) -> &[DirectedLink] {
-        &self.links
+    /// Whether directed link `id` is administratively up.
+    pub fn link_up(&self, id: DirectedLinkId) -> bool {
+        self.clocks[id].is_up()
+    }
+
+    /// The number of directed links, two per physical link.
+    pub fn directed_links(&self) -> usize {
+        self.clocks.len()
     }
 
     /// The interned route between two overlay participants.
@@ -699,7 +721,11 @@ impl Network {
                 if !row.path_into(to, &mut self.path_buf) {
                     return None;
                 }
-                let cost = self.path_buf.iter().map(|&l| self.links[l].cost()).sum();
+                let cost = self
+                    .path_buf
+                    .iter()
+                    .map(|&l| self.params[l / 2].cost())
+                    .sum();
                 (&self.path_buf, cost)
             }
             RouteComputer::Lazy(router) => {
@@ -802,17 +828,13 @@ impl Network {
     /// new capacity immediately because they re-read link state on every
     /// estimate.
     pub fn set_link_bandwidth(&mut self, index: usize, bandwidth_bps: f64) {
-        let (fwd, rev) = Self::directed_ids(index);
-        self.links[fwd].set_bandwidth(bandwidth_bps);
-        self.links[rev].set_bandwidth(bandwidth_bps);
+        Arc::make_mut(&mut self.params)[index].set_bandwidth(bandwidth_bps);
     }
 
     /// Sets the random loss probability of physical link `index` (both
     /// directions). Routes are unaffected.
     pub fn set_link_loss(&mut self, index: usize, loss: f64) {
-        let (fwd, rev) = Self::directed_ids(index);
-        self.links[fwd].loss = loss;
-        self.links[rev].loss = loss;
+        Arc::make_mut(&mut self.params)[index].set_loss(loss);
     }
 
     /// Sets the propagation delay of physical link `index` (both
@@ -829,10 +851,10 @@ impl Network {
         let (fwd, rev) = Self::directed_ids(index);
         // The graph stores a cost in a `u32`: check before anything changes.
         edge_cost(fwd, routing_cost(delay));
-        let old_cost = self.links[fwd].cost();
-        self.links[fwd].delay = delay;
-        self.links[rev].delay = delay;
-        let new_cost = self.links[fwd].cost();
+        let params = &mut Arc::make_mut(&mut self.params)[index];
+        let old_cost = params.cost();
+        params.set_delay(delay);
+        let new_cost = params.cost();
         if new_cost == old_cost {
             return;
         }
@@ -841,7 +863,7 @@ impl Network {
         // edge does (the new cost is picked up when the link comes back up).
         let changes: Vec<(DirectedLinkId, EdgeChange)> = [fwd, rev]
             .into_iter()
-            .filter(|&id| self.links[id].up)
+            .filter(|&id| self.clocks[id].is_up())
             .map(|id| (id, EdgeChange::Cost { new_cost, lowered }))
             .collect();
         self.apply_route_mutation(changes);
@@ -855,8 +877,8 @@ impl Network {
         let (fwd, rev) = Self::directed_ids(index);
         let mut changes: Vec<(DirectedLinkId, EdgeChange)> = Vec::new();
         for id in [fwd, rev] {
-            if self.links[id].up != up {
-                self.links[id].up = up;
+            if self.clocks[id].is_up() != up {
+                self.clocks[id].set_up(up);
                 changes.push((
                     id,
                     if up {
@@ -894,8 +916,8 @@ impl Network {
         };
         let mut changes = Vec::new();
         for id in ids {
-            if self.links[id].up != up {
-                self.links[id].up = up;
+            if self.clocks[id].is_up() != up {
+                self.clocks[id].set_up(up);
                 changes.push((id, change));
             }
         }
@@ -972,8 +994,8 @@ impl Network {
         {
             let adjacency = Arc::make_mut(&mut self.adjacency);
             for &(id, change) in &changes {
-                let link = &self.links[id];
-                let (from, to) = (link.from as RouterId, link.to as RouterId);
+                let link = &self.params[id / 2];
+                let (from, to) = link.ends(id);
                 match change {
                     EdgeChange::Removed => adjacency.remove_edge(from, to, id),
                     EdgeChange::Added => {
@@ -1097,7 +1119,7 @@ impl Network {
         let id = self.route(from, to)?;
         let mut total = crate::time::SimDuration::ZERO;
         for &link in self.routes.links(id) {
-            total = total + self.links[link as usize].delay;
+            total = total + self.link(link as usize).delay();
         }
         Some(total)
     }
@@ -1116,37 +1138,29 @@ impl Network {
         if let Some(id) = trace_id {
             self.record_trace(id, link);
         }
-        let outcome = self.links[link].offer(now, size_bytes, rng);
+        let outcome = self.params[link / 2].offer(&mut self.clocks[link], now, size_bytes, rng);
         if matches!(outcome, HopOutcome::Arrive(_) | HopOutcome::DroppedLoss) {
             self.bytes_sent += u64::from(size_bytes);
         }
         outcome
     }
 
-    /// Updates the per-link trace counts and the incremental link-stress
-    /// aggregates for one traced copy crossing `link`.
+    /// Updates the trace's per-link copy count and the incremental
+    /// link-stress aggregates for one traced copy crossing `link`.
     fn record_trace(&mut self, trace: u64, link: DirectedLinkId) {
-        let count = self
-            .link_traces
-            .entry(link)
-            .or_default()
-            .entry(trace)
-            .or_insert(0);
-        *count += 1;
-        let count = *count;
-        let agg = self.trace_aggs.entry(trace).or_default();
-        let old_ratio = if agg.links == 0 {
+        let stress = self.traces.entry(trace).or_default();
+        let old_ratio = if stress.per_link.is_empty() {
             0.0
         } else {
-            agg.copies as f64 / agg.links as f64
+            stress.copies as f64 / stress.per_link.len() as f64
         };
-        if count == 1 {
-            agg.links += 1;
-        }
-        agg.copies += 1;
-        let new_ratio = agg.copies as f64 / agg.links as f64;
+        let count = stress.per_link.entry(link as u32).or_insert(0);
+        *count += 1;
+        let count = *count;
+        stress.copies += 1;
+        let new_ratio = stress.copies as f64 / stress.per_link.len() as f64;
         self.stress_ratio_sum += new_ratio - old_ratio;
-        self.stress_max = self.stress_max.max(count);
+        self.stress_max = self.stress_max.max(u64::from(count));
     }
 
     /// Link-stress statistics over all traced packets.
@@ -1158,7 +1172,7 @@ impl Network {
     /// order, so the reported mean's low bits are the same in every
     /// process.
     pub fn stress_stats(&self) -> StressStats {
-        let traced = self.trace_aggs.len();
+        let traced = self.traces.len();
         if traced == 0 {
             return StressStats::default();
         }
@@ -1181,7 +1195,7 @@ mod tests {
     use super::*;
     use crate::routing::model_paths;
     use crate::time::SimDuration;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Two clients attached to stubs joined through a single transit router.
     ///
@@ -1222,8 +1236,8 @@ mod tests {
         let path = point_path(&mut net, 0, 1).expect("path exists");
         assert_eq!(path.len(), 2);
         // Forward direction uses the even (forward) directed links.
-        assert_eq!(net.link(path[0]).from, 0);
-        assert_eq!(net.link(path[1]).to, 2);
+        assert_eq!(net.link(path[0]).ends(path[0]).0, 0);
+        assert_eq!(net.link(path[1]).ends(path[1]).1, 2);
     }
 
     #[test]
@@ -1315,6 +1329,134 @@ mod tests {
         assert_eq!(second.max, 2);
         // Trace 1: 1 copy / 1 link = 1.0; trace 2: 4 copies / 2 links = 2.0.
         assert!((second.mean - 1.5).abs() < 1e-12);
+    }
+
+    /// Link stress against a model that keeps every (trace, link) count in
+    /// a `BTreeMap` and sums each trace's ratio in crossing order. Seeded
+    /// runs interleave traces whose ids lie far apart, send one trace
+    /// across one link 300 times, and take links down and up: a copy
+    /// offered to a down link counts, since a trace is recorded before the
+    /// offer.
+    #[test]
+    fn stress_stats_match_a_btreemap_model() {
+        let spec = diamond();
+        let links = 2 * spec.links.len();
+        let traces = [0, 1, 0x9E37_79B9_7F4A_7C15, 1 << 40, u64::MAX - 1, u64::MAX];
+        for case in 0..16 {
+            let mut rng = SimRng::new(0x57E5 + case);
+            let mut offers = SimRng::new(case);
+            let mut net = Network::new(&spec);
+            let mut model: BTreeMap<(u64, DirectedLinkId), u64> = BTreeMap::new();
+            let (mut ratio_sum, mut max, mut dropped_down) = (0.0, 0, 0);
+            let hot = (
+                traces[rng.range_usize(0, traces.len())],
+                rng.range_usize(0, links),
+            );
+            for step in 0..900u64 {
+                if rng.chance(0.05) {
+                    net.set_link_up(rng.range_usize(0, spec.links.len()), rng.chance(0.5));
+                }
+                let (trace, link) = if step % 3 == 0 {
+                    hot
+                } else {
+                    (
+                        traces[rng.range_usize(0, traces.len())],
+                        rng.range_usize(0, links),
+                    )
+                };
+                let now = SimTime::from_millis(step);
+                let outcome = net.offer_hop(now, link, 1000, Some(trace), &mut offers);
+                dropped_down += u32::from(outcome == HopOutcome::DroppedDown);
+                let distinct =
+                    |model: &BTreeMap<_, _>| model.range((trace, 0)..=(trace, links)).count();
+                let copies = |model: &BTreeMap<_, u64>| -> u64 {
+                    model
+                        .range((trace, 0)..=(trace, links))
+                        .map(|(_, &c)| c)
+                        .sum()
+                };
+                let old = match distinct(&model) {
+                    0 => 0.0,
+                    n => copies(&model) as f64 / n as f64,
+                };
+                let count = model.entry((trace, link)).or_insert(0);
+                *count += 1;
+                max = max.max(*count);
+                ratio_sum += copies(&model) as f64 / distinct(&model) as f64 - old;
+            }
+            let traced = model
+                .keys()
+                .map(|&(trace, _)| trace)
+                .collect::<BTreeSet<_>>()
+                .len();
+            let stats = net.stress_stats();
+            assert!(model[&hot] >= 300, "case {case}");
+            assert!(dropped_down > 0, "case {case}: no copy met a down link");
+            assert_eq!(
+                (stats.traced_packets, stats.max, stats.mean.to_bits()),
+                (traced, max, (ratio_sum / traced as f64).to_bits()),
+                "case {case}: {stats:?}"
+            );
+        }
+    }
+
+    /// Two views of one setup, one of them mutated by every mutator: the
+    /// mutated view offers hops as a fresh network on the mutated spec does,
+    /// and its sibling as a fresh network on the original spec does, still
+    /// sharing the setup's link parameters.
+    #[test]
+    fn sibling_views_keep_their_own_link_state() {
+        // The diamond, with loss on link 0 and a fifth router on links 4
+        // and 5.
+        let mut spec = NetworkSpec::new(5);
+        for link in diamond().links {
+            spec.add_link(link);
+        }
+        spec.links[0].loss = 0.1;
+        spec.add_link(LinkSpec::new(2, 4, 10e6, SimDuration::from_millis(3)));
+        spec.add_link(LinkSpec::new(1, 4, 10e6, SimDuration::from_millis(3)));
+        spec.attach(0);
+        spec.attach(2);
+        let setup = NetworkSetup::new(&spec);
+        let mut mutated = Network::with_setup(&spec, &setup);
+        let mut untouched = Network::with_setup(&spec, &setup);
+        let mut mutated_spec = spec.clone();
+        mutated.set_link_bandwidth(0, 2e6);
+        mutated_spec.set_link_bandwidth(0, 2e6);
+        mutated.set_link_loss(2, 0.3);
+        mutated_spec.set_link_loss(2, 0.3);
+        mutated.set_link_delay(3, SimDuration::from_millis(7));
+        mutated_spec.set_link_delay(3, SimDuration::from_millis(7));
+        mutated.set_link_up(1, false);
+        mutated_spec.set_link_up(1, false);
+        mutated.set_router_up(4, false);
+        mutated_spec.set_router_up(4, false);
+        assert!(Arc::ptr_eq(&untouched.params, &setup.params));
+        assert!(!Arc::ptr_eq(&mutated.params, &setup.params));
+        // Forty 1500-byte copies per directed link and round overflow the
+        // 50 KB queues, so every outcome kind can occur.
+        let outcomes = |net: &mut Network| -> Vec<HopOutcome> {
+            let mut rng = SimRng::new(9);
+            let mut seen = Vec::new();
+            for round in 0..3 {
+                for link in 0..net.directed_links() {
+                    for _ in 0..40 {
+                        let now = SimTime::from_millis(100 * round);
+                        seen.push(net.offer_hop(now, link, 1500, None, &mut rng));
+                    }
+                }
+            }
+            seen
+        };
+        let want = outcomes(&mut Network::new(&mutated_spec));
+        assert_eq!(outcomes(&mut mutated), want, "the mutated view");
+        assert_ne!(outcomes(&mut Network::new(&spec)), want);
+        assert_eq!(
+            outcomes(&mut untouched),
+            outcomes(&mut Network::new(&spec)),
+            "the untouched view"
+        );
+        assert!(Arc::ptr_eq(&untouched.params, &setup.params));
     }
 
     #[test]
@@ -1669,8 +1811,8 @@ mod tests {
     /// tells a repair that matches directed links from one that matches
     /// physical links.
     fn set_direction_up(net: &mut Network, id: DirectedLinkId, up: bool) {
-        if net.links[id].up != up {
-            net.links[id].up = up;
+        if net.clocks[id].is_up() != up {
+            net.clocks[id].set_up(up);
             let change = if up {
                 EdgeChange::Added
             } else {
@@ -1863,10 +2005,13 @@ mod tests {
                     _ => {}
                 }
                 let (router, up) = (rng.range_usize(0, spec.routers), rng.chance(0.5));
-                let want: Vec<(DirectedLinkId, bool)> = (net.links.iter().enumerate())
-                    .filter(|(_, l)| l.from as usize == router || l.to as usize == router)
-                    .filter(|(_, l)| l.up != up)
-                    .map(|(id, _)| (id, up))
+                let want: Vec<(DirectedLinkId, bool)> = (0..net.directed_links())
+                    .filter(|&id| {
+                        let (from, to) = net.link(id).ends(id);
+                        from == router || to == router
+                    })
+                    .filter(|&id| net.link_up(id) != up)
+                    .map(|id| (id, up))
                     .collect();
                 let changes = net.router_changes(router, up);
                 let got: Vec<(DirectedLinkId, bool)> = (changes.iter())
@@ -1876,7 +2021,7 @@ mod tests {
                     got, want,
                     "case {case}, step {step}: router {router} up {up}"
                 );
-                assert!(changes.iter().all(|&(id, _)| net.links[id].up == up));
+                assert!(changes.iter().all(|&(id, _)| net.link_up(id) == up));
                 net.apply_route_mutation(changes);
             }
         }
@@ -2101,8 +2246,8 @@ mod tests {
             "memo survived the mutation"
         );
         let (fwd, _) = Network::directed_ids(0);
-        assert_eq!(net.link(fwd).bandwidth_bps, 1e6);
-        assert_eq!(net.link(fwd).loss, 0.25);
+        assert_eq!(net.link(fwd).bandwidth_bps(), 1e6);
+        assert_eq!(net.link(fwd).loss(), 0.25);
     }
 
     #[test]

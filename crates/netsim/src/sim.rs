@@ -1615,6 +1615,25 @@ mod tests {
         );
     }
 
+    /// What a network holds per link: one shared `LinkParams` per physical
+    /// link, at most 40 bytes, and in each view one 8-byte `LinkClock` per
+    /// directed link. A field added to either table fails here by name.
+    #[test]
+    fn link_tables_cost_40_bytes_shared_and_8_per_view() {
+        use crate::link::{LinkClock, LinkParams};
+        use std::mem::size_of;
+        assert!(
+            size_of::<LinkParams>() <= 40,
+            "LinkParams is {} bytes",
+            size_of::<LinkParams>()
+        );
+        assert_eq!(
+            size_of::<LinkClock>(),
+            8,
+            "a view's state per directed link"
+        );
+    }
+
     #[test]
     fn identical_seeds_give_identical_traces() {
         let run = |seed| {

@@ -99,7 +99,7 @@ impl<'a> ThroughputOracle<'a> {
     pub fn new(net: &'a mut Network) -> Self {
         let participants: Vec<OverlayId> = (0..net.participants()).collect();
         ThroughputOracle {
-            flows: vec![0; net.links().len()],
+            flows: vec![0; net.directed_links()],
             rows: net.row_trees(&participants),
             path: Vec::new(),
             net,
@@ -121,16 +121,16 @@ impl<'a> ThroughputOracle<'a> {
         let mut delay = 0.0;
         for &link_id in &self.path {
             let link = self.net.link(link_id);
-            loss_survive *= 1.0 - link.loss;
-            delay += link.delay.as_secs_f64();
-            fair_share = fair_share.min(link.bandwidth_bps / (self.flows[link_id] + 1) as f64);
+            loss_survive *= 1.0 - link.loss();
+            delay += link.delay().as_secs_f64();
+            fair_share = fair_share.min(link.bandwidth_bps() / (self.flows[link_id] + 1) as f64);
         }
         let loss = 1.0 - loss_survive;
         let formula = if loss > 0.0 {
             self.rows[to].path_into(from, &mut self.path);
             let mut reverse_delay = 0.0;
             for &link_id in &self.path {
-                reverse_delay += self.net.link(link_id).delay.as_secs_f64();
+                reverse_delay += self.net.link(link_id).delay().as_secs_f64();
             }
             let rtt = (delay + reverse_delay).max(1e-4);
             tcp_throughput_bps(DATA_PACKET_BYTES as f64, rtt, loss)

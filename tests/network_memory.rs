@@ -2,13 +2,14 @@
 //!
 //! A counting global allocator tracks live bytes and live allocations. On
 //! the 100-participant paper topology class (≈ 20k routers, ≈ 45k directed
-//! links) the test measures what `NetworkSetup::new` holds — the routing
-//! graph and the landmark tables — and what one `Network::with_setup` view
-//! adds on top, and keeps both under ceilings. The graph is two flat tables,
-//! so the setup is a handful of allocations; a graph with one edge list per
-//! router would hold tens of thousands and fail here. The view's search
-//! workspace must appear at its first point query and not before. The test
-//! then builds the offline bottleneck tree over 40 participants, whose
+//! links) the test measures what `NetworkSetup::new` holds — the link
+//! parameters, the routing graph and the landmark tables — and what one
+//! `Network::with_setup` view adds on top, and keeps both under ceilings.
+//! The graph is two flat tables, so the setup is a handful of allocations; a
+//! graph with one edge list per router would hold tens of thousands and fail
+//! here. The view's search workspace must appear at its first point query
+//! and not before. Link stress, counted per traced packet, must cost a
+//! pinned number of bytes per (trace, link) pair. The test then builds the offline bottleneck tree over 40 participants, whose
 //! oracle reads one row tree per participant and interns nothing: the view
 //! must not grow, and the build's peak above it is bounded by the row
 //! trees' entries and leaves, the oracle's flow array and one row search per
@@ -24,7 +25,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use bullet_suite::netsim::{ordered_map, Network, NetworkSetup, RoutingMode, SimDuration};
+use std::collections::BTreeSet;
+
+use bullet_suite::netsim::{
+    ordered_map, Network, NetworkSetup, RoutingMode, SimDuration, SimRng, SimTime,
+};
 use bullet_suite::overlay::{bottleneck_tree, OmbtConfig};
 use bullet_suite::topology::{generate, TopologyConfig};
 
@@ -76,12 +81,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Ceiling on the bytes a paper-scale `NetworkSetup` holds.
+/// Ceiling on the bytes a paper-scale `NetworkSetup`'s routing state holds;
+/// the setup may hold 40 bytes more per physical link, its `LinkParams`.
 const SETUP_CEILING: i64 = 2_103_000;
 
 /// Ceiling on the bytes a paper-scale `Network` view holds before its first
 /// point query.
-const VIEW_CEILING: i64 = 2_584_000;
+const VIEW_CEILING: i64 = 375_200;
+
+/// Ceiling on a paper-scale setup and one view of it together.
+const SETUP_AND_VIEW_CEILING: i64 = 3_397_400;
+
+/// Ceiling on the link-stress bytes per distinct (trace, link) pair.
+const STRESS_BYTES_PER_PAIR: f64 = 14.87;
 
 /// `(live bytes, live allocations)` right now.
 fn live() -> (i64, i64) {
@@ -108,6 +120,7 @@ fn held_since(before: (i64, i64)) -> (i64, i64) {
 fn a_paper_scale_network_holds_flat_routing_state() {
     let topo = generate(&TopologyConfig::paper_scale(100, 7));
     let (routers, links) = (topo.spec.routers, 2 * topo.spec.links.len());
+    let setup_ceiling = SETUP_CEILING + 40 * topo.spec.links.len() as i64;
     assert!(routers >= 20_000, "paper class must be paper-sized");
 
     let before = live();
@@ -127,18 +140,25 @@ fn a_paper_scale_network_holds_flat_routing_state() {
          {setup_allocations} allocations, view {view_bytes} B in {view_allocations}"
     );
     // Measured on 20,200 routers and 44,642 directed links: the setup holds
-    // 2,041,384 B in 15 allocations — two 12-byte edge slots per directed
-    // link and eight tables of 4-byte landmark distances — and a view
-    // 2,507,017 B in 108, nearly all of it 56-byte directed links. The
-    // ceilings leave 3 % on bytes and a few allocations. A graph of one
-    // edge-list `Vec` per router and direction holds over 40,000
-    // allocations; 16-byte edges and 8-byte landmark entries make the setup
-    // 3.04 MB, a workspace built with the view makes it 4.2 MB, and a route
-    // memo built with it adds its 40,000 B.
-    assert!(setup_bytes <= SETUP_CEILING, "{report}");
+    // 2,934,240 B in 16 allocations — two 12-byte edge slots per directed
+    // link, eight tables of 4-byte landmark distances and a 40-byte
+    // `LinkParams` per physical link (892,856 B) — and a view 364,201 B in
+    // 108, nearly all of it 8-byte link clocks. The ceilings leave 3 % on
+    // bytes and a few allocations. A view that copied each directed link's
+    // parameters beside its clock, 56 B per link, held 2,507,017 B, and a
+    // setup and view together 4,548,401 B. A graph of one edge-list `Vec`
+    // per router and direction holds over 40,000 allocations; 16-byte edges
+    // and 8-byte landmark entries make the routing state 3.04 MB, a
+    // workspace built with the view adds its 41 B per router to it, and a
+    // route memo built with it adds its 40,000 B.
+    assert!(setup_bytes <= setup_ceiling, "{report}");
     assert!(setup_allocations <= 20, "{report}");
     assert!(view_bytes <= VIEW_CEILING, "{report}");
     assert!(view_allocations <= 115, "{report}");
+    assert!(
+        setup_bytes + view_bytes <= SETUP_AND_VIEW_CEILING,
+        "{report}"
+    );
 
     // The view's first point query allocates the search workspace, a 41-byte
     // label set per router (two 12-byte frontier labels, a 12-byte potential
@@ -166,6 +186,47 @@ fn a_paper_scale_network_holds_flat_routing_state() {
         at_first_query_only && second_query <= workspace / 10,
         "{report}"
     );
+
+    // Link stress is counted per traced packet: a map from each directed
+    // link the packet crossed to its copies there. Trace one packet out of
+    // each participant along its routes to the next eight, with trace ids
+    // far apart, and count what the table holds per distinct (trace, link)
+    // pair. The routes are looked up first, so only the table grows.
+    let n = attachments.len();
+    let traced: Vec<Vec<u32>> = (0..n)
+        .map(|source| {
+            (1..=8)
+                .flat_map(|k| {
+                    let id = view.route(source, (source + k) % n).expect("connected");
+                    view.route_links(id).to_vec()
+                })
+                .collect()
+        })
+        .collect();
+    let pairs: usize = (traced.iter())
+        .map(|links| links.iter().collect::<BTreeSet<_>>().len())
+        .sum();
+    let mut rng = SimRng::new(7);
+    let before = live();
+    for (packet, links) in traced.iter().enumerate() {
+        let trace = (packet as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for &link in links {
+            view.offer_hop(SimTime::ZERO, link as usize, 1_500, Some(trace), &mut rng);
+        }
+    }
+    let (stress_bytes, _) = held_since(before);
+    let per_pair = stress_bytes as f64 / pairs as f64;
+    let report = format!(
+        "{n} traced packets over {pairs} distinct (trace, link) pairs: {stress_bytes} B of \
+         link stress, {per_pair:.2} B per pair"
+    );
+    println!("{report}");
+    assert_eq!(view.stress_stats().traced_packets, n, "{report}");
+    // Measured: 149,584 B over 10,365 pairs, 14.43 B per pair (an 8-byte
+    // link and count per pair, about 104 links per packet); the ceiling
+    // leaves 3 %. One map per directed link keyed by 8-byte trace ids,
+    // beside a per-trace aggregate, held 602,716 B here, 58.15 B per pair.
+    assert!(per_pair <= STRESS_BYTES_PER_PAIR, "{report}");
 
     let topo = generate(&TopologyConfig::paper_scale(40, 7));
     let links = 2 * topo.spec.links.len();

@@ -1514,7 +1514,7 @@ fn the_tfrc_stanzas_are_defined_once() {
 /// accessor a test observes behaviour through and cannot read elsewhere. A
 /// caller-less helper that only its own test exercises is deleted, not
 /// listed here.
-const CALLER_LESS: [(&str, &str); 18] = [
+const CALLER_LESS: [(&str, &str); 19] = [
     (
         "alt_lower_bound",
         "accessor: the ALT admissibility property reads it",
@@ -1538,6 +1538,10 @@ const CALLER_LESS: [(&str, &str); 18] = [
     (
         "is_partitioned",
         "accessor: the scenario driver's tests read it",
+    ),
+    (
+        "link_up",
+        "accessor: the routing-equivalence gate compares link state",
     ),
     (
         "min_seq",

@@ -23,7 +23,7 @@ pub struct PairwiseOracle<'a> {
 impl PairwiseOracle<'_> {
     pub fn new(net: &mut Network) -> PairwiseOracle<'_> {
         PairwiseOracle {
-            flows: vec![0; net.links().len()],
+            flows: vec![0; net.directed_links()],
             net,
         }
     }
@@ -33,14 +33,14 @@ impl PairwiseOracle<'_> {
         let (mut survive, mut fair_share, mut delay) = (1.0, f64::INFINITY, 0.0);
         for &link_id in self.net.route_links(fwd) {
             let link = self.net.link(link_id as usize);
-            survive *= 1.0 - link.loss;
-            delay += link.delay.as_secs_f64();
+            survive *= 1.0 - link.loss();
+            delay += link.delay().as_secs_f64();
             let flows = self.flows[link_id as usize] + 1;
-            fair_share = fair_share.min(link.bandwidth_bps / flows as f64);
+            fair_share = fair_share.min(link.bandwidth_bps() / flows as f64);
         }
         let mut reverse_delay = 0.0;
         for &link_id in self.net.route_links(rev) {
-            reverse_delay += self.net.link(link_id as usize).delay.as_secs_f64();
+            reverse_delay += self.net.link(link_id as usize).delay().as_secs_f64();
         }
         let (rtt, loss) = ((delay + reverse_delay).max(1e-4), 1.0 - survive);
         let formula = if loss > 0.0 {
