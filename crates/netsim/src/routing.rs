@@ -78,20 +78,20 @@
 //!
 //! # The contracted graph
 //!
-//! Most of a paper-class graph is chains and leaves: of the 20,300 routers
-//! of `paper_scale(200, 7)`, 10,405 are *interior*, with exactly two
-//! neighbours, and 3,815 are leaves off other routers. A search from many
-//! roots over one
-//! graph, as the oracle's rows and the landmark tables are, first folds it
-//! into a `Contracted` index: the other routers, each chain between two
-//! of them as one arc per direction, and each leaf (a *pendant* off one of
-//! them) as its parent's distance plus one edge. The same bucket kernel
-//! walks the folded graph, and every router's distance follows from its
-//! chain ends', so predecessors, read from distances, are the plain
-//! graph's. The index is built by [`Network::row_trees`] and
-//! `select_landmarks` for one call and dropped when it returns; a single
-//! search, such as [`Adjacency::distances_from`] or an eager row, walks
-//! the plain graph.
+//! Most of a paper-class graph is trees and chains: of the 20,300 routers
+//! of `paper_scale(200, 7)`, 4,200 hang in trees off the rest (the leaf
+//! routers and the clients on them), and of the 16,100 left, 13,252 are
+//! *interior*, with exactly two neighbours there. A search from many roots
+//! over one graph, as the oracle's rows and the landmark tables are, first
+//! folds it into a `Contracted` index: the *branch* routers, each chain
+//! between two of them as one arc per direction, and each hanging router
+//! as its attachment's distance plus its cost down the tree. The same
+//! bucket kernel walks the folded graph, and every router's distance
+//! follows from its chain ends' or its attachment's, so predecessors, read
+//! from distances, are the plain graph's. The index is built by
+//! [`Network::row_trees`] and `select_landmarks` for one call and dropped
+//! when it returns; a single search, such as [`Adjacency::distances_from`]
+//! or an eager row, walks the plain graph.
 //!
 //! # The graph
 //!
@@ -128,10 +128,11 @@
 //!   one is live per worker, and each row is allocated once, at its exact
 //!   length.
 //! - A `Contracted` index holds 4 bytes per router (its place), 12 per
-//!   arc and 8 per branch router (the folded graph's slots), and 16 per
-//!   interior or pendant router (its two chain ends and its cost from
-//!   each). Its searches walk the branch routers only: 6,080 of the 20,300
-//!   routers of `paper_scale(200, 7)`, over 16,402 arcs.
+//!   arc and 8 per branch router (the folded graph's slots), 16 per
+//!   interior router (its two chain ends and its cost from each) and 20
+//!   per hanging router (its attachment, parent, subtree end and costs down
+//!   and up). Its searches walk the branch routers only: 2,848 of the
+//!   20,300 routers of `paper_scale(200, 7)`, over 9,938 arcs.
 //!
 //! [`Network`]: crate::network::Network
 //! [`Network::row_trees`]: crate::network::Network::row_trees
@@ -771,8 +772,8 @@ impl Search {
     ///
     /// A monotone bucket queue: buckets of width `w = max(min_cost,
     /// ⌈max_cost / MAX_BUCKETS⌉)` in a ring of `max_cost / w + 2` slots,
-    /// which no relaxation can wrap (nor a seed, which is never dearer than
-    /// an edge). Each queued router sits in the list of its label's bucket,
+    /// which no relaxation can wrap. The scan starts at the cheapest seed's
+    /// bucket, and no seed is dearer than it by more than an edge. Each queued router sits in the list of its label's bucket,
     /// and a relabel that changes the bucket moves it. With every cost ≥
     /// `w` — as in every generated topology, whose delays are ≥ 0.5 ms — a
     /// relaxation lands in a later bucket and each router is settled once.
@@ -802,7 +803,7 @@ impl Search {
                 queue.push(v, slot(d));
             }
         }
-        let mut bucket = 0u64;
+        let mut bucket = seeds.iter().map(|&(_, d)| d).min().unwrap_or(0) / width;
         while pending > 0 {
             while let Some(u) = queue.pop((bucket % slots) as usize) {
                 pending -= 1;
@@ -846,9 +847,9 @@ impl Search {
         root: RouterId,
     ) -> Labels<'a> {
         match index.and_then(|index| Some((index, index.start(adj, root)?))) {
-            Some((index, (seeds, chain))) => {
+            Some((index, (seeds, root))) => {
                 self.run(index.graph(), &seeds);
-                Labels::Folded(index, chain)
+                Labels::Folded(index, root)
             }
             None => {
                 self.run(adj.graph(Dir::Forward), &[(root, 0)]);
@@ -859,11 +860,11 @@ impl Search {
 }
 
 /// How to read any router's label off a forward [`Search`]'s distances:
-/// straight, or through the [`Contracted`] index it ran over, with the
-/// root's own chain when the root is an interior router.
+/// straight, or through the [`Contracted`] index it ran over, from where the
+/// root sits in it.
 enum Labels<'a> {
     Plain,
-    Folded(&'a Contracted, Option<RootChain>),
+    Folded(&'a Contracted, Root),
 }
 
 impl Labels<'_> {
@@ -872,7 +873,7 @@ impl Labels<'_> {
     fn distance(&self, r: RouterId, dist: &[u64]) -> u64 {
         match self {
             Labels::Plain => dist[r],
-            Labels::Folded(index, chain) => index.distance(r, chain.as_ref(), dist),
+            Labels::Folded(index, root) => index.distance(r, root, dist),
         }
     }
 
@@ -896,58 +897,108 @@ impl Labels<'_> {
 
     /// Passes every router's distance to `each`, reading the search's
     /// arrays in sequence: by router after a plain search; after a folded
-    /// one, branch routers by index and then interior ones chain by chain,
-    /// `routers` being the index's [`Contracted::routers`].
+    /// one, branch routers by index, then interior ones chain by chain and
+    /// hanging ones tree by tree, `routers` being the index's
+    /// [`Contracted::routers`].
     fn each_distance(&self, dist: &[u64], routers: &[u32], mut each: impl FnMut(RouterId, u64)) {
         match self {
             Labels::Plain => dist.iter().enumerate().for_each(|(r, &d)| each(r, d)),
-            Labels::Folded(index, chain) => {
-                let (branch, interior) = routers.split_at(dist.len());
+            Labels::Folded(index, root) => {
+                let (branch, folded) = routers.split_at(dist.len());
                 for (&r, &d) in branch.iter().zip(dist) {
                     each(r as RouterId, d);
                 }
+                let (interior, hanging) = folded.split_at(index.reach.len());
                 for (i, &r) in (0..).zip(interior) {
-                    each(r as RouterId, index.interior(i, chain.as_ref(), dist));
+                    each(r as RouterId, index.interior(i, root, dist));
+                }
+                for (h, &r) in (0..).zip(hanging) {
+                    each(r as RouterId, index.hanging(h, root, dist));
                 }
             }
         }
     }
 }
 
-/// [`Contracted::place`] bit of an interior router or a pendant, whose low
-/// bits are its index in [`Contracted::reach`].
+/// [`Contracted::place`] bit of an interior router, whose low bits are its
+/// index in [`Contracted::reach`].
 const INTERIOR: u32 = 1 << 31;
 
-/// A [`Reach`] end that no branch router holds: a pendant's second end, and
-/// both ends of a cycle of interior routers, which no branch router
-/// reaches.
+/// [`Contracted::place`] bit of a hanging router, whose low bits are its
+/// index in [`Contracted::hangs`].
+const HANGING: u32 = 1 << 30;
+
+/// No router: a [`Reach`] end that no branch router holds (both ends of a
+/// cycle of interior routers, which no branch router reaches), the parent
+/// of a router that hangs off its attachment itself, and of a core router.
 const NO_END: u32 = u32::MAX;
 
 /// An interior router's two ways in, one per end of its chain: the end's
 /// branch index ([`NO_END`] on a cycle) and the cost from that end along
-/// the chain to the router. Way 0 is the end the chain was walked from. A
-/// pendant has one way in, from its branch router.
+/// the chain to the router. Way 0 is the end the chain was walked from.
 type Reach = [(u32, u32); 2];
 
+/// A router of a hanging tree ([`Contracted::peel`]): the core router the
+/// tree hangs off, its place in the tree, and its costs from and to that
+/// attachment, summed along the tree's links.
+#[derive(Clone, Copy, Debug)]
+struct Hang {
+    /// The attachment, by router id.
+    attach: u32,
+    /// Its parent's index in [`Contracted::hangs`], or [`NO_END`] if it
+    /// hangs off the attachment itself.
+    parent: u32,
+    /// One past its subtree's last index: the routers of a tree take
+    /// consecutive indices in depth-first preorder, so the subtree of the
+    /// router at index `h` is `h..end`.
+    end: u32,
+    /// The cost down the tree from the attachment to it.
+    down: u32,
+    /// The cost up the tree from it to the attachment.
+    up: u32,
+}
+
 /// The seeds of a search over a [`Contracted`] index, as `(branch index,
-/// distance)`: its root's, twice, or its own chain's two ends.
+/// distance)`: its root's core router's, twice, or that router's chain's
+/// two ends.
 type Seeds = [(usize, u64); 2];
 
-/// The own chain of a search root that is an interior router or a pendant
-/// (a chain of one): the root's index in [`Contracted::reach`], the first
-/// and last index of the chain (whose routers take consecutive indices, in
-/// the order of way 0's walk), and the root's cost from each end.
+/// Where the root of a search over a [`Contracted`] index sits in it,
+/// beyond its seeds. A core root's *core router* is itself; a hanging
+/// root's is its attachment.
+#[derive(Default)]
+struct Root {
+    /// The core router's own chain, if it is an interior router.
+    chain: Option<RootChain>,
+    /// The root's index in [`Contracted::hangs`] if it hangs.
+    hang: Option<u32>,
+    /// The root's cost up to its core router: 0 for a core root.
+    up: u64,
+}
+
+/// The own chain of a search's core router that is an interior router: its
+/// index in [`Contracted::reach`], the first and last index of the chain
+/// (whose routers take consecutive indices, in the order of way 0's walk),
+/// and its cost from each end.
 struct RootChain {
     at: u32,
     span: (u32, u32),
     cost: [u32; 2],
 }
 
-/// Whether `r` is an *interior* router: exactly two live out-edges and two
-/// live in-edges, to and from the same two distinct neighbours, neither of
-/// them `r`.
-fn is_interior(adj: &Adjacency, r: RouterId) -> bool {
-    let (&[(p, ..), (q, ..)], &[(a, ..), (b, ..)]) = (adj.neighbors(r), adj.in_neighbors(r)) else {
+/// Whether core router `r` is an *interior* router: exactly two live
+/// out-edges and two live in-edges to and from `core` routers, to and from
+/// the same two distinct neighbours, neither of them `r`. Its edges to and
+/// from hanging routers do not count.
+fn is_interior(adj: &Adjacency, core: impl Fn(u32) -> bool, r: RouterId) -> bool {
+    let pair = |edges: &[Edge]| {
+        let mut ends = edges.iter().map(|&(x, ..)| x).filter(|&x| core(x));
+        match (ends.next(), ends.next(), ends.next()) {
+            (Some(p), Some(q), None) => Some((p, q)),
+            _ => None,
+        }
+    };
+    let (Some((p, q)), Some((a, b))) = (pair(adj.neighbors(r)), pair(adj.in_neighbors(r))) else {
         return false;
     };
     p != q && r != p as usize && r != q as usize && ((a, b) == (p, q) || (a, b) == (q, p))
@@ -960,136 +1011,247 @@ enum Kind {
     Branch,
     /// A router of a chain ([`is_interior`]).
     Interior,
-    /// A router whose one live out-edge and one live in-edge lead to and
-    /// from one branch router, like the leaf a participant attaches to.
-    Pendant,
+    /// A router of a hanging tree ([`Contracted::peel`]).
+    Hanging,
+}
+
+/// Where a [`Contracted`] index keeps a router: its index among the
+/// routers of its [`Kind`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Place {
+    /// In the folded graph.
+    Branch(u32),
+    /// In [`Contracted::reach`].
+    Interior(u32),
+    /// In [`Contracted::hangs`].
+    Hanging(u32),
 }
 
 /// Follows `from`'s out-edge `edge` through the interior routers it enters,
 /// calling `visit(router)` at each, and returns the router the chain ends
 /// at and its cost from `from`. An interior router's onward edge is the one
-/// that does not lead back. The walk must reach a router that is not
-/// `interior`.
+/// into a core router that does not lead back. The walk must reach a router
+/// that is not interior.
 fn walk_chain(
     adj: &Adjacency,
-    interior: impl Fn(RouterId) -> bool,
+    kind: impl Fn(RouterId) -> Kind,
     mut from: RouterId,
     (to, _, cost): Edge,
     mut visit: impl FnMut(RouterId),
 ) -> (RouterId, u64) {
     let (mut at, mut cost) = (to as RouterId, u64::from(cost));
-    while interior(at) {
+    while kind(at) == Kind::Interior {
         visit(at);
         let &(next, _, step) = (adj.neighbors(at).iter())
-            .find(|&&(next, ..)| next as RouterId != from)
-            .expect("an interior router has two out-neighbours");
+            .find(|&&(next, ..)| {
+                let next = next as RouterId;
+                next != from && kind(next) != Kind::Hanging
+            })
+            .expect("an interior router has two core out-neighbours");
         (from, at) = (at, next as RouterId);
         cost += u64::from(step);
     }
     (at, cost)
 }
 
-/// The routing graph with its chains and pendants folded, for searches
+/// A peeled router's parent and the costs of its edges from and to it
+/// ([`Contracted::peel`]); [`NO_END`] as the parent of a core router.
+type Peeled = (u32, u32, u32);
+
+/// The routing graph with its hanging trees and chains folded, for searches
 /// that run from many roots over one graph. It is built from an
 /// [`Adjacency`] by the caller that runs those searches and dropped when
 /// they end, so a topology mutation never meets one.
 ///
-/// Most of a paper-class graph is chains of *interior* routers
-/// ([`is_interior`]) and *pendants* ([`Kind::Pendant`]). Every other router
-/// is a *branch* router, and the index holds the branch routers, in id
-/// order, as a graph of their own: each live edge between two of them, and
-/// one *arc* per chain direction from branch router `A` through interior
-/// `x₁ … x_k` to branch router `B`. An arc costs the chain's summed cost in
-/// its direction, and its link is the real directed link `x_k → B`. A chain
-/// whose cost, either way, does not fit the arc's `u32` stays expanded: its
-/// routers are branch routers.
+/// Most of a paper-class graph is trees that hang off the rest, and chains.
+/// The trees are peeled first ([`Contracted::peel`]): what is left is the
+/// *core*, and each tree hangs off one core router, its *attachment*. Of
+/// the core, chains of *interior* routers ([`is_interior`], on core
+/// neighbours only) fold, and every other router is a *branch* router. The
+/// index holds the branch routers, in id order, as a graph of their own:
+/// each live edge between two of them, and one *arc* per chain direction
+/// from branch router `A` through interior `x₁ … x_k` to branch router `B`.
+/// An arc costs the chain's summed cost in its direction, and its link is
+/// the real directed link `x_k → B`. A chain whose cost, either way, does
+/// not fit the arc's `u32` stays expanded: its routers are branch routers.
 ///
 /// An interior router keeps its chain's ends and its cost from each
-/// ([`Reach`]), so its distance is `min(d(A) + Fᵢ, d(B) + Rᵢ)`; a pendant
-/// keeps its one end and edge cost; a cycle of interior routers has no end,
-/// and no branch router reaches it. So one search over the branch routers
-/// yields every router's distance, and the same kernel ([`Search::run`])
-/// walks both graphs. Every predecessor is then read from the distances
-/// ([`Labels::link_into`]), so the tie-break is the plain graph's by
-/// construction. A search from an interior router or a pendant seeds its
-/// chain's ends with their costs from it, and on its own chain the side
-/// facing the root costs the stretch from the root instead; only a root on
-/// a cycle of interior routers searches the plain graph.
+/// ([`Reach`]), so its distance is `min(d(A) + Fᵢ, d(B) + Rᵢ)`; a hanging
+/// router keeps its attachment and its cost down from it ([`Hang`]), so its
+/// distance is its attachment's plus that cost; a cycle of interior routers
+/// has no end, and no branch router reaches it. So one search over the
+/// branch routers yields every router's distance, and the same kernel
+/// ([`Search::run`]) walks both graphs. Every predecessor is then read from
+/// the distances ([`Labels::link_into`]), so the tie-break is the plain
+/// graph's by construction; as every edge costs at least 1, a hanging
+/// router is never tight for its attachment.
+///
+/// A search from an interior router seeds its chain's ends with their costs
+/// from it, and on its own chain the side facing the root costs the stretch
+/// from the root instead. A search from a hanging router runs as one from
+/// its attachment, every cost raised by the root's cost up to it, and a
+/// router of the root's own tree costs the tree path through their lowest
+/// common ancestor. Only a root on a cycle of interior routers, or hanging
+/// off one, searches the plain graph.
 pub(crate) struct Contracted {
-    /// Per router: its branch index, or `INTERIOR | its index in reach` for
-    /// an interior router or a pendant.
+    /// Per router: its branch index, `INTERIOR | its index in reach` for an
+    /// interior router, or `HANGING | its index in hangs` for a hanging one.
     place: Vec<u32>,
     /// Edges and arcs between branch routers, by branch index.
     arcs: Csr,
     min_cost: u64,
     max_cost: u64,
     reach: Vec<Reach>,
+    /// The hanging routers, tree by tree in their attachments' id order.
+    hangs: Vec<Hang>,
 }
 
 impl Contracted {
-    /// Folds the chains and pendants of `adj`.
+    /// Peels the hanging trees of `adj` and folds the chains of its core.
     pub(crate) fn new(adj: &Adjacency) -> Self {
         let n = adj.len();
+        assert!(n <= HANGING as usize, "a contracted graph's routers fit in 30 bits");
+        let (hangs, hung) = Self::hang(adj, &Self::peel(adj));
+        let core = |r: u32| hung[r as usize] == NO_END;
         let mut kind: Vec<Kind> = (0..n)
-            .map(|r| match (adj.neighbors(r), adj.in_neighbors(r)) {
-                (&[(p, ..)], &[(a, ..)]) if p == a && p as RouterId != r => Kind::Pendant,
-                _ if is_interior(adj, r) => Kind::Interior,
+            .map(|r| match () {
+                _ if !core(r as u32) => Kind::Hanging,
+                _ if is_interior(adj, core, r) => Kind::Interior,
                 _ => Kind::Branch,
             })
             .collect();
-        // A pendant hangs off a branch router, or it is one.
-        for r in 0..n {
-            if kind[r] == Kind::Pendant && kind[adj.neighbors(r)[0].0 as RouterId] != Kind::Branch {
-                kind[r] = Kind::Branch;
-            }
-        }
         let mut chain = Vec::new();
         loop {
-            match Self::fold(adj, &kind) {
-                Ok(index) => return index,
+            match Self::fold(adj, &kind, &hung) {
+                Ok(index) => return Contracted { hangs, ..index },
                 Err((a, edge)) => {
                     chain.clear();
-                    let interior = |r| kind[r] == Kind::Interior;
-                    walk_chain(adj, interior, a, edge, |x| chain.push(x));
+                    walk_chain(adj, |r| kind[r], a, edge, |x| chain.push(x));
                     chain.iter().for_each(|&x| kind[x] = Kind::Branch);
                 }
             }
         }
     }
 
-    /// Folds every chain and pendant of a graph whose routers are of `kind`,
-    /// or returns the branch router and out-edge that start a chain whose
-    /// cost does not fit an arc. Each chain is walked once, from the end
-    /// whose out-edge comes first, and that walk writes both of its arcs: an
-    /// arc takes its tail's slot for the out-edge that starts it.
-    fn fold(adj: &Adjacency, kind: &[Kind]) -> Result<Self, (RouterId, Edge)> {
+    /// Each router's [`Peeled`] parent and edge costs. The *pendant rule*
+    /// peels a router whose only live out-edge and in-edge to and from
+    /// routers not yet peeled lead to and from one other router, its
+    /// parent. It is applied to every router in id order, and again to a
+    /// parent each time it loses a child. A router whose subtree would cost
+    /// more than a `u32` from its parent, either way, is not peeled, and a
+    /// tree with no core keeps its last router, which the tree then hangs
+    /// off.
+    fn peel(adj: &Adjacency) -> Vec<Peeled> {
+        let n = adj.len();
+        let mut peeled: Vec<Peeled> = vec![(NO_END, 0, 0); n];
+        // Each router's live out- and in-edges to and from routers not yet
+        // peeled, and the dearest costs down from and up to it within its
+        // peeled subtree.
+        let mut left: Vec<[u32; 2]> = (0..n)
+            .map(|r| [adj.neighbors(r).len(), adj.in_neighbors(r).len()].map(|k| k as u32))
+            .collect();
+        let mut height = vec![[0u32; 2]; n];
+        for r in 0..n {
+            let mut x = r;
+            while peeled[x].0 == NO_END && left[x] == [1, 1] {
+                let one = |edges: &[Edge]| {
+                    *(edges.iter())
+                        .find(|&&(y, ..)| peeled[y as usize].0 == NO_END)
+                        .expect("a router's count of edges left is exact")
+                };
+                let ((p, _, up), (q, _, down)) = (one(adj.neighbors(x)), one(adj.in_neighbors(x)));
+                let [below_down, below_up] = height[x].map(u64::from);
+                let (down_sum, up_sum) = (below_down + u64::from(down), below_up + u64::from(up));
+                if p != q || p as RouterId == x || down_sum.max(up_sum) > u64::from(u32::MAX) {
+                    break;
+                }
+                let p = p as RouterId;
+                peeled[x] = (p as u32, down, up);
+                let [d, u] = &mut height[p];
+                (*d, *u) = ((*d).max(down_sum as u32), (*u).max(up_sum as u32));
+                left[p] = left[p].map(|k| k - 1);
+                x = p;
+            }
+        }
+        peeled
+    }
+
+    /// Lays out the routers that `peeled` hangs as [`Hang`]s: the trees off
+    /// each attachment in its id order, each tree in depth-first preorder,
+    /// with costs summed from the attachment. Returns them and each
+    /// router's place as a hanging router, [`NO_END`] for a core router.
+    fn hang(adj: &Adjacency, peeled: &[Peeled]) -> (Vec<Hang>, Vec<u32>) {
+        let mut place = vec![NO_END; adj.len()];
+        let mut hangs: Vec<Hang> = Vec::new();
+        // The routers that hang off `x` itself.
+        let children = |x: RouterId| {
+            (adj.neighbors(x).iter())
+                .map(|&(y, ..)| y as RouterId)
+                .filter(move |&y| peeled[y].0 == x as u32)
+        };
+        // `(router, its parent's index)`, popped in preorder.
+        let mut stack: Vec<(RouterId, u32)> = Vec::new();
+        for a in (0..adj.len()).filter(|&a| peeled[a].0 == NO_END) {
+            let first = hangs.len();
+            stack.extend(children(a).map(|y| (y, NO_END)));
+            while let Some((x, parent)) = stack.pop() {
+                let (_, down, up) = peeled[x];
+                let (above_down, above_up) = match parent {
+                    NO_END => (0, 0),
+                    p => (hangs[p as usize].down, hangs[p as usize].up),
+                };
+                let h = hangs.len() as u32;
+                place[x] = HANGING | h;
+                hangs.push(Hang {
+                    attach: a as u32,
+                    parent,
+                    end: h + 1,
+                    down: above_down + down,
+                    up: above_up + up,
+                });
+                stack.extend(children(x).map(|y| (y, h)));
+            }
+            // A subtree ends where the last of its routers' subtrees does.
+            for h in (first..hangs.len()).rev() {
+                let Hang { parent, end, .. } = hangs[h];
+                if let Some(above) = hangs.get_mut(parent as usize) {
+                    above.end = above.end.max(end);
+                }
+            }
+        }
+        (hangs, place)
+    }
+
+    /// Folds every chain of a graph whose routers are of `kind`, the
+    /// hanging ones at their places in `hung`, or returns the branch router
+    /// and out-edge that start a chain whose cost does not fit an arc. Each
+    /// chain is walked once, from the end whose out-edge comes first, and
+    /// that walk writes both of its arcs: an arc takes its tail's slot for
+    /// the out-edge that starts it.
+    fn fold(adj: &Adjacency, kind: &[Kind], hung: &[u32]) -> Result<Self, (RouterId, Edge)> {
         let n = adj.len();
         let is = |r: u32, k: Kind| kind[r as usize] == k;
-        // The out-edges of a branch router that its arcs replace.
-        let arc_edges = |a: RouterId| {
-            (adj.neighbors(a).iter()).filter(move |&&(to, ..)| !is(to, Kind::Pendant))
+        // A router's out-edges to core routers: a branch router's arcs
+        // replace them, and an interior router has two.
+        let core_edges = |a: RouterId| {
+            (adj.neighbors(a).iter()).filter(move |&&(to, ..)| !is(to, Kind::Hanging))
         };
-        let mut place = vec![NO_END; n];
+        let mut place = hung.to_vec();
         let (mut ranges, mut slots) = (Vec::new(), 0);
         for a in (0..n).filter(|&a| kind[a] == Kind::Branch) {
             place[a] = ranges.len() as u32;
-            let out = arc_edges(a).count() as u32;
+            let out = core_edges(a).count() as u32;
             ranges.push((slots, out));
             slots += out;
         }
         ranges.push((slots, 0));
         // An arc's head is `NO_END` until a walk writes it.
         let mut arcs: Vec<Edge> = vec![(NO_END, 0, 0); slots as usize];
-        let mut reach: Vec<Reach> = Vec::with_capacity(n + 1 - ranges.len());
+        let interior = kind.iter().filter(|&&k| k == Kind::Interior).count();
+        let mut reach: Vec<Reach> = Vec::with_capacity(interior);
         for a in (0..n).filter(|&a| kind[a] == Kind::Branch) {
-            for &(to, _, cost) in
-                (adj.neighbors(a).iter()).filter(|&&(to, ..)| is(to, Kind::Pendant))
-            {
-                place[to as usize] = INTERIOR | reach.len() as u32;
-                reach.push([(place[a], cost), (NO_END, 0)]);
-            }
             let first = ranges[place[a] as usize].0 as usize;
-            for (slot, &edge) in (first..).zip(arc_edges(a)) {
+            for (slot, &edge) in (first..).zip(core_edges(a)) {
                 if arcs[slot].0 != NO_END {
                     continue; // written by the walk from the chain's other end
                 }
@@ -1104,8 +1266,9 @@ impl Contracted {
                 let (mut from, mut at, mut link) = (a, to as RouterId, link);
                 let (mut fwd, mut rev, mut first_back) = (u64::from(cost), 0, 0);
                 while kind[at] == Kind::Interior {
-                    let &[e, f] = adj.neighbors(at) else {
-                        unreachable!("an interior router has two out-edges")
+                    let mut out = core_edges(at);
+                    let (Some(&e), Some(&f)) = (out.next(), out.next()) else {
+                        unreachable!("an interior router has two core out-edges")
                     };
                     let (back, onward) = if e.0 as RouterId == from {
                         (e, f)
@@ -1122,7 +1285,7 @@ impl Contracted {
                     fwd += u64::from(onward.2);
                 }
                 let b_first = ranges[place[at] as usize].0 as usize;
-                let (j, &(_, _, step)) = (arc_edges(at).enumerate())
+                let (j, &(_, _, step)) = (core_edges(at).enumerate())
                     .find(|(_, &(to, ..))| to as RouterId == from)
                     .expect("a chain's end has an edge into it");
                 rev += u64::from(step);
@@ -1153,11 +1316,24 @@ impl Contracted {
             min_cost,
             max_cost,
             reach,
+            hangs: Vec::new(),
         })
     }
 
-    fn is_branch(&self, r: RouterId) -> bool {
-        self.place[r] & INTERIOR == 0
+    fn place(&self, r: RouterId) -> Place {
+        match self.place[r] {
+            place if place & INTERIOR != 0 => Place::Interior(place & !INTERIOR),
+            place if place & HANGING != 0 => Place::Hanging(place & !HANGING),
+            place => Place::Branch(place),
+        }
+    }
+
+    fn kind(&self, r: RouterId) -> Kind {
+        match self.place(r) {
+            Place::Branch(_) => Kind::Branch,
+            Place::Interior(_) => Kind::Interior,
+            Place::Hanging(_) => Kind::Hanging,
+        }
     }
 
     fn graph(&self) -> Graph<'_> {
@@ -1168,80 +1344,111 @@ impl Contracted {
         }
     }
 
-    /// The seeds of a search from `root` over this index, and the root's
-    /// own chain if it is an interior router or a pendant; `None` for a
-    /// root on a cycle of interior routers.
-    fn start(&self, adj: &Adjacency, root: RouterId) -> Option<(Seeds, Option<RootChain>)> {
-        let place = self.place[root];
-        if self.is_branch(root) {
-            return Some(([(place as usize, 0); 2], None));
-        }
-        let at = place & !INTERIOR;
+    /// The seeds of a search from `root` over this index, and where the
+    /// root sits in it; `None` for a root on a cycle of interior routers,
+    /// or hanging off one.
+    fn start(&self, adj: &Adjacency, root: RouterId) -> Option<(Seeds, Root)> {
+        let (core, hang, up) = match self.place(root) {
+            Place::Hanging(h) => {
+                let hang = self.hangs[h as usize];
+                (hang.attach as RouterId, Some(h), u64::from(hang.up))
+            }
+            _ => (root, None, 0),
+        };
+        let at = match self.place(core) {
+            Place::Branch(b) => {
+                let root = Root {
+                    chain: None,
+                    hang,
+                    up,
+                };
+                return Some(([(b as usize, up); 2], root));
+            }
+            Place::Interior(at) => at,
+            Place::Hanging(_) => unreachable!("a tree hangs off a core router"),
+        };
         let ways = self.reach[at as usize];
         if ways[0].0 == NO_END {
             return None;
         }
         let mut span = (at, at);
-        // A pendant has one way out, which seeds its one end twice.
-        let out = adj.neighbors(root);
-        let seeds = [0, 1].map(|i| {
-            let edge = out[i.min(out.len() - 1)];
-            let (end, cost) = walk_chain(
-                adj,
-                |r| !self.is_branch(r),
-                root,
-                edge,
-                |x| {
-                    let i = self.place[x] & !INTERIOR;
-                    span = (span.0.min(i), span.1.max(i));
-                },
-            );
-            (self.place[end] as usize, cost)
+        let kind = |r: RouterId| self.kind(r);
+        let mut out = (adj.neighbors(core).iter()).filter(|&&(to, ..)| kind(to as RouterId) != Kind::Hanging);
+        let seeds = [(); 2].map(|()| {
+            let edge = *out.next().expect("an interior router has two core out-edges");
+            let (end, cost) = walk_chain(adj, kind, core, edge, |x| {
+                let i = self.place[x] & !INTERIOR;
+                span = (span.0.min(i), span.1.max(i));
+            });
+            (self.place[end] as usize, up + cost)
         });
         let cost = ways.map(|(_, cost)| cost);
-        Some((seeds, Some(RootChain { at, span, cost })))
+        let chain = Some(RootChain { at, span, cost });
+        Some((seeds, Root { chain, hang, up }))
     }
 
     /// Router `r`'s distance (`u64::MAX` if unreachable) from a search over
-    /// this index that started at `chain`'s root if it has one: `dist` is
-    /// by branch index.
-    fn distance(&self, r: RouterId, chain: Option<&RootChain>, dist: &[u64]) -> u64 {
-        let place = self.place[r];
-        match place & INTERIOR {
-            0 => dist[place as usize],
-            _ => self.interior(place & !INTERIOR, chain, dist),
+    /// this index that started at `root`: `dist` is by branch index.
+    fn distance(&self, r: RouterId, root: &Root, dist: &[u64]) -> u64 {
+        match self.place(r) {
+            Place::Branch(b) => dist[b as usize],
+            Place::Interior(i) => self.interior(i, root, dist),
+            Place::Hanging(h) => self.hanging(h, root, dist),
         }
     }
 
     /// [`Contracted::distance`] of the interior router at `reach[i]`.
-    fn interior(&self, i: u32, chain: Option<&RootChain>, dist: &[u64]) -> u64 {
+    fn interior(&self, i: u32, root: &Root, dist: &[u64]) -> u64 {
         let reach = self.reach[i as usize];
         let mut ways = reach.map(|(end, cost)| match end {
             NO_END => u64::MAX,
             end => dist[end as usize].saturating_add(u64::from(cost)),
         });
-        if let Some(chain) = chain.filter(|c| (c.span.0..=c.span.1).contains(&i)) {
+        if let Some(chain) = (root.chain.as_ref()).filter(|c| (c.span.0..=c.span.1).contains(&i)) {
             if i == chain.at {
-                return 0;
+                return root.up;
             }
             // The side facing the root, way 0 past it and way 1 before it,
             // costs the stretch from the root.
             let toward = usize::from(i < chain.at);
-            ways[toward] = u64::from(reach[toward].1 - chain.cost[toward]);
+            ways[toward] = root.up + u64::from(reach[toward].1 - chain.cost[toward]);
         }
         ways[0].min(ways[1])
     }
 
-    /// Every router, branch routers by index and then interior ones by
-    /// their index in `reach`: the order in which
-    /// [`Labels::each_distance`] reads a search's labels in sequence.
+    /// [`Contracted::distance`] of the hanging router at `hangs[h]`: its
+    /// attachment's plus its cost down from there, unless the root hangs
+    /// in its subtree or beside it, when it is the tree path through the
+    /// two's lowest common ancestor.
+    fn hanging(&self, h: u32, root: &Root, dist: &[u64]) -> u64 {
+        let hang = self.hangs[h as usize];
+        if let Some(x) = root.hang.filter(|&x| self.hangs[x as usize].attach == hang.attach) {
+            // The lowest router at or above `h` whose subtree holds the root.
+            let mut at = h;
+            while let Some(above) = self.hangs.get(at as usize) {
+                if (at..above.end).contains(&x) {
+                    let up = self.hangs[x as usize].up - above.up;
+                    return u64::from(up) + u64::from(hang.down - above.down);
+                }
+                at = above.parent;
+            }
+        }
+        let attach = self.distance(hang.attach as RouterId, root, dist);
+        attach.saturating_add(u64::from(hang.down))
+    }
+
+    /// Every router, branch routers by index, then interior ones by their
+    /// index in `reach` and hanging ones by theirs in `hangs`: the order in
+    /// which [`Labels::each_distance`] reads a search's labels in sequence.
     fn routers(&self) -> Vec<u32> {
         let branches = self.arcs.len() as u32;
+        let hanging = branches + self.reach.len() as u32;
         let mut routers = vec![0; self.place.len()];
-        for (r, &place) in self.place.iter().enumerate() {
-            let at = match place & INTERIOR {
-                0 => place,
-                _ => branches + (place & !INTERIOR),
+        for r in 0..self.place.len() {
+            let at = match self.place(r) {
+                Place::Branch(b) => b,
+                Place::Interior(i) => branches + i,
+                Place::Hanging(h) => hanging + h,
             };
             routers[at as usize] = r as u32;
         }
@@ -1927,7 +2134,7 @@ pub(crate) use tests::model_paths;
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, VecDeque};
 
     use super::*;
     use crate::link::LinkSpec;
@@ -2349,12 +2556,14 @@ mod tests {
     /// [`random_digraph`] with chains added for the contraction harness:
     /// two-way chains of one to four routers between two routers of the
     /// graph (a ring when both are one router), with independent costs per
-    /// direction; a cycle of three to five routers that nothing else
-    /// touches; an `A → A` loop; a parallel link and a one-way hop on a
+    /// direction; two cycles of three to five routers, one that nothing
+    /// else touches and one that only a tree touches; an `A → A` loop; a parallel link and a one-way hop on a
     /// chain, which leave its routers on either side of them branch
-    /// routers. Link ids are shuffled again, and about a tenth of the
-    /// links start down, with a slot to come back to. Returns the router
-    /// count, the live edges and the down ones.
+    /// routers; trees hanging off the cycle, a chain and other routers, one
+    /// tree with no core, and a leaf whose parallel link stops the peel.
+    /// Link ids are shuffled again, and about a tenth of the links start
+    /// down, with a slot to come back to. Returns the router count, the
+    /// live edges and the down ones.
     fn chained_digraph(
         rng: &mut SimRng,
         costs: (u64, u64),
@@ -2381,13 +2590,19 @@ mod tests {
             edges.push((at, b, cost(rng)));
             edges.push((b, at, cost(rng)));
         }
-        let (chained, cycle) = (n, rng.range_usize(3, 6));
-        for i in 0..cycle {
-            let j = n + (i + 1) % cycle;
-            edges.push((n + i, j, cost(rng)));
-            edges.push((j, n + i, cost(rng)));
+        // Two cycles: one that nothing else touches, and one a tree hangs
+        // off.
+        let chained = n;
+        let mut cycle = 0;
+        for _ in 0..2 {
+            cycle = rng.range_usize(3, 6);
+            for i in 0..cycle {
+                let j = n + (i + 1) % cycle;
+                edges.push((n + i, j, cost(rng)));
+                edges.push((j, n + i, cost(rng)));
+            }
+            n += cycle;
         }
-        n += cycle;
         let on_chain = |rng: &mut SimRng| rng.range_usize(first_chain, chained);
         let looped = on_chain(rng);
         edges.push((looped, looped, cost(rng)));
@@ -2395,6 +2610,35 @@ mod tests {
         edges.push((parallel.0, parallel.1, cost(rng)));
         let one_way = on_chain(rng);
         edges.push((one_way, n, cost(rng)));
+        n += 1;
+        // Trees of one to five routers, each added below a random router of
+        // its tree: one off the cycle, one off a chain router, the rest off
+        // any router so far, and one with no core.
+        for t in 0..rng.range_usize(4, 8) {
+            let mut tree = match t {
+                0 => vec![rng.range_usize(n - cycle - 1, n - 1)],
+                1 => vec![on_chain(rng)],
+                2 => Vec::new(),
+                _ => vec![rng.range_usize(0, chained)],
+            };
+            for _ in 0..rng.range_usize(1, 6) {
+                if let Some(&parent) = tree.get(rng.range_usize(0, tree.len().max(1))) {
+                    edges.push((parent, n, cost(rng)));
+                    edges.push((n, parent, cost(rng)));
+                }
+                tree.push(n);
+                n += 1;
+            }
+        }
+        // A leaf tied to its router by a parallel link, which keeps it in
+        // the core.
+        let tied = rng.range_usize(0, chained);
+        edges.extend([(tied, n, cost(rng)), (n, tied, cost(rng))]);
+        edges.push(if rng.chance(0.5) {
+            (tied, n, cost(rng))
+        } else {
+            (n, tied, cost(rng))
+        });
         n += 1;
         let mut links: Vec<DirectedLinkId> = (0..edges.len()).collect();
         rng.shuffle(&mut links);
@@ -2434,17 +2678,49 @@ mod tests {
         tables
     }
 
-    /// What [`assert_contraction_matches_model`] met: interior routers,
-    /// pendants, folded roots, interior routers on cycles, routers on rings
-    /// and interior labels decided by a tie between the chain's two sides.
+    /// What [`assert_contraction_matches_model`] met.
     #[derive(Default, Debug)]
     struct Folded {
+        /// Interior routers.
         interior: usize,
-        pendants: usize,
+        /// Hanging routers.
+        hanging: usize,
+        /// Hanging routers two or more links below a branch router.
+        deep_off_branch: usize,
+        /// Hanging routers two or more links below an interior router.
+        deep_off_interior: usize,
+        /// Hanging routers off a cycle of interior routers.
+        off_cycles: usize,
+        /// Trees with no core: a branch router with no core neighbour that
+        /// a tree hangs off.
+        tree_components: usize,
+        /// Core routers whose live edges all lead to and from one other
+        /// router, more than once one way: a parallel link stops the peel.
+        parallel_stops: usize,
+        /// Roots whose core router is an interior router.
         interior_roots: usize,
+        /// Hanging roots.
+        hanging_roots: usize,
+        /// A hanging root and another router of its tree that share an
+        /// ancestor in it, so their path stays in the tree.
+        shared_trees: usize,
+        /// Interior routers on cycles.
         on_cycles: usize,
+        /// Interior routers on rings (a chain from a router back to itself).
         on_rings: usize,
+        /// Interior labels decided by a tie between the chain's two sides.
         side_ties: usize,
+    }
+
+    /// The index of `h` and of each router above it in its tree, in
+    /// [`Contracted::hangs`].
+    fn tree_path(index: &Contracted, mut h: u32) -> Vec<u32> {
+        let mut path = Vec::new();
+        while h != NO_END {
+            path.push(h);
+            h = index.hangs[h as usize].parent;
+        }
+        path
     }
 
     /// From every root of `adj`, a search over its [`Contracted`] index
@@ -2452,6 +2728,9 @@ mod tests {
     /// predecessor link; a [`RowSearch`] reused from root to root over the
     /// index builds each row a fresh plain [`RowTree::compute`] does; and
     /// [`select_landmarks`] picks [`model_landmarks`]' `landmarks` tables.
+    /// Every hanging router's live edges lead to and from its parent once
+    /// each, and otherwise to and from its children only; every interior
+    /// router is one on its core neighbours.
     fn assert_contraction_matches_model(
         adj: &Adjacency,
         landmarks: usize,
@@ -2460,32 +2739,74 @@ mod tests {
     ) {
         let index = Contracted::new(adj);
         let routers: Vec<RouterId> = (0..adj.len()).collect();
-        let (mut search, mut rows) = (Search::default(), RowSearch::default());
-        for (r, &place) in index.place.iter().enumerate() {
-            if place & INTERIOR != 0 {
-                let [(a, _), (b, _)] = index.reach[(place & !INTERIOR) as usize];
-                if b == NO_END && a != NO_END {
-                    seen.pendants += 1;
-                    let (&[(to, ..)], &[(from, ..)]) = (adj.neighbors(r), adj.in_neighbors(r))
-                    else {
-                        panic!("{label}: {r} is folded but neither interior nor a pendant")
+        let order = index.routers();
+        let hang_router = |h: u32| order[index.arcs.len() + index.reach.len() + h as usize];
+        let core = |r: u32| index.kind(r as RouterId) != Kind::Hanging;
+        for r in 0..adj.len() {
+            let (out, into) = (adj.neighbors(r), adj.in_neighbors(r));
+            match index.place(r) {
+                Place::Branch(_) => {
+                    let ends = |edges: &[Edge]| {
+                        let ends = edges.iter().map(|&(x, ..)| x).filter(|&x| core(x));
+                        (ends.clone().count(), ends.collect::<BTreeSet<u32>>())
                     };
-                    assert!(
-                        to == from && index.is_branch(to as RouterId),
-                        "{label}: {r}"
-                    );
-                } else {
-                    seen.interior += 1;
-                    assert!(is_interior(adj, r), "{label}: {r} is not interior");
+                    let ((outs, to), (ins, from)) = (ends(out), ends(into));
+                    let hung = out.iter().any(|&(y, ..)| {
+                        matches!(index.place(y as RouterId), Place::Hanging(c)
+                            if index.hangs[c as usize].attach as RouterId == r)
+                    });
+                    seen.tree_components += usize::from(outs + ins == 0 && hung);
+                    let one = to.len() == 1 && to == from && !to.contains(&(r as u32));
+                    seen.parallel_stops += usize::from(one && (outs, ins) != (1, 1));
                 }
-                seen.on_cycles += usize::from(a == NO_END);
-                seen.on_rings += usize::from(a == b && a != NO_END);
+                Place::Interior(i) => {
+                    seen.interior += 1;
+                    assert!(is_interior(adj, core, r), "{label}: {r} is not interior");
+                    let [(a, _), (b, _)] = index.reach[i as usize];
+                    seen.on_cycles += usize::from(a == NO_END);
+                    seen.on_rings += usize::from(a == b && a != NO_END);
+                }
+                Place::Hanging(h) => {
+                    seen.hanging += 1;
+                    let hang = index.hangs[h as usize];
+                    let parent = match hang.parent {
+                        NO_END => hang.attach,
+                        p => hang_router(p),
+                    };
+                    let child = |y: u32| {
+                        matches!(index.place(y as RouterId), Place::Hanging(c)
+                            if index.hangs[c as usize].parent == h)
+                    };
+                    for edges in [out, into] {
+                        let up = edges.iter().filter(|&&(y, ..)| y == parent).count();
+                        assert!(
+                            up == 1 && edges.iter().all(|&(y, ..)| y == parent || child(y)),
+                            "{label}: {r} does not hang off {parent}"
+                        );
+                    }
+                    let deep = usize::from(hang.parent != NO_END);
+                    match index.place(hang.attach as RouterId) {
+                        Place::Branch(_) => seen.deep_off_branch += deep,
+                        Place::Interior(i) => {
+                            seen.deep_off_interior += deep;
+                            seen.off_cycles += usize::from(index.reach[i as usize][0].0 == NO_END);
+                        }
+                        Place::Hanging(_) => panic!("{label}: {r} hangs off a hanging router"),
+                    }
+                }
             }
         }
+        let (mut search, mut rows) = (Search::default(), RowSearch::default());
         for root in 0..adj.len() {
             let (dist, model_prev) = heap_model(adj, root, Dir::Forward);
             let labels = search.forward(adj, Some(&index), root);
-            seen.interior_roots += usize::from(matches!(labels, Labels::Folded(_, Some(_))));
+            let (chain, hang) = match &labels {
+                Labels::Folded(_, start) => (start.chain.is_some(), start.hang),
+                Labels::Plain => (false, None),
+            };
+            seen.interior_roots += usize::from(chain);
+            seen.hanging_roots += usize::from(hang.is_some());
+            let root_path = hang.map_or_else(Vec::new, |x| tree_path(&index, x));
             for r in 0..adj.len() {
                 let got = (
                     labels.distance(r, &search.dist),
@@ -2493,13 +2814,19 @@ mod tests {
                         .map(|(link, tail)| (tail, link as DirectedLinkId)),
                 );
                 assert_eq!(got, (dist[r], model_prev[r]), "{label}: {r} from {root}");
-                if let (Labels::Folded(_, None), false) = (&labels, index.is_branch(r)) {
-                    let ways = index.reach[(index.place[r] & !INTERIOR) as usize];
-                    let [x, y] = ways.map(|(end, cost)| match end {
-                        NO_END => u64::MAX,
-                        end => search.dist[end as usize].saturating_add(u64::from(cost)),
-                    });
-                    seen.side_ties += usize::from(x == y && x != u64::MAX);
+                match (&labels, index.place(r)) {
+                    (Labels::Folded(..), Place::Interior(i)) if !chain => {
+                        let [x, y] = index.reach[i as usize].map(|(end, cost)| match end {
+                            NO_END => u64::MAX,
+                            end => search.dist[end as usize].saturating_add(u64::from(cost)),
+                        });
+                        seen.side_ties += usize::from(x == y && x != u64::MAX);
+                    }
+                    (Labels::Folded(..), Place::Hanging(h)) if hang != Some(h) => {
+                        let shared = tree_path(&index, h).iter().any(|a| root_path.contains(a));
+                        seen.shared_trees += usize::from(shared);
+                    }
+                    _ => {}
                 }
             }
             assert_eq!(
@@ -2520,15 +2847,20 @@ mod tests {
     /// `remove_edge`, `add_edge` and `set_edge_cost`, every router's label
     /// from every root, every row and the landmark tables equal the plain
     /// models' (see [`assert_contraction_matches_model`]). The graphs have
-    /// interior and pendant roots and targets, rings, cycles, ties between
-    /// a chain's two sides, parallel links, loops, down links and
-    /// asymmetric costs, and the test counts that they do.
+    /// interior and hanging roots and targets, trees two or more links deep
+    /// off branch and interior routers, roots and targets in one tree, trees
+    /// with no core and trees off cycles, rings, cycles, ties between a
+    /// chain's two sides, parallel links that stop a peel, loops, down links
+    /// and asymmetric costs, and the test counts that they do.
     ///
     /// Mutants this test kills, each checked by hand:
     /// - `is_interior` without its "same two neighbours" check;
     /// - way 1's cost left as the sum of the reverse links walked;
     /// - a root's own chain read through its ends only;
-    /// - a pendant folded off an interior router.
+    /// - a hanging router's cost summed from its parent's edge only;
+    /// - a root's own tree routed through its attachment;
+    /// - the peel counting neighbours, not edges, so a parallel link does
+    ///   not stop it.
     #[test]
     fn contraction_matches_the_plain_models() {
         let mut rng = SimRng::new(0xC0417AC7);
@@ -2555,8 +2887,15 @@ mod tests {
         }
         assert!(
             seen.interior >= 1_000
-                && seen.pendants >= 120
+                && seen.hanging >= 120
+                && seen.deep_off_branch >= 200
+                && seen.deep_off_interior >= 40
+                && seen.off_cycles >= 20
+                && seen.tree_components >= 40
+                && seen.parallel_stops >= 50
                 && seen.interior_roots >= 1_000
+                && seen.hanging_roots >= 800
+                && seen.shared_trees >= 800
                 && seen.on_cycles >= 120
                 && seen.on_rings >= 30
                 && seen.side_ties >= 150,
@@ -2565,14 +2904,16 @@ mod tests {
     }
 
     /// A chain that costs more than an arc's `u32` either way stays
-    /// expanded, and one that costs exactly `u32::MAX` folds; both route
-    /// as the plain models do.
+    /// expanded, and one that costs exactly `u32::MAX` folds; a tree that
+    /// costs more than a `u32` from its attachment stops its peel below,
+    /// and one that costs exactly `u32::MAX` hangs. All route as the plain
+    /// models do.
     #[test]
     fn a_chain_beyond_u32_stays_expanded() {
         let max = u64::from(u32::MAX);
         // 0 - 1 - 2 - 3 - 4 costs more than u32::MAX one way and less the
-        // other; 4 - 5 - 6 costs at most u32::MAX both ways. Leaves keep 0, 4
-        // and 6 branch routers.
+        // other; 4 - 5 - 6 costs at most u32::MAX both ways. A ring of two
+        // on each of 0, 4 and 6 keeps them branch routers.
         let mut edges = Vec::new();
         let chain = [
             (0, 1, max - 2, 1),
@@ -2581,30 +2922,86 @@ mod tests {
             (3, 4, max / 2, 1),
         ];
         let fits = [(4, 5, max / 2 + 1, max - 1), (5, 6, 1, 1)];
-        let leaves = [
+        let rings = [
             (0, 7, 1, 1),
-            (0, 8, 1, 1),
+            (7, 8, 1, 1),
+            (8, 0, 1, 1),
             (4, 9, 1, 1),
-            (6, 10, 1, 1),
+            (9, 10, 1, 1),
+            (10, 4, 1, 1),
             (6, 11, 1, 1),
+            (11, 12, 1, 1),
+            (12, 6, 1, 1),
         ];
-        for &(a, b, fwd, rev) in chain.iter().chain(&fits).chain(&leaves) {
+        // 6 - 13 - 14 costs exactly u32::MAX down; 0 - 15 - 16 one more.
+        let trees = [(6, 13, max - 1, 1), (13, 14, 1, 1), (0, 15, max, 1), (15, 16, 1, 1)];
+        for &(a, b, fwd, rev) in chain.iter().chain(&fits).chain(&rings).chain(&trees) {
             edges.extend([(a, b, fwd), (b, a, rev)]);
         }
         let directed: Vec<DirectedEdge> = (edges.iter().enumerate())
             .map(|(link, &(a, b, c))| (a, b, link, c))
             .collect();
-        let adj = digraph(12, &directed);
+        let adj = digraph(17, &directed);
         let index = Contracted::new(&adj);
-        let folded: Vec<RouterId> = (0..12).filter(|&r| !index.is_branch(r)).collect();
+        let of = |kind| (0..17).filter(|&r| index.kind(r) == kind).collect::<Vec<RouterId>>();
+        assert_eq!(of(Kind::Hanging), [13, 14, 16], "the trees that fit hang");
         assert_eq!(
-            folded,
-            [5, 7, 8, 9, 10, 11],
-            "the chain that fits and the leaves fold"
+            of(Kind::Interior),
+            [5, 7, 8, 9, 10, 11, 12],
+            "the chain that fits and the rings fold"
         );
-        assert!([1, 2, 3].iter().all(|&r| is_interior(&adj, r)));
+        let core = |r: u32| index.kind(r as RouterId) != Kind::Hanging;
+        assert!([1, 2, 3].iter().all(|&r| is_interior(&adj, core, r)));
         // Its distances do not fit a landmark table.
         assert_contraction_matches_model(&adj, 0, "u32 chains", &mut Folded::default());
+    }
+
+    /// The counted target of the contracted graph, on the 20,300 routers of
+    /// `paper_scale(200, 7)`: the index hangs exactly the routers that a
+    /// plain peel model removes (a queue of routers with one live link
+    /// left, which is enough where every link runs both ways), and its
+    /// branch routers are exactly the rest with three or more links left.
+    /// Prints and pins the folded graph's size.
+    #[test]
+    fn paper_class_branch_routers_are_the_core_of_degree_three() {
+        let config = bullet_topology::TopologyConfig::paper_scale(200, 7);
+        let spec = bullet_topology::generate(&config).spec;
+        let links = spec.links.iter().enumerate().flat_map(|(i, link)| {
+            let cost = link.delay.as_micros().max(1);
+            [
+                (link.a, link.b, 2 * i, cost, link.up),
+                (link.b, link.a, 2 * i + 1, cost, link.up),
+            ]
+        });
+        let adj = Adjacency::new(spec.routers, links);
+        let n = adj.len();
+        let mut left: Vec<usize> = (0..n).map(|r| adj.neighbors(r).len()).collect();
+        let mut peeled = vec![false; n];
+        let mut queue: VecDeque<RouterId> = (0..n).filter(|&r| left[r] == 1).collect();
+        while let Some(r) = queue.pop_front() {
+            if peeled[r] || left[r] != 1 {
+                continue;
+            }
+            peeled[r] = true;
+            for &(p, ..) in adj.neighbors(r) {
+                let p = p as RouterId;
+                if !peeled[p] {
+                    left[p] -= 1;
+                    if left[p] == 1 {
+                        queue.push_back(p);
+                    }
+                }
+            }
+        }
+        let index = Contracted::new(&adj);
+        let of = |kind| (0..n).filter(|&r| index.kind(r) == kind).collect::<Vec<RouterId>>();
+        let hanging: Vec<RouterId> = (0..n).filter(|&r| peeled[r]).collect();
+        let core3: Vec<RouterId> = (0..n).filter(|&r| !peeled[r] && left[r] >= 3).collect();
+        assert_eq!(of(Kind::Hanging), hanging);
+        assert_eq!(of(Kind::Branch), core3);
+        let counts = (n, core3.len(), index.arcs.edges.len(), hanging.len());
+        println!("routers, branch routers, arcs, hanging routers: {counts:?}");
+        assert_eq!(counts, (20_300, 2_848, 9_938, 4_200));
     }
 
     /// Every ordered pair of `adj` must route — cost and hop sequence — as the

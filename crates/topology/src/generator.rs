@@ -161,6 +161,13 @@ struct Position {
     y: f64,
 }
 
+/// The routers `config` generates, client end hosts excluded.
+fn router_count(config: &TopologyConfig) -> usize {
+    let transit = config.transit_domains * config.transit_per_domain;
+    let per_stub = config.routers_per_stub + config.leaf_routers_per_stub;
+    transit + transit * config.stubs_per_transit * per_stub
+}
+
 /// Generates a transit-stub topology from `config`.
 pub fn generate(config: &TopologyConfig) -> BuiltTopology {
     assert!(
@@ -170,8 +177,10 @@ pub fn generate(config: &TopologyConfig) -> BuiltTopology {
     assert!(config.transit_per_domain > 0, "need transit routers");
     let mut rng = SimRng::new(config.seed ^ 0x70706F);
 
-    let mut positions: Vec<Position> = Vec::new();
-    let mut node_classes: Vec<NodeClass> = Vec::new();
+    // Every router and client end host, known from the configuration.
+    let nodes = router_count(config) + config.clients;
+    let mut positions: Vec<Position> = Vec::with_capacity(nodes);
+    let mut node_classes: Vec<NodeClass> = Vec::with_capacity(nodes);
     let mut pending_links: Vec<(RouterId, RouterId)> = Vec::new();
 
     // 1. Transit domains: routers in a ring plus random chords.
@@ -313,6 +322,8 @@ pub fn generate(config: &TopologyConfig) -> BuiltTopology {
 
     // 6. Materialize links: class, bandwidth, delay, loss, queueing.
     let mut spec = NetworkSpec::new(positions.len());
+    spec.links.reserve_exact(pending_links.len());
+    spec.attachments.reserve_exact(config.clients);
     let mut link_classes = Vec::with_capacity(pending_links.len());
     let mut access_links = vec![usize::MAX; config.clients];
     let mut stats = TopologyStats {
@@ -377,14 +388,6 @@ pub fn generate(config: &TopologyConfig) -> BuiltTopology {
 mod tests {
     use super::*;
     use bullet_netsim::Network;
-
-    /// The routers `config` must generate, client end hosts excluded: the
-    /// reference the generated router counts are checked against.
-    fn router_count(config: &TopologyConfig) -> usize {
-        let transit = config.transit_domains * config.transit_per_domain;
-        let per_stub = config.routers_per_stub + config.leaf_routers_per_stub;
-        transit + transit * config.stubs_per_transit * per_stub
-    }
 
     #[test]
     fn small_topology_has_expected_router_count() {
@@ -485,6 +488,28 @@ mod tests {
             .filter(|(x, y)| x == y)
             .count();
         assert!(same < a.spec.links.len());
+    }
+
+    /// A generated topology holds no growth slack: its links, attachments
+    /// and classes are allocated at their final lengths, which the
+    /// configuration and the link list fix before they are filled.
+    #[test]
+    fn generated_tables_are_allocated_at_their_lengths() {
+        for config in [
+            TopologyConfig::paper_scale(200, 7),
+            TopologyConfig::small(12, 3),
+        ] {
+            let topo = generate(&config);
+            let capacities = [
+                (topo.spec.links.capacity(), topo.spec.links.len()),
+                (topo.spec.attachments.capacity(), topo.spec.attachments.len()),
+                (topo.node_classes.capacity(), topo.node_classes.len()),
+                (topo.link_classes.capacity(), topo.link_classes.len()),
+            ];
+            for (capacity, len) in capacities {
+                assert_eq!(capacity, len, "{capacities:?}");
+            }
+        }
     }
 
     #[test]

@@ -304,13 +304,16 @@ fn a_paper_scale_network_holds_flat_routing_state() {
         // branch marker) and 4 B per participant, beside the oracle's 4-byte
         // flow count per directed link and the workspaces of the row
         // searches running at once, one per worker; 16 KB covers the rest of
-        // the greedy's state. Measured: a 749,084 B search (the contracted
+        // the greedy's state. Measured: a 659,772 B search (the contracted
         // graph of the call, shared by the workers, and one row search over
         // it), 73,628 B of row trees (15,287 links and 1,520 markers) and a
-        // 178,088 B flow array; a peak of 1,002,812 B on one worker, the
-        // same on every run, and of 1,181,404 B on two, which varies with
-        // how far the two searches overlap. Over the plain graph the search
-        // was 350,292 B and the peaks 609,688 and 946,016 B. With 8-byte `(parent, link)` entries the rows held
+        // 178,088 B flow array; a peak of 913,500 B on one worker, the
+        // same on every run, and of 1,042,876 B on two, which varies with
+        // how far the two searches overlap. A contracted graph that folded
+        // single leaves but not whole trees made the search 749,084 B and
+        // the peaks 1,002,812 and 1,181,404 B. Over the plain graph the
+        // search was 350,292 B and the peaks 609,688 and 946,016 B. With
+        // 8-byte `(parent, link)` entries the rows held
         // 128,696 B and the one-worker peak was 660,836 B. Interning a route
         // per pair grew the view by 190,951 B and peaked at 734,339 B on one
         // worker, above its ceiling.

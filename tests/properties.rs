@@ -526,15 +526,28 @@ fn lazy_routing_matches_reference_on_tie_adversarial_shapes() {
 }
 
 /// The contracted graph (`routing` module docs) on the paper topology
-/// class, where participants sit on pendant routers and most landmarks on
-/// interior ones: every participant's row tree, which `Network::row_trees`
-/// builds over the folded chains, holds for every pair the path an eager
-/// network reads off a row of the plain kernel, and the 8 landmark tables a
-/// paper-class setup selects over the folded graph are the farthest-point
-/// tables of `Adjacency::distances_from`, the plain kernel.
+/// class, where participants hang off leaf routers and most landmarks are
+/// hanging or interior routers: every participant's row tree, which
+/// `Network::row_trees` builds over the folded graph, holds for every pair
+/// the path an eager network reads off a row of the plain kernel, and the 8
+/// landmark tables a paper-class setup selects over the folded graph are
+/// the farthest-point tables of `Adjacency::distances_from`, the plain
+/// kernel.
 #[test]
 fn contracted_rows_and_landmarks_match_the_plain_kernel_on_the_paper_topology_class() {
-    let topo = generate(&TopologyConfig::paper_scale(24, 9));
+    assert_contracted_rows_and_landmarks_are_plain(&TopologyConfig::paper_scale(24, 9));
+}
+
+/// The same at the ledger's size, `tree_stream`'s topology: all 200
+/// participants of `paper_scale(200, 7)`, 40,000 row paths.
+#[test]
+#[ignore = "paper scale, 200 rows: run it in a release build, as the nightly job does"]
+fn contracted_rows_and_landmarks_match_the_plain_kernel_at_the_ledger_size() {
+    assert_contracted_rows_and_landmarks_are_plain(&TopologyConfig::paper_scale(200, 7));
+}
+
+fn assert_contracted_rows_and_landmarks_are_plain(config: &TopologyConfig) {
+    let topo = generate(config);
     let (spec, n) = (&topo.spec, topo.participants());
     let setup = NetworkSetup::new(spec);
     let sources: Vec<usize> = (0..n).collect();
